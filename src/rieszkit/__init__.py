@@ -21,6 +21,7 @@ from .elements import (
     abs_,
     atom,
     coordinate,
+    decompose,
     element_fin,
     element_findev,
     element_rowblock,
@@ -49,7 +50,6 @@ from .operators import (
     Operator,
     apply_functional,
     apply_op,
-    decompose,
     functional,
     operator,
     order_bounded_test,

@@ -24,12 +24,13 @@ from .scalars import Q
 from .spaces import AtomIndex, Kind, SpaceDesc
 from .elements import (
     Element,
-    add,
     atom,
-    coordinate,
+    decompose,
     is_positive as elem_is_positive,
     le,
+    lincomb,
     pos,
+    row_unit,
     scale,
     sub,
     unit,
@@ -63,7 +64,9 @@ from .operators import (
     rank_one,
     row_sum_pattern,
     row_unit_image,
+    same_atom_images,
     _max_drive,
+    _rule_image,
 )
 
 
@@ -110,11 +113,9 @@ def rk_value(T: Operator, x: Element) -> CompletionElement:
     kind = T.domain.kind
     tpos = entrywise_pos_op(T)
     if kind == Kind.FIN_DIM:
-        out = zero(T.codomain)
-        for i, v in enumerate(x.coords, start=1):
-            if v != 0:
-                out = add(out, scale(v, pos(atom_image(T, i))))
-        return embed(out)
+        return embed(lincomb(T.codomain, [
+            (v, pos(atom_image(T, i))) for i, v in enumerate(x.coords, start=1) if v != 0
+        ]))
     if kind == Kind.TAIL_SEQ or (kind == Kind.ROW_BLOCK and not T.domain.row_units):
         t = x.tail
         devs = sub(x, scale(t, unit(T.domain)))
@@ -125,14 +126,9 @@ def rk_value(T: Operator, x: Element) -> CompletionElement:
     # ek domain: pointwise positive action + row-unit and unit correction terms
     t = x.tail
     out = embed(zero(T.codomain))
-    dev_cells = {}
-    for n, (pref, rt) in enumerate(x.rows, start=1):
-        for m, v in enumerate(pref, start=1):
-            if v - rt != 0:
-                dev_cells[(n, m)] = v - rt
-    dev_elem = zero(T.codomain)
-    for idx, c in sorted(dev_cells.items()):
-        dev_elem = add(dev_elem, scale(c, pos(atom_image(T, idx))))
+    dev_elem = lincomb(T.codomain, [
+        (c, pos(atom_image(T, ref[1]))) for ref, c in decompose(x) if ref[0] == "atom"
+    ])
     out = ce_add(out, embed(dev_elem))
     explicit_rows = list(range(1, len(x.rows) + 1))
     rowpos_total = None
@@ -153,9 +149,7 @@ def rk_value(T: Operator, x: Element) -> CompletionElement:
         )
         out = ce_add(out, ce_scale(t, beyond_pos))
         _check_ek_beyond_rows(T, explicit_rows)
-        rho_sum = zero(T.codomain)
-        for _, img in T.row_unit_images:
-            rho_sum = add(rho_sum, img)
+        rho_sum = lincomb(T.codomain, [(1, img) for _, img in T.row_unit_images])
         for r, _ in T.row_unit_images:
             if r not in explicit_rows:
                 corr = ce_pos(
@@ -211,12 +205,7 @@ class CompletionOperator:
         for k, img in self.atom_images:
             if k == idx:
                 return img
-        if self.rule is not None:
-            from .operators import _driving_index, _rule_image
-
-            if _driving_index(idx) > self.rule.threshold:
-                return _rule_image(self.domain, self.codomain, self.rule, idx)
-        return zero(self.codomain)
+        return _rule_image(self.codomain, self.rule, idx)
 
     def in_codomain(self) -> bool:
         ok = in_space(self.unit_image) and all(
@@ -265,26 +254,13 @@ def embed_operator(T: Operator) -> CompletionOperator:
     )
 
 
-def completion_op_eq(A: CompletionOperator, B: CompletionOperator, window: int = 6) -> bool:
-    if (A.domain, A.codomain) != (B.domain, B.codomain):
-        return False
-    if A.unit_image != B.unit_image:
-        return False
-    if dict(A.row_unit_images) != dict(B.row_unit_images):
-        return False
-    top = window + max(
-        (A.rule.threshold if A.rule else 0),
-        (B.rule.threshold if B.rule else 0),
-        max((kv[0] if isinstance(kv[0], int) else kv[0][1] for kv in A.atom_images), default=0),
-        max((kv[0] if isinstance(kv[0], int) else kv[0][1] for kv in B.atom_images), default=0),
-    )
-    if A.domain.kind in (Kind.FIN_DIM, Kind.TAIL_SEQ):
-        hi = min(top, A.domain.dim) if A.domain.kind == Kind.FIN_DIM else top
-        return all(A.atom_image(i) == B.atom_image(i) for i in range(1, hi + 1))
-    return all(
-        A.atom_image((n, m)) == B.atom_image((n, m))
-        for n in range(1, window + 1)
-        for m in range(1, top + 1)
+def completion_op_eq(A: CompletionOperator, B: CompletionOperator) -> bool:
+    """Exact equality on the generator family."""
+    return (
+        (A.domain, A.codomain) == (B.domain, B.codomain)
+        and A.unit_image == B.unit_image
+        and dict(A.row_unit_images) == dict(B.row_unit_images)
+        and same_atom_images(A, B)
     )
 
 
@@ -333,10 +309,10 @@ def positive_part(T: Operator) -> tuple[CompletionOperator, bool]:
     if T.domain.kind == Kind.ROW_BLOCK and T.domain.row_units:
         table_rows = [r for r, _ in T.row_unit_images]
         rows = tuple(
-            (r, rk_value(T, _row_unit_elem(T.domain, r))) for r in table_rows
+            (r, rk_value(T, row_unit(T.domain, r))) for r in table_rows
         )
         beyond = max(table_rows, default=0) + 1
-        tail = rk_value(T, _row_unit_elem(T.domain, beyond))
+        tail = rk_value(T, row_unit(T.domain, beyond))
         cand = CompletionOperator(
             T.domain,
             T.codomain,
@@ -351,12 +327,6 @@ def positive_part(T: Operator) -> tuple[CompletionOperator, bool]:
         T.domain, T.codomain, tpos.atom_images, tpos.rule, (), rk_unit_pattern(T)
     )
     return cand, cand.in_codomain()
-
-
-def _row_unit_elem(space: SpaceDesc, r: int) -> Element:
-    from .elements import row_unit
-
-    return row_unit(space, r)
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +495,6 @@ def _first_positive_generator(T: Operator, probe: int):
         return ("unit",), unit(T.domain)
     for r, img in T.row_unit_images:
         if not img.is_zero():
-            from .elements import row_unit
-
             return ("unit",), row_unit(T.domain, r)
     return None, None
 
@@ -660,10 +628,6 @@ class Classification:
     notes: Tuple[str, ...]
 
 
-def _atomic(space: SpaceDesc) -> bool:
-    return True  # all four representable kinds carry complete atom systems
-
-
 def _atom_span_codim(space: SpaceDesc) -> int | None:
     """Codimension of the uniform closure of the atom span (None = infinite)."""
     if space.kind == Kind.FIN_DIM:
@@ -690,35 +654,23 @@ def _uniformly_complete(space: SpaceDesc) -> bool:
 
 
 def classify_pair(E: SpaceDesc, F: SpaceDesc) -> Classification:
-    notes = []
-    anchors = ["rk-property-pervasive"]
-    codomain_atomic = _atomic(F)
-    codim = _atom_span_codim(E)
-    route = ""
-    pervasive = False
-    if codomain_atomic:
-        pervasive = True
-        route = "atomic-codomain"
-        anchors.append("atomic-codomain-witness")
-        notes.append("the codomain has a complete atom system; coordinate "
-                     "compositions give rank-one minorants")
-    elif codim is not None and codim <= 1:
-        pervasive = True
-        route = "atom-span-codimension-one"
-        anchors.append("atom-span-codim-one-witness")
-    rk = pervasive
-    oc_band = pervasive
-    if rk:
-        anchors.append("rk-formula")
-    if oc_band:
-        anchors.append("oc-regular-band")
+    # all four representable kinds carry complete atom systems, so every
+    # codomain is atomic and the atomic-codomain route always applies
+    anchors = [
+        "rk-property-pervasive",
+        "atomic-codomain-witness",
+        "rk-formula",
+        "oc-regular-band",
+    ]
+    notes = ["the codomain has a complete atom system; coordinate "
+             "compositions give rank-one minorants"]
     if F.kind == Kind.TAIL_SEQ:
         anchors.append("grid-codomain-rk")
         notes.append("eventually constant codomains always carry the "
                      "interval-supremum formula")
     if E.kind == Kind.TAIL_SEQ:
         anchors.append("partial-sum-criterion")
-    riesz = codim == 0 and _uniformly_complete(F)
+    riesz = _atom_span_codim(E) == 0 and _uniformly_complete(F)
     if riesz:
         anchors.append("uniformly-complete-riesz")
     order_complete = F.kind == Kind.FIN_DIM
@@ -729,11 +681,11 @@ def classify_pair(E: SpaceDesc, F: SpaceDesc) -> Classification:
     return Classification(
         domain=E,
         codomain=F,
-        pervasive=pervasive,
-        pervasive_route=route,
-        rk_property=rk,
-        oc_band=oc_band,
-        riesz_completion_subspace=pervasive,
+        pervasive=True,
+        pervasive_route="atomic-codomain",
+        rk_property=True,
+        oc_band=True,
+        riesz_completion_subspace=True,
         riesz_space=riesz,
         codomain_order_complete=order_complete,
         anchors=tuple(dict.fromkeys(anchors)),

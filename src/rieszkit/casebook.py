@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import random
 
+from .errors import PreconditionError
 from .scalars import Q, RationalSeq
 from .spaces import (
+    Affine,
     fin_dev,
     gamma,
     pair_form,
@@ -30,25 +32,30 @@ from .spaces import (
     token_form,
 )
 from .elements import (
+    abs_,
     atom,
     element_findev,
     element_tail,
     le,
+    recompose,
     render,
     row_unit,
     scale,
-    sub,
     unit,
     zero,
 )
+from .completion import ce_le, collapse, embed, embed_zero
 from .operators import (
     Operator,
     add_op,
     apply_op,
     atom_image,
+    functional,
+    image_sum_pattern,
     operator,
     order_bounded_test,
     partial_sum_seq,
+    rank_one,
     scale_op,
     stencil_rule,
 )
@@ -68,6 +75,12 @@ from .calculus import (
 )
 from .oracles import bruteforce_dominating_search, majorant_growth_probe
 from .reports import Report
+
+
+def _require(ok: bool, what: str) -> None:
+    """Check one conclusion of a run; unlike assert, this survives python -O."""
+    if not ok:
+        raise PreconditionError(f"casebook check failed: {what}")
 
 
 def moving_indicator_operator() -> Operator:
@@ -104,8 +117,6 @@ def row_pair_difference_operator() -> Operator:
 
 
 def limit_functional_rank_one() -> Operator:
-    from .operators import functional, rank_one
-
     dom = tail_seq()
     return rank_one(functional(dom, {}, 1), atom(dom, 1))
 
@@ -124,26 +135,25 @@ def run_not_directed(probe: int = 8) -> Report:
     dom = T.domain
     transcript = []
     bound = order_bounded_test(T)
-    assert bound.bounded and bound.bound == scale(2, unit(T.codomain))
-    from .elements import abs_, le
-
+    _require(bound.bounded and bound.bound == scale(2, unit(T.codomain)),
+             "the order bound is twice the unit")
     moduli = zero(T.codomain)
     for n in range(1, probe + 1):
         moduli = moduli + abs_(atom_image(T, n))
-        assert le(moduli, bound.bound)
+        _require(le(moduli, bound.bound), f"modulus partial sum {n} below the bound")
     transcript.append(
         f"modulus partial sums stay below {render(bound.bound)} "
         f"(literal sums checked at n=1..{probe}): order bounded"
     )
     oc, cert = order_continuity_test(T, probe)
-    assert oc
+    _require(oc, "order continuity")
     s = partial_sum_seq(T)
     okc, _ = verify_certificate(cert, s, zero(T.codomain), probe)
-    assert okc
+    _require(okc, "the order-continuity certificate verifies")
     lit = zero(T.codomain)
     for n in range(1, 4):
         lit = lit + atom_image(T, n)
-        assert eval_seq(s, n) == lit
+        _require(eval_seq(s, n) == lit, f"partial sum {n} matches the literal sum")
     transcript.append(
         "atom-image partial sums telescope to a moving indicator and order "
         "converge to the zero unit image: order continuous"
@@ -152,12 +162,9 @@ def run_not_directed(probe: int = 8) -> Report:
     # y_n := S(1) - partial sums of S >= -T(1 - sum of first n atoms),
     # evaluated exactly below
     for n in range(1, probe + 1):
-        cut = unit(dom)
-        for k in range(1, n + 1):
-            cut = sub(cut, atom(dom, k))
+        cut = recompose(dom, [(("unit",), 1)] + [(("atom", k), -1) for k in range(1, n + 1)])
         rhs = apply_op(scale_op(-1, T), cut)
-        expected = atom(T.codomain, gamma(n))
-        assert rhs == expected
+        _require(rhs == atom(T.codomain, gamma(n)), f"the cut-down {n} maps to g({n})")
     transcript.append(
         "for any S >= 0, -T: y_n = S(1) - sum of its first n atom images "
         "dominates the n-th indicator (evaluated exactly on probes)"
@@ -172,13 +179,13 @@ def run_not_directed(probe: int = 8) -> Report:
     )
     obstruction = o1_dominating_obstruction(x)
     ok, log = verify_certificate(obstruction, x, probe=probe)
-    assert ok
+    _require(ok, "the obstruction certificate verifies")
     transcript.append(
         "the monotone rule requires the ambient of a decreasing-to-zero "
         "family to vanish; the fresh-point minorant refutes every candidate"
     )
     search = bruteforce_dominating_search(x, bound=6)
-    assert search.found is None
+    _require(search.found is None, "no dominating family in the bounded search")
     transcript.append(
         f"bounded search over {search.candidates_checked} structured "
         "candidate families confirms: none dominate while decreasing to zero"
@@ -212,15 +219,15 @@ def run_bounded_not_regular(probe: int = 8, levels: int = 8) -> Report:
     T = row_pair_difference_operator()
     dom, cod = T.domain, T.codomain
     transcript = []
-    assert apply_op(T, atom(dom, (1, 1))) == atom(cod, (1, 1))
-    assert apply_op(T, row_unit(dom, 1)).is_zero()
-    assert apply_op(T, unit(dom)).is_zero()
+    _require(apply_op(T, atom(dom, (1, 1))) == atom(cod, (1, 1)), "the first atom passes through")
+    _require(apply_op(T, row_unit(dom, 1)).is_zero(), "row unit 1 cancels")
+    _require(apply_op(T, unit(dom)).is_zero(), "the unit cancels")
     transcript.append(
         "spot checks: the first atom passes through, row units and the unit "
         "cancel pairwise"
     )
     bound = order_bounded_test(T)
-    assert bound.bounded
+    _require(bound.bounded, "order boundedness")
     transcript.append(f"order bounded with bound {render(bound.bound)}")
     # order continuity through the coordinatewise route: the tail rule makes
     # every output coordinate a finite combination of input coordinates, and
@@ -244,18 +251,18 @@ def run_bounded_not_regular(probe: int = 8, levels: int = 8) -> Report:
         imgs = [apply_op(T, eval_seq(xs, n)) for n in range(1, probe + 1)]
         image_seq = _image_sequence(T, xs, probe)
         cert = decide_order_convergence(image_seq, zero(cod), probe)
-        assert cert.converges
+        _require(cert.converges, f"the {name} image converges")
         for n in range(1, probe + 1):
-            assert eval_seq(image_seq, n) == imgs[n - 1]
+            _require(eval_seq(image_seq, n) == imgs[n - 1], f"the {name} image at step {n}")
         ok, _ = verify_certificate(cert, image_seq, zero(cod), probe)
-        assert ok
+        _require(ok, f"the {name} certificate verifies")
         certs[name] = cert
     transcript.append(
         "order-null test sequences map to order-null image sequences "
         "(coordinatewise route; certificates attached)"
     )
     cand, in_f = positive_part(T)
-    assert not in_f
+    _require(not in_f, "the positive part leaves the operator space")
     failing = cand.failing_generator()
     transcript.append(
         f"interval suprema on {failing} form the all-ones row pattern, "
@@ -263,8 +270,8 @@ def run_bounded_not_regular(probe: int = 8, levels: int = 8) -> Report:
         "positive part leaves the operator space"
     )
     mu = [majorant_growth_probe(T, n) for n in range(0, levels + 1)]
-    assert all(mu[n] >= Q(n, 2) for n in range(levels + 1))
-    assert all(mu[n] <= mu[n + 1] for n in range(levels))
+    _require(all(mu[n] >= Q(n, 2) for n in range(levels + 1)), "majorant floors grow linearly")
+    _require(all(mu[n] <= mu[n + 1] for n in range(levels)), "majorant floors increase")
     transcript.append(
         "truncated majorant floors grow linearly with the level, evidence "
         "consistent with the cited non-regularity (the non-regularity proof "
@@ -297,8 +304,6 @@ def _image_sequence(T: Operator, xs, probe: int):
     The composition of affine forms is again affine when the test atom's
     column stays in one residue class of the rule (fixed column, or a slope
     that is a multiple of the modulus)."""
-    from .errors import PreconditionError
-
     (form, coeff), = xs.atoms
     if T.rule is None:
         return element_seq(T.codomain)
@@ -325,8 +330,6 @@ def _image_sequence(T: Operator, xs, probe: int):
 
 
 def _compose_affine(out_aff, in_aff):
-    from .spaces import Affine
-
     return Affine(out_aff.a * in_aff.a, out_aff.a * in_aff.b + out_aff.b)
 
 
@@ -340,20 +343,17 @@ def run_projection_demo(seed: int = 42, probe: int = 8, count: int = 12) -> Repo
         S = _random_stencil_operator(rng, positive=True)
         P_T = oc_projection(T)
         P_S = oc_projection(S)
-        assert completion_op_eq(oc_projection(P_T), P_T)
+        _require(completion_op_eq(oc_projection(P_T), P_T), "the projection is idempotent")
         checks["idempotent"] += 1
-        from .completion import ce_le, embed as ce_embed, embed_zero
-
-        assert ce_le(embed_zero(T.codomain), P_T.unit_image)
-        assert ce_le(P_T.unit_image, ce_embed(T.unit_image))
+        _require(ce_le(embed_zero(T.codomain), P_T.unit_image), "the projection is positive")
+        _require(ce_le(P_T.unit_image, embed(T.unit_image)), "the projection is below T")
         checks["bounded_between"] += 1
-        assert completion_op_eq(
-            oc_projection(add_op(S, T)), completion_op_add(P_S, P_T)
-        )
+        _require(completion_op_eq(oc_projection(add_op(S, T)), completion_op_add(P_S, P_T)),
+                 "the projection is additive")
         checks["additive"] += 1
         # the complement kills every atom: P keeps the atom images
         for i in range(1, 5):
-            assert P_T.atom_image(i) == atom_image(T, i)
+            _require(P_T.atom_image(i) == atom_image(T, i), f"the projection keeps atom {i}")
         checks["kills_no_atom"] += 1
     transcript.append(
         f"{count} random positive stencil operators: projection idempotent, "
@@ -361,10 +361,11 @@ def run_projection_demo(seed: int = 42, probe: int = 8, count: int = 12) -> Repo
         "vanishes on every atom"
     )
     ident = identity_on_tail_seq()
-    assert projection_fixes(ident)
+    _require(projection_fixes(ident), "the identity is fixed")
     lf = limit_functional_rank_one()
     P_lf = oc_projection(lf)
-    assert P_lf.unit_image.is_zero() and not projection_fixes(lf)
+    _require(P_lf.unit_image.is_zero() and not projection_fixes(lf),
+             "the limit-functional tensor projects to zero")
     transcript.append(
         "the identity is fixed; the limit-functional tensor projects to zero"
     )
@@ -392,12 +393,9 @@ def _random_stencil_operator(rng: random.Random, positive: bool = False) -> Oper
     coeff = Q(rng.randint(0 if positive else -2, 3))
     entries = [[(seq_form(1, b), coeff)]] if coeff != 0 else [[]]
     rule = stencil_rule(1, threshold, entries, dom)
-    from .operators import image_sum_pattern
-    from .completion import collapse
-
     tmp = operator(dom, dom, images, rule, None, zero(dom))
     sigma = collapse(image_sum_pattern(tmp, "id"))
-    assert sigma is not None
+    _require(sigma is not None, "the partial-sum limit is representable")
     if positive:
         slack = Q(rng.randint(0, 2))
         unit_img = sigma + scale(slack, unit(dom))

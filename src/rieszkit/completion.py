@@ -13,18 +13,35 @@ to a single tail value (respectively a finite deviation set).
   row_block  -> RowBlockPattern: explicit rows (TailPattern each) + per
                 row-residue patterns for all later rows
   fin_dim    -> the space is already order complete; patterns are elements
+
+This module owns the pattern format: `pattern_from_pieces` is the one
+builder that reads a base element plus arithmetic-progression pieces off as
+a prefix and residues (`embed` is the case without pieces), and `_values`
+is the one walk over the values a pattern stores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from typing import Tuple, Union
 
-from .errors import SpaceMismatchError
+from .errors import SpaceMismatchError, StencilError
 from .scalars import Q, QLike, qof, qstr
-from .spaces import Kind, SpaceDesc, Token, atom_key
-from .elements import Element, element_findev, element_rowblock, element_tail
+from .spaces import Kind, SpaceDesc, Token, atom_key, gamma
+from .elements import (
+    Element,
+    add,
+    decompose,
+    element_findev,
+    element_rowblock,
+    element_tail,
+    recompose,
+    render,
+    scale,
+    sup2,
+    zero,
+)
 
 
 @dataclass(frozen=True)
@@ -55,9 +72,6 @@ class TailPattern:
     def all_values(self) -> list[Q]:
         return list(self.prefix) + list(self.residues)
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.all_values())
-
     def __str__(self) -> str:
         body = ",".join(qstr(v) for v in self.prefix)
         res = ",".join(qstr(v) for v in self.residues)
@@ -86,10 +100,6 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def pattern_from_tail(prefix, tail: QLike) -> TailPattern:
-    return tail_pattern(prefix, 1, [qof(tail)])
-
-
 def _tp_zip(a: TailPattern, b: TailPattern, op) -> TailPattern:
     width = max(len(a.prefix), len(b.prefix))
     mod = a.modulus * b.modulus // gcd(a.modulus, b.modulus)
@@ -108,26 +118,8 @@ def _tp_map(a: TailPattern, op) -> TailPattern:
     return tail_pattern([op(v) for v in a.prefix], a.modulus, [op(v) for v in a.residues])
 
 
-def tp_add(a: TailPattern, b: TailPattern) -> TailPattern:
-    return _tp_zip(a, b, lambda x, y: x + y)
-
-
-def tp_sup(a: TailPattern, b: TailPattern) -> TailPattern:
-    return _tp_zip(a, b, max)
-
-
 def tp_scale(c: Q, a: TailPattern) -> TailPattern:
     return _tp_map(a, lambda v: c * v)
-
-
-def tp_pos(a: TailPattern) -> TailPattern:
-    return _tp_map(a, lambda v: max(v, Q(0)))
-
-
-def tp_le(a: TailPattern, b: TailPattern) -> bool:
-    width = max(len(a.prefix), len(b.prefix))
-    mod = a.modulus * b.modulus // gcd(a.modulus, b.modulus)
-    return all(a.at(i) <= b.at(i) for i in range(1, width + mod + 1))
 
 
 ZERO_TP = TailPattern((), 1, (Q(0),))
@@ -148,13 +140,6 @@ class FinDevPattern:
         if tok.family == "g":
             return self.line.at(tok.k)
         return self.ambient
-
-    def is_zero(self) -> bool:
-        return (
-            self.ambient == 0
-            and self.line.is_zero()
-            and all(v == 0 for _, v in self.extra)
-        )
 
     def __str__(self) -> str:
         body = ",".join(f"{t}:{qstr(v)}" for t, v in self.extra)
@@ -191,11 +176,6 @@ class RowBlockPattern:
 
     def at(self, n: int, m: int) -> Q:
         return self.row_at(n).at(m)
-
-    def is_zero(self) -> bool:
-        return all(r.is_zero() for r in self.rows) and all(
-            r.is_zero() for r in self.row_residues
-        )
 
 
 def rowblock_pattern(rows, row_residues) -> RowBlockPattern:
@@ -236,32 +216,103 @@ class CompletionElement:
     pat: Pattern
 
     def is_zero(self) -> bool:
-        if isinstance(self.pat, Element):
-            return self.pat.is_zero()
-        return self.pat.is_zero()
+        return all(v == 0 for v in _values(self.pat))
 
     def __str__(self) -> str:
         return f"~{self.pat}"
 
 
-def embed(x: Element) -> CompletionElement:
-    k = x.space.kind
+def _values(pat: Pattern) -> list[Q]:
+    """Every value a pattern stores, tails and ambients included."""
+    if isinstance(pat, Element):
+        return list(pat.coords)
+    if isinstance(pat, TailPattern):
+        return pat.all_values()
+    if isinstance(pat, FinDevPattern):
+        return [pat.ambient] + [v for _, v in pat.extra] + pat.line.all_values()
+    return [v for row in pat.rows + pat.row_residues for v in row.all_values()]
+
+
+def pattern_max_abs(ce: CompletionElement) -> Q:
+    return max((abs(v) for v in _values(ce.pat)), default=Q(0))
+
+
+# ---------------------------------------------------------------------------
+# the pattern builder
+
+
+def pattern_from_pieces(space: SpaceDesc, base: Element, pieces) -> CompletionElement:
+    """base plus arithmetic-progression pieces, as a completion element.
+
+    A line piece (step, first, value) adds value at the indices first,
+    first + step, ... of the coordinate line (the integers of tail_seq and
+    fin_dim, the g tokens of fin_dev).  A row-block piece (row_step,
+    row_first, col_step, col_first, value) adds it at every cell whose row
+    and column lie on the two progressions.  Step 0 means the one index
+    first.
+    """
+    k = space.kind
     if k == Kind.FIN_DIM:
-        return CompletionElement(x.space, x)
+        if any(step for step, _, _ in pieces):
+            raise StencilError("moving pieces cannot target a finite-dimensional space")
+        parts = decompose(base) + [(("atom", first), v) for _, first, v in pieces]
+        return CompletionElement(space, recompose(space, parts))
     if k == Kind.TAIL_SEQ:
-        return CompletionElement(x.space, pattern_from_tail(x.prefix, x.tail))
-    if k == Kind.FIN_DEV:
-        extra = [(t, v) for t, v in x.entries if t.family != "g"]
-        line_width = max([t.k for t, _ in x.entries if t.family == "g"], default=0)
-        vals = {t.k: v for t, v in x.entries if t.family == "g"}
-        line = tail_pattern(
-            [vals.get(i, x.ambient) for i in range(1, line_width + 1)], 1, [x.ambient]
+        return CompletionElement(
+            space, _line(dict(enumerate(base.prefix, start=1)), base.tail, pieces)
         )
-        return CompletionElement(x.space, findev_pattern(extra, line, x.ambient))
-    rows = [pattern_from_tail(p, rt) for p, rt in x.rows]
-    return CompletionElement(
-        x.space, rowblock_pattern(rows, [pattern_from_tail([], x.tail)])
-    )
+    if k == Kind.FIN_DEV:
+        on_line = {t.k: v for t, v in base.entries if t.family == "g"}
+        extra = [(t, v) for t, v in base.entries if t.family != "g"]
+        line = _line(on_line, base.ambient, pieces)
+        return CompletionElement(space, findev_pattern(extra, line, base.ambient))
+    rows = {n: (dict(enumerate(p, start=1)), rt) for n, (p, rt) in enumerate(base.rows, start=1)}
+
+    def row(n: int) -> TailPattern:
+        cells, rt = rows.get(n, ({}, base.tail))
+        own = [(cs, cf, v) for rs, rf, cs, cf, v in pieces if _covers(rs, rf, n)]
+        return _line(cells, rt, own)
+
+    prefix, residues = _read_off(row, len(base.rows), [p[:2] for p in pieces])
+    return CompletionElement(space, rowblock_pattern(prefix, residues))
+
+
+def _line(cells: dict, default: Q, pieces) -> TailPattern:
+    """The line pattern of the values `cells` (default elsewhere) plus line
+    pieces."""
+
+    def at(i: int) -> Q:
+        v = cells.get(i, default)
+        for step, first, value in pieces:
+            if _covers(step, first, i):
+                v += value
+        return v
+
+    prefix, residues = _read_off(at, max(cells, default=0), [p[:2] for p in pieces])
+    return tail_pattern(prefix, len(residues), residues)
+
+
+def _read_off(value_at, width: int, progressions):
+    """(prefix, residues) of an index function that is constant past width
+    apart from the (step, first) progressions: the residue of i is at
+    position i % modulus."""
+    mod = lcm(1, *(step for step, _ in progressions if step))
+    th = max([width] + [first for _, first in progressions])
+    th += (-th) % mod
+    residues = [None] * mod
+    for i in range(th + 1, th + mod + 1):
+        residues[i % mod] = value_at(i)
+    return [value_at(i) for i in range(1, th + 1)], residues
+
+
+def _covers(step: int, first: int, i: int) -> bool:
+    if step == 0:
+        return i == first
+    return i >= first and (i - first) % step == 0
+
+
+def embed(x: Element) -> CompletionElement:
+    return pattern_from_pieces(x.space, x, ())
 
 
 def _check_space(a: CompletionElement, b: CompletionElement) -> None:
@@ -287,9 +338,7 @@ def _ce_zip(a: CompletionElement, b: CompletionElement, elem_op, op) -> Completi
 
 
 def ce_add(a: CompletionElement, b: CompletionElement) -> CompletionElement:
-    from .elements import add as elem_add
-
-    return _ce_zip(a, b, elem_add, lambda x, y: x + y)
+    return _ce_zip(a, b, add, lambda x, y: x + y)
 
 
 def ce_sub(a: CompletionElement, b: CompletionElement) -> CompletionElement:
@@ -297,18 +346,14 @@ def ce_sub(a: CompletionElement, b: CompletionElement) -> CompletionElement:
 
 
 def ce_sup(a: CompletionElement, b: CompletionElement) -> CompletionElement:
-    from .elements import sup2
-
     return _ce_zip(a, b, sup2, max)
 
 
 def ce_scale(c: QLike, a: CompletionElement) -> CompletionElement:
-    from .elements import scale as elem_scale
-
     c_q = qof(c)
     pa = a.pat
     if isinstance(pa, Element):
-        return CompletionElement(a.space, elem_scale(c_q, pa))
+        return CompletionElement(a.space, scale(c_q, pa))
     if isinstance(pa, TailPattern):
         return CompletionElement(a.space, tp_scale(c_q, pa))
     if isinstance(pa, FinDevPattern):
@@ -335,8 +380,6 @@ def ce_pos(a: CompletionElement) -> CompletionElement:
 
 
 def embed_zero(space: SpaceDesc) -> CompletionElement:
-    from .elements import zero
-
     return embed(zero(space))
 
 
@@ -347,22 +390,7 @@ def ce_le(a: CompletionElement, b: CompletionElement) -> bool:
 
 
 def ce_is_nonneg(a: CompletionElement) -> bool:
-    pa = a.pat
-    if isinstance(pa, Element):
-        from .elements import is_positive
-
-        return is_positive(pa)
-    if isinstance(pa, TailPattern):
-        return all(v >= 0 for v in pa.all_values())
-    if isinstance(pa, FinDevPattern):
-        return (
-            pa.ambient >= 0
-            and all(v >= 0 for _, v in pa.extra)
-            and all(v >= 0 for v in pa.line.all_values())
-        )
-    return all(
-        v >= 0 for row in list(pa.rows) + list(pa.row_residues) for v in row.all_values()
-    )
+    return all(v >= 0 for v in _values(a.pat))
 
 
 def in_space(a: CompletionElement) -> bool:
@@ -385,8 +413,6 @@ def collapse(a: CompletionElement) -> Element | None:
             return None
         prefix, _ = c
         entries = dict(pa.extra)
-        from .spaces import gamma
-
         for i, v in enumerate(prefix, start=1):
             entries[gamma(i)] = v
         return element_findev(a.space, entries, pa.ambient)
@@ -417,43 +443,26 @@ def describe_pattern(a: CompletionElement) -> dict:
     """JSON-friendly description with deterministic ordering."""
     pa = a.pat
     if isinstance(pa, Element):
-        from .elements import render
-
         return {"kind": "element", "value": render(pa)}
     if isinstance(pa, TailPattern):
-        return {
-            "kind": "tail_pattern",
-            "prefix": [qstr(v) for v in pa.prefix],
-            "modulus": pa.modulus,
-            "residues": [qstr(v) for v in pa.residues],
-        }
+        return {"kind": "tail_pattern", **_describe_line(pa)}
     if isinstance(pa, FinDevPattern):
         return {
             "kind": "fin_dev_pattern",
             "extra": [[str(t), qstr(v)] for t, v in pa.extra],
-            "line": {
-                "prefix": [qstr(v) for v in pa.line.prefix],
-                "modulus": pa.line.modulus,
-                "residues": [qstr(v) for v in pa.line.residues],
-            },
+            "line": _describe_line(pa.line),
             "ambient": qstr(pa.ambient),
         }
     return {
         "kind": "row_block_pattern",
-        "rows": [
-            {
-                "prefix": [qstr(v) for v in r.prefix],
-                "modulus": r.modulus,
-                "residues": [qstr(v) for v in r.residues],
-            }
-            for r in pa.rows
-        ],
-        "row_residues": [
-            {
-                "prefix": [qstr(v) for v in r.prefix],
-                "modulus": r.modulus,
-                "residues": [qstr(v) for v in r.residues],
-            }
-            for r in pa.row_residues
-        ],
+        "rows": [_describe_line(r) for r in pa.rows],
+        "row_residues": [_describe_line(r) for r in pa.row_residues],
+    }
+
+
+def _describe_line(p: TailPattern) -> dict:
+    return {
+        "prefix": [qstr(v) for v in p.prefix],
+        "modulus": p.modulus,
+        "residues": [qstr(v) for v in p.residues],
     }

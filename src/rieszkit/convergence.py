@@ -23,6 +23,7 @@ The decision rules per space kind:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Tuple
 
 from .errors import NotDecreasingError, PreconditionError, SpaceMismatchError
@@ -32,10 +33,11 @@ from .elements import (
     Element,
     abs_,
     atom,
+    decompose,
     le,
     max_abs_coord,
+    recompose,
     scale,
-    sub,
     unit,
     zero,
 )
@@ -312,14 +314,9 @@ def _static_settle_env(d: ElementSeq) -> RationalSeq:
     """Envelope for the prelude/static transients of the stationary part."""
     window = structural_threshold(d)
     devs = []
+    moving = [(form, coeff) for form, coeff in d.atoms if form.moving]
     for n in range(1, window + 1):
-        x = eval_seq(d, n)
-        moving_part = zero(d.space)
-        for form, coeff in d.atoms:
-            if form.moving and coeff.at(n) != 0:
-                moving_part = moving_part + scale(coeff.at(n), atom(d.space, form.at(n)))
-        stationary = sub(x, moving_part)
-        devs.append(max_abs_coord(stationary))
+        devs.append(max_abs_coord(_less_atoms(eval_seq(d, n), moving, n)))
     env: list[Q] = []
     running = Q(0)
     for v in reversed(devs):
@@ -327,6 +324,13 @@ def _static_settle_env(d: ElementSeq) -> RationalSeq:
         env.append(running)
     env.reverse()
     return RationalSeq.steps(env, 0)
+
+
+def _less_atoms(x: Element, atoms, n: int) -> Element:
+    """x minus the step-n values of the given (form, coefficient) atoms."""
+    return recompose(x.space, chain(decompose(x), (
+        (("atom", form.at(n)), -coeff.at(n)) for form, coeff in atoms if coeff.at(n) != 0
+    )))
 
 
 def decide_order_convergence(
@@ -451,13 +455,8 @@ def decide_uniform_cauchy(x: ElementSeq, probe: int = 8) -> UniformCauchyResult:
         needs_unit = True
     if needs_unit:
         regulator = unit(x.space)
-    elif stationary_support:
-        reg = zero(x.space)
-        for idx in stationary_support:
-            reg = reg + atom(x.space, idx)
-        regulator = reg
     else:
-        regulator = zero(x.space)
+        regulator = recompose(x.space, [(("atom", idx), 1) for idx in stationary_support])
     return UniformCauchyResult(True, regulator, "uniformly Cauchy")
 
 
@@ -500,11 +499,7 @@ def verify_certificate(
             else:
                 log.append("dominating family settles at 0 (monotone rule)")
             for n in range(max(1, cert.n0), window + 1):
-                resid = eval_seq(d, n)
-                for form, coeff in cert.escaping:
-                    c = coeff.at(n)
-                    if c != 0:
-                        resid = resid - scale(c, atom(d.space, form.at(n)))
+                resid = _less_atoms(eval_seq(d, n), cert.escaping, n)
                 if not le(abs_(resid), eval_seq(b, n)):
                     log.append(f"FAIL domination of the stationary part at n={n}")
                     ok = False

@@ -11,6 +11,12 @@ Canonical forms make equality decidable:
 All operations are pointwise over the (finitely many) touched coordinates
 plus the tail/ambient slots, which is the lattice structure of each
 represented space.
+
+This module also owns generator decomposition: `decompose` writes an
+element over the atoms, row units and unit of its space, `recompose` builds
+the canonical element of such a sum in one pass, and `lincomb` sums scaled
+elements through the two.  Sums of many terms go through them rather than
+through repeated `add`, which canonicalizes the whole element each time.
 """
 
 from __future__ import annotations
@@ -159,52 +165,115 @@ def element_rowblock(
 
 
 def zero(space: SpaceDesc) -> Element:
-    if space.kind == Kind.FIN_DIM:
-        return element_fin(space, [0] * space.dim)
-    if space.kind == Kind.TAIL_SEQ:
-        return element_tail(space, [], 0)
-    if space.kind == Kind.FIN_DEV:
-        return element_findev(space, {}, 0)
-    return element_rowblock(space, [], 0)
+    return recompose(space, [])
 
 
 def unit(space: SpaceDesc) -> Element:
-    if space.kind == Kind.FIN_DIM:
-        return element_fin(space, [1] * space.dim)
-    if space.kind == Kind.TAIL_SEQ:
-        return element_tail(space, [], 1)
-    if space.kind == Kind.FIN_DEV:
-        return element_findev(space, {}, 1)
-    return element_rowblock(space, [], 1)
+    return recompose(space, [(("unit",), 1)])
 
 
-def atom(space: SpaceDesc, idx: AtomIndex) -> Element:
-    if space.kind == Kind.FIN_DIM:
-        if not isinstance(idx, int) or not 1 <= idx <= space.dim:
-            raise InvalidIndexError(f"atom index {idx!r} out of range")
-        return element_fin(space, [1 if i == idx else 0 for i in range(1, space.dim + 1)])
-    if space.kind == Kind.TAIL_SEQ:
-        if not isinstance(idx, int) or idx < 1:
-            raise InvalidIndexError(f"atom index {idx!r} out of range")
-        return element_tail(space, [0] * (idx - 1) + [1], 0)
-    if space.kind == Kind.FIN_DEV:
+def _check_atom(space: SpaceDesc, idx) -> None:
+    k = space.kind
+    if k == Kind.FIN_DEV:
         if not isinstance(idx, Token):
             raise InvalidIndexError("fin_dev atoms are indexed by tokens")
-        return element_findev(space, {idx: 1}, 0)
-    if not (isinstance(idx, tuple) and len(idx) == 2 and min(idx) >= 1):
-        raise InvalidIndexError(f"row_block atom index {idx!r} out of range")
-    n, m = idx
-    rows = [([], 0)] * (n - 1) + [([0] * (m - 1) + [1], 0)]
-    return element_rowblock(space, rows, 0)
+    elif k == Kind.ROW_BLOCK:
+        if not (isinstance(idx, tuple) and len(idx) == 2 and min(idx) >= 1):
+            raise InvalidIndexError(f"row_block atom index {idx!r} out of range")
+    elif not isinstance(idx, int) or idx < 1 or (k == Kind.FIN_DIM and idx > space.dim):
+        raise InvalidIndexError(f"atom index {idx!r} out of range")
 
 
-def row_unit(space: SpaceDesc, n: int) -> Element:
+def _check_row_unit(space: SpaceDesc, n: int) -> None:
     if space.kind != Kind.ROW_BLOCK or not space.row_units:
         raise InvalidIndexError("row units exist only in the ek variant")
     if n < 1:
         raise InvalidIndexError("row index out of range")
-    rows = [([], 0)] * (n - 1) + [([], 1)]
-    return element_rowblock(space, rows, 0)
+
+
+def atom(space: SpaceDesc, idx: AtomIndex) -> Element:
+    return recompose(space, [(("atom", idx), 1)])
+
+
+def row_unit(space: SpaceDesc, n: int) -> Element:
+    return recompose(space, [(("row_unit", n), 1)])
+
+
+# ---------------------------------------------------------------------------
+# generator decomposition
+
+
+def decompose(x: Element) -> list:
+    """Exact finite decomposition of x over the generator family of its
+    space: [(("atom", idx) | ("row_unit", n) | ("unit",), coefficient)]."""
+    space = x.space
+    k = space.kind
+    if k == Kind.FIN_DIM:
+        return [(("atom", i), v) for i, v in enumerate(x.coords, start=1) if v != 0]
+    out = []
+    if k == Kind.ROW_BLOCK:
+        for n, (pref, rt) in enumerate(x.rows, start=1):
+            out.extend((("atom", (n, m)), v - rt) for m, v in enumerate(pref, start=1) if v != rt)
+            if space.row_units and rt != x.tail:
+                out.append((("row_unit", n), rt - x.tail))
+        base = x.tail
+    elif k == Kind.TAIL_SEQ:
+        base = x.tail
+        out.extend((("atom", i), v - base) for i, v in enumerate(x.prefix, start=1) if v != base)
+    else:
+        base = x.ambient
+        out.extend((("atom", tok), v - base) for tok, v in x.entries)
+    if base != 0:
+        out.append((("unit",), base))
+    return out
+
+
+def recompose(space: SpaceDesc, parts) -> Element:
+    """The canonical element sum of coefficient * generator over `parts`
+    (in the format of `decompose`), built in one pass.  Parts are read once,
+    in order, and each index is checked as it is read, so the first bad
+    index raises InvalidIndexError."""
+    u = Q(0)
+    coeffs: dict = {}
+    for ref, c in parts:
+        if ref[0] == "atom":
+            _check_atom(space, ref[1])
+        elif ref[0] == "row_unit":
+            _check_row_unit(space, ref[1])
+        else:
+            u += qof(c)
+            continue
+        coeffs[ref] = coeffs.get(ref, Q(0)) + qof(c)
+    atoms = {ref[1]: c for ref, c in coeffs.items() if ref[0] == "atom"}
+    k = space.kind
+    if k == Kind.FIN_DIM:
+        return element_fin(space, [u + atoms.get(i, 0) for i in range(1, space.dim + 1)])
+    if k == Kind.TAIL_SEQ:
+        width = max(atoms, default=0)
+        return element_tail(space, [u + atoms.get(i, 0) for i in range(1, width + 1)], u)
+    if k == Kind.FIN_DEV:
+        return element_findev(space, {tok: u + c for tok, c in atoms.items()}, u)
+    row_tails = {ref[1]: u + c for ref, c in coeffs.items() if ref[0] == "row_unit"}
+    cells: dict = {}
+    for (n, m), c in atoms.items():
+        cells.setdefault(n, {})[m] = c
+    rows = []
+    for n in range(1, max([*cells, *row_tails], default=0) + 1):
+        rt = row_tails.get(n, u)
+        row = cells.get(n, {})
+        rows.append(([rt + row.get(m, 0) for m in range(1, max(row, default=0) + 1)], rt))
+    return element_rowblock(space, rows, u)
+
+
+def lincomb(space: SpaceDesc, terms) -> Element:
+    """sum of c * x over (c, x) in `terms`, canonicalized once."""
+    parts = []
+    for c, x in terms:
+        if x.space != space:
+            raise SpaceMismatchError(f"{space.label} vs {x.space.label}")
+        c_q = qof(c)
+        parts.extend((ref, c_q * v) for ref, v in decompose(x))
+    return recompose(space, parts)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ them, but accumulation-based operations reject them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import accumulate
+from math import lcm
 from typing import Tuple
 
 from .errors import (
@@ -37,15 +38,16 @@ from .spaces import (
 from .elements import (
     Element,
     add,
-    atom,
     coordinate,
+    decompose,
     le,
+    lincomb,
     max_abs_coord,
     pos,
     neg,
     abs_,
+    recompose,
     scale,
-    sub,
     unit,
     zero,
     is_positive as elem_is_positive,
@@ -54,9 +56,8 @@ from .completion import (
     CompletionElement,
     ce_le,
     embed,
-    rowblock_pattern,
-    tail_pattern,
-    findev_pattern,
+    pattern_from_pieces,
+    pattern_max_abs,
 )
 from .scalars import ZERO_SEQ
 from .sequences import ElementSeq, eval_seq, fill, normalize
@@ -187,9 +188,6 @@ class Operator:
     row_unit_images: Tuple[Tuple[int, Element], ...]
     unit_image: Element
 
-    def explicit_map(self) -> dict:
-        return dict(self.atom_images)
-
     def __add__(self, other: "Operator") -> "Operator":
         return add_op(self, other)
 
@@ -229,10 +227,7 @@ def operator(
         for idx in images:
             if not isinstance(idx, int) or not 1 <= idx <= domain.dim:
                 raise InvalidIndexError(f"atom {idx!r} outside the domain")
-        cols = [images.get(i, zero(codomain)) for i in range(1, domain.dim + 1)]
-        derived_unit = zero(codomain)
-        for c in cols:
-            derived_unit = add(derived_unit, c)
+        derived_unit = lincomb(codomain, [(1, img) for img in images.values()])
         if unit_image is not None and unit_image != derived_unit:
             raise PreconditionError("unit image must equal the sum of atom images")
         return Operator(
@@ -256,7 +251,7 @@ def operator(
         if past:
             new_threshold = max(past)
             for idx in range(rule.threshold + 1, new_threshold + 1):
-                images.setdefault(idx, _rule_image(domain, codomain, rule, idx))
+                images.setdefault(idx, _rule_image(codomain, rule, idx))
             rule = StencilRule(rule.modulus, new_threshold, rule.entries)
     ordered = tuple(sorted(images.items(), key=lambda kv: atom_key(kv[0])))
     row_items = tuple(sorted(rows.items()))
@@ -269,22 +264,23 @@ def _driving_index(idx: AtomIndex) -> int:
     return idx
 
 
-def _rule_image(domain, codomain, rule: StencilRule, idx: AtomIndex) -> Element:
-    out = zero(codomain)
-    if domain.kind == Kind.TAIL_SEQ:
-        i = idx
-        if rule is None or i <= rule.threshold:
-            return out
-        for form, c in rule.entries_for(i):
-            out = add(out, scale(c, atom(codomain, form.at(i))))
-        return out
-    n, m = idx
-    if rule is None or m <= rule.threshold:
-        return out
-    for form, c in rule.entries_for(m):
-        assert isinstance(form, PairForm)
-        out = add(out, scale(c, atom(codomain, (form.row.at_int(n), form.col.at_int(m)))))
-    return out
+def _rule_image(codomain, rule: StencilRule | None, idx: AtomIndex, tf=None) -> Element:
+    """The rule's image of one atom, each coefficient mapped through tf."""
+    i = _driving_index(idx)
+    if rule is None or i <= rule.threshold:
+        return zero(codomain)
+    return recompose(codomain, (
+        (("atom", _form_at(form, idx)), c if tf is None else tf(c))
+        for form, c in rule.entries_for(i)
+    ))
+
+
+def _form_at(form: CoordForm, idx: AtomIndex) -> AtomIndex:
+    """The output coordinate of a stencil form at the atom idx; on pair
+    domains the row form reads the atom's row, the column form its column."""
+    if isinstance(idx, tuple):
+        return (form.row.at_int(idx[0]), form.col.at_int(idx[1]))
+    return form.at(idx)
 
 
 def atom_image(T: Operator, idx: AtomIndex) -> Element:
@@ -293,9 +289,7 @@ def atom_image(T: Operator, idx: AtomIndex) -> Element:
             return img
     if T.domain.kind == Kind.FIN_DIM:
         raise InvalidIndexError(f"atom {idx!r} outside the domain")
-    if T.rule is not None and _driving_index(idx) > T.rule.threshold:
-        return _rule_image(T.domain, T.codomain, T.rule, idx)
-    return zero(T.codomain)
+    return _rule_image(T.codomain, T.rule, idx)
 
 
 def row_unit_image(T: Operator, r: int) -> Element:
@@ -306,74 +300,22 @@ def row_unit_image(T: Operator, r: int) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# generator decomposition and application
-
-
-def decompose(x: Element) -> list:
-    """Exact finite decomposition of x over the generator family of its
-    space: [(("atom", idx) | ("row_unit", n) | ("unit",), coefficient)]."""
-    space = x.space
-    out = []
-    if space.kind == Kind.FIN_DIM:
-        for i, v in enumerate(x.coords, start=1):
-            if v != 0:
-                out.append((("atom", i), v))
-        return out
-    if space.kind == Kind.TAIL_SEQ:
-        t = x.tail
-        for i, v in enumerate(x.prefix, start=1):
-            if v - t != 0:
-                out.append((("atom", i), v - t))
-        if t != 0:
-            out.append((("unit",), t))
-        return out
-    if space.kind == Kind.FIN_DEV:
-        amb = x.ambient
-        for tok, v in x.entries:
-            out.append((("atom", tok), v - amb))
-        if amb != 0:
-            out.append((("unit",), amb))
-        return out
-    t = x.tail
-    for n, (pref, rt) in enumerate(x.rows, start=1):
-        for m, v in enumerate(pref, start=1):
-            if v - rt != 0:
-                out.append((("atom", (n, m)), v - rt))
-        if space.row_units and rt - t != 0:
-            out.append((("row_unit", n), rt - t))
-    if t != 0:
-        out.append((("unit",), t))
-    return out
-
-
-def recompose(space: SpaceDesc, parts) -> Element:
-    from .elements import row_unit as row_unit_elem
-
-    out = zero(space)
-    for ref, c in parts:
-        if ref[0] == "atom":
-            out = add(out, scale(c, atom(space, ref[1])))
-        elif ref[0] == "row_unit":
-            out = add(out, scale(c, row_unit_elem(space, ref[1])))
-        else:
-            out = add(out, scale(c, unit(space)))
-    return out
+# application
 
 
 def apply_op(T: Operator, x: Element) -> Element:
     if x.space != T.domain:
         raise SpaceMismatchError(f"argument lives in {x.space.label}")
-    out = zero(T.codomain)
-    for ref, c in decompose(x):
-        if ref[0] == "atom":
-            img = atom_image(T, ref[1])
-        elif ref[0] == "row_unit":
-            img = row_unit_image(T, ref[1])
-        else:
-            img = T.unit_image
-        if not img.is_zero():
-            out = add(out, scale(c, img))
-    return out
+    return lincomb(T.codomain, [(c, _generator_image(T, ref)) for ref, c in decompose(x)])
+
+
+def _generator_image(T: Operator, ref) -> Element:
+    """The image of one generator in the format of `decompose`."""
+    if ref[0] == "atom":
+        return atom_image(T, ref[1])
+    if ref[0] == "row_unit":
+        return row_unit_image(T, ref[1])
+    return T.unit_image
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +360,7 @@ def add_op(S: Operator, T: Operator) -> Operator:
         S.rule.threshold if S.rule else _max_drive(S),
         T.rule.threshold if T.rule else _max_drive(T),
     )
-    modulus = 1
-    for op_ in (S, T):
-        if op_.rule is not None:
-            modulus = modulus * op_.rule.modulus // gcd(modulus, op_.rule.modulus)
+    modulus = lcm(1, *(op_.rule.modulus for op_ in (S, T) if op_.rule is not None))
     merged_entries = []
     for r in range(modulus):
         es = []
@@ -472,46 +411,45 @@ def _max_drive(T: Operator) -> int:
     return max((_driving_index(idx) for idx, _ in T.atom_images), default=0)
 
 
-def op_eq(S: Operator, T: Operator, window: int = 6) -> bool:
-    """Equality on the generator family (exact; window covers explicits)."""
-    if S.domain != T.domain or S.codomain != T.codomain:
-        return False
-    if S.unit_image != T.unit_image:
-        return False
-    top = max(
-        _max_drive(S),
-        _max_drive(T),
-        S.rule.threshold if S.rule else 0,
-        T.rule.threshold if T.rule else 0,
-    ) + window
-    if S.domain.kind in (Kind.FIN_DIM, Kind.TAIL_SEQ):
-        hi = min(top, S.domain.dim) if S.domain.kind == Kind.FIN_DIM else top
-        for i in range(1, hi + 1):
-            if atom_image(S, i) != atom_image(T, i):
-                return False
-    else:
-        for n in range(1, window + 1):
-            for m in range(1, top + 1):
-                if atom_image(S, (n, m)) != atom_image(T, (n, m)):
-                    return False
-        rows = {k for k, _ in S.row_unit_images} | {k for k, _ in T.row_unit_images}
-        for r in rows:
-            if row_unit_image(S, r) != row_unit_image(T, r):
-                return False
-    if S.domain.kind == Kind.TAIL_SEQ and (S.rule or T.rule):
-        rs = S.rule or StencilRule(1, 0, ((),))
-        rt = T.rule or StencilRule(1, 0, ((),))
-        mod = rs.modulus * rt.modulus // gcd(rs.modulus, rt.modulus)
-        base = max(rs.threshold, rt.threshold, top)
-        for r in range(mod):
-            i = base + 1
-            while i % mod != r:
-                i += 1
-            if _rule_image(S.domain, S.codomain, rs, i) != _rule_image(
-                T.domain, T.codomain, rt, i
-            ):
-                return False
-    return True
+def op_eq(S: Operator, T: Operator) -> bool:
+    """Exact equality on the generator family."""
+    rows = {k for k, _ in S.row_unit_images} | {k for k, _ in T.row_unit_images}
+    return (
+        (S.domain, S.codomain) == (T.domain, T.codomain)
+        and S.unit_image == T.unit_image
+        and all(row_unit_image(S, r) == row_unit_image(T, r) for r in rows)
+        and same_atom_images(S, T)
+    )
+
+
+def same_atom_images(S, T) -> bool:
+    """Exact equality of the atom images of two generator tables with rules
+    (operators or completion operators on the same domain).
+
+    Table entries and, on sequence domains, every atom up to the larger
+    threshold are compared directly.  Beyond that the images follow the
+    rules, so the entry sets are compared per driving index, one per residue
+    class of the common modulus.  Entries of one rule never collide and two
+    distinct affine forms agree at one index at most, so equal entry sets
+    are exactly equal images.  On pair domains every column up to the
+    threshold is compared the same way, since a column holds infinitely many
+    atoms."""
+    rules = [R.rule for R in (S, T) if R.rule is not None]
+    top = max([_max_drive(S), _max_drive(T)] + [r.threshold for r in rules])
+    tables = {k for k, _ in S.atom_images} | {k for k, _ in T.atom_images}
+    first = 1
+    if S.domain.kind != Kind.ROW_BLOCK:
+        tables, first = range(1, top + 1), top + 1
+    return all(atom_image(S, k) == atom_image(T, k) for k in tables) and all(
+        _active_entries(S.rule, m) == _active_entries(T.rule, m)
+        for m in range(first, top + lcm(1, *(r.modulus for r in rules)) + 1)
+    )
+
+
+def _active_entries(rule: StencilRule | None, m: int) -> dict:
+    if rule is None or m <= rule.threshold:
+        return {}
+    return dict(rule.entries_for(m))
 
 
 # ---------------------------------------------------------------------------
@@ -572,10 +510,6 @@ def functional_is_positive(f: Functional) -> bool:
         and all(v >= 0 for _, v in f.row_unit_coeffs)
         and f.unit_value >= s
     )
-
-
-def functional_abs_sum(f: Functional) -> Q:
-    return sum((abs(v) for _, v in f.atom_coeffs), Q(0))
 
 
 def rank_one(f: Functional, v: Element) -> Operator:
@@ -667,39 +601,39 @@ def partial_sum_seq(T: Operator) -> ElementSeq:
     if T.domain.kind != Kind.TAIL_SEQ:
         raise PreconditionError("partial sums need countably enumerated atoms")
     threshold = T.rule.threshold if T.rule else _max_drive(T)
-    static = zero(T.codomain)
-    for i in range(1, threshold + 1):
-        static = add(static, atom_image(T, i))
     fills = []
-    if T.rule is not None:
-        for r in range(T.rule.modulus):
-            for form, c in T.rule.entries[r]:
-                aff = form.idx
-                if aff.a == 0:
-                    if c != 0:
-                        raise StencilError(
-                            "stationary stencil entries admit no closed accumulation form"
-                        )
-                    continue
-                first = threshold + 1
-                while first % T.rule.modulus != r:
-                    first += 1
-                fills.append(fill(form, T.rule.modulus, r, first, 0, c))
-    prelude = []
-    acc = zero(T.codomain)
-    for n in range(1, threshold):
-        acc = add(acc, atom_image(T, n))
-        prelude.append(acc)
+    for r, first, form, c in _rule_sweep(T.rule):
+        if form.idx.a == 0:
+            if c != 0:
+                raise StencilError(
+                    "stationary stencil entries admit no closed accumulation form"
+                )
+            continue
+        fills.append(fill(form, T.rule.modulus, r, first, 0, c))
+    sums = list(accumulate(
+        (atom_image(T, i) for i in range(1, threshold + 1)), add, initial=zero(T.codomain)
+    ))
     seq = ElementSeq(
         T.codomain,
-        static,
+        sums[-1],
         (),
         tuple(fills),
         ZERO_SEQ,
         max(threshold, 1),
-        tuple(prelude),
+        tuple(sums[1:-1]),
     )
     return normalize(seq)
+
+
+def _rule_sweep(rule: StencilRule | None):
+    """(residue, first driving index past the threshold, form, coefficient)
+    for every rule entry."""
+    if rule is None:
+        return
+    for r, es in enumerate(rule.entries):
+        first = rule.threshold + 1 + (r - rule.threshold - 1) % rule.modulus
+        for form, c in es:
+            yield r, first, form, c
 
 
 _TRANSFORMS = {
@@ -720,194 +654,44 @@ def image_sum_pattern(T: Operator, transform: str = "id") -> CompletionElement:
     entries that override the rule (pair domains) are compensated, since the
     rule pieces sweep over every atom beyond the threshold.
     """
-    tf = _TRANSFORMS[transform]
-    etf = _ELEM_TRANSFORMS[transform]
-    explicit = zero(T.codomain)
-    for idx, img in T.atom_images:
-        explicit = add(explicit, etf(img))
-        explicit = sub(explicit, _rule_transformed_image(T, idx, tf))
-    pieces = []
-    if T.rule is not None:
-        for r in range(T.rule.modulus):
-            first = T.rule.threshold + 1
-            while first % T.rule.modulus != r:
-                first += 1
-            for form, c in T.rule.entries[r]:
-                v = tf(c)
-                if v == 0:
-                    continue
-                pieces.append(_piece_of(form, T.rule.modulus, first, v))
-    return _pattern_from_pieces(T.codomain, explicit, pieces)
-
-
-def _rule_transformed_image(T: Operator, idx: AtomIndex, tf) -> Element:
-    """What the rule pieces contribute at an explicitly overridden atom."""
-    if T.rule is None or _driving_index(idx) <= T.rule.threshold:
-        return zero(T.codomain)
-    out = zero(T.codomain)
-    i = _driving_index(idx)
-    for form, c in T.rule.entries_for(i):
-        v = tf(c)
-        if v == 0:
-            continue
-        if isinstance(form, PairForm):
-            coordn = (form.row.at_int(idx[0]), form.col.at_int(i))
-        else:
-            coordn = form.at(i)
-        out = add(out, scale(v, atom(T.codomain, coordn)))
-    return out
+    return _sum_pattern(T, transform, None)
 
 
 def row_sum_pattern(T: Operator, row: int, transform: str = "id") -> CompletionElement:
     """Sum over the atoms of one row of a row-block domain."""
     if T.domain.kind != Kind.ROW_BLOCK:
         raise PreconditionError("row sums need a row-block domain")
+    return _sum_pattern(T, transform, row)
+
+
+def _sum_pattern(T: Operator, transform: str, row: int | None) -> CompletionElement:
+    """Sum over all atoms, or over one row: the table entries less what the
+    rule pieces put there, plus the rule pieces."""
     tf = _TRANSFORMS[transform]
     etf = _ELEM_TRANSFORMS[transform]
-    explicit = zero(T.codomain)
+    terms = []
     for idx, img in T.atom_images:
-        if isinstance(idx, tuple) and idx[0] == row:
-            explicit = add(explicit, etf(img))
-            explicit = sub(explicit, _rule_transformed_image(T, idx, tf))
-    pieces = []
-    if T.rule is not None:
-        for r in range(T.rule.modulus):
-            first = T.rule.threshold + 1
-            while first % T.rule.modulus != r:
-                first += 1
-            for form, c in T.rule.entries[r]:
-                v = tf(c)
-                if v == 0:
-                    continue
-                assert isinstance(form, PairForm)
-                out_row = form.row.at_int(row)
-                col_step = int(form.col.a * T.rule.modulus)
-                col_first = form.col.at_int(first)
-                pieces.append(("rowcol", 0, out_row, col_step, col_first, v))
-    return _pattern_from_pieces(T.codomain, explicit, pieces)
+        if row is None or idx[0] == row:
+            terms += [(1, etf(img)), (-1, _rule_image(T.codomain, T.rule, idx, tf))]
+    base = lincomb(T.codomain, terms)
+    pieces = [
+        _piece(form, T.rule.modulus, first, tf(c), row)
+        for _, first, form, c in _rule_sweep(T.rule)
+        if tf(c) != 0
+    ]
+    return pattern_from_pieces(T.codomain, base, pieces)
 
 
-def _piece_of(form: CoordForm, modulus: int, first: int, value: Q):
-    if isinstance(form, PairForm):
-        row_step = int(form.row.a)
-        row_first = form.row.at_int(1)
-        col_step = int(form.col.a * modulus)
-        col_first = form.col.at_int(first)
-        return ("rowcol", row_step, row_first, col_step, col_first, value)
-    step_q = form.idx.a * modulus
-    step = int(step_q)
-    start = form.idx.at_int(first)
-    kind = "token" if isinstance(form, TokenForm) else "seq"
-    return (kind, step, start, value)
-
-
-def _covers(step: int, first: int, i: int) -> bool:
-    if step == 0:
-        return i == first
-    return i >= first and (i - first) % step == 0
-
-
-def _pattern_from_pieces(codomain: SpaceDesc, explicit: Element, pieces) -> CompletionElement:
-    if codomain.kind == Kind.FIN_DIM:
-        out = explicit
-        for piece in pieces:
-            _, step, start, value = piece
-            if step != 0:
-                raise StencilError("moving pieces cannot target a finite-dimensional space")
-            out = add(out, scale(value, atom(codomain, start)))
-        return CompletionElement(codomain, out)
-    if codomain.kind in (Kind.TAIL_SEQ, Kind.FIN_DEV):
-        line_pieces = [(p[1], p[2], p[3]) for p in pieces]
-        mod = 1
-        for step, _, _ in line_pieces:
-            if step:
-                mod = mod * step // gcd(mod, step)
-        if codomain.kind == Kind.TAIL_SEQ:
-            base_len = len(explicit.prefix)
-            base_val = lambda i: coordinate(explicit, i)  # noqa: E731
-        else:
-            line_keys = [t.k for t, _ in explicit.entries if t.family == "g"]
-            base_len = max(line_keys, default=0)
-            from .spaces import gamma
-
-            base_val = lambda i: coordinate(explicit, gamma(i))  # noqa: E731
-        th = max([base_len] + [first for _, first, _ in line_pieces] + [0])
-        th += (-th) % mod
-
-        def v(i: int) -> Q:
-            out = base_val(i)
-            for step, first, value in line_pieces:
-                if _covers(step, first, i):
-                    out += value
-            return out
-
-        prefix = [v(i) for i in range(1, th + 1)]
-        residues = [Q(0)] * mod
-        for j in range(1, mod + 1):
-            residues[(th + j) % mod] = v(th + j)
-        line = tail_pattern(prefix, mod, residues)
-        if codomain.kind == Kind.TAIL_SEQ:
-            return CompletionElement(codomain, line)
-        extra = {t: val for t, val in explicit.entries if t.family != "g"}
-        return CompletionElement(
-            codomain, findev_pattern(extra, line, explicit.ambient)
-        )
-    # row-block codomain
-    rb = [p for p in pieces]
-    row_mod = 1
-    col_mod = 1
-    for _, row_step, _, col_step, _, _ in rb:
-        if row_step:
-            row_mod = row_mod * row_step // gcd(row_mod, row_step)
-        if col_step:
-            col_mod = col_mod * col_step // gcd(col_mod, col_step)
-    rth = max([len(explicit.rows)] + [rf for _, _, rf, _, _, _ in rb] + [0])
-    rth += (-rth) % row_mod
-    cth = max(
-        [max((len(p) for p, _ in explicit.rows), default=0)]
-        + [cf for _, _, _, _, cf, _ in rb]
-        + [0]
-    )
-    cth += (-cth) % col_mod
-
-    def cell(n: int, m: int) -> Q:
-        out = coordinate(explicit, (n, m))
-        for _, row_step, row_first, col_step, col_first, value in rb:
-            if _covers(row_step, row_first, n) and _covers(col_step, col_first, m):
-                out += value
-        return out
-
-    def row_pattern(n: int):
-        prefix = [cell(n, m) for m in range(1, cth + 1)]
-        residues = [Q(0)] * col_mod
-        for j in range(1, col_mod + 1):
-            residues[(cth + j) % col_mod] = cell(n, cth + j)
-        return tail_pattern(prefix, col_mod, residues)
-
-    rows = [row_pattern(n) for n in range(1, rth + 1)]
-    row_residues = [None] * row_mod
-    for j in range(1, row_mod + 1):
-        row_residues[(rth + j) % row_mod] = row_pattern(rth + j)
-    return CompletionElement(codomain, rowblock_pattern(rows, row_residues))
-
-
-def pattern_max_abs(ce: CompletionElement) -> Q:
-    p = ce.pat
-    if isinstance(p, Element):
-        return max_abs_coord(p)
-    from .completion import FinDevPattern, TailPattern
-
-    if isinstance(p, TailPattern):
-        return max((abs(v) for v in p.all_values()), default=Q(0))
-    if isinstance(p, FinDevPattern):
-        vals = [abs(p.ambient)] + [abs(v) for _, v in p.extra] + [
-            abs(v) for v in p.line.all_values()
-        ]
-        return max(vals)
-    vals = [Q(0)]
-    for row in list(p.rows) + list(p.row_residues):
-        vals.extend(abs(v) for v in row.all_values())
-    return max(vals)
+def _piece(form: CoordForm, modulus: int, first: int, value: Q, row: int | None):
+    """The pattern piece a rule entry sweeps from the driving index first:
+    (step, first, value) on a line, (row_step, row_first, col_step,
+    col_first, value) on row blocks (one row when row is given)."""
+    if not isinstance(form, PairForm):
+        return (int(form.idx.a * modulus), form.idx.at_int(first), value)
+    col = (int(form.col.a * modulus), form.col.at_int(first), value)
+    if row is None:
+        return (int(form.row.a), form.row.at_int(1)) + col
+    return (0, form.row.at_int(row)) + col
 
 
 # ---------------------------------------------------------------------------
@@ -996,10 +780,7 @@ def is_positive_operator(T: Operator, probe: int = 6) -> bool:
     for r in rows:
         if not ce_le(row_sum_pattern(T, r, "id"), embed(row_unit_image(T, r))):
             return False
-    total = zero(T.codomain)
-    for _, img in T.row_unit_images:
-        total = add(total, img)
-    for idx, img in T.atom_images:
-        if isinstance(idx, tuple) and idx[0] not in rows:
-            total = add(total, img)
+    total = lincomb(T.codomain, [(1, img) for _, img in T.row_unit_images] + [
+        (1, img) for idx, img in T.atom_images if idx[0] not in rows
+    ])
     return le(total, T.unit_image)

@@ -31,10 +31,6 @@ def qstr(q: Q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def qparse(s: str) -> Q:
-    return Q(s.strip())
-
-
 CONST = "const"
 STEPS = "steps"
 HARMONIC = "harmonic"
@@ -99,14 +95,6 @@ class RationalSeq:
             return None
         return self.limit()
 
-    def settle_index(self) -> int:
-        """First n from which the sequence equals its eventual value (STEPS/CONST)."""
-        if self.kind == CONST:
-            return 1
-        if self.kind == STEPS:
-            return len(self.prefix) + 1
-        raise ValueError("harmonic sequences never settle")
-
     def is_zero(self) -> bool:
         if self.kind == CONST:
             return self.value == 0
@@ -129,15 +117,6 @@ class RationalSeq:
         vals = [self.at(n) for n in range(n0, len(self.prefix) + 2)]
         return all(a >= b for a, b in zip(vals, vals[1:]))
 
-    def is_nonneg_from(self, n0: int = 1) -> bool:
-        if self.kind == CONST:
-            return self.value >= 0
-        if self.kind == HARMONIC:
-            return self.value >= 0
-        return self.tail >= 0 and all(
-            self.at(n) >= 0 for n in range(n0, len(self.prefix) + 1)
-        )
-
     def scale(self, c: QLike) -> "RationalSeq":
         c_q = qof(c)
         if c_q == 0:
@@ -147,9 +126,6 @@ class RationalSeq:
         if self.kind == STEPS:
             return RationalSeq.steps([v * c_q for v in self.prefix], self.tail * c_q)
         return RationalSeq.harmonic(self.value * c_q)
-
-    def neg(self) -> "RationalSeq":
-        return self.scale(-1)
 
     def add(self, other: "RationalSeq") -> "RationalSeq":
         a, b = self, other
@@ -169,14 +145,6 @@ class RationalSeq:
         )
         pref = [a.at(n) + b.at(n) for n in range(1, width + 1)]
         return RationalSeq.steps(pref, a.limit() + b.limit())
-
-    def sub_const(self, c: QLike) -> "RationalSeq":
-        c_q = qof(c)
-        if c_q == 0:
-            return self
-        if self.kind == HARMONIC:
-            raise ValueError("no closed form for harmonic - const")
-        return self.add(RationalSeq.const(-c_q))
 
     def abs_env(self) -> "RationalSeq":
         """Nonincreasing envelope e(n) >= |self(n)| with the same (zero) limit class.

@@ -16,6 +16,11 @@ exact at every index.  All decision procedures work from two facts about
 this class: for a fixed coordinate the value sequence is eventually constant
 (or a harmonic multiple), and the coordinatewise limits form a representable
 completion pattern.
+
+Every element this module produces is one `recompose` over generator parts,
+and the limit pattern is one `pattern_from_pieces` call: the base element
+collects the static part, the ambient limit and the stationary atoms, and
+each fill is a piece.
 """
 
 from __future__ import annotations
@@ -27,23 +32,18 @@ from .errors import SpaceMismatchError, StencilError
 from .scalars import Q, QLike, RationalSeq, ZERO_SEQ, qof
 from .spaces import (
     CoordForm,
-    Kind,
     PairForm,
     SeqForm,
     SpaceDesc,
     TokenForm,
     affine,
+    atom_key,
     form_space_matches,
     forms_collide_at,
+    gamma,
 )
-from .elements import Element, add, atom, scale, unit, zero
-from .completion import (
-    CompletionElement,
-    findev_pattern,
-    pattern_from_tail,
-    rowblock_pattern,
-    tail_pattern,
-)
+from .elements import Element, add, decompose, max_abs_coord, recompose, scale, zero
+from .completion import CompletionElement, pattern_from_pieces
 
 MovingAtom = Tuple[CoordForm, RationalSeq]
 
@@ -149,7 +149,6 @@ def element_seq(
 
 def _eval_symbolic(seq: ElementSeq, n: int) -> Element:
     """The symbolic value at step n (ignores the prelude)."""
-    space = seq.space
     hits: dict = {}
     for form, coeff in seq.atoms:
         c = coeff.at(n)
@@ -160,20 +159,14 @@ def _eval_symbolic(seq: ElementSeq, n: int) -> Element:
         for k in f.ks_at(n):
             idx = f.form.at(k)
             hits[idx] = hits.get(idx, Q(0)) + f.value
-    out = seq.static
-    amb = seq.ambient.at(n)
-    if amb != 0:
-        out = add(out, scale(amb, unit(space)))
-    for idx, v in sorted(hits.items(), key=_hit_key):
-        if v != 0:
-            out = add(out, scale(v, atom(space, idx)))
-    return out
+    parts = decompose(seq.static) + [(("unit",), seq.ambient.at(n))]
+    return recompose(seq.space, parts + _atom_parts(hits.items()))
 
 
-def _hit_key(kv):
-    from .spaces import atom_key
-
-    return atom_key(kv[0])
+def _atom_parts(hits) -> list:
+    """Generator parts of (atom index, coefficient) pairs, in atom order."""
+    ordered = sorted(hits, key=lambda kv: atom_key(kv[0]))
+    return [(("atom", idx), v) for idx, v in ordered if v != 0]
 
 
 def eval_seq(seq: ElementSeq, n: int) -> Element:
@@ -202,19 +195,6 @@ def sub_element(seq: ElementSeq, x: Element) -> ElementSeq:
     )
 
 
-def scale_seq(c: QLike, seq: ElementSeq) -> ElementSeq:
-    c_q = qof(c)
-    return ElementSeq(
-        seq.space,
-        scale(c_q, seq.static),
-        tuple((f, s.scale(c_q)) for f, s in seq.atoms),
-        tuple(replace(f, value=f.value * c_q) for f in seq.fills),
-        seq.ambient.scale(c_q),
-        seq.n0,
-        tuple(scale(c_q, p) for p in seq.prelude),
-    )
-
-
 # ---------------------------------------------------------------------------
 # normalization: merge fills on the same coordinate line (telescoping)
 
@@ -238,7 +218,7 @@ def normalize(seq: ElementSeq) -> ElementSeq:
             continue
         key = (type(f.form), int(step), int(offset) % int(step))
         groups.setdefault(key, []).append(f)
-    static_extra = zero(seq.space)
+    static_parts = decompose(seq.static)
     new_atoms = list(seq.atoms)
     new_fills = list(passthrough)
     for (form_type, step, base), fs in sorted(
@@ -259,10 +239,7 @@ def normalize(seq: ElementSeq) -> ElementSeq:
         for j in range(jmin, jmax):
             v = sum((p[2] for p in parts if p[0] <= j), Q(0))
             if v != 0 and step * j + base >= 1:
-                static_extra = add(
-                    static_extra,
-                    scale(v, atom(seq.space, _line_coord(form_type, step * j + base))),
-                )
+                static_parts.append((("atom", _line_coord(form_type, step * j + base)), v))
         # upper boundary: the last few line indices, moving with n
         for lag in range(lag_min, lag_max):
             v = sum((p[2] for p in parts if p[1] <= lag), Q(0))
@@ -276,7 +253,7 @@ def normalize(seq: ElementSeq) -> ElementSeq:
             )
     return element_seq(
         seq.space,
-        add(seq.static, static_extra),
+        recompose(seq.space, static_parts),
         new_atoms,
         new_fills,
         seq.ambient,
@@ -286,8 +263,6 @@ def normalize(seq: ElementSeq) -> ElementSeq:
 
 
 def _line_coord(form_type, index: int):
-    from .spaces import gamma
-
     if form_type is TokenForm:
         return gamma(index)
     return index
@@ -321,101 +296,22 @@ def eventual_pattern(seq: ElementSeq) -> CompletionElement:
     contribute nothing; stationary atoms contribute their eventual
     coefficient; a fill eventually covers its whole coordinate line.
     """
-    space = seq.space
-    amb_lim = seq.ambient.limit()
-    stationary: dict = {}
+    stationary = []
     for form, coeff in seq.atoms:
         if not form.moving:
-            ev = coeff.eventual_value()
-            v = Q(0) if ev is None else ev  # harmonic decays vanish in the limit
-            if v != 0:
-                idx = form.at(seq.n0)
-                stationary[idx] = stationary.get(idx, Q(0)) + v
-    if space.kind == Kind.FIN_DIM:
-        out = add(seq.static, scale(amb_lim, unit(space)))
-        for idx, v in sorted(stationary.items()):
-            out = add(out, scale(v, atom(space, idx)))
-        return CompletionElement(space, out)
-    if space.kind in (Kind.TAIL_SEQ, Kind.FIN_DEV):
-        pieces = []  # (step, first_coord, value) on the coordinate line
-        for f in seq.fills:
-            step, offset = f.line_params()
-            if step.denominator != 1 or offset.denominator != 1:
-                raise StencilError("fill line is not integral")
-            first_k = f.kmin + ((f.residue - f.kmin) % f.modulus)
-            pieces.append((int(step), f.form.idx.at_int(first_k), f.value))
-        mod = 1
-        for step, _, _ in pieces:
-            mod = mod * step // _gcd(mod, step)
-        if space.kind == Kind.TAIL_SEQ:
-            static_extent = [len(seq.static.prefix)]
-        else:
-            static_extent = [t.k for t, _ in seq.static.entries if t.family == "g"]
-        th = max(
-            [0]
-            + [fc for _, fc, _ in pieces]
-            + static_extent
-            + [
-                idx if isinstance(idx, int) else idx.k
-                for idx in stationary
-                if space.kind == Kind.TAIL_SEQ or getattr(idx, "family", "") == "g"
-            ]
-        )
-        th += (-th) % mod
-
-        def line_value(i: int) -> Q:
-            v = amb_lim
-            if space.kind == Kind.TAIL_SEQ:
-                v += (
-                    seq.static.prefix[i - 1]
-                    if i <= len(seq.static.prefix)
-                    else seq.static.tail
-                )
-                v += stationary.get(i, Q(0))
-            else:
-                from .spaces import gamma
-
-                from .elements import coordinate
-
-                v += coordinate(seq.static, gamma(i))
-                v += stationary.get(gamma(i), Q(0))
-            for step, first, val in pieces:
-                if i >= first and (i - first) % step == 0:
-                    v += val
-            return v
-
-        prefix = [line_value(i) for i in range(1, th + 1)]
-        residues = [Q(0)] * mod
-        for j in range(1, mod + 1):
-            residues[(th + j) % mod] = line_value(th + j)
-        line = tail_pattern(prefix, mod, residues)
-        if space.kind == Kind.TAIL_SEQ:
-            return CompletionElement(space, line)
-        extra = {}
-        for tok, v in seq.static.entries:
-            if tok.family != "g":
-                extra[tok] = v + amb_lim
-        for idx, v in stationary.items():
-            if idx.family != "g":
-                extra[idx] = extra.get(idx, seq.static.ambient + amb_lim) + v
-        ambient = seq.static.ambient + amb_lim
-        return CompletionElement(space, findev_pattern(extra, line, ambient))
-    # row_block: no fills in this class, so the pattern is static + stationary
-    if seq.fills:
-        raise StencilError("row_block sequences do not carry fills")
-    base = add(seq.static, scale(amb_lim, unit(space)))
-    for idx, v in sorted(stationary.items()):
-        base = add(base, scale(v, atom(space, idx)))
-    rows = [pattern_from_tail(p, rt) for p, rt in base.rows]
-    return CompletionElement(
-        space, rowblock_pattern(rows, [pattern_from_tail([], base.tail)])
-    )
-
-
-def _gcd(a: int, b: int) -> int:
-    from math import gcd
-
-    return gcd(a, b)
+            ev = coeff.eventual_value()  # harmonic decays (None) vanish in the limit
+            if ev:
+                stationary.append((form.at(seq.n0), ev))
+    parts = decompose(seq.static) + [(("unit",), seq.ambient.limit())]
+    base = recompose(seq.space, parts + _atom_parts(stationary))
+    pieces = []
+    for f in seq.fills:
+        step, offset = f.line_params()
+        if step.denominator != 1 or offset.denominator != 1:
+            raise StencilError("fill line is not integral")
+        first_k = f.kmin + ((f.residue - f.kmin) % f.modulus)
+        pieces.append((int(step), f.form.idx.at_int(first_k), f.value))
+    return pattern_from_pieces(seq.space, base, pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +320,6 @@ def _gcd(a: int, b: int) -> int:
 
 def deviation_bound(seq: ElementSeq) -> Q:
     """A bound M with |x_n| <= M * unit for all n (the class is bounded)."""
-    from .elements import max_abs_coord
-
     m = max_abs_coord(seq.static) + seq.ambient.max_abs()
     for _, coeff in seq.atoms:
         m += coeff.max_abs()

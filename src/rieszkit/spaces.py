@@ -40,14 +40,6 @@ class SpaceDesc:
     row_units: bool = False
 
     @property
-    def has_unit(self) -> bool:
-        return True
-
-    @property
-    def countable_atoms(self) -> bool:
-        return self.kind != Kind.FIN_DEV
-
-    @property
     def label(self) -> str:
         if self.kind == Kind.FIN_DIM:
             return f"findim({self.dim})"
@@ -56,16 +48,6 @@ class SpaceDesc:
         if self.kind == Kind.FIN_DEV:
             return "ck"
         return "ek" if self.row_units else "grid"
-
-    @property
-    def atom_description(self) -> str:
-        if self.kind == Kind.FIN_DIM:
-            return f"e_1..e_{self.dim}"
-        if self.kind == Kind.TAIL_SEQ:
-            return "e_n, n >= 1"
-        if self.kind == Kind.FIN_DEV:
-            return "one-point indicators over an uncountable discrete index"
-        return "e_(n,m), n,m >= 1"
 
 
 def fin_dim(n: int) -> SpaceDesc:

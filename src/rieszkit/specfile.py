@@ -42,7 +42,7 @@ from .spaces import (
     gamma,
     parse_space_label,
 )
-from .elements import Element, add, atom, row_unit, scale, unit, zero
+from .elements import Element, recompose
 from .operators import Operator, operator, stencil_rule
 
 
@@ -596,22 +596,23 @@ def build_spaces(spec: SpecFile) -> dict[str, SpaceDesc]:
 
 
 def _build_element(expr: ElemExpr, space: SpaceDesc) -> Element:
-    out = zero(space)
-    for term in expr.terms:
-        if term.target[0] == "unit":
-            out = add(out, scale(term.coeff, unit(space)))
-        elif term.target[0] == "rowunit":
-            out = add(out, scale(term.coeff, row_unit(space, term.target[1])))
-        else:
-            kind, payload = term.target[1][0], term.target[1]
-            if kind == "token":
-                idx = gamma(payload[1])
-            elif kind == "pair":
-                idx = (payload[1], payload[2])
-            else:
-                idx = payload[1]
-            out = add(out, scale(term.coeff, atom(space, idx)))
-    return out
+    # a generator, so each index is checked before the next term is read
+    return recompose(space, (_generator_part(term) for term in expr.terms))
+
+
+def _generator_part(term: ElemTerm):
+    if term.target[0] == "unit":
+        return ("unit",), term.coeff
+    if term.target[0] == "rowunit":
+        return ("row_unit", term.target[1]), term.coeff
+    payload = term.target[1]
+    if payload[0] == "token":
+        idx = gamma(payload[1])
+    elif payload[0] == "pair":
+        idx = (payload[1], payload[2])
+    else:
+        idx = payload[1]
+    return ("atom", idx), term.coeff
 
 
 def _build_form(coord: tuple, codomain: SpaceDesc):

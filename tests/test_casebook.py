@@ -2,6 +2,11 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from rieszkit import casebook
+from rieszkit.errors import PreconditionError
+from rieszkit.operators import BoundReport
 from rieszkit.scalars import Q
 from rieszkit.reports import report_to_dict, to_json, to_markdown
 from rieszkit.casebook import (
@@ -54,3 +59,13 @@ def test_all_runs_render_both_formats():
 def test_projection_demo_seed_changes_nothing_structural():
     r1 = run_projection_demo(seed=7)
     assert r1.verdict == "projection laws hold"
+
+
+def test_failed_conclusion_raises_precondition_error(monkeypatch):
+    # the conclusions are checked by a helper, not assert, so they hold
+    # under python -O as well
+    monkeypatch.setattr(
+        casebook, "order_bounded_test", lambda T: BoundReport(False, None, "forced")
+    )
+    with pytest.raises(PreconditionError, match="order boundedness"):
+        casebook.run_bounded_not_regular()

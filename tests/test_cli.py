@@ -124,3 +124,26 @@ def test_unsupported_hypothesis_exit_code(capsys):
     assert json.loads(out)["kind"] == "unsupported-hypothesis"
     code2, _ = run_cli(capsys, "check", "order_continuous", "--spec", ROWPAIR)
     assert code2 == 3
+
+
+FIXTURE_COMMANDS = [
+    ["check", "order_bounded"],
+    ["check", "order_continuous"],
+    ["positive-part"],
+    ["project-oc"],
+    ["witness-pervasive"],
+    ["classify"],
+    ["oracle", "grid-sup", "--depth", "1"],
+    ["oracle", "dominating-search", "--bound", "2"],
+]
+
+
+@pytest.mark.parametrize("spec", [MOVING, ROWPAIR])
+@pytest.mark.parametrize("command", FIXTURE_COMMANDS, ids=" ".join)
+def test_verdicts_do_not_depend_on_probe(capsys, spec, command):
+    outcomes = set()
+    for probe in (1, 8, 32):
+        code, out = run_cli(capsys, *command, "--spec", spec, "--probe", str(probe))
+        rep = json.loads(out)
+        outcomes.add((code, rep.get("verdict", rep.get("kind"))))
+    assert len(outcomes) == 1, outcomes
