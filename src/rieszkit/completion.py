@@ -23,6 +23,7 @@ is the one walk over the values a pattern stores.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 from typing import Tuple, Union
 
@@ -133,10 +134,14 @@ class FinDevPattern:
     line: TailPattern
     ambient: Q
 
+    @cached_property
+    def _by_token(self) -> dict:
+        """extra values by token, built on first use; not a field."""
+        return dict(self.extra)
+
     def at_token(self, tok: Token) -> Q:
-        for t, v in self.extra:
-            if t == tok:
-                return v
+        if tok in self._by_token:
+            return self._by_token[tok]
         if tok.family == "g":
             return self.line.at(tok.k)
         return self.ambient
@@ -328,7 +333,7 @@ def _ce_zip(a: CompletionElement, b: CompletionElement, elem_op, op) -> Completi
     if isinstance(pa, TailPattern):
         return CompletionElement(a.space, _tp_zip(pa, pb, op))
     if isinstance(pa, FinDevPattern):
-        toks = {t for t, _ in pa.extra} | {t for t, _ in pb.extra}
+        toks = {**pa._by_token, **pb._by_token}
         extra = {t: op(pa.at_token(t), pb.at_token(t)) for t in toks}
         line = _tp_zip(pa.line, pb.line, op)
         return CompletionElement(

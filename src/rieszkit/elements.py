@@ -10,7 +10,11 @@ Canonical forms make equality decidable:
 
 All operations are pointwise over the (finitely many) touched coordinates
 plus the tail/ambient slots, which is the lattice structure of each
-represented space.
+represented space.  A binary operation is one walk over the union of the
+stored coordinates plus those slots (`fin_dev` entries read through a
+per-element token index), so each costs time linear in the stored
+coordinates; `le` and `is_disjoint` stop at the first deciding pair, and
+`coordinate` takes constant time.
 
 This module also owns generator decomposition: `decompose` writes an
 element over the atoms, row units and unit of its space, `recompose` builds
@@ -21,7 +25,10 @@ through repeated `add`, which canonicalizes the whole element each time.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cached_property, partial
+from itertools import chain
 from typing import Iterable, Mapping, Sequence, Tuple
 
 from .errors import InvalidIndexError, SpaceMismatchError
@@ -55,9 +62,7 @@ class Element:
 
     @property
     def tail(self) -> Q:
-        if self.space.kind == Kind.TAIL_SEQ:
-            return self.data[1]
-        if self.space.kind == Kind.ROW_BLOCK:
+        if self.space.kind in (Kind.TAIL_SEQ, Kind.ROW_BLOCK):
             return self.data[1]
         raise AssertionError("tail is only defined for sequence kinds")
 
@@ -76,9 +81,17 @@ class Element:
         assert self.space.kind == Kind.ROW_BLOCK
         return self.data[0]
 
+    @cached_property
+    def _by_token(self) -> dict:
+        """fin_dev entries by token, built on first use; not a field."""
+        return dict(self.data[0])
+
     # -- generic ------------------------------------------------------------
     def is_zero(self) -> bool:
-        return self == zero(self.space)
+        # canonical zero: all coordinates 0, or nothing stored and a 0 tail
+        if self.space.kind == Kind.FIN_DIM:
+            return not any(self.data)
+        return self.data == ((), 0)
 
     def __add__(self, other: "Element") -> "Element":
         return add(self, other)
@@ -109,14 +122,18 @@ def element_fin(space: SpaceDesc, coords: Sequence[QLike]) -> Element:
     return Element(space, vals)
 
 
+def _canonical_row(prefix: Sequence[QLike], rtail: QLike) -> RowPayload:
+    rt = qof(rtail)
+    pref = [qof(v) for v in prefix]
+    while pref and pref[-1] == rt:
+        pref.pop()
+    return (tuple(pref), rt)
+
+
 def element_tail(space: SpaceDesc, prefix: Sequence[QLike], tail: QLike) -> Element:
     if space.kind != Kind.TAIL_SEQ:
         raise SpaceMismatchError("element_tail needs a tail_seq space")
-    tail_q = qof(tail)
-    pref = [qof(v) for v in prefix]
-    while pref and pref[-1] == tail_q:
-        pref.pop()
-    return Element(space, (tuple(pref), tail_q))
+    return Element(space, _canonical_row(prefix, tail))
 
 
 def element_findev(
@@ -134,14 +151,6 @@ def element_findev(
             kept[tok] = v_q
     ordered = tuple(sorted(kept.items(), key=lambda kv: atom_key(kv[0])))
     return Element(space, (ordered, amb))
-
-
-def _canonical_row(prefix: Sequence[QLike], rtail: QLike) -> RowPayload:
-    rt = qof(rtail)
-    pref = [qof(v) for v in prefix]
-    while pref and pref[-1] == rt:
-        pref.pop()
-    return (tuple(pref), rt)
 
 
 def element_rowblock(
@@ -294,10 +303,7 @@ def coordinate(x: Element, idx: AtomIndex) -> Q:
     if k == Kind.FIN_DEV:
         if not isinstance(idx, Token):
             raise InvalidIndexError("fin_dev coordinates are tokens")
-        for tok, v in x.entries:
-            if tok == idx:
-                return v
-        return x.ambient
+        return x._by_token.get(idx, x.ambient)
     if not (isinstance(idx, tuple) and len(idx) == 2):
         raise InvalidIndexError("row_block coordinates are (row, col) pairs")
     n, m = idx
@@ -326,18 +332,7 @@ def support(x: Element) -> list[AtomIndex]:
 
 def max_abs_coord(x: Element) -> Q:
     """sup over all coordinates of |x| (tails and ambients included)."""
-    k = x.space.kind
-    if k == Kind.FIN_DIM:
-        return max((abs(v) for v in x.coords), default=Q(0))
-    if k == Kind.TAIL_SEQ:
-        return max([abs(x.tail)] + [abs(v) for v in x.prefix])
-    if k == Kind.FIN_DEV:
-        return max([abs(x.ambient)] + [abs(v) for _, v in x.entries])
-    vals = [abs(x.tail)]
-    for pref, rt in x.rows:
-        vals.append(abs(rt))
-        vals.extend(abs(v) for v in pref)
-    return max(vals)
+    return max(abs(v) for v, _ in _pairs(x, x))
 
 
 # ---------------------------------------------------------------------------
@@ -349,72 +344,86 @@ def _check_same_space(x: Element, y: Element) -> None:
         raise SpaceMismatchError(f"{x.space.label} vs {y.space.label}")
 
 
-def _zip_tail(x: Element, y: Element, op) -> Element:
-    width = max(len(x.prefix), len(y.prefix))
-    pref = [op(coordinate(x, i), coordinate(y, i)) for i in range(1, width + 1)]
-    return element_tail(x.space, pref, op(x.tail, y.tail))
+def _pad(a, ta, b, tb):
+    """Prefixes a and b, the shorter read on through its tail to the
+    length of the longer."""
+    return a + (ta,) * (len(b) - len(a)), b + (tb,) * (len(a) - len(b))
 
 
-def _zip_findev(x: Element, y: Element, op) -> Element:
-    toks = {tok for tok, _ in x.entries} | {tok for tok, _ in y.entries}
-    vals = {tok: op(coordinate(x, tok), coordinate(y, tok)) for tok in toks}
-    return element_findev(x.space, vals, op(x.ambient, y.ambient))
+def _line(a, ta, b, tb):
+    """(a_i, b_i) over the padded prefixes, then the pair of tails."""
+    return chain(zip(*_pad(a, ta, b, tb)), ((ta, tb),))
 
 
-def _row_at(x: Element, n: int) -> RowPayload:
-    if n <= len(x.rows):
-        return x.rows[n - 1]
-    return ((), x.tail)
+def _tokens(x: Element, y: Element):
+    """(token, x value, y value) over the tokens x or y stores, x's first."""
+    dx, dy = x._by_token, y._by_token
+    ax, ay = x.data[1], y.data[1]
+    return ((t, dx.get(t, ax), dy.get(t, ay)) for t in {**dx, **dy})
 
 
-def _zip_rowblock(x: Element, y: Element, op) -> Element:
-    depth = max(len(x.rows), len(y.rows))
-    rows = []
-    for n in range(1, depth + 1):
-        px, tx = _row_at(x, n)
-        py, ty = _row_at(y, n)
-        width = max(len(px), len(py))
-        pref = [
-            op(px[m] if m < len(px) else tx, py[m] if m < len(py) else ty)
-            for m in range(width)
-        ]
-        rows.append((pref, op(tx, ty)))
-    return element_rowblock(x.space, rows, op(x.tail, y.tail))
+def _rows(x: Element, y: Element):
+    """Row pairs over the padded row blocks (past its rows a block is the
+    constant row of its tail)."""
+    return zip(*_pad(x.data[0], ((), x.data[1]), y.data[0], ((), y.data[1])))
+
+
+def _pairs(x: Element, y: Element):
+    """Every (x value, y value) pair the two elements take: one per stored
+    coordinate of either, one per tail, ambient or row-tail slot."""
+    _check_same_space(x, y)
+    k = x.space.kind
+    if k == Kind.FIN_DIM:
+        return zip(x.data, y.data)
+    if k == Kind.TAIL_SEQ:
+        return _line(*x.data, *y.data)
+    tails = ((x.data[1], y.data[1]),)
+    if k == Kind.FIN_DEV:
+        return chain(((a, b) for _, a, b in _tokens(x, y)), tails)
+    return chain(chain.from_iterable(_line(*rx, *ry) for rx, ry in _rows(x, y)), tails)
+
+
+def _zip_line(a, ta, b, tb, op):
+    return list(map(op, *_pad(a, ta, b, tb))), op(ta, tb)
 
 
 def _pointwise(x: Element, y: Element, op) -> Element:
     _check_same_space(x, y)
     k = x.space.kind
     if k == Kind.FIN_DIM:
-        return element_fin(x.space, [op(a, b) for a, b in zip(x.coords, y.coords)])
+        return element_fin(x.space, [op(a, b) for a, b in zip(x.data, y.data)])
     if k == Kind.TAIL_SEQ:
-        return _zip_tail(x, y, op)
+        return element_tail(x.space, *_zip_line(*x.data, *y.data, op))
     if k == Kind.FIN_DEV:
-        return _zip_findev(x, y, op)
-    return _zip_rowblock(x, y, op)
+        vals = {t: op(a, b) for t, a, b in _tokens(x, y)}
+        return element_findev(x.space, vals, op(x.data[1], y.data[1]))
+    rows = [_zip_line(*rx, *ry, op) for rx, ry in _rows(x, y)]
+    return element_rowblock(x.space, rows, op(x.data[1], y.data[1]))
+
+
+def _map(x: Element, f) -> Element:
+    """f applied to every value x takes, in one pass over its payload."""
+    k = x.space.kind
+    if k == Kind.FIN_DIM:
+        return element_fin(x.space, [f(v) for v in x.data])
+    body, t = x.data
+    if k == Kind.TAIL_SEQ:
+        return element_tail(x.space, [f(v) for v in body], f(t))
+    if k == Kind.FIN_DEV:
+        return element_findev(x.space, {tok: f(v) for tok, v in body}, f(t))
+    return element_rowblock(x.space, [([f(v) for v in p], f(rt)) for p, rt in body], f(t))
 
 
 def add(x: Element, y: Element) -> Element:
-    return _pointwise(x, y, lambda a, b: a + b)
+    return _pointwise(x, y, operator.add)
 
 
 def sub(x: Element, y: Element) -> Element:
-    return _pointwise(x, y, lambda a, b: a - b)
+    return _pointwise(x, y, operator.sub)
 
 
 def scale(c: QLike, x: Element) -> Element:
-    c_q = qof(c)
-    k = x.space.kind
-    if k == Kind.FIN_DIM:
-        return element_fin(x.space, [c_q * v for v in x.coords])
-    if k == Kind.TAIL_SEQ:
-        return element_tail(x.space, [c_q * v for v in x.prefix], c_q * x.tail)
-    if k == Kind.FIN_DEV:
-        return element_findev(
-            x.space, {t: c_q * v for t, v in x.entries}, c_q * x.ambient
-        )
-    rows = [([c_q * v for v in p], c_q * rt) for p, rt in x.rows]
-    return element_rowblock(x.space, rows, c_q * x.tail)
+    return _map(x, partial(operator.mul, qof(c)))
 
 
 def sup2(x: Element, y: Element) -> Element:
@@ -428,7 +437,7 @@ def inf2(x: Element, y: Element) -> Element:
 
 def pos(x: Element) -> Element:
     """Positive part x v 0."""
-    return sup2(x, zero(x.space))
+    return _map(x, lambda v: max(v, 0))
 
 
 def neg(x: Element) -> Element:
@@ -437,12 +446,12 @@ def neg(x: Element) -> Element:
 
 
 def abs_(x: Element) -> Element:
-    return sup2(x, -x)
+    return _map(x, abs)
 
 
 def le(x: Element, y: Element) -> bool:
     """Pointwise order: x <= y on every coordinate (tails included)."""
-    return sup2(x, y) == y
+    return all(a <= b for a, b in _pairs(x, y))
 
 
 def is_positive(x: Element) -> bool:
@@ -450,7 +459,8 @@ def is_positive(x: Element) -> bool:
 
 
 def is_disjoint(x: Element, y: Element) -> bool:
-    return inf2(abs_(x), abs_(y)).is_zero()
+    """|x| ^ |y| = 0: at every coordinate one of the two is 0."""
+    return all(a == 0 or b == 0 for a, b in _pairs(x, y))
 
 
 # ---------------------------------------------------------------------------

@@ -1,29 +1,48 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from rieszkit.errors import InvalidIndexError, SpaceMismatchError
 from rieszkit.scalars import Q
-from rieszkit.spaces import fin_dev, fin_dim, gamma, row_block_ek, tail_seq
+from rieszkit import elements
+from rieszkit.completion import ce_add, ce_sup, embed
+from rieszkit.spaces import (
+    Kind,
+    Token,
+    fin_dev,
+    fin_dim,
+    gamma,
+    row_block_ek,
+    row_block_grid,
+    tail_seq,
+)
 from rieszkit.elements import (
     abs_,
     add,
     atom,
     coordinate,
     element_findev,
+    element_rowblock,
     element_tail,
     inf2,
     is_disjoint,
     le,
+    max_abs_coord,
     neg,
     pos,
+    render,
     row_unit,
     scale,
     sub,
     sup2,
+    support,
     unit,
     zero,
 )
@@ -32,6 +51,8 @@ from conftest import ALL_SPACES, random_element
 
 T = tail_seq()
 F = fin_dev()
+E = row_block_ek()
+FAR = 10**6
 
 
 def test_sup2_tail_seq_coordinatewise():
@@ -149,3 +170,192 @@ def test_scale_distributes(rng):
             c = Q(3, 2)
             assert scale(c, add(x, y)) == add(scale(c, x), scale(c, y))
             assert sup2(scale(c, x), scale(c, y)) == scale(c, sup2(x, y))
+
+
+# ---------------------------------------------------------------------------
+# the merge kernel against coordinate reads and against the lattice ops
+
+
+def _probes(x, y) -> list:
+    """Coordinates at which x and y take every value pair they have: both
+    supports plus points past every prefix, row and stored token."""
+    pts = support(x) + support(y)
+    k = x.space.kind
+    if k == Kind.FIN_DIM:
+        return list(range(1, x.space.dim + 1))
+    if k == Kind.TAIL_SEQ:
+        return pts + [FAR]
+    if k == Kind.FIN_DEV:
+        return pts + [Token("star", FAR)]
+    depth = max(len(x.rows), len(y.rows))
+    return pts + [(n, FAR) for n in range(1, depth + 2)] + [(FAR, 1)]
+
+
+def _lattice_pairs(x, y):
+    """(x, y) plus pairs that are ordered and disjoint, so that both
+    answers of le and is_disjoint occur."""
+    return [(x, y), (x, sup2(x, y)), (inf2(x, y), y), (pos(x), neg(x)), (pos(x), neg(y))]
+
+
+def test_lattice_ops_agree_with_each_other_and_with_coordinate_reads(rng):
+    for space in ALL_SPACES:
+        for _ in range(60):
+            x, y = random_element(rng, space), random_element(rng, space)
+            for a, b in _lattice_pairs(x, y):
+                assert le(a, b) == (sup2(a, b) == b)
+                assert is_disjoint(a, b) == inf2(abs_(a), abs_(b)).is_zero()
+                assert abs_(a) == sup2(a, scale(-1, a))
+                assert pos(a) == sup2(a, zero(space))
+                assert a.is_zero() == (a == zero(space))
+                idxs = _probes(a, b)
+                pairs = [(coordinate(a, i), coordinate(b, i)) for i in idxs]
+                assert le(a, b) == all(u <= v for u, v in pairs)
+                assert is_disjoint(a, b) == all(u == 0 or v == 0 for u, v in pairs)
+                assert max_abs_coord(a) == max(abs(u) for u, _ in pairs)
+                for op, f in ((add, lambda u, v: u + v), (sub, lambda u, v: u - v),
+                              (sup2, max), (inf2, min)):
+                    out = op(a, b)
+                    assert [coordinate(out, i) for i in idxs] == [f(u, v) for u, v in pairs]
+
+
+def test_prefixes_of_unequal_length_with_different_tails():
+    x = element_tail(T, [1, 2, 3], 5)
+    y = element_tail(T, [4], 0)
+    assert sup2(x, y) == element_tail(T, [4, 2, 3], 5)
+    assert sup2(y, x) == sup2(x, y)
+    assert inf2(x, y) == element_tail(T, [1], 0)
+    assert add(x, y) == element_tail(T, [5, 2, 3], 5)
+    assert sub(y, x) == element_tail(T, [3, -2, -3], -5)
+    assert not le(x, y) and not le(y, x)
+    assert le(y, sup2(x, y)) and le(inf2(x, y), y)
+    assert not le(element_tail(T, [0, 0, -1], 0), element_tail(T, [], -1))
+    # e1 against unit - e1: disjoint although each stores a nonzero tail slot
+    assert is_disjoint(element_tail(T, [1], 0), element_tail(T, [0], 1))
+    assert is_disjoint(element_tail(T, [0, 0, 3], 0), element_tail(T, [1, 2], 0))
+    assert not is_disjoint(element_tail(T, [0, 0, 3], 0), element_tail(T, [1], 1))
+
+
+def test_ek_rows_whose_tails_differ_from_the_global_tail():
+    x = element_rowblock(E, [([1], 2), ([], 0), ([0, 3], 0)], 0)
+    y = element_rowblock(E, [([5, 0, 0, 1], 0)], 1)
+    assert sup2(x, y) == element_rowblock(E, [([5], 2), ([], 1), ([1, 3], 1)], 1)
+    assert inf2(x, y) == element_rowblock(E, [([1, 0, 0, 1], 0), ([], 0), ([0, 1], 0)], 0)
+    assert not le(x, y) and not le(y, x)
+    assert le(row_unit(E, 2), unit(E)) and not le(unit(E), row_unit(E, 2))
+    assert is_disjoint(row_unit(E, 1), row_unit(E, 2))
+    assert is_disjoint(row_unit(E, 1), sub(unit(E), row_unit(E, 1)))
+    assert not is_disjoint(row_unit(E, 1), atom(E, (1, 5)))
+    assert is_disjoint(row_unit(E, 1), atom(E, (2, 5)))
+    # only the row tails meet
+    assert not is_disjoint(element_rowblock(E, [([0], 1)], 0), element_rowblock(E, [([1, 0], 2)], 0))
+
+
+def test_ck_entries_against_a_nonzero_ambient():
+    g1, g2, s1 = gamma(1), gamma(2), Token("star", 1)
+    x = element_findev(F, {g1: 1, g2: 0}, 2)
+    y = element_findev(F, {g2: 3, s1: -1}, 0)
+    assert sup2(x, y) == element_findev(F, {g1: 1, g2: 3}, 2)
+    assert inf2(x, y) == element_findev(F, {s1: -1}, 0)
+    assert add(x, y) == element_findev(F, {g1: 1, g2: 3, s1: 1}, 2)
+    assert abs_(element_findev(F, {g1: 2}, -2)) == element_findev(F, {}, 2)
+    assert not le(x, y) and not le(y, x) and le(inf2(x, y), x)
+    assert le(x, element_findev(F, {g1: 1, s1: 2}, 2))
+    assert is_disjoint(element_findev(F, {g1: 0}, 1), element_findev(F, {g1: 4}, 0))
+    assert not is_disjoint(element_findev(F, {g1: 0}, 1), element_findev(F, {g2: 4}, 0))
+    assert [coordinate(x, t) for t in (g1, g2, s1, gamma(9))] == [1, 0, 2, 2]
+
+
+def test_le_and_is_disjoint_raise_across_spaces():
+    pairs = [
+        (unit(T), unit(F)),
+        (atom(T, 1), atom(F, gamma(1))),
+        (unit(fin_dim(3)), unit(fin_dim(4))),
+        (unit(E), unit(row_block_grid())),
+    ]
+    for x, y in pairs:
+        for op in (le, is_disjoint, add, sup2, inf2):
+            with pytest.raises(SpaceMismatchError):
+                op(x, y)
+
+
+# ---------------------------------------------------------------------------
+# cost and -O guards
+
+
+def _wide(space, n: int, shift: int):
+    """An element storing about n coordinates, half of them shared with
+    the element of shift n // 2."""
+    vals = [Q((7 * i + shift) % 5 - 2, 1 + i % 3) for i in range(n)]
+    if space.kind == Kind.FIN_DEV:
+        # star tokens are off the line: ck patterns keep them as extras
+        return element_findev(
+            space, {Token("star", i + shift): v for i, v in enumerate(vals, 1)}, shift % 3)
+    if space.kind == Kind.TAIL_SEQ:
+        return element_tail(space, [Q(0)] * shift + vals, shift % 3)
+    width = 50
+    rows = [(vals[i:i + width], Q(i % 4)) for i in range(0, n, width)]
+    return element_rowblock(space, [([], 1)] * (shift // width) + rows, shift % 3)
+
+
+def test_lattice_ops_are_linear(monkeypatch):
+    n = 2000
+    counts = {"eq": 0, "coordinate": 0}
+    token_eq, read = Token.__eq__, elements.coordinate
+
+    def counting_eq(self, other):
+        counts["eq"] += 1
+        return token_eq(self, other)
+
+    def counting_read(x, idx):
+        counts["coordinate"] += 1
+        return read(x, idx)
+
+    for space in (F, T, E):
+        x, y = _wide(space, n, 0), _wide(space, n, n // 2)
+        # y's and a rebuilt x's token objects: reads compare equal tokens
+        up, p, m = sup2(y, x), pos(x), neg(_wide(space, n, 0))
+        ex, ey = embed(x), embed(y)
+        monkeypatch.setattr(Token, "__eq__", counting_eq)
+        monkeypatch.setattr(elements, "coordinate", counting_read)
+        for name, run in [
+            ("sup2", lambda: sup2(x, y)),
+            ("add", lambda: add(x, y)),
+            ("le", lambda: le(x, up)),
+            ("is_disjoint", lambda: is_disjoint(p, m)),
+            ("ce_add", lambda: ce_add(ex, ey)),
+            ("ce_sup", lambda: ce_sup(ex, ey)),
+        ]:
+            counts.update(eq=0, coordinate=0)
+            run()
+            assert counts["eq"] + counts["coordinate"] <= 4 * n, (space.label, name, counts)
+        monkeypatch.undo()
+        # le and is_disjoint above walked every pair: both answers are True
+        assert le(x, up) and is_disjoint(p, m)
+
+
+def _lattice_battery(seed: int = 11) -> str:
+    """sup2, inf2, abs_, le, is_disjoint and coordinate on seeded elements
+    of every space, one line per pair."""
+    rng = random.Random(seed)
+    lines = []
+    for space in ALL_SPACES:
+        for _ in range(25):
+            x, y = random_element(rng, space), random_element(rng, space)
+            for a, b in _lattice_pairs(x, y):
+                coords = ",".join(str(coordinate(a, i)) for i in _probes(a, b))
+                lines.append(" ".join([
+                    space.label, render(sup2(a, b)), render(inf2(a, b)), render(abs_(a)),
+                    str(le(a, b)), str(is_disjoint(a, b)), coords]))
+    return "\n".join(lines)
+
+
+def test_lattice_battery_is_the_same_under_python_O():
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    code = ("import sys; from test_elements import _lattice_battery; "
+            "print(sys.flags.optimize); print(_lattice_battery())")
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env, cwd=here,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == f"1\n{_lattice_battery()}\n"
