@@ -70,6 +70,7 @@ from .calculus import (
 from .oracles import (
     bruteforce_dominating_search,
     grid_interval_sup,
+    majorant_floors,
     majorant_growth_probe,
     matrix_positive_part,
 )

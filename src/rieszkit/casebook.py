@@ -73,7 +73,7 @@ from .calculus import (
     positive_part,
     projection_fixes,
 )
-from .oracles import bruteforce_dominating_search, majorant_growth_probe
+from .oracles import bruteforce_dominating_search, majorant_floors
 from .reports import Report
 
 
@@ -269,7 +269,7 @@ def run_bounded_not_regular(probe: int = 8, levels: int = 8) -> Report:
         "which deviates from the grid constant on an infinite set: the "
         "positive part leaves the operator space"
     )
-    mu = [majorant_growth_probe(T, n) for n in range(0, levels + 1)]
+    mu = majorant_floors(T, levels)
     _require(all(mu[n] >= Q(n, 2) for n in range(levels + 1)), "majorant floors grow linearly")
     _require(all(mu[n] <= mu[n + 1] for n in range(levels)), "majorant floors increase")
     transcript.append(

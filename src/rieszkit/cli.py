@@ -41,7 +41,7 @@ from .casebook import CASEBOOK, row_pair_difference_operator
 from .oracles import (
     bruteforce_dominating_search,
     grid_interval_sup,
-    majorant_growth_probe,
+    majorant_floors,
     matrix_positive_part,
 )
 from .reports import Report, to_json, to_markdown
@@ -237,7 +237,7 @@ def _cmd_oracle(args) -> Report:
             _, _, T, _ = _load_operator(args)
         else:
             T = row_pair_difference_operator()
-        mu = {str(n): majorant_growth_probe(T, n) for n in range(args.levels + 1)}
+        mu = {str(n): v for n, v in enumerate(majorant_floors(T, args.levels))}
         return Report(
             command="oracle majorant-growth",
             verdict="computed",

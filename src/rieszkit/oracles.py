@@ -19,11 +19,10 @@ from .elements import (
     Element,
     abs_,
     add,
-    atom,
     coordinate,
     element_tail,
     le,
-    sub,
+    lincomb,
     zero,
 )
 from .operators import Functional, Operator, apply_functional, apply_op, atom_image
@@ -47,13 +46,9 @@ def truncate_operator(T: Operator, level: int) -> list[list[Q]]:
 
     Column j < level is the truncation of T(e_j); the last column is the
     image of the tail generator (unit minus the listed atoms)."""
-    cols = []
-    for j in range(1, level + 1):
-        cols.append(truncate_element(atom_image(T, j), level))
-    tail_gen_img = T.unit_image
-    for j in range(1, level + 1):
-        tail_gen_img = sub(tail_gen_img, atom_image(T, j))
-    cols.append(truncate_element(tail_gen_img, level))
+    imgs = [atom_image(T, j) for j in range(1, level + 1)]
+    tail_gen_img = lincomb(T.codomain, [(1, T.unit_image), *((-1, img) for img in imgs)])
+    cols = [truncate_element(img, level) for img in (*imgs, tail_gen_img)]
     return [[cols[j][i] for j in range(level + 1)] for i in range(level + 1)]
 
 
@@ -203,43 +198,59 @@ def _grid_sup_operator_separable(T: Operator, x: Element, depth: int, support, t
 # majorant growth for the row-pair difference family
 
 
-def majorant_growth_probe(T: Operator, level: int) -> Q:
-    """Least possible sup-entry of S(unit) over structured positive S >= T
-    on the level-N truncation, for alternating row-difference stencils.
+def majorant_floors(T: Operator, levels: int) -> list[Q]:
+    """Majorant floors mu_0..mu_levels for alternating row-difference
+    stencils on row-block domains.
 
-    Constraint generation follows the row-unit chain: S(u_r) dominates
-    S of every initial alternating segment, hence T of it, at every column;
-    the codomain's constant-off-finite structure then forces the constant
-    slot of S(u_r) up to the stencil's positive coefficient, and the unit
-    dominates the sum of the first `level` row units.  The witness S built
-    from those floors is feasible, so the bound is exact.
+    The floor at level n is the stencil's positive coefficient `peak` times
+    n: the constant slot of S(u_r) must reach `peak` for every row r <= n,
+    and the unit dominates the sum of the first n row units.  This is a
+    constraint probe, not a certified bound: no majorant S is built (a
+    certified LP with primal and dual witnesses is ROADMAP item 4).  What is
+    checked is the segment constraints of the level-`levels` truncation: for
+    every row r and every segment end m_top <= levels, T of the odd segment
+    e_(r,1) + e_(r,3) + ... + e_(r,2*m_top-1) stays <= peak at columns
+    1..m_top of row r; otherwise PreconditionError("stencil outside the
+    probed family").  Level n's constraints (r, m_top <= n) are a subset of
+    these, and they are checked in level order, so a failure raises exactly
+    what the first failing level would raise on its own.
     """
-    if level < 0:
-        raise PreconditionError("level must be >= 0")
+    if levels < 0:
+        return []
     if T.domain.kind != Kind.ROW_BLOCK or not T.domain.row_units:
         raise PreconditionError("the probe runs on row-block domains")
-    if T.rule is None or T.rule.is_zero():
-        return Q(0)
-    peak = Q(0)
-    for es in T.rule.entries:
-        for _, c in es:
-            peak = max(peak, c)
-    if peak == 0:
-        return Q(0)
-    if level == 0:
-        return Q(0)
-    # floors: const slot of S(u_r) >= peak for each r <= level, verified by
-    # enumerating the segment constraints S(u_r) >= T(y_M) on the level grid
-    for r in range(1, level + 1):
-        for m_top in range(1, level + 1):
-            seg = zero(T.domain)
-            for m in range(1, 2 * m_top, 2):
-                seg = add(seg, atom(T.domain, (r, m)))
-            img = apply_op(T, seg)
-            for mm in range(1, m_top + 1):
-                if coordinate(img, (r, mm)) > peak:
-                    raise PreconditionError("stencil outside the probed family")
-    return peak * level
+    entries = T.rule.entries if T.rule is not None else ()
+    peak = max((c for es in entries for _, c in es if c > 0), default=Q(0))
+    if peak > 0:
+        _check_segment_constraints(T, levels, peak)
+    return [peak * n for n in range(levels + 1)]
+
+
+def _check_segment_constraints(T: Operator, levels: int, peak: Q) -> None:
+    """The segment constraints with r, m_top <= levels, level by level.
+
+    Each row keeps the running image of its odd segment: T is linear, so
+    adding the image of the next odd atom gives T of the longer segment."""
+    images: list[Element] = []
+    for n in range(1, levels + 1):
+        images.append(zero(T.codomain))
+        for r in range(1, n + 1):
+            # rows r < n gain segment end n; the new row n takes ends 1..n
+            for m_top in range(n if r < n else 1, n + 1):
+                img = images[r - 1] = add(images[r - 1], atom_image(T, (r, 2 * m_top - 1)))
+                for mm in range(1, m_top + 1):
+                    if coordinate(img, (r, mm)) > peak:
+                        raise PreconditionError("stencil outside the probed family")
+
+
+def majorant_growth_probe(T: Operator, level: int) -> Q:
+    """The majorant floor at one level, `majorant_floors(T, level)[level]`:
+    the segment constraints of the level-`level` truncation are checked and
+    `peak * level` is returned.  No majorant S is built; a certified LP
+    bound is ROADMAP item 4."""
+    if level < 0:
+        raise PreconditionError("level must be >= 0")
+    return majorant_floors(T, level)[level]
 
 
 # ---------------------------------------------------------------------------

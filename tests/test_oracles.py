@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from rieszkit.calculus import positive_part, rk_value_functional_unit
 from rieszkit.oracles import (
     bruteforce_dominating_search,
     grid_interval_sup,
+    majorant_floors,
     majorant_growth_probe,
     matrix_apply,
     matrix_positive_part,
@@ -121,6 +123,149 @@ def test_majorant_growth():
     from rieszkit.spaces import row_block_ek, row_block_grid
 
     assert majorant_growth_probe(zero_op(row_block_ek(), row_block_grid()), 5) == 0
+
+
+def _ek_grid_spec(*rules: str) -> str:
+    body = "".join(f"  {rule}\n" for rule in rules)
+    return f"space E = ek\nspace F = grid\n\noperator T : E -> F {{\n{body}  rowunits n > 0 -> 0\n  unit -> 0\n}}\n"
+
+
+COLUMN_ONE_SPEC = _ek_grid_spec("atoms m > 0 -> { 1 @ (n,1) }")
+# stencils that tell odd segments from other atom sets, and whose first
+# failure needs row 1's segments to reach end 5 (checked at column 3) or
+# row 2's segment with both of its first odd atoms
+EDGE_SPECS = {
+    "column one": COLUMN_ONE_SPEC,
+    "even atoms on column one": _ek_grid_spec(
+        "atoms m > 0, m mod 2 == 0 -> { 1 @ (n,1) }",
+        "atoms m > 0, m mod 2 == 1 -> { 1 @ (n,m) }",
+    ),
+    "late, row one only": _ek_grid_spec("atoms m > 5 -> { 1 @ (1,3) }"),
+    "row two only": _ek_grid_spec("atoms m > 0 -> { 1 @ (2,1) }"),
+}
+
+
+def test_stencil_outside_the_family_is_refused(tmp_path, capsys):
+    """Every atom lands on column 1, so the image of a two-atom odd segment
+    reads 2 > peak there: level 1 passes, every later level is refused."""
+    from rieszkit.cli import main
+    from rieszkit.errors import PreconditionError
+    from rieszkit.specfile import build_all, parse
+
+    Tc = build_all(parse(COLUMN_ONE_SPEC))[1]["T"]
+    assert majorant_floors(Tc, 1) == [0, 1]
+    for level in (2, 5):
+        with pytest.raises(PreconditionError, match="stencil outside the probed family"):
+            majorant_floors(Tc, level)
+        with pytest.raises(PreconditionError, match="stencil outside the probed family"):
+            majorant_growth_probe(Tc, level)
+    spec = tmp_path / "column_one.rzk"
+    spec.write_text(COLUMN_ONE_SPEC)
+    for level, code in ((1, 0), (2, 2), (5, 2)):
+        assert main(["oracle", "majorant-growth", "--levels", str(level), "--spec", str(spec)]) == code
+        out = capsys.readouterr().out
+        if code:
+            assert json.loads(out)["error"] == "stencil outside the probed family"
+        else:
+            assert json.loads(out)["oracle"]["floors"] == {"0": "0", "1": "1"}
+
+
+def _majorant_operators():
+    from rieszkit.operators import scale_op, zero_op
+    from rieszkit.spaces import row_block_ek, row_block_grid
+    from rieszkit.specfile import build_all, parse
+
+    Tr = row_pair_difference_operator()
+    with open("fixtures/row_pair_difference.rzk") as f:
+        fixture = build_all(parse(f.read()))[1]["T"]
+    return {
+        "row pair difference": Tr,
+        "twice": scale_op(2, Tr),
+        "half": scale_op(Q(1, 2), Tr),
+        "zero": zero_op(row_block_ek(), row_block_grid()),
+        "fixture": fixture,
+    }
+
+
+@pytest.mark.parametrize("name", ["row pair difference", "twice", "half", "zero", "fixture"])
+@pytest.mark.parametrize("levels", [0, 1, 2, 8])
+def test_floors_match_the_per_level_probe(name, levels):
+    Tm = _majorant_operators()[name]
+    assert majorant_floors(Tm, levels) == [majorant_growth_probe(Tm, n) for n in range(levels + 1)]
+    assert majorant_floors(Tm, -1) == []
+
+
+def _rebuilt_segment_floor(T, level):
+    """The floor at one level with every odd segment built from atoms and
+    mapped by apply_op: the reference for the running segment images."""
+    from rieszkit.elements import add, coordinate
+
+    peak = max((c for es in T.rule.entries for _, c in es if c > 0), default=Q(0))
+    for r in range(1, level + 1):
+        for m_top in range(1, level + 1):
+            seg = zero(T.domain)
+            for m in range(1, 2 * m_top, 2):
+                seg = add(seg, atom(T.domain, (r, m)))
+            img = apply_op(T, seg)
+            if any(coordinate(img, (r, mm)) > peak for mm in range(1, m_top + 1)):
+                return "stencil outside the probed family"
+    return peak * level
+
+
+@pytest.mark.parametrize("name", ["row pair difference", "twice", "half", "fixture", *EDGE_SPECS])
+def test_floors_agree_with_rebuilt_segments(name):
+    from rieszkit.errors import PreconditionError
+    from rieszkit.specfile import build_all, parse
+
+    if name in EDGE_SPECS:
+        Tm = build_all(parse(EDGE_SPECS[name]))[1]["T"]
+    else:
+        Tm = _majorant_operators()[name]
+    for level in range(7):
+        try:
+            got = majorant_growth_probe(Tm, level)
+        except PreconditionError as e:
+            got = str(e)
+        assert got == _rebuilt_segment_floor(Tm, level), level
+
+
+def test_floors_below_level_zero_run_no_check(capsys):
+    from rieszkit.casebook import moving_indicator_operator
+    from rieszkit.cli import main
+    from rieszkit.errors import PreconditionError
+
+    Tm = moving_indicator_operator()
+    assert majorant_floors(Tm, -1) == []
+    with pytest.raises(PreconditionError, match="level must be >= 0"):
+        majorant_growth_probe(Tm, -1)
+    assert main(["oracle", "majorant-growth", "--levels", "-1",
+                 "--spec", "fixtures/moving_indicator.rzk"]) == 0
+    assert json.loads(capsys.readouterr().out)["oracle"]["floors"] == {}
+    assert main(["oracle", "majorant-growth", "--levels", "3",
+                 "--spec", "fixtures/moving_indicator.rzk"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "the probe runs on row-block domains"
+
+
+def test_majorant_floors_build_each_segment_image_once(monkeypatch):
+    """One atom image per (row, segment end): levels**2 of them for all
+    levels together, not one segment rebuild per level, row and end."""
+    from rieszkit import operators, oracles
+
+    calls = 0
+    image = operators.atom_image
+
+    def counting_image(T, idx):
+        nonlocal calls
+        calls += 1
+        return image(T, idx)
+
+    Tr = row_pair_difference_operator()
+    monkeypatch.setattr(operators, "atom_image", counting_image)
+    monkeypatch.setattr(oracles, "atom_image", counting_image)
+    assert majorant_floors(Tr, 16)[16] == 16
+    assert calls <= 16 * 16 + 16
+    monkeypatch.undo()
+    assert majorant_floors(Tr, 32)[32] == 32
 
 
 def test_dominating_search_finds_easy_cases():
