@@ -28,7 +28,7 @@ from math import gcd, lcm
 from typing import Tuple, Union
 
 from .errors import SpaceMismatchError, StencilError
-from .scalars import Q, QLike, qof, qstr
+from .scalars import Q, QLike, qadd, qof, qstr
 from .spaces import Kind, SpaceDesc, Token, atom_key, gamma
 from .elements import (
     Element,
@@ -290,7 +290,7 @@ def _line(cells: dict, default: Q, pieces) -> TailPattern:
         v = cells.get(i, default)
         for step, first, value in pieces:
             if _covers(step, first, i):
-                v += value
+                v = qadd(v, value)
         return v
 
     prefix, residues = _read_off(at, max(cells, default=0), [p[:2] for p in pieces])

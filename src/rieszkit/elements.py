@@ -25,14 +25,13 @@ through repeated `add`, which canonicalizes the whole element each time.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
 from typing import Iterable, Mapping, Sequence, Tuple
 
 from .errors import InvalidIndexError, SpaceMismatchError
-from .scalars import Q, QLike, qof, qstr
+from .scalars import Q, Q0, QLike, qadd, qmul, qof, qstr, qsub
 from .spaces import (
     AtomIndex,
     Kind,
@@ -222,16 +221,18 @@ def decompose(x: Element) -> list:
     out = []
     if k == Kind.ROW_BLOCK:
         for n, (pref, rt) in enumerate(x.rows, start=1):
-            out.extend((("atom", (n, m)), v - rt) for m, v in enumerate(pref, start=1) if v != rt)
+            out.extend((("atom", (n, m)), qsub(v, rt))
+                       for m, v in enumerate(pref, start=1) if v != rt)
             if space.row_units and rt != x.tail:
-                out.append((("row_unit", n), rt - x.tail))
+                out.append((("row_unit", n), qsub(rt, x.tail)))
         base = x.tail
     elif k == Kind.TAIL_SEQ:
         base = x.tail
-        out.extend((("atom", i), v - base) for i, v in enumerate(x.prefix, start=1) if v != base)
+        out.extend((("atom", i), qsub(v, base))
+                   for i, v in enumerate(x.prefix, start=1) if v != base)
     else:
         base = x.ambient
-        out.extend((("atom", tok), v - base) for tok, v in x.entries)
+        out.extend((("atom", tok), qsub(v, base)) for tok, v in x.entries)
     if base != 0:
         out.append((("unit",), base))
     return out
@@ -242,7 +243,7 @@ def recompose(space: SpaceDesc, parts) -> Element:
     (in the format of `decompose`), built in one pass.  Parts are read once,
     in order, and each index is checked as it is read, so the first bad
     index raises InvalidIndexError."""
-    u = Q(0)
+    u = Q0
     coeffs: dict = {}
     for ref, c in parts:
         if ref[0] == "atom":
@@ -250,19 +251,19 @@ def recompose(space: SpaceDesc, parts) -> Element:
         elif ref[0] == "row_unit":
             _check_row_unit(space, ref[1])
         else:
-            u += qof(c)
+            u = qadd(u, qof(c))
             continue
-        coeffs[ref] = coeffs.get(ref, Q(0)) + qof(c)
+        coeffs[ref] = qadd(coeffs.get(ref, Q0), qof(c))
     atoms = {ref[1]: c for ref, c in coeffs.items() if ref[0] == "atom"}
     k = space.kind
     if k == Kind.FIN_DIM:
-        return element_fin(space, [u + atoms.get(i, 0) for i in range(1, space.dim + 1)])
+        return element_fin(space, [qadd(u, atoms.get(i, Q0)) for i in range(1, space.dim + 1)])
     if k == Kind.TAIL_SEQ:
         width = max(atoms, default=0)
-        return element_tail(space, [u + atoms.get(i, 0) for i in range(1, width + 1)], u)
+        return element_tail(space, [qadd(u, atoms.get(i, Q0)) for i in range(1, width + 1)], u)
     if k == Kind.FIN_DEV:
-        return element_findev(space, {tok: u + c for tok, c in atoms.items()}, u)
-    row_tails = {ref[1]: u + c for ref, c in coeffs.items() if ref[0] == "row_unit"}
+        return element_findev(space, {tok: qadd(u, c) for tok, c in atoms.items()}, u)
+    row_tails = {ref[1]: qadd(u, c) for ref, c in coeffs.items() if ref[0] == "row_unit"}
     cells: dict = {}
     for (n, m), c in atoms.items():
         cells.setdefault(n, {})[m] = c
@@ -270,7 +271,7 @@ def recompose(space: SpaceDesc, parts) -> Element:
     for n in range(1, max([*cells, *row_tails], default=0) + 1):
         rt = row_tails.get(n, u)
         row = cells.get(n, {})
-        rows.append(([rt + row.get(m, 0) for m in range(1, max(row, default=0) + 1)], rt))
+        rows.append(([qadd(rt, row.get(m, Q0)) for m in range(1, max(row, default=0) + 1)], rt))
     return element_rowblock(space, rows, u)
 
 
@@ -281,7 +282,7 @@ def lincomb(space: SpaceDesc, terms) -> Element:
         if x.space != space:
             raise SpaceMismatchError(f"{space.label} vs {x.space.label}")
         c_q = qof(c)
-        parts.extend((ref, c_q * v) for ref, v in decompose(x))
+        parts.extend((ref, qmul(c_q, v)) for ref, v in decompose(x))
     return recompose(space, parts)
 
 
@@ -415,15 +416,15 @@ def _map(x: Element, f) -> Element:
 
 
 def add(x: Element, y: Element) -> Element:
-    return _pointwise(x, y, operator.add)
+    return _pointwise(x, y, qadd)
 
 
 def sub(x: Element, y: Element) -> Element:
-    return _pointwise(x, y, operator.sub)
+    return _pointwise(x, y, qsub)
 
 
 def scale(c: QLike, x: Element) -> Element:
-    return _map(x, partial(operator.mul, qof(c)))
+    return _map(x, partial(qmul, qof(c)))
 
 
 def sup2(x: Element, y: Element) -> Element:

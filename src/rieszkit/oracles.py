@@ -91,9 +91,7 @@ def grid_interval_sup(
         if T.rule is not None:
             support |= set(range(T.rule.threshold + 1, T.rule.threshold + 4))
     support = sorted(support)
-    axes = []
-    for i in support:
-        axes.append([v for v in _dyadic_grid(coordinate(x, i), depth)])
+    axes = [_dyadic_grid(coordinate(x, i), depth) for i in support]
     tail_axis = _dyadic_grid(x.tail, depth)
 
     def build(yvals, t) -> Element:
@@ -128,17 +126,18 @@ def grid_interval_sup(
     if is_functional:
         coeffs = dict(T.atom_coeffs)
         out = Q(0)
-        for i in support:
+        for i, axis in zip(support, axes):
             c = coeffs.get(i, Q(0))
-            out += max((c * v for v in _dyadic_grid(coordinate(x, i), depth)), default=Q(0))
+            out += max((c * v for v in axis), default=Q(0))
         limit_weight = T.unit_value - sum(coeffs.values(), Q(0))
         out += max((limit_weight * t for t in tail_axis), default=Q(0))
         return out
-    return _grid_sup_operator_separable(T, x, depth, support, tail_axis)
+    return _grid_sup_operator_separable(T, support, axes, tail_axis)
 
 
-def _grid_sup_operator_separable(T: Operator, x: Element, depth: int, support, tail_axis):
-    """Coordinatewise grid maximum for an operator target.
+def _grid_sup_operator_separable(T: Operator, support, axes, tail_axis):
+    """Coordinatewise grid maximum for an operator target, over the grid
+    `axes[j]` of each coordinate `support[j]` and the tail grid.
 
     T(y) at output k equals sum_i y_i * a_{i,k} + t * (U_k - sigma_k) where
     a_{i,k} is coordinate k of the i-th atom image, U the unit image and
@@ -156,12 +155,10 @@ def _grid_sup_operator_separable(T: Operator, x: Element, depth: int, support, t
     def coord_max(k) -> Q:
         out = Q(0)
         sigma = Q(0)
-        for i in support:
+        for i, axis in zip(support, axes):
             a = coordinate(imgs[i], k)
             sigma += a
-            out += max(
-                (a * v for v in _dyadic_grid(coordinate(x, i), depth)), default=Q(0)
-            )
+            out += max((a * v for v in axis), default=Q(0))
         w = coordinate(U, k) - sigma
         out += max((w * t for t in tail_axis), default=Q(0))
         return out
@@ -381,14 +378,17 @@ def bruteforce_dominating_search(
     """
     checked = 0
     window = max(probe, 2 * bound)
+    # |x_n| for n = 1, 2, ..., evaluated on first use and kept for the search
+    x_abs: list = []
+
+    def abs_x(n: int) -> Element:
+        while len(x_abs) < n:
+            x_abs.append(abs_(eval_seq(x, len(x_abs) + 1)))
+        return x_abs[n - 1]
+
     for cand in _candidate_families(x, bound):
         checked += 1
-        dominated = True
-        for n in range(1, window + 1):
-            if not le(abs_(eval_seq(x, n)), eval_seq(cand, n)):
-                dominated = False
-                break
-        if not dominated:
+        if not all(le(abs_x(n), eval_seq(cand, n)) for n in range(1, window + 1)):
             continue
         try:
             cert = decide_monotone_limit(cand)

@@ -2,9 +2,16 @@
 
 Every number in the engine is a rational (`fractions.Fraction`), stored in
 lowest terms with a positive denominator; there is no rounding anywhere.
+Payload values of elements and patterns are always `Fraction`, never `int`.
 `RationalSeq` is the closed-form class of scalar sequences the symbolic
 machinery can decide things about: constants, eventually constant steps,
 and harmonic decays c/n.
+
+`qadd`, `qsub` and `qmul` are the payload arithmetic.  Most coordinates of
+the sparse data are 0, and most coefficients 0 or 1, so they reuse an
+operand instead of building a new rational: x + 0 and x - 0 are x, 0 - x is
+-x, x * 0 is the shared `Q0`, x * 1 is x and x * -1 is -x.  Only the other
+cases compute a new rational; the value is the same either way.
 """
 
 from __future__ import annotations
@@ -17,11 +24,47 @@ Q = Fraction
 
 QLike = Union[Q, int, str]
 
+Q0 = Q(0)
+
 
 def qof(x: QLike) -> Q:
     if isinstance(x, Q):
         return x
     return Q(x)
+
+
+def qadd(a: Q, b: Q) -> Q:
+    """a + b, reusing the other operand when one is 0."""
+    if not b:
+        return a
+    if not a:
+        return b
+    return a + b
+
+
+def qsub(a: Q, b: Q) -> Q:
+    """a - b, reusing a when b is 0 and negating b when a is 0."""
+    if not b:
+        return a
+    if not a:
+        return -b
+    return a - b
+
+
+def qmul(a: Q, b: Q) -> Q:
+    """a * b: Q0 when a factor is 0, the other factor (or its negation)
+    when one is 1 (or -1)."""
+    if not a or not b:
+        return Q0
+    if a == 1:
+        return b
+    if b == 1:
+        return a
+    if a == -1:
+        return -b
+    if b == -1:
+        return -a
+    return a * b
 
 
 def qstr(q: Q) -> str:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from typing import Tuple
 
 from .errors import SpaceMismatchError, StencilError
-from .scalars import Q, QLike, RationalSeq, ZERO_SEQ, qof
+from .scalars import Q, Q0, QLike, RationalSeq, ZERO_SEQ, qadd, qof
 from .spaces import (
     CoordForm,
     PairForm,
@@ -154,11 +154,11 @@ def _eval_symbolic(seq: ElementSeq, n: int) -> Element:
         c = coeff.at(n)
         if c != 0:
             idx = form.at(n)
-            hits[idx] = hits.get(idx, Q(0)) + c
+            hits[idx] = qadd(hits.get(idx, Q0), c)
     for f in seq.fills:
         for k in f.ks_at(n):
             idx = f.form.at(k)
-            hits[idx] = hits.get(idx, Q(0)) + f.value
+            hits[idx] = qadd(hits.get(idx, Q0), f.value)
     parts = decompose(seq.static) + [(("unit",), seq.ambient.at(n))]
     return recompose(seq.space, parts + _atom_parts(hits.items()))
 

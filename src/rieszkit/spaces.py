@@ -146,6 +146,9 @@ class Affine:
         return self.a * n + self.b
 
     def at_int(self, n: int) -> int:
+        a, b = self.a, self.b
+        if a.denominator == 1 and b.denominator == 1:
+            return a.numerator * n + b.numerator
         v = self.at(n)
         if v.denominator != 1:
             raise InvalidIndexError(f"index form {self} is not integral at n={n}")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import fractions
 import os
 import random
 import subprocess
@@ -28,15 +29,19 @@ from rieszkit.elements import (
     add,
     atom,
     coordinate,
+    decompose,
+    element_fin,
     element_findev,
     element_rowblock,
     element_tail,
     inf2,
     is_disjoint,
     le,
+    lincomb,
     max_abs_coord,
     neg,
     pos,
+    recompose,
     render,
     row_unit,
     scale,
@@ -333,9 +338,78 @@ def test_lattice_ops_are_linear(monkeypatch):
         assert le(x, up) and is_disjoint(p, m)
 
 
+def _sparse(space, n: int):
+    """An element storing about n coordinates, every tail, row tail and
+    ambient 0: the sparse data on which sums and scalings skip identities."""
+    vals = [Q((7 * i) % 5 - 2, 1 + i % 3) for i in range(n)]
+    if space.kind == Kind.FIN_DIM:
+        return element_fin(space, vals)
+    if space.kind == Kind.FIN_DEV:
+        return element_findev(space, {Token("star", i): v for i, v in enumerate(vals, 1)}, 0)
+    if space.kind == Kind.TAIL_SEQ:
+        return element_tail(space, vals, 0)
+    return element_rowblock(space, [(vals[i:i + 50], 0) for i in range(0, n, 50)], 0)
+
+
+def _payload(x) -> list:
+    """Every value stored in x's payload, tails, row tails and ambient
+    included."""
+    if x.space.kind == Kind.FIN_DIM:
+        return list(x.data)
+    body, t = x.data
+    if x.space.kind == Kind.TAIL_SEQ:
+        return [*body, t]
+    if x.space.kind == Kind.FIN_DEV:
+        return [v for _, v in body] + [t]
+    return [v for p, rt in body for v in (*p, rt)] + [t]
+
+
+def test_identities_build_no_rationals(monkeypatch):
+    n = 2000
+    built = [0]
+    new = fractions.Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    one = Q(1)
+    for space in (fin_dim(n), T, F, E, row_block_grid()):
+        z = zero(space)
+        x = _sparse(space, n)
+        atoms = [ref for ref, _ in decompose(x)]
+        assert len(atoms) > n // 2
+        cases = [
+            ("add", lambda: add(x, z)),
+            ("sub", lambda: sub(x, z)),
+            ("scale 1", lambda: scale(1, x)),
+            ("scale 0", lambda: scale(0, x)),
+            ("lincomb", lambda: lincomb(space, [(1, x)])),
+            ("recompose", lambda: recompose(space, [(ref, one) for ref in atoms])),
+        ]
+        if space in (T, F, E):
+            # nonzero tails: the skip depends on the operand 0 or 1, not the tail
+            w = _wide(space, n, 1)
+            cases += [("add wide", lambda: add(w, z)), ("sub wide", lambda: sub(w, z)),
+                      ("scale 1 wide", lambda: scale(1, w))]
+        monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting_new))
+        for name, run in cases:
+            built[0] = 0
+            run()
+            assert built[0] <= 8, (space.label, name, built[0])
+        monkeypatch.undo()
+        assert add(x, z) == sub(x, z) == scale(1, x) == lincomb(space, [(1, x)]) == x
+        assert recompose(space, [(ref, one) for ref in atoms]) == recompose(
+            space, [(ref, 1) for ref in atoms])
+        for y in (scale(0, x), sub(x, x), scale(-1, x)):
+            assert all(type(v) is Q for v in _payload(y)), space.label
+        assert scale(0, x) == sub(x, x) == z and add(x, scale(-1, x)) == z
+
+
 def _lattice_battery(seed: int = 11) -> str:
     """sup2, inf2, abs_, le, is_disjoint and coordinate on seeded elements
-    of every space, one line per pair."""
+    of every space, one line per pair; then scale, lincomb and recompose
+    with coefficients 0, 1 and -1, where sums and products reuse an operand."""
     rng = random.Random(seed)
     lines = []
     for space in ALL_SPACES:
@@ -346,6 +420,12 @@ def _lattice_battery(seed: int = 11) -> str:
                 lines.append(" ".join([
                     space.label, render(sup2(a, b)), render(inf2(a, b)), render(abs_(a)),
                     str(le(a, b)), str(is_disjoint(a, b)), coords]))
+            for c, d in [(0, 1), (1, -1), (-1, 0), (1, 1), (Q(1, 2), -1)]:
+                parts = [(ref, c) for ref, _ in decompose(x)] + [
+                    (ref, d * v) for ref, v in decompose(y)]
+                lines.append(" ".join([
+                    space.label, render(scale(c, x)), render(lincomb(space, [(c, x), (d, y)])),
+                    render(recompose(space, parts))]))
     return "\n".join(lines)
 
 

@@ -85,19 +85,25 @@ def test_grid_sup_positive_operator_attains_application():
     assert got == apply_op(P, x)
 
 
+# x with unequal coordinates gives every support coordinate its own grid
+UNEVEN = element_tail(T, [1, 3, Q(1, 2)], 2)
+
+
 def test_grid_sup_separable_matches_joint():
     f = functional(T, {1: 2, 2: -1, 3: 1}, 2)
-    joint = grid_interval_sup(f, unit(T), 2, joint_budget=10**6)
-    separable = grid_interval_sup(f, unit(T), 2, joint_budget=1)
-    assert joint == separable
+    for x in (unit(T), UNEVEN):
+        joint = grid_interval_sup(f, x, 2, joint_budget=10**6)
+        separable = grid_interval_sup(f, x, 2, joint_budget=1)
+        assert joint == separable
 
 
 def test_grid_sup_operator_target_routes_agree():
     P = identity_on_tail_seq()
-    x = element_tail(T, [1, 1], 1)
-    joint = grid_interval_sup(P, x, 2, joint_budget=10**7)
-    separable = grid_interval_sup(P, x, 2, joint_budget=1)
-    assert joint == separable
+    R = rank_one(functional(T, {1: 2, 2: -1, 3: 1}, 2), element_tail(T, [1, -2], 1))
+    for T_, x in ((P, element_tail(T, [1, 1], 1)), (P, UNEVEN), (R, UNEVEN)):
+        joint = grid_interval_sup(T_, x, 2, joint_budget=10**7)
+        separable = grid_interval_sup(T_, x, 2, joint_budget=1)
+        assert joint == separable
 
 
 def test_grid_sup_below_interval_supremum():

@@ -2,9 +2,18 @@ from __future__ import annotations
 
 import pytest
 
-from rieszkit.errors import NotDecreasingError, StencilError
+from rieszkit.errors import InvalidIndexError, NotDecreasingError, StencilError
 from rieszkit.scalars import Q, RationalSeq
-from rieszkit.spaces import fin_dev, gamma, pair_form, row_block_ek, seq_form, tail_seq, token_form
+from rieszkit.spaces import (
+    affine,
+    fin_dev,
+    gamma,
+    pair_form,
+    row_block_ek,
+    seq_form,
+    tail_seq,
+    token_form,
+)
 from rieszkit.elements import atom, element_findev, element_tail, le, scale, unit, zero
 from rieszkit.sequences import (
     element_seq,
@@ -210,3 +219,21 @@ def test_static_and_ambient_components_cancel():
     assert cert.converges
     ok, log = verify_certificate(cert, x, limit)
     assert ok, log
+
+
+def test_affine_at_int_agrees_with_at(rng):
+    for _ in range(200):
+        a, b = (Q(rng.randint(-9, 9), rng.choice((1, 1, 2))) for _ in range(2))
+        form = affine(a, b)
+        for n in range(1, 51):
+            v = form.at(n)
+            if v.denominator == 1:
+                assert form.at_int(n) == v and type(form.at_int(n)) is int
+            else:
+                with pytest.raises(InvalidIndexError):
+                    form.at_int(n)
+    # the (m+1)/2 column form is integral at odd m only
+    col = pair_form(1, 0, Q(1, 2), Q(1, 2)).col
+    assert [col.at_int(m) for m in (1, 3, 5)] == [1, 2, 3]
+    with pytest.raises(InvalidIndexError, match="not integral at n=4"):
+        col.at_int(4)
