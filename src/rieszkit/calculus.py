@@ -132,8 +132,7 @@ def rk_value(T: Operator, x: Element) -> CompletionElement:
     out = ce_add(out, embed(dev_elem))
     explicit_rows = list(range(1, len(x.rows) + 1))
     rowpos_total = None
-    for r in explicit_rows:
-        rt = x.rows[r - 1][1]
+    for r, (_, rt) in enumerate(x.rows, start=1):
         rp = row_sum_pattern(T, r, "pos")
         rowpos_total = rp if rowpos_total is None else ce_add(rowpos_total, rp)
         if rt != 0:
@@ -208,12 +207,7 @@ class CompletionOperator:
         return _rule_image(self.codomain, self.rule, idx)
 
     def in_codomain(self) -> bool:
-        ok = in_space(self.unit_image) and all(
-            in_space(img) for _, img in self.row_unit_images
-        )
-        if self.row_unit_tail is not None:
-            ok = ok and in_space(self.row_unit_tail)
-        return ok
+        return self.failing_generator() is None
 
     def failing_generator(self) -> str | None:
         if not in_space(self.unit_image):
@@ -264,18 +258,19 @@ def completion_op_eq(A: CompletionOperator, B: CompletionOperator) -> bool:
     )
 
 
-def completion_op_add(A: CompletionOperator, B: CompletionOperator) -> CompletionOperator:
-    from .operators import add_op
-
-    SA = operator(
+def _atom_part(A: CompletionOperator) -> Operator:
+    """The operator with A's atom images and rule and zero unit and row-unit
+    images."""
+    return operator(
         A.domain, A.codomain, dict(A.atom_images), A.rule, None,
         zero(A.codomain) if A.domain.kind != Kind.FIN_DIM else None,
     )
-    SB = operator(
-        B.domain, B.codomain, dict(B.atom_images), B.rule, None,
-        zero(B.codomain) if B.domain.kind != Kind.FIN_DIM else None,
-    )
-    S = add_op(SA, SB)
+
+
+def completion_op_add(A: CompletionOperator, B: CompletionOperator) -> CompletionOperator:
+    from .operators import add_op
+
+    S = add_op(_atom_part(A), _atom_part(B))
     rows = {}
     for r, img in list(A.row_unit_images) + list(B.row_unit_images):
         rows[r] = ce_add(rows[r], img) if r in rows else img
@@ -376,24 +371,13 @@ def order_continuity_test(
 def oc_projection(T: Operator | CompletionOperator) -> CompletionOperator:
     """Band projection onto the order-continuous part: atom images are kept
     and the unit image becomes the partial-sum limit in the completion."""
-    if isinstance(T, CompletionOperator):
-        if T.domain.kind == Kind.ROW_BLOCK:
-            raise UnsupportedHypothesisError(
-                "the projection needs a linearly enumerated atom system"
-            )
-        base = operator(
-            T.domain,
-            T.codomain,
-            dict(T.atom_images),
-            T.rule,
-            None,
-            zero(T.codomain) if T.domain.kind != Kind.FIN_DIM else None,
+    if T.domain.kind == Kind.ROW_BLOCK:
+        raise UnsupportedHypothesisError(
+            "the projection needs a linearly enumerated atom system"
         )
+    if isinstance(T, CompletionOperator):
+        base = _atom_part(T)
     else:
-        if T.domain.kind == Kind.ROW_BLOCK:
-            raise UnsupportedHypothesisError(
-                "the projection needs a linearly enumerated atom system"
-            )
         _require_bounded(T)
         base = T
     if base.domain.kind == Kind.FIN_DIM:

@@ -28,13 +28,15 @@ from typing import Tuple
 
 from .errors import NotDecreasingError, PreconditionError, SpaceMismatchError
 from .scalars import Q, RationalSeq, qstr
-from .spaces import Kind, SpaceDesc, Token, fresh_star, seq_form
+from .spaces import Kind, SpaceDesc, Token, fresh_star, gamma, seq_form
 from .elements import (
     Element,
     abs_,
     atom,
     decompose,
+    g_line,
     le,
+    line_classes,
     max_abs_coord,
     recompose,
     scale,
@@ -139,63 +141,42 @@ def _pattern_witness(pat: CompletionElement) -> tuple[object | None, Q, str]:
     A None coordinate means the obstruction sits on the ambient class of the
     uncountable kind: every fresh point keeps that value.
     """
-    space = pat.space
-    p = pat.pat
-    if isinstance(p, Element):
-        for i, v in enumerate(p.coords, start=1):
-            if v != 0:
-                return i, v, f"coordinate {i} settles at {qstr(v)}"
-        return None, Q(0), "zero"
-    if space.kind == Kind.TAIL_SEQ:
-        for i, v in enumerate(p.prefix, start=1):
-            if v != 0:
-                return i, v, f"coordinate {i} settles at {qstr(v)}"
-        for r, v in enumerate(p.residues):
-            if v != 0:
-                i = len(p.prefix) + 1
-                while i % p.modulus != r:
-                    i += 1
-                return i, v, f"coordinates = {r} mod {p.modulus} settle at {qstr(v)}"
-        return None, Q(0), "zero"
-    if space.kind == Kind.FIN_DEV:
-        for tok, v in p.extra:
-            if v != 0:
-                return tok, v, f"coordinate {tok} settles at {qstr(v)}"
-        for i, v in enumerate(p.line.prefix, start=1):
-            if v != 0:
-                from .spaces import gamma
+    return next(_nonzero_classes(pat.pat), (None, Q(0), "zero"))
 
-                return gamma(i), v, f"coordinate g({i}) settles at {qstr(v)}"
-        for r, v in enumerate(p.line.residues):
-            if v != 0:
-                from .spaces import gamma
 
-                i = len(p.line.prefix) + 1
-                while i % p.line.modulus != r:
-                    i += 1
-                return gamma(i), v, f"line residue {r} mod {p.line.modulus} settles at {qstr(v)}"
-        if p.ambient != 0:
-            return None, p.ambient, f"ambient value stays {qstr(p.ambient)} at every untouched point"
-        return None, Q(0), "zero"
-    # row_block
-    for n, row in enumerate(p.rows, start=1):
-        for m, v in enumerate(row.prefix, start=1):
-            if v != 0:
-                return (n, m), v, f"cell ({n},{m}) settles at {qstr(v)}"
-        for r, v in enumerate(row.residues):
-            if v != 0:
-                m = len(row.prefix) + 1
-                while m % row.modulus != r:
-                    m += 1
-                return (n, m), v, f"row {n} tail settles at {qstr(v)}"
-    for rr, row in enumerate(p.row_residues):
-        for m, v in enumerate(list(row.prefix) + list(row.residues), start=1):
-            if v != 0:
-                n = len(p.rows) + 1
-                while n % p.row_modulus != rr:
-                    n += 1
-                return (n, max(m, 1)), v, f"row class {rr} settles nonzero"
-    return None, Q(0), "zero"
+def _nonzero_classes(x: Element):
+    """(coordinate, value, description) of each nonzero value class of the
+    payload x, in storage order."""
+    k = x.space.kind
+    if k == Kind.FIN_DEV:
+        for t, v in x.entries:
+            if t.family != "g" and v:
+                yield t, v, f"coordinate {t} settles at {qstr(v)}"
+        line = g_line(x)
+        for i, r, v in line_classes(line):
+            if v and r is None:
+                yield gamma(i), v, f"coordinate g({i}) settles at {qstr(v)}"
+            elif v:
+                yield gamma(i), v, f"line residue {r} mod {len(line[1])} settles at {qstr(v)}"
+        if x.ambient:
+            yield None, x.ambient, (
+                f"ambient value stays {qstr(x.ambient)} at every untouched point")
+    elif k == Kind.ROW_BLOCK:
+        for n, rr, row in line_classes(x.data):
+            for m, r, v in line_classes(row):
+                if v and rr is not None:
+                    yield (n, m), v, f"row class {rr} settles nonzero"
+                elif v and r is not None:
+                    yield (n, m), v, f"row {n} tail settles at {qstr(v)}"
+                elif v:
+                    yield (n, m), v, f"cell ({n},{m}) settles at {qstr(v)}"
+    else:
+        # a line; on fin_dim its one residue class is 0 past the dimension
+        for i, r, v in line_classes(x.data):
+            if v and r is None:
+                yield i, v, f"coordinate {i} settles at {qstr(v)}"
+            elif v:
+                yield i, v, f"coordinates = {r} mod {len(x.data[1])} settle at {qstr(v)}"
 
 
 def _tokens_in_play(seq: ElementSeq) -> set[Token]:

@@ -57,7 +57,6 @@ from .completion import (
     ce_le,
     embed,
     pattern_from_pieces,
-    pattern_max_abs,
 )
 from .scalars import ZERO_SEQ
 from .sequences import ElementSeq, eval_seq, fill, normalize
@@ -720,7 +719,7 @@ def order_bounded_test(T: Operator) -> BoundReport:
             None,
             f"coordinate {leak} accumulates unboundedly through the tail rule",
         )
-    m = pattern_max_abs(image_sum_pattern(T, "abs"))
+    m = max_abs_coord(image_sum_pattern(T, "abs").pat)
     m = max(m, max_abs_coord(T.unit_image))
     for _, img in T.row_unit_images:
         m = max(m, max_abs_coord(img))

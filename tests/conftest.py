@@ -5,14 +5,16 @@ import random
 import pytest
 
 from rieszkit.scalars import Q
-from rieszkit.spaces import SpaceDesc, Kind, fin_dim, fin_dev, gamma, row_block_ek, row_block_grid, tail_seq
+from rieszkit.spaces import SpaceDesc, Kind, Token, fin_dim, fin_dev, gamma, row_block_ek, row_block_grid, tail_seq
 from rieszkit.elements import (
     Element,
+    add,
     element_fin,
     element_findev,
     element_rowblock,
     element_tail,
 )
+from rieszkit.completion import pattern_from_pieces
 
 ALL_SPACES = [fin_dim(4), tail_seq(), fin_dev(), row_block_ek(), row_block_grid()]
 
@@ -45,6 +47,27 @@ def random_element(rng: random.Random, space: SpaceDesc) -> Element:
         rtail = random_scalar(rng) if space.row_units else tail
         rows.append(([random_scalar(rng) for _ in range(width)], rtail))
     return element_rowblock(space, rows, tail)
+
+
+def random_pattern(rng: random.Random, space: SpaceDesc):
+    """(completion element, base, pieces): a random base plus up to three
+    random pieces with steps 0..4, built by `pattern_from_pieces`.  ck bases
+    also store star tokens, which the line pieces never touch."""
+    base = random_element(rng, space)
+    if space.kind == Kind.FIN_DEV:
+        stars = {Token("star", k): random_scalar(rng) for k in rng.sample(range(1, 5), 2)}
+        base = add(base, element_findev(space, stars, 0))
+    pieces = []
+    for _ in range(rng.randint(0, 3)):
+        v = random_scalar(rng)
+        if space.kind == Kind.FIN_DIM:
+            pieces.append((0, rng.randint(1, space.dim), v))
+        elif space.kind == Kind.ROW_BLOCK:
+            pieces.append((rng.randint(0, 4), rng.randint(1, 4), rng.randint(0, 4),
+                           rng.randint(1, 4), v))
+        else:
+            pieces.append((rng.randint(0, 4), rng.randint(1, 5), v))
+    return pattern_from_pieces(space, base, pieces), base, pieces
 
 
 @pytest.fixture

@@ -289,13 +289,13 @@ def test_rk_row_unit_matches_brute_enumeration():
     for m in range(1, level // 2 + 1):
         from rieszkit.elements import coordinate
 
-        assert coordinate(best, (r, m)) == 1 == pattern.at(r, m)
+        assert coordinate(best, (r, m)) == 1 == coordinate(pattern, (r, m))
     # and the enumeration never exceeds the pattern anywhere probed
     for n in range(1, 4):
         for m in range(1, level + 2):
             from rieszkit.elements import coordinate
 
-            assert coordinate(best, (n, m)) <= pattern.at(n, m)
+            assert coordinate(best, (n, m)) <= coordinate(pattern, (n, m))
 
 
 def _row_unit(space, r):
@@ -323,7 +323,7 @@ def test_rk_unit_matches_brute_enumeration_ek():
         best = sup2(best, apply_op(Tr, y))
     for n in range(1, 3):
         for m in range(1, 3):
-            assert coordinate(best, (n, m)) == 1 == pattern.at(n, m)
+            assert coordinate(best, (n, m)) == 1 == coordinate(pattern, (n, m))
     assert collapse(rk_value(Tr, unit(E))) == unit(Tr.codomain)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import fractions
+import json
 import os
 import random
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import given, strategies as st
 from rieszkit.errors import InvalidIndexError, SpaceMismatchError
 from rieszkit.scalars import Q
 from rieszkit import elements
-from rieszkit.completion import ce_add, ce_sup, embed
+from rieszkit.completion import ce_add, ce_scale, ce_sup, describe_pattern, embed
 from rieszkit.spaces import (
     Kind,
     Token,
@@ -52,7 +53,7 @@ from rieszkit.elements import (
     zero,
 )
 
-from conftest import ALL_SPACES, random_element
+from conftest import ALL_SPACES, random_element, random_pattern
 
 T = tail_seq()
 F = fin_dev()
@@ -354,14 +355,13 @@ def _sparse(space, n: int):
 def _payload(x) -> list:
     """Every value stored in x's payload, tails, row tails and ambient
     included."""
-    if x.space.kind == Kind.FIN_DIM:
-        return list(x.data)
-    body, t = x.data
-    if x.space.kind == Kind.TAIL_SEQ:
-        return [*body, t]
     if x.space.kind == Kind.FIN_DEV:
-        return [v for _, v in body] + [t]
-    return [v for p, rt in body for v in (*p, rt)] + [t]
+        entries, amb, line = x.data
+        return [v for _, v in entries] + [amb, *line]
+    if x.space.kind == Kind.ROW_BLOCK:
+        rows, back = x.data
+        return [v for p, res in rows + back for v in (*p, *res)]
+    return [*x.data[0], *x.data[1]]  # a line: fin_dim and tail_seq
 
 
 def test_identities_build_no_rationals(monkeypatch):
@@ -377,6 +377,7 @@ def test_identities_build_no_rationals(monkeypatch):
     for space in (fin_dim(n), T, F, E, row_block_grid()):
         z = zero(space)
         x = _sparse(space, n)
+        p = pos(x)
         atoms = [ref for ref, _ in decompose(x)]
         assert len(atoms) > n // 2
         cases = [
@@ -386,12 +387,17 @@ def test_identities_build_no_rationals(monkeypatch):
             ("scale 0", lambda: scale(0, x)),
             ("lincomb", lambda: lincomb(space, [(1, x)])),
             ("recompose", lambda: recompose(space, [(ref, one) for ref in atoms])),
+            # a positive part keeps or zeroes each value; the modulus and the
+            # negative part of a positive element are it and 0
+            ("pos", lambda: pos(x)),
+            ("abs_", lambda: abs_(p)),
+            ("neg", lambda: neg(p)),
         ]
         if space in (T, F, E):
             # nonzero tails: the skip depends on the operand 0 or 1, not the tail
             w = _wide(space, n, 1)
             cases += [("add wide", lambda: add(w, z)), ("sub wide", lambda: sub(w, z)),
-                      ("scale 1 wide", lambda: scale(1, w))]
+                      ("scale 1 wide", lambda: scale(1, w)), ("pos wide", lambda: pos(w))]
         monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting_new))
         for name, run in cases:
             built[0] = 0
@@ -404,12 +410,16 @@ def test_identities_build_no_rationals(monkeypatch):
         for y in (scale(0, x), sub(x, x), scale(-1, x)):
             assert all(type(v) is Q for v in _payload(y)), space.label
         assert scale(0, x) == sub(x, x) == z and add(x, scale(-1, x)) == z
+        assert abs_(p) == p and neg(p) == z and sub(p, neg(x)) == x
+        for y in (pos(x), neg(x), abs_(x)):
+            assert all(type(v) is Q for v in _payload(y)), space.label
 
 
 def _lattice_battery(seed: int = 11) -> str:
     """sup2, inf2, abs_, le, is_disjoint and coordinate on seeded elements
     of every space, one line per pair; then scale, lincomb and recompose
-    with coefficients 0, 1 and -1, where sums and products reuse an operand."""
+    with coefficients 0, 1 and -1, where sums and products reuse an operand;
+    then ce_add, ce_sup and ce_scale on seeded periodic patterns, described."""
     rng = random.Random(seed)
     lines = []
     for space in ALL_SPACES:
@@ -426,6 +436,10 @@ def _lattice_battery(seed: int = 11) -> str:
                 lines.append(" ".join([
                     space.label, render(scale(c, x)), render(lincomb(space, [(c, x), (d, y)])),
                     render(recompose(space, parts))]))
+        for _ in range(10):
+            a, b = random_pattern(rng, space)[0], random_pattern(rng, space)[0]
+            lines.append(" ".join([space.label] + [json.dumps(describe_pattern(p)) for p in (
+                a, b, ce_add(a, b), ce_sup(a, b), ce_scale(Q(-3, 2), a))]))
     return "\n".join(lines)
 
 

@@ -20,9 +20,11 @@ from rieszkit.spaces import (
 from rieszkit.elements import (
     add,
     atom,
+    coordinate,
     element_findev,
     element_tail,
     le,
+    max_abs_coord,
     pos,
     row_unit,
     scale,
@@ -244,9 +246,9 @@ def test_pair_domain_explicit_override_of_the_rule():
     assert atom_image(Tr, (2, 5)) == atom(G, (2, 3))
     sig = image_sum_pattern(Tr, "pos")
     # the overridden atom contributes 5 at (7,7) instead of 1 at (2,2)
-    assert sig.pat.at(7, 7) == 5 + 1   # override plus the rule image of atom (7,13)
-    assert sig.pat.at(2, 2) == 0       # the rule contribution there was overridden
-    assert sig.pat.at(1, 2) == 1
+    assert coordinate(sig.pat, (7, 7)) == 5 + 1   # override plus the rule image of atom (7,13)
+    assert coordinate(sig.pat, (2, 2)) == 0       # the rule contribution there was overridden
+    assert coordinate(sig.pat, (1, 2)) == 1
 
 
 def test_pair_domain_add_keeps_overrides():
@@ -302,9 +304,7 @@ def test_image_sum_pattern_values():
     assert collapse(sig) == unit(T)
     Tm = moving_indicator_operator()
     sig_abs = image_sum_pattern(Tm, "abs")
-    from rieszkit.completion import pattern_max_abs
-
-    assert pattern_max_abs(sig_abs) == 2
+    assert max_abs_coord(sig_abs.pat) == 2
 
 
 def test_op_eq_sees_an_explicit_image_far_down_the_rows():

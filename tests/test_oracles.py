@@ -115,7 +115,7 @@ def test_grid_sup_below_interval_supremum():
     g = grid_interval_sup(Tm, unit(T), 2)
     rk = rk_value(Tm, unit(T))
     for tok in [t for t, _ in g.entries]:
-        assert coordinate(g, tok) <= rk.pat.at_token(tok)
+        assert coordinate(g, tok) <= coordinate(rk.pat, tok)
     assert g.ambient <= rk.pat.ambient
 
 

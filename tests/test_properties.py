@@ -8,10 +8,14 @@ from rieszkit.scalars import Q, RationalSeq
 from rieszkit.spaces import fin_dev, gamma, seq_form, tail_seq, token_form
 from rieszkit.elements import atom, coordinate, le, scale, sub, unit, zero
 from rieszkit.sequences import element_seq, eval_seq, fill
-from rieszkit.convergence import decide_order_convergence
+from rieszkit.completion import describe_pattern
+from rieszkit.convergence import _pattern_witness, decide_order_convergence
 from rieszkit.operators import apply_op, atom_image
 from rieszkit.calculus import order_continuity_test
 from rieszkit.casebook import _random_stencil_operator, moving_indicator_operator
+
+from conftest import ALL_SPACES, random_pattern
+from test_completion import FRESH, _described
 
 T = tail_seq()
 F = fin_dev()
@@ -301,3 +305,18 @@ def test_moving_indicator_images_are_order_null():
         assert apply_op(Tm, scale(-1, x)) == eval_seq(seq, n)
     cert = decide_order_convergence(seq, zero(F))
     assert cert.converges
+
+
+def test_pattern_witness_names_a_coordinate_of_its_class(rng):
+    """The divergence witness of a nonzero pattern reads its value at its
+    coordinate (a fresh point when the class is the ambient)."""
+    for space in ALL_SPACES:
+        for _ in range(40):
+            ce = random_pattern(rng, space)[0]
+            coord, value, _ = _pattern_witness(ce)
+            if ce.is_zero():
+                assert (coord, value) == (None, 0)
+            else:
+                assert value != 0
+                at = _described(describe_pattern(ce))
+                assert at(FRESH if coord is None else coord) == value
