@@ -12,11 +12,16 @@ the order interval.  The order-continuity test reduces to order convergence
 of the atom-image partial sums to the unit image; the band projection onto
 the order-continuous part keeps the atom images and replaces the unit image
 by the partial-sum limit computed in the completion.
+
+A positive-part candidate and a band projection are plain `Operator`s whose
+unit and row-unit images are completion payloads (see `completion`), so
+`op_eq`, `add_op` and `atom_image` apply to them; `failing_generator`
+decides whether those images lie in the codomain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 from .errors import PreconditionError, UnsupportedHypothesisError
@@ -26,12 +31,12 @@ from .elements import (
     Element,
     atom,
     decompose,
+    in_base_space,
     is_positive as elem_is_positive,
     le,
     lincomb,
     pos,
     row_unit,
-    scale,
     sub,
     unit,
     zero,
@@ -42,13 +47,10 @@ from .completion import (
     ce_pos,
     ce_scale,
     ce_sub,
-    collapse,
     embed,
-    in_space,
 )
-from .convergence import ConvergenceCertificate, decide_order_convergence
+from .convergence import ConvergenceCertificate, decide_order_convergence, _nonzero_classes
 from .operators import (
-    BoundReport,
     Functional,
     Operator,
     StencilRule,
@@ -64,21 +66,23 @@ from .operators import (
     rank_one,
     row_sum_pattern,
     row_unit_image,
-    same_atom_images,
     _max_drive,
-    _rule_image,
+    _stationary_leak,
 )
 
 
-def _require_bounded(T: Operator) -> BoundReport:
-    rep = order_bounded_test(T)
-    if not rep.bounded:
-        raise PreconditionError(f"operator is not order bounded: {rep.note}")
-    return rep
+def _require_bounded(T: Operator) -> None:
+    # order_bounded_test's verdict is the leak check alone; the full test,
+    # which also builds the bound, runs only to word the refusal
+    if _stationary_leak(T) is not None:
+        raise PreconditionError(f"operator is not order bounded: {order_bounded_test(T).note}")
 
 
 def entrywise_pos_op(T: Operator) -> Operator:
-    """Atom images replaced by their positive parts (tail rule included)."""
+    """Atom images replaced by their positive parts (tail rule included).
+    The unit image is the sum of the table's images: on fin_dim that is the
+    unit image, elsewhere a placeholder, since only the atom action is
+    used."""
     images = {k: pos(v) for k, v in T.atom_images}
     rule = None
     if T.rule is not None:
@@ -90,10 +94,8 @@ def entrywise_pos_op(T: Operator) -> Operator:
                 for es in T.rule.entries
             ),
         )
-    if T.domain.kind == Kind.FIN_DIM:
-        return operator(T.domain, T.codomain, images)
-    unit_img = zero(T.codomain)  # placeholder; only atom action is used
-    return operator(T.domain, T.codomain, images, rule, None, unit_img)
+    table_sum = lincomb(T.codomain, [(1, img) for img in images.values()])
+    return operator(T.domain, T.codomain, images, rule, None, table_sum)
 
 
 def rk_unit_pattern(T: Operator) -> CompletionElement:
@@ -110,26 +112,15 @@ def rk_value(T: Operator, x: Element) -> CompletionElement:
     if not elem_is_positive(x):
         raise PreconditionError("the interval endpoint must be positive")
     _require_bounded(T)
-    kind = T.domain.kind
-    tpos = entrywise_pos_op(T)
-    if kind == Kind.FIN_DIM:
-        return embed(lincomb(T.codomain, [
-            (v, pos(atom_image(T, i))) for i, v in enumerate(x.coords, start=1) if v != 0
-        ]))
-    if kind == Kind.TAIL_SEQ or (kind == Kind.ROW_BLOCK and not T.domain.row_units):
-        t = x.tail
-        devs = sub(x, scale(t, unit(T.domain)))
-        finite_part = embed(apply_op(tpos, devs))
-        if t == 0:
-            return finite_part
-        return ce_add(finite_part, ce_scale(t, rk_unit_pattern(T)))
-    # ek domain: pointwise positive action + row-unit and unit correction terms
-    t = x.tail
-    out = embed(zero(T.codomain))
-    dev_elem = lincomb(T.codomain, [
-        (c, pos(atom_image(T, ref[1]))) for ref, c in decompose(x) if ref[0] == "atom"
-    ])
-    out = ce_add(out, embed(dev_elem))
+    parts = decompose(x)
+    t = next((c for ref, c in parts if ref[0] == "unit"), Q(0))
+    # pointwise positive action on the atoms
+    out = embed(lincomb(T.codomain, [
+        (c, pos(atom_image(T, ref[1]))) for ref, c in parts if ref[0] == "atom"
+    ]))
+    if not T.domain.row_units:
+        return out if t == 0 else ce_add(out, ce_scale(t, rk_unit_pattern(T)))
+    # ek domain: row-unit and unit correction terms
     explicit_rows = list(range(1, len(x.rows) + 1))
     rowpos_total = None
     for r, (_, rt) in enumerate(x.rows, start=1):
@@ -182,146 +173,49 @@ def rk_value_functional_unit(f: Functional) -> Q:
 
 
 # ---------------------------------------------------------------------------
-# operators over completion values
-
-
-@dataclass(frozen=True)
-class CompletionOperator:
-    """Generator images with completion-valued unit and row-unit images;
-    atom images stay exact elements.  `row_unit_tail` is the image pattern
-    at a representative row beyond every table (the shape recurs row by
-    row), present only for ek domains."""
-
-    domain: SpaceDesc
-    codomain: SpaceDesc
-    atom_images: Tuple[Tuple[AtomIndex, Element], ...]
-    rule: StencilRule | None
-    row_unit_images: Tuple[Tuple[int, CompletionElement], ...]
-    unit_image: CompletionElement
-    row_unit_tail: CompletionElement | None = None
-
-    def atom_image(self, idx: AtomIndex) -> Element:
-        for k, img in self.atom_images:
-            if k == idx:
-                return img
-        return _rule_image(self.codomain, self.rule, idx)
-
-    def in_codomain(self) -> bool:
-        return self.failing_generator() is None
-
-    def failing_generator(self) -> str | None:
-        if not in_space(self.unit_image):
-            return "unit"
-        for r, img in self.row_unit_images:
-            if not in_space(img):
-                return f"row unit {r}"
-        if self.row_unit_tail is not None and not in_space(self.row_unit_tail):
-            return "row units beyond the table"
-        return None
-
-    def restrict(self) -> Operator:
-        u = collapse(self.unit_image)
-        rows = {r: collapse(img) for r, img in self.row_unit_images}
-        if u is None or any(v is None for v in rows.values()):
-            raise PreconditionError("completion images do not restrict to the space")
-        if self.row_unit_tail is not None:
-            tail = collapse(self.row_unit_tail)
-            if tail is None or not tail.is_zero():
-                raise PreconditionError(
-                    "row-unit images beyond the table do not vanish"
-                )
-        if self.domain.kind == Kind.FIN_DIM:
-            return operator(self.domain, self.codomain, dict(self.atom_images))
-        return operator(
-            self.domain, self.codomain, dict(self.atom_images), self.rule, rows, u
-        )
-
-
-def embed_operator(T: Operator) -> CompletionOperator:
-    return CompletionOperator(
-        T.domain,
-        T.codomain,
-        T.atom_images,
-        T.rule,
-        tuple((r, embed(img)) for r, img in T.row_unit_images),
-        embed(T.unit_image),
-    )
-
-
-def completion_op_eq(A: CompletionOperator, B: CompletionOperator) -> bool:
-    """Exact equality on the generator family."""
-    return (
-        (A.domain, A.codomain) == (B.domain, B.codomain)
-        and A.unit_image == B.unit_image
-        and dict(A.row_unit_images) == dict(B.row_unit_images)
-        and same_atom_images(A, B)
-    )
-
-
-def _atom_part(A: CompletionOperator) -> Operator:
-    """The operator with A's atom images and rule and zero unit and row-unit
-    images."""
-    return operator(
-        A.domain, A.codomain, dict(A.atom_images), A.rule, None,
-        zero(A.codomain) if A.domain.kind != Kind.FIN_DIM else None,
-    )
-
-
-def completion_op_add(A: CompletionOperator, B: CompletionOperator) -> CompletionOperator:
-    from .operators import add_op
-
-    S = add_op(_atom_part(A), _atom_part(B))
-    rows = {}
-    for r, img in list(A.row_unit_images) + list(B.row_unit_images):
-        rows[r] = ce_add(rows[r], img) if r in rows else img
-    return CompletionOperator(
-        A.domain,
-        A.codomain,
-        S.atom_images,
-        S.rule,
-        tuple(sorted(rows.items())),
-        ce_add(A.unit_image, B.unit_image),
-    )
-
-
-# ---------------------------------------------------------------------------
 # positive part
 
 
-def positive_part(T: Operator) -> tuple[CompletionOperator, bool]:
-    """Candidate positive part over the completion, with the membership flag.
+NONZERO_TAIL = "row units beyond the table do not vanish"
 
-    The candidate's generator images are the interval suprema; when every one
-    is representable the candidate is the positive part inside the operator
-    space, by restriction of the supremum computed in the completion."""
+
+def failing_generator(P: Operator, tail: Element | None = None) -> str | None:
+    """The first generator whose image P does not carry into its codomain,
+    or None: the unit, a row unit of the table, or the row units past the
+    table when their image `tail` (see `positive_part`) leaves the codomain
+    or, inside it, is not the 0 that P maps them to (NONZERO_TAIL)."""
+    if not in_base_space(P.unit_image):
+        return "unit"
+    for r, img in P.row_unit_images:
+        if not in_base_space(img):
+            return f"row unit {r}"
+    if tail is None or tail.is_zero():
+        return None
+    return NONZERO_TAIL if in_base_space(tail) else "row units beyond the table"
+
+
+def positive_part(T: Operator) -> tuple[Operator, Element | None, bool]:
+    """(P, tail, in_f): the candidate positive part, its row-unit tail and
+    the membership flag.
+
+    P keeps the positive parts of T's atom images; its unit and row-unit
+    images are the interval suprema, completion payloads.  On ek domains
+    `tail` is the supremum below a row unit past every table (the shape
+    recurs row by row), which P, like every operator, maps to 0; elsewhere
+    it is None.  in_f is `failing_generator(P, tail) is None`: then P is the
+    positive part inside the operator space."""
     _require_bounded(T)
     tpos = entrywise_pos_op(T)
-    if T.domain.kind == Kind.FIN_DIM:
-        cand = CompletionOperator(
-            T.domain, T.codomain, tpos.atom_images, None, (), embed(tpos.unit_image)
-        )
-        return cand, True
-    if T.domain.kind == Kind.ROW_BLOCK and T.domain.row_units:
-        table_rows = [r for r, _ in T.row_unit_images]
-        rows = tuple(
-            (r, rk_value(T, row_unit(T.domain, r))) for r in table_rows
-        )
-        beyond = max(table_rows, default=0) + 1
-        tail = rk_value(T, row_unit(T.domain, beyond))
-        cand = CompletionOperator(
-            T.domain,
-            T.codomain,
-            tpos.atom_images,
-            tpos.rule,
-            rows,
-            rk_value(T, unit(T.domain)),
-            row_unit_tail=tail,
-        )
-        return cand, cand.in_codomain()
-    cand = CompletionOperator(
-        T.domain, T.codomain, tpos.atom_images, tpos.rule, (), rk_unit_pattern(T)
+    rows, tail = {}, None
+    if T.domain.row_units:
+        table = [r for r, _ in T.row_unit_images]
+        rows = {r: rk_value(T, row_unit(T.domain, r)).pat for r in table}
+        tail = rk_value(T, row_unit(T.domain, max(table, default=0) + 1)).pat
+    P = operator(
+        T.domain, T.codomain, dict(tpos.atom_images), tpos.rule, rows,
+        rk_value(T, unit(T.domain)).pat,
     )
-    return cand, cand.in_codomain()
+    return P, tail, failing_generator(P, tail) is None
 
 
 # ---------------------------------------------------------------------------
@@ -368,31 +262,21 @@ def order_continuity_test(
     return cert.converges, cert
 
 
-def oc_projection(T: Operator | CompletionOperator) -> CompletionOperator:
-    """Band projection onto the order-continuous part: atom images are kept
-    and the unit image becomes the partial-sum limit in the completion."""
+def oc_projection(T: Operator) -> Operator:
+    """Band projection onto the order-continuous part: T with its unit image
+    replaced by the partial-sum limit `image_sum_pattern(T, "id")`, a
+    completion payload.  The atom images are kept."""
     if T.domain.kind == Kind.ROW_BLOCK:
         raise UnsupportedHypothesisError(
             "the projection needs a linearly enumerated atom system"
         )
-    if isinstance(T, CompletionOperator):
-        base = _atom_part(T)
-    else:
-        _require_bounded(T)
-        base = T
-    if base.domain.kind == Kind.FIN_DIM:
-        return embed_operator(base)
-    sigma = image_sum_pattern(base, "id")
-    return CompletionOperator(
-        base.domain, base.codomain, base.atom_images, base.rule, (), sigma
-    )
+    _require_bounded(T)
+    return replace(T, unit_image=image_sum_pattern(T, "id").pat)
 
 
 def projection_fixes(T: Operator) -> bool:
     """P(T) == T, i.e. the unit image equals the partial-sum limit."""
-    if T.domain.kind == Kind.FIN_DIM:
-        return True
-    return image_sum_pattern(T, "id") == embed(T.unit_image)
+    return image_sum_pattern(T, "id").pat == T.unit_image
 
 
 # ---------------------------------------------------------------------------
@@ -484,34 +368,11 @@ def _first_positive_generator(T: Operator, probe: int):
 
 
 def _first_positive_coordinate(y: Element) -> AtomIndex:
-    k = y.space.kind
-    if k == Kind.FIN_DIM:
-        for i, v in enumerate(y.coords, start=1):
-            if v > 0:
-                return i
-    elif k == Kind.TAIL_SEQ:
-        for i, v in enumerate(y.prefix, start=1):
-            if v > 0:
-                return i
-        if y.tail > 0:
-            return len(y.prefix) + 1
-    elif k == Kind.FIN_DEV:
-        for tok, v in y.entries:
-            if v > 0:
-                return tok
-        if y.ambient > 0:
-            from .spaces import gamma
-
-            return gamma(1)
-    else:
-        for n, (pref, rt) in enumerate(y.rows, start=1):
-            for m, v in enumerate(pref, start=1):
-                if v > 0:
-                    return (n, m)
-            if rt > 0:
-                return (n, len(pref) + 1)
-        if y.tail > 0:
-            return (len(y.rows) + 1, 1)
+    """The first coordinate at which y is positive, walking its value
+    classes in storage order."""
+    for j, v, _ in _nonzero_classes(y):
+        if v > 0:
+            return j
     raise PreconditionError("image has no positive coordinate")
 
 

@@ -44,7 +44,7 @@ from .elements import (
     unit,
     zero,
 )
-from .completion import ce_le, collapse, embed, embed_zero
+from .completion import collapse
 from .operators import (
     Operator,
     add_op,
@@ -52,6 +52,7 @@ from .operators import (
     atom_image,
     functional,
     image_sum_pattern,
+    op_eq,
     operator,
     order_bounded_test,
     partial_sum_seq,
@@ -66,8 +67,7 @@ from .convergence import (
     verify_certificate,
 )
 from .calculus import (
-    completion_op_add,
-    completion_op_eq,
+    failing_generator,
     oc_projection,
     order_continuity_test,
     positive_part,
@@ -261,9 +261,9 @@ def run_bounded_not_regular(probe: int = 8, levels: int = 8) -> Report:
         "order-null test sequences map to order-null image sequences "
         "(coordinatewise route; certificates attached)"
     )
-    cand, in_f = positive_part(T)
+    P, tail, in_f = positive_part(T)
     _require(not in_f, "the positive part leaves the operator space")
-    failing = cand.failing_generator()
+    failing = failing_generator(P, tail)
     transcript.append(
         f"interval suprema on {failing} form the all-ones row pattern, "
         "which deviates from the grid constant on an infinite set: the "
@@ -343,17 +343,17 @@ def run_projection_demo(seed: int = 42, probe: int = 8, count: int = 12) -> Repo
         S = _random_stencil_operator(rng, positive=True)
         P_T = oc_projection(T)
         P_S = oc_projection(S)
-        _require(completion_op_eq(oc_projection(P_T), P_T), "the projection is idempotent")
+        _require(op_eq(oc_projection(P_T), P_T), "the projection is idempotent")
         checks["idempotent"] += 1
-        _require(ce_le(embed_zero(T.codomain), P_T.unit_image), "the projection is positive")
-        _require(ce_le(P_T.unit_image, embed(T.unit_image)), "the projection is below T")
+        _require(le(zero(T.codomain), P_T.unit_image), "the projection is positive")
+        _require(le(P_T.unit_image, T.unit_image), "the projection is below T")
         checks["bounded_between"] += 1
-        _require(completion_op_eq(oc_projection(add_op(S, T)), completion_op_add(P_S, P_T)),
+        _require(op_eq(oc_projection(add_op(S, T)), add_op(P_S, P_T)),
                  "the projection is additive")
         checks["additive"] += 1
         # the complement kills every atom: P keeps the atom images
         for i in range(1, 5):
-            _require(P_T.atom_image(i) == atom_image(T, i), f"the projection keeps atom {i}")
+            _require(atom_image(P_T, i) == atom_image(T, i), f"the projection keeps atom {i}")
         checks["kills_no_atom"] += 1
     transcript.append(
         f"{count} random positive stencil operators: projection idempotent, "

@@ -30,12 +30,16 @@ from .scalars import RationalSeq, qof, qstr
 from .spaces import parse_space_label, token_form
 from .elements import unit
 from .operators import order_bounded_test
+from .completion import embed
 from .calculus import (
+    NONZERO_TAIL,
     classify_pair,
+    failing_generator,
     oc_projection,
     order_continuity_test,
     pervasive_witness,
     positive_part,
+    projection_fixes,
 )
 from .casebook import CASEBOOK, row_pair_difference_operator
 from .oracles import (
@@ -86,12 +90,14 @@ def _cmd_check(args) -> Report:
 
 def _cmd_positive_part(args) -> Report:
     _, spaces, T, name = _load_operator(args)
-    cand, in_f = positive_part(T)
+    P, tail, in_f = positive_part(T)
+    failing = failing_generator(P, tail)
     cls = classify_pair(T.domain, T.codomain)
     if in_f:
         verdict = "positive part exists and is representable"
         code = 0
-    elif cls.pervasive:
+    elif cls.pervasive and failing != NONZERO_TAIL:
+        # a supremum leaves the codomain, so by pervasiveness T has none
         verdict = "positive part does not exist in the operator space"
         code = 1
     else:
@@ -103,10 +109,10 @@ def _cmd_positive_part(args) -> Report:
         exit_code=code,
         anchors=tuple(dict.fromkeys(("rk-formula", "rk-property-pervasive") + cls.anchors)),
         certificate={
-            "unit_image": cand.unit_image,
-            "row_unit_images": dict(cand.row_unit_images),
-            "row_unit_tail": cand.row_unit_tail,
-            "failing_generator": cand.failing_generator(),
+            "unit_image": embed(P.unit_image),
+            "row_unit_images": {r: embed(img) for r, img in P.row_unit_images},
+            "row_unit_tail": None if tail is None else embed(tail),
+            "failing_generator": failing,
         },
         details={"in_space": in_f, "pervasiveness_route": cls.pervasive_route},
     )
@@ -115,8 +121,6 @@ def _cmd_positive_part(args) -> Report:
 def _cmd_project_oc(args) -> Report:
     _, _, T, name = _load_operator(args)
     P = oc_projection(T)
-    from .calculus import projection_fixes
-
     fixed = projection_fixes(T)
     return Report(
         command=f"project-oc {name}",
@@ -124,8 +128,8 @@ def _cmd_project_oc(args) -> Report:
         exit_code=0,
         anchors=("partial-sum-projection", "oc-regular-band"),
         certificate={
-            "unit_image": P.unit_image,
-            "restricts_to_space": P.in_codomain(),
+            "unit_image": embed(P.unit_image),
+            "restricts_to_space": failing_generator(P) is None,
         },
         details={"fixed": fixed},
     )

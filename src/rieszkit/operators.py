@@ -223,20 +223,18 @@ def operator(
         if img.space != codomain:
             raise SpaceMismatchError(f"row-unit image {r} lives in {img.space.label}")
     if domain.kind == Kind.FIN_DIM:
+        # finitely many atoms: no tail rule, every image in the table, and
+        # the unit image is their sum
+        if rule is not None:
+            raise PreconditionError("finite-dimensional domains have no tail rule")
         for idx in images:
             if not isinstance(idx, int) or not 1 <= idx <= domain.dim:
                 raise InvalidIndexError(f"atom {idx!r} outside the domain")
+        images = {i: images.get(i, zero(codomain)) for i in range(1, domain.dim + 1)}
         derived_unit = lincomb(codomain, [(1, img) for img in images.values()])
         if unit_image is not None and unit_image != derived_unit:
             raise PreconditionError("unit image must equal the sum of atom images")
-        return Operator(
-            domain,
-            codomain,
-            tuple(sorted(((i, images.get(i, zero(codomain))) for i in range(1, domain.dim + 1)), key=lambda kv: atom_key(kv[0]))),
-            None,
-            (),
-            derived_unit,
-        )
+        unit_image = derived_unit
     if unit_image is None:
         raise PreconditionError("domains with a unit need a unit image")
     if unit_image.space != codomain:
@@ -322,8 +320,6 @@ def _generator_image(T: Operator, ref) -> Element:
 
 
 def zero_op(domain: SpaceDesc, codomain: SpaceDesc) -> Operator:
-    if domain.kind == Kind.FIN_DIM:
-        return operator(domain, codomain, {})
     return operator(domain, codomain, {}, None, None, zero(codomain))
 
 
@@ -341,20 +337,12 @@ def scale_op(c: QLike, T: Operator) -> Operator:
                 for es in T.rule.entries
             ),
         )
-    if T.domain.kind == Kind.FIN_DIM:
-        return operator(T.domain, T.codomain, images)
     return operator(T.domain, T.codomain, images, rule, rows, scale(c_q, T.unit_image))
 
 
 def add_op(S: Operator, T: Operator) -> Operator:
     if S.domain != T.domain or S.codomain != T.codomain:
         raise SpaceMismatchError("operator shapes differ")
-    if S.domain.kind == Kind.FIN_DIM:
-        images = {
-            i: add(atom_image(S, i), atom_image(T, i))
-            for i in range(1, S.domain.dim + 1)
-        }
-        return operator(S.domain, S.codomain, images)
     threshold = max(
         S.rule.threshold if S.rule else _max_drive(S),
         T.rule.threshold if T.rule else _max_drive(T),
@@ -382,7 +370,7 @@ def add_op(S: Operator, T: Operator) -> Operator:
     explicit_idx = set()
     explicit_idx.update(k for k, _ in S.atom_images)
     explicit_idx.update(k for k, _ in T.atom_images)
-    if S.domain.kind == Kind.TAIL_SEQ:
+    if S.domain.kind != Kind.ROW_BLOCK:
         explicit_idx.update(range(1, threshold + 1))
         explicit_idx = {i for i in explicit_idx if i <= threshold}
     else:
@@ -422,8 +410,8 @@ def op_eq(S: Operator, T: Operator) -> bool:
 
 
 def same_atom_images(S, T) -> bool:
-    """Exact equality of the atom images of two generator tables with rules
-    (operators or completion operators on the same domain).
+    """Exact equality of the atom images of two operators on the same
+    domain.
 
     Table entries and, on sequence domains, every atom up to the larger
     threshold are compared directly.  Beyond that the images follow the
@@ -515,8 +503,6 @@ def rank_one(f: Functional, v: Element) -> Operator:
     """The operator x -> f(x) * v."""
     images = {idx: scale(c, v) for idx, c in f.atom_coeffs}
     rows = {r: scale(c, v) for r, c in f.row_unit_coeffs}
-    if f.domain.kind == Kind.FIN_DIM:
-        return operator(f.domain, v.space, images)
     return operator(f.domain, v.space, images, None, rows, scale(f.unit_value, v))
 
 

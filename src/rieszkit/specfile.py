@@ -22,6 +22,8 @@ Grammar (line oriented, '#' comments):
     AFFINE := linear expressions in the rule variables, e.g. 2n-1, (m+1)/2
 
 Index forms must be affine; anything else is rejected with its position.
+A findim domain takes no `atoms` rule, and its optional `unit` clause must
+equal the sum of the atom images.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import re
 from dataclasses import dataclass
 from typing import Tuple
 
-from .errors import RieszkitError
+from .errors import PreconditionError, RieszkitError
 from .scalars import Q, qstr
 from .spaces import (
     Affine,
@@ -658,11 +660,12 @@ def build_operator(decl: OperatorDecl, spaces: dict[str, SpaceDesc]) -> Operator
     unit_img = (
         _build_element(decl.unit_image, cod) if decl.unit_image is not None else None
     )
-    if dom.kind == Kind.FIN_DIM:
-        return operator(dom, cod, images)
-    if unit_img is None:
+    if unit_img is None and dom.kind != Kind.FIN_DIM:
         raise SpecError(decl.line, 1, f"operator {decl.name!r} needs a unit clause")
-    return operator(dom, cod, images, rule, rows, unit_img)
+    try:
+        return operator(dom, cod, images, rule, rows, unit_img)
+    except PreconditionError as e:
+        raise SpecError(decl.line, 1, f"operator {decl.name!r}: {e}") from None
 
 
 def build_all(spec: SpecFile) -> tuple[dict[str, SpaceDesc], dict[str, Operator]]:

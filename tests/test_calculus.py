@@ -6,13 +6,24 @@ import pytest
 
 from rieszkit.errors import PreconditionError, UnsupportedHypothesisError
 from rieszkit.scalars import Q, RationalSeq
-from rieszkit.spaces import fin_dev, fin_dim, gamma, row_block_grid, seq_form, tail_seq
+from rieszkit import calculus
+from rieszkit.spaces import (
+    fin_dev,
+    fin_dim,
+    gamma,
+    pair_form,
+    row_block_ek,
+    row_block_grid,
+    seq_form,
+    tail_seq,
+)
 from rieszkit.elements import (
     add,
     atom,
     element_fin,
     element_findev,
     element_tail,
+    in_base_space,
     le,
     pos,
     scale,
@@ -26,15 +37,16 @@ from rieszkit.operators import (
     add_op,
     functional,
     is_positive_operator,
+    op_eq,
     operator,
+    order_bounded_test,
     rank_one,
     stencil_rule,
 )
 from rieszkit.calculus import (
     classify_pair,
-    completion_op_add,
-    completion_op_eq,
     entrywise_pos_op,
+    failing_generator,
     oc_projection,
     order_continuity_test,
     pervasive_witness,
@@ -95,7 +107,7 @@ def test_positive_part_fin_dim_matches_entrywise():
         FD3,
         {1: element_fin(FD3, [1, -3, 0]), 2: element_fin(FD3, [-2, 4, 5])},
     )
-    cand, in_f = positive_part(M)
+    cand, _, in_f = positive_part(M)
     assert in_f
     assert dict(cand.atom_images)[1] == element_fin(FD3, [1, 0, 0])
     assert dict(cand.atom_images)[2] == element_fin(FD3, [0, 4, 5])
@@ -104,24 +116,33 @@ def test_positive_part_fin_dim_matches_entrywise():
 def test_positive_part_of_positive_operator_is_itself(rng):
     for _ in range(10):
         P = _random_stencil_operator(rng, positive=True)
-        cand, in_f = positive_part(P)
+        cand, _, in_f = positive_part(P)
         assert in_f
-        R = cand.restrict()
-        from rieszkit.operators import op_eq
-
-        assert op_eq(R, P)
+        assert op_eq(cand, P)
 
 
 def test_positive_part_row_pair_difference_not_representable():
     Tr = row_pair_difference_operator()
-    cand, in_f = positive_part(Tr)
+    cand, tail, in_f = positive_part(Tr)
     assert not in_f
-    assert cand.failing_generator() == "row units beyond the table"
+    assert failing_generator(cand, tail) == "row units beyond the table"
     # the unit image itself collapses to the unit of the grid
-    assert collapse(cand.unit_image) == unit(Tr.codomain)
+    assert collapse(embed(cand.unit_image)) == unit(Tr.codomain)
     # atoms carry the entrywise positive parts
-    assert cand.atom_image((1, 1)) == atom(Tr.codomain, (1, 1))
-    assert cand.atom_image((1, 2)).is_zero()
+    assert atom_image(cand, (1, 1)) == atom(Tr.codomain, (1, 1))
+    assert atom_image(cand, (1, 2)).is_zero()
+
+
+def test_positive_part_row_tail_in_the_space_that_does_not_vanish():
+    """Each atom maps to itself and every row unit to 0: the supremum below
+    a row unit past the table is that whole row, which lies in the space
+    but is not the 0 the candidate maps it to."""
+    E = row_block_ek()
+    rule = stencil_rule(1, 0, [[(pair_form(1, 0, 1, 0), 1)]], E)
+    cand, tail, in_f = positive_part(operator(E, E, {}, rule, None, zero(E)))
+    assert not in_f
+    assert in_base_space(tail) and not tail.is_zero()
+    assert failing_generator(cand, tail) == "row units beyond the table do not vanish"
 
 
 def test_positive_part_majorant_law(rng):
@@ -129,20 +150,19 @@ def test_positive_part_majorant_law(rng):
     positive majorant provided by the suite dominates the candidate."""
     for _ in range(8):
         S = _random_stencil_operator(rng, positive=False)
-        cand, in_f = positive_part(S)
+        cand, _, in_f = positive_part(S)
         for i in range(1, 8):
-            img = cand.atom_image(i)
+            img = atom_image(cand, i)
             assert le(atom_image(S, i), img) and le(zero(T), img)
-        assert ce_le(embed(S.unit_image), cand.unit_image)
-        assert ce_le(embed_zero(T), cand.unit_image)
+        assert ce_le(embed(S.unit_image), embed(cand.unit_image))
+        assert ce_le(embed_zero(T), embed(cand.unit_image))
         # S+ + (something positive) is a positive majorant of S
         P = _random_stencil_operator(rng, positive=True)
         if in_f:
-            Spos = cand.restrict()
-            M = add_op(Spos, P)
-            candM, _ = positive_part(M)  # M positive => candidate is M itself
+            M = add_op(cand, P)
+            candM, _, _ = positive_part(M)  # M positive => candidate is M itself
             for i in range(1, 8):
-                assert le(cand.atom_image(i), atom_image(M, i))
+                assert le(atom_image(cand, i), atom_image(M, i))
 
 
 def test_order_continuity_moving_indicator():
@@ -177,11 +197,11 @@ def test_projection_laws(rng):
         Tp = _random_stencil_operator(rng, positive=True)
         Sp = _random_stencil_operator(rng, positive=True)
         P_T = oc_projection(Tp)
-        assert completion_op_eq(oc_projection(P_T), P_T)
-        assert ce_le(embed_zero(T), P_T.unit_image)
-        assert ce_le(P_T.unit_image, embed(Tp.unit_image))
-        assert completion_op_eq(
-            oc_projection(add_op(Tp, Sp)), completion_op_add(oc_projection(Tp), oc_projection(Sp))
+        assert op_eq(oc_projection(P_T), P_T)
+        assert ce_le(embed_zero(T), embed(P_T.unit_image))
+        assert ce_le(embed(P_T.unit_image), embed(Tp.unit_image))
+        assert op_eq(
+            oc_projection(add_op(Tp, Sp)), add_op(oc_projection(Tp), oc_projection(Sp))
         )
         assert projection_fixes(Tp) == order_continuity_test(Tp)[0]
 
@@ -227,6 +247,47 @@ def test_pervasive_witness_unit_path():
     assert ok
 
 
+def test_pervasive_witness_skips_a_stored_zero_on_the_ck_line():
+    # g(1) is stored at 0 below a positive ambient: the first positive
+    # coordinate is g(2), not g(1)
+    y = element_findev(F, {gamma(1): 0}, 1)
+    Tc = operator(T, F, {1: y}, None, None, y)
+    w = pervasive_witness(Tc)
+    assert w.coordinate == gamma(2)
+    ok, log = verify_witness(w, Tc)
+    assert ok, log
+
+
+def test_boundedness_precondition_is_the_leak_check(monkeypatch):
+    """An unbounded operator is refused with order_bounded_test's note by
+    every procedure that needs a bounded one; a bounded operator passes
+    without the bound being built."""
+    rule = stencil_rule(1, 0, [[(seq_form(0, 1), 1)]], T)
+    leak = operator(T, T, {}, rule, None, zero(T))
+    note = order_bounded_test(leak).note
+    assert note == "coordinate 1 accumulates unboundedly through the tail rule"
+    calls = (
+        (rk_value, (leak, unit(T))),
+        (positive_part, (leak,)),
+        (oc_projection, (leak,)),
+        (order_continuity_test, (leak,)),
+    )
+    for call, args in calls:
+        with pytest.raises(PreconditionError) as err:
+            call(*args)
+        assert str(err.value) == f"operator is not order bounded: {note}"
+
+    def no_bound(op_):
+        raise AssertionError("the order bound was built")
+
+    monkeypatch.setattr(calculus, "order_bounded_test", no_bound)
+    ident = identity_on_tail_seq()
+    rk_value(ident, unit(T))
+    positive_part(ident)
+    oc_projection(oc_projection(ident))
+    order_continuity_test(ident)
+
+
 def test_pervasive_witness_requires_positive():
     with pytest.raises(PreconditionError):
         pervasive_witness(moving_indicator_operator())
@@ -248,7 +309,7 @@ def test_positive_part_of_positive_rowblock_operator():
     units beyond the table."""
     from rieszkit.spaces import row_block_ek, row_block_grid
     from rieszkit.elements import row_unit
-    from rieszkit.operators import op_eq, row_unit_image
+    from rieszkit.operators import row_unit_image
 
     E, G = row_block_ek(), row_block_grid()
     img = add(atom(G, (1, 1)), atom(G, (2, 2)))
@@ -256,12 +317,12 @@ def test_positive_part_of_positive_rowblock_operator():
     unit_img = add(ru1, unit(G))
     P = operator(E, G, {(1, 1): img}, None, {1: ru1}, unit_img)
     assert is_positive_operator(P)
-    cand, in_f = positive_part(P)
+    cand, _, in_f = positive_part(P)
     assert in_f
-    R = cand.restrict()
-    assert R.unit_image == unit_img
-    assert row_unit_image(R, 1) == ru1
-    assert dict(R.atom_images)[(1, 1)] == img
+    assert op_eq(cand, P)
+    assert cand.unit_image == unit_img
+    assert row_unit_image(cand, 1) == ru1
+    assert dict(cand.atom_images)[(1, 1)] == img
 
 
 def test_rk_row_unit_matches_brute_enumeration():

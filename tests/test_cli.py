@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+from rieszkit.casebook import CASEBOOK
 from rieszkit.cli import main
 
 MOVING = "fixtures/moving_indicator.rzk"
@@ -36,6 +39,34 @@ def test_positive_part_refuted_exit_code(capsys):
     rep = json.loads(out)
     assert rep["verdict"] == "positive part does not exist in the operator space"
     assert rep["details"]["pervasiveness_route"] == "atomic-codomain"
+
+
+def test_positive_part_row_tails(capsys):
+    # ek_row_tail's row tail lies in the space but does not vanish; the
+    # fixture's leaves the space
+    code, out = run_cli(capsys, "positive-part", "--spec", SPECS["ek_row_tail"])
+    rep = json.loads(out)
+    assert (code, rep["verdict"]) == (1, "candidate not representable; existence undecided")
+    assert rep["certificate"]["failing_generator"] == "row units beyond the table do not vanish"
+    code, out = run_cli(capsys, "positive-part", "--spec", ROWPAIR)
+    rep = json.loads(out)
+    assert (code, rep["verdict"]) == (1, "positive part does not exist in the operator space")
+    assert rep["certificate"]["failing_generator"] == "row units beyond the table"
+
+
+@pytest.mark.parametrize("clause, message", [
+    ("atoms n > 5 -> { 1 @ n }", "finite-dimensional domains have no tail rule"),
+    ("unit -> 7 * unit", "unit image must equal the sum of atom images"),
+], ids=["atoms", "unit"])
+def test_findim_operator_clauses_are_checked(tmp_path, capsys, clause, message):
+    spec = tmp_path / "findim.rzk"
+    spec.write_text(
+        "space E = findim(2)\nspace F = l0inf\n\n"
+        f"operator T : E -> F {{\n  e(1) -> 1 @ 1\n  {clause}\n}}\n"
+    )
+    code, out = run_cli(capsys, "check", "order_bounded", "--spec", str(spec))
+    assert code == 2
+    assert json.loads(out) == {"error": f"line 4:1: operator 'T': {message}", "kind": "input"}
 
 
 def test_witness_pervasive_on_nonpositive_is_input_error(capsys):
@@ -98,9 +129,18 @@ def test_bad_spec_file_is_input_error(tmp_path, capsys):
 
 
 def test_byte_identical_reports(capsys):
+    """Two runs agree, and every pinned run prints the report whose digest
+    `report_digests.json` records (the sha256 of the exit code line and the
+    output): the JSON and Markdown reports of every fixture command on each
+    spec and of every casebook run."""
     _, out1 = run_cli(capsys, "check", "order_continuous", "--spec", MOVING)
     _, out2 = run_cli(capsys, "check", "order_continuous", "--spec", MOVING)
     assert out1 == out2
+    runs = pinned_runs()
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert sorted(pinned) == sorted(runs)
+    for key, argv in runs.items():
+        assert report_digest(capsys, argv) == pinned[key], key
 
 
 def test_markdown_rendering(capsys):
@@ -136,6 +176,32 @@ FIXTURE_COMMANDS = [
     ["oracle", "grid-sup", "--depth", "1"],
     ["oracle", "dominating-search", "--bound", "2"],
 ]
+
+
+SPECS = {
+    "moving_indicator": MOVING,
+    "row_pair_difference": ROWPAIR,
+    "findim_matrix": "tests/specs/findim_matrix.rzk",
+    "ek_row_tail": "tests/specs/ek_row_tail.rzk",
+}
+DIGESTS = Path(__file__).with_name("report_digests.json")
+
+
+def pinned_runs() -> dict:
+    """Run name -> argv of every report `report_digests.json` pins."""
+    runs = {}
+    for fmt in ([], ["--markdown"]):
+        for name, spec in SPECS.items():
+            for command in FIXTURE_COMMANDS:
+                runs[" ".join([*command, name, *fmt])] = [*command, "--spec", spec, *fmt]
+        for name in CASEBOOK:
+            runs[" ".join(["casebook", name, *fmt])] = ["casebook", name, *fmt]
+    return runs
+
+
+def report_digest(capsys, argv) -> str:
+    code, out = run_cli(capsys, *argv)
+    return hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
 
 
 @pytest.mark.parametrize("spec", [MOVING, ROWPAIR])

@@ -54,7 +54,7 @@ def test_engine_agrees_with_matrix_oracle(rng):
             cod,
             {j + 1: element_fin(cod, [M[i][j] for i in range(m)]) for j in range(n)},
         )
-        cand, in_f = positive_part(op_)
+        cand, _, in_f = positive_part(op_)
         assert in_f
         P = matrix_positive_part(M)
         for j in range(n):
