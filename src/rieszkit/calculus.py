@@ -26,7 +26,7 @@ from typing import Tuple
 
 from .errors import PreconditionError, UnsupportedHypothesisError
 from .scalars import Q
-from .spaces import AtomIndex, Kind, SpaceDesc
+from .spaces import AtomIndex, SpaceDesc, atom_str
 from .elements import (
     Element,
     atom,
@@ -35,11 +35,11 @@ from .elements import (
     is_positive as elem_is_positive,
     le,
     lincomb,
+    nonzero_classes,
     pos,
     row_unit,
     sub,
     unit,
-    zero,
 )
 from .completion import (
     CompletionElement,
@@ -49,11 +49,10 @@ from .completion import (
     ce_sub,
     embed,
 )
-from .convergence import ConvergenceCertificate, decide_order_convergence, _nonzero_classes
+from .convergence import ConvergenceCertificate, decide_order_convergence
 from .operators import (
     Functional,
     Operator,
-    StencilRule,
     apply_op,
     atom_image,
     coordinate_functional_of,
@@ -84,16 +83,7 @@ def entrywise_pos_op(T: Operator) -> Operator:
     unit image, elsewhere a placeholder, since only the atom action is
     used."""
     images = {k: pos(v) for k, v in T.atom_images}
-    rule = None
-    if T.rule is not None:
-        rule = StencilRule(
-            T.rule.modulus,
-            T.rule.threshold,
-            tuple(
-                tuple((f, max(c, Q(0))) for f, c in es if c > 0)
-                for es in T.rule.entries
-            ),
-        )
+    rule = None if T.rule is None else T.rule.map_coeffs(lambda c: max(c, Q(0)))
     table_sum = lincomb(T.codomain, [(1, img) for img in images.values()])
     return operator(T.domain, T.codomain, images, rule, None, table_sum)
 
@@ -127,11 +117,7 @@ def rk_value(T: Operator, x: Element) -> CompletionElement:
         rp = row_sum_pattern(T, r, "pos")
         rowpos_total = rp if rowpos_total is None else ce_add(rowpos_total, rp)
         if rt != 0:
-            out = ce_add(out, ce_scale(rt, rp))
-            corr = ce_pos(
-                ce_sub(embed(row_unit_image(T, r)), row_sum_pattern(T, r, "id"))
-            )
-            out = ce_add(out, ce_scale(rt, corr))
+            out = ce_add(out, ce_scale(rt, ce_add(rp, _row_correction(T, r))))
     if t != 0:
         sigma_pos = image_sum_pattern(T, "pos")
         beyond_pos = (
@@ -142,12 +128,14 @@ def rk_value(T: Operator, x: Element) -> CompletionElement:
         rho_sum = lincomb(T.codomain, [(1, img) for _, img in T.row_unit_images])
         for r, _ in T.row_unit_images:
             if r not in explicit_rows:
-                corr = ce_pos(
-                    ce_sub(embed(row_unit_image(T, r)), row_sum_pattern(T, r, "id"))
-                )
-                out = ce_add(out, ce_scale(t, corr))
+                out = ce_add(out, ce_scale(t, _row_correction(T, r)))
         out = ce_add(out, ce_scale(t, ce_pos(embed(sub(T.unit_image, rho_sum)))))
     return out
+
+
+def _row_correction(T: Operator, r: int) -> CompletionElement:
+    """The positive part of row r's unit image less its atom-image sum."""
+    return ce_pos(ce_sub(embed(row_unit_image(T, r)), row_sum_pattern(T, r, "id")))
 
 
 def _check_ek_beyond_rows(T: Operator, explicit_rows) -> None:
@@ -156,8 +144,7 @@ def _check_ek_beyond_rows(T: Operator, explicit_rows) -> None:
     probe_row = max(
         [r for r, _ in T.row_unit_images] + list(explicit_rows) + [0]
     ) + 1
-    corr = ce_pos(ce_sub(embed(zero(T.codomain)), row_sum_pattern(T, probe_row, "id")))
-    if not corr.is_zero():
+    if not _row_correction(T, probe_row).is_zero():
         raise PreconditionError(
             "positive-part values for this operator family leave the "
             "representable completion fragment"
@@ -227,12 +214,12 @@ def order_continuity_test(
 ) -> tuple[bool, ConvergenceCertificate]:
     """Order continuity via the partial-sum criterion: the atom-image sums
     must order converge to the unit image."""
-    if T.domain.kind == Kind.ROW_BLOCK:
+    if not T.domain.row.enumerated:
         raise UnsupportedHypothesisError(
             "the partial-sum criterion needs a linearly enumerated atom system"
         )
     _require_bounded(T)
-    if T.domain.kind == Kind.FIN_DIM:
+    if T.domain.dim:
         cert = ConvergenceCertificate(
             verdict="converges",
             space=T.codomain,
@@ -244,21 +231,7 @@ def order_continuity_test(
         return True, cert
     s = partial_sum_seq(T)
     cert = decide_order_convergence(s, T.unit_image, probe)
-    cert = ConvergenceCertificate(
-        verdict=cert.verdict,
-        space=cert.space,
-        mode=cert.mode,
-        dominating=cert.dominating,
-        escaping=cert.escaping,
-        escape_bound=cert.escape_bound,
-        order_bound=cert.order_bound,
-        minorant=cert.minorant,
-        bad_class=cert.bad_class,
-        bad_value=cert.bad_value,
-        n0=cert.n0,
-        anchors=cert.anchors + ("partial-sum-criterion", "sigma-net-equivalence"),
-        notes=cert.notes,
-    )
+    cert = replace(cert, anchors=cert.anchors + ("partial-sum-criterion", "sigma-net-equivalence"))
     return cert.converges, cert
 
 
@@ -266,7 +239,7 @@ def oc_projection(T: Operator) -> Operator:
     """Band projection onto the order-continuous part: T with its unit image
     replaced by the partial-sum limit `image_sum_pattern(T, "id")`, a
     completion payload.  The atom images are kept."""
-    if T.domain.kind == Kind.ROW_BLOCK:
+    if not T.domain.row.enumerated:
         raise UnsupportedHypothesisError(
             "the projection needs a linearly enumerated atom system"
         )
@@ -315,7 +288,8 @@ def pervasive_witness(T: Operator, probe: int = 8) -> Witness:
         return Witness(f, v, R, _gen_label(gen), j, transcript)
     # every atom image vanishes: T factors through the quotient by the atom
     # span closure, which must have codimension <= 1
-    if not _atom_span_codim_le_1(T.domain):
+    codim = T.domain.row.atom_span_codim
+    if codim is None or codim > 1:
         raise UnsupportedHypothesisError(
             "atom images vanish and the atom span closure has codimension > 1 "
             "(neither the atomic-codomain nor the codimension-one route applies)"
@@ -332,11 +306,16 @@ def pervasive_witness(T: Operator, probe: int = 8) -> Witness:
 
 
 def _gen_label(gen) -> str:
-    if gen[0] == "atom":
-        from .spaces import atom_str
+    return atom_str(gen[1]) if gen[0] == "atom" else "unit"
 
-        return atom_str(gen[1])
-    return "unit"
+
+def _atom_window(domain: SpaceDesc, top: int, probe: int) -> list:
+    """The atoms the witness routines probe, in order: e_1..e_dim on
+    fin_dim, e_1..e_top on tail_seq, rows 1..probe up to column top on a
+    row block."""
+    if domain.row.enumerated:
+        return list(range(1, (domain.dim or top) + 1))
+    return [(n, m) for n in range(1, probe + 1) for m in range(1, top + 1)]
 
 
 def _first_positive_generator(T: Operator, probe: int):
@@ -344,21 +323,12 @@ def _first_positive_generator(T: Operator, probe: int):
     for idx, img in T.atom_images:  # explicit table first (sorted)
         if not img.is_zero():
             return ("atom", idx), atom(T.domain, idx)
-    if T.domain.kind in (Kind.FIN_DIM, Kind.TAIL_SEQ):
-        hi = T.domain.dim if T.domain.kind == Kind.FIN_DIM else top
-        for i in range(1, hi + 1):
-            img = atom_image(T, i)
-            if not img.is_zero():
-                return ("atom", i), atom(T.domain, i)
-        if T.rule is not None and not T.rule.is_zero():
-            first = T.rule.threshold + 1
-            return ("atom", first), atom(T.domain, first)
-    else:
-        for n in range(1, probe + 1):
-            for m in range(1, top + 1):
-                img = atom_image(T, (n, m))
-                if not img.is_zero():
-                    return ("atom", (n, m)), atom(T.domain, (n, m))
+    for idx in _atom_window(T.domain, top, probe):
+        if not atom_image(T, idx).is_zero():
+            return ("atom", idx), atom(T.domain, idx)
+    if T.domain.row.sequence and T.rule is not None and not T.rule.is_zero():
+        first = T.rule.threshold + 1
+        return ("atom", first), atom(T.domain, first)
     if not T.unit_image.is_zero():
         return ("unit",), unit(T.domain)
     for r, img in T.row_unit_images:
@@ -370,7 +340,7 @@ def _first_positive_generator(T: Operator, probe: int):
 def _first_positive_coordinate(y: Element) -> AtomIndex:
     """The first coordinate at which y is positive, walking its value
     classes in storage order."""
-    for j, v, _ in _nonzero_classes(y):
+    for j, v, _ in nonzero_classes(y):
         if v > 0:
             return j
     raise PreconditionError("image has no positive coordinate")
@@ -403,15 +373,15 @@ def verify_witness_inner(R: Operator, T: Operator, probe: int = 8) -> tuple[bool
         R.rule.threshold if R.rule else _max_drive(R),
         T.rule.threshold if T.rule else _max_drive(T),
     ) + probe
-    if T.domain.kind in (Kind.FIN_DIM, Kind.TAIL_SEQ):
-        hi = T.domain.dim if T.domain.kind == Kind.FIN_DIM else top
-        for i in range(1, hi + 1):
+    window = _atom_window(T.domain, top, probe)
+    if T.domain.row.enumerated:
+        for i in window:
             if not le(atom_image(R, i), atom_image(T, i)):
                 log.append(f"FAIL R(e{i}) !<= T(e{i})")
                 ok = False
         if ok:
-            log.append(f"R <= T on atoms 1..{hi}")
-        if T.domain.kind == Kind.TAIL_SEQ:
+            log.append(f"R <= T on atoms 1..{len(window)}")
+        if T.domain.row.sequence:
             if R.rule is None or R.rule.is_zero():
                 # tail: R vanishes there while T's rule keeps positive coefficients
                 tail_ok = T.rule is None or all(
@@ -432,7 +402,7 @@ def verify_witness_inner(R: Operator, T: Operator, probe: int = 8) -> tuple[bool
                 else:
                     log.append("R <= T on the probed tail")
     else:
-        pairs = {(n, m) for n in range(1, probe + 1) for m in range(1, top + 1)}
+        pairs = set(window)
         pairs.update(k for k, _ in R.atom_images)
         pairs.update(k for k, _ in T.atom_images)
         for nm in sorted(pairs):
@@ -445,7 +415,7 @@ def verify_witness_inner(R: Operator, T: Operator, probe: int = 8) -> tuple[bool
             if not le(row_unit_image(R, r), row_unit_image(T, r)):
                 log.append(f"FAIL R <= T at row unit {r}")
                 ok = False
-    if T.domain.kind != Kind.FIN_DIM:
+    if not T.domain.dim:
         if not le(R.unit_image, T.unit_image):
             log.append("FAIL R(unit) !<= T(unit)")
             ok = False
@@ -473,33 +443,8 @@ class Classification:
     notes: Tuple[str, ...]
 
 
-def _atom_span_codim(space: SpaceDesc) -> int | None:
-    """Codimension of the uniform closure of the atom span (None = infinite)."""
-    if space.kind == Kind.FIN_DIM:
-        return 0
-    if space.kind == Kind.TAIL_SEQ:
-        return 1  # the unit spans the quotient
-    if space.kind == Kind.FIN_DEV:
-        return 1
-    if space.row_units:
-        return None  # each row unit survives the closure independently
-    return 1
-
-
-def _atom_span_codim_le_1(space: SpaceDesc) -> bool:
-    c = _atom_span_codim(space)
-    return c is not None and c <= 1
-
-
-def _uniformly_complete(space: SpaceDesc) -> bool:
-    # reconstructed table: the finite-dimensional and uncountable-index kinds
-    # are complete (sup-norm lattices); the eventually-constant kinds are not
-    # (dyadic staircases are uniformly Cauchy with no eventually constant limit)
-    return space.kind in (Kind.FIN_DIM, Kind.FIN_DEV)
-
-
 def classify_pair(E: SpaceDesc, F: SpaceDesc) -> Classification:
-    # all four representable kinds carry complete atom systems, so every
+    # every variant of the kind table carries a complete atom system, so every
     # codomain is atomic and the atomic-codomain route always applies
     anchors = [
         "rk-property-pervasive",
@@ -509,16 +454,16 @@ def classify_pair(E: SpaceDesc, F: SpaceDesc) -> Classification:
     ]
     notes = ["the codomain has a complete atom system; coordinate "
              "compositions give rank-one minorants"]
-    if F.kind == Kind.TAIL_SEQ:
+    if F.row.sequence:
         anchors.append("grid-codomain-rk")
         notes.append("eventually constant codomains always carry the "
                      "interval-supremum formula")
-    if E.kind == Kind.TAIL_SEQ:
+    if E.row.sequence:
         anchors.append("partial-sum-criterion")
-    riesz = _atom_span_codim(E) == 0 and _uniformly_complete(F)
+    riesz = E.row.atom_span_codim == 0 and F.row.uniformly_complete
     if riesz:
         anchors.append("uniformly-complete-riesz")
-    order_complete = F.kind == Kind.FIN_DIM
+    order_complete = F.row.order_complete
     if order_complete:
         riesz = True
         notes.append("the codomain is order complete; every classical "

@@ -39,7 +39,6 @@ from .calculus import (
     order_continuity_test,
     pervasive_witness,
     positive_part,
-    projection_fixes,
 )
 from .casebook import CASEBOOK, row_pair_difference_operator
 from .oracles import (
@@ -121,7 +120,7 @@ def _cmd_positive_part(args) -> Report:
 def _cmd_project_oc(args) -> Report:
     _, _, T, name = _load_operator(args)
     P = oc_projection(T)
-    fixed = projection_fixes(T)
+    fixed = P.unit_image == T.unit_image
     return Report(
         command=f"project-oc {name}",
         verdict="operator is its own projection" if fixed else "projection is proper",

@@ -11,7 +11,8 @@ and membership (`in_space`, `collapse`) is the modulus check
 which align residues by absolute index.
 
 `pattern_from_pieces` builds a pattern from a base element plus
-arithmetic-progression pieces; `describe_pattern` is the report format.
+arithmetic-progression pieces; `describe_pattern` is the report format,
+which each payload shape of `elements` writes.
 """
 
 from __future__ import annotations
@@ -19,18 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .scalars import QLike, qstr
-from .spaces import Kind, SpaceDesc
+from .scalars import QLike
+from .spaces import SpaceDesc
 from .elements import (
     Element,
     add,
-    g_line,
+    describe,
     in_base_space,
     is_positive,
     le,
     piece_element,
     pos,
-    render,
     scale,
     sub,
     sup2,
@@ -43,10 +43,6 @@ class CompletionElement:
     """An element payload read in the completion of its space."""
 
     pat: Element
-
-    @property
-    def space(self) -> SpaceDesc:
-        return self.pat.space
 
     def is_zero(self) -> bool:
         return self.pat.is_zero()
@@ -111,32 +107,6 @@ def collapse(a: CompletionElement) -> Element | None:
 
 
 def describe_pattern(a: CompletionElement) -> dict:
-    """JSON-friendly description with deterministic ordering."""
-    x = a.pat
-    k = x.space.kind
-    if k == Kind.FIN_DIM:
-        return {"kind": "element", "value": render(x)}
-    if k == Kind.TAIL_SEQ:
-        return {"kind": "tail_pattern", **_describe_line(x.data)}
-    if k == Kind.FIN_DEV:
-        return {
-            "kind": "fin_dev_pattern",
-            "extra": [[str(t), qstr(v)] for t, v in x.entries if t.family != "g"],
-            "line": _describe_line(g_line(x)),
-            "ambient": qstr(x.ambient),
-        }
-    rows, back = x.data
-    return {
-        "kind": "row_block_pattern",
-        "rows": [_describe_line(r) for r in rows],
-        "row_residues": [_describe_line(r) for r in back],
-    }
-
-
-def _describe_line(line) -> dict:
-    prefix, residues = line
-    return {
-        "prefix": [qstr(v) for v in prefix],
-        "modulus": len(residues),
-        "residues": [qstr(v) for v in residues],
-    }
+    """JSON-friendly description with deterministic ordering (see
+    `elements.describe`)."""
+    return describe(a.pat)

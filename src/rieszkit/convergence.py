@@ -28,18 +28,18 @@ from typing import Tuple
 
 from .errors import NotDecreasingError, PreconditionError, SpaceMismatchError
 from .scalars import Q, RationalSeq, qstr
-from .spaces import Kind, SpaceDesc, Token, fresh_star, gamma, seq_form
+from .spaces import SpaceDesc, Token, fresh_star, seq_form
 from .elements import (
     Element,
     abs_,
     atom,
     decompose,
-    g_line,
     le,
-    line_classes,
     max_abs_coord,
+    nonzero_classes,
     recompose,
     scale,
+    support,
     unit,
     zero,
 )
@@ -141,52 +141,13 @@ def _pattern_witness(pat: CompletionElement) -> tuple[object | None, Q, str]:
     A None coordinate means the obstruction sits on the ambient class of the
     uncountable kind: every fresh point keeps that value.
     """
-    return next(_nonzero_classes(pat.pat), (None, Q(0), "zero"))
-
-
-def _nonzero_classes(x: Element):
-    """(coordinate, value, description) of each nonzero value class of the
-    payload x, in storage order."""
-    k = x.space.kind
-    if k == Kind.FIN_DEV:
-        for t, v in x.entries:
-            if t.family != "g" and v:
-                yield t, v, f"coordinate {t} settles at {qstr(v)}"
-        line = g_line(x)
-        for i, r, v in line_classes(line):
-            if v and r is None:
-                yield gamma(i), v, f"coordinate g({i}) settles at {qstr(v)}"
-            elif v:
-                yield gamma(i), v, f"line residue {r} mod {len(line[1])} settles at {qstr(v)}"
-        if x.ambient:
-            yield None, x.ambient, (
-                f"ambient value stays {qstr(x.ambient)} at every untouched point")
-    elif k == Kind.ROW_BLOCK:
-        for n, rr, row in line_classes(x.data):
-            for m, r, v in line_classes(row):
-                if v and rr is not None:
-                    yield (n, m), v, f"row class {rr} settles nonzero"
-                elif v and r is not None:
-                    yield (n, m), v, f"row {n} tail settles at {qstr(v)}"
-                elif v:
-                    yield (n, m), v, f"cell ({n},{m}) settles at {qstr(v)}"
-    else:
-        # a line; on fin_dim its one residue class is 0 past the dimension
-        for i, r, v in line_classes(x.data):
-            if v and r is None:
-                yield i, v, f"coordinate {i} settles at {qstr(v)}"
-            elif v:
-                yield i, v, f"coordinates = {r} mod {len(x.data[1])} settle at {qstr(v)}"
+    return next(nonzero_classes(pat.pat), (None, Q(0), "zero"))
 
 
 def _tokens_in_play(seq: ElementSeq) -> set[Token]:
-    toks: set[Token] = set()
-    if seq.space.kind != Kind.FIN_DEV:
-        return toks
-    toks.update(t for t, _ in seq.static.entries)
-    for p in seq.prelude:
-        toks.update(t for t, _ in p.entries)
-    return toks
+    if seq.space.row.countable:  # fresh points exist only over an uncountable index
+        return set()
+    return {t for x in (seq.static, *seq.prelude) for t in support(x)}
 
 
 # ---------------------------------------------------------------------------
@@ -252,27 +213,14 @@ def decide_monotone_limit(b: ElementSeq, probe: int = 8) -> ConvergenceCertifica
 def _build_residual(d: ElementSeq, bound: Q) -> tuple[ElementSeq, Tuple[MovingAtom, ...]]:
     """Split d into (residual dominating family, escaping moving atoms)."""
     space = d.space
-    kind = space.kind
     harmonic_parts = [
         (form, coeff.abs_env())
         for form, coeff in d.atoms
         if not form.moving and coeff.kind == "harmonic"
     ]
-    if kind in (Kind.TAIL_SEQ, Kind.FIN_DIM):
+    if space.row.sequence:
         # a same-index family suffices: bound times the unit off an
         # advancing front, plus matched harmonic envelopes
-        if kind == Kind.FIN_DIM:
-            window = structural_threshold(d)
-            devs = [max_abs_coord(eval_seq(d, n)) for n in range(1, window + 1)]
-            env: list[Q] = []
-            running = Q(0)
-            for v in reversed(devs):
-                running = max(running, v)
-                env.append(running)
-            env.reverse()
-            amb = RationalSeq.steps(env, 0)
-            dom = element_seq(space, atoms=harmonic_parts, ambient=amb)
-            return dom, ()
         shift = cover_shift(d)
         march = fill(seq_form(1, 0), 1, 0, 1, shift, -bound) if bound != 0 else None
         dom = element_seq(
@@ -282,29 +230,23 @@ def _build_residual(d: ElementSeq, bound: Q) -> tuple[ElementSeq, Tuple[MovingAt
             ambient=RationalSeq.const(bound),
         )
         return dom, ()
-    # uncountable or pair-indexed kinds: moving support escapes any finite
-    # set, so it is dominated by the net of finite cut-downs of the bound;
-    # the stationary remainder gets its own same-index family, enveloped on
-    # the evaluated values (static and ambient components may cancel)
+    # fin_dim has no moving support; on the uncountable or pair-indexed kinds
+    # moving support escapes any finite set, so it is dominated by the net
+    # of finite cut-downs of the bound; the stationary remainder gets its
+    # own same-index family, enveloped on the evaluated values (static and
+    # ambient components may cancel)
     escaping = tuple((form, coeff) for form, coeff in d.atoms if form.moving)
     dom = element_seq(space, atoms=harmonic_parts, ambient=_static_settle_env(d))
     return dom, escaping
 
 
 def _static_settle_env(d: ElementSeq) -> RationalSeq:
-    """Envelope for the prelude/static transients of the stationary part."""
-    window = structural_threshold(d)
-    devs = []
+    """Envelope for the prelude/static transients of the stationary part:
+    the running maximum from the right of the evaluated deviations."""
     moving = [(form, coeff) for form, coeff in d.atoms if form.moving]
-    for n in range(1, window + 1):
-        devs.append(max_abs_coord(_less_atoms(eval_seq(d, n), moving, n)))
-    env: list[Q] = []
-    running = Q(0)
-    for v in reversed(devs):
-        running = max(running, v)
-        env.append(running)
-    env.reverse()
-    return RationalSeq.steps(env, 0)
+    devs = [max_abs_coord(_less_atoms(eval_seq(d, n), moving, n))
+            for n in range(1, structural_threshold(d) + 1)]
+    return RationalSeq.steps(devs, 0).abs_env()
 
 
 def _less_atoms(x: Element, atoms, n: int) -> Element:
@@ -371,7 +313,7 @@ def o1_dominating_obstruction(x: ElementSeq, probe: int = 8) -> ConvergenceCerti
     finite-deviation element then has ambient >= c, and some fresh point
     keeps the value c at every step.
     """
-    if x.space.kind != Kind.FIN_DEV:
+    if x.space.row.countable:
         raise PreconditionError("the obstruction argument needs the uncountable kind")
     cands = []
     for form, coeff in x.atoms:
@@ -541,7 +483,7 @@ def verify_certificate(
                 f"coordinates >= {qstr(c0)}, so its ambient is >= {qstr(c0)}"
             )
         used = _tokens_in_play(x)
-        fresh = [t for t in _element_tokens(h) if t.family == "star"]
+        fresh = [] if h.space.row.countable else [t for t in support(h) if t.family == "star"]
         if not fresh or any(t in used for t in fresh):
             log.append("FAIL minorant support is not a fresh point")
             ok = False
@@ -572,8 +514,3 @@ def verify_certificate(
             log.append(f"obstruction confirmed: {cert.bad_class}")
     return ok, log
 
-
-def _element_tokens(h: Element) -> list[Token]:
-    if h.space.kind != Kind.FIN_DEV:
-        return []
-    return [t for t, _ in h.entries]

@@ -1,12 +1,14 @@
-"""Canonical payloads of the four space kinds and their lattice operations.
+"""Canonical payloads of the space kinds and their lattice operations.
 
 One payload format serves a space and the representable fragment of its
 order completion (see `completion`).  A line is a pair (prefix, residues):
 its value at index i is prefix[i - 1] for i <= len(prefix), and
-residues[i % len(residues)] past the prefix.
+residues[i % len(residues)] past the prefix.  The kind table's `shape`
+column (see `spaces`) names one of three payload shapes, each an object
+that owns everything depending on it; a public function dispatches once:
 
-  fin_dim    -- a line 0 past the dimension: the coordinates, then (0,)
-  tail_seq   -- a line
+  line       -- fin_dim (0 past the dimension: the coordinates, then (0,))
+                and tail_seq
   fin_dev    -- (entries, ambient, line residues): the stored token values;
                 every other g(k) reads the line residue of k, every other
                 token the ambient
@@ -69,40 +71,25 @@ class Element:
     space: SpaceDesc
     data: tuple
 
-    # -- kind-specific accessors of a base element ---------------------------
-    @property
-    def coords(self) -> Tuple[Q, ...]:
-        assert self.space.kind == Kind.FIN_DIM
-        p, res = self.data
-        return p + _run(res, len(p) + 1, self.space.dim - len(p))
-
-    @property
-    def prefix(self) -> Tuple[Q, ...]:
-        assert self.space.kind == Kind.TAIL_SEQ
-        return self.data[0]
-
+    # -- accessors of a base element -----------------------------------------
     @property
     def tail(self) -> Q:
-        if self.space.kind == Kind.TAIL_SEQ:
-            return self.data[1][0]
-        if self.space.kind == Kind.ROW_BLOCK:
-            return self.data[1][0][1][0]
-        raise AssertionError("tail is only defined for sequence kinds")
+        """The value of a base line past its prefix."""
+        return self.data[1][0]
 
     @property
     def entries(self) -> Tuple[Tuple[Token, Q], ...]:
-        assert self.space.kind == Kind.FIN_DEV
+        """The stored (token, value) pairs of a fin_dev payload."""
         return self.data[0]
 
     @property
     def ambient(self) -> Q:
-        assert self.space.kind == Kind.FIN_DEV
+        """The value of a fin_dev payload at every unstored token."""
         return self.data[1]
 
     @property
     def rows(self) -> Tuple[Tuple[Tuple[Q, ...], Q], ...]:
-        """(prefix, row tail) of each explicit row."""
-        assert self.space.kind == Kind.ROW_BLOCK
+        """(prefix, row tail) of each explicit row of a row block."""
         return tuple((p, rt) for p, (rt,) in self.data[0])
 
     @cached_property
@@ -208,12 +195,7 @@ def element_findev(
     amb = qof(ambient)
     items = entries.items() if isinstance(entries, Mapping) else entries
     # a base element: every unstored token reads the ambient
-    kept = {}
-    for tok, v in items:
-        v_q = qof(v)
-        if v_q != amb:
-            kept[tok] = v_q
-    return Element(space, (tuple(sorted(kept.items(), key=_entry_key)), amb, (amb,)))
+    return _findev(space, {tok: qof(v) for tok, v in items}, amb, (amb,))
 
 
 def element_rowblock(
@@ -230,218 +212,8 @@ def element_rowblock(
     return Element(space, _canonical_line(canon, (((), tail_q),)))
 
 
-def piece_element(space: SpaceDesc, piece) -> Element:
-    """The payload that is value on one arithmetic-progression piece and 0
-    elsewhere: (step, first, value) on the coordinate line (the integers of
-    tail_seq and fin_dim, the g tokens of fin_dev), (row_step, row_first,
-    col_step, col_first, value) on the cells of a row block.  Step 0 means
-    the one index first."""
-    k = space.kind
-    *where, value = piece
-    v = qof(value)
-    if k == Kind.ROW_BLOCK:
-        row_step, row_first, col_step, col_first = where
-        row = _progression(col_step, col_first, v, Q0)
-        return Element(space, _progression(row_step, row_first, row, _ZERO_LINE))
-    step, first = where
-    if k == Kind.FIN_DIM:
-        if step:
-            raise StencilError("moving pieces cannot target a finite-dimensional space")
-        return recompose(space, [(("atom", first), v)])
-    line = _progression(step, first, v, Q0)
-    if k == Kind.TAIL_SEQ:
-        return Element(space, line)
-    return _findev(space, {gamma(i): u for i, u in enumerate(line[0], start=1)}, Q0, line[1])
-
-
-def in_base_space(x: Element) -> bool:
-    """Whether the payload is an element of its space: every residue tuple
-    has length 1, the fin_dev line reads the ambient, the background of a
-    row block is one constant row and, on grid, every row tail is that
-    constant."""
-    k = x.space.kind
-    if k == Kind.FIN_DEV:
-        return x.data[2] == (x.data[1],)
-    if k != Kind.ROW_BLOCK:
-        return len(x.data[1]) == 1
-    rows, back = x.data
-    if len(back) != 1 or back[0][0] or len(back[0][1]) != 1:
-        return False
-    if x.space.row_units:
-        return all(len(rt) == 1 for _, rt in rows)
-    return all(rt == back[0][1] for _, rt in rows)
-
-
-def zero(space: SpaceDesc) -> Element:
-    return recompose(space, [])
-
-
-def unit(space: SpaceDesc) -> Element:
-    return recompose(space, [(("unit",), 1)])
-
-
-def _check_atom(space: SpaceDesc, idx) -> None:
-    k = space.kind
-    if k == Kind.FIN_DEV:
-        if not isinstance(idx, Token):
-            raise InvalidIndexError("fin_dev atoms are indexed by tokens")
-    elif k == Kind.ROW_BLOCK:
-        if not (isinstance(idx, tuple) and len(idx) == 2 and min(idx) >= 1):
-            raise InvalidIndexError(f"row_block atom index {idx!r} out of range")
-    elif not isinstance(idx, int) or idx < 1 or (k == Kind.FIN_DIM and idx > space.dim):
-        raise InvalidIndexError(f"atom index {idx!r} out of range")
-
-
-def _check_row_unit(space: SpaceDesc, n: int) -> None:
-    if space.kind != Kind.ROW_BLOCK or not space.row_units:
-        raise InvalidIndexError("row units exist only in the ek variant")
-    if n < 1:
-        raise InvalidIndexError("row index out of range")
-
-
-def atom(space: SpaceDesc, idx: AtomIndex) -> Element:
-    return recompose(space, [(("atom", idx), 1)])
-
-
-def row_unit(space: SpaceDesc, n: int) -> Element:
-    return recompose(space, [(("row_unit", n), 1)])
-
-
 # ---------------------------------------------------------------------------
-# generator decomposition
-
-
-def decompose(x: Element) -> list:
-    """Exact finite decomposition of x over the generator family of its
-    space: [(("atom", idx) | ("row_unit", n) | ("unit",), coefficient)]."""
-    space = x.space
-    k = space.kind
-    out = []
-    if k == Kind.ROW_BLOCK:
-        base = x.tail
-        for n, (pref, rt) in enumerate(x.rows, start=1):
-            out.extend((("atom", (n, m)), qsub(v, rt))
-                       for m, v in enumerate(pref, start=1) if v != rt)
-            if space.row_units and rt != base:
-                out.append((("row_unit", n), qsub(rt, base)))
-    elif k == Kind.FIN_DEV:
-        base = x.ambient
-        out.extend((("atom", tok), qsub(v, base)) for tok, v in x.entries)
-    else:
-        # a line with one residue: the tail, 0 on fin_dim
-        prefix, (base,) = x.data
-        out.extend((("atom", i), qsub(v, base))
-                   for i, v in enumerate(prefix, start=1) if v != base)
-    if base != 0:
-        out.append((("unit",), base))
-    return out
-
-
-def recompose(space: SpaceDesc, parts) -> Element:
-    """The canonical element sum of coefficient * generator over `parts`
-    (in the format of `decompose`), built in one pass.  Parts are read once,
-    in order, and each index is checked as it is read, so the first bad
-    index raises InvalidIndexError."""
-    u = Q0
-    coeffs: dict = {}
-    for ref, c in parts:
-        if ref[0] == "atom":
-            _check_atom(space, ref[1])
-        elif ref[0] == "row_unit":
-            _check_row_unit(space, ref[1])
-        else:
-            u = qadd(u, qof(c))
-            continue
-        coeffs[ref] = qadd(coeffs.get(ref, Q0), qof(c))
-    atoms = {ref[1]: c for ref, c in coeffs.items() if ref[0] == "atom"}
-    k = space.kind
-    if k == Kind.FIN_DIM:
-        return element_fin(space, [qadd(u, atoms.get(i, Q0)) for i in range(1, space.dim + 1)])
-    if k == Kind.TAIL_SEQ:
-        width = max(atoms, default=0)
-        return element_tail(space, [qadd(u, atoms.get(i, Q0)) for i in range(1, width + 1)], u)
-    if k == Kind.FIN_DEV:
-        return element_findev(space, {tok: qadd(u, c) for tok, c in atoms.items()}, u)
-    row_tails = {ref[1]: qadd(u, c) for ref, c in coeffs.items() if ref[0] == "row_unit"}
-    cells: dict = {}
-    for (n, m), c in atoms.items():
-        cells.setdefault(n, {})[m] = c
-    rows = []
-    for n in range(1, max([*cells, *row_tails], default=0) + 1):
-        rt = row_tails.get(n, u)
-        row = cells.get(n, {})
-        rows.append(([qadd(rt, row.get(m, Q0)) for m in range(1, max(row, default=0) + 1)], rt))
-    return element_rowblock(space, rows, u)
-
-
-def lincomb(space: SpaceDesc, terms) -> Element:
-    """sum of c * x over (c, x) in `terms`, canonicalized once."""
-    parts = []
-    for c, x in terms:
-        if x.space != space:
-            raise SpaceMismatchError(f"{space.label} vs {x.space.label}")
-        c_q = qof(c)
-        parts.extend((ref, qmul(c_q, v)) for ref, v in decompose(x))
-    return recompose(space, parts)
-
-
-# ---------------------------------------------------------------------------
-# coordinate access
-
-
-def coordinate(x: Element, idx: AtomIndex) -> Q:
-    """The coordinate functional of the atom at `idx` applied to x."""
-    k = x.space.kind
-    if k == Kind.FIN_DEV:
-        if not isinstance(idx, Token):
-            raise InvalidIndexError("fin_dev coordinates are tokens")
-        return x._by_token[idx]
-    if k == Kind.ROW_BLOCK:
-        if not (isinstance(idx, tuple) and len(idx) == 2):
-            raise InvalidIndexError("row_block coordinates are (row, col) pairs")
-        n, m = idx
-        if n < 1 or m < 1:
-            raise InvalidIndexError("row_block coordinates start at (1, 1)")
-        return _at(_at(x.data, n), m)
-    # a line: tail_seq, and fin_dim within its dimension
-    if not isinstance(idx, int) or idx < 1 or (k == Kind.FIN_DIM and idx > x.space.dim):
-        raise InvalidIndexError(f"coordinate {idx!r} out of range")
-    return _at(x.data, idx)
-
-
-def _at(line: Line, i: int):
-    """The value of a line at index i >= 1."""
-    p, res = line
-    return p[i - 1] if i <= len(p) else res[i % len(res)]
-
-
-def support(x: Element) -> list[AtomIndex]:
-    """Touched coordinates (where a value is stored explicitly), sorted."""
-    k = x.space.kind
-    if k == Kind.FIN_DIM:
-        return [i for i, v in enumerate(x.coords, start=1) if v != 0]
-    if k == Kind.TAIL_SEQ:
-        return list(range(1, len(x.prefix) + 1))
-    if k == Kind.FIN_DEV:
-        return [tok for tok, _ in x.entries]
-    out = []
-    for n, (pref, _) in enumerate(x.rows, start=1):
-        out.extend((n, m) for m in range(1, len(pref) + 1))
-    return sorted(out)
-
-
-def max_abs_coord(x: Element) -> Q:
-    """sup over all coordinates of |x| (tails and ambients included)."""
-    return max(abs(v) for v, _ in _pairs(x, x))
-
-
-# ---------------------------------------------------------------------------
-# linear and lattice operations, all pointwise
-
-
-def _check_same_space(x: Element, y: Element) -> None:
-    if x.space != y.space:
-        raise SpaceMismatchError(f"{x.space.label} vs {y.space.label}")
+# walks over lines
 
 
 def _run(res: tuple, start: int, n: int) -> tuple:
@@ -485,46 +257,401 @@ def _map_line(f, line: Line) -> Line:
     return _canonical_line(tuple(map(f, p)), tuple(map(f, res)))
 
 
+def _at(line: Line, i: int):
+    """The value of a line at index i >= 1."""
+    p, res = line
+    return p[i - 1] if i <= len(p) else res[i % len(res)]
+
+
 def _tokens(x: Element, y: Element):
     """(token, x value, y value) over the tokens x or y stores, x's first."""
     dx, dy = x._by_token, y._by_token
     return ((t, dx[t], dy[t]) for t in {**dx, **dy})
 
 
+def g_line(x: Element) -> Line:
+    """The values of a fin_dev payload on the g tokens, as a line: g(1),
+    ..., g(K) for the last g token K it stores, then the line residues."""
+    d = x._by_token
+    width = max((t.k for t in d if t.family == "g"), default=0)
+    return tuple(d[gamma(i)] for i in range(1, width + 1)), x.data[2]
+
+
+def line_classes(line: Line):
+    """(index, residue, value) for each value class of a line, prefix first:
+    an entry of the prefix has residue None, a residue class r is read at
+    its first index past the prefix."""
+    p, res = line
+    s, m = len(p) + 1, len(res)
+    return chain(((i, None, v) for i, v in enumerate(p, start=1)),
+                 ((s + (r - s) % m, r, v) for r, v in enumerate(res)))
+
+
+def _line_str(line: Line) -> str:
+    p, res = line
+    return ",".join(map(qstr, p)) + "|" + ",".join(map(qstr, res))
+
+
+def _describe_line(line: Line) -> dict:
+    prefix, residues = line
+    return {
+        "prefix": [qstr(v) for v in prefix],
+        "modulus": len(residues),
+        "residues": [qstr(v) for v in residues],
+    }
+
+
+# ---------------------------------------------------------------------------
+# the payload shapes
+
+
+class _LineShape:
+    """fin_dim and tail_seq: one line; a space with a dimension (fin_dim)
+    reads 0 past it."""
+
+    def at(self, x: Element, i: int) -> Q:
+        return _at(x.data, i)
+
+    def pairs(self, x: Element, y: Element):
+        return _line(x.data, y.data)
+
+    def pointwise(self, x: Element, y: Element, op) -> Element:
+        return Element(x.space, _zip_lines(op, x.data, y.data))
+
+    def map(self, x: Element, f) -> Element:
+        return Element(x.space, _map_line(f, x.data))
+
+    def decompose(self, x: Element):
+        prefix, (base,) = x.data
+        return [(("atom", i), qsub(v, base))
+                for i, v in enumerate(prefix, start=1) if v != base], base
+
+    def recompose(self, space: SpaceDesc, atoms: dict, rows: dict, u: Q) -> Element:
+        width = space.dim or max(atoms, default=0)
+        vals = [qadd(u, atoms.get(i, Q0)) for i in range(1, width + 1)]
+        return Element(space, _canonical_line(vals, (Q0 if space.dim else u,)))
+
+    def piece(self, space: SpaceDesc, where, v: Q) -> Element:
+        step, first = where
+        if space.dim:
+            if step:
+                raise StencilError("moving pieces cannot target a finite-dimensional space")
+            space.row.check_atom(first, space.dim)
+        return Element(space, _progression(step, first, v, Q0))
+
+    def support(self, x: Element) -> list:
+        return list(range(1, len(x.data[0]) + 1))
+
+    def in_base(self, x: Element) -> bool:
+        return len(x.data[1]) == 1
+
+    def render(self, x: Element) -> str:
+        if not x.space.dim:
+            return f"({_line_str(x.data)})"
+        p, res = x.data
+        coords = p + _run(res, len(p) + 1, x.space.dim - len(p))
+        return "(" + ",".join(qstr(v) for v in coords) + ")"
+
+    def describe(self, x: Element) -> dict:
+        if x.space.dim:
+            return {"kind": "element", "value": self.render(x)}
+        return {"kind": "tail_pattern", **_describe_line(x.data)}
+
+    def classes(self, x: Element):
+        # on fin_dim the one residue class is 0 past the dimension
+        for i, r, v in line_classes(x.data):
+            if v and r is None:
+                yield i, v, f"coordinate {i} settles at {qstr(v)}"
+            elif v:
+                yield i, v, f"coordinates = {r} mod {len(x.data[1])} settle at {qstr(v)}"
+
+
+class _FinDevShape:
+    """fin_dev: stored token values over the g-line residues and the
+    ambient."""
+
+    def at(self, x: Element, t: Token) -> Q:
+        return x._by_token[t]
+
+    def pairs(self, x: Element, y: Element):
+        (_, ax, lx), (_, ay, ly) = x.data, y.data
+        return chain(((a, b) for _, a, b in _tokens(x, y)), ((ax, ay),), zip(*_tails(lx, ly)))
+
+    def pointwise(self, x: Element, y: Element, op) -> Element:
+        (_, ax, lx), (_, ay, ly) = x.data, y.data
+        vals = {t: op(a, b) for t, a, b in _tokens(x, y)}
+        return _findev(x.space, vals, op(ax, ay), tuple(map(op, *_tails(lx, ly))))
+
+    def map(self, x: Element, f) -> Element:
+        entries, amb, line = x.data
+        return _findev(x.space, {t: f(v) for t, v in entries}, f(amb), tuple(map(f, line)))
+
+    def decompose(self, x: Element):
+        entries, base, _ = x.data
+        return [(("atom", tok), qsub(v, base)) for tok, v in entries], base
+
+    def recompose(self, space: SpaceDesc, atoms: dict, rows: dict, u: Q) -> Element:
+        return _findev(space, {tok: qadd(u, c) for tok, c in atoms.items()}, u, (u,))
+
+    def piece(self, space: SpaceDesc, where, v: Q) -> Element:
+        step, first = where
+        line = _progression(step, first, v, Q0)
+        return _findev(space, {gamma(i): u for i, u in enumerate(line[0], start=1)}, Q0, line[1])
+
+    def support(self, x: Element) -> list:
+        return [tok for tok, _ in x.data[0]]
+
+    def in_base(self, x: Element) -> bool:
+        return x.data[2] == (x.data[1],)
+
+    def render(self, x: Element) -> str:
+        """A line that does not read the ambient follows it."""
+        entries, amb, line = x.data
+        body = ",".join(f"{t}:{qstr(v)}" for t, v in entries)
+        on_line = "" if line == (amb,) else "|" + ",".join(map(qstr, line))
+        return f"{{{body}|{qstr(amb)}{on_line}}}"
+
+    def describe(self, x: Element) -> dict:
+        return {
+            "kind": "fin_dev_pattern",
+            "extra": [[str(t), qstr(v)] for t, v in x.data[0] if t.family != "g"],
+            "line": _describe_line(g_line(x)),
+            "ambient": qstr(x.data[1]),
+        }
+
+    def classes(self, x: Element):
+        for t, v in x.data[0]:
+            if t.family != "g" and v:
+                yield t, v, f"coordinate {t} settles at {qstr(v)}"
+        line = g_line(x)
+        for i, r, v in line_classes(line):
+            if v and r is None:
+                yield gamma(i), v, f"coordinate g({i}) settles at {qstr(v)}"
+            elif v:
+                yield gamma(i), v, f"line residue {r} mod {len(line[1])} settles at {qstr(v)}"
+        amb = x.data[1]
+        if amb:
+            yield None, amb, f"ambient value stays {qstr(amb)} at every untouched point"
+
+
+class _RowBlockShape:
+    """row_block: a line of rows, each row a line."""
+
+    def at(self, x: Element, idx: Tuple[int, int]) -> Q:
+        return _at(_at(x.data, idx[0]), idx[1])
+
+    def pairs(self, x: Element, y: Element):
+        return chain.from_iterable(starmap(_line, _line(x.data, y.data)))
+
+    def pointwise(self, x: Element, y: Element, op) -> Element:
+        return Element(x.space, _zip_lines(partial(_zip_lines, op), x.data, y.data))
+
+    def map(self, x: Element, f) -> Element:
+        return Element(x.space, _map_line(partial(_map_line, f), x.data))
+
+    def decompose(self, x: Element):
+        base = x.data[1][0][1][0]
+        out = []
+        for n, (pref, rt) in enumerate(x.rows, start=1):
+            out.extend((("atom", (n, m)), qsub(v, rt))
+                       for m, v in enumerate(pref, start=1) if v != rt)
+            if x.space.row_units and rt != base:
+                out.append((("row_unit", n), qsub(rt, base)))
+        return out, base
+
+    def recompose(self, space: SpaceDesc, atoms: dict, rows: dict, u: Q) -> Element:
+        row_tails = {n: qadd(u, c) for n, c in rows.items()}
+        cells: dict = {}
+        for (n, m), c in atoms.items():
+            cells.setdefault(n, {})[m] = c
+        out = []
+        for n in range(1, max([*cells, *row_tails], default=0) + 1):
+            rt = row_tails.get(n, u)
+            row = cells.get(n, {})
+            out.append(([qadd(rt, row.get(m, Q0)) for m in range(1, max(row, default=0) + 1)], rt))
+        return element_rowblock(space, out, u)
+
+    def piece(self, space: SpaceDesc, where, v: Q) -> Element:
+        row_step, row_first, col_step, col_first = where
+        row = _progression(col_step, col_first, v, Q0)
+        return Element(space, _progression(row_step, row_first, row, _ZERO_LINE))
+
+    def support(self, x: Element) -> list:
+        out = []
+        for n, (pref, _) in enumerate(x.rows, start=1):
+            out.extend((n, m) for m in range(1, len(pref) + 1))
+        return sorted(out)
+
+    def in_base(self, x: Element) -> bool:
+        rows, back = x.data
+        if len(back) != 1 or back[0][0] or len(back[0][1]) != 1:
+            return False
+        if x.space.row_units:
+            return all(len(rt) == 1 for _, rt in rows)
+        return all(rt == back[0][1] for _, rt in rows)
+
+    def render(self, x: Element) -> str:
+        """A background row with a prefix is parenthesized."""
+        rows, back = x.data
+        body = ";".join(f"({_line_str(r)})" for r in rows)
+        back_str = ";".join(f"({_line_str(r)})" if r[0] else ",".join(map(qstr, r[1]))
+                            for r in back)
+        return f"[{body}|{back_str}]"
+
+    def describe(self, x: Element) -> dict:
+        rows, back = x.data
+        return {
+            "kind": "row_block_pattern",
+            "rows": [_describe_line(r) for r in rows],
+            "row_residues": [_describe_line(r) for r in back],
+        }
+
+    def classes(self, x: Element):
+        for n, rr, row in line_classes(x.data):
+            for m, r, v in line_classes(row):
+                if v and rr is not None:
+                    yield (n, m), v, f"row class {rr} settles nonzero"
+                elif v and r is not None:
+                    yield (n, m), v, f"row {n} tail settles at {qstr(v)}"
+                elif v:
+                    yield (n, m), v, f"cell ({n},{m}) settles at {qstr(v)}"
+
+
+_SHAPES = {"line": _LineShape(), "fin_dev": _FinDevShape(), "row_block": _RowBlockShape()}
+
+
+def _shape(x: Element):
+    return _SHAPES[x.space.row.shape]
+
+
+# ---------------------------------------------------------------------------
+# generators, pieces and membership
+
+
+def piece_element(space: SpaceDesc, piece) -> Element:
+    """The payload that is value on one arithmetic-progression piece and 0
+    elsewhere: (step, first, value) on the coordinate line (the integers of
+    tail_seq and fin_dim, the g tokens of fin_dev), (row_step, row_first,
+    col_step, col_first, value) on the cells of a row block.  Step 0 means
+    the one index first."""
+    *where, value = piece
+    return _SHAPES[space.row.shape].piece(space, where, qof(value))
+
+
+def in_base_space(x: Element) -> bool:
+    """Whether the payload is an element of its space: every residue tuple
+    has length 1, the fin_dev line reads the ambient, the background of a
+    row block is one constant row and, on grid, every row tail is that
+    constant."""
+    return _shape(x).in_base(x)
+
+
+def zero(space: SpaceDesc) -> Element:
+    return recompose(space, [])
+
+
+def unit(space: SpaceDesc) -> Element:
+    return recompose(space, [(("unit",), 1)])
+
+
+def atom(space: SpaceDesc, idx: AtomIndex) -> Element:
+    return recompose(space, [(("atom", idx), 1)])
+
+
+def row_unit(space: SpaceDesc, n: int) -> Element:
+    return recompose(space, [(("row_unit", n), 1)])
+
+
+def decompose(x: Element) -> list:
+    """Exact finite decomposition of x over the generator family of its
+    space: [(("atom", idx) | ("row_unit", n) | ("unit",), coefficient)]."""
+    out, base = _shape(x).decompose(x)
+    if base != 0:
+        out.append((("unit",), base))
+    return out
+
+
+def recompose(space: SpaceDesc, parts) -> Element:
+    """The canonical element sum of coefficient * generator over `parts`
+    (in the format of `decompose`), built in one pass.  Parts are read once,
+    in order, and each index is checked as it is read, so the first bad
+    index raises InvalidIndexError."""
+    check, dim = space.row.check_atom, space.dim
+    u = Q0
+    atoms: dict = {}
+    rows: dict = {}
+    for ref, c in parts:
+        if ref[0] == "atom":
+            idx = ref[1]
+            check(idx, dim)
+            atoms[idx] = qadd(atoms.get(idx, Q0), qof(c))
+        elif ref[0] == "row_unit":
+            n = ref[1]
+            if not space.row_units:
+                raise InvalidIndexError("row units exist only in the ek variant")
+            if n < 1:
+                raise InvalidIndexError("row index out of range")
+            rows[n] = qadd(rows.get(n, Q0), qof(c))
+        else:
+            u = qadd(u, qof(c))
+    return _SHAPES[space.row.shape].recompose(space, atoms, rows, u)
+
+
+def lincomb(space: SpaceDesc, terms) -> Element:
+    """sum of c * x over (c, x) in `terms`, canonicalized once."""
+    parts = []
+    for c, x in terms:
+        if x.space != space:
+            raise SpaceMismatchError(f"{space.label} vs {x.space.label}")
+        c_q = qof(c)
+        parts.extend((ref, qmul(c_q, v)) for ref, v in decompose(x))
+    return recompose(space, parts)
+
+
+# ---------------------------------------------------------------------------
+# coordinate access
+
+
+def coordinate(x: Element, idx: AtomIndex) -> Q:
+    """The coordinate functional of the atom at `idx` applied to x."""
+    x.space.row.check_atom(idx, x.space.dim)
+    return _shape(x).at(x, idx)
+
+
+def support(x: Element) -> list[AtomIndex]:
+    """Touched coordinates (where a value is stored explicitly), sorted."""
+    return _shape(x).support(x)
+
+
+def max_abs_coord(x: Element) -> Q:
+    """sup over all coordinates of |x| (tails and ambients included)."""
+    return max(abs(v) for v, _ in _pairs(x, x))
+
+
+# ---------------------------------------------------------------------------
+# linear and lattice operations, all pointwise
+
+
+def _check_same_space(x: Element, y: Element) -> None:
+    if x.space != y.space:
+        raise SpaceMismatchError(f"{x.space.label} vs {y.space.label}")
+
+
 def _pairs(x: Element, y: Element):
     """Every (x value, y value) pair the two payloads take: one per stored
     coordinate of either, one per aligned residue and ambient slot."""
     _check_same_space(x, y)
-    k = x.space.kind
-    if k == Kind.FIN_DEV:
-        (_, ax, lx), (_, ay, ly) = x.data, y.data
-        return chain(((a, b) for _, a, b in _tokens(x, y)), ((ax, ay),), zip(*_tails(lx, ly)))
-    if k == Kind.ROW_BLOCK:
-        return chain.from_iterable(starmap(_line, _line(x.data, y.data)))
-    return _line(x.data, y.data)
+    return _SHAPES[x.space.row.shape].pairs(x, y)
 
 
 def _pointwise(x: Element, y: Element, op) -> Element:
     _check_same_space(x, y)
-    k = x.space.kind
-    if k == Kind.FIN_DEV:
-        (_, ax, lx), (_, ay, ly) = x.data, y.data
-        vals = {t: op(a, b) for t, a, b in _tokens(x, y)}
-        return _findev(x.space, vals, op(ax, ay), tuple(map(op, *_tails(lx, ly))))
-    if k == Kind.ROW_BLOCK:
-        op = partial(_zip_lines, op)
-    return Element(x.space, _zip_lines(op, x.data, y.data))
+    return _SHAPES[x.space.row.shape].pointwise(x, y, op)
 
 
 def _map(x: Element, f) -> Element:
     """f applied to every value x takes, in one pass over its payload."""
-    k = x.space.kind
-    if k == Kind.FIN_DEV:
-        entries, amb, line = x.data
-        return _findev(x.space, {t: f(v) for t, v in entries}, f(amb), tuple(map(f, line)))
-    if k == Kind.ROW_BLOCK:
-        f = partial(_map_line, f)
-    return Element(x.space, _map_line(f, x.data))
+    return _SHAPES[x.space.row.shape].map(x, f)
 
 
 def add(x: Element, y: Element) -> Element:
@@ -585,46 +712,23 @@ def is_disjoint(x: Element, y: Element) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# pattern structure and rendering
-
-
-def g_line(x: Element) -> Line:
-    """The values of a fin_dev payload on the g tokens, as a line: g(1),
-    ..., g(K) for the last g token K it stores, then the line residues."""
-    d = x._by_token
-    width = max((t.k for t in d if t.family == "g"), default=0)
-    return tuple(d[gamma(i)] for i in range(1, width + 1)), x.data[2]
-
-
-def line_classes(line: Line):
-    """(index, residue, value) for each value class of a line, prefix first:
-    an entry of the prefix has residue None, a residue class r is read at
-    its first index past the prefix."""
-    p, res = line
-    s, m = len(p) + 1, len(res)
-    return chain(((i, None, v) for i, v in enumerate(p, start=1)),
-                 ((s + (r - s) % m, r, v) for r, v in enumerate(res)))
-
-
-def _line_str(line: Line) -> str:
-    p, res = line
-    return ",".join(map(qstr, p)) + "|" + ",".join(map(qstr, res))
+# rendering and value classes
 
 
 def render(x: Element) -> str:
-    """(prefix|residues) for a line; a fin_dev line that does not read the
-    ambient follows it, a background row with a prefix is parenthesized."""
-    k = x.space.kind
-    if k == Kind.FIN_DIM:
-        return "(" + ",".join(qstr(v) for v in x.coords) + ")"
-    if k == Kind.TAIL_SEQ:
-        return f"({_line_str(x.data)})"
-    if k == Kind.FIN_DEV:
-        entries, amb, line = x.data
-        body = ",".join(f"{t}:{qstr(v)}" for t, v in entries)
-        on_line = "" if line == (amb,) else "|" + ",".join(map(qstr, line))
-        return f"{{{body}|{qstr(amb)}{on_line}}}"
-    rows, back = x.data
-    body = ";".join(f"({_line_str(r)})" for r in rows)
-    back_str = ";".join(f"({_line_str(r)})" if r[0] else ",".join(map(qstr, r[1])) for r in back)
-    return f"[{body}|{back_str}]"
+    """(prefix|residues) for a line, the coordinates on fin_dim; see each
+    shape for the other payloads."""
+    return _shape(x).render(x)
+
+
+def describe(x: Element) -> dict:
+    """JSON-friendly description of a payload with deterministic ordering,
+    the report format of a completion pattern."""
+    return _shape(x).describe(x)
+
+
+def nonzero_classes(x: Element):
+    """(coordinate, value, description) of each nonzero value class of the
+    payload x, in storage order.  A None coordinate is the ambient class of
+    fin_dev: every fresh point keeps that value."""
+    return _shape(x).classes(x)

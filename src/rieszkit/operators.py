@@ -28,12 +28,12 @@ from .scalars import Q, QLike, qof
 from .spaces import (
     AtomIndex,
     CoordForm,
-    Kind,
     PairForm,
     SpaceDesc,
     TokenForm,
     affine_intersection,
     atom_key,
+    form_space_matches,
 )
 from .elements import (
     Element,
@@ -59,7 +59,7 @@ from .completion import (
     pattern_from_pieces,
 )
 from .scalars import ZERO_SEQ
-from .sequences import ElementSeq, eval_seq, fill, normalize
+from .sequences import ElementSeq, fill, normalize
 
 StencilEntry = Tuple[CoordForm, Q]
 
@@ -82,11 +82,14 @@ class StencilRule:
     def is_zero(self) -> bool:
         return all(not es for es in self.entries)
 
+    def map_coeffs(self, f) -> "StencilRule":
+        """Each coefficient c replaced by f(c), entries f sends to 0 dropped."""
+        return StencilRule(self.modulus, self.threshold, tuple(
+            tuple((form, f(c)) for form, c in es if f(c) != 0) for es in self.entries))
+
 
 def _validate_form(form: CoordForm, codomain: SpaceDesc, modulus: int, residue: int,
                    threshold: int) -> None:
-    from .spaces import form_space_matches
-
     if not form_space_matches(form, codomain):
         raise StencilError(f"form {form} does not fit codomain {codomain.label}")
     affs = [form.idx] if not isinstance(form, PairForm) else [form.row, form.col]
@@ -108,7 +111,7 @@ def _validate_form(form: CoordForm, codomain: SpaceDesc, modulus: int, residue: 
             first += 1
         if aff.at(first) < 1:
             raise StencilError(f"index form {aff} leaves the index set at i={first}")
-        if codomain.kind == Kind.FIN_DIM and aff.a != 0:
+        if codomain.dim and aff.a != 0:
             raise StencilError("moving forms cannot target a finite-dimensional space")
 
 
@@ -153,27 +156,19 @@ def stencil_rule(
 def _entry_collision(
     f1: CoordForm, f2: CoordForm, modulus: int, residue: int, threshold: int
 ) -> int | None:
-    """Smallest applicable driving index where two distinct forms coincide."""
-    if isinstance(f1, PairForm) != isinstance(f2, PairForm):
-        return None
+    """Smallest applicable driving index where two distinct forms coincide.
+    Both fit the codomain, so they are forms of one type."""
     if isinstance(f1, PairForm):
-        rows_meet = f1.row == f2.row or affine_intersection(f1.row, f2.row) is not None
-        if not rows_meet:
+        if f1.row != f2.row and affine_intersection(f1.row, f2.row) is None:
             return None
         if f1.col == f2.col:
             # collide at every applicable column for the meeting row(s)
             return threshold + 1
+        # even a single colliding atom breaks entrywise transforms
         cand = affine_intersection(f1.col, f2.col)
-        if cand is None:
-            return None
-        if cand > threshold and cand % modulus == residue:
-            # even a single colliding atom breaks entrywise transforms
-            return cand
-        return None
-    cand = affine_intersection(f1.idx, f2.idx)
-    if cand is None:
-        return None
-    if cand > threshold and cand % modulus == residue:
+    else:
+        cand = affine_intersection(f1.idx, f2.idx)
+    if cand is not None and cand > threshold and cand % modulus == residue:
         return cand
     return None
 
@@ -187,18 +182,6 @@ class Operator:
     row_unit_images: Tuple[Tuple[int, Element], ...]
     unit_image: Element
 
-    def __add__(self, other: "Operator") -> "Operator":
-        return add_op(self, other)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        return add_op(self, scale_op(-1, other))
-
-    def __neg__(self) -> "Operator":
-        return scale_op(-1, self)
-
-    def __rmul__(self, c) -> "Operator":
-        return scale_op(c, self)
-
 
 def operator(
     domain: SpaceDesc,
@@ -208,7 +191,7 @@ def operator(
     row_unit_images=None,
     unit_image: Element | None = None,
 ) -> Operator:
-    if domain.kind == Kind.FIN_DEV:
+    if not domain.row.countable:
         raise PreconditionError(
             "operators from the uncountable kind are not representable"
         )
@@ -217,12 +200,12 @@ def operator(
         if img.space != codomain:
             raise SpaceMismatchError(f"image of {idx} lives in {img.space.label}")
     rows = dict(row_unit_images or {})
-    if rows and not (domain.kind == Kind.ROW_BLOCK and domain.row_units):
+    if rows and not domain.row_units:
         raise SpaceMismatchError("row-unit images need an ek domain")
     for r, img in rows.items():
         if img.space != codomain:
             raise SpaceMismatchError(f"row-unit image {r} lives in {img.space.label}")
-    if domain.kind == Kind.FIN_DIM:
+    if domain.dim:
         # finitely many atoms: no tail rule, every image in the table, and
         # the unit image is their sum
         if rule is not None:
@@ -239,11 +222,11 @@ def operator(
         raise PreconditionError("domains with a unit need a unit image")
     if unit_image.space != codomain:
         raise SpaceMismatchError("unit image lives in the wrong space")
-    # tail_seq: explicit images must sit below the rule threshold, so the
-    # rule is materialized up to any index the table reaches past; pair
-    # domains instead let explicit entries override the rule pointwise
+    # enumerated atoms: explicit images must sit below the rule threshold,
+    # so the rule is materialized up to any index the table reaches past;
+    # pair domains instead let explicit entries override the rule pointwise
     # (pattern sums compensate at the overridden atoms)
-    if rule is not None and domain.kind == Kind.TAIL_SEQ:
+    if rule is not None and domain.row.enumerated:
         past = [idx for idx in images if idx > rule.threshold]
         if past:
             new_threshold = max(past)
@@ -284,7 +267,7 @@ def atom_image(T: Operator, idx: AtomIndex) -> Element:
     for k, img in T.atom_images:
         if k == idx:
             return img
-    if T.domain.kind == Kind.FIN_DIM:
+    if T.domain.dim:
         raise InvalidIndexError(f"atom {idx!r} outside the domain")
     return _rule_image(T.codomain, T.rule, idx)
 
@@ -327,16 +310,7 @@ def scale_op(c: QLike, T: Operator) -> Operator:
     c_q = qof(c)
     images = {k: scale(c_q, v) for k, v in T.atom_images}
     rows = {k: scale(c_q, v) for k, v in T.row_unit_images}
-    rule = None
-    if T.rule is not None:
-        rule = StencilRule(
-            T.rule.modulus,
-            T.rule.threshold,
-            tuple(
-                tuple((f, c_q * cv) for f, cv in es if c_q * cv != 0)
-                for es in T.rule.entries
-            ),
-        )
+    rule = None if T.rule is None else T.rule.map_coeffs(lambda c: c_q * c)
     return operator(T.domain, T.codomain, images, rule, rows, scale(c_q, T.unit_image))
 
 
@@ -370,7 +344,7 @@ def add_op(S: Operator, T: Operator) -> Operator:
     explicit_idx = set()
     explicit_idx.update(k for k, _ in S.atom_images)
     explicit_idx.update(k for k, _ in T.atom_images)
-    if S.domain.kind != Kind.ROW_BLOCK:
+    if S.domain.row.enumerated:
         explicit_idx.update(range(1, threshold + 1))
         explicit_idx = {i for i in explicit_idx if i <= threshold}
     else:
@@ -425,7 +399,7 @@ def same_atom_images(S, T) -> bool:
     top = max([_max_drive(S), _max_drive(T)] + [r.threshold for r in rules])
     tables = {k for k, _ in S.atom_images} | {k for k, _ in T.atom_images}
     first = 1
-    if S.domain.kind != Kind.ROW_BLOCK:
+    if S.domain.row.enumerated:
         tables, first = range(1, top + 1), top + 1
     return all(atom_image(S, k) == atom_image(T, k) for k in tables) and all(
         _active_entries(S.rule, m) == _active_entries(T.rule, m)
@@ -457,12 +431,12 @@ class Functional:
 
 def functional(domain: SpaceDesc, atom_coeffs=None, unit_value: QLike = 0,
                row_unit_coeffs=None) -> Functional:
-    if domain.kind == Kind.FIN_DEV:
+    if not domain.row.countable:
         raise PreconditionError("functionals on the uncountable kind are not representable")
     coeffs = {k: qof(v) for k, v in dict(atom_coeffs or {}).items() if qof(v) != 0}
     rows = {k: qof(v) for k, v in dict(row_unit_coeffs or {}).items() if qof(v) != 0}
     u = qof(unit_value)
-    if domain.kind == Kind.FIN_DIM:
+    if domain.dim:
         u = sum(coeffs.values(), Q(0))
     return Functional(
         domain,
@@ -534,43 +508,29 @@ def _rule_hits(T: Operator, out_idx: AtomIndex):
     hits = []
     for r in range(rule.modulus):
         for form, c in rule.entries[r]:
-            if isinstance(form, PairForm):
-                row_t, col_t = out_idx
-                ns = _affine_preimages(form.row, row_t)
-                ms = [
-                    m
-                    for m in _affine_preimages(form.col, col_t)
-                    if m > rule.threshold and m % rule.modulus == r
-                ]
-                if ns == "all":
-                    raise PreconditionError("rule is not locally finite")
-                if ms == "all":
-                    raise PreconditionError("rule is not locally finite")
-                for n in ns:
-                    for m in ms:
-                        if (n, m) not in explicit:
-                            hits.append(((n, m), c))
-            else:
-                if isinstance(form, TokenForm):
-                    if not (hasattr(out_idx, "family") and out_idx.family == "g"):
-                        continue
-                    target = out_idx.k
-                else:
-                    if not isinstance(out_idx, int):
-                        continue
-                    target = out_idx
-                pre = _affine_preimages(form.idx, target)
-                if pre == "all":
-                    raise PreconditionError("rule is not locally finite")
-                for i in pre:
-                    if i > rule.threshold and i % rule.modulus == r and i not in explicit:
-                        hits.append((i, c))
+            for idx in _preimages(form, out_idx):
+                i = _driving_index(idx)
+                if i > rule.threshold and i % rule.modulus == r and idx not in explicit:
+                    hits.append((idx, c))
     return hits
 
 
-def _affine_preimages(aff, target: int):
+def _preimages(form: CoordForm, out_idx: AtomIndex) -> list:
+    """The atoms a rule form sends to the codomain atom out_idx (see
+    `_form_at`); a line form reaches no fresh (star) token."""
+    if isinstance(form, PairForm):
+        return [(n, m) for n in _affine_preimages(form.row, out_idx[0])
+                for m in _affine_preimages(form.col, out_idx[1])]
+    if isinstance(form, TokenForm):
+        return _affine_preimages(form.idx, out_idx.k) if out_idx.family == "g" else []
+    return _affine_preimages(form.idx, out_idx)
+
+
+def _affine_preimages(aff, target: int) -> list[int]:
     if aff.a == 0:
-        return "all" if aff.b == target else []
+        if aff.b == target:
+            raise PreconditionError("rule is not locally finite")
+        return []
     n = (Q(target) - aff.b) / aff.a
     if n.denominator != 1 or n.numerator < 1:
         return []
@@ -583,7 +543,7 @@ def _affine_preimages(aff, target: int):
 
 def partial_sum_seq(T: Operator) -> ElementSeq:
     """s_n = sum of the first n atom images, in closed symbolic form."""
-    if T.domain.kind != Kind.TAIL_SEQ:
+    if not T.domain.row.sequence:
         raise PreconditionError("partial sums need countably enumerated atoms")
     threshold = T.rule.threshold if T.rule else _max_drive(T)
     fills = []
@@ -644,7 +604,7 @@ def image_sum_pattern(T: Operator, transform: str = "id") -> CompletionElement:
 
 def row_sum_pattern(T: Operator, row: int, transform: str = "id") -> CompletionElement:
     """Sum over the atoms of one row of a row-block domain."""
-    if T.domain.kind != Kind.ROW_BLOCK:
+    if T.domain.row.form is not PairForm:
         raise PreconditionError("row sums need a row-block domain")
     return _sum_pattern(T, transform, row)
 
@@ -731,7 +691,7 @@ def _stationary_leak(T: Operator):
 # positivity
 
 
-def is_positive_operator(T: Operator, probe: int = 6) -> bool:
+def is_positive_operator(T: Operator) -> bool:
     for _, img in T.atom_images:
         if not elem_is_positive(img):
             return False
@@ -743,21 +703,12 @@ def is_positive_operator(T: Operator, probe: int = 6) -> bool:
     for _, img in T.row_unit_images:
         if not elem_is_positive(img):
             return False
-    if T.domain.kind == Kind.FIN_DIM:
-        return True
-    if T.domain.kind == Kind.TAIL_SEQ:
-        if not order_bounded_test(T).bounded:
-            return False
-        s = partial_sum_seq(T)
-        top = T.rule.threshold if T.rule else _max_drive(T)
-        for n in range(1, top + probe + 1):
-            if not le(eval_seq(s, n), T.unit_image):
-                return False
-        return ce_le(image_sum_pattern(T, "id"), embed(T.unit_image))
-    if T.domain.kind == Kind.ROW_BLOCK and not T.domain.row_units:
-        if not order_bounded_test(T).bounded:
-            return False
-        return ce_le(image_sum_pattern(T, "id"), embed(T.unit_image))
+    if not T.domain.row_units:
+        # the atom images are positive, so their partial sums increase to
+        # the image sum: it alone decides whether they stay below the unit
+        # image
+        return _stationary_leak(T) is None and ce_le(
+            image_sum_pattern(T, "id"), embed(T.unit_image))
     # ek domain: the row-unit generators force row-level conditions
     if T.rule is not None and not T.rule.is_zero():
         return False

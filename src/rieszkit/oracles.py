@@ -14,7 +14,7 @@ from itertools import product
 
 from .errors import NotDecreasingError, PreconditionError
 from .scalars import Q, RationalSeq, qof
-from .spaces import Kind, seq_form
+from .spaces import fresh_star, seq_form
 from .elements import (
     Element,
     abs_,
@@ -23,6 +23,8 @@ from .elements import (
     element_tail,
     le,
     lincomb,
+    recompose,
+    support as elem_support,
     zero,
 )
 from .operators import Functional, Operator, apply_functional, apply_op, atom_image
@@ -36,7 +38,7 @@ from .convergence import decide_monotone_limit
 
 def truncate_element(x: Element, level: int) -> list[Q]:
     """Coordinates 1..level plus the tail slot (tail_seq only)."""
-    if x.space.kind != Kind.TAIL_SEQ:
+    if not x.space.row.sequence:
         raise PreconditionError("truncation is defined for tail sequences")
     return [coordinate(x, i) for i in range(1, level + 1)] + [x.tail]
 
@@ -80,10 +82,10 @@ def grid_interval_sup(
     per output coordinate, which agrees with the joint maximum because the
     objective is linear in each grid variable.
     """
-    if x.space.kind != Kind.TAIL_SEQ:
+    if not x.space.row.sequence:
         raise PreconditionError("the grid oracle runs on tail sequences")
     is_functional = isinstance(T, Functional)
-    support = set(range(1, len(x.prefix) + 1))
+    support = set(elem_support(x))
     if is_functional:
         support |= {i for i, _ in T.atom_coeffs}
     else:
@@ -143,9 +145,6 @@ def _grid_sup_operator_separable(T: Operator, support, axes, tail_axis):
     a_{i,k} is coordinate k of the i-th atom image, U the unit image and
     sigma_k the row sum over the support; each output coordinate maximizes
     its variables independently."""
-    from .elements import element_findev, support as elem_support
-    from .spaces import Kind, Token
-
     imgs = {i: atom_image(T, i) for i in support}
     U = T.unit_image
     touched = set(elem_support(U))
@@ -163,32 +162,21 @@ def _grid_sup_operator_separable(T: Operator, support, axes, tail_axis):
         out += max((w * t for t in tail_axis), default=Q(0))
         return out
 
-    kind = T.codomain.kind
-    if kind == Kind.FIN_DIM:
-        from .elements import element_fin
-
-        return element_fin(
-            T.codomain, [coord_max(k) for k in range(1, T.codomain.dim + 1)]
-        )
-    if kind == Kind.TAIL_SEQ:
-        width = max((k for k in touched if isinstance(k, int)), default=0)
-        tail_probe = width + 1  # beyond every image prefix: the tail class
-        return element_tail(
-            T.codomain,
-            [coord_max(k) for k in range(1, width + 1)],
-            coord_max(tail_probe),
-        )
-    if kind == Kind.FIN_DEV:
-        from .spaces import fresh_star
-
-        toks = sorted(t for t in touched if isinstance(t, Token))
-        probe_tok = fresh_star(toks)  # untouched by every image: the ambient class
-        return element_findev(
-            T.codomain,
-            {tok: coord_max(tok) for tok in toks},
-            coord_max(probe_tok),
-        )
-    raise PreconditionError("grid oracle does not assemble row-block targets")
+    # the coordinates the images store, and a point past all of them that
+    # reads the background: the tail class, or a fresh point for the ambient
+    cod = T.codomain
+    if cod.dim:
+        coords, far = range(1, cod.dim + 1), None
+    elif cod.row.sequence:
+        coords = range(1, max(touched, default=0) + 1)
+        far = len(coords) + 1
+    elif not cod.row.countable:
+        coords, far = sorted(touched), fresh_star(touched)
+    else:
+        raise PreconditionError("grid oracle does not assemble row-block targets")
+    base = Q(0) if far is None else coord_max(far)
+    return recompose(cod, [(("unit",), base)]
+                     + [(("atom", k), coord_max(k) - base) for k in coords])
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +202,7 @@ def majorant_floors(T: Operator, levels: int) -> list[Q]:
     """
     if levels < 0:
         return []
-    if T.domain.kind != Kind.ROW_BLOCK or not T.domain.row_units:
+    if not T.domain.row_units:
         raise PreconditionError("the probe runs on row-block domains")
     entries = T.rule.entries if T.rule is not None else ()
     peak = max((c for es in entries for _, c in es if c > 0), default=Q(0))
@@ -289,7 +277,7 @@ def _candidate_families(x: ElementSeq, bound: int):
         return element_seq(space, atoms=atoms)
 
     def march(c):
-        if space.kind != Kind.TAIL_SEQ:
+        if not space.row.sequence:
             return None
         from .sequences import fill as mkfill
 

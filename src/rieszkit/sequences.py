@@ -33,14 +33,11 @@ from .scalars import Q, Q0, QLike, RationalSeq, ZERO_SEQ, qadd, qof
 from .spaces import (
     CoordForm,
     PairForm,
-    SeqForm,
     SpaceDesc,
-    TokenForm,
     affine,
     atom_key,
     form_space_matches,
     forms_collide_at,
-    gamma,
 )
 from .elements import Element, add, decompose, max_abs_coord, recompose, scale, zero
 from .completion import CompletionElement, pattern_from_pieces
@@ -224,7 +221,8 @@ def normalize(seq: ElementSeq) -> ElementSeq:
     for (form_type, step, base), fs in sorted(
         groups.items(), key=lambda kv: (kv[0][0].__name__, kv[0][1], kv[0][2])
     ):
-        # express each fill by its line index j: coordinate = step*j + base
+        # express each fill by its line index j: coordinate = line.at(j)
+        line = form_type(affine(step, base))
         parts = []
         for f in fs:
             a, b = f.line_params()
@@ -239,18 +237,15 @@ def normalize(seq: ElementSeq) -> ElementSeq:
         for j in range(jmin, jmax):
             v = sum((p[2] for p in parts if p[0] <= j), Q(0))
             if v != 0 and step * j + base >= 1:
-                static_parts.append((("atom", _line_coord(form_type, step * j + base)), v))
+                static_parts.append((("atom", line.at(j)), v))
         # upper boundary: the last few line indices, moving with n
         for lag in range(lag_min, lag_max):
             v = sum((p[2] for p in parts if p[1] <= lag), Q(0))
             if v != 0:
-                form = _line_form(form_type, step, base - step * lag)
+                form = form_type(affine(step, base - step * lag))
                 new_atoms.append((form, RationalSeq.const(v)))
         if total != 0:
-            form = _line_form(form_type, step, base)
-            new_fills.append(
-                Fill(form, 1, 0, jmax, lag_max, total)
-            )
+            new_fills.append(Fill(line, 1, 0, jmax, lag_max, total))
     return element_seq(
         seq.space,
         recompose(seq.space, static_parts),
@@ -260,18 +255,6 @@ def normalize(seq: ElementSeq) -> ElementSeq:
         seq.n0,
         seq.prelude,
     )
-
-
-def _line_coord(form_type, index: int):
-    if form_type is TokenForm:
-        return gamma(index)
-    return index
-
-
-def _line_form(form_type, a: int, b: int) -> CoordForm:
-    if form_type is TokenForm:
-        return TokenForm(affine(a, b))
-    return SeqForm(affine(a, b))
 
 
 # ---------------------------------------------------------------------------

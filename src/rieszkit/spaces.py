@@ -1,15 +1,19 @@
-"""Space descriptors, atom indices, and affine index forms.
+"""Space descriptors, the kind table, atom indices, and affine index forms.
 
-Four representable space kinds are supported:
+Five space variants are supported, one row each of the kind table:
 
-  fin_dim(n)       -- rational n-vectors, atoms e_1..e_n
-  tail_seq()       -- eventually constant sequences, atoms e_1, e_2, ..., unit
-  fin_dev()        -- finite-deviation functions over an uncountable discrete
-                      index plus a point at infinity; atoms are one-point
-                      indicators, the unit is the constant-one function
-  row_block_ek()   -- double sequences, eventually constant in the row index,
-                      every row eventually constant (atoms, row units, unit)
-  row_block_grid() -- double sequences constant off a finite set (atoms, unit)
+  findim(n) -- rational n-vectors, atoms e_1..e_n
+  l0inf     -- eventually constant sequences, atoms e_1, e_2, ..., unit
+  ck        -- finite-deviation functions over an uncountable discrete
+               index plus a point at infinity; atoms are one-point
+               indicators, the unit is the constant-one function
+  ek        -- double sequences, eventually constant in the row index,
+               every row eventually constant (atoms, row units, unit)
+  grid      -- double sequences constant off a finite set (atoms, unit)
+
+A `KindRow` holds every fact the engine reads about a variant (see its
+fields); a `SpaceDesc` is a row plus the dimension of findim, and callers
+read `space.row.<fact>` instead of switching on the kind.
 
 The uncountable index set is symbolic: tokens g(1), g(2), ... form the
 distinguished countable line used by sequences, and star(k) tokens are fresh
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Tuple, Union
+from typing import Callable, Iterable, Tuple, Union
 
 from .errors import InvalidIndexError
 from .scalars import Q, QLike, qof, qstr
@@ -34,59 +38,45 @@ class Kind(str, Enum):
 
 
 @dataclass(frozen=True)
-class SpaceDesc:
+class KindRow:
+    """One row of the kind table, one object per variant.  A row's repr is
+    its label, so reprs of spaces carry no function addresses."""
+
     kind: Kind
-    dim: int = 0
+    label: str  # formatted with the dimension
+    form: type  # SeqForm, TokenForm or PairForm
+    shape: str  # the payload shape in `elements`: line, fin_dev or row_block
+    check_atom: Callable  # (idx, dim) -> None, raises InvalidIndexError
     row_units: bool = False
+    # operators and functionals from the space are representable exactly
+    # when its atoms are countable, and fresh points exist exactly otherwise
+    countable: bool = True
+    enumerated: bool = False  # atoms e_1, e_2, ...: partial sums make sense
+    sequence: bool = False  # enumerated and infinite: the eventually constant sequences
+    atom_span_codim: int | None = 1  # of the uniform closure; None = infinite
+    uniformly_complete: bool = False
+    order_complete: bool = False
+
+    def __repr__(self) -> str:
+        return f"KindRow({self.label.format('n')!r})"
+
+
+@dataclass(frozen=True)
+class SpaceDesc:
+    row: KindRow
+    dim: int = 0  # findim only
+
+    @property
+    def kind(self) -> Kind:
+        return self.row.kind
+
+    @property
+    def row_units(self) -> bool:
+        return self.row.row_units
 
     @property
     def label(self) -> str:
-        if self.kind == Kind.FIN_DIM:
-            return f"findim({self.dim})"
-        if self.kind == Kind.TAIL_SEQ:
-            return "l0inf"
-        if self.kind == Kind.FIN_DEV:
-            return "ck"
-        return "ek" if self.row_units else "grid"
-
-
-def fin_dim(n: int) -> SpaceDesc:
-    if n < 1:
-        raise InvalidIndexError("fin_dim dimension must be >= 1")
-    return SpaceDesc(Kind.FIN_DIM, dim=n)
-
-
-def tail_seq() -> SpaceDesc:
-    return SpaceDesc(Kind.TAIL_SEQ)
-
-
-def fin_dev() -> SpaceDesc:
-    return SpaceDesc(Kind.FIN_DEV)
-
-
-def row_block_ek() -> SpaceDesc:
-    return SpaceDesc(Kind.ROW_BLOCK, row_units=True)
-
-
-def row_block_grid() -> SpaceDesc:
-    return SpaceDesc(Kind.ROW_BLOCK, row_units=False)
-
-
-_KIND_LABELS = {
-    "l0inf": tail_seq,
-    "ck": fin_dev,
-    "ek": row_block_ek,
-    "grid": row_block_grid,
-}
-
-
-def parse_space_label(label: str) -> SpaceDesc:
-    label = label.strip()
-    if label in _KIND_LABELS:
-        return _KIND_LABELS[label]()
-    if label.startswith("findim(") and label.endswith(")"):
-        return fin_dim(int(label[7:-1]))
-    raise InvalidIndexError(f"unknown space kind {label!r}")
+        return self.row.label.format(self.dim)
 
 
 @dataclass(frozen=True, order=True)
@@ -261,32 +251,91 @@ def forms_collide_at(f: CoordForm, g: CoordForm) -> list[int]:
     """Steps n >= 1 where two distinct atom forms hit the same coordinate.
 
     Distinct affine forms alias at most once per component, so the result
-    is finite; identical forms are merged before this is consulted.
+    is finite; identical forms are merged before this is consulted, and
+    both forms fit one space, so they are of one type.
     """
-    if type(f) is not type(g):
+    pairs = [(f.row, g.row), (f.col, g.col)] if isinstance(f, PairForm) else [(f.idx, g.idx)]
+    sols = [_affine_solutions(p, q) for p, q in pairs]
+    if any(kind == "none" for kind, _ in sols):
         return []
-    if isinstance(f, PairForm):
-        row = _affine_solutions(f.row, g.row)
-        col = _affine_solutions(f.col, g.col)
-        sets = [row, col]
-        if any(s[0] == "none" for s in sets):
-            return []
-        singles = [s[1] for s in sets if s[0] == "one"]
-        if not singles:  # both "all": identical forms, handled by merging
-            return []
-        if len(set(singles)) > 1:
-            return []
-        n = singles[0]
-        return [n] if n is not None and n >= 1 else []
-    kind, n = _affine_solutions(f.idx, g.idx)
-    if kind == "one" and n is not None and n >= 1:
-        return [n]
-    return []
+    # no single step when every component agrees everywhere (identical forms,
+    # handled by merging) or when two components meet at different steps
+    singles = {n for kind, n in sols if kind == "one"}
+    if len(singles) != 1:
+        return []
+    n = singles.pop()
+    return [n] if n >= 1 else []
 
 
 def form_space_matches(form: CoordForm, space: SpaceDesc) -> bool:
-    if space.kind in (Kind.TAIL_SEQ, Kind.FIN_DIM):
-        return isinstance(form, SeqForm)
-    if space.kind == Kind.FIN_DEV:
-        return isinstance(form, TokenForm)
-    return isinstance(form, PairForm)
+    return type(form) is space.row.form
+
+
+# ---------------------------------------------------------------------------
+# the kind table
+
+
+def _check_line_atom(idx, dim: int) -> None:
+    """Atoms e_1, e_2, ..., up to the dimension when there is one."""
+    if not isinstance(idx, int) or idx < 1 or (dim and idx > dim):
+        raise InvalidIndexError(f"atom index {idx!r} out of range")
+
+
+def _check_token_atom(idx, dim: int) -> None:
+    if not isinstance(idx, Token):
+        raise InvalidIndexError("fin_dev atoms are indexed by tokens")
+
+
+def _check_pair_atom(idx, dim: int) -> None:
+    if not (isinstance(idx, tuple) and len(idx) == 2 and min(idx) >= 1):
+        raise InvalidIndexError(f"row_block atom index {idx!r} out of range")
+
+
+FINDIM = KindRow(Kind.FIN_DIM, "findim({})", SeqForm, "line", _check_line_atom,
+                 enumerated=True, atom_span_codim=0, uniformly_complete=True,
+                 order_complete=True)
+# the unit spans the quotient by the atom span; dyadic staircases are
+# uniformly Cauchy with no eventually constant limit
+L0INF = KindRow(Kind.TAIL_SEQ, "l0inf", SeqForm, "line", _check_line_atom,
+                enumerated=True, sequence=True)
+# a sup-norm lattice over an uncountable index
+CK = KindRow(Kind.FIN_DEV, "ck", TokenForm, "fin_dev", _check_token_atom,
+             countable=False, uniformly_complete=True)
+# each row unit survives the closure of the atom span independently
+EK = KindRow(Kind.ROW_BLOCK, "ek", PairForm, "row_block", _check_pair_atom,
+             row_units=True, atom_span_codim=None)
+GRID = KindRow(Kind.ROW_BLOCK, "grid", PairForm, "row_block", _check_pair_atom)
+
+
+def fin_dim(n: int) -> SpaceDesc:
+    if n < 1:
+        raise InvalidIndexError("fin_dim dimension must be >= 1")
+    return SpaceDesc(FINDIM, n)
+
+
+def tail_seq() -> SpaceDesc:
+    return SpaceDesc(L0INF)
+
+
+def fin_dev() -> SpaceDesc:
+    return SpaceDesc(CK)
+
+
+def row_block_ek() -> SpaceDesc:
+    return SpaceDesc(EK)
+
+
+def row_block_grid() -> SpaceDesc:
+    return SpaceDesc(GRID)
+
+
+_LABELS = {row.label: SpaceDesc(row) for row in (L0INF, CK, EK, GRID)}
+
+
+def parse_space_label(label: str) -> SpaceDesc:
+    label = label.strip()
+    if label in _LABELS:
+        return _LABELS[label]
+    if label.startswith("findim(") and label.endswith(")") and label[7:-1].isdecimal():
+        return fin_dim(int(label[7:-1]))
+    raise InvalidIndexError(f"unknown space kind {label!r}")

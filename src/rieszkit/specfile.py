@@ -30,19 +30,21 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import lcm
 from typing import Tuple
 
-from .errors import PreconditionError, RieszkitError
+from .errors import RieszkitError
 from .scalars import Q, qstr
 from .spaces import (
     Affine,
-    Kind,
     PairForm,
     SeqForm,
     SpaceDesc,
     TokenForm,
-    gamma,
+    pair_form,
     parse_space_label,
+    seq_form,
+    token_form,
 )
 from .elements import Element, recompose
 from .operators import Operator, operator, stencil_rule
@@ -72,7 +74,7 @@ class SpaceDecl:
 @dataclass(frozen=True)
 class ElemTerm:
     coeff: Q
-    target: tuple  # ("coord", idx) | ("unit",) | ("rowunit", n)
+    target: tuple  # ("coord", stationary CoordForm) | ("unit",) | ("rowunit", n)
 
 
 @dataclass(frozen=True)
@@ -566,6 +568,7 @@ def _parse_elem_expr(cur: _Cursor) -> ElemExpr:
 
 
 def _parse_coord_literal(cur: _Cursor) -> tuple:
+    """A literal coordinate, as the stationary form that names it."""
     t = cur.peek()
     if t is None:
         raise SpecError(cur.line, 1, "missing coordinate")
@@ -574,16 +577,15 @@ def _parse_coord_literal(cur: _Cursor) -> tuple:
         cur.expect("(")
         k = _parse_int(cur)
         cur.expect(")")
-        return ("coord", ("token", k))
+        return ("coord", token_form(0, k))
     if t.text == "(":
         cur.next()
         n = _parse_int(cur)
         cur.expect(",")
         m = _parse_int(cur)
         cur.expect(")")
-        return ("coord", ("pair", n, m))
-    k = _parse_int(cur)
-    return ("coord", ("int", k))
+        return ("coord", pair_form(0, n, 0, m))
+    return ("coord", seq_form(0, _parse_int(cur)))
 
 
 # ---------------------------------------------------------------------------
@@ -607,14 +609,7 @@ def _generator_part(term: ElemTerm):
         return ("unit",), term.coeff
     if term.target[0] == "rowunit":
         return ("row_unit", term.target[1]), term.coeff
-    payload = term.target[1]
-    if payload[0] == "token":
-        idx = gamma(payload[1])
-    elif payload[0] == "pair":
-        idx = (payload[1], payload[2])
-    else:
-        idx = payload[1]
-    return ("atom", idx), term.coeff
+    return ("atom", term.target[1].at(1)), term.coeff
 
 
 def _build_form(coord: tuple, codomain: SpaceDesc):
@@ -631,40 +626,39 @@ def _build_form(coord: tuple, codomain: SpaceDesc):
 
 
 def build_operator(decl: OperatorDecl, spaces: dict[str, SpaceDesc]) -> Operator:
+    """The operator a declaration describes; every engine error raised while
+    it is built becomes a SpecError that names the declaration's line."""
     if decl.domain not in spaces:
         raise SpecError(decl.line, 1, f"unknown space {decl.domain!r}")
     if decl.codomain not in spaces:
         raise SpecError(decl.line, 1, f"unknown space {decl.codomain!r}")
     dom, cod = spaces[decl.domain], spaces[decl.codomain]
-    images = {}
-    for idx_ast, expr in decl.atom_images:
-        idx = (idx_ast[1], idx_ast[2]) if idx_ast[0] == "pair" else idx_ast[1]
-        images[idx] = _build_element(expr, cod)
-    rule = None
-    if decl.rules:
-        modulus = 1
-        threshold = 0
-        for r in decl.rules:
-            from math import gcd
-
-            modulus = modulus * r.modulus // gcd(modulus, r.modulus)
-            threshold = max(threshold, r.threshold)
-        entries = [[] for _ in range(modulus)]
-        for r in decl.rules:
-            for res in range(modulus):
-                if res % r.modulus == r.residue:
-                    for e in r.entries:
-                        entries[res].append((_build_form(e.coord, cod), e.coeff))
-        rule = stencil_rule(modulus, threshold, entries, cod)
-    rows = {r: _build_element(expr, cod) for r, expr in decl.row_unit_images}
-    unit_img = (
-        _build_element(decl.unit_image, cod) if decl.unit_image is not None else None
-    )
-    if unit_img is None and dom.kind != Kind.FIN_DIM:
-        raise SpecError(decl.line, 1, f"operator {decl.name!r} needs a unit clause")
     try:
+        images = {}
+        for idx_ast, expr in decl.atom_images:
+            idx = (idx_ast[1], idx_ast[2]) if idx_ast[0] == "pair" else idx_ast[1]
+            images[idx] = _build_element(expr, cod)
+        rule = None
+        if decl.rules:
+            modulus = lcm(*(r.modulus for r in decl.rules))
+            threshold = max(r.threshold for r in decl.rules)
+            entries = [[] for _ in range(modulus)]
+            for r in decl.rules:
+                for res in range(modulus):
+                    if res % r.modulus == r.residue:
+                        for e in r.entries:
+                            entries[res].append((_build_form(e.coord, cod), e.coeff))
+            rule = stencil_rule(modulus, threshold, entries, cod)
+        rows = {r: _build_element(expr, cod) for r, expr in decl.row_unit_images}
+        unit_img = (
+            _build_element(decl.unit_image, cod) if decl.unit_image is not None else None
+        )
+        if unit_img is None and not dom.dim:
+            raise SpecError(decl.line, 1, f"operator {decl.name!r} needs a unit clause")
         return operator(dom, cod, images, rule, rows, unit_img)
-    except PreconditionError as e:
+    except SpecError:
+        raise
+    except RieszkitError as e:
         raise SpecError(decl.line, 1, f"operator {decl.name!r}: {e}") from None
 
 
@@ -715,14 +709,7 @@ def _print_elem(expr: ElemExpr) -> str:
         elif t.target[0] == "rowunit":
             parts.append(f"{qstr(t.coeff)} * rowunit({t.target[1]})")
         else:
-            payload = t.target[1]
-            if payload[0] == "token":
-                coord = f"g({payload[1]})"
-            elif payload[0] == "pair":
-                coord = f"({payload[1]},{payload[2]})"
-            else:
-                coord = str(payload[1])
-            parts.append(f"{qstr(t.coeff)} @ {coord}")
+            parts.append(f"{qstr(t.coeff)} @ {t.target[1]}")
     return " + ".join(parts)
 
 

@@ -94,6 +94,12 @@ def test_classify(capsys):
     assert "order-continuous regular operators form a band" in rep["verdict"]
 
 
+def test_classify_rejects_a_findim_label_without_a_dimension(capsys):
+    code, out = run_cli(capsys, "classify", "--domain", "findim(x)", "--codomain", "l0inf")
+    assert code == 2
+    assert json.loads(out)["error"] == "unknown space kind 'findim(x)'"
+
+
 def test_casebook_command(capsys):
     code, out = run_cli(capsys, "casebook", "not-directed")
     assert code == 0
@@ -113,6 +119,25 @@ def test_oracle_dominating_search_default_subject(capsys):
     code, out = run_cli(capsys, "oracle", "dominating-search", "--bound", "4")
     assert code == 1
     assert json.loads(out)["verdict"] == "none"
+
+
+def test_project_oc_builds_the_image_sum_pattern_once(capsys, monkeypatch):
+    import rieszkit.calculus as calculus
+    import rieszkit.operators as operators
+
+    calls = []
+    original = operators.image_sum_pattern
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "image_sum_pattern", counting)
+    monkeypatch.setattr(calculus, "image_sum_pattern", counting)
+    code, out = run_cli(capsys, "project-oc", "--spec", MOVING)
+    assert code == 0
+    assert json.loads(out)["details"]["fixed"] is True
+    assert len(calls) == 1
 
 
 def test_missing_spec_is_input_error(capsys):

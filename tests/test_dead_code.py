@@ -62,3 +62,26 @@ def unreferenced_definitions(package: Path, searched) -> list[str]:
 
 def test_every_definition_is_referenced():
     assert unreferenced_definitions(PACKAGE, SEARCHED) == []
+
+
+# The dispatch budget: occurrences of `Kind.` and `isinstance(` in the
+# package, counted as the benchmark's `source_figures` counts them.  Per-kind
+# facts live in the kind table of `spaces` and per-payload behaviour in the
+# shape objects of `elements`; a new switch on the kind raises these counts.
+KIND_DISPATCH_BUDGET = 9
+ISINSTANCE_DISPATCH_BUDGET = 33
+
+
+def dispatch_sites(package: Path) -> tuple[int, int]:
+    kinds = isinst = 0
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        kinds += text.count("Kind.")
+        isinst += text.count("isinstance(")
+    return kinds, isinst
+
+
+def test_dispatch_sites_stay_within_budget():
+    kinds, isinst = dispatch_sites(PACKAGE)
+    assert kinds <= KIND_DISPATCH_BUDGET, kinds
+    assert isinst <= ISINSTANCE_DISPATCH_BUDGET, isinst

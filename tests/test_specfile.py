@@ -85,6 +85,28 @@ operator T : E -> F {
     assert "unit clause" in str(err.value)
 
 
+@pytest.mark.parametrize("domain, codomain, clause, message", [
+    ("findim(2)", "l0inf", "e(5) -> 1 @ 1", "atom 5 outside the domain"),
+    ("l0inf", "l0inf", "rowunit(1) -> 1 @ 1", "row-unit images need an ek domain"),
+    ("l0inf", "findim(2)", "e(1) -> 1 @ 7", "atom index 7 out of range"),
+], ids=["findim-atom", "rowunit-on-l0inf", "codomain-index"])
+def test_build_errors_name_the_operator_line(domain, codomain, clause, message):
+    text = f"""\
+space E = {domain}
+space F = {codomain}
+
+operator T : E -> F {{
+  {clause}
+  unit -> 0
+}}
+"""
+    if domain.startswith("findim"):
+        text = text.replace("  unit -> 0\n", "")
+    with pytest.raises(SpecError) as err:
+        build_all(parse(text))
+    assert str(err.value) == f"line 4:1: operator 'T': {message}"
+
+
 def test_scalar_fractions_parse():
     text = """\
 space E = l0inf
