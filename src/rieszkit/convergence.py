@@ -23,6 +23,7 @@ The decision rules per space kind:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import chain
 from typing import Tuple
 
@@ -33,7 +34,6 @@ from .elements import (
     Element,
     abs_,
     atom,
-    decompose,
     le,
     max_abs_coord,
     nonzero_classes,
@@ -54,6 +54,7 @@ from .sequences import (
     eventual_pattern,
     fill,
     normalize,
+    step_parts,
     structural_threshold,
     sub_element,
 )
@@ -104,9 +105,12 @@ def check_decreasing(b: ElementSeq, probe: int = 8) -> int:
     nonpositive moving coefficients and fill values.
     """
     window = structural_threshold(b) + probe
+    prev = eval_seq(b, 1)
     for n in range(1, window + 1):
-        if not le(eval_seq(b, n + 1), eval_seq(b, n)):
+        cur = eval_seq(b, n + 1)
+        if not le(cur, prev):
             raise NotDecreasingError(n, f"b({n + 1}) !<= b({n})")
+        prev = cur
     if not b.ambient.is_nonincreasing_from(1):
         raise NotDecreasingError(window, "ambient sequence increases in the tail")
     for form, coeff in b.atoms:
@@ -244,15 +248,16 @@ def _static_settle_env(d: ElementSeq) -> RationalSeq:
     """Envelope for the prelude/static transients of the stationary part:
     the running maximum from the right of the evaluated deviations."""
     moving = [(form, coeff) for form, coeff in d.atoms if form.moving]
-    devs = [max_abs_coord(_less_atoms(eval_seq(d, n), moving, n))
+    devs = [max_abs_coord(_less_atoms(d.space, step_parts(d, n), moving, n))
             for n in range(1, structural_threshold(d) + 1)]
     return RationalSeq.steps(devs, 0).abs_env()
 
 
-def _less_atoms(x: Element, atoms, n: int) -> Element:
-    """x minus the step-n values of the given (form, coefficient) atoms."""
-    return recompose(x.space, chain(decompose(x), (
-        (("atom", form.at(n)), -coeff.at(n)) for form, coeff in atoms if coeff.at(n) != 0
+def _less_atoms(space: SpaceDesc, parts, atoms, n: int) -> Element:
+    """The element of the generator parts of a step less the step-n values
+    of the given (form, coefficient) atoms, in one `recompose`."""
+    return recompose(space, chain(parts, (
+        (("atom", form.at(n)), -c) for form, coeff in atoms if (c := coeff.at(n)) != 0
     )))
 
 
@@ -400,9 +405,11 @@ def verify_certificate(
     window = structural_threshold(d) + probe
     if cert.verdict == CONVERGES:
         ok = True
+        # the two probe loops share the steps of d: each is evaluated once
+        d_parts = cache(partial(step_parts, d))
         if cert.order_bound is not None:
             for n in range(1, window + 1):
-                if not le(abs_(eval_seq(d, n)), cert.order_bound):
+                if not le(abs_(recompose(d.space, d_parts(n))), cert.order_bound):
                     log.append(f"FAIL order bound at n={n}")
                     ok = False
                     break
@@ -422,7 +429,7 @@ def verify_certificate(
             else:
                 log.append("dominating family settles at 0 (monotone rule)")
             for n in range(max(1, cert.n0), window + 1):
-                resid = _less_atoms(eval_seq(d, n), cert.escaping, n)
+                resid = _less_atoms(d.space, d_parts(n), cert.escaping, n)
                 if not le(abs_(resid), eval_seq(b, n)):
                     log.append(f"FAIL domination of the stationary part at n={n}")
                     ok = False

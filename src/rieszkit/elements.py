@@ -33,10 +33,13 @@ coordinates plus that lcm; `le` and `is_disjoint` stop at the first deciding
 pair, and `coordinate` takes constant time.
 
 This module also owns generator decomposition: `decompose` writes an
-element over the atoms, row units and unit of its space, `recompose` builds
-the canonical element of such a sum in one pass, and `lincomb` sums scaled
-elements through the two.  Sums of many terms go through them rather than
-through repeated `add`, which canonicalizes the whole element each time.
+element over the atoms, row units and unit of its space, and `recompose`
+builds the canonical element of such a sum in one pass.  It is the one
+canonicalizer of such sums: operator images (`operators.image_parts`),
+sequence steps (`sequences.step_parts`) and step residuals reach it as
+generator parts, not as elements decomposed again, and `lincomb` sums scaled
+elements through it rather than through repeated `add`, which canonicalizes
+the whole element each time.
 """
 
 from __future__ import annotations
@@ -144,7 +147,9 @@ def _canonical_line(prefix: Sequence, residues: tuple) -> Line:
             res, m = res[:d], d
             break
     n = len(pref)
-    while n and pref[n - 1] == res[n % m]:
+    # identity first: the identity-skipping kernels hand back the residue
+    # object itself, and == on a Fraction is a Python-level call
+    while n and (pref[n - 1] is res[n % m] or pref[n - 1] == res[n % m]):
         n -= 1
     return pref[:n], res
 
@@ -460,6 +465,10 @@ class _RowBlockShape:
         return out, base
 
     def recompose(self, space: SpaceDesc, atoms: dict, rows: dict, u: Q) -> Element:
+        # the rows come out canonical: a row with no cell and tail u is the
+        # one background row object, so the trim below compares by identity;
+        # row tails other than u come from row units, which only ek has
+        back = ((), (u,))
         row_tails = {n: qadd(u, c) for n, c in rows.items()}
         cells: dict = {}
         for (n, m), c in atoms.items():
@@ -467,9 +476,13 @@ class _RowBlockShape:
         out = []
         for n in range(1, max([*cells, *row_tails], default=0) + 1):
             rt = row_tails.get(n, u)
-            row = cells.get(n, {})
-            out.append(([qadd(rt, row.get(m, Q0)) for m in range(1, max(row, default=0) + 1)], rt))
-        return element_rowblock(space, out, u)
+            row = cells.get(n)
+            if row:
+                vals = [qadd(rt, row.get(m, Q0)) for m in range(1, max(row) + 1)]
+                out.append(_canonical_line(vals, (rt,)))
+            else:
+                out.append(back if rt is u else ((), (rt,)))
+        return Element(space, _canonical_line(out, (back,)))
 
     def piece(self, space: SpaceDesc, where, v: Q) -> Element:
         row_step, row_first, col_step, col_first = where

@@ -6,6 +6,10 @@ the row units (row-block domains), and the image of the unit.  Linear
 extension over the generator decomposition defines the operator on the whole
 space.  Everything here is exact.
 
+`image_parts` owns the image of one generator, as generator parts (the
+format of `elements.decompose`); `apply_op` and `atom_image` canonicalize
+them once, in one `recompose`.
+
 Stencil entries with a stationary output form (slope 0) break local
 finiteness; they are representable so the order-boundedness test can refuse
 them, but accumulation-based operations reject them.
@@ -24,7 +28,7 @@ from .errors import (
     SpaceMismatchError,
     StencilError,
 )
-from .scalars import Q, QLike, qof
+from .scalars import Q, QLike, qmul, qof
 from .spaces import (
     AtomIndex,
     CoordForm,
@@ -218,6 +222,10 @@ def operator(
         if unit_image is not None and unit_image != derived_unit:
             raise PreconditionError("unit image must equal the sum of atom images")
         unit_image = derived_unit
+    # a table entry off the domain's atoms would be counted by every image
+    # sum; on fin_dim this holds by the check above
+    for idx in images:
+        domain.row.check_atom(idx, domain.dim)
     if unit_image is None:
         raise PreconditionError("domains with a unit need a unit image")
     if unit_image.space != codomain:
@@ -231,7 +239,7 @@ def operator(
         if past:
             new_threshold = max(past)
             for idx in range(rule.threshold + 1, new_threshold + 1):
-                images.setdefault(idx, _rule_image(codomain, rule, idx))
+                images.setdefault(idx, recompose(codomain, _rule_parts(rule, idx)))
             rule = StencilRule(rule.modulus, new_threshold, rule.entries)
     ordered = tuple(sorted(images.items(), key=lambda kv: atom_key(kv[0])))
     row_items = tuple(sorted(rows.items()))
@@ -244,15 +252,15 @@ def _driving_index(idx: AtomIndex) -> int:
     return idx
 
 
-def _rule_image(codomain, rule: StencilRule | None, idx: AtomIndex, tf=None) -> Element:
-    """The rule's image of one atom, each coefficient mapped through tf."""
+def _rule_parts(rule: StencilRule | None, idx: AtomIndex, tf=None) -> list:
+    """The rule's image of one atom as generator parts, straight from the
+    stencil entries, each coefficient mapped through tf; none at or below
+    the threshold."""
     i = _driving_index(idx)
     if rule is None or i <= rule.threshold:
-        return zero(codomain)
-    return recompose(codomain, (
-        (("atom", _form_at(form, idx)), c if tf is None else tf(c))
-        for form, c in rule.entries_for(i)
-    ))
+        return []
+    return [(("atom", _form_at(form, idx)), c if tf is None else tf(c))
+            for form, c in rule.entries_for(i)]
 
 
 def _form_at(form: CoordForm, idx: AtomIndex) -> AtomIndex:
@@ -263,13 +271,32 @@ def _form_at(form: CoordForm, idx: AtomIndex) -> AtomIndex:
     return form.at(idx)
 
 
+def image_parts(T: Operator, ref) -> list:
+    """T of one generator (`ref` in the format of `decompose`) as generator
+    parts of the codomain: a table image through `decompose`, a rule image
+    straight from the stencil entries, a row unit's and the unit's from
+    their stored images.  The `recompose` they go into checks the indices."""
+    if ref[0] == "atom":
+        idx = ref[1]
+        for k, img in T.atom_images:
+            if k == idx:
+                return decompose(img)
+        if T.domain.dim:
+            raise InvalidIndexError(f"atom {idx!r} outside the domain")
+        return _rule_parts(T.rule, idx)
+    if ref[0] == "row_unit":
+        for k, img in T.row_unit_images:
+            if k == ref[1]:
+                return decompose(img)
+        return []
+    return decompose(T.unit_image)
+
+
 def atom_image(T: Operator, idx: AtomIndex) -> Element:
     for k, img in T.atom_images:
         if k == idx:
             return img
-    if T.domain.dim:
-        raise InvalidIndexError(f"atom {idx!r} outside the domain")
-    return _rule_image(T.codomain, T.rule, idx)
+    return recompose(T.codomain, image_parts(T, ("atom", idx)))
 
 
 def row_unit_image(T: Operator, r: int) -> Element:
@@ -284,18 +311,11 @@ def row_unit_image(T: Operator, r: int) -> Element:
 
 
 def apply_op(T: Operator, x: Element) -> Element:
+    """T(x): the images of x's generators, scaled, in one `recompose`."""
     if x.space != T.domain:
         raise SpaceMismatchError(f"argument lives in {x.space.label}")
-    return lincomb(T.codomain, [(c, _generator_image(T, ref)) for ref, c in decompose(x)])
-
-
-def _generator_image(T: Operator, ref) -> Element:
-    """The image of one generator in the format of `decompose`."""
-    if ref[0] == "atom":
-        return atom_image(T, ref[1])
-    if ref[0] == "row_unit":
-        return row_unit_image(T, ref[1])
-    return T.unit_image
+    return recompose(T.codomain, [(g, qmul(c, v)) for ref, c in decompose(x)
+                                  for g, v in image_parts(T, ref)])
 
 
 # ---------------------------------------------------------------------------
@@ -614,11 +634,12 @@ def _sum_pattern(T: Operator, transform: str, row: int | None) -> CompletionElem
     rule pieces put there, plus the rule pieces."""
     tf = _TRANSFORMS[transform]
     etf = _ELEM_TRANSFORMS[transform]
-    terms = []
+    parts = []
     for idx, img in T.atom_images:
         if row is None or idx[0] == row:
-            terms += [(1, etf(img)), (-1, _rule_image(T.codomain, T.rule, idx, tf))]
-    base = lincomb(T.codomain, terms)
+            parts += decompose(etf(img))
+            parts += [(g, -c) for g, c in _rule_parts(T.rule, idx, tf)]
+    base = recompose(T.codomain, parts)
     pieces = [
         _piece(form, T.rule.modulus, first, tf(c), row)
         for _, first, form, c in _rule_sweep(T.rule)

@@ -25,9 +25,8 @@ from .elements import (
     lincomb,
     recompose,
     support as elem_support,
-    zero,
 )
-from .operators import Functional, Operator, apply_functional, apply_op, atom_image
+from .operators import Functional, Operator, apply_functional, apply_op, atom_image, image_parts
 from .sequences import ElementSeq, element_seq, eval_seq
 from .convergence import decide_monotone_limit
 
@@ -214,15 +213,19 @@ def majorant_floors(T: Operator, levels: int) -> list[Q]:
 def _check_segment_constraints(T: Operator, levels: int, peak: Q) -> None:
     """The segment constraints with r, m_top <= levels, level by level.
 
-    Each row keeps the running image of its odd segment: T is linear, so
-    adding the image of the next odd atom gives T of the longer segment."""
-    images: list[Element] = []
+    Each row keeps the generator parts of its odd segment's image: T is
+    linear, so the parts of the next odd atom's image extend them to the
+    longer segment, and one `recompose` per (r, m_top) gives the image whose
+    coordinates are checked."""
+    segments: list[list] = []
     for n in range(1, levels + 1):
-        images.append(zero(T.codomain))
+        segments.append([])
         for r in range(1, n + 1):
             # rows r < n gain segment end n; the new row n takes ends 1..n
             for m_top in range(n if r < n else 1, n + 1):
-                img = images[r - 1] = add(images[r - 1], atom_image(T, (r, 2 * m_top - 1)))
+                parts = segments[r - 1]
+                parts += image_parts(T, ("atom", (r, 2 * m_top - 1)))
+                img = recompose(T.codomain, parts)
                 for mm in range(1, m_top + 1):
                     if coordinate(img, (r, mm)) > peak:
                         raise PreconditionError("stencil outside the probed family")

@@ -20,7 +20,9 @@ completion pattern.
 Every element this module produces is one `recompose` over generator parts,
 and the limit pattern is one `pattern_from_pieces` call: the base element
 collects the static part, the ambient limit and the stationary atoms, and
-each fill is a piece.
+each fill is a piece.  `step_parts` gives a step as those parts, so a caller
+that goes on to add to the step (a residual, an image) canonicalizes once;
+`eval_seq` is their `recompose`.
 """
 
 from __future__ import annotations
@@ -135,7 +137,8 @@ def element_seq(
     seq = ElementSeq(space, static, tuple(merged), fills, ambient, n0, tuple(prelude))
     if collide > seq.n0:
         pre = [
-            (prelude[k] if k < len(seq.prelude) else _eval_symbolic(seq, k + 1))
+            (prelude[k] if k < len(seq.prelude)
+             else recompose(space, _eval_symbolic(seq, k + 1)))
             for k in range(collide - 1)
         ]
         seq = replace(seq, n0=collide, prelude=tuple(pre))
@@ -144,8 +147,9 @@ def element_seq(
     return seq
 
 
-def _eval_symbolic(seq: ElementSeq, n: int) -> Element:
-    """The symbolic value at step n (ignores the prelude)."""
+def _eval_symbolic(seq: ElementSeq, n: int) -> list:
+    """The generator parts of the symbolic value at step n (ignores the
+    prelude)."""
     hits: dict = {}
     for form, coeff in seq.atoms:
         c = coeff.at(n)
@@ -157,7 +161,7 @@ def _eval_symbolic(seq: ElementSeq, n: int) -> Element:
             idx = f.form.at(k)
             hits[idx] = qadd(hits.get(idx, Q0), f.value)
     parts = decompose(seq.static) + [(("unit",), seq.ambient.at(n))]
-    return recompose(seq.space, parts + _atom_parts(hits.items()))
+    return parts + _atom_parts(hits.items())
 
 
 def _atom_parts(hits) -> list:
@@ -166,12 +170,21 @@ def _atom_parts(hits) -> list:
     return [(("atom", idx), v) for idx, v in ordered if v != 0]
 
 
-def eval_seq(seq: ElementSeq, n: int) -> Element:
+def step_parts(seq: ElementSeq, n: int) -> list:
+    """x_n as generator parts (the format of `decompose`): a prelude step
+    through `decompose`, a symbolic step straight from the components."""
     if n < 1:
         raise ValueError("sequence index starts at 1")
     if n < seq.n0:
-        return seq.prelude[n - 1]
+        return decompose(seq.prelude[n - 1])
     return _eval_symbolic(seq, n)
+
+
+def eval_seq(seq: ElementSeq, n: int) -> Element:
+    """x_n: the stored prelude element, or the `recompose` of its parts."""
+    if 1 <= n < seq.n0:
+        return seq.prelude[n - 1]
+    return recompose(seq.space, step_parts(seq, n))
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,20 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from rieszkit.errors import InvalidIndexError, SpaceMismatchError
-from rieszkit.scalars import Q
-from rieszkit import elements
+from rieszkit.scalars import Q, RationalSeq
+from rieszkit import elements, sequences
+from rieszkit.casebook import moving_indicator_operator, row_pair_difference_operator
+from rieszkit.convergence import check_decreasing, decide_order_convergence, verify_certificate
+from rieszkit.operators import partial_sum_seq
+from rieszkit.oracles import majorant_floors
+from rieszkit.sequences import element_seq
 from rieszkit.completion import ce_add, ce_scale, ce_sup, describe_pattern, embed
 from rieszkit.spaces import (
     Kind,
@@ -23,6 +29,7 @@ from rieszkit.spaces import (
     gamma,
     row_block_ek,
     row_block_grid,
+    seq_form,
     tail_seq,
 )
 from rieszkit.elements import (
@@ -413,6 +420,64 @@ def test_identities_build_no_rationals(monkeypatch):
         assert abs_(p) == p and neg(p) == z and sub(p, neg(x)) == x
         for y in (pos(x), neg(x), abs_(x)):
             assert all(type(v) is Q for v in _payload(y)), space.label
+
+
+def _probe_cost_cases():
+    """(sequence, its limit, a certificate that it order converges) on l0inf
+    (a moving atom, dominated through a fill) and on ck (the moving
+    indicator's partial sums, an escaping support)."""
+    bump = element_seq(T, atoms=[(seq_form(1, 0), RationalSeq.const(1))])
+    sums = partial_sum_seq(moving_indicator_operator())
+    return [(x, zero(x.space), decide_order_convergence(x, zero(x.space)))
+            for x in (bump, sums)]
+
+
+def test_probe_loops_evaluate_each_step_once(monkeypatch):
+    """check_decreasing evaluates each step of b once, verify_certificate
+    each step of d at most once, and both grow linearly in the window."""
+    evals = Counter()
+    symbolic = sequences._eval_symbolic
+
+    def counting(seq, n):
+        evals[seq, n] += 1
+        return symbolic(seq, n)
+
+    monkeypatch.setattr(sequences, "_eval_symbolic", counting)
+    for x, limit, cert in _probe_cost_cases():
+        b = cert.dominating
+        totals = {"check_decreasing": [], "verify_certificate": []}
+        for probe in (8, 16, 32):
+            evals.clear()
+            window = check_decreasing(b, probe)
+            assert evals == Counter({(b, n): 1 for n in range(b.n0, window + 2)})
+            totals["check_decreasing"].append(sum(evals.values()))
+            evals.clear()
+            ok, _ = verify_certificate(cert, x, limit, probe)
+            assert ok
+            assert max(c for (seq, _), c in evals.items() if seq != b) == 1
+            totals["verify_certificate"].append(sum(evals.values()))
+        for name, (t8, t16, t32) in totals.items():
+            assert t8 < t16 and t32 - t16 == 2 * (t16 - t8), (x.space.label, name, t8, t16, t32)
+
+
+def test_majorant_floors_build_no_sums_with_add(monkeypatch):
+    calls = [0]
+
+    def counting_add(x, y):
+        calls[0] += 1
+        return add(x, y)
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("rieszkit")]:
+        if getattr(mod, "add", None) is add:
+            monkeypatch.setattr(mod, "add", counting_add)
+    T_ = row_pair_difference_operator()
+    assert majorant_floors(T_, 16) == list(range(17))
+    assert calls[0] == 0
+    monkeypatch.undo()
+    # the counter sees an add: Element.__add__ reads the module's binding
+    monkeypatch.setattr(elements, "add", counting_add)
+    assert atom(T, 1) + atom(T, 2) == recompose(T, [(("atom", 1), 1), (("atom", 2), 1)])
+    assert calls[0] == 1
 
 
 def _lattice_battery(seed: int = 11) -> str:

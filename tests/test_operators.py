@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from rieszkit.errors import PreconditionError, StencilError
+from rieszkit.errors import InvalidIndexError, PreconditionError, StencilError
 from rieszkit.scalars import Q, RationalSeq
 from rieszkit.spaces import (
     fin_dev,
@@ -18,13 +18,17 @@ from rieszkit.spaces import (
     token_form,
 )
 from rieszkit.elements import (
+    abs_,
     add,
     atom,
     coordinate,
+    element_fin,
     element_findev,
     element_tail,
     le,
+    lincomb,
     max_abs_coord,
+    neg,
     pos,
     row_unit,
     scale,
@@ -39,6 +43,7 @@ from rieszkit.operators import (
     decompose,
     functional,
     functional_is_positive,
+    image_parts,
     image_sum_pattern,
     is_positive_operator,
     op_eq,
@@ -47,10 +52,13 @@ from rieszkit.operators import (
     partial_sum_seq,
     rank_one,
     recompose,
+    row_sum_pattern,
+    row_unit_image,
     scale_op,
     stencil_rule,
 )
 from rieszkit.sequences import eval_seq
+from rieszkit.specfile import build_all, parse
 from rieszkit.casebook import (
     identity_on_tail_seq,
     limit_functional_rank_one,
@@ -331,3 +339,137 @@ def test_op_eq_sees_tail_rules_that_agree_at_one_index_only():
 def test_operators_from_uncountable_domain_refused():
     with pytest.raises(PreconditionError):
         operator(F, T, {}, None, None, zero(T))
+
+
+# ---------------------------------------------------------------------------
+# generator images as parts: apply_op, atom_image and the image sums
+
+
+def _spec_operator(path: str):
+    with open(path) as fh:
+        return build_all(parse(fh.read()))[1]["T"]
+
+
+def _parts_path_cases():
+    """(operator, argument) by name, over every payload shape.  Each argument's
+    generators hit what the operator stores: table atoms, rule atoms, row
+    units and the unit, wherever the operator has them."""
+    l0inf_rule = stencil_rule(2, 2, [
+        [(seq_form(1, 0), 1), (seq_form(1, 3), -2)],
+        [(seq_form(2, 0), Q(1, 2))],
+    ], T)
+    l0inf_stencil = operator(
+        T, T, {1: element_tail(T, [0, 2], 0), 2: element_tail(T, [1, 0, -1], 1)},
+        l0inf_rule, None, element_tail(T, [1], 3))
+    E, G = row_block_ek(), row_block_grid()
+    v = recompose(G, [(("atom", (1, 2)), 3), (("atom", (4, 1)), -1), (("unit",), 2)])
+    f = functional(E, {(1, 1): 2, (2, 3): -1}, 1, {1: 1, 3: Q(-1, 2)})
+    row_pair_table = add_op(row_pair_difference_operator(), rank_one(f, v))
+    ek_arg = recompose(E, [
+        (("atom", (1, 1)), 1), (("atom", (2, 3)), -2), (("atom", (1, 6)), 3),
+        (("atom", (5, 9)), 1), (("row_unit", 1), 2), (("row_unit", 3), -1), (("unit",), 4),
+    ])
+    return {
+        "l0inf stencil": (l0inf_stencil, element_tail(T, [1, -2, 3, 0, 5, 7], 4)),
+        "ck moving indicator": (moving_indicator_operator(), element_tail(T, [2, 0, -1, 3], -1)),
+        "ek->grid row pair": (row_pair_difference_operator(), ek_arg),
+        "ek->grid row pair with a table": (row_pair_table, ek_arg),
+        "findim matrix": (_spec_operator("tests/specs/findim_matrix.rzk"),
+                          element_fin(fin_dim(3), [1, -2, 3])),
+        "ek row-tail spec": (_spec_operator("tests/specs/ek_row_tail.rzk"), ek_arg),
+    }
+
+
+_PARTS_PATH_NAMES = ["l0inf stencil", "ck moving indicator", "ek->grid row pair",
+                     "ek->grid row pair with a table", "findim matrix", "ek row-tail spec"]
+
+
+def _reference_image(T_, ref):
+    """T_ of one generator from the operator's data alone: a stored image as
+    stored, a rule atom as the sum of the stencil's scaled codomain atoms."""
+    cod = T_.codomain
+    if ref[0] == "unit":
+        return T_.unit_image
+    if ref[0] == "row_unit":
+        return dict(T_.row_unit_images).get(ref[1], zero(cod))
+    idx = ref[1]
+    table = dict(T_.atom_images)
+    if idx in table:
+        return table[idx]
+    i = idx[1] if isinstance(idx, tuple) else idx
+    if T_.rule is None or i <= T_.rule.threshold:
+        return zero(cod)
+    return lincomb(cod, [
+        (c, atom(cod, (form.row.at_int(idx[0]), form.col.at_int(idx[1]))
+                  if isinstance(idx, tuple) else form.at(idx)))
+        for form, c in T_.rule.entries_for(i)
+    ])
+
+
+def _generator_kind(T_, ref):
+    if ref[0] != "atom":
+        return ref[0]
+    return "table atom" if ref[1] in dict(T_.atom_images) else "rule atom"
+
+
+@pytest.mark.parametrize("name", _PARTS_PATH_NAMES)
+def test_apply_op_is_the_lincomb_of_the_generator_images(name):
+    T_, x = _parts_path_cases()[name]
+    parts = decompose(x)
+    want = {"table atom"} if T_.atom_images else set()
+    want |= {"rule atom"} if T_.rule is not None else set()
+    want |= set() if T_.domain.dim else {"unit"}
+    want |= {"row_unit"} if T_.domain.row_units else set()
+    assert {_generator_kind(T_, ref) for ref, _ in parts} == want
+    expected = lincomb(T_.codomain, [(c, _reference_image(T_, ref)) for ref, c in parts])
+    assert apply_op(T_, x) == expected
+    for ref, _ in parts:
+        img = _reference_image(T_, ref)
+        assert recompose(T_.codomain, image_parts(T_, ref)) == img, ref
+        if ref[0] == "atom":
+            assert atom_image(T_, ref[1]) == img, ref
+        elif ref[0] == "row_unit":
+            assert row_unit_image(T_, ref[1]) == img, ref
+
+
+_ELEMENT_TF = {"id": lambda x: x, "pos": pos, "neg": neg, "abs": abs_}
+
+
+@pytest.mark.parametrize("transform", sorted(_ELEMENT_TF))
+def test_image_sums_match_the_literal_sums_of_transformed_images(transform):
+    """Every rule here sends the atoms past N to coordinates past N / 2, so
+    the coordinates up to that read the literal sum over the first N atoms
+    (of each row on the row blocks)."""
+    etf, N, K = _ELEMENT_TF[transform], 24, 10
+    cases = {name: T_ for name, (T_, _) in _parts_path_cases().items()}
+    for name in ("l0inf stencil", "ck moving indicator"):
+        T_ = cases[name]
+        sigma = image_sum_pattern(T_, transform).pat
+        literal = lincomb(T_.codomain, [(1, etf(atom_image(T_, i))) for i in range(1, N + 1)])
+        at = gamma if name.startswith("ck") else int
+        for k in range(1, K + 1):
+            assert coordinate(sigma, at(k)) == coordinate(literal, at(k)), (name, k)
+    for name in ("ek->grid row pair", "ek->grid row pair with a table", "ek row-tail spec"):
+        T_ = cases[name]
+        rows = range(1, 4)
+        sigma = image_sum_pattern(T_, transform).pat
+        literal = lincomb(T_.codomain, [(1, etf(atom_image(T_, (r, m))))
+                                        for r in rows for m in range(1, N + 1)])
+        for r in rows:
+            row_sigma = row_sum_pattern(T_, r, transform).pat
+            row_literal = lincomb(T_.codomain, [(1, etf(atom_image(T_, (r, m))))
+                                                for m in range(1, N + 1)])
+            for k in range(1, K + 1):
+                assert coordinate(sigma, (r, k)) == coordinate(literal, (r, k)), (name, r, k)
+                assert coordinate(row_sigma, (r, k)) == coordinate(row_literal, (r, k)), (
+                    name, r, k)
+
+
+def test_a_rule_form_off_the_codomain_raises_alike_from_apply_op_and_atom_image():
+    C = fin_dim(2)
+    off = operator(T, C, {}, stencil_rule(1, 0, [[(seq_form(0, 7), 1)]], C), None, zero(C))
+    with pytest.raises(InvalidIndexError) as via_atom:
+        atom_image(off, 2)
+    with pytest.raises(InvalidIndexError) as via_apply:
+        apply_op(off, element_tail(T, [0, 1], 0))
+    assert str(via_apply.value) == str(via_atom.value) == "atom index 7 out of range"

@@ -89,7 +89,8 @@ operator T : E -> F {
     ("findim(2)", "l0inf", "e(5) -> 1 @ 1", "atom 5 outside the domain"),
     ("l0inf", "l0inf", "rowunit(1) -> 1 @ 1", "row-unit images need an ek domain"),
     ("l0inf", "findim(2)", "e(1) -> 1 @ 7", "atom index 7 out of range"),
-], ids=["findim-atom", "rowunit-on-l0inf", "codomain-index"])
+    ("l0inf", "l0inf", "e(0) -> 1 @ 1", "atom index 0 out of range"),
+], ids=["findim-atom", "rowunit-on-l0inf", "codomain-index", "l0inf-atom"])
 def test_build_errors_name_the_operator_line(domain, codomain, clause, message):
     text = f"""\
 space E = {domain}
