@@ -161,9 +161,10 @@ def run_not_directed(probe: int = 8) -> Report:
     # any candidate majorant S >= 0, -T with generator data satisfies
     # y_n := S(1) - partial sums of S >= -T(1 - sum of first n atoms),
     # evaluated exactly below
+    minus_T = scale_op(-1, T)
     for n in range(1, probe + 1):
         cut = recompose(dom, [(("unit",), 1)] + [(("atom", k), -1) for k in range(1, n + 1)])
-        rhs = apply_op(scale_op(-1, T), cut)
+        rhs = apply_op(minus_T, cut)
         _require(rhs == atom(T.codomain, gamma(n)), f"the cut-down {n} maps to g({n})")
     transcript.append(
         "for any S >= 0, -T: y_n = S(1) - sum of its first n atom images "

@@ -52,11 +52,23 @@ from .sequences import element_seq
 from .specfile import SpecError, build_all, parse
 
 
+def _read_spec(path: str):
+    """The parsed spec file; a file that cannot be read as UTF-8 text is an
+    input error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise PreconditionError(str(e)) from None
+    except UnicodeDecodeError as e:
+        raise PreconditionError(f"spec file {path!r} is not UTF-8 text: {e}") from None
+    return parse(text)
+
+
 def _load_operator(args):
     if not args.spec:
         raise PreconditionError("this command needs --spec FILE")
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = parse(fh.read())
+    spec = _read_spec(args.spec)
     spaces, ops = build_all(spec)
     if not ops:
         raise PreconditionError("the spec file declares no operator")
@@ -157,8 +169,7 @@ def _cmd_witness(args) -> Report:
 
 def _cmd_classify(args) -> Report:
     if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = parse(fh.read())
+        spec = _read_spec(args.spec)
         from .specfile import build_spaces
 
         spaces = build_spaces(spec)
@@ -215,11 +226,31 @@ def _cmd_casebook(args) -> Report:
     return CASEBOOK[args.name](probe=args.probe)
 
 
+def _json_array(value) -> list:
+    """The items of a decoded JSON array; TypeError for any other value."""
+    match value:
+        case [*items]:
+            return items
+    raise TypeError("not a JSON array")
+
+
+def _parse_matrix(text: str) -> list[list]:
+    """The rows of --matrix as rationals: a JSON list of equal-length lists
+    whose entries are numbers or rational strings such as "1/2"."""
+    try:
+        M = [[qof(v) for v in _json_array(row)] for row in _json_array(json.loads(text))]
+    except (TypeError, ValueError, ArithmeticError):
+        M = None
+    if M is None or len({len(row) for row in M}) > 1:
+        raise PreconditionError("--matrix must be a JSON list of equal-length lists of rationals")
+    return M
+
+
 def _cmd_oracle(args) -> Report:
     if args.name == "matrix-positive-part":
         if not args.matrix:
             raise PreconditionError("matrix-positive-part needs --matrix JSON")
-        M = [[qof(v) for v in row] for row in json.loads(args.matrix)]
+        M = _parse_matrix(args.matrix)
         P = matrix_positive_part(M)
         return Report(
             command="oracle matrix-positive-part",
@@ -343,7 +374,7 @@ def main(argv=None) -> int:
     except SpecError as e:
         print(json.dumps({"error": str(e), "kind": "input"}, indent=2))
         return 2
-    except (PreconditionError, NotDecreasingError, FileNotFoundError) as e:
+    except (PreconditionError, NotDecreasingError) as e:
         print(json.dumps({"error": str(e), "kind": "input"}, indent=2))
         return 2
     except UnsupportedHypothesisError as e:

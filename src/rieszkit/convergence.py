@@ -32,7 +32,7 @@ from .scalars import Q, RationalSeq, qstr
 from .spaces import SpaceDesc, Token, fresh_star, seq_form
 from .elements import (
     Element,
-    abs_,
+    abs_le,
     atom,
     le,
     max_abs_coord,
@@ -104,10 +104,16 @@ def check_decreasing(b: ElementSeq, probe: int = 8) -> int:
     nonincreasing ambient, nonincreasing stationary coefficients,
     nonpositive moving coefficients and fill values.
     """
+    return _check_decreasing(b, probe, partial(eval_seq, b))
+
+
+def _check_decreasing(b: ElementSeq, probe: int, step) -> int:
+    """`check_decreasing` with b_n read through `step(n)`, so a caller that
+    reads the steps again can share one memo of them."""
     window = structural_threshold(b) + probe
-    prev = eval_seq(b, 1)
+    prev = step(1)
     for n in range(1, window + 1):
-        cur = eval_seq(b, n + 1)
+        cur = step(n + 1)
         if not le(cur, prev):
             raise NotDecreasingError(n, f"b({n + 1}) !<= b({n})")
         prev = cur
@@ -409,7 +415,7 @@ def verify_certificate(
         d_parts = cache(partial(step_parts, d))
         if cert.order_bound is not None:
             for n in range(1, window + 1):
-                if not le(abs_(recompose(d.space, d_parts(n))), cert.order_bound):
+                if not abs_le(recompose(d.space, d_parts(n)), cert.order_bound):
                     log.append(f"FAIL order bound at n={n}")
                     ok = False
                     break
@@ -417,8 +423,10 @@ def verify_certificate(
                 log.append(f"order bound holds at n=1..{window}")
         b = cert.dominating
         if b is not None:
+            # the decreasing check and the domination loop share b's steps
+            b_step = cache(partial(eval_seq, b))
             try:
-                check_decreasing(b, probe)
+                _check_decreasing(b, probe, b_step)
                 log.append("dominating family verified decreasing")
             except NotDecreasingError as e:
                 log.append(f"FAIL dominating family not decreasing: {e}")
@@ -430,7 +438,7 @@ def verify_certificate(
                 log.append("dominating family settles at 0 (monotone rule)")
             for n in range(max(1, cert.n0), window + 1):
                 resid = _less_atoms(d.space, d_parts(n), cert.escaping, n)
-                if not le(abs_(resid), eval_seq(b, n)):
+                if not abs_le(resid, b_step(n)):
                     log.append(f"FAIL domination of the stationary part at n={n}")
                     ok = False
                     break

@@ -29,8 +29,11 @@ space.  A binary operation is one walk over the union of the stored
 coordinates plus the residues of both operands aligned by absolute index
 modulo the lcm of their lengths (`fin_dev` entries read through a
 per-element token index), so each costs time linear in the stored
-coordinates plus that lcm; `le` and `is_disjoint` stop at the first deciding
-pair, and `coordinate` takes constant time.
+coordinates plus that lcm; `le`, `abs_le` (|x| <= y without building |x|)
+and `is_disjoint` stop at the first deciding pair, and `coordinate` takes
+constant time.  The comparisons and `max_abs_coord` are `all`/`max` folds
+over the value pairs, so a row-block walk skips a row pair it has already
+walked: the background rows of a `recompose` result are one shared object.
 
 This module also owns generator decomposition: `decompose` writes an
 element over the atoms, row units and unit of its space, and `recompose`
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, starmap
+from itertools import chain
 from math import lcm
 from typing import Iterable, Mapping, Sequence, Tuple
 
@@ -446,7 +449,15 @@ class _RowBlockShape:
         return _at(_at(x.data, idx[0]), idx[1])
 
     def pairs(self, x: Element, y: Element):
-        return chain.from_iterable(starmap(_line, _line(x.data, y.data)))
+        """The pairs of each row pair, a row pair walked once: every
+        background row of a `recompose` result is one shared object, so
+        repeats are found by the identity of the two rows."""
+        seen = set()
+        for rx, ry in _line(x.data, y.data):
+            key = id(rx), id(ry)
+            if key not in seen:
+                seen.add(key)
+                yield from _line(rx, ry)
 
     def pointwise(self, x: Element, y: Element, op) -> Element:
         return Element(x.space, _zip_lines(partial(_zip_lines, op), x.data, y.data))
@@ -713,6 +724,11 @@ def abs_(x: Element) -> Element:
 def le(x: Element, y: Element) -> bool:
     """Pointwise order: x <= y on every coordinate (tails included)."""
     return all(a <= b for a, b in _pairs(x, y))
+
+
+def abs_le(x: Element, y: Element) -> bool:
+    """|x| <= y on every coordinate, in one walk without building |x|."""
+    return all(_abs(a) <= b for a, b in _pairs(x, y))
 
 
 def is_positive(x: Element) -> bool:

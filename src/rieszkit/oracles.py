@@ -10,6 +10,7 @@ linear objectives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import product
 
 from .errors import NotDecreasingError, PreconditionError
@@ -17,17 +18,16 @@ from .scalars import Q, RationalSeq, qof
 from .spaces import fresh_star, seq_form
 from .elements import (
     Element,
-    abs_,
+    abs_le,
     add,
     coordinate,
     element_tail,
-    le,
     lincomb,
     recompose,
     support as elem_support,
 )
 from .operators import Functional, Operator, apply_functional, apply_op, atom_image, image_parts
-from .sequences import ElementSeq, element_seq, eval_seq
+from .sequences import ElementSeq, element_seq, eval_seq, fill
 from .convergence import decide_monotone_limit
 
 
@@ -83,6 +83,8 @@ def grid_interval_sup(
     """
     if not x.space.row.sequence:
         raise PreconditionError("the grid oracle runs on tail sequences")
+    if depth < 0:
+        raise PreconditionError("grid depth must be >= 0")
     is_functional = isinstance(T, Functional)
     support = set(elem_support(x))
     if is_functional:
@@ -245,73 +247,67 @@ def majorant_growth_probe(T: Operator, level: int) -> Q:
 # bounded search for dominating families
 
 
+# shape generators of the candidate families, each (x, scale) -> family or
+# None when the shape does not apply to x
+
+
+def _zero_family(x: ElementSeq, _):
+    return element_seq(x.space)
+
+
+def _amb_const(x: ElementSeq, c):
+    return element_seq(x.space, ambient=RationalSeq.const(c))
+
+
+def _harmonic_unitless(x: ElementSeq, c):
+    atoms = [(form, RationalSeq.harmonic(c)) for form, _ in x.atoms if not form.moving]
+    return element_seq(x.space, atoms=atoms) if atoms else None
+
+
+def _matched_moving(x: ElementSeq, c):
+    atoms = [(form, RationalSeq.const(c)) for form, _ in x.atoms if form.moving]
+    return element_seq(x.space, atoms=atoms) if atoms else None
+
+
+def _march(x: ElementSeq, c):
+    if not x.space.row.sequence:
+        return None
+    return element_seq(
+        x.space,
+        fills=[fill(seq_form(1, 0), 1, 0, 1, 1, -c)],
+        ambient=RationalSeq.const(c),
+    )
+
+
+_SHAPES = (_zero_family, _amb_const, _harmonic_unitless, _matched_moving, _march)
+
+
 def _candidate_families(x: ElementSeq, bound: int):
     """Decreasing-family candidates with representation size <= bound.
 
     The palette scales come from the sequence's own coefficient values; the
     shapes combine a constant ambient, harmonic copies of the stationary
-    atoms, matched moving-atom copies, and unit-minus-march terms."""
-    space = x.space
+    atoms, matched moving-atom copies, and unit-minus-march terms.  Each
+    (shape, scale) family is built once; the candidates are the sums of two
+    of them, in (shape, shape, scale, scale) order, without repeats."""
     scales = {Q(1)}
     for _, coeff in x.atoms:
         v = coeff.max_abs()
         if v != 0:
             scales.update({v, v / 2, 2 * v})
     scales = sorted(scales)
-
-    # shape generators, each parameterized by a scale
-    def amb_const(c):
-        return element_seq(space, ambient=RationalSeq.const(c))
-
-    def harmonic_unitless(c):
-        atoms = [
-            (form, RationalSeq.harmonic(c))
-            for form, _ in x.atoms
-            if not form.moving
-        ]
-        if not atoms:
-            return None
-        return element_seq(space, atoms=atoms)
-
-    def matched_moving(c):
-        atoms = [(form, RationalSeq.const(c)) for form, _ in x.atoms if form.moving]
-        if not atoms:
-            return None
-        return element_seq(space, atoms=atoms)
-
-    def march(c):
-        if not space.row.sequence:
-            return None
-        from .sequences import fill as mkfill
-
-        return element_seq(
-            space,
-            fills=[mkfill(seq_form(1, 0), 1, 0, 1, 1, -c)],
-            ambient=RationalSeq.const(c),
-        )
-
-    def zero_family(_):
-        return element_seq(space)
-
-    gens = [zero_family, amb_const, harmonic_unitless, matched_moving, march]
-    size = 0
+    built = {(gi, sc): shape(x, sc) for gi, shape in enumerate(_SHAPES) for sc in scales}
     out = []
-    for picks in product(range(len(gens)), repeat=2):
+    for picks in product(range(len(_SHAPES)), repeat=2):
         for s1 in scales:
             for s2 in scales:
-                fams = []
-                ok = True
-                total = 0
-                for gi, sc in zip(picks, (s1, s2)):
-                    fam = gens[gi](sc)
-                    if fam is None:
-                        ok = False
-                        break
-                    total += 0 if gi == 0 else 1 + len(fam.atoms) + len(fam.fills)
-                    fams.append(fam)
-                if not ok or total > bound:
+                fams = [built[gi, sc] for gi, sc in zip(picks, (s1, s2))]
+                if None in fams:
                     continue
-                out.append(_seq_sum(fams))
+                total = sum(0 if gi == 0 else 1 + len(fam.atoms) + len(fam.fills)
+                            for gi, fam in zip(picks, fams))
+                if total <= bound:
+                    out.append(_seq_sum(fams))
     seen = set()
     uniq = []
     for fam in out:
@@ -363,29 +359,26 @@ def bruteforce_dominating_search(
 
     Candidates are drawn from a structured class (constant ambients,
     harmonic copies, matched moving atoms, unit-minus-march shapes, and
-    pairwise sums) with representation size at most `bound`; domination is
-    probed on a window, decrease and the zero infimum are certified by the
-    monotone decision rule.
+    pairwise sums) with representation size at most `bound`.  Each candidate
+    is first put to the monotone decision rule, which certifies decrease and
+    the zero infimum; domination |x_n| <= y_n is probed on a window only for
+    a candidate that passes it.  The accepted candidate is the first that
+    passes both, and `candidates_checked` counts the candidates up to it, so
+    the order of the two checks cannot change the result; deciding first
+    spares the probe on the candidates the rule refuses.
     """
     checked = 0
     window = max(probe, 2 * bound)
-    # |x_n| for n = 1, 2, ..., evaluated on first use and kept for the search
-    x_abs: list = []
-
-    def abs_x(n: int) -> Element:
-        while len(x_abs) < n:
-            x_abs.append(abs_(eval_seq(x, len(x_abs) + 1)))
-        return x_abs[n - 1]
-
+    # x_n for n = 1, 2, ..., evaluated on first use and kept for the search
+    x_step = cache(partial(eval_seq, x))
     for cand in _candidate_families(x, bound):
         checked += 1
-        if not all(le(abs_x(n), eval_seq(cand, n)) for n in range(1, window + 1)):
-            continue
         try:
             cert = decide_monotone_limit(cand)
         except NotDecreasingError:
             continue
-        if cert.converges:
+        if cert.converges and all(abs_le(x_step(n), eval_seq(cand, n))
+                                  for n in range(1, window + 1)):
             return SearchResult(cand, checked, "dominating family found")
     return SearchResult(
         None,

@@ -22,12 +22,14 @@ and the limit pattern is one `pattern_from_pieces` call: the base element
 collects the static part, the ambient limit and the stationary atoms, and
 each fill is a piece.  `step_parts` gives a step as those parts, so a caller
 that goes on to add to the step (a residual, an image) canonicalizes once;
-`eval_seq` is their `recompose`.
+`eval_seq` is their `recompose`.  The static part is the same at every
+step, so a sequence decomposes it once, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Tuple
 
 from .errors import SpaceMismatchError, StencilError
@@ -92,6 +94,11 @@ class ElementSeq:
     ambient: RationalSeq
     n0: int = 1
     prelude: Tuple[Element, ...] = ()
+
+    @cached_property
+    def _static_parts(self) -> tuple:
+        """`decompose(static)`, built on first use; not a field."""
+        return tuple(decompose(self.static))
 
 
 def element_seq(
@@ -160,8 +167,7 @@ def _eval_symbolic(seq: ElementSeq, n: int) -> list:
         for k in f.ks_at(n):
             idx = f.form.at(k)
             hits[idx] = qadd(hits.get(idx, Q0), f.value)
-    parts = decompose(seq.static) + [(("unit",), seq.ambient.at(n))]
-    return parts + _atom_parts(hits.items())
+    return [*seq._static_parts, (("unit",), seq.ambient.at(n)), *_atom_parts(hits.items())]
 
 
 def _atom_parts(hits) -> list:
@@ -298,8 +304,8 @@ def eventual_pattern(seq: ElementSeq) -> CompletionElement:
             ev = coeff.eventual_value()  # harmonic decays (None) vanish in the limit
             if ev:
                 stationary.append((form.at(seq.n0), ev))
-    parts = decompose(seq.static) + [(("unit",), seq.ambient.limit())]
-    base = recompose(seq.space, parts + _atom_parts(stationary))
+    base = recompose(seq.space, [*seq._static_parts, (("unit",), seq.ambient.limit()),
+                                 *_atom_parts(stationary)])
     pieces = []
     for f in seq.fills:
         step, offset = f.line_params()

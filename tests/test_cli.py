@@ -153,6 +153,66 @@ def test_bad_spec_file_is_input_error(tmp_path, capsys):
     assert "line 1" in json.loads(out)["error"]
 
 
+def _input_error(message: str) -> str:
+    return json.dumps({"error": message, "kind": "input"}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("path", ["fixtures", "no/such/spec.rzk"], ids=["directory", "missing"])
+def test_unopenable_spec_is_input_error(capsys, path):
+    """The message is the one `open` gives, as for a missing file before."""
+    with pytest.raises(OSError) as exc:
+        open(path, encoding="utf-8")
+    for argv in (["check", "order_bounded"], ["classify"]):
+        code, out = run_cli(capsys, *argv, "--spec", path)
+        assert (code, out) == (2, _input_error(str(exc.value)))
+
+
+def test_spec_that_is_not_utf8_is_input_error(tmp_path, capsys):
+    spec = tmp_path / "latin1.rzk"
+    spec.write_bytes("# caf\xe9\nspace E = l0inf\n".encode("latin-1"))
+    code, out = run_cli(capsys, "check", "order_bounded", "--spec", str(spec))
+    assert code == 2
+    error = json.loads(out)
+    assert error["kind"] == "input"
+    assert error["error"].startswith(f"spec file {str(spec)!r} is not UTF-8 text: ")
+
+
+BAD_MATRICES = ["notjson", "", '[["a"]]', '{"a": 1}', "[1, 2]", "[[1,2],[3]]", '["12"]',
+                '[[1, "1/0"]]', "[[NaN]]", "[[Infinity]]", "[[null]]", "[[[1]]]", "7"]
+
+
+@pytest.mark.parametrize("matrix", BAD_MATRICES)
+def test_oracle_matrix_refuses_what_is_not_a_matrix(capsys, matrix):
+    code, out = run_cli(capsys, "oracle", "matrix-positive-part", "--matrix", matrix)
+    want = ("matrix-positive-part needs --matrix JSON" if not matrix else
+            "--matrix must be a JSON list of equal-length lists of rationals")
+    assert (code, out) == (2, _input_error(want))
+
+
+# sha256 of the report of each matrix the command accepted before --matrix
+# was validated
+GOOD_MATRICES = {
+    "[]": "c40a274d933868cda989516a2fea2d93342e3ec506e5a934649f53e6760fad1f",
+    "[[]]": "0d2486a91f3cab6b7ab129f1199d86e25e0be1d41f43df7f20fca26c9f300e97",
+    "[[1,-2],[-3,4]]": "fbf0d3ab6527b345a8513cd988b6e41dcdcc4dc030b03ba401f1294a57b1427e",
+    '[[1,"-1/2"],[0.5,-3]]': "d581f5100b241512a9028e021ee297c815974eea43eb3f42de420e6c313d666a",
+    "[[true,0],[false,-1]]": "9f2baf98f37f11df6a43906062571bf873092293b390ad6570d5521a4f030dd1",
+    '[["3/4",-7,2]]': "8d80178f1c9b7373f4fa88c099183135abfa37da9ba48f3c52f8bf82f7e53844",
+}
+
+
+@pytest.mark.parametrize("matrix", sorted(GOOD_MATRICES))
+def test_oracle_matrix_reports_are_unchanged(capsys, matrix):
+    code, out = run_cli(capsys, "oracle", "matrix-positive-part", "--matrix", matrix)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOOD_MATRICES[matrix]
+
+
+def test_oracle_grid_sup_refuses_a_negative_depth(capsys):
+    code, out = run_cli(capsys, "oracle", "grid-sup", "--spec", MOVING, "--depth", "-1")
+    assert (code, out) == (2, _input_error("grid depth must be >= 0"))
+
+
 def test_byte_identical_reports(capsys):
     """Two runs agree, and every pinned run prints the report whose digest
     `report_digests.json` records (the sha256 of the exit code line and the

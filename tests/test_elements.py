@@ -34,6 +34,7 @@ from rieszkit.spaces import (
 )
 from rieszkit.elements import (
     abs_,
+    abs_le,
     add,
     atom,
     coordinate,
@@ -60,7 +61,7 @@ from rieszkit.elements import (
     zero,
 )
 
-from conftest import ALL_SPACES, random_element, random_pattern
+from conftest import ALL_SPACES, random_element, random_pattern, random_scalar
 
 T = tail_seq()
 F = fin_dev()
@@ -286,9 +287,33 @@ def test_le_and_is_disjoint_raise_across_spaces():
         (unit(E), unit(row_block_grid())),
     ]
     for x, y in pairs:
-        for op in (le, is_disjoint, add, sup2, inf2):
+        for op in (le, abs_le, is_disjoint, add, sup2, inf2):
             with pytest.raises(SpaceMismatchError):
                 op(x, y)
+
+
+def _shared_background_rows(rng, space):
+    """A row block built by `recompose`: rows 2, 3, 5 and 6 are the one
+    shared background row object, and on ek row 5 gets a tail of its own
+    through a row unit."""
+    parts = [(("unit",), random_scalar(rng))]
+    parts += [(("atom", (n, rng.randint(1, 3))), random_scalar(rng)) for n in (1, 4, 7)]
+    if space.row_units:
+        parts.append((("row_unit", 5), random_scalar(rng)))
+    return recompose(space, parts)
+
+
+def test_abs_le_is_le_of_abs(rng):
+    for space in ALL_SPACES:
+        for _ in range(60):
+            x, y = random_element(rng, space), random_element(rng, space)
+            pairs = _lattice_pairs(x, y)
+            if space.kind == Kind.ROW_BLOCK:
+                u, v = _shared_background_rows(rng, space), _shared_background_rows(rng, space)
+                pairs += [(u, v), (u, x), (x, u), (u, sup2(abs_(u), v))]
+            for a, b in pairs:
+                for c in (b, abs_(a), sup2(abs_(a), b), inf2(abs_(a), b)):
+                    assert abs_le(a, c) == le(abs_(a), c), (space.label, render(a), render(c))
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +483,68 @@ def test_probe_loops_evaluate_each_step_once(monkeypatch):
             totals["verify_certificate"].append(sum(evals.values()))
         for name, (t8, t16, t32) in totals.items():
             assert t8 < t16 and t32 - t16 == 2 * (t16 - t8), (x.space.label, name, t8, t16, t32)
+
+
+def test_verify_certificate_evaluates_each_step_of_b_once(monkeypatch):
+    """The decreasing check and the domination loop share b's steps."""
+    evals = Counter()
+    symbolic = sequences._eval_symbolic
+
+    def counting(seq, n):
+        evals[seq, n] += 1
+        return symbolic(seq, n)
+
+    monkeypatch.setattr(sequences, "_eval_symbolic", counting)
+    for x, limit, cert in _probe_cost_cases():
+        b = cert.dominating
+        for probe in (8, 16, 32):
+            evals.clear()
+            ok, _ = verify_certificate(cert, x, limit, probe)
+            assert ok
+            b_evals = [c for (seq, _), c in evals.items() if seq == b]
+            assert len(b_evals) > probe and set(b_evals) == {1}
+
+
+def test_a_sequence_decomposes_its_static_part_once(monkeypatch):
+    calls = 0
+
+    def counting(x):
+        nonlocal calls
+        calls += 1
+        return decompose(x)
+
+    monkeypatch.setattr(sequences, "decompose", counting)
+    x = element_seq(T, static=element_tail(T, [1, 2], 3),
+                    atoms=[(seq_form(1, 0), RationalSeq.const(1))])
+    steps = [sequences.eval_seq(x, n) for n in range(1, 30)]
+    assert steps[4] == element_tail(T, [1, 2, 3, 3, 4], 3)
+    assert sequences.eventual_pattern(x).pat == element_tail(T, [1, 2], 3)
+    assert calls == 1
+
+
+def test_row_block_walk_skips_repeated_row_pairs(monkeypatch):
+    """Rows 2..59 of each operand are its background row object, so a full
+    walk is one walk of the row line plus three row walks: rows 1 and 60
+    and the background pair, which the residue pair repeats."""
+    x = recompose(E, [(("atom", (1, 1)), 1), (("atom", (60, 2)), -2)])
+    y = recompose(E, [(("unit",), 3), (("atom", (60, 1)), 1)])
+    assert all(row is x.data[0][1] for row in x.data[0][1:59])
+    calls = 0
+    line = elements._line
+
+    def counting(la, lb):
+        nonlocal calls
+        calls += 1
+        return line(la, lb)
+
+    monkeypatch.setattr(elements, "_line", counting)
+    w = recompose(E, [(("atom", (1, 2)), 5)])
+    for walk, a, b in [(le, x, y), (abs_le, x, y), (is_disjoint, x, w)]:
+        calls = 0
+        assert walk(a, b)
+        assert calls == 1 + 3
+    calls = 0
+    assert max_abs_coord(x) == 2 and calls == 1 + 3
 
 
 def test_majorant_floors_build_no_sums_with_add(monkeypatch):

@@ -2,16 +2,21 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+from rieszkit.errors import RieszkitError
+from rieszkit.reports import ser
 from rieszkit.scalars import Q, RationalSeq
+from rieszkit.specfile import build_all, parse
 from rieszkit.spaces import fin_dev, fin_dim, seq_form, tail_seq, token_form
 from rieszkit.elements import atom, element_fin, element_tail, unit, zero
 from rieszkit.operators import (
     apply_op,
     functional,
     operator,
+    partial_sum_seq,
     rank_one,
     stencil_rule,
 )
@@ -294,3 +299,125 @@ def test_truncation_commutes_with_apply():
     M = truncate_operator(P, 4)
     x = element_tail(T, [1, -2, 3], 7)
     assert matrix_apply(M, truncate_element(x, 4)) == truncate_element(apply_op(P, x), 4)
+
+
+# ---------------------------------------------------------------------------
+# the dominating search: a pinned result table and its cost guards
+
+ROOT = Path(__file__).resolve().parents[1]
+SEARCH_TABLE = Path(__file__).with_name("dominating_search_table.json")
+
+
+def _search_cases():
+    """(case id, subject builder, bound): the CLI subjects (the moving
+    indicator, and the partial sums of the first operator of each fixture
+    and of tests/specs) at bounds 0..7, then one- and two-atom l0inf and ck
+    sequences with const, harmonic and steps coefficients."""
+    moving = element_seq(F, atoms=[(token_form(1, 0), RationalSeq.const(1))])
+    subjects = [("moving-indicator", lambda: moving)]
+    for path in ["fixtures/moving_indicator.rzk", "fixtures/row_pair_difference.rzk",
+                 *sorted(p.relative_to(ROOT).as_posix()
+                         for p in (ROOT / "tests" / "specs").glob("*.rzk"))]:
+        def spec_sums(path=path):
+            _, ops = build_all(parse((ROOT / path).read_text(encoding="utf-8")))
+            return partial_sum_seq(next(iter(ops.values())))
+        subjects.append((path, spec_sums))
+    for name, subject in subjects:
+        for bound in range(8):
+            yield f"{name} bound={bound}", subject, bound
+    coeffs = {
+        "const 3/2": RationalSeq.const(Q(3, 2)),
+        "const -1/2": RationalSeq.const(Q(-1, 2)),
+        "harmonic 1": RationalSeq.harmonic(1),
+        "harmonic -2": RationalSeq.harmonic(-2),
+        "steps 2,-1|1/2": RationalSeq.steps([2, -1], Q(1, 2)),
+        "steps 0,3|0": RationalSeq.steps([0, 3], 0),
+    }
+    for label, space, form in [("l0inf", T, seq_form), ("ck", F, token_form)]:
+        for shape, (a, b) in [("stationary", (0, 2)), ("moving", (1, 0))]:
+            for cname, c in coeffs.items():
+                for bound in (0, 2, 4, 6):
+                    yield (f"{label} {shape} {cname} bound={bound}",
+                           lambda space=space, f=form(a, b), c=c: element_seq(space, atoms=[(f, c)]),
+                           bound)
+        for cname, c in [("const 1", RationalSeq.const(1)), ("harmonic 1", RationalSeq.harmonic(1)),
+                         ("steps 1,2|1", RationalSeq.steps([1, 2], 1))]:
+            for bound in (0, 2, 4, 6):
+                yield (f"{label} stationary+moving {cname} bound={bound}",
+                       lambda space=space, form=form, c=c: element_seq(
+                           space, atoms=[(form(0, 1), c), (form(1, 2), RationalSeq.const(-1))]),
+                       bound)
+
+
+def search_table() -> dict:
+    """(found, checked, note) of every search case, or the refusal of the
+    subject's construction."""
+    out = {}
+    for cid, subject, bound in _search_cases():
+        try:
+            res = bruteforce_dominating_search(subject(), bound)
+        except RieszkitError as e:
+            out[cid] = {"error": f"{type(e).__name__}: {e}"}
+        else:
+            out[cid] = {"found": ser(res.found), "checked": res.candidates_checked,
+                        "note": res.note}
+    return out
+
+
+def test_dominating_search_results_are_pinned():
+    """The search's answers on every case, as `dominating_search_table.json`
+    records them (written before the rule was put ahead of the probe)."""
+    pinned = json.loads(SEARCH_TABLE.read_text(encoding="utf-8"))
+    table = search_table()
+    assert sorted(table) == sorted(pinned)
+    for cid, row in table.items():
+        assert row == pinned[cid], cid
+
+
+def test_dominating_search_builds_each_family_once_and_probes_only_converging(monkeypatch):
+    """Each (shape, scale) family is built once, and domination is probed
+    only on candidates whose monotone decision converges."""
+    from rieszkit import oracles
+
+    builds = 0
+
+    def counted(shape):
+        def build(x, c):
+            nonlocal builds
+            builds += 1
+            return shape(x, c)
+        return build
+
+    decided: dict = {}
+    decide = oracles.decide_monotone_limit
+
+    def deciding(b, probe=8):
+        decided[b] = False
+        cert = decide(b, probe)
+        decided[b] = cert.converges
+        return cert
+
+    probed = set()
+    evaluate = oracles.eval_seq
+
+    def probing(seq, n):
+        probed.add(seq)
+        return evaluate(seq, n)
+
+    monkeypatch.setattr(oracles, "_SHAPES", tuple(map(counted, oracles._SHAPES)))
+    monkeypatch.setattr(oracles, "decide_monotone_limit", deciding)
+    monkeypatch.setattr(oracles, "eval_seq", probing)
+    # three scales each: 1, 1/2 and 2 from the coefficient 1; 1, 2 and 4
+    # from the coefficient -2
+    for x, found in [(element_seq(F, atoms=[(token_form(1, 0), RationalSeq.const(1))]), False),
+                     (element_seq(T, atoms=[(seq_form(1, 0), RationalSeq.const(-2))]), True)]:
+        builds = 0
+        decided.clear()
+        probed.clear()
+        res = bruteforce_dominating_search(x, 6)
+        assert (res.found is not None) == found
+        assert res.candidates_checked == len(decided)
+        assert builds <= 5 * 3
+        probed.discard(x)
+        assert probed <= {b for b, ok in decided.items() if ok}
+        assert len(probed) < len(decided)
