@@ -29,6 +29,7 @@ from .scalars import Q
 from .spaces import AtomIndex, SpaceDesc, atom_str
 from .elements import (
     Element,
+    add,
     atom,
     decompose,
     in_base_space,
@@ -38,16 +39,9 @@ from .elements import (
     nonzero_classes,
     pos,
     row_unit,
+    scale,
     sub,
     unit,
-)
-from .completion import (
-    CompletionElement,
-    ce_add,
-    ce_pos,
-    ce_scale,
-    ce_sub,
-    embed,
 )
 from .convergence import ConvergenceCertificate, decide_order_convergence
 from .operators import (
@@ -88,14 +82,14 @@ def entrywise_pos_op(T: Operator) -> Operator:
     return operator(T.domain, T.codomain, images, rule, None, table_sum)
 
 
-def rk_unit_pattern(T: Operator) -> CompletionElement:
+def rk_unit_pattern(T: Operator) -> Element:
     """sup of T over the order interval below the unit, coordinatewise."""
     sigma_pos = image_sum_pattern(T, "pos")
     sigma = image_sum_pattern(T, "id")
-    return ce_add(sigma_pos, ce_pos(ce_sub(embed(T.unit_image), sigma)))
+    return add(sigma_pos, pos(sub(T.unit_image, sigma)))
 
 
-def rk_value(T: Operator, x: Element) -> CompletionElement:
+def rk_value(T: Operator, x: Element) -> Element:
     """sup { T(y) : 0 <= y <= x }, computed in the completion."""
     if x.space != T.domain:
         raise PreconditionError("argument lives in the wrong space")
@@ -105,37 +99,37 @@ def rk_value(T: Operator, x: Element) -> CompletionElement:
     parts = decompose(x)
     t = next((c for ref, c in parts if ref[0] == "unit"), Q(0))
     # pointwise positive action on the atoms
-    out = embed(lincomb(T.codomain, [
+    out = lincomb(T.codomain, [
         (c, pos(atom_image(T, ref[1]))) for ref, c in parts if ref[0] == "atom"
-    ]))
+    ])
     if not T.domain.row_units:
-        return out if t == 0 else ce_add(out, ce_scale(t, rk_unit_pattern(T)))
+        return out if t == 0 else add(out, scale(t, rk_unit_pattern(T)))
     # ek domain: row-unit and unit correction terms
     explicit_rows = list(range(1, len(x.rows) + 1))
     rowpos_total = None
     for r, (_, rt) in enumerate(x.rows, start=1):
         rp = row_sum_pattern(T, r, "pos")
-        rowpos_total = rp if rowpos_total is None else ce_add(rowpos_total, rp)
+        rowpos_total = rp if rowpos_total is None else add(rowpos_total, rp)
         if rt != 0:
-            out = ce_add(out, ce_scale(rt, ce_add(rp, _row_correction(T, r))))
+            out = add(out, scale(rt, add(rp, _row_correction(T, r))))
     if t != 0:
         sigma_pos = image_sum_pattern(T, "pos")
         beyond_pos = (
-            ce_sub(sigma_pos, rowpos_total) if rowpos_total is not None else sigma_pos
+            sub(sigma_pos, rowpos_total) if rowpos_total is not None else sigma_pos
         )
-        out = ce_add(out, ce_scale(t, beyond_pos))
+        out = add(out, scale(t, beyond_pos))
         _check_ek_beyond_rows(T, explicit_rows)
         rho_sum = lincomb(T.codomain, [(1, img) for _, img in T.row_unit_images])
         for r, _ in T.row_unit_images:
             if r not in explicit_rows:
-                out = ce_add(out, ce_scale(t, _row_correction(T, r)))
-        out = ce_add(out, ce_scale(t, ce_pos(embed(sub(T.unit_image, rho_sum)))))
+                out = add(out, scale(t, _row_correction(T, r)))
+        out = add(out, scale(t, pos(sub(T.unit_image, rho_sum))))
     return out
 
 
-def _row_correction(T: Operator, r: int) -> CompletionElement:
+def _row_correction(T: Operator, r: int) -> Element:
     """The positive part of row r's unit image less its atom-image sum."""
-    return ce_pos(ce_sub(embed(row_unit_image(T, r)), row_sum_pattern(T, r, "id")))
+    return pos(sub(row_unit_image(T, r), row_sum_pattern(T, r, "id")))
 
 
 def _check_ek_beyond_rows(T: Operator, explicit_rows) -> None:
@@ -196,11 +190,11 @@ def positive_part(T: Operator) -> tuple[Operator, Element | None, bool]:
     rows, tail = {}, None
     if T.domain.row_units:
         table = [r for r, _ in T.row_unit_images]
-        rows = {r: rk_value(T, row_unit(T.domain, r)).pat for r in table}
-        tail = rk_value(T, row_unit(T.domain, max(table, default=0) + 1)).pat
+        rows = {r: rk_value(T, row_unit(T.domain, r)) for r in table}
+        tail = rk_value(T, row_unit(T.domain, max(table, default=0) + 1))
     P = operator(
         T.domain, T.codomain, dict(tpos.atom_images), tpos.rule, rows,
-        rk_value(T, unit(T.domain)).pat,
+        rk_value(T, unit(T.domain)),
     )
     return P, tail, failing_generator(P, tail) is None
 
@@ -244,12 +238,12 @@ def oc_projection(T: Operator) -> Operator:
             "the projection needs a linearly enumerated atom system"
         )
     _require_bounded(T)
-    return replace(T, unit_image=image_sum_pattern(T, "id").pat)
+    return replace(T, unit_image=image_sum_pattern(T, "id"))
 
 
 def projection_fixes(T: Operator) -> bool:
     """P(T) == T, i.e. the unit image equals the partial-sum limit."""
-    return image_sum_pattern(T, "id").pat == T.unit_image
+    return image_sum_pattern(T, "id") == T.unit_image
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +278,7 @@ def pervasive_witness(T: Operator, probe: int = 8) -> Witness:
         f = coordinate_functional_of(T, j)
         v = atom(T.codomain, j)
         R = rank_one(f, v)
-        transcript = _witness_transcript(R, T, gen, j, probe)
+        transcript = _witness_transcript(R, T, probe)
         return Witness(f, v, R, _gen_label(gen), j, transcript)
     # every atom image vanishes: T factors through the quotient by the atom
     # span closure, which must have codimension <= 1
@@ -297,7 +291,7 @@ def pervasive_witness(T: Operator, probe: int = 8) -> Witness:
     f = functional(T.domain, {}, 1)
     v = T.unit_image
     R = rank_one(f, v)
-    transcript = _witness_transcript(R, T, gen, None, probe)
+    transcript = _witness_transcript(R, T, probe)
     transcript = transcript + (
         "T vanishes on the atom span closure, so it is the rank-one tensor "
         "of the unit-coefficient functional with its unit image",
@@ -346,7 +340,7 @@ def _first_positive_coordinate(y: Element) -> AtomIndex:
     raise PreconditionError("image has no positive coordinate")
 
 
-def _witness_transcript(R: Operator, T: Operator, gen, j, probe: int) -> Tuple[str, ...]:
+def _witness_transcript(R: Operator, T: Operator, probe: int) -> Tuple[str, ...]:
     ok, lines = verify_witness_inner(R, T, probe)
     if not ok:
         raise PreconditionError("witness construction failed its own transcript")

@@ -28,9 +28,8 @@ from .errors import (
 )
 from .scalars import RationalSeq, qof, qstr
 from .spaces import parse_space_label, token_form
-from .elements import unit
+from .elements import describe, unit
 from .operators import order_bounded_test
-from .completion import embed
 from .calculus import (
     NONZERO_TAIL,
     classify_pair,
@@ -120,9 +119,9 @@ def _cmd_positive_part(args) -> Report:
         exit_code=code,
         anchors=tuple(dict.fromkeys(("rk-formula", "rk-property-pervasive") + cls.anchors)),
         certificate={
-            "unit_image": embed(P.unit_image),
-            "row_unit_images": {r: embed(img) for r, img in P.row_unit_images},
-            "row_unit_tail": None if tail is None else embed(tail),
+            "unit_image": describe(P.unit_image),
+            "row_unit_images": {r: describe(img) for r, img in P.row_unit_images},
+            "row_unit_tail": None if tail is None else describe(tail),
             "failing_generator": failing,
         },
         details={"in_space": in_f, "pervasiveness_route": cls.pervasive_route},
@@ -139,7 +138,7 @@ def _cmd_project_oc(args) -> Report:
         exit_code=0,
         anchors=("partial-sum-projection", "oc-regular-band"),
         certificate={
-            "unit_image": embed(P.unit_image),
+            "unit_image": describe(P.unit_image),
             "restricts_to_space": failing_generator(P) is None,
         },
         details={"fixed": fixed},

@@ -43,7 +43,6 @@ from .elements import (
     unit,
     zero,
 )
-from .completion import CompletionElement
 from .sequences import (
     ElementSeq,
     MovingAtom,
@@ -121,12 +120,7 @@ def _check_decreasing(b: ElementSeq, probe: int, step) -> int:
         raise NotDecreasingError(window, "ambient sequence increases in the tail")
     for form, coeff in b.atoms:
         if form.moving:
-            ev = coeff.eventual_value()
-            if ev is not None and ev > 0:
-                raise NotDecreasingError(
-                    window, f"moving coefficient at {form} stays positive"
-                )
-            if coeff.kind == "harmonic" and coeff.value > 0:
+            if coeff.limit() > 0 or coeff.h > 0:
                 raise NotDecreasingError(
                     window, f"moving coefficient at {form} stays positive"
                 )
@@ -145,13 +139,13 @@ def _check_decreasing(b: ElementSeq, probe: int, step) -> int:
 # witnesses for a nonzero eventual pattern
 
 
-def _pattern_witness(pat: CompletionElement) -> tuple[object | None, Q, str]:
+def _pattern_witness(pat: Element) -> tuple[object | None, Q, str]:
     """(coordinate, value, description) of the first nonzero pattern class.
 
     A None coordinate means the obstruction sits on the ambient class of the
     uncountable kind: every fresh point keeps that value.
     """
-    return next(nonzero_classes(pat.pat), (None, Q(0), "zero"))
+    return next(nonzero_classes(pat), (None, Q(0), "zero"))
 
 
 def _tokens_in_play(seq: ElementSeq) -> set[Token]:
@@ -226,7 +220,7 @@ def _build_residual(d: ElementSeq, bound: Q) -> tuple[ElementSeq, Tuple[MovingAt
     harmonic_parts = [
         (form, coeff.abs_env())
         for form, coeff in d.atoms
-        if not form.moving and coeff.kind == "harmonic"
+        if not form.moving and coeff.h
     ]
     if space.row.sequence:
         # a same-index family suffices: bound times the unit off an
@@ -373,17 +367,17 @@ def decide_uniform_cauchy(x: ElementSeq, probe: int = 8) -> UniformCauchyResult:
     for form, coeff in x.atoms:
         if form.moving:
             ev = coeff.eventual_value()
-            if coeff.kind != "harmonic" and ev != 0:
+            if ev:
                 return UniformCauchyResult(
                     False,
                     None,
                     f"moving bump at {form} keeps size {qstr(abs(ev))}",
                 )
-            if coeff.kind == "harmonic" or not coeff.is_zero():
+            if not coeff.is_zero():
                 needs_unit = True
         else:
             stationary_support.append(form.at(x.n0))
-    if x.ambient.kind == "steps":
+    if x.ambient.prefix:
         needs_unit = True
     if x.prelude:
         needs_unit = True
@@ -411,11 +405,13 @@ def verify_certificate(
     window = structural_threshold(d) + probe
     if cert.verdict == CONVERGES:
         ok = True
-        # the two probe loops share the steps of d: each is evaluated once
+        # the two probe loops share the steps of d: each is evaluated once,
+        # and built once when no escaping atoms come off it
         d_parts = cache(partial(step_parts, d))
+        d_step = cache(lambda n: recompose(d.space, d_parts(n)))
         if cert.order_bound is not None:
             for n in range(1, window + 1):
-                if not abs_le(recompose(d.space, d_parts(n)), cert.order_bound):
+                if not abs_le(d_step(n), cert.order_bound):
                     log.append(f"FAIL order bound at n={n}")
                     ok = False
                     break
@@ -437,7 +433,8 @@ def verify_certificate(
             else:
                 log.append("dominating family settles at 0 (monotone rule)")
             for n in range(max(1, cert.n0), window + 1):
-                resid = _less_atoms(d.space, d_parts(n), cert.escaping, n)
+                resid = (_less_atoms(d.space, d_parts(n), cert.escaping, n)
+                         if cert.escaping else d_step(n))
                 if not abs_le(resid, b_step(n)):
                     log.append(f"FAIL domination of the stationary part at n={n}")
                     ok = False

@@ -56,12 +56,7 @@ from .elements import (
     zero,
     is_positive as elem_is_positive,
 )
-from .completion import (
-    CompletionElement,
-    ce_le,
-    embed,
-    pattern_from_pieces,
-)
+from .completion import pattern_from_pieces
 from .scalars import ZERO_SEQ
 from .sequences import ElementSeq, fill, normalize
 
@@ -611,7 +606,7 @@ _TRANSFORMS = {
 _ELEM_TRANSFORMS = {"id": lambda x: x, "pos": pos, "neg": neg, "abs": abs_}
 
 
-def image_sum_pattern(T: Operator, transform: str = "id") -> CompletionElement:
+def image_sum_pattern(T: Operator, transform: str = "id") -> Element:
     """The coordinatewise sum over all atoms of transform(T(atom)).
 
     Exact because the tail rule is locally finite: every output coordinate
@@ -622,14 +617,14 @@ def image_sum_pattern(T: Operator, transform: str = "id") -> CompletionElement:
     return _sum_pattern(T, transform, None)
 
 
-def row_sum_pattern(T: Operator, row: int, transform: str = "id") -> CompletionElement:
+def row_sum_pattern(T: Operator, row: int, transform: str = "id") -> Element:
     """Sum over the atoms of one row of a row-block domain."""
     if T.domain.row.form is not PairForm:
         raise PreconditionError("row sums need a row-block domain")
     return _sum_pattern(T, transform, row)
 
 
-def _sum_pattern(T: Operator, transform: str, row: int | None) -> CompletionElement:
+def _sum_pattern(T: Operator, transform: str, row: int | None) -> Element:
     """Sum over all atoms, or over one row: the table entries less what the
     rule pieces put there, plus the rule pieces."""
     tf = _TRANSFORMS[transform]
@@ -686,7 +681,7 @@ def order_bounded_test(T: Operator) -> BoundReport:
             None,
             f"coordinate {leak} accumulates unboundedly through the tail rule",
         )
-    m = max_abs_coord(image_sum_pattern(T, "abs").pat)
+    m = max_abs_coord(image_sum_pattern(T, "abs"))
     m = max(m, max_abs_coord(T.unit_image))
     for _, img in T.row_unit_images:
         m = max(m, max_abs_coord(img))
@@ -728,14 +723,13 @@ def is_positive_operator(T: Operator) -> bool:
         # the atom images are positive, so their partial sums increase to
         # the image sum: it alone decides whether they stay below the unit
         # image
-        return _stationary_leak(T) is None and ce_le(
-            image_sum_pattern(T, "id"), embed(T.unit_image))
+        return _stationary_leak(T) is None and le(image_sum_pattern(T, "id"), T.unit_image)
     # ek domain: the row-unit generators force row-level conditions
     if T.rule is not None and not T.rule.is_zero():
         return False
     rows = {k for k, _ in T.row_unit_images}
     for r in rows:
-        if not ce_le(row_sum_pattern(T, r, "id"), embed(row_unit_image(T, r))):
+        if not le(row_sum_pattern(T, r, "id"), row_unit_image(T, r)):
             return False
     total = lincomb(T.codomain, [(1, img) for _, img in T.row_unit_images] + [
         (1, img) for idx, img in T.atom_images if idx[0] not in rows

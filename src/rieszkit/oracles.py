@@ -289,7 +289,8 @@ def _candidate_families(x: ElementSeq, bound: int):
     shapes combine a constant ambient, harmonic copies of the stationary
     atoms, matched moving-atom copies, and unit-minus-march terms.  Each
     (shape, scale) family is built once; the candidates are the sums of two
-    of them, in (shape, shape, scale, scale) order, without repeats."""
+    of them, in (shape, shape, scale, scale) order, without repeats, each
+    summed only when the search asks for it."""
     scales = {Q(1)}
     for _, coeff in x.atoms:
         v = coeff.max_abs()
@@ -297,7 +298,7 @@ def _candidate_families(x: ElementSeq, bound: int):
             scales.update({v, v / 2, 2 * v})
     scales = sorted(scales)
     built = {(gi, sc): shape(x, sc) for gi, shape in enumerate(_SHAPES) for sc in scales}
-    out = []
+    seen = set()
     for picks in product(range(len(_SHAPES)), repeat=2):
         for s1 in scales:
             for s2 in scales:
@@ -307,15 +308,11 @@ def _candidate_families(x: ElementSeq, bound: int):
                 total = sum(0 if gi == 0 else 1 + len(fam.atoms) + len(fam.fills)
                             for gi, fam in zip(picks, fams))
                 if total <= bound:
-                    out.append(_seq_sum(fams))
-    seen = set()
-    uniq = []
-    for fam in out:
-        key = _seq_key(fam)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(fam)
-    return uniq
+                    cand = _seq_sum(fams)
+                    key = _seq_key(cand)
+                    if key not in seen:
+                        seen.add(key)
+                        yield cand
 
 
 def _seq_sum(fams):

@@ -12,7 +12,6 @@ from typing import Any, Tuple
 
 from .scalars import Q, qstr
 from .elements import Element, render
-from .completion import CompletionElement, describe_pattern
 from .convergence import ConvergenceCertificate
 from .sequences import ElementSeq
 
@@ -39,8 +38,6 @@ def ser(value) -> Any:
         return qstr(value)
     if isinstance(value, Element):
         return render(value)
-    if isinstance(value, CompletionElement):
-        return describe_pattern(value)
     if isinstance(value, ElementSeq):
         return {
             "static": render(value.static),

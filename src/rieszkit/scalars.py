@@ -3,9 +3,9 @@
 Every number in the engine is a rational (`fractions.Fraction`), stored in
 lowest terms with a positive denominator; there is no rounding anywhere.
 Payload values of elements and patterns are always `Fraction`, never `int`.
-`RationalSeq` is the closed-form class of scalar sequences the symbolic
-machinery can decide things about: constants, eventually constant steps,
-and harmonic decays c/n.
+`RationalSeq` is the closed form of the scalar sequences the symbolic
+machinery can decide things about: a finite prefix, then tail + h/n.  It
+covers constants, eventually constant steps and harmonic decays c/n.
 
 `qadd`, `qsub` and `qmul` are the payload arithmetic.  Most coordinates of
 the sparse data are 0, and most coefficients 0 or 1, so they reuse an
@@ -74,153 +74,105 @@ def qstr(q: Q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-CONST = "const"
-STEPS = "steps"
-HARMONIC = "harmonic"
-
-
 @dataclass(frozen=True)
 class RationalSeq:
-    """A scalar sequence n >= 1 in one of three closed forms.
+    """A scalar sequence n >= 1 in one closed form: prefix[n-1] for
+    n <= len(prefix), and tail + h/n after that.
 
-    const:    value, value, value, ...
-    steps:    prefix[0], ..., prefix[-1], tail, tail, ...
-    harmonic: value/1, value/2, value/3, ...
+    The constructors give the three kinds `describe` writes: const
+    (c, c, c, ...) and steps (the prefix, then tail, tail, ...) have h = 0
+    and no trailing prefix entry equal to the tail; harmonic (c/1, c/2, ...)
+    is h = c alone.  `add` refuses the sums that would leave these kinds, so
+    h != 0 only comes with an empty prefix and a zero tail.
     """
 
-    kind: str
-    value: Q = Q(0)
     prefix: tuple = ()
-    tail: Q = Q(0)
+    tail: Q = Q0
+    h: Q = Q0
 
     @staticmethod
     def const(c: QLike) -> "RationalSeq":
-        return RationalSeq(CONST, value=qof(c))
+        return RationalSeq(tail=qof(c))
 
     @staticmethod
     def steps(prefix: Iterable[QLike], tail: QLike) -> "RationalSeq":
-        tail_q = qof(tail)
-        pref = [qof(v) for v in prefix]
-        while pref and pref[-1] == tail_q:
-            pref.pop()
-        if not pref:
-            return RationalSeq(CONST, value=tail_q)
-        return RationalSeq(STEPS, prefix=tuple(pref), tail=tail_q)
+        return _closed([qof(v) for v in prefix], qof(tail), Q0)
 
     @staticmethod
     def harmonic(c: QLike) -> "RationalSeq":
-        c_q = qof(c)
-        if c_q == 0:
-            return RationalSeq(CONST, value=Q(0))
-        return RationalSeq(HARMONIC, value=c_q)
+        return RationalSeq(h=qof(c))
+
+    @property
+    def kind(self) -> str:
+        """The form `describe` writes: "const", "steps" or "harmonic"."""
+        return "harmonic" if self.h else "steps" if self.prefix else "const"
 
     def at(self, n: int) -> Q:
         if n < 1:
             raise ValueError("sequence index starts at 1")
-        if self.kind == CONST:
-            return self.value
-        if self.kind == STEPS:
-            if n <= len(self.prefix):
-                return self.prefix[n - 1]
-            return self.tail
-        return self.value / n
+        if n <= len(self.prefix):
+            return self.prefix[n - 1]
+        return qadd(self.tail, self.h / n) if self.h else self.tail
 
     def limit(self) -> Q:
-        if self.kind == CONST:
-            return self.value
-        if self.kind == STEPS:
-            return self.tail
-        return Q(0)
+        return self.tail
 
     def eventual_value(self) -> Q | None:
         """Value the sequence is eventually *equal* to, or None (harmonic)."""
-        if self.kind == HARMONIC:
-            return None
-        return self.limit()
+        return None if self.h else self.tail
 
     def is_zero(self) -> bool:
-        if self.kind == CONST:
-            return self.value == 0
-        if self.kind == STEPS:
-            return self.tail == 0 and all(v == 0 for v in self.prefix)
-        return False
+        return not self.h and not self.tail and not any(self.prefix)
 
     def max_abs(self) -> Q:
-        if self.kind == CONST:
-            return abs(self.value)
-        if self.kind == STEPS:
-            return max([abs(self.tail)] + [abs(v) for v in self.prefix])
-        return abs(self.value)
+        return max(abs(self.at(n)) for n in range(1, len(self.prefix) + 2))
 
     def is_nonincreasing_from(self, n0: int = 1) -> bool:
-        if self.kind == CONST:
-            return True
-        if self.kind == HARMONIC:
-            return self.value >= 0
         vals = [self.at(n) for n in range(n0, len(self.prefix) + 2)]
-        return all(a >= b for a, b in zip(vals, vals[1:]))
+        return self.h >= 0 and all(a >= b for a, b in zip(vals, vals[1:]))
 
     def scale(self, c: QLike) -> "RationalSeq":
         c_q = qof(c)
-        if c_q == 0:
-            return RationalSeq.const(0)
-        if self.kind == CONST:
-            return RationalSeq.const(self.value * c_q)
-        if self.kind == STEPS:
-            return RationalSeq.steps([v * c_q for v in self.prefix], self.tail * c_q)
-        return RationalSeq.harmonic(self.value * c_q)
+        return _closed([v * c_q for v in self.prefix], self.tail * c_q, self.h * c_q)
 
     def add(self, other: "RationalSeq") -> "RationalSeq":
         a, b = self, other
-        if a.kind == HARMONIC or b.kind == HARMONIC:
-            if a.kind == HARMONIC and b.kind == HARMONIC:
-                return RationalSeq.harmonic(a.value + b.value)
-            other_one = b if a.kind == HARMONIC else a
-            harm = a if a.kind == HARMONIC else b
-            if other_one.is_zero():
-                return harm
+        if bool(a.h) != bool(b.h) and not (a.is_zero() or b.is_zero()):
             raise ValueError("no closed form for harmonic + non-harmonic")
-        if a.kind == CONST and b.kind == CONST:
-            return RationalSeq.const(a.value + b.value)
-        width = max(
-            len(a.prefix) if a.kind == STEPS else 0,
-            len(b.prefix) if b.kind == STEPS else 0,
-        )
+        width = max(len(a.prefix), len(b.prefix))
         pref = [a.at(n) + b.at(n) for n in range(1, width + 1)]
-        return RationalSeq.steps(pref, a.limit() + b.limit())
+        return _closed(pref, a.tail + b.tail, a.h + b.h)
 
     def abs_env(self) -> "RationalSeq":
         """Nonincreasing envelope e(n) >= |self(n)| with the same (zero) limit class.
 
-        For steps, this is the running maximum of |values| from the right;
-        the envelope is eventually |tail|.
+        The prefix part is the running maximum of |values| from the right;
+        the envelope is eventually |tail| + |h|/n.
         """
-        if self.kind == CONST:
-            return RationalSeq.const(abs(self.value))
-        if self.kind == HARMONIC:
-            return RationalSeq.harmonic(abs(self.value))
         env = []
         running = abs(self.tail)
         for v in reversed(self.prefix):
             running = max(running, abs(v))
             env.append(running)
         env.reverse()
-        return RationalSeq.steps(env, abs(self.tail))
+        return _closed(env, abs(self.tail), abs(self.h))
 
     def settle_bound(self) -> int:
         """An index beyond which the sequence is in its eventual regime."""
-        if self.kind == STEPS:
-            return len(self.prefix) + 1
-        return 1
+        return len(self.prefix) + 1
 
     def describe(self) -> str:
-        if self.kind == CONST:
-            return qstr(self.value)
-        if self.kind == HARMONIC:
-            return f"{qstr(self.value)}/n"
-        body = ",".join(qstr(v) for v in self.prefix)
-        return f"[{body};{qstr(self.tail)}]"
+        rest = f"{qstr(self.h)}/n" if self.h else qstr(self.tail)
+        if not self.prefix:
+            return rest
+        return f"[{','.join(map(qstr, self.prefix))};{rest}]"
+
+
+def _closed(prefix: list, tail: Q, h: Q) -> RationalSeq:
+    """The canonical form: trailing prefix entries equal to the tail go."""
+    while prefix and prefix[-1] == tail:
+        prefix.pop()
+    return RationalSeq(tuple(prefix), tail, h)
 
 
 ZERO_SEQ = RationalSeq.const(0)
-ONE_SEQ = RationalSeq.const(1)

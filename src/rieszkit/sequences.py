@@ -44,7 +44,7 @@ from .spaces import (
     forms_collide_at,
 )
 from .elements import Element, add, decompose, max_abs_coord, recompose, scale, zero
-from .completion import CompletionElement, pattern_from_pieces
+from .completion import pattern_from_pieces
 
 MovingAtom = Tuple[CoordForm, RationalSeq]
 
@@ -116,7 +116,7 @@ def element_seq(
     if static.space != space:
         raise SpaceMismatchError("static part lives in the wrong space")
     ambient = ambient if ambient is not None else ZERO_SEQ
-    if ambient.kind == "harmonic":
+    if ambient.h:
         raise StencilError("ambient sequences must be eventually constant")
     merged: list[MovingAtom] = []
     for form, coeff in atoms:
@@ -291,7 +291,7 @@ def structural_threshold(seq: ElementSeq) -> int:
     return t + 1
 
 
-def eventual_pattern(seq: ElementSeq) -> CompletionElement:
+def eventual_pattern(seq: ElementSeq) -> Element:
     """Coordinatewise limits of the sequence, as a completion pattern.
 
     Moving atoms hit each fixed coordinate at most finitely often and

@@ -1,4 +1,4 @@
-"""Declarative spec files: spaces, operators, and check directives.
+"""Declarative spec files: spaces and operators.
 
 Grammar (line oriented, '#' comments):
 
@@ -11,9 +11,6 @@ Grammar (line oriented, '#' comments):
       rowunits VAR > N -> 0
       unit -> ELEM
     }
-
-    check order_bounded [on NAME]
-    check order_continuous [on NAME]
 
     IDX   := INT | INT,INT
     ELEM  := 0 | TERM + TERM + ...        TERM := COEF @ COORDLIT | COEF * unit
@@ -112,17 +109,9 @@ class OperatorDecl:
 
 
 @dataclass(frozen=True)
-class CheckDirective:
-    check: str
-    target: str | None
-    line: int
-
-
-@dataclass(frozen=True)
 class SpecFile:
     spaces: Tuple[SpaceDecl, ...]
     operators: Tuple[OperatorDecl, ...]
-    checks: Tuple[CheckDirective, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +190,6 @@ class _Cursor:
 def parse(text: str) -> SpecFile:
     spaces: list[SpaceDecl] = []
     operators: list[OperatorDecl] = []
-    checks: list[CheckDirective] = []
     lines = text.splitlines()
     i = 0
     while i < len(lines):
@@ -210,23 +198,19 @@ def parse(text: str) -> SpecFile:
             i += 1
             continue
         cur = _Cursor(toks, i + 1)
-        head = cur.next(("space", "operator", "check"))
+        head = cur.next(("space", "operator"))
         if head.text == "space":
             spaces.append(_parse_space(cur))
             i += 1
         elif head.text == "operator":
             decl, i = _parse_operator(cur, lines, i)
-        elif head.text == "check":
-            checks.append(_parse_check(cur))
-            i += 1
+            operators.append(decl)
         else:
             raise SpecError(
                 head.line, head.col, f"unknown statement {head.text!r}",
-                ("space", "operator", "check"),
+                ("space", "operator"),
             )
-        if head.text == "operator":
-            operators.append(decl)
-    return SpecFile(tuple(spaces), tuple(operators), tuple(checks))
+    return SpecFile(tuple(spaces), tuple(operators))
 
 
 def _parse_space(cur: _Cursor) -> SpaceDecl:
@@ -250,21 +234,6 @@ def _parse_space(cur: _Cursor) -> SpaceDecl:
         )
     cur.require_end()
     return SpaceDecl(name.text, label, name.line)
-
-
-def _parse_check(cur: _Cursor) -> CheckDirective:
-    what = cur.next(("order_bounded", "order_continuous"))
-    if what.text not in ("order_bounded", "order_continuous"):
-        raise SpecError(
-            what.line, what.col, f"unknown check {what.text!r}",
-            ("order_bounded", "order_continuous"),
-        )
-    target = None
-    if not cur.at_end():
-        cur.expect("on")
-        target = cur.next(("operator name",)).text
-    cur.require_end()
-    return CheckDirective(what.text, target, what.line)
 
 
 def _parse_operator(cur: _Cursor, lines: list[str], i: int):
@@ -350,11 +319,20 @@ def _parse_operator(cur: _Cursor, lines: list[str], i: int):
     return decl, j
 
 
-def _parse_int(cur: _Cursor) -> int:
-    t = cur.next(("integer",))
+def _parse_int(cur: _Cursor, what: str = "integer") -> int:
+    t = cur.next((what,))
     if t.kind != "num":
-        raise SpecError(t.line, t.col, f"got {t.text!r}", ("integer",))
+        raise SpecError(t.line, t.col, f"got {t.text!r}", (what,))
     return int(t.text)
+
+
+def _parse_denominator(cur: _Cursor, what: str = "integer") -> int:
+    """The integer after a '/'; 0 is an input error at its token."""
+    t = cur.peek()
+    den = _parse_int(cur, what)
+    if den == 0:
+        raise SpecError(t.line, t.col, "zero denominator")
+    return den
 
 
 def _parse_scalar(cur: _Cursor) -> Q:
@@ -370,10 +348,7 @@ def _parse_scalar(cur: _Cursor) -> Q:
     nxt = cur.peek()
     if nxt is not None and nxt.text == "/":
         cur.next()
-        den = cur.next(("denominator",))
-        if den.kind != "num":
-            raise SpecError(den.line, den.col, f"got {den.text!r}", ("denominator",))
-        num = num / int(den.text)
+        num = num / _parse_denominator(cur, "denominator")
     return sign * num
 
 
@@ -423,28 +398,22 @@ def _parse_coord(cur: _Cursor, rule_var: str) -> tuple:
     if t.kind == "name" and t.text == "g":
         cur.next()
         cur.expect("(")
-        aff = _parse_affine(cur, {rule_var})
+        aff = _parse_affine_sum(cur, {rule_var})
         cur.expect(")")
         return ("token", aff)
     if t.text == "(":
         cur.next()
-        row = _parse_affine(cur, {"n", rule_var})
+        row = _parse_affine_sum(cur, {"n", rule_var})
         cur.expect(",")
-        col = _parse_affine(cur, {"n", rule_var})
+        col = _parse_affine_sum(cur, {"n", rule_var})
         cur.expect(")")
         return ("pair", row, col)
-    aff = _parse_affine(cur, {rule_var})
-    return ("seq", aff)
+    return ("seq", _parse_affine_sum(cur, {rule_var}))
 
 
-def _parse_affine(cur: _Cursor, vars_allowed: set) -> tuple:
+def _parse_affine_sum(cur: _Cursor, vars_allowed: set, stop=frozenset({")", ",", "}"})):
     """Affine expressions: sums of NUM, VAR, NUM VAR, with optional /NUM on a
     parenthesized group. Returns (var_name | None, a, b)."""
-    var_name, a, b = _parse_affine_sum(cur, vars_allowed, stop={")", ",", "}"})
-    return (var_name, a, b)
-
-
-def _parse_affine_sum(cur: _Cursor, vars_allowed: set, stop: set):
     a, b = Q(0), Q(0)
     var_name = None
     sign = Q(1)
@@ -472,8 +441,7 @@ def _parse_affine_sum(cur: _Cursor, vars_allowed: set, stop: set):
             nxt = cur.peek()
             if nxt is not None and nxt.text == "/":
                 cur.next()
-                den = _parse_int(cur)
-                scale_q = Q(1, den)
+                scale_q = Q(1, _parse_denominator(cur))
             if v is not None:
                 var_name = var_name or v
                 if v != var_name:
@@ -488,8 +456,7 @@ def _parse_affine_sum(cur: _Cursor, vars_allowed: set, stop: set):
             nxt = cur.peek()
             if nxt is not None and nxt.text == "/":
                 cur.next()
-                den = _parse_int(cur)
-                val = val / den
+                val = val / _parse_denominator(cur)
                 nxt = cur.peek()
             if nxt is not None and nxt.kind == "name":
                 v = cur.next()
@@ -518,8 +485,7 @@ def _parse_affine_sum(cur: _Cursor, vars_allowed: set, stop: set):
             val = Q(1)
             if nxt is not None and nxt.text == "/":
                 cur.next()
-                den = _parse_int(cur)
-                val = Q(1, den)
+                val = Q(1, _parse_denominator(cur))
             a += sign * val
             sign = Q(1)
             continue
@@ -742,9 +708,4 @@ def print_spec(spec: SpecFile) -> str:
         if op_.unit_image is not None:
             lines.append(f"  unit -> {_print_elem(op_.unit_image)}")
         lines.append("}")
-    if spec.checks:
-        lines.append("")
-    for c in spec.checks:
-        tail = f" on {c.target}" if c.target else ""
-        lines.append(f"check {c.check}{tail}")
     return "\n".join(lines) + "\n"

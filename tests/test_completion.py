@@ -2,7 +2,7 @@
 
 A pattern built by `pattern_from_pieces` denotes its base plus its pieces.
 The reference adds them up at each coordinate, and reads the result of an
-operation back through `describe_pattern`, so that the test does not depend
+operation back through `elements.describe`, so that the test does not depend
 on how patterns are stored.  The window covers every prefix and every
 explicit row plus two periods of the lcm of the moduli in play; on ck it
 adds the star tokens the bases store and a fresh one, which reads the
@@ -14,21 +14,20 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from rieszkit.completion import (
-    ce_add,
-    ce_is_nonneg,
-    ce_le,
-    ce_pos,
-    ce_scale,
-    ce_sub,
-    ce_sup,
-    collapse,
-    describe_pattern,
-    embed,
-    in_space,
-    pattern_from_pieces,
+from rieszkit.completion import collapse, pattern_from_pieces
+from rieszkit.elements import (
+    Element,
+    add,
+    coordinate,
+    describe,
+    in_base_space,
+    is_positive,
+    le,
+    pos,
+    scale,
+    sub,
+    sup2,
 )
-from rieszkit.elements import Element, coordinate
 from rieszkit.scalars import Q
 from rieszkit.spaces import Kind, Token, gamma
 
@@ -132,7 +131,7 @@ def _window(space, descs, pieces):
     return [(n, m) for n in range(1, w + 1) for m in range(1, w + 1)], w, period
 
 
-def _in_space_reference(space, at, w: int, period: int) -> bool:
+def _in_base_space_reference(space, at, w: int, period: int) -> bool:
     last = range(w - period + 1, w + 1)
     k = space.kind
     if k == Kind.FIN_DIM:
@@ -176,34 +175,34 @@ def _check_pair(space, a, b, c) -> None:
     (ca, base_a, pieces_a), (cb, base_b, pieces_b) = a, b
     ra, rb = _reference(space, base_a, pieces_a), _reference(space, base_b, pieces_b)
     results = [
-        (ce_add(ca, cb), lambda u, v: u + v),
-        (ce_sub(ca, cb), lambda u, v: u - v),
-        (ce_sup(ca, cb), max),
-        (ce_scale(c, ca), lambda u, v: c * u),
-        (ce_pos(ca), lambda u, v: max(u, 0)),
+        (add(ca, cb), lambda u, v: u + v),
+        (sub(ca, cb), lambda u, v: u - v),
+        (sup2(ca, cb), max),
+        (scale(c, ca), lambda u, v: c * u),
+        (pos(ca), lambda u, v: max(u, 0)),
     ]
-    descs = [describe_pattern(p) for p in (ca, cb, embed(base_a), embed(base_b))]
-    descs += [describe_pattern(p) for p, _ in results]
+    descs = [describe(p) for p in (ca, cb, base_a, base_b)]
+    descs += [describe(p) for p, _ in results]
     idxs, w, period = _window(space, descs, pieces_a + pieces_b)
     for desc in descs:
         _assert_canonical(desc)
     for ce, ref in ((ca, ra), (cb, rb)):
-        got = _described(describe_pattern(ce))
+        got = _described(describe(ce))
         assert [got(i) for i in idxs] == [ref(i) for i in idxs]
     for p, f in results:
-        got = _described(describe_pattern(p))
-        assert [got(i) for i in idxs] == [f(ra(i), rb(i)) for i in idxs], describe_pattern(p)
-    up = ce_sup(ca, cb)
-    assert ce_le(ca, cb) == all(ra(i) <= rb(i) for i in idxs)
-    assert ce_le(cb, ca) == all(rb(i) <= ra(i) for i in idxs)
-    assert ce_le(ca, up) and ce_le(cb, up)
-    assert ce_is_nonneg(ca) == all(ra(i) >= 0 for i in idxs)
-    assert ce_is_nonneg(ce_pos(ca))
+        got = _described(describe(p))
+        assert [got(i) for i in idxs] == [f(ra(i), rb(i)) for i in idxs], describe(p)
+    up = sup2(ca, cb)
+    assert le(ca, cb) == all(ra(i) <= rb(i) for i in idxs)
+    assert le(cb, ca) == all(rb(i) <= ra(i) for i in idxs)
+    assert le(ca, up) and le(cb, up)
+    assert is_positive(ca) == all(ra(i) >= 0 for i in idxs)
+    assert is_positive(pos(ca))
     assert ca.is_zero() == all(ra(i) == 0 for i in idxs)
-    assert ce_sub(ca, ca).is_zero()
+    assert sub(ca, ca).is_zero()
     for ce, ref in ((ca, ra), (up, lambda i: max(ra(i), rb(i)))):
-        member = _in_space_reference(space, ref, w, period)
-        assert in_space(ce) == member, describe_pattern(ce)
+        member = _in_base_space_reference(space, ref, w, period)
+        assert in_base_space(ce) == member, describe(ce)
         x = collapse(ce)
         assert (x is not None) == member
         if member:
@@ -231,13 +230,13 @@ def test_moduli_that_differ_between_the_operands(rng):
         a = (pattern_from_pieces(space, base_a, pieces_a), base_a, pieces_a)
         b = (pattern_from_pieces(space, base_b, pieces_b), base_b, pieces_b)
         _check_pair(space, a, b, Q(-1, 2))
-        assert _extent(describe_pattern(ce_add(a[0], b[0])))[1] == 12
+        assert _extent(describe(add(a[0], b[0])))[1] == 12
 
 
-def test_embed_then_collapse_is_the_identity(rng):
+def test_a_base_element_collapses_to_itself(rng):
     for space in ALL_SPACES:
         for _ in range(40):
             x = random_element(rng, space)
-            assert in_space(embed(x))
-            assert collapse(embed(x)) == x
+            assert in_base_space(x)
+            assert collapse(x) == x
 

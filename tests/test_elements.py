@@ -14,13 +14,12 @@ from hypothesis import given, strategies as st
 
 from rieszkit.errors import InvalidIndexError, SpaceMismatchError
 from rieszkit.scalars import Q, RationalSeq
-from rieszkit import elements, sequences
+from rieszkit import convergence, elements, sequences
 from rieszkit.casebook import moving_indicator_operator, row_pair_difference_operator
 from rieszkit.convergence import check_decreasing, decide_order_convergence, verify_certificate
 from rieszkit.operators import partial_sum_seq
 from rieszkit.oracles import majorant_floors
 from rieszkit.sequences import element_seq
-from rieszkit.completion import ce_add, ce_scale, ce_sup, describe_pattern, embed
 from rieszkit.spaces import (
     Kind,
     Token,
@@ -39,6 +38,7 @@ from rieszkit.elements import (
     atom,
     coordinate,
     decompose,
+    describe,
     element_fin,
     element_findev,
     element_rowblock,
@@ -352,7 +352,6 @@ def test_lattice_ops_are_linear(monkeypatch):
         x, y = _wide(space, n, 0), _wide(space, n, n // 2)
         # y's and a rebuilt x's token objects: reads compare equal tokens
         up, p, m = sup2(y, x), pos(x), neg(_wide(space, n, 0))
-        ex, ey = embed(x), embed(y)
         monkeypatch.setattr(Token, "__eq__", counting_eq)
         monkeypatch.setattr(elements, "coordinate", counting_read)
         for name, run in [
@@ -360,8 +359,6 @@ def test_lattice_ops_are_linear(monkeypatch):
             ("add", lambda: add(x, y)),
             ("le", lambda: le(x, up)),
             ("is_disjoint", lambda: is_disjoint(p, m)),
-            ("ce_add", lambda: ce_add(ex, ey)),
-            ("ce_sup", lambda: ce_sup(ex, ey)),
         ]:
             counts.update(eq=0, coordinate=0)
             run()
@@ -485,6 +482,25 @@ def test_probe_loops_evaluate_each_step_once(monkeypatch):
             assert t8 < t16 and t32 - t16 == 2 * (t16 - t8), (x.space.label, name, t8, t16, t32)
 
 
+def test_verify_certificate_builds_each_step_of_d_once(monkeypatch):
+    """With no escaping atoms the domination loop reads the order-bound
+    loop's element of d_n: one `recompose` per step of the window."""
+    calls = 0
+    build = convergence.recompose
+
+    def counting(space, parts):
+        nonlocal calls
+        calls += 1
+        return build(space, parts)
+
+    bump, limit, cert = _probe_cost_cases()[0]
+    assert cert.escaping == ()
+    monkeypatch.setattr(convergence, "recompose", counting)
+    ok, log = verify_certificate(cert, bump, limit, 8)
+    assert ok and log[0] == f"order bound holds at n=1..{calls}"
+    assert calls == 10
+
+
 def test_verify_certificate_evaluates_each_step_of_b_once(monkeypatch):
     """The decreasing check and the domination loop share b's steps."""
     evals = Counter()
@@ -518,7 +534,7 @@ def test_a_sequence_decomposes_its_static_part_once(monkeypatch):
                     atoms=[(seq_form(1, 0), RationalSeq.const(1))])
     steps = [sequences.eval_seq(x, n) for n in range(1, 30)]
     assert steps[4] == element_tail(T, [1, 2, 3, 3, 4], 3)
-    assert sequences.eventual_pattern(x).pat == element_tail(T, [1, 2], 3)
+    assert sequences.eventual_pattern(x) == element_tail(T, [1, 2], 3)
     assert calls == 1
 
 
@@ -571,7 +587,7 @@ def _lattice_battery(seed: int = 11) -> str:
     """sup2, inf2, abs_, le, is_disjoint and coordinate on seeded elements
     of every space, one line per pair; then scale, lincomb and recompose
     with coefficients 0, 1 and -1, where sums and products reuse an operand;
-    then ce_add, ce_sup and ce_scale on seeded periodic patterns, described."""
+    then add, sup2 and scale on seeded periodic patterns, described."""
     rng = random.Random(seed)
     lines = []
     for space in ALL_SPACES:
@@ -590,8 +606,8 @@ def _lattice_battery(seed: int = 11) -> str:
                     render(recompose(space, parts))]))
         for _ in range(10):
             a, b = random_pattern(rng, space)[0], random_pattern(rng, space)[0]
-            lines.append(" ".join([space.label] + [json.dumps(describe_pattern(p)) for p in (
-                a, b, ce_add(a, b), ce_sup(a, b), ce_scale(Q(-3, 2), a))]))
+            lines.append(" ".join([space.label] + [json.dumps(describe(p)) for p in (
+                a, b, add(a, b), sup2(a, b), scale(Q(-3, 2), a))]))
     return "\n".join(lines)
 
 

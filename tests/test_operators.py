@@ -254,9 +254,9 @@ def test_pair_domain_explicit_override_of_the_rule():
     assert atom_image(Tr, (2, 5)) == atom(G, (2, 3))
     sig = image_sum_pattern(Tr, "pos")
     # the overridden atom contributes 5 at (7,7) instead of 1 at (2,2)
-    assert coordinate(sig.pat, (7, 7)) == 5 + 1   # override plus the rule image of atom (7,13)
-    assert coordinate(sig.pat, (2, 2)) == 0       # the rule contribution there was overridden
-    assert coordinate(sig.pat, (1, 2)) == 1
+    assert coordinate(sig, (7, 7)) == 5 + 1   # override plus the rule image of atom (7,13)
+    assert coordinate(sig, (2, 2)) == 0       # the rule contribution there was overridden
+    assert coordinate(sig, (1, 2)) == 1
 
 
 def test_pair_domain_add_keeps_overrides():
@@ -312,7 +312,7 @@ def test_image_sum_pattern_values():
     assert collapse(sig) == unit(T)
     Tm = moving_indicator_operator()
     sig_abs = image_sum_pattern(Tm, "abs")
-    assert max_abs_coord(sig_abs.pat) == 2
+    assert max_abs_coord(sig_abs) == 2
 
 
 def test_op_eq_sees_an_explicit_image_far_down_the_rows():
@@ -444,7 +444,7 @@ def test_image_sums_match_the_literal_sums_of_transformed_images(transform):
     cases = {name: T_ for name, (T_, _) in _parts_path_cases().items()}
     for name in ("l0inf stencil", "ck moving indicator"):
         T_ = cases[name]
-        sigma = image_sum_pattern(T_, transform).pat
+        sigma = image_sum_pattern(T_, transform)
         literal = lincomb(T_.codomain, [(1, etf(atom_image(T_, i))) for i in range(1, N + 1)])
         at = gamma if name.startswith("ck") else int
         for k in range(1, K + 1):
@@ -452,11 +452,11 @@ def test_image_sums_match_the_literal_sums_of_transformed_images(transform):
     for name in ("ek->grid row pair", "ek->grid row pair with a table", "ek row-tail spec"):
         T_ = cases[name]
         rows = range(1, 4)
-        sigma = image_sum_pattern(T_, transform).pat
+        sigma = image_sum_pattern(T_, transform)
         literal = lincomb(T_.codomain, [(1, etf(atom_image(T_, (r, m))))
                                         for r in rows for m in range(1, N + 1)])
         for r in rows:
-            row_sigma = row_sum_pattern(T_, r, transform).pat
+            row_sigma = row_sum_pattern(T_, r, transform)
             row_literal = lincomb(T_.codomain, [(1, etf(atom_image(T_, (r, m))))
                                                 for m in range(1, N + 1)])
             for k in range(1, K + 1):

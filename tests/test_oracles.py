@@ -120,8 +120,8 @@ def test_grid_sup_below_interval_supremum():
     g = grid_interval_sup(Tm, unit(T), 2)
     rk = rk_value(Tm, unit(T))
     for tok in [t for t, _ in g.entries]:
-        assert coordinate(g, tok) <= coordinate(rk.pat, tok)
-    assert g.ambient <= rk.pat.ambient
+        assert coordinate(g, tok) <= coordinate(rk, tok)
+    assert g.ambient <= rk.ambient
 
 
 def test_majorant_growth():
@@ -285,6 +285,27 @@ def test_dominating_search_finds_easy_cases():
     assert res.found is not None
     res0 = bruteforce_dominating_search(element_seq(T), 0)
     assert res0.found is not None
+
+
+def test_dominating_search_sums_candidates_only_up_to_the_accepted_one(monkeypatch):
+    """The candidates are summed on demand: the harmonic stationary atom is
+    dominated by its 6th candidate, after 20 of the 144 picks within the
+    bound (the rest repeat a candidate or are never reached)."""
+    from rieszkit import oracles
+
+    calls = 0
+    seq_sum = oracles._seq_sum
+
+    def counting(fams):
+        nonlocal calls
+        calls += 1
+        return seq_sum(fams)
+
+    monkeypatch.setattr(oracles, "_seq_sum", counting)
+    h = element_seq(T, atoms=[(seq_form(0, 1), RationalSeq.harmonic(1))])
+    res = bruteforce_dominating_search(h, 6)
+    assert (res.found is not None, res.candidates_checked) == (True, 6)
+    assert calls <= 20
 
 
 def test_dominating_search_refutes_moving_indicator():

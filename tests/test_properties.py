@@ -6,9 +6,8 @@ import random
 
 from rieszkit.scalars import Q, RationalSeq
 from rieszkit.spaces import fin_dev, gamma, seq_form, tail_seq, token_form
-from rieszkit.elements import atom, coordinate, le, scale, sub, unit, zero
+from rieszkit.elements import atom, coordinate, describe, le, scale, sub, unit, zero
 from rieszkit.sequences import element_seq, eval_seq, fill
-from rieszkit.completion import describe_pattern
 from rieszkit.convergence import _pattern_witness, decide_order_convergence
 from rieszkit.operators import apply_op, atom_image
 from rieszkit.calculus import order_continuity_test
@@ -318,5 +317,5 @@ def test_pattern_witness_names_a_coordinate_of_its_class(rng):
                 assert (coord, value) == (None, 0)
             else:
                 assert value != 0
-                at = _described(describe_pattern(ce))
+                at = _described(describe(ce))
                 assert at(FRESH if coord is None else coord) == value

@@ -1,0 +1,204 @@
+"""`RationalSeq` against a literal three-kind reference.
+
+The reference below keeps a sequence as one of three kinds (const, steps,
+harmonic) and switches on the kind in every method, as the closed form
+(prefix, tail, h) is meant to agree with.  Random operands of every kind go
+through both; results that are sequences are compared through `describe`
+and their values.
+"""
+
+from __future__ import annotations
+
+import fractions
+import random
+from dataclasses import dataclass
+
+import pytest
+
+from rieszkit.scalars import Q, RationalSeq, qstr
+
+
+@dataclass(frozen=True)
+class Ref:
+    kind: str
+    value: Q = Q(0)
+    prefix: tuple = ()
+    tail: Q = Q(0)
+
+    @staticmethod
+    def const(c):
+        return Ref("const", value=Q(c))
+
+    @staticmethod
+    def steps(prefix, tail):
+        tail = Q(tail)
+        pref = [Q(v) for v in prefix]
+        while pref and pref[-1] == tail:
+            pref.pop()
+        if not pref:
+            return Ref("const", value=tail)
+        return Ref("steps", prefix=tuple(pref), tail=tail)
+
+    @staticmethod
+    def harmonic(c):
+        if Q(c) == 0:
+            return Ref("const", value=Q(0))
+        return Ref("harmonic", value=Q(c))
+
+    def at(self, n):
+        if self.kind == "const":
+            return self.value
+        if self.kind == "steps":
+            return self.prefix[n - 1] if n <= len(self.prefix) else self.tail
+        return self.value / n
+
+    def limit(self):
+        if self.kind == "const":
+            return self.value
+        if self.kind == "steps":
+            return self.tail
+        return Q(0)
+
+    def eventual_value(self):
+        return None if self.kind == "harmonic" else self.limit()
+
+    def is_zero(self):
+        if self.kind == "const":
+            return self.value == 0
+        if self.kind == "steps":
+            return self.tail == 0 and all(v == 0 for v in self.prefix)
+        return False
+
+    def max_abs(self):
+        if self.kind == "steps":
+            return max([abs(self.tail)] + [abs(v) for v in self.prefix])
+        return abs(self.value)
+
+    def is_nonincreasing_from(self, n0):
+        if self.kind == "const":
+            return True
+        if self.kind == "harmonic":
+            return self.value >= 0
+        vals = [self.at(n) for n in range(n0, len(self.prefix) + 2)]
+        return all(a >= b for a, b in zip(vals, vals[1:]))
+
+    def scale(self, c):
+        if c == 0:
+            return Ref.const(0)
+        if self.kind == "const":
+            return Ref.const(self.value * c)
+        if self.kind == "steps":
+            return Ref.steps([v * c for v in self.prefix], self.tail * c)
+        return Ref.harmonic(self.value * c)
+
+    def add(self, other):
+        a, b = self, other
+        if "harmonic" in (a.kind, b.kind):
+            if a.kind == b.kind:
+                return Ref.harmonic(a.value + b.value)
+            plain = b if a.kind == "harmonic" else a
+            if plain.is_zero():
+                return a if a.kind == "harmonic" else b
+            raise ValueError("no closed form for harmonic + non-harmonic")
+        if a.kind == b.kind == "const":
+            return Ref.const(a.value + b.value)
+        width = max(len(a.prefix), len(b.prefix))
+        return Ref.steps([a.at(n) + b.at(n) for n in range(1, width + 1)],
+                         a.limit() + b.limit())
+
+    def abs_env(self):
+        if self.kind == "const":
+            return Ref.const(abs(self.value))
+        if self.kind == "harmonic":
+            return Ref.harmonic(abs(self.value))
+        env, running = [], abs(self.tail)
+        for v in reversed(self.prefix):
+            running = max(running, abs(v))
+            env.append(running)
+        return Ref.steps(env[::-1], abs(self.tail))
+
+    def settle_bound(self):
+        return len(self.prefix) + 1 if self.kind == "steps" else 1
+
+    def describe(self):
+        if self.kind == "const":
+            return qstr(self.value)
+        if self.kind == "harmonic":
+            return f"{qstr(self.value)}/n"
+        return f"[{','.join(qstr(v) for v in self.prefix)};{qstr(self.tail)}]"
+
+
+def _scalar(rng):
+    return Q(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+
+
+def _operand(rng):
+    """The same random sequence built through both classes."""
+    kind = rng.choice(["const", "steps", "harmonic", "zero"])
+    if kind == "steps":
+        args = ([_scalar(rng) for _ in range(rng.randint(0, 4))], _scalar(rng))
+    else:
+        args = (Q(0) if kind == "zero" else _scalar(rng),)
+    make = "const" if kind == "zero" else kind
+    return getattr(RationalSeq, make)(*args), getattr(Ref, make)(*args)
+
+
+def _same(got: RationalSeq, want: Ref) -> None:
+    assert (got.kind, got.describe()) == (want.kind, want.describe())
+    assert [got.at(n) for n in range(1, 8)] == [want.at(n) for n in range(1, 8)]
+
+
+def test_closed_form_agrees_with_the_three_kind_reference():
+    rng = random.Random(5)
+    for _ in range(400):
+        (a, ra), (b, rb) = _operand(rng), _operand(rng)
+        _same(a, ra)
+        assert a.limit() == ra.limit()
+        assert a.eventual_value() == ra.eventual_value()
+        assert a.is_zero() == ra.is_zero()
+        assert a.max_abs() == ra.max_abs()
+        assert a.settle_bound() == ra.settle_bound()
+        for n0 in range(1, 7):
+            assert a.is_nonincreasing_from(n0) == ra.is_nonincreasing_from(n0)
+        for c in (Q(0), Q(1), Q(-1), _scalar(rng)):
+            _same(a.scale(c), ra.scale(c))
+        _same(a.abs_env(), ra.abs_env())
+        try:
+            want = ra.add(rb)
+        except ValueError as e:
+            with pytest.raises(ValueError) as err:
+                a.add(b)
+            assert str(err.value) == str(e)
+        else:
+            _same(a.add(b), want)
+            _same(b.add(a), rb.add(ra))
+
+
+def test_constructors_keep_their_canonical_forms():
+    assert RationalSeq.harmonic(0) == RationalSeq.const(0) == RationalSeq()
+    assert RationalSeq.harmonic(2) == RationalSeq(h=Q(2))
+    assert RationalSeq.steps([1, 2, 2], 2) == RationalSeq.steps([1], 2)
+    assert RationalSeq.steps([3, 3], 3) == RationalSeq.const(3)
+    assert RationalSeq.harmonic(1).add(RationalSeq.harmonic(-1)) == RationalSeq.const(0)
+    assert RationalSeq.steps([1], 0).scale(0) == RationalSeq.const(0)
+    with pytest.raises(ValueError):
+        RationalSeq.const(0).at(0)
+
+
+def test_at_builds_no_rational_without_a_harmonic_term(monkeypatch):
+    built = 0
+    new = fractions.Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    seqs = [RationalSeq.const(Q(1, 2)), RationalSeq.steps([1, 2], Q(-3))]
+    monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting_new))
+    for s in seqs:
+        for n in range(1, 10):
+            s.at(n)
+    assert built == 0
+    RationalSeq.harmonic(Q(1)).at(3)
+    assert built > 0

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from rieszkit.scalars import Q
 from rieszkit.spaces import gamma
 from rieszkit.elements import atom, element_findev, row_unit, unit, zero
 from rieszkit.operators import apply_op, atom_image, order_bounded_test
+from rieszkit.cli import main
 from rieszkit.specfile import SpecError, build_all, parse, print_spec
 
 MOVING = open("fixtures/moving_indicator.rzk").read()
@@ -24,7 +27,12 @@ def test_parse_moving_indicator():
         spaces["F"], {gamma(4): 1, gamma(3): -1}, 0
     )
     assert apply_op(T, unit(spaces["E"])).is_zero()
-    assert [c.check for c in spec.checks] == ["order_bounded", "order_continuous"]
+    # `check` is not a statement of the grammar
+    with pytest.raises(SpecError) as err:
+        parse(MOVING + "\ncheck order_bounded on T\n")
+    line = MOVING.count("\n") + 2
+    assert str(err.value) == (
+        f"line {line}:1: unknown statement 'check' (expected space, operator)")
 
 
 def test_parse_row_pair_difference():
@@ -106,6 +114,34 @@ operator T : E -> F {{
     with pytest.raises(SpecError) as err:
         build_all(parse(text))
     assert str(err.value) == f"line 4:1: operator 'T': {message}"
+
+
+@pytest.mark.parametrize("clause", [
+    "e(1) -> 1/0 @ 1",
+    "atoms n > 0 -> { 1 @ n/0 }",
+    "atoms n > 0 -> { 1 @ 2/0n }",
+    "atoms m > 0 -> { 1 @ (n,(m+1)/0) }",
+], ids=["scalar", "variable", "number", "group"])
+def test_zero_denominator_is_a_spec_error(clause, tmp_path, capsys):
+    """A zero denominator is an input error at its token: the CLI exits 2
+    with one JSON document."""
+    text = f"""\
+space E = l0inf
+space F = l0inf
+
+operator T : E -> F {{
+  {clause}
+  unit -> 0
+}}
+"""
+    col = 2 + clause.index("/0") + 2  # the indent, then the 0 after the slash
+    with pytest.raises(SpecError) as err:
+        parse(text)
+    assert str(err.value) == f"line 5:{col}: zero denominator"
+    spec = tmp_path / "zero_denominator.rzk"
+    spec.write_text(text, encoding="utf-8")
+    assert main(["check", "order_bounded", "--spec", str(spec)]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": str(err.value), "kind": "input"}
 
 
 def test_scalar_fractions_parse():
