@@ -21,9 +21,10 @@ decides whether those images lie in the codomain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import dataclasses
 from typing import Tuple
 
+from .records import record, replace
 from .errors import PreconditionError, UnsupportedHypothesisError
 from .scalars import Q
 from .spaces import AtomIndex, SpaceDesc, atom_str
@@ -225,7 +226,8 @@ def order_continuity_test(
         return True, cert
     s = partial_sum_seq(T)
     cert = decide_order_convergence(s, T.unit_image, probe)
-    cert = replace(cert, anchors=cert.anchors + ("partial-sum-criterion", "sigma-net-equivalence"))
+    cert = dataclasses.replace(
+        cert, anchors=cert.anchors + ("partial-sum-criterion", "sigma-net-equivalence"))
     return cert.converges, cert
 
 
@@ -250,7 +252,7 @@ def projection_fixes(T: Operator) -> bool:
 # pervasiveness witnesses
 
 
-@dataclass(frozen=True)
+@record
 class Witness:
     functional: Functional
     vector: Element
@@ -422,7 +424,7 @@ def verify_witness_inner(R: Operator, T: Operator, probe: int = 8) -> tuple[bool
 # classification of space pairs
 
 
-@dataclass(frozen=True)
+@record
 class Classification:
     domain: SpaceDesc
     codomain: SpaceDesc

@@ -27,6 +27,7 @@ from functools import cache, partial
 from itertools import chain
 from typing import Tuple
 
+from .records import record
 from .errors import NotDecreasingError, PreconditionError, SpaceMismatchError
 from .scalars import Q, RationalSeq, qstr
 from .spaces import SpaceDesc, Token, fresh_star, seq_form
@@ -62,6 +63,8 @@ CONVERGES = "converges"
 DIVERGES = "diverges"
 
 
+# Stays a dataclass: the public evidence type, which callers (perfbench's
+# certificate mutants) vary with `dataclasses.replace`.
 @dataclass(frozen=True)
 class ConvergenceCertificate:
     verdict: str
@@ -83,7 +86,7 @@ class ConvergenceCertificate:
         return self.verdict == CONVERGES
 
 
-@dataclass(frozen=True)
+@record
 class UniformCauchyResult:
     is_cauchy: bool
     regulator: Element | None

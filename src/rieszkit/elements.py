@@ -47,12 +47,12 @@ the whole element each time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
 from math import lcm
 from typing import Iterable, Mapping, Sequence, Tuple
 
+from .records import record
 from .errors import InvalidIndexError, SpaceMismatchError, StencilError
 from .scalars import Q, Q0, QLike, qadd, qmul, qof, qstr, qsub
 from .spaces import (
@@ -72,7 +72,7 @@ _ZERO_LINE: Line = ((), (Q0,))
 _ZEROS = (_ZERO_LINE, ((), Q0, (Q0,)), ((), (_ZERO_LINE,)))
 
 
-@dataclass(frozen=True)
+@record
 class Element:
     space: SpaceDesc
     data: tuple

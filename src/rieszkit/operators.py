@@ -17,11 +17,11 @@ them, but accumulation-based operations reject them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import lcm
 from typing import Tuple
 
+from .records import record
 from .errors import (
     InvalidIndexError,
     PreconditionError,
@@ -63,7 +63,7 @@ from .sequences import ElementSeq, fill, normalize
 StencilEntry = Tuple[CoordForm, Q]
 
 
-@dataclass(frozen=True)
+@record
 class StencilRule:
     """Images of tail atoms: for the driving index i > threshold with
     i = residue (mod modulus), the atom maps to sum of coeff * atom(form(i)).
@@ -172,7 +172,7 @@ def _entry_collision(
     return None
 
 
-@dataclass(frozen=True)
+@record
 class Operator:
     domain: SpaceDesc
     codomain: SpaceDesc
@@ -432,7 +432,7 @@ def _active_entries(rule: StencilRule | None, m: int) -> dict:
 # functionals and rank-one operators
 
 
-@dataclass(frozen=True)
+@record
 class Functional:
     """Order-bounded functional: finitely many atom coefficients (the tail
     coefficients vanish, so the modulus sum is a finite closed form), row
@@ -659,7 +659,7 @@ def _piece(form: CoordForm, modulus: int, first: int, value: Q, row: int | None)
 # order boundedness
 
 
-@dataclass(frozen=True)
+@record
 class BoundReport:
     bounded: bool
     bound: Element | None

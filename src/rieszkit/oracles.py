@@ -9,12 +9,12 @@ linear objectives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import product
 
+from .records import record
 from .errors import NotDecreasingError, PreconditionError
-from .scalars import Q, RationalSeq, qof
+from .scalars import Q, Q0, RationalSeq, qadd, qof
 from .spaces import fresh_star, seq_form
 from .elements import (
     Element,
@@ -215,21 +215,33 @@ def majorant_floors(T: Operator, levels: int) -> list[Q]:
 def _check_segment_constraints(T: Operator, levels: int, peak: Q) -> None:
     """The segment constraints with r, m_top <= levels, level by level.
 
-    Each row keeps the generator parts of its odd segment's image: T is
-    linear, so the parts of the next odd atom's image extend them to the
-    longer segment, and one `recompose` per (r, m_top) gives the image whose
-    coordinates are checked."""
-    segments: list[list] = []
+    T is linear, so the image of row r's odd segment grows by the generator
+    parts of each new odd atom's image.  Each row keeps a running table of
+    that image: its atom coefficients, and its unit plus row-unit-r
+    coefficient, which every coordinate of row r adds.  Only the new parts
+    are read, and their atom indices are checked in order, as `recompose`
+    checks them."""
+    space = T.codomain
+    check, dim = space.row.check_atom, space.dim
+    cells: list[dict] = []  # row r: atom coefficients of its segment image
+    level: list = []  # row r: the image's unit plus row-unit-r coefficient
     for n in range(1, levels + 1):
-        segments.append([])
+        cells.append({})
+        level.append(Q0)
         for r in range(1, n + 1):
+            row = cells[r - 1]
             # rows r < n gain segment end n; the new row n takes ends 1..n
             for m_top in range(n if r < n else 1, n + 1):
-                parts = segments[r - 1]
-                parts += image_parts(T, ("atom", (r, 2 * m_top - 1)))
-                img = recompose(T.codomain, parts)
+                for ref, c in image_parts(T, ("atom", (r, 2 * m_top - 1))):
+                    if ref[0] == "atom":
+                        check(ref[1], dim)
+                        row[ref[1]] = qadd(row.get(ref[1], Q0), c)
+                    elif ref[0] == "unit" or ref[1] == r:
+                        level[r - 1] = qadd(level[r - 1], c)
+                check((r, 1), dim)  # as `coordinate` checks before the first read
+                room = peak - level[r - 1]
                 for mm in range(1, m_top + 1):
-                    if coordinate(img, (r, mm)) > peak:
+                    if row.get((r, mm), Q0) > room:
                         raise PreconditionError("stencil outside the probed family")
 
 
@@ -342,7 +354,7 @@ def _seq_key(seq: ElementSeq):
     )
 
 
-@dataclass(frozen=True)
+@record
 class SearchResult:
     found: ElementSeq | None
     candidates_checked: int

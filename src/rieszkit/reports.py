@@ -7,9 +7,9 @@ strings, so identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any, Tuple
 
+from .records import record
 from .scalars import Q, qstr
 from .elements import Element, render
 from .convergence import ConvergenceCertificate
@@ -18,7 +18,7 @@ from .sequences import ElementSeq
 ENGINE_VERSION = "0.1.0"
 
 
-@dataclass(frozen=True)
+@record
 class Report:
     command: str
     verdict: str
@@ -79,8 +79,8 @@ def ser(value) -> Any:
         return {str(k): ser(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [ser(v) for v in value]
-    if hasattr(value, "__dataclass_fields__"):
-        return {k: ser(getattr(value, k)) for k in value.__dataclass_fields__}
+    if hasattr(value, "_fields"):
+        return {k: ser(getattr(value, k)) for k in value._fields}
     return str(value)
 
 

@@ -16,9 +16,10 @@ cases compute a new rational; the value is the same either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
+
+from .records import record
 
 Q = Fraction
 
@@ -74,7 +75,7 @@ def qstr(q: Q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-@dataclass(frozen=True)
+@record
 class RationalSeq:
     """A scalar sequence n >= 1 in one closed form: prefix[n-1] for
     n <= len(prefix), and tail + h/n after that.

@@ -28,10 +28,10 @@ step, so a sequence decomposes it once, on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Tuple
 
+from .records import record, replace
 from .errors import SpaceMismatchError, StencilError
 from .scalars import Q, Q0, QLike, RationalSeq, ZERO_SEQ, qadd, qof
 from .spaces import (
@@ -43,13 +43,13 @@ from .spaces import (
     form_space_matches,
     forms_collide_at,
 )
-from .elements import Element, add, decompose, max_abs_coord, recompose, scale, zero
+from .elements import Element, decompose, max_abs_coord, recompose, sub, zero
 from .completion import pattern_from_pieces
 
 MovingAtom = Tuple[CoordForm, RationalSeq]
 
 
-@dataclass(frozen=True)
+@record
 class Fill:
     """Accumulated coordinates {form(k) : k ≡ residue (mod modulus), kmin <= k <= n-lag}."""
 
@@ -85,7 +85,7 @@ def fill(form: CoordForm, modulus: int, residue: int, kmin: int, lag: int, value
     return Fill(form, modulus, residue, max(kmin, 1), lag, qof(value))
 
 
-@dataclass(frozen=True)
+@record
 class ElementSeq:
     space: SpaceDesc
     static: Element
@@ -202,12 +202,12 @@ def sub_element(seq: ElementSeq, x: Element) -> ElementSeq:
         raise SpaceMismatchError("cannot subtract across spaces")
     return ElementSeq(
         seq.space,
-        add(seq.static, scale(-1, x)),
+        sub(seq.static, x),
         seq.atoms,
         seq.fills,
         seq.ambient,
         seq.n0,
-        tuple(add(p, scale(-1, x)) for p in seq.prelude),
+        tuple(sub(p, x) for p in seq.prelude),
     )
 
 

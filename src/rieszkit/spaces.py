@@ -22,10 +22,10 @@ points guaranteed to avoid any finite or countable-line support in play.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Tuple, Union
 
+from .records import record
 from .errors import InvalidIndexError
 from .scalars import Q, QLike, qof, qstr
 
@@ -37,7 +37,7 @@ class Kind(str, Enum):
     ROW_BLOCK = "row_block"
 
 
-@dataclass(frozen=True)
+@record
 class KindRow:
     """One row of the kind table, one object per variant.  A row's repr is
     its label, so reprs of spaces carry no function addresses."""
@@ -61,7 +61,7 @@ class KindRow:
         return f"KindRow({self.label.format('n')!r})"
 
 
-@dataclass(frozen=True)
+@record
 class SpaceDesc:
     row: KindRow
     dim: int = 0  # findim only
@@ -79,7 +79,7 @@ class SpaceDesc:
         return self.row.label.format(self.dim)
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class Token:
     """A symbolic point of the uncountable index set."""
 
@@ -125,7 +125,7 @@ def atom_str(idx: AtomIndex) -> str:
     return f"e({idx[0]},{idx[1]})"
 
 
-@dataclass(frozen=True)
+@record
 class Affine:
     """n -> a*n + b with rational coefficients; integrality is contextual."""
 
@@ -172,7 +172,7 @@ def affine_intersection(p: Affine, q: Affine) -> int | None:
     return n.numerator
 
 
-@dataclass(frozen=True)
+@record
 class SeqForm:
     """Coordinate form over integer coordinates (tail_seq / fin_dim)."""
 
@@ -189,7 +189,7 @@ class SeqForm:
         return str(self.idx)
 
 
-@dataclass(frozen=True)
+@record
 class TokenForm:
     """Coordinate form over the countable token line: n -> g(idx(n))."""
 
@@ -206,7 +206,7 @@ class TokenForm:
         return f"g({self.idx})"
 
 
-@dataclass(frozen=True)
+@record
 class PairForm:
     """Coordinate form over pair atoms: n -> (row(n), col(n))."""
 

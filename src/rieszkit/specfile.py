@@ -26,10 +26,10 @@ equal the sum of the atom images.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import lcm
 from typing import Tuple
 
+from .records import record
 from .errors import RieszkitError
 from .scalars import Q, qstr
 from .spaces import (
@@ -61,31 +61,31 @@ class SpecError(RieszkitError):
 # AST
 
 
-@dataclass(frozen=True)
+@record
 class SpaceDecl:
     name: str
     kind_label: str
     line: int
 
 
-@dataclass(frozen=True)
+@record
 class ElemTerm:
     coeff: Q
     target: tuple  # ("coord", stationary CoordForm) | ("unit",) | ("rowunit", n)
 
 
-@dataclass(frozen=True)
+@record
 class ElemExpr:
     terms: Tuple[ElemTerm, ...]
 
 
-@dataclass(frozen=True)
+@record
 class StencilEntryAst:
     coeff: Q
     coord: tuple  # ("seq", Affine) | ("token", Affine) | ("pair", Affine, Affine)
 
 
-@dataclass(frozen=True)
+@record
 class AtomsRule:
     var: str
     threshold: int
@@ -95,7 +95,7 @@ class AtomsRule:
     line: int
 
 
-@dataclass(frozen=True)
+@record
 class OperatorDecl:
     name: str
     domain: str
@@ -108,7 +108,7 @@ class OperatorDecl:
     line: int
 
 
-@dataclass(frozen=True)
+@record
 class SpecFile:
     spaces: Tuple[SpaceDecl, ...]
     operators: Tuple[OperatorDecl, ...]
@@ -123,7 +123,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@record
 class Tok:
     kind: str
     text: str

@@ -279,6 +279,34 @@ def test_majorant_floors_build_each_segment_image_once(monkeypatch):
     assert majorant_floors(Tr, 32)[32] == 32
 
 
+def test_majorant_floors_read_each_image_part_once(monkeypatch):
+    """Each row keeps a running coordinate table of its segment image, so
+    no part is read again per (row, segment end): recomposing the segments
+    read 2176 parts of 256 one-part images at level 16."""
+    from rieszkit import oracles
+
+    produced = read = 0
+    image_parts, recompose = oracles.image_parts, oracles.recompose
+
+    def counting_parts(T, ref):
+        nonlocal produced
+        parts = image_parts(T, ref)
+        produced += len(parts)
+        return parts
+
+    def counting_recompose(space, parts):
+        nonlocal read
+        parts = list(parts)
+        read += len(parts)
+        return recompose(space, parts)
+
+    monkeypatch.setattr(oracles, "image_parts", counting_parts)
+    monkeypatch.setattr(oracles, "recompose", counting_recompose)
+    assert majorant_floors(row_pair_difference_operator(), 16) == list(range(17))
+    assert produced == 256
+    assert read <= produced
+
+
 def test_dominating_search_finds_easy_cases():
     h = element_seq(T, atoms=[(seq_form(0, 1), RationalSeq.harmonic(1))])
     res = bruteforce_dominating_search(h, 6)

@@ -237,3 +237,25 @@ def test_affine_at_int_agrees_with_at(rng):
     assert [col.at_int(m) for m in (1, 3, 5)] == [1, 2, 3]
     with pytest.raises(InvalidIndexError, match="not integral at n=4"):
         col.at_int(4)
+
+
+def test_sub_element_subtracts_from_the_static_part_and_the_prelude(rng):
+    """The reference is the sum with the negated element, step by step."""
+    from conftest import ALL_SPACES, random_element
+    from rieszkit.elements import add
+    from rieszkit.errors import SpaceMismatchError
+
+    for space in ALL_SPACES:
+        for _ in range(10):
+            x = random_element(rng, space)
+            seq = element_seq(space, static=random_element(rng, space), n0=3,
+                              prelude=[random_element(rng, space) for _ in range(2)])
+            d = sub_element(seq, x)
+            assert d.static == add(seq.static, scale(-1, x))
+            assert d.prelude == tuple(add(p, scale(-1, x)) for p in seq.prelude)
+            assert (d.atoms, d.fills, d.ambient, d.n0) == \
+                (seq.atoms, seq.fills, seq.ambient, seq.n0)
+            for n in range(1, 5):
+                assert eval_seq(d, n) == add(eval_seq(seq, n), scale(-1, x))
+    with pytest.raises(SpaceMismatchError):
+        sub_element(element_seq(T), unit(F))
