@@ -31,9 +31,12 @@ modulo the lcm of their lengths (`fin_dev` entries read through a
 per-element token index), so each costs time linear in the stored
 coordinates plus that lcm; `le`, `abs_le` (|x| <= y without building |x|)
 and `is_disjoint` stop at the first deciding pair, and `coordinate` takes
-constant time.  The comparisons and `max_abs_coord` are `all`/`max` folds
-over the value pairs, so a row-block walk skips a row pair it has already
-walked: the background rows of a `recompose` result are one shared object.
+constant time.  The comparisons are `all` folds and `max_abs_coord` a
+`qmax` fold over the value pairs, so a row-block walk skips a row pair it
+has already walked: the background rows of a `recompose` result are one
+shared object.  Every per-coordinate decision, in these folds, in the
+lattice maps and in the background filters, is one call of the `scalars`
+decision kernel on integer pairs, never a `Fraction` comparison.
 
 This module also owns generator decomposition: `decompose` writes an
 element over the atoms, row units and unit of its space, and `recompose`
@@ -47,14 +50,14 @@ the whole element each time.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
-from itertools import chain
+from functools import cached_property, partial, reduce
+from itertools import chain, starmap
 from math import lcm
 from typing import Iterable, Mapping, Sequence, Tuple
 
 from .records import record
 from .errors import InvalidIndexError, SpaceMismatchError, StencilError
-from .scalars import Q, Q0, QLike, qadd, qmul, qof, qstr, qsub
+from .scalars import Q, Q0, QLike, qabs, qadd, qeq, qle, qmax, qmin, qmul, qof, qstr, qsub
 from .spaces import (
     AtomIndex,
     Kind,
@@ -163,7 +166,7 @@ def _findev(space: SpaceDesc, values: dict, amb: Q, line: tuple) -> Element:
     m = len(line)
     # kept where it differs from its background, as _TokenValues reads it
     kept = [(t, v) for t, v in values.items()
-            if v != (line[t.k % m] if t.family == "g" else amb)]
+            if not qeq(v, line[t.k % m] if t.family == "g" else amb)]
     kept.sort(key=_entry_key)
     return Element(space, (tuple(kept), amb, line))
 
@@ -332,7 +335,7 @@ class _LineShape:
     def decompose(self, x: Element):
         prefix, (base,) = x.data
         return [(("atom", i), qsub(v, base))
-                for i, v in enumerate(prefix, start=1) if v != base], base
+                for i, v in enumerate(prefix, start=1) if not qeq(v, base)], base
 
     def recompose(self, space: SpaceDesc, atoms: dict, rows: dict, u: Q) -> Element:
         width = space.dim or max(atoms, default=0)
@@ -470,8 +473,8 @@ class _RowBlockShape:
         out = []
         for n, (pref, rt) in enumerate(x.rows, start=1):
             out.extend((("atom", (n, m)), qsub(v, rt))
-                       for m, v in enumerate(pref, start=1) if v != rt)
-            if x.space.row_units and rt != base:
+                       for m, v in enumerate(pref, start=1) if not qeq(v, rt))
+            if x.space.row_units and not qeq(rt, base):
                 out.append((("row_unit", n), qsub(rt, base)))
         return out, base
 
@@ -649,7 +652,7 @@ def support(x: Element) -> list[AtomIndex]:
 
 def max_abs_coord(x: Element) -> Q:
     """sup over all coordinates of |x| (tails and ambients included)."""
-    return max(abs(v) for v, _ in _pairs(x, x))
+    return reduce(qmax, [qabs(v) for v, _ in _pairs(x, x)])
 
 
 # ---------------------------------------------------------------------------
@@ -692,20 +695,20 @@ def scale(c: QLike, x: Element) -> Element:
 
 def sup2(x: Element, y: Element) -> Element:
     """Least upper bound of {x, y} in the represented space."""
-    return _pointwise(x, y, max)
+    return _pointwise(x, y, qmax)
 
 
 def inf2(x: Element, y: Element) -> Element:
-    return _pointwise(x, y, min)
+    return _pointwise(x, y, qmin)
 
 
 def pos(x: Element) -> Element:
     """Positive part x v 0."""
-    return _map(x, partial(max, Q0))
+    return _map(x, partial(qmax, Q0))
 
 
 def _neg_part(v: Q) -> Q:
-    return -v if v < 0 else Q0
+    return -v if v.numerator < 0 else Q0
 
 
 def neg(x: Element) -> Element:
@@ -713,22 +716,18 @@ def neg(x: Element) -> Element:
     return _map(x, _neg_part)
 
 
-def _abs(v: Q) -> Q:
-    return -v if v < 0 else v
-
-
 def abs_(x: Element) -> Element:
-    return _map(x, _abs)
+    return _map(x, qabs)
 
 
 def le(x: Element, y: Element) -> bool:
     """Pointwise order: x <= y on every coordinate (tails included)."""
-    return all(a <= b for a, b in _pairs(x, y))
+    return all(starmap(qle, _pairs(x, y)))
 
 
 def abs_le(x: Element, y: Element) -> bool:
     """|x| <= y on every coordinate, in one walk without building |x|."""
-    return all(_abs(a) <= b for a, b in _pairs(x, y))
+    return all(qle(qabs(a), b) for a, b in _pairs(x, y))
 
 
 def is_positive(x: Element) -> bool:
@@ -737,7 +736,7 @@ def is_positive(x: Element) -> bool:
 
 def is_disjoint(x: Element, y: Element) -> bool:
     """|x| ^ |y| = 0: at every coordinate one of the two is 0."""
-    return all(a == 0 or b == 0 for a, b in _pairs(x, y))
+    return all(not a or not b for a, b in _pairs(x, y))
 
 
 # ---------------------------------------------------------------------------

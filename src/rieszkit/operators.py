@@ -221,6 +221,12 @@ def operator(
     # sum; on fin_dim this holds by the check above
     for idx in images:
         domain.row.check_atom(idx, domain.dim)
+    # a rule on a row-block domain reads each atom's (row, column) pair, which
+    # only the pair forms of a row-block codomain take
+    if (rule is not None and not rule.is_zero() and domain.row.shape == "row_block"
+            and codomain.row.shape != "row_block"):
+        raise StencilError(f"rules on {domain.label} need a row-block codomain, "
+                           f"not {codomain.label}")
     if unit_image is None:
         raise PreconditionError("domains with a unit need a unit image")
     if unit_image.space != codomain:

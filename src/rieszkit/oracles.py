@@ -14,7 +14,7 @@ from itertools import product
 
 from .records import record
 from .errors import NotDecreasingError, PreconditionError
-from .scalars import Q, Q0, RationalSeq, qadd, qof
+from .scalars import Q, Q0, RationalSeq, qadd, qle, qof, qsub
 from .spaces import fresh_star, seq_form
 from .elements import (
     Element,
@@ -220,7 +220,10 @@ def _check_segment_constraints(T: Operator, levels: int, peak: Q) -> None:
     that image: its atom coefficients, and its unit plus row-unit-r
     coefficient, which every coordinate of row r adds.  Only the new parts
     are read, and their atom indices are checked in order, as `recompose`
-    checks them."""
+    checks them.  Columns 1..m_top - 1 of row r passed at the row's previous
+    segment end, so only the columns the new parts touch and the new column
+    m_top can fail, unless the unit coefficient grew: then the whole row is
+    compared again."""
     space = T.codomain
     check, dim = space.row.check_atom, space.dim
     cells: list[dict] = []  # row r: atom coefficients of its segment image
@@ -232,17 +235,22 @@ def _check_segment_constraints(T: Operator, levels: int, peak: Q) -> None:
             row = cells[r - 1]
             # rows r < n gain segment end n; the new row n takes ends 1..n
             for m_top in range(n if r < n else 1, n + 1):
+                before, touched = level[r - 1], []
                 for ref, c in image_parts(T, ("atom", (r, 2 * m_top - 1))):
                     if ref[0] == "atom":
                         check(ref[1], dim)
                         row[ref[1]] = qadd(row.get(ref[1], Q0), c)
+                        touched.append(ref[1])
                     elif ref[0] == "unit" or ref[1] == r:
                         level[r - 1] = qadd(level[r - 1], c)
                 check((r, 1), dim)  # as `coordinate` checks before the first read
-                room = peak - level[r - 1]
-                for mm in range(1, m_top + 1):
-                    if row.get((r, mm), Q0) > room:
-                        raise PreconditionError("stencil outside the probed family")
+                room = qsub(peak, level[r - 1])
+                if qle(level[r - 1], before):
+                    cols = {m_top, *(m for i, m in touched if i == r and m <= m_top)}
+                else:
+                    cols = range(1, m_top + 1)
+                if not all(qle(row.get((r, mm), Q0), room) for mm in cols):
+                    raise PreconditionError("stencil outside the probed family")
 
 
 def majorant_growth_probe(T: Operator, level: int) -> Q:

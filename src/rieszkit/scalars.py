@@ -12,6 +12,19 @@ the sparse data are 0, and most coefficients 0 or 1, so they reuse an
 operand instead of building a new rational: x + 0 and x - 0 are x, 0 - x is
 -x, x * 0 is the shared `Q0`, x * 1 is x and x * -1 is -x.  Only the other
 cases compute a new rational; the value is the same either way.
+
+`qle`, `qeq`, `qmax`, `qmin` and `qabs` are the payload decisions: every
+sup, inf, |x|, positive part and order test of the lattice walks ends in
+one of them per stored coordinate.  A decision reads the integer pairs
+(`as_integer_ratio()`, or the sign of `numerator`) and compares them with
+integer arithmetic: `Fraction`'s own comparisons first test the other
+operand against `numbers.Rational` through the ABC machinery, which costs
+several times the comparison itself.  The arithmetic stays `Fraction`'s own
+`+ - *`: rebuilding a sum or product from integer arithmetic is slower than
+it on Python 3.12 and later.  Only the public API is read, never a private
+attribute of `Fraction`.  `qmax` and `qmin` return one of their operands,
+the first on a tie as the builtin `max` and `min` do, and `qabs` returns
+its operand unless it is negative, so no rendered value changes.
 """
 
 from __future__ import annotations
@@ -26,6 +39,9 @@ Q = Fraction
 QLike = Union[Q, int, str]
 
 Q0 = Q(0)
+
+# the integer pairs of 1 and -1, as `as_integer_ratio()` gives them
+_ONE, _MINUS_ONE = (1, 1), (-1, 1)
 
 
 def qof(x: QLike) -> Q:
@@ -55,17 +71,50 @@ def qsub(a: Q, b: Q) -> Q:
 def qmul(a: Q, b: Q) -> Q:
     """a * b: Q0 when a factor is 0, the other factor (or its negation)
     when one is 1 (or -1)."""
-    if not a or not b:
+    pa, pb = a.as_integer_ratio(), b.as_integer_ratio()
+    if not pa[0] or not pb[0]:
         return Q0
-    if a == 1:
+    if pa == _ONE:
         return b
-    if b == 1:
+    if pb == _ONE:
         return a
-    if a == -1:
+    if pa == _MINUS_ONE:
         return -b
-    if b == -1:
+    if pb == _MINUS_ONE:
         return -a
     return a * b
+
+
+def qle(a: Q, b: Q) -> bool:
+    """a <= b."""
+    an, ad = a.as_integer_ratio()
+    bn, bd = b.as_integer_ratio()
+    return an * bd <= bn * ad
+
+
+def qeq(a: Q, b: Q) -> bool:
+    """a == b: lowest terms with a positive denominator make the pairs
+    equal exactly when the values are."""
+    return a.as_integer_ratio() == b.as_integer_ratio()
+
+
+def qmax(a: Q, b: Q) -> Q:
+    """max(a, b): b only when it is larger."""
+    an, ad = a.as_integer_ratio()
+    bn, bd = b.as_integer_ratio()
+    return b if an * bd < bn * ad else a
+
+
+def qmin(a: Q, b: Q) -> Q:
+    """min(a, b): b only when it is smaller."""
+    an, ad = a.as_integer_ratio()
+    bn, bd = b.as_integer_ratio()
+    return b if bn * ad < an * bd else a
+
+
+def qabs(a: Q) -> Q:
+    """|a|: a itself unless it is negative."""
+    return -a if a.numerator < 0 else a
 
 
 def qstr(q: Q) -> str:

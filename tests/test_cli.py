@@ -69,6 +69,23 @@ def test_findim_operator_clauses_are_checked(tmp_path, capsys, clause, message):
     assert json.loads(out) == {"error": f"line 4:1: operator 'T': {message}", "kind": "input"}
 
 
+def test_pair_domain_rule_into_a_line_codomain_is_refused(tmp_path, capsys):
+    """A rule on an ek domain reads each atom's (row, column) pair, which a
+    line codomain's forms cannot: the operator line is refused, so no
+    command reaches the engine with it (majorant-growth used to end in a
+    traceback, check order_bounded in a verdict)."""
+    spec = tmp_path / "pair_rule.rzk"
+    spec.write_text(
+        "space E = ek\nspace F = l0inf\n\n"
+        "operator T : E -> F {\n  atoms m > 0 -> { 1 @ m }\n"
+        "  rowunits n > 0 -> 0\n  unit -> 0\n}\n"
+    )
+    message = "line 4:1: operator 'T': rules on ek need a row-block codomain, not l0inf"
+    for argv in (["oracle", "majorant-growth"], ["check", "order_bounded"]):
+        code, out = run_cli(capsys, *argv, "--spec", str(spec))
+        assert (code, out) == (2, _input_error(message))
+
+
 def test_witness_pervasive_on_nonpositive_is_input_error(capsys):
     code, out = run_cli(capsys, "witness-pervasive", "--spec", MOVING)
     assert code == 2

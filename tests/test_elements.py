@@ -444,6 +444,49 @@ def test_identities_build_no_rationals(monkeypatch):
             assert all(type(v) is Q for v in _payload(y)), space.label
 
 
+def test_lattice_walks_make_no_fraction_comparisons(monkeypatch):
+    """Every per-coordinate decision of the lattice maps and folds reads
+    integer pairs through the scalars kernel: Fraction's comparisons test
+    the other operand against numbers.Rational, several times the cost of
+    the comparison."""
+    calls = Counter()
+
+    def counting(name):
+        compare = getattr(fractions.Fraction, name)
+
+        def counted(a, b):
+            calls[name] += 1
+            return compare(a, b)
+        return counted
+
+    n = 200
+    for space in (fin_dim(n), T, F, E, row_block_grid()):
+        x = _sparse(space, n)
+        y = sub(unit(space), scale(Q(1, 2), x))
+        up, p, m = sup2(x, y), pos(x), neg(x)
+        cases = [
+            ("sup2", lambda: sup2(x, y)),
+            ("inf2", lambda: inf2(x, y)),
+            ("pos", lambda: pos(y)),
+            ("neg", lambda: neg(y)),
+            ("abs_", lambda: abs_(y)),
+            ("le", lambda: le(x, up)),
+            ("abs_le", lambda: abs_le(x, abs_(x))),
+            ("is_disjoint", lambda: is_disjoint(p, m)),
+            ("max_abs_coord", lambda: max_abs_coord(y)),
+            ("decompose", lambda: decompose(y)),
+        ]
+        for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+            monkeypatch.setattr(fractions.Fraction, name, counting(name))
+        for name, run in cases:
+            calls.clear()
+            run()
+            assert not calls, (space.label, name, dict(calls))
+        monkeypatch.undo()
+        # the folds above walked every pair
+        assert le(x, up) and abs_le(x, abs_(x)) and is_disjoint(p, m)
+
+
 def _probe_cost_cases():
     """(sequence, its limit, a certificate that it order converges) on l0inf
     (a moving atom, dominated through a fill) and on ck (the moving

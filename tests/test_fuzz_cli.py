@@ -33,6 +33,7 @@ COMMANDS = (
     ("positive-part",),
     ("project-oc",),
     ("witness-pervasive",),
+    ("oracle", "majorant-growth"),
 )
 
 # tokens of the spec language, comments kept whole so they are never edited;

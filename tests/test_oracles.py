@@ -153,6 +153,10 @@ EDGE_SPECS = {
     ),
     "late, row one only": _ek_grid_spec("atoms m > 5 -> { 1 @ (1,3) }"),
     "row two only": _ek_grid_spec("atoms m > 0 -> { 1 @ (2,1) }"),
+    # row 1's third odd atom adds 1/2 to the unit coefficient and no cell, so
+    # only its earlier columns exceed the lowered room at segment end 3
+    "unit grows at row one's end three": _ek_grid_spec(
+        "atoms m > 0, m mod 2 == 1 -> { 1 @ (n,(m+1)/2) }", "e(1,5) -> 1/2 * unit"),
 }
 
 
@@ -277,6 +281,32 @@ def test_majorant_floors_build_each_segment_image_once(monkeypatch):
     assert calls <= 16 * 16 + 16
     monkeypatch.undo()
     assert majorant_floors(Tr, 32)[32] == 32
+
+
+def test_segment_constraints_compare_only_changed_columns(monkeypatch):
+    """Columns that passed at a row's previous segment end are compared
+    again only when its unit coefficient grows: comparing every column
+    1..m_top at each (row, segment end) made 2176 comparisons at level 16."""
+    import fractions
+
+    from rieszkit import oracles
+
+    calls = 0
+
+    def counting(compare):
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return compare(a, b)
+        return counted
+
+    Tr = row_pair_difference_operator()
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(fractions.Fraction, name, counting(getattr(fractions.Fraction, name)))
+    monkeypatch.setattr(oracles, "qle", counting(oracles.qle))
+    assert majorant_floors(Tr, 16)[16] == 16
+    # one column and one unit-coefficient test per (row, segment end)
+    assert calls <= 2 * 16 * 16 + 16, calls
 
 
 def test_majorant_floors_read_each_image_part_once(monkeypatch):

@@ -4,7 +4,8 @@ The reference below keeps a sequence as one of three kinds (const, steps,
 harmonic) and switches on the kind in every method, as the closed form
 (prefix, tail, h) is meant to agree with.  Random operands of every kind go
 through both; results that are sequences are compared through `describe`
-and their values.
+and their values.  The payload kernel (`qadd` ... `qabs`) is checked against
+`Fraction`'s own operators, including which operand it hands back.
 """
 
 from __future__ import annotations
@@ -14,8 +15,22 @@ import random
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, strategies as st
 
-from rieszkit.scalars import Q, RationalSeq, qstr
+from rieszkit.scalars import (
+    Q,
+    Q0,
+    RationalSeq,
+    qabs,
+    qadd,
+    qeq,
+    qle,
+    qmax,
+    qmin,
+    qmul,
+    qstr,
+    qsub,
+)
 
 
 @dataclass(frozen=True)
@@ -202,3 +217,42 @@ def test_at_builds_no_rational_without_a_harmonic_term(monkeypatch):
     assert built == 0
     RationalSeq.harmonic(Q(1)).at(3)
     assert built > 0
+
+
+# ---------------------------------------------------------------------------
+# the payload kernel against Fraction's own operators
+
+
+KERNEL_VALUES = [Q(0), Q(1), Q(-1), Q(1, 2), Q(-1, 2), Q(7, 3), Q(-5, 6), 10**20 + Q(1, 3)]
+
+
+def _check_kernel(a: Q, b: Q) -> None:
+    assert qle(a, b) is (a <= b)
+    assert qeq(a, b) is (a == b)
+    # the builtin max and min pick the first operand on a tie
+    assert qmax(a, b) is max(a, b)
+    assert qmin(a, b) is min(a, b)
+    for got, want in ((qadd(a, b), a + b), (qsub(a, b), a - b), (qmul(a, b), a * b),
+                      (qabs(a), abs(a))):
+        assert got == want and type(got) is Q
+
+
+@pytest.mark.parametrize("a", KERNEL_VALUES, ids=str)
+@pytest.mark.parametrize("b", KERNEL_VALUES, ids=str)
+def test_kernel_agrees_with_fraction_operators(a, b):
+    _check_kernel(a, b)
+    _check_kernel(Q(a.numerator, a.denominator), b)  # equal, not identical
+
+
+@given(st.fractions(), st.fractions())
+def test_kernel_agrees_with_fraction_operators_hypothesis(a, b):
+    _check_kernel(a, b)
+
+
+def test_kernel_reuses_its_operands():
+    x, y = Q(7, 3), Q(7, 3)
+    assert qmul(Q(1), x) is x and qmul(x, Q(1)) is x
+    assert qmul(Q0, x) is Q0 and qmul(x, Q(0)) is Q0
+    assert qmax(x, y) is x and qmin(x, y) is x and qmax(y, x) is y
+    assert qabs(x) is x and qabs(Q0) is Q0
+    assert qadd(x, Q(0)) is x and qsub(x, Q(0)) is x
