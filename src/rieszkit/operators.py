@@ -569,7 +569,7 @@ def partial_sum_seq(T: Operator) -> ElementSeq:
     threshold = T.rule.threshold if T.rule else _max_drive(T)
     fills = []
     for r, first, form, c in _rule_sweep(T.rule):
-        if form.idx.a == 0:
+        if not form.moving:
             if c != 0:
                 raise StencilError(
                     "stationary stencil entries admit no closed accumulation form"

@@ -403,9 +403,9 @@ def _parse_coord(cur: _Cursor, rule_var: str) -> tuple:
         return ("token", aff)
     if t.text == "(":
         cur.next()
-        row = _parse_affine_sum(cur, {"n", rule_var})
+        row = _parse_affine_sum(cur, {"n"})
         cur.expect(",")
-        col = _parse_affine_sum(cur, {"n", rule_var})
+        col = _parse_affine_sum(cur, {rule_var})
         cur.expect(")")
         return ("pair", row, col)
     return ("seq", _parse_affine_sum(cur, {rule_var}))

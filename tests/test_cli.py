@@ -86,6 +86,19 @@ def test_pair_domain_rule_into_a_line_codomain_is_refused(tmp_path, capsys):
         assert (code, out) == (2, _input_error(message))
 
 
+def test_dominating_search_refuses_a_pair_rule_on_a_line_domain(tmp_path, capsys):
+    """The partial sums of a pair-form rule on an l0inf domain have no
+    closed form: the search is refused as an input error (it used to end in
+    a traceback)."""
+    spec = tmp_path / "pair_on_line.rzk"
+    spec.write_text(
+        "space E = l0inf\nspace F = ek\n\n"
+        "operator T : E -> F {\n  atoms m > 0 -> { 1 @ (1,m) }\n  unit -> 0\n}\n"
+    )
+    code, out = run_cli(capsys, "oracle", "dominating-search", "--spec", str(spec))
+    assert (code, out) == (2, _input_error("row_block fills are not supported"))
+
+
 def test_witness_pervasive_on_nonpositive_is_input_error(capsys):
     code, out = run_cli(capsys, "witness-pervasive", "--spec", MOVING)
     assert code == 2

@@ -34,6 +34,7 @@ COMMANDS = (
     ("project-oc",),
     ("witness-pervasive",),
     ("oracle", "majorant-growth"),
+    ("oracle", "dominating-search"),
 )
 
 # tokens of the spec language, comments kept whole so they are never edited;
