@@ -20,12 +20,7 @@ import argparse
 import json
 import sys
 
-from .errors import (
-    NotDecreasingError,
-    PreconditionError,
-    RieszkitError,
-    UnsupportedHypothesisError,
-)
+from .errors import PreconditionError, RieszkitError, UnsupportedHypothesisError
 from .scalars import RationalSeq, qof, qstr
 from .spaces import parse_space_label, token_form
 from .elements import describe, unit
@@ -48,7 +43,7 @@ from .oracles import (
 )
 from .reports import Report, to_json, to_markdown
 from .sequences import element_seq
-from .specfile import SpecError, build_all, parse
+from .specfile import build_all, build_spaces, parse
 
 
 def _read_spec(path: str):
@@ -168,10 +163,7 @@ def _cmd_witness(args) -> Report:
 
 def _cmd_classify(args) -> Report:
     if args.spec:
-        spec = _read_spec(args.spec)
-        from .specfile import build_spaces
-
-        spaces = build_spaces(spec)
+        spaces = build_spaces(_read_spec(args.spec))
         if args.domain and args.domain in spaces:
             E = spaces[args.domain]
         else:
@@ -370,12 +362,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         rep = _DISPATCH[args.command](args)
-    except SpecError as e:
-        print(json.dumps({"error": str(e), "kind": "input"}, indent=2))
-        return 2
-    except (PreconditionError, NotDecreasingError) as e:
-        print(json.dumps({"error": str(e), "kind": "input"}, indent=2))
-        return 2
     except UnsupportedHypothesisError as e:
         print(json.dumps({"error": str(e), "kind": "unsupported-hypothesis"}, indent=2))
         return 3

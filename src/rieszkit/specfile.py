@@ -19,30 +19,26 @@ Grammar (line oriented, '#' comments):
     AFFINE := linear expressions in the rule variables, e.g. 2n-1, (m+1)/2
 
 Index forms must be affine; anything else is rejected with its position.
+A pair coordinate's row reads `n` (the row) and its column the rule
+variable; every other coordinate reads the rule variable.
 A findim domain takes no `atoms` rule, and its optional `unit` clause must
 equal the sum of the atom images.
+
+Each line is parsed straight into the values the engine takes: spaces into
+`SpaceDesc`s, rule coordinates into coordinate forms, element expressions
+into generator terms; `build_operator` only assembles them.
 """
 
 from __future__ import annotations
 
 import re
 from math import lcm
-from typing import Tuple
+from typing import Iterator, Tuple
 
 from .records import record
 from .errors import RieszkitError
-from .scalars import Q, qstr
-from .spaces import (
-    Affine,
-    PairForm,
-    SeqForm,
-    SpaceDesc,
-    TokenForm,
-    pair_form,
-    parse_space_label,
-    seq_form,
-    token_form,
-)
+from .scalars import Q, Q0, qstr
+from .spaces import Affine, PairForm, SeqForm, SpaceDesc, TokenForm, atom_str, parse_space_label
 from .elements import Element, recompose
 from .operators import Operator, operator, stencil_rule
 
@@ -58,31 +54,18 @@ class SpecError(RieszkitError):
 
 
 # ---------------------------------------------------------------------------
-# AST
+# declarations
+#
+# An element expression is a tuple of (generator, coeff) terms in the format
+# of `elements.decompose`, except that a literal coordinate's generator is
+# ("atom", stationary form): the form names the atom, which is made at build.
 
 
 @record
 class SpaceDecl:
     name: str
     kind_label: str
-    line: int
-
-
-@record
-class ElemTerm:
-    coeff: Q
-    target: tuple  # ("coord", stationary CoordForm) | ("unit",) | ("rowunit", n)
-
-
-@record
-class ElemExpr:
-    terms: Tuple[ElemTerm, ...]
-
-
-@record
-class StencilEntryAst:
-    coeff: Q
-    coord: tuple  # ("seq", Affine) | ("token", Affine) | ("pair", Affine, Affine)
+    space: SpaceDesc
 
 
 @record
@@ -91,8 +74,7 @@ class AtomsRule:
     threshold: int
     modulus: int
     residue: int
-    entries: Tuple[StencilEntryAst, ...]
-    line: int
+    entries: Tuple[tuple, ...]  # (form, coeff) pairs, as `stencil_rule` takes them
 
 
 @record
@@ -100,11 +82,11 @@ class OperatorDecl:
     name: str
     domain: str
     codomain: str
-    atom_images: Tuple[Tuple[tuple, ElemExpr], ...]  # idx tuple ("i", n) | ("pair", n, m)
+    atom_images: Tuple[tuple, ...]  # (atom index, element expression)
     rules: Tuple[AtomsRule, ...]
-    row_unit_images: Tuple[Tuple[int, ElemExpr], ...]
+    row_unit_images: Tuple[tuple, ...]  # (row, element expression)
     row_units_zero_from: int | None
-    unit_image: ElemExpr | None
+    unit_image: tuple | None
     line: int
 
 
@@ -174,13 +156,18 @@ class _Cursor:
             raise SpecError(t.line, t.col, f"got {t.text!r}", (text,))
         return t
 
-    def at_end(self) -> bool:
-        return self.i >= len(self.toks)
-
     def require_end(self):
-        if not self.at_end():
-            t = self.peek()
+        t = self.peek()
+        if t is not None:
             raise SpecError(t.line, t.col, f"trailing input {t.text!r}")
+
+
+def _statements(lines: list[str]) -> Iterator[_Cursor]:
+    """A cursor on each line that has tokens, tokenized when it is reached."""
+    for line_no, text in enumerate(lines, start=1):
+        toks = _tokenize_line(text, line_no)
+        if toks:
+            yield _Cursor(toks, line_no)
 
 
 # ---------------------------------------------------------------------------
@@ -191,20 +178,13 @@ def parse(text: str) -> SpecFile:
     spaces: list[SpaceDecl] = []
     operators: list[OperatorDecl] = []
     lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        toks = _tokenize_line(lines[i], i + 1)
-        if not toks:
-            i += 1
-            continue
-        cur = _Cursor(toks, i + 1)
+    statements = _statements(lines)
+    for cur in statements:
         head = cur.next(("space", "operator"))
         if head.text == "space":
             spaces.append(_parse_space(cur))
-            i += 1
         elif head.text == "operator":
-            decl, i = _parse_operator(cur, lines, i)
-            operators.append(decl)
+            operators.append(_parse_operator(cur, statements, len(lines)))
         else:
             raise SpecError(
                 head.line, head.col, f"unknown statement {head.text!r}",
@@ -226,17 +206,22 @@ def _parse_space(cur: _Cursor) -> SpaceDecl:
         cur.expect(")")
         label = f"findim({n.text})"
     try:
-        parse_space_label(label)
+        space = parse_space_label(label)
     except RieszkitError:
         raise SpecError(
             kind.line, kind.col, f"unknown space kind {label!r}",
             ("l0inf", "ck", "ek", "grid", "findim(N)"),
         )
     cur.require_end()
-    return SpaceDecl(name.text, label, name.line)
+    return SpaceDecl(name.text, label, space)
 
 
-def _parse_operator(cur: _Cursor, lines: list[str], i: int):
+_CLAUSES = ("e", "atoms", "unit", "rowunit", "rowunits", "}")
+
+
+def _parse_operator(cur: _Cursor, statements: Iterator[_Cursor], last_line: int) -> OperatorDecl:
+    """The declaration whose header `cur` holds; its body is read from
+    `statements` up to the closing brace."""
     name = cur.next(("operator name",))
     cur.expect(":")
     dom = cur.next(("domain space",))
@@ -249,63 +234,43 @@ def _parse_operator(cur: _Cursor, lines: list[str], i: int):
     row_images = []
     row_zero_from = None
     unit_image = None
-    j = i + 1
-    while True:
-        if j >= len(lines):
-            raise SpecError(len(lines), 1, "operator block never closed", ("}",))
-        toks = _tokenize_line(lines[j], j + 1)
-        if not toks:
-            j += 1
-            continue
-        cur = _Cursor(toks, j + 1)
-        head = cur.next(("e", "atoms", "unit", "rowunit", "rowunits", "}"))
+    for cur in statements:
+        head = cur.next(_CLAUSES)
         if head.text == "}":
             cur.require_end()
-            j += 1
             break
         if head.text == "e":
             cur.expect("(")
-            n1 = _parse_int(cur)
+            idx = _parse_int(cur)
             if cur.peek() and cur.peek().text == ",":
-                cur.expect(",")
-                n2 = _parse_int(cur)
-                idx = ("pair", n1, n2)
-            else:
-                idx = ("i", n1)
+                cur.next()
+                idx = (idx, _parse_int(cur))
             cur.expect(")")
             cur.expect("->")
             atom_images.append((idx, _parse_elem_expr(cur)))
         elif head.text == "atoms":
-            rules.append(_parse_atoms_rule(cur, head.line))
+            rules.append(_parse_atoms_rule(cur))
         elif head.text == "unit":
             cur.expect("->")
             unit_image = _parse_elem_expr(cur)
         elif head.text == "rowunit":
-            cur.expect("(")
-            r = _parse_int(cur)
-            cur.expect(")")
+            r = _parse_paren_int(cur)
             cur.expect("->")
             row_images.append((r, _parse_elem_expr(cur)))
         elif head.text == "rowunits":
-            var = cur.next(("variable",))
+            cur.next(("variable",))
             cur.expect(">")
             row_zero_from = _parse_int(cur)
             cur.expect("->")
             z = cur.next(("0",))
             if z.text != "0":
-                raise SpecError(
-                    z.line, z.col, "row-unit tails must vanish", ("0",)
-                )
-            cur.require_end()
+                raise SpecError(z.line, z.col, "row-unit tails must vanish", ("0",))
         else:
-            raise SpecError(
-                head.line, head.col, f"unknown clause {head.text!r}",
-                ("e", "atoms", "unit", "rowunit", "rowunits", "}"),
-            )
-        if head.text != "rowunits":
-            cur.require_end()
-        j += 1
-    decl = OperatorDecl(
+            raise SpecError(head.line, head.col, f"unknown clause {head.text!r}", _CLAUSES)
+        cur.require_end()
+    else:
+        raise SpecError(last_line, 1, "operator block never closed", ("}",))
+    return OperatorDecl(
         name.text,
         dom.text,
         cod.text,
@@ -316,7 +281,6 @@ def _parse_operator(cur: _Cursor, lines: list[str], i: int):
         unit_image,
         name.line,
     )
-    return decl, j
 
 
 def _parse_int(cur: _Cursor, what: str = "integer") -> int:
@@ -326,8 +290,20 @@ def _parse_int(cur: _Cursor, what: str = "integer") -> int:
     return int(t.text)
 
 
-def _parse_denominator(cur: _Cursor, what: str = "integer") -> int:
-    """The integer after a '/'; 0 is an input error at its token."""
+def _parse_paren_int(cur: _Cursor) -> int:
+    cur.expect("(")
+    n = _parse_int(cur)
+    cur.expect(")")
+    return n
+
+
+def _denominator(cur: _Cursor, what: str) -> int:
+    """The integer after a '/', or 1 when none follows; 0 is an input error
+    at its token."""
+    t = cur.peek()
+    if t is None or t.text != "/":
+        return 1
+    cur.next()
     t = cur.peek()
     den = _parse_int(cur, what)
     if den == 0:
@@ -336,23 +312,15 @@ def _parse_denominator(cur: _Cursor, what: str = "integer") -> int:
 
 
 def _parse_scalar(cur: _Cursor) -> Q:
-    sign = Q(1)
     t = cur.peek()
-    if t is not None and t.text == "-":
+    sign = -1 if t is not None and t.text == "-" else 1
+    if sign < 0:
         cur.next()
-        sign = Q(-1)
-    t = cur.next(("number",))
-    if t.kind != "num":
-        raise SpecError(t.line, t.col, f"got {t.text!r}", ("number",))
-    num = Q(int(t.text))
-    nxt = cur.peek()
-    if nxt is not None and nxt.text == "/":
-        cur.next()
-        num = num / _parse_denominator(cur, "denominator")
-    return sign * num
+    num = _parse_int(cur, "number")
+    return sign * Q(num, _denominator(cur, "denominator"))
 
 
-def _parse_atoms_rule(cur: _Cursor, line: int) -> AtomsRule:
+def _parse_atoms_rule(cur: _Cursor) -> AtomsRule:
     var = cur.next(("variable",))
     if var.kind != "name":
         raise SpecError(var.line, var.col, f"got {var.text!r}", ("variable",))
@@ -360,7 +328,7 @@ def _parse_atoms_rule(cur: _Cursor, line: int) -> AtomsRule:
     threshold = _parse_int(cur)
     modulus, residue = 1, 0
     if cur.peek() and cur.peek().text == ",":
-        cur.expect(",")
+        cur.next()
         v2 = cur.next((var.text,))
         if v2.text != var.text:
             raise SpecError(v2.line, v2.col, "modulus clause must use the rule variable")
@@ -372,7 +340,7 @@ def _parse_atoms_rule(cur: _Cursor, line: int) -> AtomsRule:
             raise SpecError(v2.line, v2.col, "residue out of range")
     cur.expect("->")
     t = cur.peek()
-    entries: list[StencilEntryAst] = []
+    entries = []
     if t is not None and t.text == "0":
         cur.next()
     else:
@@ -380,178 +348,129 @@ def _parse_atoms_rule(cur: _Cursor, line: int) -> AtomsRule:
         while True:
             coeff = _parse_scalar(cur)
             cur.expect("@")
-            coord = _parse_coord(cur, var.text)
-            entries.append(StencilEntryAst(coeff, coord))
+            entries.append((_parse_coord(cur, _parse_affine_sum, var.text), coeff))
             nxt = cur.next((",", "}"))
             if nxt.text == "}":
                 break
             if nxt.text != ",":
                 raise SpecError(nxt.line, nxt.col, f"got {nxt.text!r}", (",", "}"))
-    cur.require_end()
-    return AtomsRule(var.text, threshold, modulus, residue, tuple(entries), line)
+    return AtomsRule(var.text, threshold, modulus, residue, tuple(entries))
 
 
-def _parse_coord(cur: _Cursor, rule_var: str) -> tuple:
+def _parse_coord(cur: _Cursor, component, var: str):
+    """The coordinate form whose components `component(cur, var)` reads:
+    g(C) is a token form, (R, C) a pair form whose row R reads n, and a bare
+    C a sequence form."""
     t = cur.peek()
     if t is None:
         raise SpecError(cur.line, 1, "missing coordinate")
     if t.kind == "name" and t.text == "g":
         cur.next()
         cur.expect("(")
-        aff = _parse_affine_sum(cur, {rule_var})
-        cur.expect(")")
-        return ("token", aff)
-    if t.text == "(":
+        form = TokenForm(component(cur, var))
+    elif t.text == "(":
         cur.next()
-        row = _parse_affine_sum(cur, {"n"})
+        row = component(cur, "n")
         cur.expect(",")
-        col = _parse_affine_sum(cur, {rule_var})
-        cur.expect(")")
-        return ("pair", row, col)
-    return ("seq", _parse_affine_sum(cur, {rule_var}))
+        form = PairForm(row, component(cur, var))
+    else:
+        return SeqForm(component(cur, var))
+    cur.expect(")")
+    return form
 
 
-def _parse_affine_sum(cur: _Cursor, vars_allowed: set, stop=frozenset({")", ",", "}"})):
-    """Affine expressions: sums of NUM, VAR, NUM VAR, with optional /NUM on a
-    parenthesized group. Returns (var_name | None, a, b)."""
-    a, b = Q(0), Q(0)
-    var_name = None
-    sign = Q(1)
+def _literal(cur: _Cursor, var: str) -> Affine:
+    """A literal coordinate component: the stationary form of an integer."""
+    return Affine(Q0, Q(_parse_int(cur)))
+
+
+_INDEX_STOP = frozenset({")", ",", "}"})
+
+
+def _parse_affine_sum(cur: _Cursor, var: str, stop=_INDEX_STOP) -> Affine:
+    """A signed sum of terms in the variable `var`, read up to a token of
+    `stop`; the last sign of a run of signs applies."""
+    a = b = Q0
+    sign = 1
     first = True
     while True:
         t = cur.peek()
-        if t is None or (t.text in stop and not first):
-            break
-        if t.text in stop and first:
-            raise SpecError(t.line, t.col, "empty index form")
+        if t is None or t.text in stop:
+            if first and t is not None:
+                raise SpecError(t.line, t.col, "empty index form")
+            return Affine(a, b)
         first = False
-        if t.text == "+":
+        if t.text in ("+", "-"):
             cur.next()
-            sign = Q(1)
+            sign = 1 if t.text == "+" else -1
             continue
-        if t.text == "-":
-            cur.next()
-            sign = Q(-1)
-            continue
-        if t.text == "(":
-            cur.next()
-            v, ia, ib = _parse_affine_sum(cur, vars_allowed, stop={")"})
-            cur.expect(")")
-            scale_q = Q(1)
-            nxt = cur.peek()
-            if nxt is not None and nxt.text == "/":
-                cur.next()
-                scale_q = Q(1, _parse_denominator(cur))
-            if v is not None:
-                var_name = var_name or v
-                if v != var_name:
-                    raise SpecError(t.line, t.col, "mixed variables in an index form")
-            a += sign * ia * scale_q
-            b += sign * ib * scale_q
-            sign = Q(1)
-            continue
-        if t.kind == "num":
-            cur.next()
-            val = Q(int(t.text))
-            nxt = cur.peek()
-            if nxt is not None and nxt.text == "/":
-                cur.next()
-                val = val / _parse_denominator(cur)
-                nxt = cur.peek()
-            if nxt is not None and nxt.kind == "name":
-                v = cur.next()
-                if v.text not in vars_allowed:
-                    raise SpecError(v.line, v.col, f"unknown variable {v.text!r}")
-                _reject_nonaffine(cur)
-                if var_name is None:
-                    var_name = v.text
-                elif var_name != v.text:
-                    raise SpecError(v.line, v.col, "mixed variables in an index form")
-                a += sign * val
-            else:
-                b += sign * val
-            sign = Q(1)
-            continue
-        if t.kind == "name":
-            v = cur.next()
-            if v.text not in vars_allowed:
-                raise SpecError(v.line, v.col, f"unknown variable {v.text!r}")
-            _reject_nonaffine(cur)
-            if var_name is None:
-                var_name = v.text
-            elif var_name != v.text:
-                raise SpecError(v.line, v.col, "mixed variables in an index form")
-            nxt = cur.peek()
-            val = Q(1)
-            if nxt is not None and nxt.text == "/":
-                cur.next()
-                val = Q(1, _parse_denominator(cur))
-            a += sign * val
-            sign = Q(1)
-            continue
+        ta, tb = _parse_term(cur, var)
+        a += sign * ta
+        b += sign * tb
+        sign = 1
+
+
+def _parse_term(cur: _Cursor, var: str) -> tuple[Q, Q]:
+    """(coefficient of `var`, constant) of one term
+    NUM[/NUM] [VAR] | VAR[/NUM] | (SUM)[/NUM]."""
+    t = cur.next()
+    if t.text == "(":
+        group = _parse_affine_sum(cur, var, frozenset({")"}))
+        cur.expect(")")
+        a, b = group.a, group.b
+    elif t.kind == "num":
+        a, b = Q0, Q(int(t.text))
+    elif t.kind == "name":
+        _read_variable(cur, t, var)
+        a, b = Q(1), Q0
+    else:
         raise SpecError(t.line, t.col, f"unexpected {t.text!r} in index form")
-    return var_name, a, b
+    den = _denominator(cur, "integer")
+    a, b = a / den, b / den
+    v = cur.peek()
+    if t.kind == "num" and v is not None and v.kind == "name":
+        _read_variable(cur, cur.next(), var)
+        a, b = b, Q0
+    return a, b
 
 
-def _reject_nonaffine(cur: _Cursor):
+def _read_variable(cur: _Cursor, v: Tok, var: str) -> None:
+    """`v`, just read, must be `var` and must not be multiplied."""
+    if v.text != var:
+        raise SpecError(v.line, v.col, f"unknown variable {v.text!r}")
     t = cur.peek()
     if t is not None and (t.kind == "name" or t.text == "*"):
         raise SpecError(t.line, t.col, "non-affine index form")
 
 
-def _parse_elem_expr(cur: _Cursor) -> ElemExpr:
+def _parse_elem_expr(cur: _Cursor) -> tuple:
     t = cur.peek()
     if t is not None and t.text == "0" and cur.i == len(cur.toks) - 1:
         cur.next()
-        return ElemExpr(())
+        return ()
     terms = []
     while True:
         coeff = _parse_scalar(cur)
         op = cur.next(("@", "*"))
         if op.text == "@":
-            tgt = _parse_coord_literal(cur)
-            terms.append(ElemTerm(coeff, tgt))
+            ref = ("atom", _parse_coord(cur, _literal, "n"))
         elif op.text == "*":
             what = cur.next(("unit", "rowunit"))
             if what.text == "unit":
-                terms.append(ElemTerm(coeff, ("unit",)))
+                ref = ("unit",)
             elif what.text == "rowunit":
-                cur.expect("(")
-                r = _parse_int(cur)
-                cur.expect(")")
-                terms.append(ElemTerm(coeff, ("rowunit", r)))
+                ref = ("row_unit", _parse_paren_int(cur))
             else:
                 raise SpecError(
                     what.line, what.col, f"got {what.text!r}", ("unit", "rowunit")
                 )
         else:
             raise SpecError(op.line, op.col, f"got {op.text!r}", ("@", "*"))
+        terms.append((ref, coeff))
         nxt = cur.peek()
         if nxt is None or nxt.text != "+":
-            break
-        cur.expect("+")
-    return ElemExpr(tuple(terms))
-
-
-def _parse_coord_literal(cur: _Cursor) -> tuple:
-    """A literal coordinate, as the stationary form that names it."""
-    t = cur.peek()
-    if t is None:
-        raise SpecError(cur.line, 1, "missing coordinate")
-    if t.kind == "name" and t.text == "g":
+            return tuple(terms)
         cur.next()
-        cur.expect("(")
-        k = _parse_int(cur)
-        cur.expect(")")
-        return ("coord", token_form(0, k))
-    if t.text == "(":
-        cur.next()
-        n = _parse_int(cur)
-        cur.expect(",")
-        m = _parse_int(cur)
-        cur.expect(")")
-        return ("coord", pair_form(0, n, 0, m))
-    return ("coord", seq_form(0, _parse_int(cur)))
 
 
 # ---------------------------------------------------------------------------
@@ -559,36 +478,13 @@ def _parse_coord_literal(cur: _Cursor) -> tuple:
 
 
 def build_spaces(spec: SpecFile) -> dict[str, SpaceDesc]:
-    out = {}
-    for decl in spec.spaces:
-        out[decl.name] = parse_space_label(decl.kind_label)
-    return out
+    return {decl.name: decl.space for decl in spec.spaces}
 
 
-def _build_element(expr: ElemExpr, space: SpaceDesc) -> Element:
+def _build_element(terms: tuple, space: SpaceDesc) -> Element:
     # a generator, so each index is checked before the next term is read
-    return recompose(space, (_generator_part(term) for term in expr.terms))
-
-
-def _generator_part(term: ElemTerm):
-    if term.target[0] == "unit":
-        return ("unit",), term.coeff
-    if term.target[0] == "rowunit":
-        return ("row_unit", term.target[1]), term.coeff
-    return ("atom", term.target[1].at(1)), term.coeff
-
-
-def _build_form(coord: tuple, codomain: SpaceDesc):
-    kind = coord[0]
-    if kind == "token":
-        _, a, b = coord[1]
-        return TokenForm(Affine(a, b))
-    if kind == "pair":
-        rv, ra, rb = coord[1]
-        cv, ca, cb = coord[2]
-        return PairForm(Affine(ra, rb), Affine(ca, cb))
-    _, a, b = coord[1]
-    return SeqForm(Affine(a, b))
+    return recompose(space, (((ref[0], ref[1].at(1)) if ref[0] == "atom" else ref, c)
+                             for ref, c in terms))
 
 
 def build_operator(decl: OperatorDecl, spaces: dict[str, SpaceDesc]) -> Operator:
@@ -600,22 +496,15 @@ def build_operator(decl: OperatorDecl, spaces: dict[str, SpaceDesc]) -> Operator
         raise SpecError(decl.line, 1, f"unknown space {decl.codomain!r}")
     dom, cod = spaces[decl.domain], spaces[decl.codomain]
     try:
-        images = {}
-        for idx_ast, expr in decl.atom_images:
-            idx = (idx_ast[1], idx_ast[2]) if idx_ast[0] == "pair" else idx_ast[1]
-            images[idx] = _build_element(expr, cod)
+        images = {idx: _build_element(terms, cod) for idx, terms in decl.atom_images}
         rule = None
         if decl.rules:
             modulus = lcm(*(r.modulus for r in decl.rules))
             threshold = max(r.threshold for r in decl.rules)
-            entries = [[] for _ in range(modulus)]
-            for r in decl.rules:
-                for res in range(modulus):
-                    if res % r.modulus == r.residue:
-                        for e in r.entries:
-                            entries[res].append((_build_form(e.coord, cod), e.coeff))
+            entries = [[e for r in decl.rules if res % r.modulus == r.residue for e in r.entries]
+                       for res in range(modulus)]
             rule = stencil_rule(modulus, threshold, entries, cod)
-        rows = {r: _build_element(expr, cod) for r, expr in decl.row_unit_images}
+        rows = {r: _build_element(terms, cod) for r, terms in decl.row_unit_images}
         unit_img = (
             _build_element(decl.unit_image, cod) if decl.unit_image is not None else None
         )
@@ -638,16 +527,16 @@ def build_all(spec: SpecFile) -> tuple[dict[str, SpaceDesc], dict[str, Operator]
 # canonical printing
 
 
-def _print_affine(var: str | None, a: Q, b: Q) -> str:
+def _print_affine(var: str, aff: Affine) -> str:
+    a, b = aff.a, aff.b
     if a == 0:
         return qstr(b)
-    v = var or "n"
     if a == 1:
-        head = v
+        head = var
     elif a.denominator == 1:
-        head = f"{qstr(a)}{v}"
+        head = f"{qstr(a)}{var}"
     else:
-        inner = v if a.numerator == 1 else f"{a.numerator}{v}"
+        inner = var if a.numerator == 1 else f"{a.numerator}{var}"
         if b != 0:
             num = f"({inner}{'+' if b * a.denominator > 0 else '-'}{qstr(abs(b * a.denominator))})"
             return f"{num}/{a.denominator}"
@@ -657,52 +546,33 @@ def _print_affine(var: str | None, a: Q, b: Q) -> str:
     return f"{head}{'+' if b > 0 else '-'}{qstr(abs(b))}"
 
 
-def _print_coord(coord: tuple) -> str:
-    if coord[0] == "token":
-        return f"g({_print_affine(*coord[1])})"
-    if coord[0] == "pair":
-        return f"({_print_affine(*coord[1])},{_print_affine(*coord[2])})"
-    return _print_affine(*coord[1])
+# a rule coordinate's text by form type, given the rule variable
+_FORM_TEXT = {
+    SeqForm: lambda f, var: _print_affine(var, f.idx),
+    TokenForm: lambda f, var: f"g({_print_affine(var, f.idx)})",
+    PairForm: lambda f, var: f"({_print_affine('n', f.row)},{_print_affine(var, f.col)})",
+}
+# an element term's text by generator kind, given the coefficient and the
+# generator's argument
+_TERM_TEXT = {"atom": "{} @ {}", "unit": "{} * unit", "row_unit": "{} * rowunit({})"}
 
 
-def _print_elem(expr: ElemExpr) -> str:
-    if not expr.terms:
-        return "0"
-    parts = []
-    for t in expr.terms:
-        if t.target[0] == "unit":
-            parts.append(f"{qstr(t.coeff)} * unit")
-        elif t.target[0] == "rowunit":
-            parts.append(f"{qstr(t.coeff)} * rowunit({t.target[1]})")
-        else:
-            parts.append(f"{qstr(t.coeff)} @ {t.target[1]}")
-    return " + ".join(parts)
+def _print_elem(terms: tuple) -> str:
+    return " + ".join(_TERM_TEXT[ref[0]].format(qstr(c), *ref[1:]) for ref, c in terms) or "0"
 
 
 def print_spec(spec: SpecFile) -> str:
-    lines = []
-    for s in spec.spaces:
-        lines.append(f"space {s.name} = {s.kind_label}")
+    lines = [f"space {s.name} = {s.kind_label}" for s in spec.spaces]
     for op_ in spec.operators:
-        lines.append("")
-        lines.append(f"operator {op_.name} : {op_.domain} -> {op_.codomain} {{")
-        for idx, expr in op_.atom_images:
-            loc = f"{idx[1]},{idx[2]}" if idx[0] == "pair" else str(idx[1])
-            lines.append(f"  e({loc}) -> {_print_elem(expr)}")
+        lines += ["", f"operator {op_.name} : {op_.domain} -> {op_.codomain} {{"]
+        lines += [f"  {atom_str(idx)} -> {_print_elem(terms)}" for idx, terms in op_.atom_images]
         for r in op_.rules:
             clause = f"atoms {r.var} > {r.threshold}"
             if r.modulus != 1:
                 clause += f", {r.var} mod {r.modulus} == {r.residue}"
-            if r.entries:
-                body = ", ".join(
-                    f"{qstr(e.coeff)} @ {_print_coord(e.coord)}" for e in r.entries
-                )
-                clause += f" -> {{ {body} }}"
-            else:
-                clause += " -> 0"
-            lines.append(f"  {clause}")
-        for rr, expr in op_.row_unit_images:
-            lines.append(f"  rowunit({rr}) -> {_print_elem(expr)}")
+            body = ", ".join(f"{qstr(c)} @ {_FORM_TEXT[type(f)](f, r.var)}" for f, c in r.entries)
+            lines.append(f"  {clause} -> {{ {body} }}" if body else f"  {clause} -> 0")
+        lines += [f"  rowunit({r}) -> {_print_elem(terms)}" for r, terms in op_.row_unit_images]
         if op_.row_units_zero_from is not None:
             lines.append(f"  rowunits n > {op_.row_units_zero_from} -> 0")
         if op_.unit_image is not None:

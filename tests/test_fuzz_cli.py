@@ -8,10 +8,15 @@ one command, any other on every spec command.  Every run must exit 0-3 and
 print exactly one JSON document; a command that does not exit 2 at the
 default probe must give the same exit code and verdict at probes 1, 8 and
 32.
+
+The mutants of a second seed, with edge cases of the index-form grammar,
+pin what parsing and building does with each: `spec_outcomes.json` holds
+its refusal text or a digest of the operators it builds.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import re
@@ -108,3 +113,62 @@ def test_spec_mutants_exit_cleanly_with_probe_independent_verdicts(tmp_path, cap
                 if len(set(seen.values())) > 1 and seen[8][0] != 2:
                     failures.append((text, cmd, f"verdict depends on --probe: {seen}"))
     assert not failures, "\n\n".join(f"{a}\n{t}" for t, *a in failures[:5])
+
+
+# ---------------------------------------------------------------------------
+# pinned parse/build outcomes
+
+OUTCOMES = Path(__file__).with_name("spec_outcomes.json")
+OUTCOME_SEED = 20261019  # not the fuzzer's seed, so the mutants differ
+OUTCOME_MUTANTS_PER_SOURCE = 150
+# (domain, codomain, rule variable, coordinate): affine forms at the edges
+# of the index-form grammar, in line, token and pair coordinates
+AFFINE_EDGES = [
+    *(("l0inf", "l0inf", "n", c) for c in (
+        "2n/3", "n/3", "2/3n", "(n+1)/2", "n+", "()", "n m", "", "n/3n", "2 3",
+        "-n+5", "--n", "-+n", "+", "n-n+1", "2(n)", "(n)(n)", "n*2", "2*n", "n/3/2",
+        "2/3/4", "((n+1)/2+1)/2", "(n)/0", "n/", "(n", "m", "g", "(n,1)", "g(n)",
+        "n+(n)/2", "3/2n-1/2", "2n+1 ) ", "1+(n+1)/2", "n+(n+3)/2", "1+(n)/3/2")),
+    *(("l0inf", "ck", "n", c) for c in (
+        "g(n)", "g(2n-1)", "g()", "g(n/2)", "g(0)", "n", "g((n+1)/2)", "g(2n/3)",
+        "g((n+1)/0)", "g((n)/3)", "g(2(n))", "g(1/2n+1/2)", "g(n+)")),
+    *(("ek", "ek", "m", c) for c in (
+        "(n,m)", "(m,n)", "(n,n)", "(m,m)", "(2n,(m+1)/2)", "(n+1,m)", "(1,m)", "(n,)",
+        "(,m)", "(n,m/2)", "(n/2,m)", "(n m,m)", "m", "g(m)", "(n,(m+1)/2)",
+        "(n,(m)/2+m/2)", "(n,2m/3)", "(n-,m)")),
+]
+
+
+def spec_outcome(text: str) -> str:
+    """The error a spec text is refused with, or a digest of what it builds."""
+    try:
+        built = build_all(parse(text))
+    except RieszkitError as e:
+        return f"{type(e).__name__}: {e}"
+    return hashlib.sha256(repr(built).encode()).hexdigest()[:16]
+
+
+def spec_outcomes() -> dict:
+    """Outcome of each seeded token mutant of the shipped specs, then of each
+    affine edge case in a one-rule operator."""
+    rng = random.Random(OUTCOME_SEED)
+    out = {}
+    for source in SOURCES:
+        original = source.read_text(encoding="utf-8")
+        for i in range(OUTCOME_MUTANTS_PER_SOURCE):
+            out[f"{source.name} #{i}"] = spec_outcome(mutate(original, rng))
+    for dom, cod, var, coord in AFFINE_EDGES:
+        out[f"{dom} -> {cod}, {var}: 1 @ {coord}"] = spec_outcome(
+            f"space E = {dom}\nspace F = {cod}\n\noperator T : E -> F {{\n"
+            f"  atoms {var} > 0 -> {{ 1 @ {coord} }}\n  unit -> 0\n}}\n")
+    return out
+
+
+def test_parse_and_build_outcomes_are_pinned():
+    """Every mutant and edge case is refused with the same text, or builds
+    the same operators, as `spec_outcomes.json` records."""
+    pinned = json.loads(OUTCOMES.read_text(encoding="utf-8"))
+    table = spec_outcomes()
+    assert sorted(table) == sorted(pinned)
+    for key, outcome in table.items():
+        assert outcome == pinned[key], key
