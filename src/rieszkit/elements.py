@@ -682,15 +682,32 @@ def _map(x: Element, f) -> Element:
 
 
 def add(x: Element, y: Element) -> Element:
-    return _pointwise(x, y, qadd)
+    """x + y; a zero operand gives the other operand back."""
+    _check_same_space(x, y)
+    if x.is_zero():
+        return y
+    return x if y.is_zero() else _pointwise(x, y, qadd)
 
 
 def sub(x: Element, y: Element) -> Element:
-    return _pointwise(x, y, qsub)
+    """x - y; x itself when y is zero."""
+    _check_same_space(x, y)
+    return x if y.is_zero() else _pointwise(x, y, qsub)
 
 
 def scale(c: QLike, x: Element) -> Element:
-    return _map(x, partial(qmul, qof(c)))
+    """c * x, with c's integer pair read once: x itself for c = 1, the zero
+    element for c = 0, a negation that keeps Q0 at the zeros for c = -1,
+    and one product per nonzero value for any other c."""
+    c = qof(c)
+    pair = c.as_integer_ratio()
+    if pair == (1, 1):
+        return x
+    if not pair[0]:
+        return zero(x.space)
+    if pair == (-1, 1):
+        return _map(x, lambda v: -v if v else Q0)
+    return _map(x, lambda v: v * c if v else Q0)
 
 
 def sup2(x: Element, y: Element) -> Element:

@@ -15,7 +15,12 @@ cases compute a new rational; the value is the same either way.
 
 `qle`, `qeq`, `qmax`, `qmin` and `qabs` are the payload decisions: every
 sup, inf, |x|, positive part and order test of the lattice walks ends in
-one of them per stored coordinate.  A decision reads the integer pairs
+one of them per stored coordinate.  Payload values are immutable, so the
+same object means the same value, and each kernel decides that before it
+reads any integer pair: `qsub(a, a)` is `Q0`, `qle(a, a)` and `qeq(a, a)`
+hold and `qmax(a, a)` and `qmin(a, a)` are `a`, so a walk over payloads
+sharing their values (x - S on x's own static part S) does no arithmetic
+there.  Otherwise a decision reads the integer pairs
 (`as_integer_ratio()`, or the sign of `numerator`) and compares them with
 integer arithmetic: `Fraction`'s own comparisons first test the other
 operand against `numbers.Rational` through the ABC machinery, which costs
@@ -60,7 +65,9 @@ def qadd(a: Q, b: Q) -> Q:
 
 
 def qsub(a: Q, b: Q) -> Q:
-    """a - b, reusing a when b is 0 and negating b when a is 0."""
+    """a - b: Q0 when b is a, a when b is 0 and -b when a is 0."""
+    if a is b:
+        return Q0
     if not b:
         return a
     if not a:
@@ -87,6 +94,8 @@ def qmul(a: Q, b: Q) -> Q:
 
 def qle(a: Q, b: Q) -> bool:
     """a <= b."""
+    if a is b:
+        return True
     an, ad = a.as_integer_ratio()
     bn, bd = b.as_integer_ratio()
     return an * bd <= bn * ad
@@ -95,11 +104,13 @@ def qle(a: Q, b: Q) -> bool:
 def qeq(a: Q, b: Q) -> bool:
     """a == b: lowest terms with a positive denominator make the pairs
     equal exactly when the values are."""
-    return a.as_integer_ratio() == b.as_integer_ratio()
+    return a is b or a.as_integer_ratio() == b.as_integer_ratio()
 
 
 def qmax(a: Q, b: Q) -> Q:
     """max(a, b): b only when it is larger."""
+    if a is b:
+        return a
     an, ad = a.as_integer_ratio()
     bn, bd = b.as_integer_ratio()
     return b if an * bd < bn * ad else a
@@ -107,6 +118,8 @@ def qmax(a: Q, b: Q) -> Q:
 
 def qmin(a: Q, b: Q) -> Q:
     """min(a, b): b only when it is smaller."""
+    if a is b:
+        return a
     an, ad = a.as_integer_ratio()
     bn, bd = b.as_integer_ratio()
     return b if bn * ad < an * bd else a

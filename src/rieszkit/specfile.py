@@ -16,9 +16,11 @@ Grammar (line oriented, '#' comments):
     ELEM  := 0 | TERM + TERM + ...        TERM := COEF @ COORDLIT | COEF * unit
                                                   | COEF * rowunit(N)
     COORD := AFFINE | g(AFFINE) | (AFFINE, AFFINE)
-    AFFINE := linear expressions in the rule variables, e.g. 2n-1, (m+1)/2
+    AFFINE := [+|-] AT ((+|-) AT)*      e.g. 2n-1, (m+1)/2
+    AT    := NUM[/NUM] [VAR] | VAR[/NUM] | (AFFINE)[/NUM]
 
 Index forms must be affine; anything else is rejected with its position.
+No clause but `atoms` may repeat (`e` and `rowunit`: per index).
 A pair coordinate's row reads `n` (the row) and its column the rule
 variable; every other coordinate reads the rule variable.
 A findim domain takes no `atoms` rule, and its optional `unit` clause must
@@ -32,6 +34,8 @@ into generator terms; `build_operator` only assembles them.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
+from functools import partial
 from math import lcm
 from typing import Iterator, Tuple
 
@@ -99,37 +103,32 @@ class SpecFile:
 # ---------------------------------------------------------------------------
 # tokenizer
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>->|==|[=:{}(),@*+/>-]))"
-)
+# one alternative per token kind (groups 1-3), then any other character
+_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(->|==|[=:{}(),@*+/>-])|\S")
+_KINDS = (None, "num", "name", "op")
 
 
-@record
-class Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
+class Tok(namedtuple("_Tok", "kind text line col")):
+    __slots__ = ()
+
+
+# a token from its field tuple, in one C call: no Python-level constructor
+_tok = partial(tuple.__new__, Tok)
 
 
 def _tokenize_line(text: str, line_no: int) -> list[Tok]:
+    """The tokens of a line, in one pass of the token pattern.  A character
+    that starts no token is refused at the end of the token before it (the
+    first column when there is none)."""
     out = []
-    pos = 0
+    end = 0
     body = text.split("#", 1)[0]
-    while pos < len(body):
-        m = _TOKEN_RE.match(body, pos)
-        if m is None:
-            if body[pos:].strip() == "":
-                break
-            raise SpecError(line_no, pos + 1, f"unexpected character {body[pos]!r}")
-        if m.lastgroup is None:
-            break
-        kind = m.lastgroup
-        out.append(Tok(kind, m.group(kind), line_no, m.start(kind) + 1))
-        pos = m.end()
-        if pos == m.start():
-            break
+    for m in _TOKEN_RE.finditer(body):
+        kind = m.lastindex
+        if kind is None:
+            raise SpecError(line_no, end + 1, f"unexpected character {body[end]!r}")
+        out.append(_tok((_KINDS[kind], m.group(), line_no, m.start() + 1)))
+        end = m.end()
     return out
 
 
@@ -234,11 +233,13 @@ def _parse_operator(cur: _Cursor, statements: Iterator[_Cursor], last_line: int)
     row_images = []
     row_zero_from = None
     unit_image = None
+    seen = set()  # the clauses that may appear once: every one but `atoms`
     for cur in statements:
         head = cur.next(_CLAUSES)
         if head.text == "}":
             cur.require_end()
             break
+        clause = head.text
         if head.text == "e":
             cur.expect("(")
             idx = _parse_int(cur)
@@ -248,8 +249,10 @@ def _parse_operator(cur: _Cursor, statements: Iterator[_Cursor], last_line: int)
             cur.expect(")")
             cur.expect("->")
             atom_images.append((idx, _parse_elem_expr(cur)))
+            clause = atom_str(idx)
         elif head.text == "atoms":
             rules.append(_parse_atoms_rule(cur))
+            clause = None
         elif head.text == "unit":
             cur.expect("->")
             unit_image = _parse_elem_expr(cur)
@@ -257,6 +260,7 @@ def _parse_operator(cur: _Cursor, statements: Iterator[_Cursor], last_line: int)
             r = _parse_paren_int(cur)
             cur.expect("->")
             row_images.append((r, _parse_elem_expr(cur)))
+            clause = f"rowunit({r})"
         elif head.text == "rowunits":
             cur.next(("variable",))
             cur.expect(">")
@@ -268,6 +272,9 @@ def _parse_operator(cur: _Cursor, statements: Iterator[_Cursor], last_line: int)
         else:
             raise SpecError(head.line, head.col, f"unknown clause {head.text!r}", _CLAUSES)
         cur.require_end()
+        if clause and clause in seen:
+            raise SpecError(head.line, head.col, f"repeated clause {clause!r}")
+        seen.add(clause)
     else:
         raise SpecError(last_line, 1, "operator block never closed", ("}",))
     return OperatorDecl(
@@ -388,26 +395,28 @@ _INDEX_STOP = frozenset({")", ",", "}"})
 
 
 def _parse_affine_sum(cur: _Cursor, var: str, stop=_INDEX_STOP) -> Affine:
-    """A signed sum of terms in the variable `var`, read up to a token of
-    `stop`; the last sign of a run of signs applies."""
+    """[sign] TERM (sign TERM)* in the variable `var`, read up to a token of
+    `stop`.  A run of signs, a sign with no term after it and two terms
+    with no sign between them are refused at the offending token."""
+    t = cur.peek()
+    if t is not None and t.text in stop:
+        raise SpecError(t.line, t.col, "empty index form")
     a = b = Q0
-    sign = 1
-    first = True
     while True:
-        t = cur.peek()
-        if t is None or t.text in stop:
-            if first and t is not None:
-                raise SpecError(t.line, t.col, "empty index form")
-            return Affine(a, b)
-        first = False
-        if t.text in ("+", "-"):
+        sign = 1
+        if t is not None and t.text in ("+", "-"):
             cur.next()
             sign = 1 if t.text == "+" else -1
-            continue
+            if cur.peek() is None or cur.peek().text in stop:
+                raise SpecError(t.line, t.col, f"sign {t.text!r} without a term")
         ta, tb = _parse_term(cur, var)
         a += sign * ta
         b += sign * tb
-        sign = 1
+        t = cur.peek()
+        if t is None or t.text in stop:
+            return Affine(a, b)
+        if t.text not in ("+", "-"):
+            raise SpecError(t.line, t.col, f"unexpected {t.text!r} in index form")
 
 
 def _parse_term(cur: _Cursor, var: str) -> tuple[Q, Q]:

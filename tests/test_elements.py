@@ -444,6 +444,64 @@ def test_identities_build_no_rationals(monkeypatch):
             assert all(type(v) is Q for v in _payload(y)), space.label
 
 
+SCALE_FACTORS = [Q(0), Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 2)]
+
+
+def test_scale_agrees_with_lincomb_on_every_kind(rng):
+    """scale decides its factor once (1, 0, -1 or any other): each case
+    gives the canonical c * x, and c = 1 gives x itself."""
+    for space in ALL_SPACES:
+        for _ in range(10):
+            x = random_element(rng, space)
+            for c in SCALE_FACTORS:
+                got = scale(c, x)
+                assert got == lincomb(space, [(c, x)]), (space.label, c)
+                assert all(type(v) is Q for v in _payload(got)), (space.label, c)
+            assert scale(1, x) is x and scale(Q(1), x) is x, space.label
+
+
+def test_a_zero_operand_gives_the_other_operand_back(rng):
+    """add(0, y) is y, add(x, 0) and sub(x, 0) are x, also on payloads
+    outside the base space; the space check comes first."""
+    for space in ALL_SPACES:
+        z = zero(space)
+        for _ in range(10):
+            x, _, _ = random_pattern(rng, space)
+            assert add(z, x) is x and add(x, z) is x and sub(x, z) is x, space.label
+            assert sub(z, x) == scale(-1, x), space.label
+        other = zero(F if space != F else T)
+        for op in (add, sub):
+            with pytest.raises(SpaceMismatchError):
+                op(z, other)
+            with pytest.raises(SpaceMismatchError):
+                op(other, z)
+
+
+def test_order_convergence_subtracts_only_what_differs(monkeypatch):
+    """x - S on x's own static part S is 0 at every coordinate without
+    arithmetic: deciding a sequence whose static part stores 1000 entries
+    makes a bounded number of Fraction subtractions, not one per entry."""
+    S = element_tail(T, [Q(i % 7 + 1, 1 + i % 3) for i in range(1000)], 0)
+    x = element_seq(T, static=S, atoms=[(seq_form(1, 0), RationalSeq.harmonic(1))])
+    subs = 0
+
+    def counting(name):
+        subtract = getattr(fractions.Fraction, name)
+
+        def counted(a, b):
+            nonlocal subs
+            subs += 1
+            return subtract(a, b)
+        return counted
+
+    for name in ("__sub__", "__rsub__"):
+        monkeypatch.setattr(fractions.Fraction, name, counting(name))
+    cert = decide_order_convergence(x, S, 8)
+    monkeypatch.undo()
+    assert cert.verdict == convergence.CONVERGES
+    assert subs <= 64, subs
+
+
 def test_lattice_walks_make_no_fraction_comparisons(monkeypatch):
     """Every per-coordinate decision of the lattice maps and folds reads
     integer pairs through the scalars kernel: Fraction's comparisons test

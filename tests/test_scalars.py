@@ -256,3 +256,38 @@ def test_kernel_reuses_its_operands():
     assert qmax(x, y) is x and qmin(x, y) is x and qmax(y, x) is y
     assert qabs(x) is x and qabs(Q0) is Q0
     assert qadd(x, Q(0)) is x and qsub(x, Q(0)) is x
+
+
+def _identical_operands(monkeypatch, a: Q) -> None:
+    """The kernels on (a, a) with every integer-pair read counted: the same
+    object is the same value, decided before any pair is read."""
+    reads = 0
+    ratio = fractions.Fraction.as_integer_ratio
+
+    def counting(self):
+        nonlocal reads
+        reads += 1
+        return ratio(self)
+
+    monkeypatch.setattr(fractions.Fraction, "as_integer_ratio", counting)
+    got = qsub(a, a), qle(a, a), qeq(a, a), qmax(a, a), qmin(a, a)
+    monkeypatch.undo()
+    assert got[0] is Q0 and got[1] is True and got[2] is True
+    assert got[3] is a and got[4] is a
+    assert reads == 0
+    # equal but distinct operands give the values they gave before
+    b = Q(a.numerator, a.denominator)
+    assert qsub(a, b) == 0 and type(qsub(a, b)) is Q
+    assert qle(a, b) and qle(b, a) and qeq(a, b)
+    assert qmax(a, b) is a and qmin(a, b) is a and qmax(b, a) is b
+
+
+@pytest.mark.parametrize("a", KERNEL_VALUES, ids=str)
+def test_kernel_decides_identical_operands_without_arithmetic(monkeypatch, a):
+    _identical_operands(monkeypatch, a)
+
+
+@given(st.fractions())
+def test_kernel_decides_identical_operands_hypothesis(a):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _identical_operands(monkeypatch, a)

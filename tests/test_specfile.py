@@ -204,3 +204,64 @@ def test_parser_survives_mutations(pos, ch):
         parse(mutated)
     except RieszkitError:
         pass
+
+
+def _one_rule(coord: str) -> str:
+    return f"""\
+space E = l0inf
+space F = l0inf
+
+operator T : E -> F {{
+  atoms n > 1 -> {{ 1 @ {coord} }}
+  unit -> 0
+}}
+"""
+
+
+@pytest.mark.parametrize("coord, col, message", [
+    ("n--1", 26, "unexpected '-' in index form"),
+    ("--n", 25, "unexpected '-' in index form"),
+    ("-+n", 25, "unexpected '+' in index form"),
+    ("n 1", 26, "unexpected '1' in index form"),
+    ("2 3", 26, "unexpected '3' in index form"),
+    ("2(n)", 25, "unexpected '(' in index form"),
+    ("n+", 25, "sign '+' without a term"),
+    ("+", 24, "sign '+' without a term"),
+], ids=["sign-run", "leading-run", "mixed-run", "term-number", "number-number",
+        "number-group", "trailing", "sign-alone"])
+def test_affine_sums_are_signed_terms(coord, col, message, tmp_path, capsys):
+    """An index form is [sign] TERM (sign TERM)*: a run of signs, a term
+    with no sign before it and a sign with no term after it are refused at
+    the offending token; `n--1` used to read n-1."""
+    with pytest.raises(SpecError) as err:
+        parse(_one_rule(coord))
+    assert str(err.value) == f"line 5:{col}: {message}"
+    spec = tmp_path / "affine.rzk"
+    spec.write_text(_one_rule(coord), encoding="utf-8")
+    assert main(["check", "order_bounded", "--spec", str(spec)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == str(err.value)
+
+
+def test_signed_terms_still_read():
+    spaces, ops = build_all(parse(_one_rule("-1+n-(n-1)/1+n")))
+    assert atom_image(ops["T"], 3) == atom(spaces["F"], 3)
+
+
+@pytest.mark.parametrize("space, first, again, text", [
+    ("l0inf", "e(1) -> 1 @ 1", "e(1) -> 2 @ 1", "e(1)"),
+    ("ek", "rowunit(2) -> 1 @ (1,1)", "rowunit(2) -> 0", "rowunit(2)"),
+    ("l0inf", "unit -> 0", "unit -> 1 * unit", "unit"),
+    ("ek", "rowunits n > 0 -> 0", "rowunits n > 3 -> 0", "rowunits"),
+], ids=["atom", "rowunit", "unit", "rowunits"])
+def test_a_repeated_clause_is_refused_at_its_line(space, first, again, text):
+    """Each clause but `atoms` may appear once per operator (per index for
+    `e` and `rowunit`); a second one used to replace the first silently."""
+    unit = "" if text == "unit" else "  unit -> 0\n"
+    spec = (f"space E = {space}\nspace F = {space}\n\noperator T : E -> F {{\n"
+            f"  {first}\n  atoms n > 5 -> 0\n  {again}\n{unit}}}\n")
+    with pytest.raises(SpecError) as err:
+        parse(spec)
+    assert str(err.value) == f"line 7:3: repeated clause {text!r}"
+    build_all(parse(spec.replace(f"  {again}\n", "")))
+    if text.endswith(")"):  # another index is another clause
+        build_all(parse(spec.replace(text, text[:-2] + "3)", 1)))
