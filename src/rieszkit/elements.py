@@ -40,7 +40,9 @@ decision kernel on integer pairs, never a `Fraction` comparison.
 
 This module also owns generator decomposition: `decompose` writes an
 element over the atoms, row units and unit of its space, and `recompose`
-builds the canonical element of such a sum in one pass.  It is the one
+builds the canonical element of such a sum in one pass, with Python-level
+work per stored part: the values between stored indices, and the
+background rows, are filled by repeating one object.  It is the one
 canonicalizer of such sums: operator images (`operators.image_parts`),
 sequence steps (`sequences.step_parts`) and step residuals reach it as
 generator parts, not as elements decomposed again, and `lincomb` sums scaled
@@ -338,8 +340,9 @@ class _LineShape:
                 for i, v in enumerate(prefix, start=1) if not qeq(v, base)], base
 
     def recompose(self, space: SpaceDesc, atoms: dict, rows: dict, u: Q) -> Element:
-        width = space.dim or max(atoms, default=0)
-        vals = [qadd(u, atoms.get(i, Q0)) for i in range(1, width + 1)]
+        vals = [u] * (space.dim or max(atoms, default=0))
+        for i, c in atoms.items():
+            vals[i - 1] = qadd(u, c)
         return Element(space, _canonical_line(vals, (Q0 if space.dim else u,)))
 
     def piece(self, space: SpaceDesc, where, v: Q) -> Element:
@@ -479,23 +482,26 @@ class _RowBlockShape:
         return out, base
 
     def recompose(self, space: SpaceDesc, atoms: dict, rows: dict, u: Q) -> Element:
-        # the rows come out canonical: a row with no cell and tail u is the
-        # one background row object, so the trim below compares by identity;
-        # row tails other than u come from row units, which only ek has
+        # the rows come out canonical: a row whose cells and row unit sum to
+        # 0 is the one background row object, so the trim below compares by
+        # identity; row tails other than u come from row units, which only
+        # ek has
         back = ((), (u,))
         row_tails = {n: qadd(u, c) for n, c in rows.items()}
         cells: dict = {}
         for (n, m), c in atoms.items():
             cells.setdefault(n, {})[m] = c
-        out = []
-        for n in range(1, max([*cells, *row_tails], default=0) + 1):
+        out = [back] * max([*cells, *row_tails], default=0)
+        for n, rt in row_tails.items():
+            if rt is not u:
+                out[n - 1] = ((), (rt,))
+        for n, row in cells.items():
             rt = row_tails.get(n, u)
-            row = cells.get(n)
-            if row:
-                vals = [qadd(rt, row.get(m, Q0)) for m in range(1, max(row) + 1)]
-                out.append(_canonical_line(vals, (rt,)))
-            else:
-                out.append(back if rt is u else ((), (rt,)))
+            vals = [rt] * max(row)
+            for m, c in row.items():
+                vals[m - 1] = qadd(rt, c)
+            line = _canonical_line(vals, (rt,))
+            out[n - 1] = back if line == back else line
         return Element(space, _canonical_line(out, (back,)))
 
     def piece(self, space: SpaceDesc, where, v: Q) -> Element:

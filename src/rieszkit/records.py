@@ -7,7 +7,8 @@ and hashing on the field tuple, assignment refused, `__match_args__`, and
 with `order=True` the four comparisons.  It writes them as one source text
 and runs one `exec` per class, where `dataclass` runs one per method and
 imports `inspect`: that is most of what a dataclass costs at import.
-Methods the class defines itself are kept.
+Methods the class defines itself are kept.  `_fields` names the fields and
+`_record` marks the class as made here: a namedtuple has `_fields` too.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def record(cls=None, /, *, order: bool = False):
                 "    if other.__class__ is self.__class__:",
                 f"        return ({mine}) {op} ({theirs})",
                 "    return NotImplemented"]
-    made = {"__match_args__": names, "_fields": names}
+    made = {"__match_args__": names, "_fields": names, "_record": True}
     exec("\n".join(src), ns, made)
     for name, value in made.items():
         if name not in cls.__dict__:

@@ -118,17 +118,14 @@ _tok = partial(tuple.__new__, Tok)
 
 def _tokenize_line(text: str, line_no: int) -> list[Tok]:
     """The tokens of a line, in one pass of the token pattern.  A character
-    that starts no token is refused at the end of the token before it (the
-    first column when there is none)."""
+    that starts no token is refused at its own column."""
     out = []
-    end = 0
     body = text.split("#", 1)[0]
     for m in _TOKEN_RE.finditer(body):
         kind = m.lastindex
         if kind is None:
-            raise SpecError(line_no, end + 1, f"unexpected character {body[end]!r}")
+            raise SpecError(line_no, m.start() + 1, f"unexpected character {m.group()!r}")
         out.append(_tok((_KINDS[kind], m.group(), line_no, m.start() + 1)))
-        end = m.end()
     return out
 
 

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
-from rieszkit import casebook
+from rieszkit import casebook, operators
 from rieszkit.errors import PreconditionError
 from rieszkit.operators import BoundReport
 from rieszkit.scalars import Q
@@ -24,6 +25,26 @@ def test_not_directed_run():
     assert rep.oracle["dominating_search_found"] is False
     d = report_to_dict(rep)
     assert d["certificate"]["obstruction"]["minorant"].startswith("{star(1):1/2")
+
+
+def test_not_directed_reads_a_linear_number_of_images(monkeypatch):
+    """The cut-downs 1 - e_1 - ... - e_n run as one sum, checked once
+    against the literal cut: probe 32 reads O(probe) generator images, not
+    the n + 1 parts of every cut."""
+    calls = 0
+    image_parts = operators.image_parts
+
+    def counting(T, ref):
+        nonlocal calls
+        calls += 1
+        return image_parts(T, ref)
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("rieszkit")]:
+        if getattr(mod, "image_parts", None) is image_parts:
+            monkeypatch.setattr(mod, "image_parts", counting)
+    probe = 32
+    assert run_not_directed(probe=probe).verdict == "not directed"
+    assert 0 < calls <= 4 * probe
 
 
 def test_bounded_not_regular_run():

@@ -300,6 +300,8 @@ SPECS = {
     "ek_row_tail": "tests/specs/ek_row_tail.rzk",
 }
 DIGESTS = Path(__file__).with_name("report_digests.json")
+# the case studies whose probe loops grow with --probe, pinned at its ends
+PROBED_CASEBOOK = ("not-directed", "bounded-not-regular")
 
 
 def pinned_runs() -> dict:
@@ -311,6 +313,10 @@ def pinned_runs() -> dict:
                 runs[" ".join([*command, name, *fmt])] = [*command, "--spec", spec, *fmt]
         for name in CASEBOOK:
             runs[" ".join(["casebook", name, *fmt])] = ["casebook", name, *fmt]
+        for name in PROBED_CASEBOOK:
+            for probe in ("1", "32"):
+                argv = ["casebook", name, "--probe", probe, *fmt]
+                runs[" ".join(argv)] = argv
     return runs
 
 

@@ -664,6 +664,110 @@ def test_row_block_walk_skips_repeated_row_pairs(monkeypatch):
     assert max_abs_coord(x) == 2 and calls == 1 + 3
 
 
+def _random_parts(rng, space) -> list:
+    """Generator parts with sparse indices far out, row units on ek, the
+    unit, and coefficients that cancel."""
+    def index():
+        near = rng.randint(1, 5)
+        if space.kind == Kind.FIN_DIM:
+            return rng.randint(1, space.dim)
+        if space.kind == Kind.TAIL_SEQ:
+            return rng.choice([near, 4000])
+        if space.kind == Kind.FIN_DEV:
+            return rng.choice([gamma(near), gamma(4000), Token("star", near)])
+        return rng.choice([(near, rng.randint(1, 5)), (near, 300), (300, near), (300, 300)])
+
+    refs = [("atom", index()) for _ in range(rng.randint(0, 6))]
+    if space.row_units:
+        refs += [("row_unit", rng.choice([rng.randint(1, 5), 300]))
+                 for _ in range(rng.randint(0, 3))]
+    parts = []
+    for ref in refs:
+        c = random_scalar(rng)
+        parts.append((ref, c))
+        if rng.random() < 0.3:
+            parts.append((ref, -c))
+    if rng.random() < 0.7:
+        parts.append((("unit",), random_scalar(rng)))
+    rng.shuffle(parts)
+    return parts
+
+
+def _sums(parts):
+    """(unit, atom, row unit) coefficient sums of `parts`."""
+    u, atoms, rows = Q(0), {}, {}
+    for ref, c in parts:
+        if ref[0] == "atom":
+            atoms[ref[1]] = atoms.get(ref[1], 0) + c
+        elif ref[0] == "row_unit":
+            rows[ref[1]] = rows.get(ref[1], 0) + c
+        else:
+            u += c
+    return u, atoms, rows
+
+
+def _dense_recompose(space, parts):
+    """The sum of `parts` with one value for every index up to the largest
+    stored one, through the public constructors: the reference for
+    `recompose`."""
+    u, atoms, rows = _sums(parts)
+    if space.kind == Kind.FIN_DEV:
+        return element_findev(space, {t: u + c for t, c in atoms.items()}, u)
+    if space.kind == Kind.ROW_BLOCK:
+        out = []
+        for n in range(1, max([n for n, _ in atoms] + list(rows), default=0) + 1):
+            rt = u + rows.get(n, 0)
+            width = max([m for k, m in atoms if k == n], default=0)
+            out.append(([rt + atoms.get((n, m), 0) for m in range(1, width + 1)], rt))
+        return element_rowblock(space, out, u)
+    vals = [u + atoms.get(i, 0) for i in range(1, (space.dim or max(atoms, default=0)) + 1)]
+    return element_fin(space, vals) if space.dim else element_tail(space, vals, u)
+
+
+def test_recompose_matches_the_dense_sum_and_shares_untouched_values(rng):
+    for space in ALL_SPACES:
+        for _ in range(60):
+            parts = _random_parts(rng, space)
+            x = recompose(space, parts)
+            assert x == _dense_recompose(space, parts), (space.label, parts)
+            _, atoms, rows = _sums(parts)
+            if space.kind == Kind.ROW_BLOCK:
+                lines, (back,) = x.data
+                for n, row in enumerate(lines, start=1):
+                    rt = row[1][0]
+                    if not rows.get(n):
+                        assert rt is back[1][0]
+                        if not any(c for (k, _), c in atoms.items() if k == n):
+                            assert row is back
+                    assert all(v is rt for m, v in enumerate(row[0], start=1)
+                               if not atoms.get((n, m)))
+            elif space.kind != Kind.FIN_DEV:
+                prefix, res = x.data
+                untouched = [v for i, v in enumerate(prefix, start=1) if not atoms.get(i)]
+                assert len({id(v) for v in untouched}) <= 1
+                if not space.dim:
+                    assert all(v is res[0] for v in untouched)
+
+
+def test_recompose_of_a_far_atom_adds_once_per_part(monkeypatch):
+    """The sum is written at its stored atoms only: one add to collect the
+    part, one to put it over the unit, whatever the index."""
+    calls = 0
+    qadd = elements.qadd
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return qadd(a, b)
+
+    monkeypatch.setattr(elements, "qadd", counting)
+    for space, idx in [(T, 4000), (E, (300, 300)), (row_block_grid(), (300, 300))]:
+        calls = 0
+        x = recompose(space, [(("atom", idx), 1)])
+        assert calls <= 2, (space.label, calls)
+        assert coordinate(x, idx) == 1 and decompose(x) == [(("atom", idx), 1)]
+
+
 def test_majorant_floors_build_no_sums_with_add(monkeypatch):
     calls = [0]
 

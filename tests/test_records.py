@@ -12,6 +12,7 @@ import importlib
 import inspect
 import pkgutil
 import random
+from collections import namedtuple
 
 import pytest
 
@@ -127,8 +128,21 @@ def _params(cls) -> list:
     return [(p.name, p.kind, p.default) for p in inspect.signature(cls).parameters.values()]
 
 
+def _is_record(cls) -> bool:
+    """Whether `record` made the class: the marker it sets, in the class's
+    own namespace, so neither a namedtuple nor a record's subclass counts."""
+    return vars(cls).get("_record") is True
+
+
+def test_a_record_is_told_by_its_marker_not_by_its_fields():
+    rec, dc = _twins()
+    tok = namedtuple("Tok", "kind text")
+    assert _is_record(rec) and "_fields" in vars(tok)
+    assert not any(map(_is_record, [dc, tok, type("Sub", (rec,), {})]))
+
+
 def test_every_record_has_the_signature_of_its_dataclass_twin():
-    records = [cls for cls in _package_classes() if "_fields" in vars(cls)]
+    records = [cls for cls in _package_classes() if _is_record(cls)]
     assert {"Element", "SpaceDesc", "Token", "ElementSeq", "Operator", "Report"} <= \
         {cls.__name__ for cls in records}
     for cls in records:

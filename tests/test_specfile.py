@@ -78,6 +78,14 @@ def test_unknown_space_kind():
     assert "unknown space kind" in str(err.value)
 
 
+@pytest.mark.parametrize("text, col", [("space E = l0inf $", 17), ("space E = l0inf$", 16),
+                                       ("$ space E = l0inf", 1)])
+def test_an_unexpected_character_is_named_at_its_own_column(text, col):
+    with pytest.raises(SpecError) as err:
+        parse(text + "\n")
+    assert str(err.value) == f"line 1:{col}: unexpected character '$'"
+
+
 def test_missing_unit_clause():
     text = """\
 space E = l0inf
