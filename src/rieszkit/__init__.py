@@ -41,7 +41,6 @@ from .convergence import (
     ConvergenceCertificate,
     decide_monotone_limit,
     decide_order_convergence,
-    decide_uniform_cauchy,
     o1_dominating_obstruction,
     verify_certificate,
 )

@@ -343,18 +343,15 @@ def _first_positive_coordinate(y: Element) -> AtomIndex:
 
 
 def _witness_transcript(R: Operator, T: Operator, probe: int) -> Tuple[str, ...]:
-    ok, lines = verify_witness_inner(R, T, probe)
+    ok, lines = verify_witness(R, T, probe)
     if not ok:
         raise PreconditionError("witness construction failed its own transcript")
     return tuple(lines)
 
 
-def verify_witness(w: Witness, T: Operator, probe: int = 8) -> tuple[bool, list[str]]:
-    return verify_witness_inner(w.operator, T, probe)
-
-
-def verify_witness_inner(R: Operator, T: Operator, probe: int = 8) -> tuple[bool, list[str]]:
-    """Re-check 0 < R <= T on generators (probed window plus symbolic tail)."""
+def verify_witness(R: Operator, T: Operator, probe: int = 8) -> tuple[bool, list[str]]:
+    """Re-check 0 < R <= T on generators (probed window plus symbolic tail):
+    the one witness verifier, whose log is a witness's transcript."""
     log: list[str] = []
     ok = True
     if not is_positive_operator(R):

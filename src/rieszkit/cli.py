@@ -213,7 +213,7 @@ def _cmd_casebook(args) -> Report:
             f"unknown casebook run {args.name!r}; choose from {sorted(CASEBOOK)}"
         )
     if args.name == "projection-demo":
-        return CASEBOOK[args.name](seed=args.seed, probe=args.probe)
+        return CASEBOOK[args.name](seed=args.seed)
     return CASEBOOK[args.name](probe=args.probe)
 
 

@@ -1,5 +1,5 @@
-"""Decision procedures for monotone limits, order convergence, and uniform
-Cauchy-ness, with re-checkable certificates.
+"""Decision procedures for monotone limits and order convergence, with
+re-checkable certificates.
 
 The decision rules per space kind:
 
@@ -27,7 +27,6 @@ from functools import cache, partial
 from itertools import chain
 from typing import Tuple
 
-from .records import record
 from .errors import NotDecreasingError, PreconditionError, SpaceMismatchError
 from .scalars import Q, RationalSeq, qstr
 from .spaces import SpaceDesc, Token, fresh_star, seq_form
@@ -84,13 +83,6 @@ class ConvergenceCertificate:
     @property
     def converges(self) -> bool:
         return self.verdict == CONVERGES
-
-
-@record
-class UniformCauchyResult:
-    is_cauchy: bool
-    regulator: Element | None
-    note: str
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +304,7 @@ def decide_order_convergence(
 # the same-index (o1) obstruction for moving bumps over uncountable supports
 
 
-def o1_dominating_obstruction(x: ElementSeq, probe: int = 8) -> ConvergenceCertificate:
+def o1_dominating_obstruction(x: ElementSeq) -> ConvergenceCertificate:
     """Certificate that no same-index decreasing family dominates x_n.
 
     Applies to uncountably indexed moving bumps with coefficients bounded
@@ -349,46 +341,6 @@ def o1_dominating_obstruction(x: ElementSeq, probe: int = 8) -> ConvergenceCerti
             f"the fresh point {star} then witnesses a positive minorant",
         ),
     )
-
-
-# ---------------------------------------------------------------------------
-# uniform Cauchy
-
-
-def decide_uniform_cauchy(x: ElementSeq, probe: int = 8) -> UniformCauchyResult:
-    x = normalize(x)
-    for f in x.fills:
-        if f.value != 0:
-            coord = f.form.at(f.kmin + ((f.residue - f.kmin) % f.modulus))
-            return UniformCauchyResult(
-                False,
-                None,
-                f"accumulation at {coord}-line keeps steps of size {qstr(abs(f.value))}",
-            )
-    needs_unit = False
-    stationary_support = []
-    for form, coeff in x.atoms:
-        if form.moving:
-            ev = coeff.eventual_value()
-            if ev:
-                return UniformCauchyResult(
-                    False,
-                    None,
-                    f"moving bump at {form} keeps size {qstr(abs(ev))}",
-                )
-            if not coeff.is_zero():
-                needs_unit = True
-        else:
-            stationary_support.append(form.at(x.n0))
-    if x.ambient.prefix:
-        needs_unit = True
-    if x.prelude:
-        needs_unit = True
-    if needs_unit:
-        regulator = unit(x.space)
-    else:
-        regulator = recompose(x.space, [(("atom", idx), 1) for idx in stationary_support])
-    return UniformCauchyResult(True, regulator, "uniformly Cauchy")
 
 
 # ---------------------------------------------------------------------------

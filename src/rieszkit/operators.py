@@ -483,17 +483,6 @@ def apply_functional(f: Functional, x: Element) -> Q:
     return out
 
 
-def functional_is_positive(f: Functional) -> bool:
-    s = sum((v for _, v in f.atom_coeffs), Q(0)) + sum(
-        (v for _, v in f.row_unit_coeffs), Q(0)
-    )
-    return (
-        all(v >= 0 for _, v in f.atom_coeffs)
-        and all(v >= 0 for _, v in f.row_unit_coeffs)
-        and f.unit_value >= s
-    )
-
-
 def rank_one(f: Functional, v: Element) -> Operator:
     """The operator x -> f(x) * v."""
     images = {idx: scale(c, v) for idx, c in f.atom_coeffs}

@@ -41,7 +41,7 @@ from typing import Iterator, Tuple
 
 from .records import record
 from .errors import RieszkitError
-from .scalars import Q, Q0, qstr
+from .scalars import Q, Q0
 from .spaces import Affine, PairForm, SeqForm, SpaceDesc, TokenForm, atom_str, parse_space_label
 from .elements import Element, recompose
 from .operators import Operator, operator, stencil_rule
@@ -68,13 +68,11 @@ class SpecError(RieszkitError):
 @record
 class SpaceDecl:
     name: str
-    kind_label: str
     space: SpaceDesc
 
 
 @record
 class AtomsRule:
-    var: str
     threshold: int
     modulus: int
     residue: int
@@ -89,7 +87,6 @@ class OperatorDecl:
     atom_images: Tuple[tuple, ...]  # (atom index, element expression)
     rules: Tuple[AtomsRule, ...]
     row_unit_images: Tuple[tuple, ...]  # (row, element expression)
-    row_units_zero_from: int | None
     unit_image: tuple | None
     line: int
 
@@ -209,7 +206,7 @@ def _parse_space(cur: _Cursor) -> SpaceDecl:
             ("l0inf", "ck", "ek", "grid", "findim(N)"),
         )
     cur.require_end()
-    return SpaceDecl(name.text, label, space)
+    return SpaceDecl(name.text, space)
 
 
 _CLAUSES = ("e", "atoms", "unit", "rowunit", "rowunits", "}")
@@ -228,7 +225,6 @@ def _parse_operator(cur: _Cursor, statements: Iterator[_Cursor], last_line: int)
     atom_images = []
     rules = []
     row_images = []
-    row_zero_from = None
     unit_image = None
     seen = set()  # the clauses that may appear once: every one but `atoms`
     for cur in statements:
@@ -259,9 +255,11 @@ def _parse_operator(cur: _Cursor, statements: Iterator[_Cursor], last_line: int)
             row_images.append((r, _parse_elem_expr(cur)))
             clause = f"rowunit({r})"
         elif head.text == "rowunits":
+            # a row unit with no `rowunit` clause maps to 0 already: the
+            # clause is checked and states that, but stores nothing
             cur.next(("variable",))
             cur.expect(">")
-            row_zero_from = _parse_int(cur)
+            _parse_int(cur)
             cur.expect("->")
             z = cur.next(("0",))
             if z.text != "0":
@@ -281,7 +279,6 @@ def _parse_operator(cur: _Cursor, statements: Iterator[_Cursor], last_line: int)
         tuple(atom_images),
         tuple(rules),
         tuple(row_images),
-        row_zero_from,
         unit_image,
         name.line,
     )
@@ -358,7 +355,7 @@ def _parse_atoms_rule(cur: _Cursor) -> AtomsRule:
                 break
             if nxt.text != ",":
                 raise SpecError(nxt.line, nxt.col, f"got {nxt.text!r}", (",", "}"))
-    return AtomsRule(var.text, threshold, modulus, residue, tuple(entries))
+    return AtomsRule(threshold, modulus, residue, tuple(entries))
 
 
 def _parse_coord(cur: _Cursor, component, var: str):
@@ -527,61 +524,3 @@ def build_all(spec: SpecFile) -> tuple[dict[str, SpaceDesc], dict[str, Operator]
     spaces = build_spaces(spec)
     ops = {decl.name: build_operator(decl, spaces) for decl in spec.operators}
     return spaces, ops
-
-
-# ---------------------------------------------------------------------------
-# canonical printing
-
-
-def _print_affine(var: str, aff: Affine) -> str:
-    a, b = aff.a, aff.b
-    if a == 0:
-        return qstr(b)
-    if a == 1:
-        head = var
-    elif a.denominator == 1:
-        head = f"{qstr(a)}{var}"
-    else:
-        inner = var if a.numerator == 1 else f"{a.numerator}{var}"
-        if b != 0:
-            num = f"({inner}{'+' if b * a.denominator > 0 else '-'}{qstr(abs(b * a.denominator))})"
-            return f"{num}/{a.denominator}"
-        return f"{inner}/{a.denominator}"
-    if b == 0:
-        return head
-    return f"{head}{'+' if b > 0 else '-'}{qstr(abs(b))}"
-
-
-# a rule coordinate's text by form type, given the rule variable
-_FORM_TEXT = {
-    SeqForm: lambda f, var: _print_affine(var, f.idx),
-    TokenForm: lambda f, var: f"g({_print_affine(var, f.idx)})",
-    PairForm: lambda f, var: f"({_print_affine('n', f.row)},{_print_affine(var, f.col)})",
-}
-# an element term's text by generator kind, given the coefficient and the
-# generator's argument
-_TERM_TEXT = {"atom": "{} @ {}", "unit": "{} * unit", "row_unit": "{} * rowunit({})"}
-
-
-def _print_elem(terms: tuple) -> str:
-    return " + ".join(_TERM_TEXT[ref[0]].format(qstr(c), *ref[1:]) for ref, c in terms) or "0"
-
-
-def print_spec(spec: SpecFile) -> str:
-    lines = [f"space {s.name} = {s.kind_label}" for s in spec.spaces]
-    for op_ in spec.operators:
-        lines += ["", f"operator {op_.name} : {op_.domain} -> {op_.codomain} {{"]
-        lines += [f"  {atom_str(idx)} -> {_print_elem(terms)}" for idx, terms in op_.atom_images]
-        for r in op_.rules:
-            clause = f"atoms {r.var} > {r.threshold}"
-            if r.modulus != 1:
-                clause += f", {r.var} mod {r.modulus} == {r.residue}"
-            body = ", ".join(f"{qstr(c)} @ {_FORM_TEXT[type(f)](f, r.var)}" for f, c in r.entries)
-            lines.append(f"  {clause} -> {{ {body} }}" if body else f"  {clause} -> 0")
-        lines += [f"  rowunit({r}) -> {_print_elem(terms)}" for r, terms in op_.row_unit_images]
-        if op_.row_units_zero_from is not None:
-            lines.append(f"  rowunits n > {op_.row_units_zero_from} -> 0")
-        if op_.unit_image is not None:
-            lines.append(f"  unit -> {_print_elem(op_.unit_image)}")
-        lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -329,7 +329,7 @@ def test_criterion_10_pervasiveness_witnesses():
             w = pervasive_witness(op_)
         except Exception:
             continue
-        ok, log = verify_witness(w, op_)
+        ok, log = verify_witness(w.operator, op_)
         assert ok, log
         produced += 1
     print("PASS criterion 10: 100 positive operators each yield a verified "

@@ -220,7 +220,7 @@ def test_pervasive_witness_identity():
     assert w.coordinate == 1
     assert dict(w.functional.atom_coeffs) == {1: Q(1)}
     assert w.vector == atom(T, 1)
-    ok, log = verify_witness(w, identity_on_tail_seq())
+    ok, log = verify_witness(w.operator, identity_on_tail_seq())
     assert ok, log
 
 
@@ -230,7 +230,7 @@ def test_pervasive_witness_rank_one_atom_path():
     R = rank_one(f, v)
     assert is_positive_operator(R)
     w = pervasive_witness(R)
-    ok, _ = verify_witness(w, R)
+    ok, _ = verify_witness(w.operator, R)
     assert ok
     # the witness tensors a scaled coordinate functional with an atom
     assert w.vector == atom(R.codomain, w.coordinate)
@@ -243,7 +243,7 @@ def test_pervasive_witness_unit_path():
     assert w.coordinate is None
     # the operator vanishes on atoms, so the witness is the operator itself
     assert apply_op(w.operator, unit(T)) == apply_op(R, unit(T))
-    ok, _ = verify_witness(w, R)
+    ok, _ = verify_witness(w.operator, R)
     assert ok
 
 
@@ -254,7 +254,7 @@ def test_pervasive_witness_skips_a_stored_zero_on_the_ck_line():
     Tc = operator(T, F, {1: y}, None, None, y)
     w = pervasive_witness(Tc)
     assert w.coordinate == gamma(2)
-    ok, log = verify_witness(w, Tc)
+    ok, log = verify_witness(w.operator, Tc)
     assert ok, log
 
 

@@ -6,11 +6,15 @@ import sys
 import pytest
 
 from rieszkit import casebook, operators
+from rieszkit.elements import abs_, scale
 from rieszkit.errors import PreconditionError
-from rieszkit.operators import BoundReport
+from rieszkit.operators import BoundReport, op_eq
 from rieszkit.scalars import Q
 from rieszkit.reports import report_to_dict, to_json, to_markdown
+from rieszkit.specfile import build_all, parse
 from rieszkit.casebook import (
+    moving_indicator_operator,
+    row_pair_difference_operator,
     run_bounded_not_regular,
     run_not_directed,
     run_projection_demo,
@@ -45,6 +49,42 @@ def test_not_directed_reads_a_linear_number_of_images(monkeypatch):
     probe = 32
     assert run_not_directed(probe=probe).verdict == "not directed"
     assert 0 < calls <= 4 * probe
+
+
+def test_not_directed_checks_the_moduli_with_one_comparison(monkeypatch):
+    """The partial sums of |T e_n| increase with n, so one sum of the
+    probe's moduli and one `le` against the bound check every n."""
+    calls = 0
+    le = casebook.le
+
+    def counting(x, y):
+        nonlocal calls
+        calls += 1
+        return le(x, y)
+
+    monkeypatch.setattr(casebook, "le", counting)
+    assert run_not_directed(probe=32).verdict == "not directed"
+    assert 0 < calls <= 2
+
+
+def test_not_directed_refuses_moduli_above_the_bound(monkeypatch):
+    monkeypatch.setattr(casebook, "abs_", lambda x: scale(3, abs_(x)))
+    with pytest.raises(PreconditionError, match="modulus partial sums 1..8"):
+        run_not_directed()
+
+
+@pytest.mark.parametrize("fixture, build", [
+    ("fixtures/moving_indicator.rzk", moving_indicator_operator),
+    ("fixtures/row_pair_difference.rzk", row_pair_difference_operator),
+])
+def test_case_study_operators_match_their_fixtures(fixture, build):
+    """The casebook builds in Python the operators the fixtures declare;
+    the two must stay the same operator."""
+    with open(fixture, encoding="utf-8") as fh:
+        _, ops = build_all(parse(fh.read()))
+    declared, built = ops["T"], build()
+    assert declared == built
+    assert op_eq(declared, built)
 
 
 def test_bounded_not_regular_run():

@@ -105,6 +105,16 @@ def test_witness_pervasive_on_nonpositive_is_input_error(capsys):
     assert "not positive" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("probe", ["1", "8", "32"])
+def test_witness_pervasive_succeeds_on_a_positive_spec(capsys, probe):
+    code, out = run_cli(capsys, "witness-pervasive", "--spec",
+                        "tests/specs/shift_positive.rzk", "--probe", probe)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["verdict"] == "rank-one minorant found"
+    assert rep["transcript"][0] == "R is positive and nonzero"
+
+
 def test_witness_pervasive_on_zero_operator_is_input_error(tmp_path, capsys):
     spec = tmp_path / "zero.rzk"
     spec.write_text(

@@ -1,11 +1,13 @@
 """Dead-definition guard.
 
 Every top-level function, class and method in src/rieszkit must be named
-somewhere else in src/, tests/ or perfbench/: as an identifier, an
-attribute, an imported name, or a string (the benchmark's tracer looks some
-functions up by name).  Dunder methods are called implicitly and are
-exempt.  Names exported by the package's __init__.py are used by
-definition, since they appear there as imported names.
+somewhere in the package's own modules or in perfbench/: as an identifier,
+an attribute, an imported name, or a string (the benchmark's tracer looks
+some functions up by name).  A name that only tests/ use does not count,
+and neither does an export in the package's __init__.py: code that no
+command and no benchmark operation reaches is deleted with its tests.
+Dunder methods are called implicitly and are exempt.  The few definitions
+kept on purpose are listed in ALLOWED, each with its reason.
 """
 
 from __future__ import annotations
@@ -16,7 +18,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "rieszkit"
-SEARCHED = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
+SEARCHED = [PACKAGE, ROOT / "perfbench"]
+
+# definitions no engine code or benchmark calls, kept on purpose
+ALLOWED = {
+    "rk_value_functional_unit": "closed form the acceptance and oracle tests hold rk_value to",
+    "truncate_operator": "truncation reference the oracle tests compare apply_op with",
+    "matrix_apply": "the matrix product that truncation reference is checked with",
+    "inf2": "lattice API: the infimum, dual of sup2",
+    "zero_op": "lattice API: the zero operator, a boundary case of the tests",
+}
 
 
 def _definitions(tree: ast.Module):
@@ -46,9 +57,11 @@ def _mentions(tree: ast.Module):
 
 def unreferenced_definitions(package: Path, searched) -> list[str]:
     used: Counter = Counter()
+    exports = package / "__init__.py"
     for base in searched:
         for path in sorted(base.rglob("*.py")):
-            used.update(_mentions(ast.parse(path.read_text(encoding="utf-8"))))
+            if path != exports:
+                used.update(_mentions(ast.parse(path.read_text(encoding="utf-8"))))
     dead = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -61,7 +74,10 @@ def unreferenced_definitions(package: Path, searched) -> list[str]:
 
 
 def test_every_definition_is_referenced():
-    assert unreferenced_definitions(PACKAGE, SEARCHED) == []
+    dead = unreferenced_definitions(PACKAGE, SEARCHED)
+    assert [d for d in dead if d.split()[-1] not in ALLOWED] == []
+    # an allowance whose definition is gone, or now has a caller, goes too
+    assert sorted(d.split()[-1] for d in dead) == sorted(ALLOWED)
 
 
 # The dispatch budget: occurrences of `Kind.` and `isinstance(` in the

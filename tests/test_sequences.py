@@ -27,7 +27,6 @@ from rieszkit.convergence import (
     check_decreasing,
     decide_monotone_limit,
     decide_order_convergence,
-    decide_uniform_cauchy,
     o1_dominating_obstruction,
     verify_certificate,
 )
@@ -142,20 +141,6 @@ def test_eventual_pattern_zero_iff_converging():
     assert eventual_pattern(b).is_zero()
     c = element_seq(T, static=unit(T))
     assert not eventual_pattern(c).is_zero()
-
-
-def test_uniform_cauchy_examples():
-    s = element_seq(T, fills=[fill(seq_form(1, 0), 1, 0, 1, 0, 1)])
-    res = decide_uniform_cauchy(s)
-    assert not res.is_cauchy
-
-    h = element_seq(T, atoms=[(seq_form(0, 1), RationalSeq.harmonic(1))])
-    res2 = decide_uniform_cauchy(h)
-    assert res2.is_cauchy
-    assert res2.regulator == atom(T, 1)
-
-    res3 = decide_uniform_cauchy(element_seq(T, static=unit(T)))
-    assert res3.is_cauchy
 
 
 def test_row_block_sequences():
