@@ -22,12 +22,13 @@ decides whether those images lie in the codomain.
 from __future__ import annotations
 
 import dataclasses
+from math import lcm
 from typing import Tuple
 
 from .records import record, replace
 from .errors import PreconditionError, UnsupportedHypothesisError
 from .scalars import Q
-from .spaces import AtomIndex, SpaceDesc, atom_str
+from .spaces import AtomIndex, SpaceDesc, atom_str, forms_collide_at
 from .elements import (
     Element,
     add,
@@ -349,6 +350,16 @@ def _witness_transcript(R: Operator, T: Operator, probe: int) -> Tuple[str, ...]
     return tuple(lines)
 
 
+def _tail_steps(R: Operator, T: Operator, top: int, probe: int) -> list[int]:
+    """The tail atoms deciding R <= T past top for any probe: where an R form
+    meets a T form, then one period of both rules past the last, then probe."""
+    period = lcm(*(op_.rule.modulus for op_ in (R, T) if op_.rule is not None))
+    rf, tf = ({f for es in op_.rule.entries for f, _ in es} if op_.rule else () for op_ in (R, T))
+    meets = {n for f in rf for g in tf if f != g for n in forms_collide_at(f, g) if n >= top}
+    start = max([top, *(n + 1 for n in meets)])
+    return sorted(meets) + list(range(start, start + period + probe))
+
+
 def verify_witness(R: Operator, T: Operator, probe: int = 8) -> tuple[bool, list[str]]:
     """Re-check 0 < R <= T on generators (probed window plus symbolic tail):
     the one witness verifier, whose log is a witness's transcript."""
@@ -387,7 +398,7 @@ def verify_witness(R: Operator, T: Operator, probe: int = 8) -> tuple[bool, list
                 )
                 ok = ok and tail_ok
             else:
-                for i in range(top, top + probe):
+                for i in _tail_steps(R, T, top, probe):
                     if not le(atom_image(R, i), atom_image(T, i)):
                         log.append(f"FAIL tail comparison at atom {i}")
                         ok = False

@@ -9,30 +9,31 @@ that owns everything depending on it; a public function dispatches once:
 
   line       -- fin_dim (0 past the dimension: the coordinates, then (0,))
                 and tail_seq
-  fin_dev    -- (entries, ambient, line residues): the stored token values;
-                every other g(k) reads the line residue of k, every other
-                token the ambient
+  fin_dev    -- (stars, ambient, g-line): the stored (star token, value)
+                pairs by index, the value at every other star token, and
+                the line of values at g(1), g(2), ...
   row_block  -- a line of rows, each row a line: the explicit rows, then
                 the background rows by row residue
 
 An element of the space is the payload in which every residue tuple has
-length 1, the ck line reads the ambient and the background is one constant
-row (on grid every row tail is that constant as well): `in_base_space`
-checks this.  Canonical forms make equality decidable: residues are cut to
-their shortest period, no prefix (or row list) ends in an entry equal to the
-residue it would read past its end, and ck stores no token equal to its
-background.
+length 1, the g-line's residue is the ambient and the background is one
+constant row (on grid every row tail is that constant as well):
+`in_base_space` checks this.  Canonical forms make equality decidable:
+residues are cut to their shortest period, no prefix (or row list) ends in
+an entry equal to the residue it would read past its end, and ck stores no
+star equal to the ambient.
 
 All operations are pointwise over the (finitely many) touched coordinates
 plus the residue slots, which is the lattice structure of each represented
 space.  A binary operation is one walk over the union of the stored
 coordinates plus the residues of both operands aligned by absolute index
-modulo the lcm of their lengths (`fin_dev` entries read through a
-per-element token index), so each costs time linear in the stored
-coordinates plus that lcm; `le`, `abs_le` (|x| <= y without building |x|)
-and `is_disjoint` stop at the first deciding pair, and `coordinate` takes
-constant time.  The comparisons are `all` folds and `max_abs_coord` a
-`qmax` fold over the value pairs, so a row-block walk skips a row pair it
+modulo the lcm of their lengths (ck walks its g-line as a tail_seq line and
+merges only the stars by token), so each costs time linear in the stored
+coordinates plus that lcm; prefixes are dense, so a lone e(k) on l0inf, or
+g(k) on ck, costs O(k).  `le`, `abs_le` (|x| <= y without building |x|) and
+`is_disjoint` stop at the first deciding pair, and `coordinate` reads a
+line in constant time.  The comparisons are `all` folds and `max_abs_coord`
+a `qmax` fold over the value pairs, so a row-block walk skips a row pair it
 has already walked: the background rows of a `recompose` result are one
 shared object.  Every per-coordinate decision, in these folds, in the
 lattice maps and in the background filters, is one call of the `scalars`
@@ -52,7 +53,7 @@ the whole element each time.
 
 from __future__ import annotations
 
-from functools import cached_property, partial, reduce
+from functools import partial, reduce
 from itertools import chain, starmap
 from math import lcm
 from typing import Iterable, Mapping, Sequence, Tuple
@@ -65,16 +66,13 @@ from .spaces import (
     Kind,
     SpaceDesc,
     Token,
-    atom_key,
-    gamma,
 )
 
 Line = Tuple[tuple, tuple]  # (prefix, residues)
 
 _ZERO_LINE: Line = ((), (Q0,))
-# the canonical zero payloads: a line (fin_dim, tail_seq), a fin_dev
-# payload, a line of rows (row_block)
-_ZEROS = (_ZERO_LINE, ((), Q0, (Q0,)), ((), (_ZERO_LINE,)))
+# the canonical zero payload of each shape: line, fin_dev, row_block
+_ZEROS = (_ZERO_LINE, ((), Q0, _ZERO_LINE), ((), (_ZERO_LINE,)))
 
 
 @record
@@ -90,26 +88,18 @@ class Element:
 
     @property
     def entries(self) -> Tuple[Tuple[Token, Q], ...]:
-        """The stored (token, value) pairs of a fin_dev payload."""
-        return self.data[0]
+        """The fin_dev (token, value) pairs off their background, see `_stored`."""
+        return tuple(_stored(self))
 
     @property
     def ambient(self) -> Q:
-        """The value of a fin_dev payload at every unstored token."""
+        """The value of a fin_dev payload at every unstored star token."""
         return self.data[1]
 
     @property
     def rows(self) -> Tuple[Tuple[Tuple[Q, ...], Q], ...]:
         """(prefix, row tail) of each explicit row of a row block."""
         return tuple((p, rt) for p, (rt,) in self.data[0])
-
-    @cached_property
-    def _by_token(self) -> "_TokenValues":
-        """fin_dev values by token, built on first use; not a field."""
-        entries, amb, line = self.data
-        d = _TokenValues(entries)
-        d.ambient, d.line = amb, line
-        return d
 
     # -- generic ------------------------------------------------------------
     def is_zero(self) -> bool:
@@ -129,16 +119,6 @@ class Element:
 
     def __str__(self) -> str:
         return render(self)
-
-
-class _TokenValues(dict):
-    """A fin_dev payload's stored values by token; any other token reads its
-    background: the line residue of a g token, else the ambient."""
-
-    __slots__ = ("ambient", "line")
-
-    def __missing__(self, t: Token) -> Q:
-        return self.line[t.k % len(self.line)] if t.family == "g" else self.ambient
 
 
 # ---------------------------------------------------------------------------
@@ -162,19 +142,24 @@ def _canonical_line(prefix: Sequence, residues: tuple) -> Line:
     return pref[:n], res
 
 
-def _findev(space: SpaceDesc, values: dict, amb: Q, line: tuple) -> Element:
-    """The canonical fin_dev payload of token values over a background."""
-    line = _canonical_line((), line)[1]
-    m = len(line)
-    # kept where it differs from its background, as _TokenValues reads it
-    kept = [(t, v) for t, v in values.items()
-            if not qeq(v, line[t.k % m] if t.family == "g" else amb)]
-    kept.sort(key=_entry_key)
-    return Element(space, (tuple(kept), amb, line))
+def _kept(stars, amb: Q) -> tuple:
+    """The (star token, value) pairs whose value is not amb."""
+    return tuple([(t, v) for t, v in stars if not qeq(v, amb)]) if stars else ()
 
 
-def _entry_key(entry):
-    return atom_key(entry[0])
+def _findev(space: SpaceDesc, coeffs: dict, amb: Q, u: Q) -> Element:
+    """The canonical base fin_dev payload that is u + c at each token with
+    coefficient c and amb elsewhere; the g values fill a tail_seq prefix."""
+    g, stars = {}, []
+    for t, c in coeffs.items():
+        if t.family == "g":
+            g[t.k] = qadd(u, c)
+        else:
+            stars.append((t, qadd(u, c)))
+    vals = [amb] * max(g, default=0)
+    for k, v in g.items():
+        vals[k - 1] = v
+    return Element(space, (_kept(sorted(stars), amb), amb, _canonical_line(vals, (amb,))))
 
 
 def _progression(step: int, first: int, v, z) -> Line:
@@ -205,10 +190,7 @@ def element_findev(
 ) -> Element:
     if space.kind != Kind.FIN_DEV:
         raise SpaceMismatchError("element_findev needs a fin_dev space")
-    amb = qof(ambient)
-    items = entries.items() if isinstance(entries, Mapping) else entries
-    # a base element: every unstored token reads the ambient
-    return _findev(space, {tok: qof(v) for tok, v in items}, amb, (amb,))
+    return _findev(space, {tok: qof(v) for tok, v in dict(entries).items()}, qof(ambient), Q0)
 
 
 def element_rowblock(
@@ -276,18 +258,21 @@ def _at(line: Line, i: int):
     return p[i - 1] if i <= len(p) else res[i % len(res)]
 
 
-def _tokens(x: Element, y: Element):
-    """(token, x value, y value) over the tokens x or y stores, x's first."""
-    dx, dy = x._by_token, y._by_token
-    return ((t, dx[t], dy[t]) for t in {**dx, **dy})
+def _star_values(x: Element, y: Element) -> list:
+    """(token, x value, y value) at each star x or y stores, by index."""
+    (sx, ax, _), (sy, ay, _) = x.data, y.data
+    if not (sx or sy):
+        return ()
+    dx, dy = dict(sx), dict(sy)
+    return [(t, dx.get(t, ax), dy.get(t, ay)) for t in sorted({**dx, **dy})]
 
 
-def g_line(x: Element) -> Line:
-    """The values of a fin_dev payload on the g tokens, as a line: g(1),
-    ..., g(K) for the last g token K it stores, then the line residues."""
-    d = x._by_token
-    width = max((t.k for t in d if t.family == "g"), default=0)
-    return tuple(d[gamma(i)] for i in range(1, width + 1)), x.data[2]
+def _stored(x: Element) -> list:
+    """The (token, value) pairs of a fin_dev payload off their background, by
+    index and g(k) before star(k), as `atom_key` orders them."""
+    stars, _, (p, res) = x.data
+    gs = [(Token("g", i), v) for i, v in enumerate(p, start=1) if not qeq(v, res[i % len(res)])]
+    return sorted(gs + list(stars), key=lambda e: (e[0].k, e[0].family)) if stars else gs
 
 
 def line_classes(line: Line):
@@ -381,69 +366,70 @@ class _LineShape:
 
 
 class _FinDevShape:
-    """fin_dev: stored token values over the g-line residues and the
-    ambient."""
+    """fin_dev: the stars and ambient beside the g-line, a tail_seq line."""
 
     def at(self, x: Element, t: Token) -> Q:
-        return x._by_token[t]
+        if t.family == "g":
+            return _at(x.data[2], t.k)
+        return next((v for s, v in x.data[0] if s.k == t.k), x.data[1])
 
     def pairs(self, x: Element, y: Element):
         (_, ax, lx), (_, ay, ly) = x.data, y.data
-        return chain(((a, b) for _, a, b in _tokens(x, y)), ((ax, ay),), zip(*_tails(lx, ly)))
+        return chain(((a, b) for _, a, b in _star_values(x, y)), ((ax, ay),), _line(lx, ly))
 
     def pointwise(self, x: Element, y: Element, op) -> Element:
-        (_, ax, lx), (_, ay, ly) = x.data, y.data
-        vals = {t: op(a, b) for t, a, b in _tokens(x, y)}
-        return _findev(x.space, vals, op(ax, ay), tuple(map(op, *_tails(lx, ly))))
+        amb = op(x.data[1], y.data[1])
+        stars = _kept([(t, op(a, b)) for t, a, b in _star_values(x, y)], amb)
+        return Element(x.space, (stars, amb, _zip_lines(op, x.data[2], y.data[2])))
 
     def map(self, x: Element, f) -> Element:
-        entries, amb, line = x.data
-        return _findev(x.space, {t: f(v) for t, v in entries}, f(amb), tuple(map(f, line)))
+        stars, amb, line = x.data
+        a = f(amb)
+        return Element(x.space, (_kept([(t, f(v)) for t, v in stars], a), a, _map_line(f, line)))
 
     def decompose(self, x: Element):
-        entries, base, _ = x.data
-        return [(("atom", tok), qsub(v, base)) for tok, v in entries], base
+        base = x.data[1]
+        return [(("atom", tok), qsub(v, base)) for tok, v in _stored(x)], base
 
     def recompose(self, space: SpaceDesc, atoms: dict, rows: dict, u: Q) -> Element:
-        return _findev(space, {tok: qadd(u, c) for tok, c in atoms.items()}, u, (u,))
+        return _findev(space, atoms, u, u)
 
     def piece(self, space: SpaceDesc, where, v: Q) -> Element:
         step, first = where
-        line = _progression(step, first, v, Q0)
-        return _findev(space, {gamma(i): u for i, u in enumerate(line[0], start=1)}, Q0, line[1])
+        return Element(space, ((), Q0, _progression(step, first, v, Q0)))
 
     def support(self, x: Element) -> list:
-        return [tok for tok, _ in x.data[0]]
+        return [tok for tok, _ in _stored(x)]
 
     def in_base(self, x: Element) -> bool:
-        return x.data[2] == (x.data[1],)
+        return x.data[2][1] == (x.data[1],)
 
     def render(self, x: Element) -> str:
-        """A line that does not read the ambient follows it."""
-        entries, amb, line = x.data
-        body = ",".join(f"{t}:{qstr(v)}" for t, v in entries)
-        on_line = "" if line == (amb,) else "|" + ",".join(map(qstr, line))
+        """A g-line residue that is not the ambient follows it."""
+        _, amb, (_, res) = x.data
+        body = ",".join(f"{t}:{qstr(v)}" for t, v in _stored(x))
+        on_line = "" if res == (amb,) else "|" + ",".join(map(qstr, res))
         return f"{{{body}|{qstr(amb)}{on_line}}}"
 
     def describe(self, x: Element) -> dict:
+        stars, amb, line = x.data
         return {
             "kind": "fin_dev_pattern",
-            "extra": [[str(t), qstr(v)] for t, v in x.data[0] if t.family != "g"],
-            "line": _describe_line(g_line(x)),
-            "ambient": qstr(x.data[1]),
+            "extra": [[str(t), qstr(v)] for t, v in stars],
+            "line": _describe_line(line),
+            "ambient": qstr(amb),
         }
 
     def classes(self, x: Element):
-        for t, v in x.data[0]:
-            if t.family != "g" and v:
+        stars, amb, line = x.data
+        for t, v in stars:
+            if v:
                 yield t, v, f"coordinate {t} settles at {qstr(v)}"
-        line = g_line(x)
         for i, r, v in line_classes(line):
             if v and r is None:
-                yield gamma(i), v, f"coordinate g({i}) settles at {qstr(v)}"
+                yield Token("g", i), v, f"coordinate g({i}) settles at {qstr(v)}"
             elif v:
-                yield gamma(i), v, f"line residue {r} mod {len(line[1])} settles at {qstr(v)}"
-        amb = x.data[1]
+                yield Token("g", i), v, f"line residue {r} mod {len(line[1])} settles at {qstr(v)}"
         if amb:
             yield None, amb, f"ambient value stays {qstr(amb)} at every untouched point"
 

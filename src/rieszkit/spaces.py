@@ -86,6 +86,9 @@ class Token:
     family: str  # "g" (the countable line) or "star" (fresh points)
     k: int
 
+    def __hash__(self) -> int:
+        return self.k  # cheaper than the field tuple's; __eq__ tells g(k) from star(k)
+
     def __str__(self) -> str:
         return f"{self.family}({self.k})"
 

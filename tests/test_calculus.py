@@ -16,6 +16,7 @@ from rieszkit.spaces import (
     row_block_grid,
     seq_form,
     tail_seq,
+    token_form,
 )
 from rieszkit.elements import (
     add,
@@ -256,6 +257,40 @@ def test_pervasive_witness_skips_a_stored_zero_on_the_ck_line():
     assert w.coordinate == gamma(2)
     ok, log = verify_witness(w.operator, Tc)
     assert ok, log
+
+
+def _ck_rule_pair(table_top: int, t_rules, r_rules, unit_value: int = 1):
+    """(R, T) from l0inf to ck: both map e_i to g(i) up to table_top, and
+    past it each follows its rule, given as entries (coefficient, a, b) of
+    a g(a n + b) per residue."""
+    def op(rules):
+        entries = [[(token_form(a, b), c) for c, a, b in es] for es in rules]
+        rule = stencil_rule(len(rules), table_top, entries, F)
+        table = {i: atom(F, gamma(i)) for i in range(1, table_top + 1)}
+        return operator(T, F, table, rule, None, scale(unit_value, unit(F)))
+    return op(r_rules), op(t_rules)
+
+
+def test_witness_tail_window_covers_the_rule_period_and_form_meetings():
+    # R = T except R(e_n) = 2 g(n) on even n: the window at probe 1 holds
+    # only odd tail atoms, so the rule's period must set it
+    doubled = _ck_rule_pair(2, [[(1, 1, 0)]], [[(2, 1, 0)], [(1, 1, 0)]], unit_value=2)
+    # R(e_n) = g(n), while T(e_n) = g(2n - 21) + g(4n - 69) on odd n: R's
+    # form meets T's at n = 21 and n = 23, where the check passes, so a
+    # period of the rules from top passes too, and R !<= T at every other
+    # odd n
+    met = _ck_rule_pair(20, [[(1, 1, 0)], [(1, 2, -21), (1, 4, -69)]], [[(1, 1, 0)]],
+                        unit_value=2)
+    for R, T_ in (doubled, met):
+        assert is_positive_operator(R) and is_positive_operator(T_)
+        for probe in (1, 2, 3, 8):
+            ok, log = verify_witness(R, T_, probe)
+            assert not ok and any(line.startswith("FAIL tail") for line in log), (probe, log)
+            # T itself lies below T, on the same window
+            ok, log = verify_witness(T_, T_, probe)
+            assert ok and "R <= T on the probed tail" in log, (probe, log)
+    R, T_ = doubled
+    assert all(verify_witness(T_, R, probe)[0] for probe in (1, 2, 3, 8))
 
 
 def test_boundedness_precondition_is_the_leak_check(monkeypatch):

@@ -308,6 +308,7 @@ SPECS = {
     "row_pair_difference": ROWPAIR,
     "findim_matrix": "tests/specs/findim_matrix.rzk",
     "ek_row_tail": "tests/specs/ek_row_tail.rzk",
+    "ck_periodic": "tests/specs/ck_periodic.rzk",
 }
 DIGESTS = Path(__file__).with_name("report_digests.json")
 # the case studies whose probe loops grow with --probe, pinned at its ends

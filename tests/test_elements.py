@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from rieszkit.errors import InvalidIndexError, SpaceMismatchError
 from rieszkit.scalars import Q, RationalSeq
 from rieszkit import convergence, elements, sequences
 from rieszkit.casebook import moving_indicator_operator, row_pair_difference_operator
+from rieszkit.completion import pattern_from_pieces
 from rieszkit.convergence import check_decreasing, decide_order_convergence, verify_certificate
 from rieszkit.operators import partial_sum_seq
 from rieszkit.oracles import majorant_floors
@@ -49,6 +51,7 @@ from rieszkit.elements import (
     lincomb,
     max_abs_coord,
     neg,
+    piece_element,
     pos,
     recompose,
     render,
@@ -279,6 +282,126 @@ def test_ck_entries_against_a_nonzero_ambient():
     assert [coordinate(x, t) for t in (g1, g2, s1, gamma(9))] == [1, 0, 2, 2]
 
 
+# ---------------------------------------------------------------------------
+# the ck payload (stars, ambient, g-line) against a dict model over tokens
+
+
+class _CkModel:
+    """A ck value as stored token values over a background: g(k) reads the
+    residue of k where it is not stored, a star the ambient."""
+
+    def __init__(self, values: dict, ambient, residues: tuple):
+        self.values, self.ambient, self.residues = values, Q(ambient), residues
+
+    def at(self, t: Token):
+        if t in self.values:
+            return self.values[t]
+        return self.residues[t.k % len(self.residues)] if t.family == "g" else self.ambient
+
+    def element(self):
+        """The engine element: a base element plus one progression piece
+        per residue class, each adding the residue's offset from the
+        ambient, which the stored g values have taken off."""
+        m, amb = len(self.residues), self.ambient
+        offset = [v - amb for v in self.residues]
+        base = element_findev(F, {t: v - offset[t.k % m] if t.family == "g" else v
+                                  for t, v in self.values.items()}, amb)
+        pieces = [(m, r or m, d) for r, d in enumerate(offset) if d]
+        return pattern_from_pieces(F, base, pieces)
+
+    def points(self, other) -> list:
+        """Tokens at which two models take every value pair they have: the
+        stored tokens, one lcm of the residues past the last stored g, and a
+        fresh star."""
+        toks = {*self.values, *other.values}
+        top = max([t.k for t in toks if t.family == "g"], default=0)
+        m = lcm(len(self.residues), len(other.residues))
+        stars = max([t.k for t in toks if t.family == "star"], default=0)
+        return sorted(toks, key=lambda t: (t.k, t.family)) + [
+            gamma(k) for k in range(top + 1, top + m + 1)] + [Token("star", stars + 1)]
+
+
+def _random_ck_model(rng) -> _CkModel:
+    """Interleaved g and star supports, g-line residues of period 1, 2 or
+    3 over the ambient, and now and then a lone far g(k)."""
+    values = {gamma(k): random_scalar(rng) for k in rng.sample(range(1, 7), rng.randint(0, 4))}
+    values.update({Token("star", k): random_scalar(rng)
+                   for k in rng.sample(range(1, 7), rng.randint(0, 3))})
+    if rng.random() < 0.2:
+        values[gamma(rng.randint(300, 400))] = random_scalar(rng)
+    amb = random_scalar(rng)
+    m = rng.choice((1, 1, 2, 3))
+    residues = (amb,) if m == 1 else tuple(rng.choice([amb, random_scalar(rng)]) for _ in range(m))
+    return _CkModel(values, amb, residues)
+
+
+def _is_canonical_ck(x) -> bool:
+    stars, amb, (prefix, res) = x.data
+    m = len(res)
+    shortest = all(res != res[:d] * (m // d) for d in range(1, m) if m % d == 0)
+    trimmed = not prefix or prefix[-1] != res[len(prefix) % m]
+    sorted_stars = [t.k for t, _ in stars] == sorted({t.k for t, _ in stars})
+    return (shortest and trimmed and sorted_stars and all(t.family == "star" for t, _ in stars)
+            and all(v != amb for _, v in stars))
+
+
+CK_BINARY = [(add, lambda u, v: u + v), (sub, lambda u, v: u - v), (sup2, max), (inf2, min)]
+CK_UNARY = [(abs_, abs), (pos, lambda u: max(u, 0)), (neg, lambda u: max(-u, 0)),
+            (lambda x: scale(Q(-3, 2), x), lambda u: Q(-3, 2) * u)]
+
+
+def test_ck_lattice_ops_match_a_token_model(rng):
+    for _ in range(150):
+        mx, my = _random_ck_model(rng), _random_ck_model(rng)
+        x, y = mx.element(), my.element()
+        pts = mx.points(my)
+        pairs = [(mx.at(t), my.at(t)) for t in pts]
+        assert [coordinate(x, t) for t in pts] == [u for u, _ in pairs]
+        for op, f in CK_BINARY:
+            out = op(x, y)
+            assert _is_canonical_ck(out), render(out)
+            assert [coordinate(out, t) for t in pts] == [f(u, v) for u, v in pairs], op
+        for op, f in CK_UNARY:
+            out = op(x)
+            assert _is_canonical_ck(out), render(out)
+            assert [coordinate(out, t) for t in pts] == [f(u) for u, _ in pairs]
+        assert le(x, y) == all(u <= v for u, v in pairs)
+        assert le(x, sup2(x, y)) and le(inf2(x, y), y)
+        assert abs_le(x, y) == all(abs(u) <= v for u, v in pairs)
+        assert is_disjoint(x, y) == all(u == 0 or v == 0 for u, v in pairs)
+        assert is_disjoint(pos(x), neg(x))
+        assert max_abs_coord(x) == max(abs(u) for u, _ in pairs)
+
+
+def test_ck_render_merges_g_and_star_entries_by_index():
+    s1, s3 = Token("star", 1), Token("star", 3)
+    x = element_findev(F, {s3: 4, gamma(2): 3, s1: 2, gamma(1): 1, gamma(5): 0}, 0)
+    assert render(x) == "{g(1):1,star(1):2,g(2):3,star(3):4|0}"
+    assert x.entries == ((gamma(1), 1), (s1, 2), (gamma(2), 3), (s3, 4))
+    assert support(x) == [gamma(1), s1, gamma(2), s3]
+    assert decompose(x) == [(("atom", t), v) for t, v in x.entries]
+    # a g-line of period 2 follows the ambient; a g entry equal to its
+    # residue is not an entry
+    y = add(x, piece_element(F, (2, 2, 1)))
+    assert render(y) == "{g(1):1,star(1):2,g(2):4,star(3):4|0|1,0}"
+    assert describe(y) == {
+        "kind": "fin_dev_pattern", "extra": [["star(1)", "2"], ["star(3)", "4"]],
+        "line": {"prefix": ["1", "4"], "modulus": 2, "residues": ["1", "0"]}, "ambient": "0"}
+    assert render(sub(y, element_findev(F, {gamma(2): 3}, 0))) == \
+        "{g(1):1,star(1):2,star(3):4|0|1,0}"
+
+
+def test_a_lone_far_g_token_is_a_dense_prefix():
+    k = 4000
+    x = element_findev(F, {gamma(k): 5}, 1)
+    stars, amb, (prefix, res) = x.data
+    assert (stars, amb, res, len(prefix)) == ((), 1, (1,), k)
+    assert all(v is amb for v in prefix[:-1])
+    assert render(x) == "{g(4000):5|1}" and x.entries == ((gamma(k), 5),)
+    assert coordinate(x, gamma(k)) == 5 and coordinate(x, gamma(k + 1)) == 1
+    assert sup2(x, unit(F)) == x and inf2(x, unit(F)) == unit(F)
+
+
 def test_le_and_is_disjoint_raise_across_spaces():
     pairs = [
         (unit(T), unit(F)),
@@ -368,6 +491,51 @@ def test_lattice_ops_are_linear(monkeypatch):
         assert le(x, up) and is_disjoint(p, m)
 
 
+def test_ck_walks_build_and_hash_no_tokens(monkeypatch):
+    """sup2, add, le and abs_ on 2000-wide g supports walk the g-line as a
+    tail_seq line: no Token is built or hashed, and the payload kernel runs
+    once per prefix entry, residue slot and the ambient."""
+    n = 2000
+    x = element_findev(F, {gamma(i): Q(i % 7 - 3, 1 + i % 2) for i in range(1, n + 1)}, 1)
+    y = element_findev(F, {gamma(i + n // 2): Q(i % 5 - 2) for i in range(1, n + 1)}, 2)
+    y = add(y, piece_element(F, (3, 1, 1)))  # a g-line residue of period 3
+    up = sup2(x, y)
+    tokens = Counter()
+
+    def counting(name):
+        method = getattr(Token, name)
+
+        def counted(self, *args):
+            tokens[name] += 1
+            return method(self, *args)
+        return counted
+
+    def width(*xs):
+        return max(len(a.data[2][0]) for a in xs) + lcm(*(len(a.data[2][1]) for a in xs)) + 1
+
+    cases = [("sup2", "qmax", lambda: sup2(x, y), width(x, y)),
+             ("add", "qadd", lambda: add(x, y), width(x, y)),
+             ("le", "qle", lambda: le(x, up), width(x, up)),
+             ("abs_", "qabs", lambda: abs_(y), width(y))]
+    for name, kernel, run, want in cases:
+        calls = [0]
+        inner = getattr(elements, kernel)
+
+        def kernel_call(*args, inner=inner, calls=calls):
+            calls[0] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(elements, kernel, kernel_call)
+        for method in ("__hash__", "__init__"):
+            monkeypatch.setattr(Token, method, counting(method))
+        tokens.clear()
+        run()
+        monkeypatch.undo()
+        assert not tokens, (name, dict(tokens))
+        assert calls[0] == want, (name, calls[0], want)
+    assert le(x, up) and width(x, y) > 1.5 * n
+
+
 def _sparse(space, n: int):
     """An element storing about n coordinates, every tail, row tail and
     ambient 0: the sparse data on which sums and scalings skip identities."""
@@ -385,8 +553,8 @@ def _payload(x) -> list:
     """Every value stored in x's payload, tails, row tails and ambient
     included."""
     if x.space.kind == Kind.FIN_DEV:
-        entries, amb, line = x.data
-        return [v for _, v in entries] + [amb, *line]
+        stars, amb, (prefix, res) = x.data
+        return [v for _, v in stars] + [amb, *prefix, *res]
     if x.space.kind == Kind.ROW_BLOCK:
         rows, back = x.data
         return [v for p, res in rows + back for v in (*p, *res)]
@@ -712,7 +880,9 @@ def _dense_recompose(space, parts):
     `recompose`."""
     u, atoms, rows = _sums(parts)
     if space.kind == Kind.FIN_DEV:
-        return element_findev(space, {t: u + c for t, c in atoms.items()}, u)
+        width = max([t.k for t in atoms if t.family == "g"], default=0)
+        dense = {gamma(k): u for k in range(1, width + 1)}
+        return element_findev(space, {**dense, **{t: u + c for t, c in atoms.items()}}, u)
     if space.kind == Kind.ROW_BLOCK:
         out = []
         for n in range(1, max([n for n, _ in atoms] + list(rows), default=0) + 1):
@@ -741,9 +911,12 @@ def test_recompose_matches_the_dense_sum_and_shares_untouched_values(rng):
                             assert row is back
                     assert all(v is rt for m, v in enumerate(row[0], start=1)
                                if not atoms.get((n, m)))
-            elif space.kind != Kind.FIN_DEV:
-                prefix, res = x.data
-                untouched = [v for i, v in enumerate(prefix, start=1) if not atoms.get(i)]
+            else:
+                # the g-line of ck is a line over the g tokens
+                fin_dev = space.kind == Kind.FIN_DEV
+                prefix, res = x.data[2] if fin_dev else x.data
+                untouched = [v for i, v in enumerate(prefix, start=1)
+                             if not atoms.get(gamma(i) if fin_dev else i)]
                 assert len({id(v) for v in untouched}) <= 1
                 if not space.dim:
                     assert all(v is res[0] for v in untouched)

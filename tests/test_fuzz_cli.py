@@ -23,7 +23,9 @@ import re
 from pathlib import Path
 
 from rieszkit.cli import main
+from rieszkit.elements import Element, render
 from rieszkit.errors import RieszkitError
+from rieszkit.operators import Operator
 from rieszkit.specfile import build_all, parse
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -139,13 +141,29 @@ AFFINE_EDGES = [
 ]
 
 
+def _built_text(value) -> str:
+    """The repr of what a spec builds, with each element written as its
+    space and its `render` text: the digest pins the values built, not the
+    layout of a payload."""
+    if isinstance(value, Element):
+        return f"Element({value.space!r}, {render(value)})"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{k!r}: {_built_text(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, tuple):
+        return "(" + ", ".join(map(_built_text, value)) + ("," if len(value) == 1 else "") + ")"
+    if isinstance(value, Operator):
+        fields = ", ".join(f"{f}={_built_text(getattr(value, f))}" for f in value._fields)
+        return f"{type(value).__qualname__}({fields})"
+    return repr(value)
+
+
 def spec_outcome(text: str) -> str:
     """The error a spec text is refused with, or a digest of what it builds."""
     try:
         built = build_all(parse(text))
     except RieszkitError as e:
         return f"{type(e).__name__}: {e}"
-    return hashlib.sha256(repr(built).encode()).hexdigest()[:16]
+    return hashlib.sha256(_built_text(built).encode()).hexdigest()[:16]
 
 
 def spec_outcomes() -> dict:
