@@ -2,9 +2,11 @@
 on --probe.
 
 Mutants of the shipped spec files are made by token-level edits (replace,
-delete or insert one token, once or twice) with a fixed seed, and each is
-run in process through `cli.main`: a mutant the spec language refuses on
-one command, any other on every spec command.  Every run must exit 0-3 and
+delete or insert one token, once or twice), each source's from its own
+stream seeded with a fixed seed and the file name, so that a new spec adds
+mutants of its own and re-draws no other's.  Each mutant is run in
+process through `cli.main`: a mutant the spec language refuses on one
+command, any other on every spec command.  Every run must exit 0-3 and
 print exactly one JSON document; a command that does not exit 2 at the
 default probe must give the same exit code and verdict at probes 1, 8 and
 32.
@@ -74,6 +76,11 @@ def mutate(text: str, rng: random.Random) -> str:
     return text
 
 
+def mutant_stream(seed: int, source: Path) -> random.Random:
+    """The random stream that draws the mutants of one source file."""
+    return random.Random(f"{seed}:{source.name}")
+
+
 def _builds(text: str) -> bool:
     try:
         build_all(parse(text))
@@ -89,10 +96,10 @@ def run(capsys, argv):
 
 
 def test_spec_mutants_exit_cleanly_with_probe_independent_verdicts(tmp_path, capsys):
-    rng = random.Random(SEED)
     failures = []
     spec = tmp_path / "mutant.rzk"
     for source in SOURCES:
+        rng = mutant_stream(SEED, source)
         original = source.read_text(encoding="utf-8")
         for _ in range(MUTANTS_PER_SOURCE):
             text = mutate(original, rng)
@@ -169,9 +176,9 @@ def spec_outcome(text: str) -> str:
 def spec_outcomes() -> dict:
     """Outcome of each seeded token mutant of the shipped specs, then of each
     affine edge case in a one-rule operator."""
-    rng = random.Random(OUTCOME_SEED)
     out = {}
     for source in SOURCES:
+        rng = mutant_stream(OUTCOME_SEED, source)
         original = source.read_text(encoding="utf-8")
         for i in range(OUTCOME_MUTANTS_PER_SOURCE):
             out[f"{source.name} #{i}"] = spec_outcome(mutate(original, rng))
