@@ -45,9 +45,7 @@ from .convergence import (
     verify_certificate,
 )
 from .operators import (
-    Functional,
     Operator,
-    apply_functional,
     apply_op,
     functional,
     operator,
@@ -63,7 +61,6 @@ from .calculus import (
     pervasive_witness,
     positive_part,
     rk_value,
-    rk_value_functional_unit,
     verify_witness,
 )
 from .oracles import (

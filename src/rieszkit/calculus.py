@@ -47,7 +47,6 @@ from .elements import (
 )
 from .convergence import ConvergenceCertificate, decide_order_convergence
 from .operators import (
-    Functional,
     Operator,
     apply_op,
     atom_image,
@@ -71,17 +70,6 @@ def _require_bounded(T: Operator) -> None:
     # which also builds the bound, runs only to word the refusal
     if _stationary_leak(T) is not None:
         raise PreconditionError(f"operator is not order bounded: {order_bounded_test(T).note}")
-
-
-def entrywise_pos_op(T: Operator) -> Operator:
-    """Atom images replaced by their positive parts (tail rule included).
-    The unit image is the sum of the table's images: on fin_dim that is the
-    unit image, elsewhere a placeholder, since only the atom action is
-    used."""
-    images = {k: pos(v) for k, v in T.atom_images}
-    rule = None if T.rule is None else T.rule.map_coeffs(lambda c: max(c, Q(0)))
-    table_sum = lincomb(T.codomain, [(1, img) for img in images.values()])
-    return operator(T.domain, T.codomain, images, rule, None, table_sum)
 
 
 def rk_unit_pattern(T: Operator) -> Element:
@@ -147,14 +135,6 @@ def _check_ek_beyond_rows(T: Operator, explicit_rows) -> None:
         )
 
 
-def rk_value_functional_unit(f: Functional) -> Q:
-    """Closed form of the positive part of a functional at the unit:
-    max(sum of positive coefficients, unit value + sum of negative parts)."""
-    pos_sum = sum((max(v, Q(0)) for _, v in f.atom_coeffs), Q(0))
-    neg_sum = sum((max(-v, Q(0)) for _, v in f.atom_coeffs), Q(0))
-    return max(pos_sum, f.unit_value + neg_sum)
-
-
 # ---------------------------------------------------------------------------
 # positive part
 
@@ -181,21 +161,22 @@ def positive_part(T: Operator) -> tuple[Operator, Element | None, bool]:
     """(P, tail, in_f): the candidate positive part, its row-unit tail and
     the membership flag.
 
-    P keeps the positive parts of T's atom images; its unit and row-unit
+    P keeps the positive parts of T's atom images, tail rule included; its
+    unit and row-unit
     images are the interval suprema, completion payloads.  On ek domains
     `tail` is the supremum below a row unit past every table (the shape
     recurs row by row), which P, like every operator, maps to 0; elsewhere
     it is None.  in_f is `failing_generator(P, tail) is None`: then P is the
     positive part inside the operator space."""
     _require_bounded(T)
-    tpos = entrywise_pos_op(T)
     rows, tail = {}, None
     if T.domain.row_units:
         table = [r for r, _ in T.row_unit_images]
         rows = {r: rk_value(T, row_unit(T.domain, r)) for r in table}
         tail = rk_value(T, row_unit(T.domain, max(table, default=0) + 1))
+    rule = None if T.rule is None else T.rule.map_coeffs(lambda c: max(c, Q(0)))
     P = operator(
-        T.domain, T.codomain, dict(tpos.atom_images), tpos.rule, rows,
+        T.domain, T.codomain, {k: pos(v) for k, v in T.atom_images}, rule, rows,
         rk_value(T, unit(T.domain)),
     )
     return P, tail, failing_generator(P, tail) is None
@@ -255,7 +236,7 @@ def projection_fixes(T: Operator) -> bool:
 
 @record
 class Witness:
-    functional: Functional
+    functional: Operator  # into fin_dim(1)
     vector: Element
     operator: Operator
     generator: str

@@ -23,7 +23,7 @@ import sys
 from .errors import PreconditionError, RieszkitError, UnsupportedHypothesisError
 from .scalars import RationalSeq, qof, qstr
 from .spaces import parse_space_label, token_form
-from .elements import describe, unit
+from .elements import coordinate, describe, unit
 from .operators import order_bounded_test
 from .calculus import (
     NONZERO_TAIL,
@@ -152,8 +152,9 @@ def _cmd_witness(args) -> Report:
             "generator": w.generator,
             "coordinate": None if w.coordinate is None else str(w.coordinate),
             "functional": {
-                "atom_coeffs": {str(k): v for k, v in w.functional.atom_coeffs},
-                "unit_value": w.functional.unit_value,
+                "atom_coeffs": {str(k): c for k, img in w.functional.atom_images
+                                if (c := coordinate(img, 1)) != 0},
+                "unit_value": coordinate(w.functional.unit_image, 1),
             },
             "vector": w.vector,
         },

@@ -37,6 +37,7 @@ from .spaces import (
     TokenForm,
     affine_intersection,
     atom_key,
+    fin_dim,
     form_space_matches,
 )
 from .elements import (
@@ -44,6 +45,7 @@ from .elements import (
     add,
     coordinate,
     decompose,
+    element_fin,
     le,
     lincomb,
     max_abs_coord,
@@ -438,59 +440,34 @@ def _active_entries(rule: StencilRule | None, m: int) -> dict:
 # functionals and rank-one operators
 
 
-@record
-class Functional:
-    """Order-bounded functional: finitely many atom coefficients (the tail
-    coefficients vanish, so the modulus sum is a finite closed form), row
-    unit coefficients where those exist, and the unit value."""
-
-    domain: SpaceDesc
-    atom_coeffs: Tuple[Tuple[AtomIndex, Q], ...]
-    row_unit_coeffs: Tuple[Tuple[int, Q], ...]
-    unit_value: Q
-
-
 def functional(domain: SpaceDesc, atom_coeffs=None, unit_value: QLike = 0,
-               row_unit_coeffs=None) -> Functional:
-    if not domain.row.countable:
-        raise PreconditionError("functionals on the uncountable kind are not representable")
-    coeffs = {k: qof(v) for k, v in dict(atom_coeffs or {}).items() if qof(v) != 0}
-    rows = {k: qof(v) for k, v in dict(row_unit_coeffs or {}).items() if qof(v) != 0}
-    u = qof(unit_value)
-    if domain.dim:
-        u = sum(coeffs.values(), Q(0))
-    return Functional(
-        domain,
-        tuple(sorted(coeffs.items(), key=lambda kv: atom_key(kv[0]))),
-        tuple(sorted(rows.items())),
-        u,
-    )
+               row_unit_coeffs=None) -> Operator:
+    """The order-bounded functional with finitely many atom coefficients (the
+    tail coefficients vanish, so the modulus sum is a finite closed form),
+    row-unit coefficients where those exist and the unit value, as an
+    operator into fin_dim(1).  Zero coefficients are dropped; on a findim
+    domain the unit value is the sum of the atom coefficients."""
+    line = fin_dim(1)
+
+    def images(coeffs) -> dict:
+        return {k: element_fin(line, [c]) for k, c in dict(coeffs or {}).items() if qof(c) != 0}
+
+    return operator(domain, line, images(atom_coeffs), None, images(row_unit_coeffs),
+                    None if domain.dim else element_fin(line, [unit_value]))
 
 
-def apply_functional(f: Functional, x: Element) -> Q:
-    if x.space != f.domain:
-        raise SpaceMismatchError("argument lives in the wrong space")
-    coeffs = dict(f.atom_coeffs)
-    rows = dict(f.row_unit_coeffs)
-    out = Q(0)
-    for ref, c in decompose(x):
-        if ref[0] == "atom":
-            out += c * coeffs.get(ref[1], Q(0))
-        elif ref[0] == "row_unit":
-            out += c * rows.get(ref[1], Q(0))
-        else:
-            out += c * f.unit_value
-    return out
+def rank_one(f: Operator, v: Element) -> Operator:
+    """The operator x -> f(x) * v, for a functional f (an operator into
+    fin_dim(1))."""
+
+    def times_v(img: Element) -> Element:
+        return scale(coordinate(img, 1), v)
+
+    return operator(f.domain, v.space, {k: times_v(img) for k, img in f.atom_images}, None,
+                    {r: times_v(img) for r, img in f.row_unit_images}, times_v(f.unit_image))
 
 
-def rank_one(f: Functional, v: Element) -> Operator:
-    """The operator x -> f(x) * v."""
-    images = {idx: scale(c, v) for idx, c in f.atom_coeffs}
-    rows = {r: scale(c, v) for r, c in f.row_unit_coeffs}
-    return operator(f.domain, v.space, images, None, rows, scale(f.unit_value, v))
-
-
-def coordinate_functional_of(T: Operator, out_idx: AtomIndex) -> Functional:
+def coordinate_functional_of(T: Operator, out_idx: AtomIndex) -> Operator:
     """The functional x -> coordinate(T(x), out_idx); finite by local
     finiteness of the tail rule."""
     coeffs: dict = {}

@@ -24,9 +24,10 @@ from .elements import (
     element_tail,
     lincomb,
     recompose,
+    sup2,
     support as elem_support,
 )
-from .operators import Functional, Operator, apply_functional, apply_op, atom_image, image_parts
+from .operators import Operator, apply_op, atom_image, image_parts
 from .sequences import ElementSeq, element_seq, eval_seq, fill
 from .convergence import decide_monotone_limit
 
@@ -70,29 +71,24 @@ def _dyadic_grid(top: Q, depth: int) -> list[Q]:
     return [top * k / steps for k in range(steps + 1)]
 
 
-def grid_interval_sup(
-    T: Operator | Functional, x: Element, depth: int, joint_budget: int = 4096
-):
+def grid_interval_sup(T: Operator, x: Element, depth: int, joint_budget: int = 4096) -> Element:
     """Coordinatewise max of T(y) over the dyadic grid of [0, x].
 
     Grid points vary the coordinates that the data can see (the atom
     supports of the operator's table plus x's prefix) and the tail value.
     Small cases enumerate the product grid outright; larger ones maximize
     per output coordinate, which agrees with the joint maximum because the
-    objective is linear in each grid variable.
+    objective is linear in each grid variable.  A functional is an operator
+    into fin_dim(1), so its grid supremum is that space's one coordinate.
     """
     if not x.space.row.sequence:
         raise PreconditionError("the grid oracle runs on tail sequences")
     if depth < 0:
         raise PreconditionError("grid depth must be >= 0")
-    is_functional = isinstance(T, Functional)
     support = set(elem_support(x))
-    if is_functional:
-        support |= {i for i, _ in T.atom_coeffs}
-    else:
-        support |= {i for i, _ in T.atom_images if isinstance(i, int)}
-        if T.rule is not None:
-            support |= set(range(T.rule.threshold + 1, T.rule.threshold + 4))
+    support |= {i for i, _ in T.atom_images if isinstance(i, int)}
+    if T.rule is not None:
+        support |= set(range(T.rule.threshold + 1, T.rule.threshold + 4))
     support = sorted(support)
     axes = [_dyadic_grid(coordinate(x, i), depth) for i in support]
     tail_axis = _dyadic_grid(x.tail, depth)
@@ -113,34 +109,17 @@ def grid_interval_sup(
     if total <= joint_budget:
         best = None
         for combo in product(*axes, tail_axis):
-            y = build(combo[:-1], combo[-1])
-            img = apply_functional(T, y) if is_functional else apply_op(T, y)
-            if best is None:
-                best = img
-            elif is_functional:
-                best = max(best, img)
-            else:
-                from .elements import sup2
-
-                best = sup2(best, img)
+            img = apply_op(T, build(combo[:-1], combo[-1]))
+            best = img if best is None else sup2(best, img)
         return best
     # separable route: per output coordinate the objective is linear in each
     # grid variable, so the coordinatewise grid maximum splits per variable
-    if is_functional:
-        coeffs = dict(T.atom_coeffs)
-        out = Q(0)
-        for i, axis in zip(support, axes):
-            c = coeffs.get(i, Q(0))
-            out += max((c * v for v in axis), default=Q(0))
-        limit_weight = T.unit_value - sum(coeffs.values(), Q(0))
-        out += max((limit_weight * t for t in tail_axis), default=Q(0))
-        return out
-    return _grid_sup_operator_separable(T, support, axes, tail_axis)
+    return _grid_sup_separable(T, support, axes, tail_axis)
 
 
-def _grid_sup_operator_separable(T: Operator, support, axes, tail_axis):
-    """Coordinatewise grid maximum for an operator target, over the grid
-    `axes[j]` of each coordinate `support[j]` and the tail grid.
+def _grid_sup_separable(T: Operator, support, axes, tail_axis):
+    """Coordinatewise grid maximum of T, over the grid `axes[j]` of each
+    coordinate `support[j]` and the tail grid.
 
     T(y) at output k equals sum_i y_i * a_{i,k} + t * (U_k - sigma_k) where
     a_{i,k} is coordinate k of the i-th atom image, U the unit image and

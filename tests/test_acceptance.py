@@ -22,6 +22,7 @@ from rieszkit.elements import (
     abs_,
     add,
     atom,
+    coordinate,
     element_fin,
     element_findev,
     element_tail,
@@ -61,7 +62,6 @@ from rieszkit.calculus import (
     positive_part,
     projection_fixes,
     rk_value,
-    rk_value_functional_unit,
     verify_witness,
 )
 from rieszkit.oracles import (
@@ -188,10 +188,10 @@ def test_criterion_3_unit_closed_form_vs_grid():
         }
         s = Q(rng.randint(-8, 8), rng.randint(1, 2))
         f = functional(T, coeffs, s)
-        closed = rk_value_functional_unit(f)
+        closed = coordinate(rk_value(f, unit(T)), 1)
         scale_bound = sum((abs(v) for v in coeffs.values()), Q(0)) + abs(s)
         for depth in range(7):
-            grid = grid_interval_sup(f, unit(T), depth)
+            grid = coordinate(grid_interval_sup(f, unit(T), depth), 1)
             assert grid <= closed
             assert closed - grid <= scale_bound / 2**depth
     print("PASS criterion 3: unit closed form dominates the grid oracle, "

@@ -21,6 +21,7 @@ from rieszkit.spaces import (
 from rieszkit.elements import (
     add,
     atom,
+    coordinate,
     element_fin,
     element_findev,
     element_tail,
@@ -46,7 +47,6 @@ from rieszkit.operators import (
 )
 from rieszkit.calculus import (
     classify_pair,
-    entrywise_pos_op,
     failing_generator,
     oc_projection,
     order_continuity_test,
@@ -54,7 +54,6 @@ from rieszkit.calculus import (
     positive_part,
     projection_fixes,
     rk_value,
-    rk_value_functional_unit,
     verify_witness,
 )
 from rieszkit.convergence import verify_certificate
@@ -90,7 +89,8 @@ def test_rk_of_positive_operator_is_application(rng):
 
 def test_rk_functional_unit_closed_form():
     f = functional(T, {1: 1, 2: -2}, 3)
-    assert rk_value_functional_unit(f) == 5
+    # max(sum of positive coefficients, unit value + sum of negative parts)
+    assert coordinate(rk_value(f, unit(T)), 1) == 5
     R = rank_one(f, atom(T, 1))
     got = collapse(rk_value(R, unit(T)))
     assert got == scale(5, atom(T, 1))
@@ -219,7 +219,8 @@ def test_projection_examples():
 def test_pervasive_witness_identity():
     w = pervasive_witness(identity_on_tail_seq())
     assert w.coordinate == 1
-    assert dict(w.functional.atom_coeffs) == {1: Q(1)}
+    assert w.functional.codomain == fin_dim(1)
+    assert {k: coordinate(img, 1) for k, img in w.functional.atom_images} == {1: Q(1)}
     assert w.vector == atom(T, 1)
     ok, log = verify_witness(w.operator, identity_on_tail_seq())
     assert ok, log
@@ -334,7 +335,7 @@ def test_pervasive_witness_requires_positive():
 
 def test_entrywise_pos_keeps_rule_shape():
     Tm = moving_indicator_operator()
-    P = entrywise_pos_op(Tm)
+    P = positive_part(Tm)[0]
     assert atom_image(P, 3) == element_findev(F, {gamma(3): 1}, 0)
 
 

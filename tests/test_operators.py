@@ -37,7 +37,6 @@ from rieszkit.elements import (
 )
 from rieszkit.operators import (
     add_op,
-    apply_functional,
     apply_op,
     atom_image,
     decompose,
@@ -205,9 +204,11 @@ def test_positive_operator_checks():
 
 def test_functional_application():
     f = functional(T, {1: 1, 2: -2}, 3)
-    assert apply_functional(f, unit(T)) == 3
-    assert apply_functional(f, atom(T, 1)) == 1
-    assert apply_functional(f, element_tail(T, [3, 5], 5)) == 3 * 1 + 5 * (-2) + 5 * (3 - (-1))
+    assert f.codomain == fin_dim(1)
+    assert coordinate(apply_op(f, unit(T)), 1) == 3
+    assert coordinate(apply_op(f, atom(T, 1)), 1) == 1
+    x = element_tail(T, [3, 5], 5)
+    assert coordinate(apply_op(f, x), 1) == 3 * 1 + 5 * (-2) + 5 * (3 - (-1))
 
 
 def test_row_pair_difference_images():

@@ -11,7 +11,7 @@ from rieszkit.reports import ser
 from rieszkit.scalars import Q, RationalSeq
 from rieszkit.specfile import build_all, parse
 from rieszkit.spaces import fin_dev, fin_dim, seq_form, tail_seq, token_form
-from rieszkit.elements import atom, element_fin, element_tail, unit, zero
+from rieszkit.elements import atom, coordinate, element_fin, element_tail, unit, zero
 from rieszkit.operators import (
     apply_op,
     functional,
@@ -20,7 +20,7 @@ from rieszkit.operators import (
     rank_one,
     stencil_rule,
 )
-from rieszkit.calculus import positive_part, rk_value_functional_unit
+from rieszkit.calculus import positive_part, rk_value
 from rieszkit.oracles import (
     bruteforce_dominating_search,
     grid_interval_sup,
@@ -70,17 +70,17 @@ def test_engine_agrees_with_matrix_oracle(rng):
 
 def test_grid_sup_depth0_enumeration():
     f = functional(T, {1: 1, 2: -2}, 3)
-    assert grid_interval_sup(f, unit(T), 0) == 5
-    assert rk_value_functional_unit(f) == 5
+    assert coordinate(grid_interval_sup(f, unit(T), 0), 1) == 5
+    assert coordinate(rk_value(f, unit(T)), 1) == 5
 
 
 def test_grid_sup_monotone_in_depth(rng):
     for _ in range(10):
         coeffs = {i + 1: Q(rng.randint(-4, 4)) for i in range(rng.randint(0, 3))}
         f = functional(T, coeffs, Q(rng.randint(-4, 4)))
-        vals = [grid_interval_sup(f, unit(T), d) for d in range(4)]
+        vals = [coordinate(grid_interval_sup(f, unit(T), d), 1) for d in range(4)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
-        assert all(v <= rk_value_functional_unit(f) for v in vals)
+        assert all(v <= coordinate(rk_value(f, unit(T)), 1) for v in vals)
 
 
 def test_grid_sup_positive_operator_attains_application():
