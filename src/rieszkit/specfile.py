@@ -20,7 +20,8 @@ Grammar (line oriented, '#' comments):
     AT    := NUM[/NUM] [VAR] | VAR[/NUM] | (AFFINE)[/NUM]
 
 Index forms must be affine; anything else is rejected with its position.
-No clause but `atoms` may repeat (`e` and `rowunit`: per index).
+No clause but `atoms` may repeat (`e` and `rowunit`: per index), and every
+`atoms` rule of an operator shares one threshold N.
 A pair coordinate's row reads `n` (the row) and its column the rule
 variable; every other coordinate reads the rule variable.
 A findim domain takes no `atoms` rule, and its optional `unit` clause must
@@ -269,6 +270,10 @@ def _parse_operator(cur: _Cursor, statements: Iterator[_Cursor], last_line: int)
         cur.require_end()
         if clause and clause in seen:
             raise SpecError(head.line, head.col, f"repeated clause {clause!r}")
+        if head.text == "atoms" and rules[-1].threshold != rules[0].threshold:
+            raise SpecError(head.line, head.col,
+                            f"atoms threshold {rules[-1].threshold} differs from "
+                            f"{rules[0].threshold}; every atoms rule shares one threshold")
         seen.add(clause)
     else:
         raise SpecError(last_line, 1, "operator block never closed", ("}",))
@@ -503,7 +508,7 @@ def build_operator(decl: OperatorDecl, spaces: dict[str, SpaceDesc]) -> Operator
         rule = None
         if decl.rules:
             modulus = lcm(*(r.modulus for r in decl.rules))
-            threshold = max(r.threshold for r in decl.rules)
+            threshold = decl.rules[0].threshold
             entries = [[e for r in decl.rules if res % r.modulus == r.residue for e in r.entries]
                        for res in range(modulus)]
             rule = stencil_rule(modulus, threshold, entries, cod)

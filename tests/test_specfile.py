@@ -267,3 +267,37 @@ def test_a_repeated_clause_is_refused_at_its_line(space, first, again, text):
     build_all(parse(spec.replace(f"  {again}\n", "")))
     if text.endswith(")"):  # another index is another clause
         build_all(parse(spec.replace(text, text[:-2] + "3)", 1)))
+
+
+# the identity on l0inf, with the odd atoms and the even atoms past 3 in two
+# rules of different thresholds
+SPLIT_THRESHOLD_IDENTITY = """\
+space E = l0inf
+
+operator T : E -> E {
+  atoms n > 0, n mod 2 == 1 -> { 1 @ n }
+  atoms n > 3, n mod 2 == 0 -> { 1 @ n }
+  unit -> 1 * unit
+}
+"""
+
+
+def test_atoms_rules_with_different_thresholds_are_refused(tmp_path, capsys):
+    """Every `atoms` rule of an operator shares one threshold.  The rules
+    used to be merged at the largest one, so this spec built T(e1) = T(e3)
+    = 0 and `check order_continuous` called the identity not order
+    continuous."""
+    with pytest.raises(SpecError) as err:
+        parse(SPLIT_THRESHOLD_IDENTITY)
+    assert str(err.value) == (
+        "line 5:3: atoms threshold 3 differs from 0; every atoms rule shares one threshold")
+    spec = tmp_path / "thresholds.rzk"
+    spec.write_text(SPLIT_THRESHOLD_IDENTITY, encoding="utf-8")
+    assert main(["check", "order_continuous", "--spec", str(spec)]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": str(err.value), "kind": "input"}
+    # with one threshold the two rules build the identity
+    spec.write_text(SPLIT_THRESHOLD_IDENTITY.replace("n > 3", "n > 0"), encoding="utf-8")
+    spaces, ops = build_all(parse(spec.read_text(encoding="utf-8")))
+    assert all(atom_image(ops["T"], i) == atom(spaces["E"], i) for i in range(1, 9))
+    assert main(["check", "order_continuous", "--spec", str(spec)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "order continuous"
