@@ -5,7 +5,8 @@
     rieszkit positive-part --spec FILE
     rieszkit project-oc --spec FILE
     rieszkit witness-pervasive --spec FILE
-    rieszkit classify --domain KIND --codomain KIND | --spec FILE
+    rieszkit classify --domain KIND --codomain KIND
+                      | --spec FILE [--domain NAME] [--codomain NAME]
     rieszkit casebook {not-directed | bounded-not-regular | projection-demo}
     rieszkit oracle {matrix-positive-part | grid-sup | majorant-growth
                      | dominating-search} [args]
@@ -164,16 +165,17 @@ def _cmd_witness(args) -> Report:
 
 def _cmd_classify(args) -> Report:
     if args.spec:
+        # the named spaces, by default the first two the spec declares
         spaces = build_spaces(_read_spec(args.spec))
-        if args.domain and args.domain in spaces:
-            E = spaces[args.domain]
-        else:
-            E = next(iter(spaces.values()))
-        if args.codomain and args.codomain in spaces:
-            F = spaces[args.codomain]
-        else:
-            vals = list(spaces.values())
-            F = vals[1] if len(vals) > 1 else vals[0]
+        declared = list(spaces)
+        if not declared:
+            raise PreconditionError("the spec file declares no space")
+        second = declared[1] if len(declared) > 1 else declared[0]
+        names = (args.domain or declared[0], args.codomain or second)
+        for flag, name in zip(("--domain", "--codomain"), names):
+            if name not in spaces:
+                raise PreconditionError(f"{flag} {name!r} names no space of the spec file")
+        E, F = (spaces[name] for name in names)
     else:
         if not (args.domain and args.codomain):
             raise PreconditionError("classify needs --domain and --codomain (or --spec)")

@@ -140,6 +140,29 @@ def test_classify_rejects_a_findim_label_without_a_dimension(capsys):
     assert json.loads(out)["error"] == "unknown space kind 'findim(x)'"
 
 
+@pytest.mark.parametrize("flags, error", [
+    (("--domain", "Foo", "--codomain", "ek"), "--domain 'Foo' names no space of the spec file"),
+    (("--codomain", "ek"), "--codomain 'ek' names no space of the spec file"),
+    (("--domain", "l0inf"), "--domain 'l0inf' names no space of the spec file"),
+], ids=["unknown-domain", "kind-as-codomain", "kind-as-domain"])
+def test_classify_spec_refuses_a_name_the_spec_does_not_declare(flags, error, capsys):
+    """With --spec, --domain and --codomain name spaces of the spec; any
+    other name used to fall back silently to the spec's first spaces."""
+    code, out = run_cli(capsys, "classify", "--spec", MOVING, *flags)
+    assert (code, json.loads(out)) == (2, {"error": error, "kind": "input"})
+
+
+def test_classify_spec_reads_the_named_spaces(tmp_path, capsys):
+    for flags, pair in (((), "l0inf -> ck"), (("--domain", "F"), "ck -> ck"),
+                        (("--domain", "F", "--codomain", "E"), "ck -> l0inf")):
+        code, out = run_cli(capsys, "classify", "--spec", MOVING, *flags)
+        assert (code, json.loads(out)["command"]) == (0, f"classify {pair}")
+    spec = tmp_path / "no_space.rzk"
+    spec.write_text("# no declaration\n", encoding="utf-8")
+    code, out = run_cli(capsys, "classify", "--spec", str(spec))
+    assert (code, json.loads(out)["error"]) == (2, "the spec file declares no space")
+
+
 def test_casebook_command(capsys):
     code, out = run_cli(capsys, "casebook", "not-directed")
     assert code == 0
