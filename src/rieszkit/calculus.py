@@ -186,9 +186,7 @@ def positive_part(T: Operator) -> tuple[Operator, Element | None, bool]:
 # order continuity and the band projection
 
 
-def order_continuity_test(
-    T: Operator, probe: int = 8
-) -> tuple[bool, ConvergenceCertificate]:
+def order_continuity_test(T: Operator) -> tuple[bool, ConvergenceCertificate]:
     """Order continuity via the partial-sum criterion: the atom-image sums
     must order converge to the unit image."""
     if not T.domain.row.enumerated:
@@ -207,7 +205,7 @@ def order_continuity_test(
         )
         return True, cert
     s = partial_sum_seq(T)
-    cert = decide_order_convergence(s, T.unit_image, probe)
+    cert = decide_order_convergence(s, T.unit_image)
     cert = dataclasses.replace(
         cert, anchors=cert.anchors + ("partial-sum-criterion", "sigma-net-equivalence"))
     return cert.converges, cert

@@ -146,7 +146,7 @@ def run_not_directed(probe: int = 8) -> Report:
         f"modulus partial sums stay below {render(bound.bound)} "
         f"(literal sums checked at n=1..{probe}): order bounded"
     )
-    oc, cert = order_continuity_test(T, probe)
+    oc, cert = order_continuity_test(T)
     _require(oc, "order continuity")
     s = partial_sum_seq(T)
     okc, _ = verify_certificate(cert, s, zero(T.codomain), probe)

@@ -84,7 +84,7 @@ def _cmd_check(args) -> Report:
             anchors=("order-bound-partial-moduli",),
             details={"bound": rep.bound, "note": rep.note},
         )
-    ok, cert = order_continuity_test(T, args.probe)
+    ok, cert = order_continuity_test(T)
     return Report(
         command=f"check order_continuous {name}",
         verdict="order continuous" if ok else "not order continuous",
