@@ -346,6 +346,30 @@ def o1_dominating_obstruction(x: ElementSeq) -> ConvergenceCertificate:
 # ---------------------------------------------------------------------------
 # independent verifier
 
+# The evidence each verdict needs, by mode: every group names certificate
+# fields of which at least one must be present.
+_EVIDENCE = {
+    (CONVERGES, "order"): (("order_bound",), ("dominating", "escaping")),
+    (CONVERGES, "monotone"): (("dominating",),),
+    (DIVERGES, "order"): (("minorant", "bad_class"),),
+    (DIVERGES, "monotone"): (("minorant", "bad_class"),),
+    (DIVERGES, "o1_obstruction"): (("minorant",),),
+}
+
+
+def _missing_evidence(cert: ConvergenceCertificate) -> str | None:
+    """The log line refusing a certificate that lacks the evidence its
+    verdict and mode need, or None when it carries that evidence."""
+    groups = _EVIDENCE.get((cert.verdict, cert.mode))
+    if groups is None:
+        return f"FAIL no {cert.verdict} certificate has mode {cert.mode}"
+    for group in groups:
+        if not any(bool(cert.escaping) if f == "escaping" else getattr(cert, f) is not None
+                   for f in group):
+            return (f"FAIL a {cert.verdict} certificate in mode {cert.mode} "
+                    f"carries no {' or '.join(group)}")
+    return None
+
 
 def verify_certificate(
     cert: ConvergenceCertificate,
@@ -354,9 +378,15 @@ def verify_certificate(
     probe: int = 8,
 ) -> tuple[bool, list[str]]:
     """Re-check a certificate using only element comparisons at probed steps
-    plus the symbolic tail rule; independent of how it was produced."""
+    plus the symbolic tail rule; independent of how it was produced.  A
+    certificate without the evidence its verdict needs (`_EVIDENCE`) is
+    refused before any check runs."""
+    missing = _missing_evidence(cert)
+    if missing:
+        return False, [missing]
     log: list[str] = []
     d = x if limit is None else normalize(sub_element(x, limit))
+    pattern = cache(partial(eventual_pattern, d))
     window = structural_threshold(d) + probe
     if cert.verdict == CONVERGES:
         ok = True
@@ -428,7 +458,7 @@ def verify_certificate(
         # the minorant bounds every candidate decreasing family above |x_n|,
         # not x itself; re-derive the coefficient floor and the freshness
         h = cert.minorant
-        if h is None or le(h, zero(h.space)) or h.is_zero():
+        if le(h, zero(h.space)) or h.is_zero():
             log.append("FAIL minorant is not positive")
             return False, log
         log.append("minorant is positive")
@@ -472,9 +502,12 @@ def verify_certificate(
                     break
             else:
                 log.append(f"minorant below the family at n=1..{window}")
+            # past the window: below the family's eventual pattern
+            if not le(h, pattern()):
+                log.append("FAIL minorant not below the eventual pattern")
+                ok = False
     if cert.bad_class is not None:
-        pat = eventual_pattern(d)
-        if pat.is_zero():
+        if pattern().is_zero():
             log.append("FAIL claimed obstruction but the pattern settles at 0")
             ok = False
         else:

@@ -1,0 +1,124 @@
+"""The verifier refuses certificates that lack the evidence their verdict
+needs.
+
+The certificates are the shapes the benchmark's `wide_lattice` workload
+mutates, built here on l0inf and ck: an order-convergence certificate for a
+moving bump over a static part, the same sequence against a limit it
+misses, and a monotone certificate for a decreasing family that keeps a
+static part.  Each mutant either drops the evidence of its verdict, flips
+the verdict, or moves the minorant off the family; every one must be
+rejected, and the certificates the deciders produce must still verify.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+
+from rieszkit.convergence import (
+    CONVERGES,
+    DIVERGES,
+    ConvergenceCertificate,
+    decide_monotone_limit,
+    decide_order_convergence,
+    verify_certificate,
+)
+from rieszkit.elements import add, atom, element_findev, element_tail, scale, unit, zero
+from rieszkit.scalars import Q, RationalSeq
+from rieszkit.sequences import element_seq, fill
+from rieszkit.spaces import fin_dev, gamma, seq_form, tail_seq, token_form
+
+PROBE = 8
+STATIC = [Q(3), Q(-1, 2), Q(2), Q(5, 3), Q(-4)]
+# the values the monotone family keeps, at more atoms than the probe window
+# reaches, as in the benchmark
+DECREASING = [Q(k % 5 + 1, k % 3 + 1) for k in range(20)]
+
+KINDS = {
+    "l0inf": (tail_seq(), seq_form, lambda k: k,
+              lambda space, vals: element_tail(space, vals, 0)),
+    "ck": (fin_dev(), token_form, gamma,
+           lambda space, vals: element_findev(
+               space, {gamma(k): v for k, v in enumerate(vals, start=1)}, 0)),
+}
+
+
+def certificates(kind: str):
+    """(valid, mutants): each maps a name to (certificate, sequence, limit)."""
+    space, line, index, element = KINDS[kind]
+    S = element(space, STATIC)
+    x = element_seq(space, static=S, atoms=[(line(1, 2), RationalSeq.const(Q(1, 2)))])
+    off = add(S, atom(space, index(2)))
+    march = fill(line(1, 0), 1, 0, 1, 0, -1)
+    bz = element_seq(space, static=add(unit(space), element(space, DECREASING)),
+                     fills=[march])
+    conv = decide_order_convergence(x, S)
+    div = decide_order_convergence(x, off)
+    mono = decide_monotone_limit(bz)
+    assert (conv.verdict, div.verdict, mono.verdict) == (CONVERGES, DIVERGES, DIVERGES)
+    replace = dataclasses.replace
+    # past the kept values the family is 1 only until the march passes
+    far = atom(space, index(len(DECREASING) + 1))
+    const_unit = element_seq(space, ambient=RationalSeq.const(1))
+    valid = {
+        "order-converges": (conv, x, S),
+        "order-diverges": (div, x, off),
+        "monotone-diverges": (mono, bz, None),
+    }
+    mutants = {
+        "empty-converges": (ConvergenceCertificate(verdict=CONVERGES, space=space),
+                            const_unit, zero(space)),
+        "drop-dominating": (replace(conv, dominating=None, escaping=()), x, S),
+        "drop-order-bound": (replace(conv, order_bound=None), x, S),
+        "flip-converges": (replace(conv, verdict=DIVERGES), x, S),
+        "flip-diverges": (replace(div, verdict=CONVERGES), x, off),
+        "scale-minorant": (replace(mono, minorant=scale(3, mono.minorant)), bz, None),
+        "move-minorant": (replace(mono, minorant=far), bz, None),
+    }
+    return valid, mutants
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_certificates_without_their_evidence_are_rejected(kind):
+    _, mutants = certificates(kind)
+    accepted = [name for name, (cert, seq, limit) in mutants.items()
+                if verify_certificate(cert, seq, limit, PROBE)[0]]
+    assert accepted == []
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_decided_certificates_still_verify(kind):
+    valid, _ = certificates(kind)
+    for name, (cert, seq, limit) in valid.items():
+        ok, log = verify_certificate(cert, seq, limit, PROBE)
+        assert ok, (name, log)
+        assert not any(line.startswith("FAIL") for line in log)
+
+
+def test_a_monotone_minorant_must_lie_below_the_eventual_pattern():
+    """With no limit the minorant is checked against the family's eventual
+    pattern, symbolically: the probe window alone ends before the march
+    passes the atom the minorant sits on."""
+    space = tail_seq()
+    march = fill(seq_form(1, 0), 1, 0, 1, 0, -1)
+    b = element_seq(space, static=unit(space), fills=[march])
+    cert = ConvergenceCertificate(verdict=DIVERGES, space=space, mode="monotone",
+                                  minorant=atom(space, 40))
+    ok, log = verify_certificate(cert, b, None, 1)
+    assert not ok
+    assert log[-1] == "FAIL minorant not below the eventual pattern"
+
+
+def test_a_verdict_without_its_evidence_is_refused_unchecked():
+    space = tail_seq()
+    x = element_seq(space)
+    for verdict, mode, lacking in (
+        (CONVERGES, "order", "order_bound"),
+        (CONVERGES, "monotone", "dominating"),
+        (DIVERGES, "order", "minorant or bad_class"),
+        (DIVERGES, "monotone", "minorant or bad_class"),
+    ):
+        cert = ConvergenceCertificate(verdict=verdict, space=space, mode=mode)
+        assert verify_certificate(cert, x, zero(space)) == (
+            False, [f"FAIL a {verdict} certificate in mode {mode} carries no {lacking}"])
