@@ -363,9 +363,12 @@ def _missing_evidence(cert: ConvergenceCertificate) -> str | None:
     groups = _EVIDENCE.get((cert.verdict, cert.mode))
     if groups is None:
         return f"FAIL no {cert.verdict} certificate has mode {cert.mode}"
+    present = {f for f in ("order_bound", "dominating", "minorant", "bad_class")
+               if getattr(cert, f) is not None}
+    if cert.escaping:
+        present.add("escaping")
     for group in groups:
-        if not any(bool(cert.escaping) if f == "escaping" else getattr(cert, f) is not None
-                   for f in group):
+        if present.isdisjoint(group):
             return (f"FAIL a {cert.verdict} certificate in mode {cert.mode} "
                     f"carries no {' or '.join(group)}")
     return None
@@ -386,7 +389,6 @@ def verify_certificate(
         return False, [missing]
     log: list[str] = []
     d = x if limit is None else normalize(sub_element(x, limit))
-    pattern = cache(partial(eventual_pattern, d))
     window = structural_threshold(d) + probe
     if cert.verdict == CONVERGES:
         ok = True
@@ -487,6 +489,7 @@ def verify_certificate(
         else:
             log.append(f"minorant sits at the fresh point {fresh[0]}")
         return ok, log
+    pat = eventual_pattern(d)
     if cert.minorant is not None:
         h = cert.minorant
         if le(h, zero(h.space)) or h.is_zero():
@@ -503,11 +506,11 @@ def verify_certificate(
             else:
                 log.append(f"minorant below the family at n=1..{window}")
             # past the window: below the family's eventual pattern
-            if not le(h, pattern()):
+            if not le(h, pat):
                 log.append("FAIL minorant not below the eventual pattern")
                 ok = False
     if cert.bad_class is not None:
-        if pattern().is_zero():
+        if pat.is_zero():
             log.append("FAIL claimed obstruction but the pattern settles at 0")
             ok = False
         else:
