@@ -162,11 +162,10 @@ def positive_part(T: Operator) -> tuple[Operator, Element | None, bool]:
     the membership flag.
 
     P keeps the positive parts of T's atom images, tail rule included; its
-    unit and row-unit
-    images are the interval suprema, completion payloads.  On ek domains
-    `tail` is the supremum below a row unit past every table (the shape
-    recurs row by row), which P, like every operator, maps to 0; elsewhere
-    it is None.  in_f is `failing_generator(P, tail) is None`: then P is the
+    unit and row-unit images are the interval suprema, completion payloads.
+    On ek domains `tail` is the supremum below a row unit past every table
+    (the shape recurs row by row), which P, like every operator, maps to 0;
+    elsewhere it is None.  in_f is `failing_generator(P, tail) is None`: then P is the
     positive part inside the operator space."""
     _require_bounded(T)
     rows, tail = {}, None
