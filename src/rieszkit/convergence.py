@@ -28,7 +28,7 @@ from itertools import chain
 from typing import Tuple
 
 from .errors import NotDecreasingError, PreconditionError, SpaceMismatchError
-from .scalars import Q, RationalSeq, qstr
+from .scalars import Q, Q0, RationalSeq, qstr
 from .spaces import SpaceDesc, Token, fresh_star, seq_form
 from .elements import (
     Element,
@@ -252,7 +252,7 @@ def _less_atoms(space: SpaceDesc, parts, atoms, n: int) -> Element:
     """The element of the generator parts of a step less the step-n values
     of the given (form, coefficient) atoms, in one `recompose`."""
     return recompose(space, chain(parts, (
-        (("atom", form.at(n)), -c) for form, coeff in atoms if (c := coeff.at(n)) != 0
+        (("atom", form.at(n)), -c) for form, coeff in atoms if (c := coeff.at(n)) is not Q0 and c
     )))
 
 
@@ -347,8 +347,13 @@ def o1_dominating_obstruction(x: ElementSeq) -> ConvergenceCertificate:
 # independent verifier
 
 # The evidence each verdict needs, by mode: every group names certificate
-# fields of which at least one must be present.
+# fields of which at least one must be present.  A certificate citing the
+# partial-sum criterion alone sums finitely many atoms (a findim domain): its
+# entry, keyed by those anchors too, asks for no field, and the verifier
+# checks symbolically that x - limit is eventually 0 instead.
+_FINITE_SUM = (CONVERGES, "order", ("partial-sum-criterion",))
 _EVIDENCE = {
+    _FINITE_SUM: (),
     (CONVERGES, "order"): (("order_bound",), ("dominating", "escaping")),
     (CONVERGES, "monotone"): (("dominating",),),
     (DIVERGES, "order"): (("minorant", "bad_class"),),
@@ -360,7 +365,8 @@ _EVIDENCE = {
 def _missing_evidence(cert: ConvergenceCertificate) -> str | None:
     """The log line refusing a certificate that lacks the evidence its
     verdict and mode need, or None when it carries that evidence."""
-    groups = _EVIDENCE.get((cert.verdict, cert.mode))
+    key = (cert.verdict, cert.mode)
+    groups = _EVIDENCE.get((*key, cert.anchors), _EVIDENCE.get(key))
     if groups is None:
         return f"FAIL no {cert.verdict} certificate has mode {cert.mode}"
     present = {f for f in ("order_bound", "dominating", "minorant", "bad_class")
@@ -396,6 +402,11 @@ def verify_certificate(
         # and built once when no escaping atoms come off it
         d_parts = cache(partial(step_parts, d))
         d_step = cache(lambda n: recompose(d.space, d_parts(n)))
+        if (cert.verdict, cert.mode, cert.anchors) == _FINITE_SUM:
+            # no atoms, no fills, and a zero ambient and static part past the prelude
+            ok = not (d.atoms or d.fills) and d.ambient.is_zero() and d.static.is_zero()
+            log.append(f"x - limit is 0 from n={d.n0} on (symbolic)" if ok
+                       else "FAIL x - limit is not eventually 0")
         if cert.order_bound is not None:
             for n in range(1, window + 1):
                 if not abs_le(d_step(n), cert.order_bound):

@@ -37,7 +37,10 @@ a `qmax` fold over the value pairs, so a row-block walk skips a row pair it
 has already walked: the background rows of a `recompose` result are one
 shared object.  Every per-coordinate decision, in these folds, in the
 lattice maps and in the background filters, is one call of the `scalars`
-decision kernel on integer pairs, never a `Fraction` comparison.
+decision kernel on integer pairs, never a `Fraction` comparison.  Every
+stored 0 is the one `Q0` (see `scalars`): the constructors read values
+through `qof` and the walks through the kernels, so each zero test here
+asks `v is Q0` first and reads the value only behind it.
 
 This module also owns generator decomposition: `decompose` writes an
 element over the atoms, row units and unit of its space, and `recompose`
@@ -144,7 +147,7 @@ def _canonical_line(prefix: Sequence, residues: tuple) -> Line:
 
 def _kept(stars, amb: Q) -> tuple:
     """The (star token, value) pairs whose value is not amb."""
-    return tuple([(t, v) for t, v in stars if not qeq(v, amb)]) if stars else ()
+    return tuple([(t, v) for t, v in stars if v is not amb and not qeq(v, amb)]) if stars else ()
 
 
 def _findev(space: SpaceDesc, coeffs: dict, amb: Q, u: Q) -> Element:
@@ -585,7 +588,7 @@ def decompose(x: Element) -> list:
     """Exact finite decomposition of x over the generator family of its
     space: [(("atom", idx) | ("row_unit", n) | ("unit",), coefficient)]."""
     out, base = _shape(x).decompose(x)
-    if base != 0:
+    if base is not Q0 and base:
         out.append((("unit",), base))
     return out
 
@@ -698,8 +701,8 @@ def scale(c: QLike, x: Element) -> Element:
     if not pair[0]:
         return zero(x.space)
     if pair == (-1, 1):
-        return _map(x, lambda v: -v if v else Q0)
-    return _map(x, lambda v: v * c if v else Q0)
+        return _map(x, lambda v: Q0 if v is Q0 or not v else -v)
+    return _map(x, lambda v: Q0 if v is Q0 or not v else v * c)
 
 
 def sup2(x: Element, y: Element) -> Element:
@@ -745,7 +748,7 @@ def is_positive(x: Element) -> bool:
 
 def is_disjoint(x: Element, y: Element) -> bool:
     """|x| ^ |y| = 0: at every coordinate one of the two is 0."""
-    return all(not a or not b for a, b in _pairs(x, y))
+    return all(a is Q0 or b is Q0 or not a or not b for a, b in _pairs(x, y))
 
 
 # ---------------------------------------------------------------------------

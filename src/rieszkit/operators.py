@@ -28,7 +28,7 @@ from .errors import (
     SpaceMismatchError,
     StencilError,
 )
-from .scalars import Q, QLike, qmul, qof
+from .scalars import Q, Q0, QLike, qmul, qof
 from .spaces import (
     AtomIndex,
     CoordForm,
@@ -473,7 +473,7 @@ def coordinate_functional_of(T: Operator, out_idx: AtomIndex) -> Operator:
     coeffs: dict = {}
     for idx, img in T.atom_images:
         c = coordinate(img, out_idx)
-        if c != 0:
+        if c is not Q0 and c:
             coeffs[idx] = c
     if T.rule is not None:
         for idx, c in _rule_hits(T, out_idx):
@@ -481,7 +481,7 @@ def coordinate_functional_of(T: Operator, out_idx: AtomIndex) -> Operator:
     rows = {}
     for r, img in T.row_unit_images:
         c = coordinate(img, out_idx)
-        if c != 0:
+        if c is not Q0 and c:
             rows[r] = c
     return functional(
         T.domain, coeffs, coordinate(T.unit_image, out_idx), rows

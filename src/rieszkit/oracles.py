@@ -247,11 +247,7 @@ def majorant_growth_probe(T: Operator, level: int) -> Q:
 
 
 # shape generators of the candidate families, each (x, scale) -> family or
-# None when the shape does not apply to x
-
-
-def _zero_family(x: ElementSeq, _):
-    return element_seq(x.space)
+# None when the shape does not apply to x; the zero family is built apart
 
 
 def _amb_const(x: ElementSeq, c):
@@ -278,7 +274,7 @@ def _march(x: ElementSeq, c):
     )
 
 
-_SHAPES = (_zero_family, _amb_const, _harmonic_unitless, _matched_moving, _march)
+_SHAPES = (_amb_const, _harmonic_unitless, _matched_moving, _march)
 
 
 def _candidate_families(x: ElementSeq, bound: int):
@@ -289,25 +285,26 @@ def _candidate_families(x: ElementSeq, bound: int):
     atoms, matched moving-atom copies, and unit-minus-march terms.  Each
     (shape, scale) family is built once; the candidates are the sums of two
     of them, in (shape, shape, scale, scale) order, without repeats, each
-    summed only when the search asks for it."""
+    summed only when the search asks for it.  The zero family (shape None)
+    has no scale and is a neutral summand: it is built once and read at one
+    scale, and a pick with it is the other family itself, unsummed."""
     scales = {Q(1)}
     for _, coeff in x.atoms:
         v = coeff.max_abs()
         if v != 0:
             scales.update({v, v / 2, 2 * v})
     scales = sorted(scales)
-    built = {(gi, sc): shape(x, sc) for gi, shape in enumerate(_SHAPES) for sc in scales}
+    built = {(shape, sc): shape(x, sc) for shape in _SHAPES for sc in scales}
+    zero = element_seq(x.space)
     seen = set()
-    for picks in product(range(len(_SHAPES)), repeat=2):
-        for s1 in scales:
-            for s2 in scales:
-                fams = [built[gi, sc] for gi, sc in zip(picks, (s1, s2))]
+    for picks in product((None, *_SHAPES), repeat=2):
+        for s1 in scales if picks[0] else scales[:1]:
+            for s2 in scales if picks[1] else scales[:1]:
+                fams = [built[p, sc] for p, sc in zip(picks, (s1, s2)) if p]
                 if None in fams:
                     continue
-                total = sum(0 if gi == 0 else 1 + len(fam.atoms) + len(fam.fills)
-                            for gi, fam in zip(picks, fams))
-                if total <= bound:
-                    cand = _seq_sum(fams)
+                if sum(1 + len(fam.atoms) + len(fam.fills) for fam in fams) <= bound:
+                    cand = _seq_sum(fams or [zero])
                     key = _seq_key(cand)
                     if key not in seen:
                         seen.add(key)

@@ -7,11 +7,19 @@ Payload values of elements and patterns are always `Fraction`, never `int`.
 machinery can decide things about: a finite prefix, then tail + h/n.  It
 covers constants, eventually constant steps and harmonic decays c/n.
 
+Zero is one object: `qof` turns every zero input (0, "0", Fraction(0))
+into the shared `Q0`, and a kernel result equal to 0 is `Q0`, so a payload
+built by them stores no other zero and a test for 0 is first `v is Q0`, with
+no Python-level call.  Correctness never rests on this: a zero that reached
+a payload some other way is still caught by the value test each such site
+keeps behind the identity test.
+
 `qadd`, `qsub` and `qmul` are the payload arithmetic.  Most coordinates of
 the sparse data are 0, and most coefficients 0 or 1, so they reuse an
 operand instead of building a new rational: x + 0 and x - 0 are x, 0 - x is
--x, x * 0 is the shared `Q0`, x * 1 is x and x * -1 is -x.  Only the other
-cases compute a new rational; the value is the same either way.
+-x, x * 0 is `Q0`, x * 1 is x and x * -1 is -x, each decided by identity
+with `Q0` before any value is read.  Only the other cases compute a new
+rational, and a sum or difference that cancels is `Q0`.
 
 `qle`, `qeq`, `qmax`, `qmin` and `qabs` are the payload decisions: every
 sup, inf, |x|, positive part and order test of the lattice walks ends in
@@ -50,34 +58,41 @@ _ONE, _MINUS_ONE = (1, 1), (-1, 1)
 
 
 def qof(x: QLike) -> Q:
-    if isinstance(x, Q):
-        return x
-    return Q(x)
+    if not isinstance(x, Q):
+        x = Q(x)
+    return x if x else Q0
 
 
 def qadd(a: Q, b: Q) -> Q:
-    """a + b, reusing the other operand when one is 0."""
+    """a + b, reusing the other operand when one is 0; Q0 when it cancels."""
+    if b is Q0 or a is Q0:
+        return a if b is Q0 else b
     if not b:
         return a
     if not a:
         return b
-    return a + b
+    s = a + b
+    return s if s else Q0
 
 
 def qsub(a: Q, b: Q) -> Q:
-    """a - b: Q0 when b is a, a when b is 0 and -b when a is 0."""
+    """a - b: Q0 when b is a or the difference cancels, a when b is 0 and
+    -b when a is 0."""
     if a is b:
         return Q0
-    if not b:
+    if b is Q0 or not b:
         return a
-    if not a:
+    if a is Q0 or not a:
         return -b
-    return a - b
+    d = a - b
+    return d if d else Q0
 
 
 def qmul(a: Q, b: Q) -> Q:
     """a * b: Q0 when a factor is 0, the other factor (or its negation)
     when one is 1 (or -1)."""
+    if a is Q0 or b is Q0:
+        return Q0
     pa, pb = a.as_integer_ratio(), b.as_integer_ratio()
     if not pa[0] or not pb[0]:
         return Q0

@@ -160,7 +160,7 @@ def _eval_symbolic(seq: ElementSeq, n: int) -> list:
     hits: dict = {}
     for form, coeff in seq.atoms:
         c = coeff.at(n)
-        if c != 0:
+        if c is not Q0 and c:
             idx = form.at(n)
             hits[idx] = qadd(hits.get(idx, Q0), c)
     for f in seq.fills:
@@ -173,7 +173,7 @@ def _eval_symbolic(seq: ElementSeq, n: int) -> list:
 def _atom_parts(hits) -> list:
     """Generator parts of (atom index, coefficient) pairs, in atom order."""
     ordered = sorted(hits, key=lambda kv: atom_key(kv[0]))
-    return [(("atom", idx), v) for idx, v in ordered if v != 0]
+    return [(("atom", idx), v) for idx, v in ordered if v is not Q0 and v]
 
 
 def step_parts(seq: ElementSeq, n: int) -> list:

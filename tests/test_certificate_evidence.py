@@ -13,8 +13,12 @@ rejected, and the certificates the deciders produce must still verify.
 from __future__ import annotations
 
 import dataclasses
+from itertools import accumulate
+from pathlib import Path
 
 import pytest
+
+from rieszkit.calculus import order_continuity_test
 
 from rieszkit.convergence import (
     CONVERGES,
@@ -25,9 +29,11 @@ from rieszkit.convergence import (
     verify_certificate,
 )
 from rieszkit.elements import add, atom, element_findev, element_tail, scale, unit, zero
+from rieszkit.operators import atom_image
 from rieszkit.scalars import Q, RationalSeq
 from rieszkit.sequences import element_seq, fill
 from rieszkit.spaces import fin_dev, gamma, seq_form, tail_seq, token_form
+from rieszkit.specfile import build_all, parse
 
 PROBE = 8
 STATIC = [Q(3), Q(-1, 2), Q(2), Q(5, 3), Q(-4)]
@@ -122,3 +128,45 @@ def test_a_verdict_without_its_evidence_is_refused_unchecked():
         cert = ConvergenceCertificate(verdict=verdict, space=space, mode=mode)
         assert verify_certificate(cert, x, zero(space)) == (
             False, [f"FAIL a {verdict} certificate in mode {mode} carries no {lacking}"])
+
+
+FINDIM_TO_L0INF = """space E = findim(2)
+space F = l0inf
+
+operator T : E -> F {
+  e(1) -> 1 @ 1
+  e(2) -> 2 @ 3
+}
+"""
+
+
+@pytest.mark.parametrize("text", [
+    (Path(__file__).parent / "specs" / "findim_matrix.rzk").read_text(encoding="utf-8"),
+    FINDIM_TO_L0INF,
+], ids=["findim_matrix", "findim_to_l0inf"])
+def test_a_finite_sum_certificate_is_checked_symbolically(text):
+    """On a findim domain `order_continuity_test` cites the partial-sum
+    criterion alone and carries no order bound or dominating family.  Its
+    evidence entry asks for none: the certificate verifies against the
+    sequence whose prelude is the partial sums and whose static part is the
+    unit image, because x - limit is symbolically 0 past the prelude, and
+    is refused when the static part differs from the limit."""
+    (T,) = build_all(parse(text))[1].values()
+    ok, cert = order_continuity_test(T)
+    assert ok and (cert.verdict, cert.mode, cert.order_bound, cert.dominating) == (
+        CONVERGES, "order", None, None)
+    n = T.domain.dim
+    sums = tuple(accumulate(atom_image(T, k) for k in range(1, n + 1)))
+    assert sums[-1] == T.unit_image
+    x = element_seq(T.codomain, static=T.unit_image, n0=n + 1, prelude=sums)
+    assert verify_certificate(cert, x, T.unit_image, PROBE) == (
+        True, [f"x - limit is 0 from n={n + 1} on (symbolic)"])
+    off = element_seq(T.codomain, static=add(T.unit_image, atom(T.codomain, 1)),
+                      n0=n + 1, prelude=sums)
+    assert verify_certificate(cert, off, T.unit_image, PROBE) == (
+        False, ["FAIL x - limit is not eventually 0"])
+    # the entry is the certificate's own: the same fields without its
+    # anchors are refused unchecked, as every empty certificate is
+    bare = dataclasses.replace(cert, anchors=())
+    assert verify_certificate(bare, x, T.unit_image, PROBE) == (
+        False, ["FAIL a converges certificate in mode order carries no order_bound"])

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rieszkit.errors import InvalidIndexError, SpaceMismatchError
-from rieszkit.scalars import Q, RationalSeq
+from rieszkit.scalars import Q, Q0, RationalSeq
 from rieszkit import convergence, elements, sequences
 from rieszkit.casebook import moving_indicator_operator, row_pair_difference_operator
 from rieszkit.completion import pattern_from_pieces
@@ -371,6 +371,29 @@ def test_ck_lattice_ops_match_a_token_model(rng):
         assert is_disjoint(x, y) == all(u == 0 or v == 0 for u, v in pairs)
         assert is_disjoint(pos(x), neg(x))
         assert max_abs_coord(x) == max(abs(u) for u, _ in pairs)
+
+
+def _lattice_results(x, y) -> list:
+    """x, y and what each op of the token-model test makes of them."""
+    return [x, y, *(op(x, y) for op, _ in CK_BINARY), *(op(x) for op, _ in CK_UNARY)]
+
+
+def test_every_zero_a_lattice_op_stores_is_q0(rng):
+    """Zero is one object: every value equal to 0 in the payload of an
+    operand or result of the token-model ops is Q0 itself, also where a sum
+    or a difference cancels, on ck models and on l0inf and grid patterns."""
+    cases = []
+    for _ in range(150):
+        mx, my = _random_ck_model(rng), _random_ck_model(rng)
+        # the model builds equal values as distinct objects: x - x cancels
+        cases += [(mx.element(), my.element()), (mx.element(), mx.element())]
+    for space in (T, row_block_grid()):
+        for _ in range(150):
+            x, y = random_pattern(rng, space)[0], random_pattern(rng, space)[0]
+            cases += [(x, y), (x, scale(-1, x))]
+    for x, y in cases:
+        for out in _lattice_results(x, y):
+            assert all(v is Q0 for v in _payload(out) if not v), render(out)
 
 
 def test_ck_render_merges_g_and_star_entries_by_index():

@@ -500,3 +500,43 @@ def test_dominating_search_builds_each_family_once_and_probes_only_converging(mo
         probed.discard(x)
         assert probed <= {b for b, ok in decided.items() if ok}
         assert len(probed) < len(decided)
+
+
+def test_the_zero_family_is_a_neutral_summand(monkeypatch):
+    """A pick with the zero family is the other family itself: summing it
+    on either side gives the same sequence and key at every shape and scale,
+    so the search builds it once and neither sums nor keys a repeated pick;
+    on the moving indicator 49 distinct family pairs give 24 candidates."""
+    from rieszkit import oracles
+
+    subjects = [element_seq(space, atoms=atoms) for space, form in [(T, seq_form), (F, token_form)]
+                for atoms in ([(form(1, 0), RationalSeq.const(1))],
+                              [(form(0, 2), RationalSeq.harmonic(-2))],
+                              [(form(0, 1), RationalSeq.steps([1, 2], 1)),
+                               (form(1, 2), RationalSeq.const(-1))])]
+    for x in subjects:
+        zero = element_seq(x.space)
+        for shape in oracles._SHAPES:
+            for sc in (Q(1, 2), Q(1), Q(2)):
+                fam = shape(x, sc)
+                if fam is not None:
+                    for summed in (oracles._seq_sum([zero, fam]), oracles._seq_sum([fam, zero])):
+                        assert summed == fam and oracles._seq_key(summed) == oracles._seq_key(fam)
+    keys, zero_summands = 0, 0
+
+    def keying(seq, inner=oracles._seq_key):
+        nonlocal keys
+        keys += 1
+        return inner(seq)
+
+    def summing(fams, inner=oracles._seq_sum):
+        nonlocal zero_summands
+        if len(fams) > 1:
+            zero_summands += any(fam == element_seq(fam.space) for fam in fams)
+        return inner(fams)
+
+    monkeypatch.setattr(oracles, "_seq_key", keying)
+    monkeypatch.setattr(oracles, "_seq_sum", summing)
+    res = bruteforce_dominating_search(subjects[3], 6)
+    assert (res.found, res.candidates_checked) == (None, 24)
+    assert keys == 49 and zero_summands == 0

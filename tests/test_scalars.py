@@ -28,6 +28,7 @@ from rieszkit.scalars import (
     qmax,
     qmin,
     qmul,
+    qof,
     qstr,
     qsub,
 )
@@ -291,3 +292,23 @@ def test_kernel_decides_identical_operands_without_arithmetic(monkeypatch, a):
 def test_kernel_decides_identical_operands_hypothesis(a):
     with pytest.MonkeyPatch.context() as monkeypatch:
         _identical_operands(monkeypatch, a)
+
+
+# ---------------------------------------------------------------------------
+# zero is one object
+
+
+def test_every_zero_the_kernel_makes_is_q0():
+    a = Q(7, 3)
+    assert qadd(a, -a) is Q0 and qadd(-a, a) is Q0
+    assert qsub(a, Q(a.numerator, a.denominator)) is Q0  # equal, not identical
+    assert qof(0) is Q0 and qof("0") is Q0 and qof(Q(0)) is Q0
+    assert qof(a) is a and qof("7/3") == a
+
+
+@given(st.fractions())
+def test_a_pair_that_cancels_gives_q0_hypothesis(a):
+    """Operands as a payload holds them (through qof) whose sum is 0."""
+    b = qof(Q(-a.numerator, a.denominator))
+    assert qadd(qof(a), b) is Q0
+    assert qsub(qof(a), qof(Q(a.numerator, a.denominator))) is Q0
