@@ -28,7 +28,7 @@ from itertools import chain
 from typing import Tuple
 
 from .errors import NotDecreasingError, PreconditionError, SpaceMismatchError
-from .scalars import Q, Q0, RationalSeq, qstr
+from .scalars import Q, Q0, RationalSeq, qstr, qsub
 from .spaces import SpaceDesc, Token, fresh_star, seq_form
 from .elements import (
     Element,
@@ -39,6 +39,7 @@ from .elements import (
     nonzero_classes,
     recompose,
     scale,
+    sub,
     support,
     unit,
     zero,
@@ -52,6 +53,7 @@ from .sequences import (
     eval_seq,
     eventual_pattern,
     fill,
+    moving_parts,
     normalize,
     step_parts,
     structural_threshold,
@@ -92,25 +94,33 @@ class ConvergenceCertificate:
 def check_decreasing(b: ElementSeq, probe: int = 8) -> int:
     """Verify b_{n+1} <= b_n for all n; returns the verified window end.
 
-    Concrete element comparisons cover every step up to the structural
-    threshold plus the probe; beyond that the eventual regime makes the
-    comparisons recur verbatim, which the symbolic conditions certify:
-    nonincreasing ambient, nonincreasing stationary coefficients,
+    Concrete comparisons cover every step up to the structural threshold
+    plus the probe: prelude steps compare their stored elements, and a
+    symbolic step decides b_{n+1} - b_n <= 0 on the two steps' moving
+    parts, where the static part cancels.  Beyond that the eventual regime
+    makes the comparisons recur verbatim, which the symbolic conditions
+    certify: nonincreasing ambient, nonincreasing stationary coefficients,
     nonpositive moving coefficients and fill values.
     """
-    return _check_decreasing(b, probe, partial(eval_seq, b))
-
-
-def _check_decreasing(b: ElementSeq, probe: int, step) -> int:
-    """`check_decreasing` with b_n read through `step(n)`, so a caller that
-    reads the steps again can share one memo of them."""
     window = structural_threshold(b) + probe
-    prev = step(1)
+    origin = zero(b.space)
     for n in range(1, window + 1):
-        cur = step(n + 1)
-        if not le(cur, prev):
+        if n < b.n0:
+            ok = le(eval_seq(b, n + 1), b.prelude[n - 1])
+        else:
+            if n == b.n0:
+                # the differences skip cancelled terms: check step n0's indices
+                prev = moving_parts(b, n)
+                recompose(b.space, prev)
+            cur = moving_parts(b, n + 1)
+            # terms pair up by generator; a fill hit or settled coefficient
+            # both steps share is one value object, which cancels by identity
+            later = dict(cur)
+            diff = [(r, d) for r, c in prev if (d := qsub(later.pop(r, Q0), c)) is not Q0]
+            ok = le(recompose(b.space, [*diff, *later.items()]), origin)
+            prev = cur
+        if not ok:
             raise NotDecreasingError(n, f"b({n + 1}) !<= b({n})")
-        prev = cur
     if not b.ambient.is_nonincreasing_from(1):
         raise NotDecreasingError(window, "ambient sequence increases in the tail")
     for form, coeff in b.atoms:
@@ -389,7 +399,8 @@ def verify_certificate(
     """Re-check a certificate using only element comparisons at probed steps
     plus the symbolic tail rule; independent of how it was produced.  A
     certificate without the evidence its verdict needs (`_EVIDENCE`) is
-    refused before any check runs."""
+    refused before any check runs.  The decreasing check and, with no
+    limit, the minorant loop read a sequence's static part once (`sequences`)."""
     missing = _missing_evidence(cert)
     if missing:
         return False, [missing]
@@ -417,10 +428,8 @@ def verify_certificate(
                 log.append(f"order bound holds at n=1..{window}")
         b = cert.dominating
         if b is not None:
-            # the decreasing check and the domination loop share b's steps
-            b_step = cache(partial(eval_seq, b))
             try:
-                _check_decreasing(b, probe, b_step)
+                check_decreasing(b, probe)
                 log.append("dominating family verified decreasing")
             except NotDecreasingError as e:
                 log.append(f"FAIL dominating family not decreasing: {e}")
@@ -433,7 +442,7 @@ def verify_certificate(
             for n in range(max(1, cert.n0), window + 1):
                 resid = (_less_atoms(d.space, d_parts(n), cert.escaping, n)
                          if cert.escaping else d_step(n))
-                if not abs_le(resid, b_step(n)):
+                if not abs_le(resid, eval_seq(b, n)):
                     log.append(f"FAIL domination of the stationary part at n={n}")
                     ok = False
                     break
@@ -510,7 +519,9 @@ def verify_certificate(
             log.append("minorant is positive")
         if limit is None:
             for n in range(1, window + 1):
-                if not le(h, eval_seq(x, n)):
+                below = (le(h, x.prelude[n - 1]) if n < x.n0 else
+                         le(sub(h, recompose(x.space, moving_parts(x, n))), x.static))
+                if not below:
                     log.append(f"FAIL minorant not below the family at n={n}")
                     ok = False
                     break

@@ -211,15 +211,15 @@ class RationalSeq:
 
     def scale(self, c: QLike) -> "RationalSeq":
         c_q = qof(c)
-        return _closed([v * c_q for v in self.prefix], self.tail * c_q, self.h * c_q)
+        return _closed([qmul(v, c_q) for v in self.prefix], qmul(self.tail, c_q), qmul(self.h, c_q))
 
     def add(self, other: "RationalSeq") -> "RationalSeq":
         a, b = self, other
         if bool(a.h) != bool(b.h) and not (a.is_zero() or b.is_zero()):
             raise ValueError("no closed form for harmonic + non-harmonic")
         width = max(len(a.prefix), len(b.prefix))
-        pref = [a.at(n) + b.at(n) for n in range(1, width + 1)]
-        return _closed(pref, a.tail + b.tail, a.h + b.h)
+        pref = [qadd(a.at(n), b.at(n)) for n in range(1, width + 1)]
+        return _closed(pref, qadd(a.tail, b.tail), qadd(a.h, b.h))
 
     def abs_env(self) -> "RationalSeq":
         """Nonincreasing envelope e(n) >= |self(n)| with the same (zero) limit class.
@@ -228,12 +228,12 @@ class RationalSeq:
         the envelope is eventually |tail| + |h|/n.
         """
         env = []
-        running = abs(self.tail)
+        running = qabs(self.tail)
         for v in reversed(self.prefix):
-            running = max(running, abs(v))
+            running = qmax(running, qabs(v))
             env.append(running)
         env.reverse()
-        return _closed(env, abs(self.tail), abs(self.h))
+        return _closed(env, qabs(self.tail), qabs(self.h))
 
     def settle_bound(self) -> int:
         """An index beyond which the sequence is in its eventual regime."""
@@ -248,7 +248,7 @@ class RationalSeq:
 
 def _closed(prefix: list, tail: Q, h: Q) -> RationalSeq:
     """The canonical form: trailing prefix entries equal to the tail go."""
-    while prefix and prefix[-1] == tail:
+    while prefix and qeq(prefix[-1], tail):
         prefix.pop()
     return RationalSeq(tuple(prefix), tail, h)
 

@@ -23,7 +23,9 @@ collects the static part, the ambient limit and the stationary atoms, and
 each fill is a piece.  `step_parts` gives a step as those parts, so a caller
 that goes on to add to the step (a residual, an image) canonicalizes once;
 `eval_seq` is their `recompose`.  The static part is the same at every
-step, so a sequence decomposes it once, on first use.
+step, so a sequence decomposes it once, on first use.  A symbolic step is
+its static parts followed by `moving_parts` (the unit term and the atom and
+fill hits), which a probe loop comparing steps reads without the static part.
 """
 
 from __future__ import annotations
@@ -157,6 +159,12 @@ def element_seq(
 def _eval_symbolic(seq: ElementSeq, n: int) -> list:
     """The generator parts of the symbolic value at step n (ignores the
     prelude)."""
+    return [*seq._static_parts, *moving_parts(seq, n)]
+
+
+def moving_parts(seq: ElementSeq, n: int) -> list:
+    """The symbolic step n less the static part, as generator parts: the
+    ambient's unit term, then the atom and fill hits in atom order."""
     hits: dict = {}
     for form, coeff in seq.atoms:
         c = coeff.at(n)
@@ -167,7 +175,7 @@ def _eval_symbolic(seq: ElementSeq, n: int) -> list:
         for k in f.ks_at(n):
             idx = f.form.at(k)
             hits[idx] = qadd(hits.get(idx, Q0), f.value)
-    return [*seq._static_parts, (("unit",), seq.ambient.at(n)), *_atom_parts(hits.items())]
+    return [(("unit",), seq.ambient.at(n)), *_atom_parts(hits.items())]
 
 
 def _atom_parts(hits) -> list:

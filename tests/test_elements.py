@@ -32,6 +32,7 @@ from rieszkit.spaces import (
     row_block_grid,
     seq_form,
     tail_seq,
+    token_form,
 )
 from rieszkit.elements import (
     abs_,
@@ -747,50 +748,93 @@ def _probe_cost_cases():
 
 
 def test_probe_loops_evaluate_each_step_once(monkeypatch):
-    """check_decreasing evaluates each step of b once, verify_certificate
-    each step of d at most once, and both grow linearly in the window."""
-    evals = Counter()
-    symbolic = sequences._eval_symbolic
+    """check_decreasing reads the moving part of each step of b once and
+    builds no step; verify_certificate builds each step of d and of b at
+    most once; both grow linearly in the window."""
+    moved, built = Counter(), Counter()
+    moving, symbolic = sequences.moving_parts, sequences._eval_symbolic
 
-    def counting(seq, n):
-        evals[seq, n] += 1
+    def counting_moving(seq, n):
+        moved[seq, n] += 1
+        return moving(seq, n)
+
+    def counting_built(seq, n):
+        built[seq, n] += 1
         return symbolic(seq, n)
 
-    monkeypatch.setattr(sequences, "_eval_symbolic", counting)
+    for module in (sequences, convergence):
+        monkeypatch.setattr(module, "moving_parts", counting_moving)
+    monkeypatch.setattr(sequences, "_eval_symbolic", counting_built)
     for x, limit, cert in _probe_cost_cases():
         b = cert.dominating
         totals = {"check_decreasing": [], "verify_certificate": []}
         for probe in (8, 16, 32):
-            evals.clear()
+            moved.clear()
+            built.clear()
             window = check_decreasing(b, probe)
-            assert evals == Counter({(b, n): 1 for n in range(b.n0, window + 2)})
-            totals["check_decreasing"].append(sum(evals.values()))
-            evals.clear()
+            assert moved == Counter({(b, n): 1 for n in range(b.n0, window + 2)})
+            assert not built
+            totals["check_decreasing"].append(sum(moved.values()))
+            moved.clear()
             ok, _ = verify_certificate(cert, x, limit, probe)
             assert ok
-            assert max(c for (seq, _), c in evals.items() if seq != b) == 1
-            totals["verify_certificate"].append(sum(evals.values()))
+            assert max(built.values()) == 1
+            totals["verify_certificate"].append(sum(moved.values()))
         for name, (t8, t16, t32) in totals.items():
             assert t8 < t16 and t32 - t16 == 2 * (t16 - t8), (x.space.label, name, t8, t16, t32)
 
 
 def test_verify_certificate_builds_each_step_of_d_once(monkeypatch):
     """With no escaping atoms the domination loop reads the order-bound
-    loop's element of d_n: one `recompose` per step of the window."""
-    calls = 0
-    build = convergence.recompose
+    loop's element of d_n: one `recompose` of d's step parts per step of
+    the window."""
+    parts_of_d, calls = [], 0
+    step_parts, build = convergence.step_parts, convergence.recompose
+
+    def recording(seq, n):
+        parts_of_d.append(step_parts(seq, n))
+        return parts_of_d[-1]
 
     def counting(space, parts):
         nonlocal calls
-        calls += 1
+        calls += any(parts is p for p in parts_of_d)
         return build(space, parts)
 
     bump, limit, cert = _probe_cost_cases()[0]
     assert cert.escaping == ()
+    monkeypatch.setattr(convergence, "step_parts", recording)
     monkeypatch.setattr(convergence, "recompose", counting)
     ok, log = verify_certificate(cert, bump, limit, 8)
     assert ok and log[0] == f"order bound holds at n=1..{calls}"
-    assert calls == 10
+    assert calls == len(parts_of_d) == 10
+
+
+@pytest.mark.parametrize("space", [T, F], ids=lambda s: s.label)
+def test_check_decreasing_cost_does_not_grow_with_the_static_part(monkeypatch, space):
+    """A step compares b_{n+1} - b_n, where the static part cancels: a
+    static part of 10 or of 1000 entries takes the same `qle` calls."""
+    calls = 0
+    decide = elements.qle
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return decide(a, b)
+
+    monkeypatch.setattr(elements, "qle", counting)
+    index = (lambda k: k) if space == T else gamma
+    line = seq_form(1, 0) if space == T else token_form(1, 0)
+    counts = []
+    for size in (10, 1000):
+        static = recompose(space, [(("atom", index(k)), Q(k % 7 + 1)) for k in range(1, size + 1)])
+        b = element_seq(space, static=static, fills=[sequences.fill(line, 2, 1, 1, 1, -1)],
+                        atoms=[(seq_form(0, 3) if space == T else token_form(0, 3),
+                                RationalSeq.steps([2, 1], 0))],
+                        ambient=RationalSeq.steps([3, 2], 1))
+        calls = 0
+        assert check_decreasing(b, 8) > 8
+        counts.append(calls)
+    assert counts[0] == counts[1] > 0
 
 
 def test_verify_certificate_evaluates_each_step_of_b_once(monkeypatch):

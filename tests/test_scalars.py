@@ -306,6 +306,29 @@ def test_every_zero_the_kernel_makes_is_q0():
     assert qof(a) is a and qof("7/3") == a
 
 
+def test_every_zero_a_coefficient_sequence_stores_is_q0():
+    """`RationalSeq`'s sums, multiples and envelopes compute through the
+    kernel, so a coefficient that is 0 is `Q0` too."""
+    total = RationalSeq.steps([1, 2], 1).add(RationalSeq.steps([-1, -2], -1))
+    assert total.tail is Q0 and total.h is Q0 and total.prefix == ()
+    doubled = RationalSeq.steps([1, 0, 2], 3).scale(2)
+    assert doubled.prefix == (Q(2), Q0, Q(4))
+    assert all(v is Q0 for v in doubled.prefix if v == 0)
+    assert RationalSeq.steps([Q(-1, 2), 0], 0).abs_env().tail is Q0
+    mixed = RationalSeq.steps([1, 0, 3], 0).add(RationalSeq.steps([-1, 2], 0))
+    assert mixed.prefix == (Q0, Q(2), Q(3)) and mixed.prefix[0] is Q0
+    rng = random.Random(11)
+    for _ in range(200):
+        (a, _), (b, _) = _operand(rng), _operand(rng)
+        seqs = [a.scale(_scalar(rng)), a.abs_env()]
+        try:
+            seqs.append(a.add(b))
+        except ValueError:
+            pass
+        for seq in seqs:
+            assert all(v is Q0 for v in (*seq.prefix, seq.tail, seq.h) if v == 0)
+
+
 @given(st.fractions())
 def test_a_pair_that_cancels_gives_q0_hypothesis(a):
     """Operands as a payload holds them (through qof) whose sum is 0."""
