@@ -294,6 +294,34 @@ def test_witness_tail_window_covers_the_rule_period_and_form_meetings():
     assert all(verify_witness(T_, R, probe)[0] for probe in (1, 2, 3, 8))
 
 
+@pytest.mark.parametrize("domain", [row_block_grid(), row_block_ek()], ids=["grid", "ek"])
+def test_witness_on_row_blocks_checks_every_table_entry_and_row_unit(domain):
+    """On a row-block domain the witness window holds rows 1..probe only:
+    R <= T must still be checked at a table entry in row 40, past every
+    probed row, and on ek at the row unit 40, whatever the probe."""
+    G = row_block_grid()
+    far, lit = (40, 2), atom(G, (40, 2))
+    rows = {40: add(lit, atom(G, (40, 5)))} if domain.row_units else {}
+    T_ = operator(domain, G, {(1, 1): atom(G, (1, 1)), far: lit}, None, rows,
+                  scale(2, unit(G)))
+    assert is_positive_operator(T_)
+    for probe in (1, 32):
+        R = pervasive_witness(T_, probe).operator
+        ok, log = verify_witness(R, T_, probe)
+        assert ok and "R <= T on the probed atom grid and every table entry" in log, log
+        # (atom images, row-unit images, unit image increase, the one FAIL line)
+        raised = [({far: scale(2, lit)}, {}, scale(2, lit), "FAIL R <= T at atom (40, 2)")]
+        if domain.row_units:
+            row5 = scale(2, atom(G, (40, 5)))
+            raised.append(({}, {40: row5}, row5, "FAIL R <= T at row unit 40"))
+        for images, row_images, extra, fail in raised:
+            bad = operator(domain, G, {**dict(R.atom_images), **images}, None, row_images,
+                           add(R.unit_image, extra))
+            assert is_positive_operator(bad)
+            ok, log = verify_witness(bad, T_, probe)
+            assert not ok and [line for line in log if line.startswith("FAIL")] == [fail], log
+
+
 def test_boundedness_precondition_is_the_leak_check(monkeypatch):
     """An unbounded operator is refused with order_bounded_test's note by
     every procedure that needs a bounded one; a bounded operator passes
