@@ -28,7 +28,7 @@ from typing import Tuple
 from .records import record, replace
 from .errors import PreconditionError, UnsupportedHypothesisError
 from .scalars import Q
-from .spaces import AtomIndex, SpaceDesc, atom_str, forms_collide_at
+from .spaces import AtomIndex, SpaceDesc, atom_key, atom_str, forms_collide_at
 from .elements import (
     Element,
     add,
@@ -45,7 +45,7 @@ from .elements import (
     sub,
     unit,
 )
-from .convergence import ConvergenceCertificate, decide_order_convergence
+from .convergence import ConvergenceCertificate, decide_order_convergence, first_failure
 from .operators import (
     Operator,
     apply_op,
@@ -60,7 +60,7 @@ from .operators import (
     rank_one,
     row_sum_pattern,
     row_unit_image,
-    _max_drive,
+    table_top,
     _stationary_leak,
 )
 
@@ -294,7 +294,7 @@ def _atom_window(domain: SpaceDesc, top: int, probe: int) -> list:
 
 
 def _first_positive_generator(T: Operator, probe: int):
-    top = (T.rule.threshold if T.rule else _max_drive(T)) + probe
+    top = table_top(T) + probe
     for idx, img in T.atom_images:  # explicit table first (sorted)
         if not img.is_zero():
             return ("atom", idx), atom(T.domain, idx)
@@ -340,9 +340,13 @@ def _tail_steps(R: Operator, T: Operator, top: int, probe: int) -> list[int]:
 
 def verify_witness(R: Operator, T: Operator, probe: int = 8) -> tuple[bool, list[str]]:
     """Re-check 0 < R <= T on generators (probed window plus symbolic tail):
-    the one witness verifier, whose log is a witness's transcript."""
-    log: list[str] = []
-    ok = True
+    the one witness verifier, whose log is a witness's transcript.
+
+    R <= T is compared at every atom of the window (`_atom_window`) and of
+    both tables, in `atom_key` order; on enumerated domains the tables lie
+    inside the window.  Then come the row units of both tables (ek only),
+    the rule tail past the window (l0inf only, `_tail_steps`) and the
+    unit."""
     if not is_positive_operator(R):
         return False, ["FAIL R is not positive"]
     nonzero = any(not img.is_zero() for _, img in R.atom_images) or (
@@ -350,53 +354,41 @@ def verify_witness(R: Operator, T: Operator, probe: int = 8) -> tuple[bool, list
     )
     if not nonzero:
         return False, ["FAIL R is zero"]
-    log.append("R is positive and nonzero")
-    top = max(
-        R.rule.threshold if R.rule else _max_drive(R),
-        T.rule.threshold if T.rule else _max_drive(T),
-    ) + probe
+    log = ["R is positive and nonzero"]
+    top = max(table_top(R), table_top(T)) + probe
     window = _atom_window(T.domain, top, probe)
-    if T.domain.row.enumerated:
-        for i in window:
-            if not le(atom_image(R, i), atom_image(T, i)):
-                log.append(f"FAIL R(e{i}) !<= T(e{i})")
-                ok = False
-        if ok:
-            log.append(f"R <= T on atoms 1..{len(window)}")
-        if T.domain.row.sequence:
-            if R.rule is None or R.rule.is_zero():
-                # tail: R vanishes there while T's rule keeps positive coefficients
-                tail_ok = T.rule is None or all(
-                    c >= 0 for es in T.rule.entries for _, c in es
-                )
-                log.append(
-                    "tail rule comparison: R vanishes beyond its table and T stays positive"
-                    if tail_ok
-                    else "FAIL tail comparison"
-                )
-                ok = ok and tail_ok
-            else:
-                for i in _tail_steps(R, T, top, probe):
-                    if not le(atom_image(R, i), atom_image(T, i)):
-                        log.append(f"FAIL tail comparison at atom {i}")
-                        ok = False
-                        break
-                else:
-                    log.append("R <= T on the probed tail")
-    else:
-        pairs = set(window)
-        pairs.update(k for k, _ in R.atom_images)
-        pairs.update(k for k, _ in T.atom_images)
-        for nm in sorted(pairs):
-            if not le(atom_image(R, nm), atom_image(T, nm)):
-                log.append(f"FAIL R <= T at atom {nm}")
-                ok = False
-        if ok:
-            log.append("R <= T on the probed atom grid and every table entry")
-        for r in {k for k, _ in R.row_unit_images} | {k for k, _ in T.row_unit_images}:
-            if not le(row_unit_image(R, r), row_unit_image(T, r)):
-                log.append(f"FAIL R <= T at row unit {r}")
-                ok = False
+    enumerated = T.domain.row.enumerated
+    atoms = {*window, *(k for k, _ in R.atom_images), *(k for k, _ in T.atom_images)}
+    fails = [i for i in sorted(atoms, key=atom_key)
+             if not le(atom_image(R, i), atom_image(T, i))]
+    log += [f"FAIL R(e{i}) !<= T(e{i})" if enumerated else f"FAIL R <= T at atom {i}"
+            for i in fails]
+    ok = not fails
+    if ok:
+        log.append(f"R <= T on atoms 1..{len(window)}" if enumerated
+                   else "R <= T on the probed atom grid and every table entry")
+    for r in {k for k, _ in R.row_unit_images} | {k for k, _ in T.row_unit_images}:
+        if not le(row_unit_image(R, r), row_unit_image(T, r)):
+            log.append(f"FAIL R <= T at row unit {r}")
+            ok = False
+    if T.domain.row.sequence:
+        if R.rule is None or R.rule.is_zero():
+            # tail: R vanishes there while T's rule keeps positive coefficients
+            tail_ok = T.rule is None or all(
+                c >= 0 for es in T.rule.entries for _, c in es
+            )
+            log.append(
+                "tail rule comparison: R vanishes beyond its table and T stays positive"
+                if tail_ok
+                else "FAIL tail comparison"
+            )
+            ok = ok and tail_ok
+        else:
+            i = first_failure(_tail_steps(R, T, top, probe),
+                              lambda i: le(atom_image(R, i), atom_image(T, i)))
+            log.append("R <= T on the probed tail" if i is None
+                       else f"FAIL tail comparison at atom {i}")
+            ok = ok and i is None
     if not T.domain.dim:
         if not le(R.unit_image, T.unit_image):
             log.append("FAIL R(unit) !<= T(unit)")

@@ -316,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="rieszkit",
         description="exact symbolic calculus for regular operators",
-        parents=[common],
     )
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -34,6 +34,7 @@ from .elements import (
     Element,
     abs_le,
     atom,
+    is_positive,
     le,
     max_abs_coord,
     nonzero_classes,
@@ -390,6 +391,20 @@ def _missing_evidence(cert: ConvergenceCertificate) -> str | None:
     return None
 
 
+def first_failure(steps, holds) -> int | None:
+    """The first of the steps at which holds(step) is false, or None when it
+    holds at every one: the shape of each probed check of the verifiers."""
+    return next((n for n in steps if not holds(n)), None)
+
+
+def _minorant_positive(h: Element, log: list[str]) -> bool:
+    """Whether the minorant h is a positive element (h >= 0 and h != 0),
+    logged."""
+    ok = is_positive(h) and not h.is_zero()
+    log.append("minorant is positive" if ok else "FAIL minorant is not positive")
+    return ok
+
+
 def verify_certificate(
     cert: ConvergenceCertificate,
     x: ElementSeq,
@@ -397,10 +412,17 @@ def verify_certificate(
     probe: int = 8,
 ) -> tuple[bool, list[str]]:
     """Re-check a certificate using only element comparisons at probed steps
-    plus the symbolic tail rule; independent of how it was produced.  A
-    certificate without the evidence its verdict needs (`_EVIDENCE`) is
-    refused before any check runs.  The decreasing check and, with no
-    limit, the minorant loop read a sequence's static part once (`sequences`)."""
+    plus the symbolic tail rule; independent of how it was produced.
+
+    A certificate without the evidence its verdict needs (`_EVIDENCE`) is
+    refused before any check runs.  Each probed check (the order bound, the
+    domination of the stationary part, the minorant below the family) walks
+    the steps up to the structural threshold plus the probe and logs the
+    first failing n (`first_failure`).  Escaping forms must be moving: a
+    positive slope makes a form injective, so its supports leave every finite
+    set.  A minorant must be positive and nonzero.  The decreasing check and,
+    with no limit, the minorant walk read a sequence's static part once
+    (`sequences`)."""
     missing = _missing_evidence(cert)
     if missing:
         return False, [missing]
@@ -409,7 +431,7 @@ def verify_certificate(
     window = structural_threshold(d) + probe
     if cert.verdict == CONVERGES:
         ok = True
-        # the two probe loops share the steps of d: each is evaluated once,
+        # the two probe walks share the steps of d: each is evaluated once,
         # and built once when no escaping atoms come off it
         d_parts = cache(partial(step_parts, d))
         d_step = cache(lambda n: recompose(d.space, d_parts(n)))
@@ -419,13 +441,11 @@ def verify_certificate(
             log.append(f"x - limit is 0 from n={d.n0} on (symbolic)" if ok
                        else "FAIL x - limit is not eventually 0")
         if cert.order_bound is not None:
-            for n in range(1, window + 1):
-                if not abs_le(d_step(n), cert.order_bound):
-                    log.append(f"FAIL order bound at n={n}")
-                    ok = False
-                    break
-            else:
-                log.append(f"order bound holds at n=1..{window}")
+            n = first_failure(range(1, window + 1),
+                              lambda n: abs_le(d_step(n), cert.order_bound))
+            log.append(f"order bound holds at n=1..{window}" if n is None
+                       else f"FAIL order bound at n={n}")
+            ok = ok and n is None
         b = cert.dominating
         if b is not None:
             try:
@@ -439,15 +459,12 @@ def verify_certificate(
                 ok = False
             else:
                 log.append("dominating family settles at 0 (monotone rule)")
-            for n in range(max(1, cert.n0), window + 1):
-                resid = (_less_atoms(d.space, d_parts(n), cert.escaping, n)
-                         if cert.escaping else d_step(n))
-                if not abs_le(resid, eval_seq(b, n)):
-                    log.append(f"FAIL domination of the stationary part at n={n}")
-                    ok = False
-                    break
-            else:
-                log.append(f"stationary part dominated at n={cert.n0}..{window}")
+            n = first_failure(range(max(1, cert.n0), window + 1), lambda n: abs_le(
+                _less_atoms(d.space, d_parts(n), cert.escaping, n) if cert.escaping else d_step(n),
+                eval_seq(b, n)))
+            log.append(f"stationary part dominated at n={cert.n0}..{window}" if n is None
+                       else f"FAIL domination of the stationary part at n={n}")
+            ok = ok and n is None
         for form, coeff in cert.escaping:
             if not form.moving:
                 log.append(f"FAIL escaping form {form} is stationary")
@@ -455,35 +472,19 @@ def verify_certificate(
             if coeff.max_abs() > cert.escape_bound:
                 log.append(f"FAIL escaping coefficient at {form} exceeds the bound")
                 ok = False
-        if cert.escaping:
-            # each form is injective (strictly moving), and distinct affine
-            # forms share a coordinate at most once, so every fixed
-            # coordinate is hit finitely often and the supports escape any
-            # finite set; probe per-form injectivity on the window
-            revisit = False
-            for form, _ in cert.escaping:
-                seen = set()
-                for n in range(max(1, cert.n0), window + 1):
-                    idx = form.at(n)
-                    if idx in seen:
-                        revisit = True
-                    seen.add(idx)
-            if revisit:
-                log.append("FAIL an escaping support revisits a coordinate")
-                ok = False
-            else:
-                log.append("escaping supports leave every finite set (probed + affine)")
+        if cert.escaping and all(form.moving for form, _ in cert.escaping):
+            # a moving form has positive slope, so it is injective, and
+            # distinct affine forms share a coordinate at most once: every
+            # fixed coordinate is hit finitely often
+            log.append("escaping supports leave every finite set (probed + affine)")
         return ok, log
     # diverges
-    ok = True
+    ok, h = True, cert.minorant
     if cert.mode == "o1_obstruction":
         # the minorant bounds every candidate decreasing family above |x_n|,
         # not x itself; re-derive the coefficient floor and the freshness
-        h = cert.minorant
-        if le(h, zero(h.space)) or h.is_zero():
-            log.append("FAIL minorant is not positive")
+        if not _minorant_positive(h, log):
             return False, log
-        log.append("minorant is positive")
         floors = [
             abs(c.eventual_value())
             for f, c in x.atoms
@@ -510,23 +511,15 @@ def verify_certificate(
             log.append(f"minorant sits at the fresh point {fresh[0]}")
         return ok, log
     pat = eventual_pattern(d)
-    if cert.minorant is not None:
-        h = cert.minorant
-        if le(h, zero(h.space)) or h.is_zero():
-            log.append("FAIL minorant is not positive")
-            ok = False
-        else:
-            log.append("minorant is positive")
+    if h is not None:
+        ok = _minorant_positive(h, log)
         if limit is None:
-            for n in range(1, window + 1):
-                below = (le(h, x.prelude[n - 1]) if n < x.n0 else
-                         le(sub(h, recompose(x.space, moving_parts(x, n))), x.static))
-                if not below:
-                    log.append(f"FAIL minorant not below the family at n={n}")
-                    ok = False
-                    break
-            else:
-                log.append(f"minorant below the family at n=1..{window}")
+            n = first_failure(range(1, window + 1), lambda n: (
+                le(h, x.prelude[n - 1]) if n < x.n0 else
+                le(sub(h, recompose(x.space, moving_parts(x, n))), x.static)))
+            log.append(f"minorant below the family at n=1..{window}" if n is None
+                       else f"FAIL minorant not below the family at n={n}")
+            ok = ok and n is None
             # past the window: below the family's eventual pattern
             if not le(h, pat):
                 log.append("FAIL minorant not below the eventual pattern")

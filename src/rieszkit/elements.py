@@ -719,13 +719,9 @@ def pos(x: Element) -> Element:
     return _map(x, partial(qmax, Q0))
 
 
-def _neg_part(v: Q) -> Q:
-    return -v if v.numerator < 0 else Q0
-
-
 def neg(x: Element) -> Element:
     """Negative part (-x) v 0."""
-    return _map(x, _neg_part)
+    return _map(x, lambda v: -v if v.numerator < 0 else Q0)
 
 
 def abs_(x: Element) -> Element:

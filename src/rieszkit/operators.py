@@ -50,7 +50,6 @@ from .elements import (
     lincomb,
     max_abs_coord,
     pos,
-    neg,
     abs_,
     recompose,
     scale,
@@ -340,10 +339,7 @@ def scale_op(c: QLike, T: Operator) -> Operator:
 def add_op(S: Operator, T: Operator) -> Operator:
     if S.domain != T.domain or S.codomain != T.codomain:
         raise SpaceMismatchError("operator shapes differ")
-    threshold = max(
-        S.rule.threshold if S.rule else _max_drive(S),
-        T.rule.threshold if T.rule else _max_drive(T),
-    )
+    threshold = max(table_top(S), table_top(T))
     modulus = lcm(1, *(op_.rule.modulus for op_ in (S, T) if op_.rule is not None))
     merged_entries = []
     for r in range(modulus):
@@ -393,6 +389,12 @@ def add_op(S: Operator, T: Operator) -> Operator:
 
 def _max_drive(T: Operator) -> int:
     return max((_driving_index(idx) for idx, _ in T.atom_images), default=0)
+
+
+def table_top(T: Operator) -> int:
+    """The driving index past which T's images follow its rule: the rule
+    threshold, or with no rule the largest driving index of a table entry."""
+    return T.rule.threshold if T.rule else _max_drive(T)
 
 
 def op_eq(S: Operator, T: Operator) -> bool:
@@ -532,7 +534,7 @@ def partial_sum_seq(T: Operator) -> ElementSeq:
     """s_n = sum of the first n atom images, in closed symbolic form."""
     if not T.domain.row.sequence:
         raise PreconditionError("partial sums need countably enumerated atoms")
-    threshold = T.rule.threshold if T.rule else _max_drive(T)
+    threshold = table_top(T)
     fills = []
     for r, first, form, c in _rule_sweep(T.rule):
         if not form.moving:
@@ -568,14 +570,12 @@ def _rule_sweep(rule: StencilRule | None):
             yield r, first, form, c
 
 
+# name -> (coefficient map, element map) of an image-sum transform
 _TRANSFORMS = {
-    "id": lambda c: c,
-    "pos": lambda c: max(c, Q(0)),
-    "neg": lambda c: max(-c, Q(0)),
-    "abs": lambda c: abs(c),
+    "id": (lambda c: c, lambda x: x),
+    "pos": (lambda c: max(c, Q(0)), pos),
+    "abs": (lambda c: abs(c), abs_),
 }
-
-_ELEM_TRANSFORMS = {"id": lambda x: x, "pos": pos, "neg": neg, "abs": abs_}
 
 
 def image_sum_pattern(T: Operator, transform: str = "id") -> Element:
@@ -599,8 +599,7 @@ def row_sum_pattern(T: Operator, row: int, transform: str = "id") -> Element:
 def _sum_pattern(T: Operator, transform: str, row: int | None) -> Element:
     """Sum over all atoms, or over one row: the table entries less what the
     rule pieces put there, plus the rule pieces."""
-    tf = _TRANSFORMS[transform]
-    etf = _ELEM_TRANSFORMS[transform]
+    tf, etf = _TRANSFORMS[transform]
     parts = []
     for idx, img in T.atom_images:
         if row is None or idx[0] == row:

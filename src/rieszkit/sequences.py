@@ -343,11 +343,8 @@ def deviation_bound(seq: ElementSeq) -> Q:
 def cover_shift(seq: ElementSeq) -> int:
     """A shift s such that every coordinate with line index i is settled by
     step i + s: fills have reached it and transient atoms have passed."""
+    # fills: structural_threshold already passes each kmin + lag + modulus
     s = structural_threshold(seq)
-    for f in seq.fills:
-        step, _ = f.line_params()
-        # coordinate step*j+offset arrives at k = modulus-granular j plus lag
-        s = max(s, f.kmin + f.lag + f.modulus + 1)
     for form, coeff in seq.atoms:
         if form.moving:
             b = form.idx.b

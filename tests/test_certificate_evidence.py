@@ -26,13 +26,14 @@ from rieszkit.convergence import (
     ConvergenceCertificate,
     decide_monotone_limit,
     decide_order_convergence,
+    o1_dominating_obstruction,
     verify_certificate,
 )
-from rieszkit.elements import add, atom, element_findev, element_tail, scale, unit, zero
+from rieszkit.elements import add, atom, element_findev, element_tail, scale, sub, unit, zero
 from rieszkit.operators import atom_image
 from rieszkit.scalars import Q, RationalSeq
 from rieszkit.sequences import element_seq, fill
-from rieszkit.spaces import fin_dev, gamma, seq_form, tail_seq, token_form
+from rieszkit.spaces import Token, fin_dev, gamma, seq_form, tail_seq, token_form
 from rieszkit.specfile import build_all, parse
 
 PROBE = 8
@@ -114,6 +115,26 @@ def test_a_monotone_minorant_must_lie_below_the_eventual_pattern():
     ok, log = verify_certificate(cert, b, None, 1)
     assert not ok
     assert log[-1] == "FAIL minorant not below the eventual pattern"
+
+
+def test_a_mixed_sign_minorant_is_refused():
+    """A minorant must be positive and nonzero, not merely somewhere above
+    0: with one negative coordinate it is no positive element below the
+    family.  On the o1 certificate of the moving bump over ck, and on the
+    monotone certificate of the constant-unit family on l0inf, the decided
+    minorant verifies and a mixed-sign one that passes every other check is
+    refused."""
+    ck, l0 = fin_dev(), tail_seq()
+    bump = element_seq(ck, atoms=[(token_form(1, 0), RationalSeq.const(1))])
+    const_unit = element_seq(l0, ambient=RationalSeq.const(1))
+    star1, star2 = (atom(ck, Token("star", k)) for k in (1, 2))
+    for cert, mixed, seq in (
+        (o1_dominating_obstruction(bump), scale(Q(1, 2), sub(star1, star2)), bump),
+        (decide_monotone_limit(const_unit), sub(atom(l0, 1), atom(l0, 2)), const_unit),
+    ):
+        assert verify_certificate(cert, seq, None, PROBE)[0]
+        ok, log = verify_certificate(dataclasses.replace(cert, minorant=mixed), seq, None, PROBE)
+        assert not ok and log[0] == "FAIL minorant is not positive", log
 
 
 def test_a_verdict_without_its_evidence_is_refused_unchecked():

@@ -115,6 +115,22 @@ def test_witness_pervasive_succeeds_on_a_positive_spec(capsys, probe):
     assert rep["transcript"][0] == "R is positive and nonzero"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--probe", "1", "witness-pervasive", "--spec", "tests/specs/shift_positive.rzk"],
+    ["--spec", MOVING, "check", "order_bounded"],
+    ["--markdown", "check", "order_bounded", "--spec", MOVING],
+], ids=["probe", "spec", "markdown"])
+def test_common_options_before_the_command_are_refused(capsys, argv):
+    """The common options belong to the subcommands: placed before the
+    command they would be parsed, then overwritten by the subcommand's
+    defaults, so argparse refuses them as a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "rieszkit: error:" in captured.err
+
+
 def test_witness_pervasive_on_zero_operator_is_input_error(tmp_path, capsys):
     spec = tmp_path / "zero.rzk"
     spec.write_text(

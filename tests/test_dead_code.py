@@ -29,6 +29,7 @@ ALLOWED = {
     "truncate_element": "the vector truncation of truncate_operator's columns, which the "
                         "oracle tests apply that matrix to",
     "inf2": "lattice API: the infimum, dual of sup2",
+    "neg": "lattice API: the negative part, dual of pos",
     "zero_op": "lattice API: the zero operator, a boundary case of the tests",
 }
 

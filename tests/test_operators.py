@@ -28,7 +28,6 @@ from rieszkit.elements import (
     le,
     lincomb,
     max_abs_coord,
-    neg,
     pos,
     row_unit,
     scale,
@@ -431,7 +430,7 @@ def test_apply_op_is_the_lincomb_of_the_generator_images(name):
             assert row_unit_image(T_, ref[1]) == img, ref
 
 
-_ELEMENT_TF = {"id": lambda x: x, "pos": pos, "neg": neg, "abs": abs_}
+_ELEMENT_TF = {"id": lambda x: x, "pos": pos, "abs": abs_}
 
 
 @pytest.mark.parametrize("transform", sorted(_ELEMENT_TF))
