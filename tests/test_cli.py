@@ -122,8 +122,8 @@ def test_witness_pervasive_succeeds_on_a_positive_spec(capsys, probe):
 ], ids=["probe", "spec", "markdown"])
 def test_common_options_before_the_command_are_refused(capsys, argv):
     """The common options belong to the subcommands: placed before the
-    command they would be parsed, then overwritten by the subcommand's
-    defaults, so argparse refuses them as a usage error."""
+    command they are a usage error (exit 2, nothing on standard output),
+    never a run with the subcommand's defaults in their place."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
