@@ -476,7 +476,7 @@ def verify_certificate(
             # a moving form has positive slope, so it is injective, and
             # distinct affine forms share a coordinate at most once: every
             # fixed coordinate is hit finitely often
-            log.append("escaping supports leave every finite set (probed + affine)")
+            log.append("escaping supports leave every finite set (affine)")
         return ok, log
     # diverges
     ok, h = True, cert.minorant

@@ -4,7 +4,10 @@ Everything here is enumerative and independent of the symbolic engine: the
 oracles re-derive values from definitions on truncated index sets, and the
 test suite compares the engine against them.  Box-linear maxima are taken on
 dyadic grids whose endpoints include the box vertices, which is exact for
-linear objectives.
+linear objectives.  The grid oracle visits every grid point as integer pairs
+(n * k, d * 2**depth) over each axis top n/d and builds one `Fraction` per
+maximized term; only the joint route's enumerated points become `Fraction`
+elements.
 """
 
 from __future__ import annotations
@@ -66,9 +69,36 @@ def matrix_apply(M, v) -> list[Q]:
 # grid supremum over an order interval
 
 
-def _dyadic_grid(top: Q, depth: int) -> list[Q]:
-    steps = 2**depth
-    return [top * k / steps for k in range(steps + 1)]
+# the deepest grid the oracle walks: each term visits 2**MAX_GRID_DEPTH + 1
+# points, and the shipped specs answer in under a second at this depth
+MAX_GRID_DEPTH = 19
+
+
+def _dyadic_axis(top: Q, depth: int) -> tuple[int, int, int]:
+    """The grid top * k / 2**depth, k = 0..2**depth, as the integer pairs
+    (n * k, d * 2**depth) over the top n/d: returned as (n, d * 2**depth,
+    2**depth), one shared positive denominator, with the points generated
+    from k."""
+    n, d = top.as_integer_ratio()
+    return n, d << depth, 1 << depth
+
+
+def _axis_points(axis) -> list[Q]:
+    n, den, steps = axis
+    return [Q(n * k, den) for k in range(steps + 1)]
+
+
+def _term_max(a: Q, axis) -> Q:
+    """max(a * v for v on the axis), visiting every grid point.
+
+    With a = p/q each product is p * n * k over the positive denominator
+    q * d * 2**depth that every point shares, so the integer cross-products
+    compare the numerators alone; the winner is the one `Fraction` built."""
+    n, den, steps = axis
+    p, q = a.as_integer_ratio()
+    c = p * n
+    best = max(c * k for k in range(steps + 1))
+    return Q(best, q * den) if best else Q0
 
 
 def grid_interval_sup(T: Operator, x: Element, depth: int, joint_budget: int = 4096) -> Element:
@@ -76,22 +106,27 @@ def grid_interval_sup(T: Operator, x: Element, depth: int, joint_budget: int = 4
 
     Grid points vary the coordinates that the data can see (the atom
     supports of the operator's table plus x's prefix) and the tail value.
-    Small cases enumerate the product grid outright; larger ones maximize
-    per output coordinate, which agrees with the joint maximum because the
-    objective is linear in each grid variable.  A functional is an operator
-    into fin_dim(1), so its grid supremum is that space's one coordinate.
+    Each axis is the integer pairs (n * k, d * 2**depth) over its top n/d,
+    and every grid point is visited.  Small cases enumerate the product grid
+    outright, as `Fraction` points; larger ones maximize per output
+    coordinate, which agrees with the joint maximum because the objective is
+    linear in each grid variable.  A functional is an operator into
+    fin_dim(1), so its grid supremum is that space's one coordinate.  A
+    depth outside 0..MAX_GRID_DEPTH is refused before any grid is built.
     """
     if not x.space.row.sequence:
         raise PreconditionError("the grid oracle runs on tail sequences")
     if depth < 0:
         raise PreconditionError("grid depth must be >= 0")
+    if depth > MAX_GRID_DEPTH:
+        raise PreconditionError(f"grid depth must be <= {MAX_GRID_DEPTH}")
     support = set(elem_support(x))
     support |= {i for i, _ in T.atom_images if isinstance(i, int)}
     if T.rule is not None:
         support |= set(range(T.rule.threshold + 1, T.rule.threshold + 4))
     support = sorted(support)
-    axes = [_dyadic_grid(coordinate(x, i), depth) for i in support]
-    tail_axis = _dyadic_grid(x.tail, depth)
+    axes = [_dyadic_axis(coordinate(x, i), depth) for i in support]
+    tail_axis = _dyadic_axis(x.tail, depth)
 
     def build(yvals, t) -> Element:
         prefix = []
@@ -101,14 +136,9 @@ def grid_interval_sup(T: Operator, x: Element, depth: int, joint_budget: int = 4
             prefix.append(vals.get(i, min(t, coordinate(x, i))))
         return element_tail(x.space, prefix, t)
 
-    total = len(tail_axis)
-    for a in axes:
-        total *= len(a)
-        if total > joint_budget:
-            break
-    if total <= joint_budget:
+    if (2**depth + 1) ** (len(support) + 1) <= joint_budget:
         best = None
-        for combo in product(*axes, tail_axis):
+        for combo in product(*map(_axis_points, axes), _axis_points(tail_axis)):
             img = apply_op(T, build(combo[:-1], combo[-1]))
             best = img if best is None else sup2(best, img)
         return best
@@ -124,7 +154,9 @@ def _grid_sup_separable(T: Operator, support, axes, tail_axis):
     T(y) at output k equals sum_i y_i * a_{i,k} + t * (U_k - sigma_k) where
     a_{i,k} is coordinate k of the i-th atom image, U the unit image and
     sigma_k the row sum over the support; each output coordinate maximizes
-    its variables independently."""
+    its variables independently.  Each term's maximum visits every point of
+    its axis as integer pairs and builds one `Fraction`, and the terms are
+    summed by `qadd`/`qsub`."""
     imgs = {i: atom_image(T, i) for i in support}
     U = T.unit_image
     touched = set(elem_support(U))
@@ -132,15 +164,13 @@ def _grid_sup_separable(T: Operator, support, axes, tail_axis):
         touched.update(elem_support(img))
 
     def coord_max(k) -> Q:
-        out = Q(0)
-        sigma = Q(0)
+        out = Q0
+        sigma = Q0
         for i, axis in zip(support, axes):
             a = coordinate(imgs[i], k)
-            sigma += a
-            out += max((a * v for v in axis), default=Q(0))
-        w = coordinate(U, k) - sigma
-        out += max((w * t for t in tail_axis), default=Q(0))
-        return out
+            sigma = qadd(sigma, a)
+            out = qadd(out, _term_max(a, axis))
+        return qadd(out, _term_max(qsub(coordinate(U, k), sigma), tail_axis))
 
     # the coordinates the images store, and a point past all of them that
     # reads the background: the tail class, or a fresh point for the ambient
@@ -154,9 +184,9 @@ def _grid_sup_separable(T: Operator, support, axes, tail_axis):
         coords, far = sorted(touched), fresh_star(touched)
     else:
         raise PreconditionError("grid oracle does not assemble row-block targets")
-    base = Q(0) if far is None else coord_max(far)
+    base = Q0 if far is None else coord_max(far)
     return recompose(cod, [(("unit",), base)]
-                     + [(("atom", k), coord_max(k) - base) for k in coords])
+                     + [(("atom", k), qsub(coord_max(k), base)) for k in coords])
 
 
 # ---------------------------------------------------------------------------

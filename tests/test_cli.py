@@ -8,6 +8,7 @@ import pytest
 
 from rieszkit.casebook import CASEBOOK
 from rieszkit.cli import main
+from rieszkit.oracles import MAX_GRID_DEPTH
 
 MOVING = "fixtures/moving_indicator.rzk"
 ROWPAIR = "fixtures/row_pair_difference.rzk"
@@ -290,6 +291,14 @@ def test_oracle_matrix_reports_are_unchanged(capsys, matrix):
 def test_oracle_grid_sup_refuses_a_negative_depth(capsys):
     code, out = run_cli(capsys, "oracle", "grid-sup", "--spec", MOVING, "--depth", "-1")
     assert (code, out) == (2, _input_error("grid depth must be >= 0"))
+
+
+@pytest.mark.parametrize("depth", [MAX_GRID_DEPTH + 1, 64])
+def test_oracle_grid_sup_refuses_a_depth_past_the_maximum(capsys, depth):
+    """A depth past the maximum is an input error, raised before any grid
+    is built: depth 64 would need 2**64 + 1 points per axis."""
+    code, out = run_cli(capsys, "oracle", "grid-sup", "--spec", MOVING, "--depth", str(depth))
+    assert (code, out) == (2, _input_error(f"grid depth must be <= {MAX_GRID_DEPTH}"))
 
 
 def test_byte_identical_reports(capsys):

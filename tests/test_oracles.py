@@ -10,10 +10,21 @@ from rieszkit.errors import RieszkitError
 from rieszkit.reports import ser
 from rieszkit.scalars import Q, RationalSeq
 from rieszkit.specfile import build_all, parse
-from rieszkit.spaces import fin_dev, fin_dim, seq_form, tail_seq, token_form
-from rieszkit.elements import atom, coordinate, element_fin, element_tail, unit, zero
+from rieszkit.spaces import Token, fin_dev, fin_dim, fresh_star, seq_form, tail_seq, token_form
+from rieszkit.elements import (
+    add,
+    atom,
+    coordinate,
+    element_fin,
+    element_tail,
+    scale,
+    support,
+    unit,
+    zero,
+)
 from rieszkit.operators import (
     apply_op,
+    atom_image,
     functional,
     operator,
     partial_sum_seq,
@@ -22,6 +33,9 @@ from rieszkit.operators import (
 )
 from rieszkit.calculus import positive_part, rk_value
 from rieszkit.oracles import (
+    MAX_GRID_DEPTH,
+    _dyadic_axis,
+    _term_max,
     bruteforce_dominating_search,
     grid_interval_sup,
     majorant_floors,
@@ -33,6 +47,8 @@ from rieszkit.oracles import (
 )
 from rieszkit.sequences import element_seq
 from rieszkit.casebook import identity_on_tail_seq, row_pair_difference_operator
+
+from conftest import random_element, random_scalar
 
 T = tail_seq()
 F = fin_dev()
@@ -109,6 +125,110 @@ def test_grid_sup_operator_target_routes_agree():
         joint = grid_interval_sup(T_, x, 2, joint_budget=10**7)
         separable = grid_interval_sup(T_, x, 2, joint_budget=1)
         assert joint == separable
+
+
+def test_term_max_matches_the_fraction_grid(rng):
+    """The integer-pair term maximum is the maximum of a * v over the
+    Fraction grid points v = top * k / 2**depth, for either sign or zero."""
+    values = [Q(0), Q(1), Q(-1)] + [Q(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(12)]
+    for depth in range(7):
+        for _ in range(40):
+            a, top = rng.choice(values), rng.choice(values)
+            want = max(a * top * k / 2**depth for k in range(2**depth + 1))
+            assert _term_max(a, _dyadic_axis(top, depth)) == want, (a, top, depth)
+
+
+def _grid_variables(T_, x) -> set:
+    """The coordinates the grid varies: x's prefix, the table's atoms and
+    three past the rule's threshold."""
+    var = set(support(x)) | {i for i, _ in T_.atom_images if isinstance(i, int)}
+    if T_.rule is not None:
+        var |= set(range(T_.rule.threshold + 1, T_.rule.threshold + 4))
+    return var
+
+
+def _naive_grid_sup_at(T_, x, depth, k):
+    """Coordinate k of the grid supremum from Fraction grid points: per
+    variable the maximum of its term over top * j / 2**depth, the tail
+    variable carrying the unit image less the support's row sum."""
+
+    def term(a, top):
+        return max(a * top * j / 2**depth for j in range(2**depth + 1))
+
+    out = sigma = Q(0)
+    for i in _grid_variables(T_, x):
+        a = coordinate(atom_image(T_, i), k)
+        sigma += a
+        out += term(a, coordinate(x, i))
+    return out + term(coordinate(T_.unit_image, k) - sigma, x.tail)
+
+
+def _probe_coords(T_, x):
+    """Every coordinate the images store, and points past them."""
+    touched = set(support(T_.unit_image))
+    for i in set(support(x)) | {i for i, _ in T_.atom_images}:
+        touched |= set(support(atom_image(T_, i)))
+    cod = T_.codomain
+    if cod.dim:
+        return range(1, cod.dim + 1)
+    if cod.row.sequence:
+        return range(1, max(touched, default=0) + 4)
+    return [*sorted(touched), fresh_star(touched)]
+
+
+# the joint route calls apply_op once per grid point, so it is compared
+# where the product grid has at most this many points
+JOINT_POINTS = 1000
+
+
+def _assert_grid_sup_is_naive(T_, x):
+    """Both routes at depths 0..6 against the naive reference."""
+    joint_dims = len(_grid_variables(T_, x)) + 1
+    coords = _probe_coords(T_, x)
+    for depth in range(7):
+        budgets = [1]
+        if (2**depth + 1) ** joint_dims <= JOINT_POINTS:
+            budgets.append(10**7)
+        for budget in budgets:
+            g = grid_interval_sup(T_, x, depth, joint_budget=budget)
+            for k in coords:
+                assert coordinate(g, k) == _naive_grid_sup_at(T_, x, depth, k), (depth, budget, k)
+
+
+SHIPPED_L0INF = ["fixtures/moving_indicator.rzk", "tests/specs/ck_periodic.rzk",
+                 "tests/specs/shift_positive.rzk"]
+
+
+@pytest.mark.parametrize("path", SHIPPED_L0INF)
+def test_grid_sup_matches_the_naive_reference_on_shipped_specs(path):
+    _, ops = build_all(parse((Path(__file__).parent.parent / path).read_text()))
+    T_ = next(iter(ops.values()))
+    assert T_.domain.row.sequence
+    for x in (unit(T_.domain), UNEVEN):
+        _assert_grid_sup_is_naive(T_, x)
+
+
+def test_grid_sup_matches_the_naive_reference_on_ck_and_findim_codomains(rng):
+    """Random signed tables into ck (the fresh-star background) and into
+    findim(3), on the unit and on an uneven x."""
+    # ck images store a star token too, so the background point is a later
+    # star
+    star = atom(F, Token("star", 1))
+    for cod in (F, fin_dim(3)):
+        for _ in range(3):
+            table = {i: random_element(rng, cod) for i in rng.sample(range(1, 5), 2)}
+            if not cod.dim:
+                table = {i: add(img, scale(random_scalar(rng), star)) for i, img in table.items()}
+            T_ = operator(T, cod, table, None, None, random_element(rng, cod))
+            for x in (unit(T), UNEVEN):
+                _assert_grid_sup_is_naive(T_, x)
+
+
+def test_grid_sup_answers_at_the_maximum_depth():
+    f = functional(T, {}, -3)
+    assert coordinate(grid_interval_sup(f, unit(T), MAX_GRID_DEPTH), 1) == 0
+    f = functional(T, {}, 3)
+    assert coordinate(grid_interval_sup(f, unit(T), MAX_GRID_DEPTH), 1) == 3
 
 
 def test_grid_sup_below_interval_supremum():
