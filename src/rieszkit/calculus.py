@@ -244,17 +244,19 @@ class Witness:
 def pervasive_witness(T: Operator, probe: int = 8) -> Witness:
     """A rank-one operator R with 0 < R <= T.
 
-    With an atomic codomain the witness composes a coordinate functional
-    with T and tensors it against the selected codomain atom; when T
-    vanishes on every domain atom the domain's atom span must have
-    codimension at most one, and T itself is the (rank-one) witness.
+    With an atomic codomain the witness composes the coordinate functional
+    at the first positive coordinate j of T(x0) with T and tensors it with
+    e_j, from any generator x0 with a nonzero image.  When T vanishes on
+    every domain atom and the atom span closure has codimension at most
+    one, T itself is the (rank-one) witness instead.
     """
     if not is_positive_operator(T):
         raise PreconditionError("T is not positive")
-    gen, x0 = _first_positive_generator(T, probe)
+    gen, x0 = _first_positive_generator(T)
     if gen is None:
         raise PreconditionError("T is not positive (no generator image is nonzero)")
-    if gen[0] == "atom":
+    codim = T.domain.row.atom_span_codim
+    if gen[0] == "atom" or codim is None or codim > 1:
         j = _first_positive_coordinate(apply_op(T, x0))
         f = coordinate_functional_of(T, j)
         v = atom(T.codomain, j)
@@ -262,13 +264,7 @@ def pervasive_witness(T: Operator, probe: int = 8) -> Witness:
         transcript = _witness_transcript(R, T, probe)
         return Witness(f, v, R, _gen_label(gen), j, transcript)
     # every atom image vanishes: T factors through the quotient by the atom
-    # span closure, which must have codimension <= 1
-    codim = T.domain.row.atom_span_codim
-    if codim is None or codim > 1:
-        raise UnsupportedHypothesisError(
-            "atom images vanish and the atom span closure has codimension > 1 "
-            "(neither the atomic-codomain nor the codimension-one route applies)"
-        )
+    # span closure, which has codimension <= 1
     f = functional(T.domain, {}, 1)
     v = T.unit_image
     R = rank_one(f, v)
@@ -284,31 +280,31 @@ def _gen_label(gen) -> str:
     return atom_str(gen[1]) if gen[0] == "atom" else "unit"
 
 
-def _atom_window(domain: SpaceDesc, top: int, probe: int) -> list:
-    """The atoms the witness routines probe, in order: e_1..e_dim on
-    fin_dim, e_1..e_top on tail_seq, rows 1..probe up to column top on a
+def _atom_window(domain: SpaceDesc, top: int, rows: int) -> list:
+    """The atoms the witness routines read, in order: e_1..e_dim on
+    fin_dim, e_1..e_top on tail_seq, rows 1..rows up to column top on a
     row block."""
     if domain.row.enumerated:
         return list(range(1, (domain.dim or top) + 1))
-    return [(n, m) for n in range(1, probe + 1) for m in range(1, top + 1)]
+    return [(n, m) for n in range(1, rows + 1) for m in range(1, top + 1)]
 
 
-def _first_positive_generator(T: Operator, probe: int):
-    top = table_top(T) + probe
+def _first_positive_generator(T: Operator):
+    """The first generator of a positive T with a nonzero image, whatever
+    the probe: a table atom; an atom up to one rule period past the
+    threshold, where each residue class of the rule has one, on rows up to
+    one more than the table has entries, so that one of them follows the
+    rule alone; the unit."""
+    top = table_top(T) + (T.rule.modulus if T.rule else 0)
     for idx, img in T.atom_images:  # explicit table first (sorted)
         if not img.is_zero():
             return ("atom", idx), atom(T.domain, idx)
-    for idx in _atom_window(T.domain, top, probe):
+    for idx in _atom_window(T.domain, top, len(T.atom_images) + 1):
         if not atom_image(T, idx).is_zero():
             return ("atom", idx), atom(T.domain, idx)
-    if T.domain.row.sequence and T.rule is not None and not T.rule.is_zero():
-        first = T.rule.threshold + 1
-        return ("atom", first), atom(T.domain, first)
     if not T.unit_image.is_zero():
         return ("unit",), unit(T.domain)
-    for r, img in T.row_unit_images:
-        if not img.is_zero():
-            return ("unit",), row_unit(T.domain, r)
+    # T is positive, so T(r) <= T(u) = 0 for every row unit r as well
     return None, None
 
 

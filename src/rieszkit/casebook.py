@@ -338,12 +338,12 @@ def _compose_affine(out_aff, in_aff):
     return Affine(out_aff.a * in_aff.a, out_aff.a * in_aff.b + out_aff.b)
 
 
-def run_projection_demo(seed: int = 42, count: int = 12) -> Report:
+def run_projection_demo(seed: int = 42) -> Report:
     rng = random.Random(seed)
     dom = tail_seq()
     checks = {"idempotent": 0, "bounded_between": 0, "additive": 0, "kills_no_atom": 0}
     transcript = []
-    for _ in range(count):
+    for _ in range(12):
         T = _random_stencil_operator(rng, positive=True)
         S = _random_stencil_operator(rng, positive=True)
         P_T = oc_projection(T)
@@ -361,7 +361,7 @@ def run_projection_demo(seed: int = 42, count: int = 12) -> Report:
             _require(atom_image(P_T, i) == atom_image(T, i), f"the projection keeps atom {i}")
         checks["kills_no_atom"] += 1
     transcript.append(
-        f"{count} random positive stencil operators: projection idempotent, "
+        "12 random positive stencil operators: projection idempotent, "
         "additive, squeezed between 0 and the operator, and the complement "
         "vanishes on every atom"
     )

@@ -23,9 +23,9 @@ import sys
 
 from .errors import PreconditionError, RieszkitError, UnsupportedHypothesisError
 from .scalars import RationalSeq, qof, qstr
-from .spaces import parse_space_label, token_form
+from .spaces import fin_dev, parse_space_label, token_form
 from .elements import coordinate, describe, unit
-from .operators import order_bounded_test
+from .operators import order_bounded_test, partial_sum_seq
 from .calculus import (
     NONZERO_TAIL,
     classify_pair,
@@ -63,18 +63,17 @@ def _read_spec(path: str):
 def _load_operator(args):
     if not args.spec:
         raise PreconditionError("this command needs --spec FILE")
-    spec = _read_spec(args.spec)
-    spaces, ops = build_all(spec)
+    _, ops = build_all(_read_spec(args.spec))
     if not ops:
         raise PreconditionError("the spec file declares no operator")
     name = args.operator or next(iter(ops))
     if name not in ops:
         raise PreconditionError(f"no operator named {name!r} in the spec file")
-    return spec, spaces, ops[name], name
+    return ops[name], name
 
 
 def _cmd_check(args) -> Report:
-    _, _, T, name = _load_operator(args)
+    T, name = _load_operator(args)
     if args.what == "order_bounded":
         rep = order_bounded_test(T)
         return Report(
@@ -95,7 +94,7 @@ def _cmd_check(args) -> Report:
 
 
 def _cmd_positive_part(args) -> Report:
-    _, spaces, T, name = _load_operator(args)
+    T, name = _load_operator(args)
     P, tail, in_f = positive_part(T)
     failing = failing_generator(P, tail)
     cls = classify_pair(T.domain, T.codomain)
@@ -125,7 +124,7 @@ def _cmd_positive_part(args) -> Report:
 
 
 def _cmd_project_oc(args) -> Report:
-    _, _, T, name = _load_operator(args)
+    T, name = _load_operator(args)
     P = oc_projection(T)
     fixed = P.unit_image == T.unit_image
     return Report(
@@ -142,7 +141,7 @@ def _cmd_project_oc(args) -> Report:
 
 
 def _cmd_witness(args) -> Report:
-    _, _, T, name = _load_operator(args)
+    T, name = _load_operator(args)
     w = pervasive_witness(T, args.probe)
     return Report(
         command=f"witness-pervasive {name}",
@@ -253,7 +252,7 @@ def _cmd_oracle(args) -> Report:
                     "positive_part": [[qstr(v) for v in r] for r in P]},
         )
     if args.name == "grid-sup":
-        _, _, T, name = _load_operator(args)
+        T, name = _load_operator(args)
         value = grid_interval_sup(T, unit(T.domain), args.depth)
         return Report(
             command=f"oracle grid-sup {name}",
@@ -262,7 +261,7 @@ def _cmd_oracle(args) -> Report:
         )
     if args.name == "majorant-growth":
         if args.spec:
-            _, _, T, _ = _load_operator(args)
+            T, _ = _load_operator(args)
         else:
             T = row_pair_difference_operator()
         mu = {str(n): v for n, v in enumerate(majorant_floors(T, args.levels))}
@@ -272,15 +271,11 @@ def _cmd_oracle(args) -> Report:
             oracle={"floors": mu},
         )
     if args.name == "dominating-search":
-        from .operators import partial_sum_seq
-
         if args.spec:
-            _, _, T, _ = _load_operator(args)
+            T, _ = _load_operator(args)
             seq = partial_sum_seq(T)
             subject = "the operator's atom-image partial sums"
         else:
-            from .spaces import fin_dev
-
             seq = element_seq(
                 fin_dev(), atoms=[(token_form(1, 0), RationalSeq.const(1))]
             )

@@ -16,15 +16,8 @@ class InvalidIndexError(RieszkitError):
 
 
 class StencilError(RieszkitError):
-    """A tail rule is structurally invalid (non-affine, out of range, colliding).
-
-    For isolated collisions, `collision_index` carries the driving index so
-    callers can materialize it as an explicit image and retry.
-    """
-
-    def __init__(self, message: str, collision_index: int | None = None):
-        super().__init__(message)
-        self.collision_index = collision_index
+    """A tail rule or a sequence form is structurally invalid: not integral,
+    out of range, or two entries that meet at an atom the rule covers."""
 
 
 class NotDecreasingError(RieszkitError):

@@ -28,13 +28,14 @@ from .errors import (
     SpaceMismatchError,
     StencilError,
 )
-from .scalars import Q, Q0, QLike, qmul, qof
+from .scalars import Q, Q0, QLike, qadd, qmul, qof
 from .spaces import (
     AtomIndex,
     CoordForm,
     PairForm,
     SpaceDesc,
     TokenForm,
+    affine,
     affine_intersection,
     atom_key,
     fin_dim,
@@ -122,55 +123,53 @@ def stencil_rule(
     codomain: SpaceDesc,
 ) -> StencilRule:
     """Canonical constructor: merges identical forms, rejects forms that
-    collide at isolated applicable indices (callers materialize those)."""
+    meet at an atom past the threshold (callers materialize those)."""
     if modulus < 1 or threshold < 0:
         raise StencilError("bad stencil rule header")
     canon = []
     for r in range(modulus):
         raw = list(entries_by_residue[r]) if r < len(entries_by_residue) else []
-        merged: list[list] = []
-        for form, coeff in raw:
+        for form, _ in raw:
             _validate_form(form, codomain, modulus, r, threshold)
-            c = qof(coeff)
-            for item in merged:
-                if item[0] == form:
-                    item[1] += c
-                    break
-            else:
-                merged.append([form, c])
-        kept = [(f, c) for f, c in merged if c != 0]
-        for i, (f1, _) in enumerate(kept):
-            for f2, _ in kept[i + 1 :]:
-                n_hit = _entry_collision(f1, f2, modulus, r, threshold)
-                if n_hit is not None:
-                    raise StencilError(
-                        f"stencil entries collide at index {n_hit}; "
-                        "materialize it as an explicit image",
-                        collision_index=n_hit,
-                    )
+        kept = _merged(raw)
+        hits = _meetings(kept, modulus, r, threshold)
+        if hits:
+            raise StencilError(f"stencil entries collide at index {hits[0]}; "
+                               "materialize it as an explicit image")
         kept.sort(key=lambda fc: (str(fc[0]),))
         canon.append(tuple(kept))
     return StencilRule(modulus, threshold, tuple(canon))
 
 
-def _entry_collision(
-    f1: CoordForm, f2: CoordForm, modulus: int, residue: int, threshold: int
-) -> int | None:
-    """Smallest applicable driving index where two distinct forms coincide.
-    Both fit the codomain, so they are forms of one type."""
-    if isinstance(f1, PairForm):
-        if f1.row != f2.row and affine_intersection(f1.row, f2.row) is None:
-            return None
-        if f1.col == f2.col:
-            # collide at every applicable column for the meeting row(s)
-            return threshold + 1
-        # even a single colliding atom breaks entrywise transforms
-        cand = affine_intersection(f1.col, f2.col)
-    else:
-        cand = affine_intersection(f1.idx, f2.idx)
-    if cand is not None and cand > threshold and cand % modulus == residue:
-        return cand
-    return None
+def _merged(entries) -> list:
+    """The entries with identical forms summed and zero sums dropped."""
+    sums: dict = {}
+    for form, coeff in entries:
+        sums[form] = qadd(sums.get(form, Q0), qof(coeff))
+    return [(f, c) for f, c in sums.items() if c is not Q0]
+
+
+def _meetings(entries, modulus: int, residue: int, threshold: int) -> list[int]:
+    """The driving index past the threshold, in the residue class, where
+    each pair of distinct entry forms meets, in entry order: threshold + 1
+    for two pair forms that meet on a row at every column.  The forms fit
+    one codomain, so they are of one type."""
+    hits = []
+    for i, (f1, _) in enumerate(entries):
+        for f2, _ in entries[i + 1:]:
+            if isinstance(f1, PairForm):
+                if f1.row != f2.row and affine_intersection(f1.row, f2.row) is None:
+                    continue
+                if f1.col == f2.col:
+                    # they meet at every column of the meeting row
+                    hits.append(threshold + 1)
+                    continue
+                n = affine_intersection(f1.col, f2.col)
+            else:
+                n = affine_intersection(f1.idx, f2.idx)
+            if n is not None and n > threshold and n % modulus == residue:
+                hits.append(n)
+    return hits
 
 
 @record
@@ -222,12 +221,17 @@ def operator(
     # sum; on fin_dim this holds by the check above
     for idx in images:
         domain.row.check_atom(idx, domain.dim)
-    # a rule on a row-block domain reads each atom's (row, column) pair, which
-    # only the pair forms of a row-block codomain take
-    if (rule is not None and not rule.is_zero() and domain.row.shape == "row_block"
-            and codomain.row.shape != "row_block"):
-        raise StencilError(f"rules on {domain.label} need a row-block codomain, "
-                           f"not {codomain.label}")
+    # a pair form reads an atom's row as the free row variable and its column
+    # as the driving index, so a rule maps row blocks into row blocks or
+    # neither
+    row_domain = domain.row.shape == "row_block"
+    if rule is not None and not rule.is_zero() and row_domain != (
+            codomain.row.shape == "row_block"):
+        if row_domain:
+            raise StencilError(f"rules on {domain.label} need a row-block codomain, "
+                               f"not {codomain.label}")
+        raise StencilError(f"rules into {codomain.label} need a row-block domain, "
+                           f"not {domain.label}")
     if unit_image is None:
         raise PreconditionError("domains with a unit need a unit image")
     if unit_image.space != codomain:
@@ -337,43 +341,32 @@ def scale_op(c: QLike, T: Operator) -> Operator:
 
 
 def add_op(S: Operator, T: Operator) -> Operator:
+    """S + T in one pass.  On a sequence domain the threshold rises to every
+    index where two entries of the merged rule meet, and every atom up to it
+    is materialized.  On a row-block domain one threshold holds on every
+    row: the sum takes the larger rule threshold, which is refused where the
+    other rule has an entry at a column up to it, and sums the table
+    entries."""
     if S.domain != T.domain or S.codomain != T.codomain:
         raise SpaceMismatchError("operator shapes differ")
-    threshold = max(table_top(S), table_top(T))
-    modulus = lcm(1, *(op_.rule.modulus for op_ in (S, T) if op_.rule is not None))
-    merged_entries = []
-    for r in range(modulus):
-        es = []
-        for op_ in (S, T):
-            if op_.rule is not None:
-                es.extend(op_.rule.entries_for(r))
-        merged_entries.append(es)
-    rule = None
-    if any(merged_entries):
-        # isolated collisions between the two stencils get materialized as
-        # explicit images past a raised threshold
-        while True:
-            try:
-                rule = stencil_rule(modulus, threshold, merged_entries, S.codomain)
-                break
-            except StencilError as e:
-                if e.collision_index is None:
-                    raise
-                threshold = e.collision_index
-    explicit_idx = set()
-    explicit_idx.update(k for k, _ in S.atom_images)
-    explicit_idx.update(k for k, _ in T.atom_images)
+    rules = [op_.rule for op_ in (S, T) if op_.rule is not None]
+    modulus = lcm(1, *(rule.modulus for rule in rules))
+    merged = [[e for rule in rules for e in rule.entries_for(r)] for r in range(modulus)]
     if S.domain.row.enumerated:
-        explicit_idx.update(range(1, threshold + 1))
-        explicit_idx = {i for i in explicit_idx if i <= threshold}
+        threshold = max([table_top(S), table_top(T)] + [
+            n for r, es in enumerate(merged) for n in _meetings(_merged(es), modulus, r, 0)])
+        tables = range(1, threshold + 1)
     else:
-        # pair domains: overrides apply pointwise at any driving index, and
-        # the below-threshold block is materialized for every touched row
-        rows = {idx[0] for idx in explicit_idx if isinstance(idx, tuple)} | {1}
-        explicit_idx.update((r, m) for r in rows for m in range(1, threshold + 1))
-    images = {}
-    for idx in explicit_idx:
-        images[idx] = add(atom_image(S, idx), atom_image(T, idx))
+        threshold = max((rule.threshold for rule in rules), default=0)
+        for rule in rules:
+            for m in range(rule.threshold + 1, threshold + 1):
+                if rule.entries_for(m):
+                    raise PreconditionError(
+                        f"one threshold serves every row, and a rule entry at column {m} "
+                        f"lies between the thresholds {rule.threshold} and {threshold}")
+        tables = {k for k, _ in S.atom_images} | {k for k, _ in T.atom_images}
+    rule = stencil_rule(modulus, threshold, merged, S.codomain) if any(merged) else None
+    images = {idx: add(atom_image(S, idx), atom_image(T, idx)) for idx in tables}
     rows_out = {}
     for r in {k for k, _ in S.row_unit_images} | {k for k, _ in T.row_unit_images}:
         rows_out[r] = add(row_unit_image(S, r), row_unit_image(T, r))
@@ -516,14 +509,13 @@ def _preimages(form: CoordForm, out_idx: AtomIndex) -> list:
 
 
 def _affine_preimages(aff, target: int) -> list[int]:
-    if aff.a == 0:
-        if aff.b == target:
-            raise PreconditionError("rule is not locally finite")
-        return []
-    n = (Q(target) - aff.b) / aff.a
-    if n.denominator != 1 or n.numerator < 1:
-        return []
-    return [n.numerator]
+    """The step where aff meets the constant target; every step when aff is
+    that constant, which a locally finite rule never is."""
+    const = affine(0, target)
+    if aff == const:
+        raise PreconditionError("rule is not locally finite")
+    n = affine_intersection(aff, const)
+    return [] if n is None else [n]
 
 
 # ---------------------------------------------------------------------------

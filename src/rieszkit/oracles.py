@@ -156,7 +156,8 @@ def _grid_sup_separable(T: Operator, support, axes, tail_axis):
     sigma_k the row sum over the support; each output coordinate maximizes
     its variables independently.  Each term's maximum visits every point of
     its axis as integer pairs and builds one `Fraction`, and the terms are
-    summed by `qadd`/`qsub`."""
+    summed by `qadd`/`qsub`.  The target is assembled from the coordinates
+    the images store and the points past them, on every codomain."""
     imgs = {i: atom_image(T, i) for i in support}
     U = T.unit_image
     touched = set(elem_support(U))
@@ -172,18 +173,27 @@ def _grid_sup_separable(T: Operator, support, axes, tail_axis):
             out = qadd(out, _term_max(a, axis))
         return qadd(out, _term_max(qsub(coordinate(U, k), sigma), tail_axis))
 
+    cod = T.codomain
+    if cod.row.shape == "row_block":
+        # each touched cell against its row's tail, read past every touched
+        # column (a row unit on ek), and the background past every stored row
+        col = max((m for _, m in touched), default=0) + 1
+        rows = max(len(img.rows) for img in (U, *imgs.values()))
+        base = coord_max((rows + 1, 1))
+        tails = {n: coord_max((n, col)) for n in range(1, rows + 1)}
+        return recompose(cod, [(("unit",), base)]
+                         + [(("row_unit", n), qsub(t, base)) for n, t in tails.items()
+                            if cod.row_units]
+                         + [(("atom", k), qsub(coord_max(k), tails[k[0]])) for k in touched])
     # the coordinates the images store, and a point past all of them that
     # reads the background: the tail class, or a fresh point for the ambient
-    cod = T.codomain
     if cod.dim:
         coords, far = range(1, cod.dim + 1), None
     elif cod.row.sequence:
         coords = range(1, max(touched, default=0) + 1)
         far = len(coords) + 1
-    elif not cod.row.countable:
-        coords, far = sorted(touched), fresh_star(touched)
     else:
-        raise PreconditionError("grid oracle does not assemble row-block targets")
+        coords, far = sorted(touched), fresh_star(touched)
     base = Q0 if far is None else coord_max(far)
     return recompose(cod, [(("unit",), base)]
                      + [(("atom", k), qsub(coord_max(k), base)) for k in coords])
@@ -375,23 +385,21 @@ class SearchResult:
     note: str
 
 
-def bruteforce_dominating_search(
-    x: ElementSeq, bound: int = 6, probe: int = 10
-) -> SearchResult:
+def bruteforce_dominating_search(x: ElementSeq, bound: int = 6) -> SearchResult:
     """Search for a decreasing family y_n >= |x_n| with infimum 0.
 
     Candidates are drawn from a structured class (constant ambients,
     harmonic copies, matched moving atoms, unit-minus-march shapes, and
     pairwise sums) with representation size at most `bound`.  Each candidate
     is first put to the monotone decision rule, which certifies decrease and
-    the zero infimum; domination |x_n| <= y_n is probed on a window only for
-    a candidate that passes it.  The accepted candidate is the first that
+    the zero infimum; domination |x_n| <= y_n is probed on the steps
+    1..max(10, 2 * bound) only for a candidate that passes it.  The accepted candidate is the first that
     passes both, and `candidates_checked` counts the candidates up to it, so
     the order of the two checks cannot change the result; deciding first
     spares the probe on the candidates the rule refuses.
     """
     checked = 0
-    window = max(probe, 2 * bound)
+    window = max(10, 2 * bound)
     # x_n for n = 1, 2, ..., evaluated on first use and kept for the search
     x_step = cache(partial(eval_seq, x))
     for cand in _candidate_families(x, bound):

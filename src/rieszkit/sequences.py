@@ -71,8 +71,6 @@ class Fill:
 
     def line_params(self) -> tuple[Q, Q]:
         """The covered coordinate line as (step, offset) over the class index."""
-        if isinstance(self.form, PairForm):
-            raise StencilError("row_block fills are not supported")
         a, b = self.form.idx.a, self.form.idx.b
         return (a * self.modulus, a * self.residue + b)
 

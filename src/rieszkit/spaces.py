@@ -166,11 +166,12 @@ def affine(a: QLike, b: QLike) -> Affine:
 
 
 def affine_intersection(p: Affine, q: Affine) -> int | None:
-    """Integer n with p(n) == q(n), or None (identical forms return None too)."""
+    """The step n >= 1 with p(n) == q(n), or None: forms are read at the
+    steps n >= 1 only (identical forms return None too)."""
     if p.a == q.a:
         return None
     n = (q.b - p.b) / (p.a - q.a)
-    if n.denominator != 1:
+    if n.denominator != 1 or n.numerator < 1:
         return None
     return n.numerator
 
@@ -266,8 +267,7 @@ def forms_collide_at(f: CoordForm, g: CoordForm) -> list[int]:
     singles = {n for kind, n in sols if kind == "one"}
     if len(singles) != 1:
         return []
-    n = singles.pop()
-    return [n] if n >= 1 else []
+    return [singles.pop()]
 
 
 def form_space_matches(form: CoordForm, space: SpaceDesc) -> bool:

@@ -88,16 +88,17 @@ def test_pair_domain_rule_into_a_line_codomain_is_refused(tmp_path, capsys):
 
 
 def test_dominating_search_refuses_a_pair_rule_on_a_line_domain(tmp_path, capsys):
-    """The partial sums of a pair-form rule on an l0inf domain have no
-    closed form: the search is refused as an input error (it used to end in
-    a traceback)."""
+    """A pair-form rule reads an atom's (row, column), which an l0inf domain
+    does not have: the operator is refused when it is built, before the
+    search, as an input error."""
     spec = tmp_path / "pair_on_line.rzk"
     spec.write_text(
         "space E = l0inf\nspace F = ek\n\n"
         "operator T : E -> F {\n  atoms m > 0 -> { 1 @ (1,m) }\n  unit -> 0\n}\n"
     )
     code, out = run_cli(capsys, "oracle", "dominating-search", "--spec", str(spec))
-    assert (code, out) == (2, _input_error("row_block fills are not supported"))
+    assert (code, out) == (2, _input_error(
+        "line 4:1: operator 'T': rules into ek need a row-block domain, not l0inf"))
 
 
 def test_witness_pervasive_on_nonpositive_is_input_error(capsys):
@@ -114,6 +115,60 @@ def test_witness_pervasive_succeeds_on_a_positive_spec(capsys, probe):
     rep = json.loads(out)
     assert rep["verdict"] == "rank-one minorant found"
     assert rep["transcript"][0] == "R is positive and nonzero"
+
+
+@pytest.mark.parametrize("spec, generator, coordinate", [
+    ("tests/specs/even_atoms.rzk", "e(2)", "2"),
+    ("tests/specs/ek_row_functional.rzk", "unit", "1"),
+], ids=["residue class rule", "ek unit"])
+def test_witness_pervasive_is_the_same_at_every_probe(capsys, spec, generator, coordinate):
+    """The witness on a rule that vanishes on a residue class, and on an ek
+    operator that vanishes on every atom, is found, and is the same witness,
+    at probes 1, 2, 3, 8 and 32 (the transcript names the probed window)."""
+    found = set()
+    for probe in ("1", "2", "3", "8", "32"):
+        code, out = run_cli(capsys, "witness-pervasive", "--spec", spec, "--probe", probe)
+        rep = json.loads(out)
+        assert (code, rep.get("verdict")) == (0, "rank-one minorant found"), out
+        found.add(json.dumps(rep["certificate"]))
+    assert len(found) == 1
+    cert = json.loads(found.pop())
+    assert (cert["generator"], cert["coordinate"]) == (generator, coordinate)
+
+
+def _spec_file(tmp_path, dom, cod, *clauses) -> str:
+    spec = tmp_path / "spec.rzk"
+    body = "".join(f"  {c}\n" for c in clauses)
+    spec.write_text(f"space E = {dom}\nspace F = {cod}\n\noperator T : E -> F {{\n{body}}}\n")
+    return str(spec)
+
+
+def test_a_pair_rule_from_a_sequence_domain_is_an_input_error(tmp_path, capsys):
+    """T e_n = e_(n,1) has no reading as a rule: a pair form's row is the
+    free row variable of a row-block domain.  It used to be read both ways
+    and called not order bounded."""
+    spec = _spec_file(tmp_path, "l0inf", "grid", "atoms n > 0 -> { 1 @ (n,1) }", "unit -> 0")
+    code, out = run_cli(capsys, "check", "order_bounded", "--spec", spec)
+    assert (code, out) == (2, _input_error(
+        "line 4:1: operator 'T': rules into grid need a row-block domain, not l0inf"))
+
+
+def test_pair_rows_that_meet_at_row_zero_build(tmp_path, capsys):
+    """Rows n and 2n meet only at n = 0, which is no row: the rule builds."""
+    spec = _spec_file(tmp_path, "ek", "grid", "atoms m > 0 -> { 1 @ (n,m), 1 @ (2n,m) }",
+                      "unit -> 0")
+    code, out = run_cli(capsys, "check", "order_bounded", "--spec", spec)
+    assert (code, json.loads(out)["verdict"]) == (0, "order bounded")
+
+
+@pytest.mark.parametrize("depth", ["0", "2", "4"])
+def test_grid_sup_assembles_row_block_targets(tmp_path, capsys, depth):
+    """Two atom images on one grid row put the product grid past its budget
+    at depth 4; the separable route gives the same value."""
+    spec = _spec_file(tmp_path, "l0inf", "grid", "e(1) -> 1 @ (1,1)", "e(2) -> 1 @ (1,2)",
+                      "unit -> 1 * unit")
+    code, out = run_cli(capsys, "oracle", "grid-sup", "--spec", spec, "--depth", depth)
+    assert (code, json.loads(out)["oracle"]["value"]) == (0, "[|1]")
 
 
 @pytest.mark.parametrize("argv", [
@@ -357,6 +412,8 @@ SPECS = {
     "findim_matrix": "tests/specs/findim_matrix.rzk",
     "ek_row_tail": "tests/specs/ek_row_tail.rzk",
     "ck_periodic": "tests/specs/ck_periodic.rzk",
+    "even_atoms": "tests/specs/even_atoms.rzk",
+    "ek_row_functional": "tests/specs/ek_row_functional.rzk",
 }
 DIGESTS = Path(__file__).with_name("report_digests.json")
 # the case studies whose probe loops grow with --probe, pinned at its ends

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import random_element, random_scalar
 from rieszkit.errors import InvalidIndexError, PreconditionError, StencilError
 from rieszkit.scalars import Q, RationalSeq
 from rieszkit.spaces import (
@@ -53,6 +54,7 @@ from rieszkit.operators import (
     row_unit_image,
     scale_op,
     stencil_rule,
+    table_top,
 )
 from rieszkit.sequences import eval_seq
 from rieszkit.specfile import build_all, parse
@@ -301,6 +303,117 @@ def test_add_materializes_collisions():
     for i in range(1, 9):
         assert atom_image(s, i) == add(atom_image(a, i), atom_image(b, i))
     assert op_eq(add_op(a, b), add_op(b, a))
+
+
+def test_add_of_rules_that_meet_on_every_column_of_a_row_is_refused():
+    """Rows n + 1 and 2n meet at row 1, and the columns agree everywhere, so
+    the sum's entries meet at every atom (1, m): no threshold can hold them
+    apart, and the sum is refused."""
+    E, G = row_block_ek(), row_block_grid()
+    a = operator(E, G, {}, stencil_rule(1, 0, [[(pair_form(1, 1, 1, 0), 1)]], G), None, zero(G))
+    b = operator(E, G, {}, stencil_rule(1, 0, [[(pair_form(2, 0, 1, 0), 1)]], G), None, zero(G))
+    with pytest.raises(StencilError, match="collide"):
+        add_op(a, b)
+
+
+def test_add_of_row_block_rules_with_an_entry_between_the_thresholds_is_refused():
+    E, G = row_block_ek(), row_block_grid()
+    early = operator(E, G, {}, stencil_rule(1, 0, [[(pair_form(1, 0, 1, 0), 1)]], G), None, zero(G))
+    late = operator(E, G, {}, stencil_rule(1, 2, [[(pair_form(1, 0, 2, 0), 1)]], G), None, zero(G))
+    with pytest.raises(PreconditionError, match="column 1"):
+        add_op(early, late)
+    # a rule that is zero on the columns between the thresholds adds
+    sparse = operator(E, G, {}, stencil_rule(3, 0, [[(pair_form(1, 0, 1, 0), 1)], [], []], G),
+                      None, zero(G))
+    s = add_op(sparse, late)
+    for m in range(1, 10):
+        assert atom_image(s, (4, m)) == add(atom_image(sparse, (4, m)), atom_image(late, (4, m)))
+
+
+def test_pair_rows_meeting_at_row_zero_do_not_collide():
+    """Rows n and 2n meet only at n = 0, which is no row."""
+    E, G = row_block_ek(), row_block_grid()
+    rule = stencil_rule(1, 0, [[(pair_form(1, 0, 1, 0), 1), (pair_form(2, 0, 1, 0), 1)]], G)
+    T_ = operator(E, G, {}, rule, None, zero(G))
+    assert atom_image(T_, (3, 2)) == add(atom(G, (3, 2)), atom(G, (6, 2)))
+
+
+def _random_rule(rng, modulus, threshold, form, cod):
+    """A stencil rule with up to two random entries per residue class, drawn
+    again until the entries are valid and never meet."""
+    while True:
+        entries = [[(form(), random_scalar(rng) or 1) for _ in range(rng.randint(0, 2))]
+                   for _ in range(modulus)]
+        try:
+            return stencil_rule(modulus, threshold, entries, cod)
+        except StencilError:
+            pass
+
+
+def _random_summand(rng, dom, cod, form, table_idx):
+    """A table operator, a rule operator with a table, or a rank-one."""
+    unit_img = random_element(rng, cod)
+    rows = {r: random_element(rng, cod) for r in range(1, 3)} if dom.row_units else None
+    table = {idx: random_element(rng, cod) for idx in rng.sample(table_idx, rng.randint(0, 2))}
+    shape = rng.choice(("table", "rule", "rule", "rule", "rank one"))
+    if shape == "rank one":
+        f = functional(dom, {idx: random_scalar(rng) for idx in rng.sample(table_idx, 2)},
+                       random_scalar(rng), {1: random_scalar(rng)} if dom.row_units else None)
+        return rank_one(f, random_element(rng, cod))
+    rule = None
+    if shape == "rule":
+        rule = _random_rule(rng, rng.randint(1, 3), rng.randint(0, 3), form, cod)
+    return operator(dom, cod, table, rule, rows, unit_img)
+
+
+@pytest.mark.parametrize("dom, cod", [(T, T), (row_block_ek(), row_block_grid()),
+                                      (row_block_grid(), row_block_ek())],
+                         ids=["l0inf", "ek->grid", "grid->ek"])
+def test_add_op_is_the_literal_sum(dom, cod):
+    """add_op(S, T) against S + T generator by generator, on seeded tables,
+    rules and rank-ones: every atom up to two rule periods past the larger
+    threshold, on every row up to two past the tables' rows, every row unit
+    and the unit.  A refused sum is skipped, and most are not refused."""
+    rng = random.Random(20261019)
+    if dom.row.sequence:
+        def form():
+            return seq_form(rng.randint(1, 3), rng.randint(0, 12))
+        table_idx = list(range(1, 4))
+    else:
+        def form():
+            return pair_form(rng.randint(1, 2), rng.randint(0, 1), rng.randint(1, 2),
+                             rng.randint(0, 2))
+        table_idx = [(n, m) for n in range(1, 4) for m in range(1, 5)]
+    summed = 0
+    for _ in range(80):
+        S, R = (_random_summand(rng, dom, cod, form, table_idx) for _ in range(2))
+        try:
+            SR = add_op(S, R)
+        except (StencilError, PreconditionError):
+            continue
+        summed += 1
+        top = max(table_top(S), table_top(R), table_top(SR)) + 12
+        rows = range(1, 6) if dom.row.shape == "row_block" else [None]
+        for n in rows:
+            for m in range(1, top + 1):
+                idx = m if n is None else (n, m)
+                assert atom_image(SR, idx) == add(atom_image(S, idx), atom_image(R, idx)), idx
+        for r in range(1, 4) if dom.row_units else ():
+            assert row_unit_image(SR, r) == add(row_unit_image(S, r), row_unit_image(R, r))
+        assert SR.unit_image == add(S.unit_image, R.unit_image)
+    assert summed >= 60, summed
+
+
+def test_add_op_materializes_no_table_column_past_the_rule():
+    """The sum of the row-pair difference and a rank-one with table columns 1
+    and 3 keeps the rule on every row below column 3: e_(3,1), on a row past
+    both tables, maps to e_(3,1)."""
+    E, G = row_block_ek(), row_block_grid()
+    v = recompose(G, [(("atom", (1, 2)), 3), (("atom", (4, 1)), -1), (("unit",), 2)])
+    f = functional(E, {(1, 1): 2, (2, 3): -1}, 1, {1: 1, 3: Q(-1, 2)})
+    S = add_op(row_pair_difference_operator(), rank_one(f, v))
+    assert atom_image(S, (3, 1)) == atom(G, (3, 1))
+    assert atom_image(S, (5, 3)) == atom(G, (5, 2))
 
 
 def test_image_sum_pattern_values():

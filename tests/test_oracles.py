@@ -10,7 +10,17 @@ from rieszkit.errors import RieszkitError
 from rieszkit.reports import ser
 from rieszkit.scalars import Q, RationalSeq
 from rieszkit.specfile import build_all, parse
-from rieszkit.spaces import Token, fin_dev, fin_dim, fresh_star, seq_form, tail_seq, token_form
+from rieszkit.spaces import (
+    Token,
+    fin_dev,
+    fin_dim,
+    fresh_star,
+    row_block_ek,
+    row_block_grid,
+    seq_form,
+    tail_seq,
+    token_form,
+)
 from rieszkit.elements import (
     add,
     atom,
@@ -222,6 +232,24 @@ def test_grid_sup_matches_the_naive_reference_on_ck_and_findim_codomains(rng):
             T_ = operator(T, cod, table, None, None, random_element(rng, cod))
             for x in (unit(T), UNEVEN):
                 _assert_grid_sup_is_naive(T_, x)
+
+
+def test_grid_sup_routes_agree_on_row_block_codomains():
+    """The separable route assembles grid and ek targets as the product grid
+    does: 720 seeded l0inf -> grid/ek tables, on the unit and on an uneven
+    x, at depths 0..2."""
+    rng = random.Random(20261019)
+    cases = 0
+    for cod in (row_block_grid(), row_block_ek()):
+        for _ in range(60):
+            table = {i: random_element(rng, cod) for i in rng.sample(range(1, 3), rng.randint(1, 2))}
+            T_ = operator(T, cod, table, None, None, random_element(rng, cod))
+            for x in (unit(T), element_tail(T, [Q(1, 2)], 2)):
+                for depth in range(3):
+                    joint = grid_interval_sup(T_, x, depth, joint_budget=10**7)
+                    assert grid_interval_sup(T_, x, depth, joint_budget=1) == joint
+                    cases += 1
+    assert cases == 720
 
 
 def test_grid_sup_answers_at_the_maximum_depth():
