@@ -1,17 +1,21 @@
 """Theorem-driven procedures on representable operators.
 
 The positive-part values are computed in the completion and then membership
-tested: on an atom the supremum over the order interval collapses to the
-positive part of the image; on the unit it is the closed form
+tested.  T+ is linear, so it is fixed by its values on the generators: on an
+atom the supremum over the order interval collapses to the positive part of
+the image; on the unit it is the closed form
 
     sup = (sum of positive parts of the atom images)
         + positive part of (unit image - sum of the atom images)
 
 per output coordinate, the endpoint solution of the box-linear program over
-the order interval.  The order-continuity test reduces to order convergence
-of the atom-image partial sums to the unit image; the band projection onto
-the order-continuous part keeps the atom images and replaces the unit image
-by the partial-sum limit computed in the completion.
+the order interval.  On ek a row unit's supremum is the same form over its
+row, and the unit's adds each row's correction (the positive part of its
+row-unit image less its atom-image sum), with the row-unit images in place
+of the atom images in the second term.  The order-continuity test reduces to
+order convergence of the atom-image partial sums to the unit image; the band
+projection onto the order-continuous part keeps the atom images and replaces
+the unit image by the partial-sum limit computed in the completion.
 
 A positive-part candidate and a band projection are plain `Operator`s whose
 unit and row-unit images are completion payloads (see `completion`), so
@@ -22,6 +26,7 @@ decides whether those images lie in the codomain.
 from __future__ import annotations
 
 import dataclasses
+from functools import reduce
 from math import lcm
 from typing import Tuple
 
@@ -44,6 +49,7 @@ from .elements import (
     scale,
     sub,
     unit,
+    zero,
 )
 from .convergence import ConvergenceCertificate, decide_order_convergence, first_failure
 from .operators import (
@@ -60,6 +66,7 @@ from .operators import (
     rank_one,
     row_sum_pattern,
     row_unit_image,
+    table_rows,
     table_top,
     _stationary_leak,
 )
@@ -72,67 +79,46 @@ def _require_bounded(T: Operator) -> None:
         raise PreconditionError(f"operator is not order bounded: {order_bounded_test(T).note}")
 
 
-def rk_unit_pattern(T: Operator) -> Element:
-    """sup of T over the order interval below the unit, coordinatewise."""
-    sigma_pos = image_sum_pattern(T, "pos")
-    sigma = image_sum_pattern(T, "id")
-    return add(sigma_pos, pos(sub(T.unit_image, sigma)))
-
-
 def rk_value(T: Operator, x: Element) -> Element:
-    """sup { T(y) : 0 <= y <= x }, computed in the completion."""
+    """sup { T(y) : 0 <= y <= x }, computed in the completion: T+ is linear,
+    so it is the sum over x's generators of their suprema."""
     if x.space != T.domain:
         raise PreconditionError("argument lives in the wrong space")
     if not elem_is_positive(x):
         raise PreconditionError("the interval endpoint must be positive")
     _require_bounded(T)
-    parts = decompose(x)
-    t = next((c for ref, c in parts if ref[0] == "unit"), Q(0))
-    # pointwise positive action on the atoms
-    out = lincomb(T.codomain, [
-        (c, pos(atom_image(T, ref[1]))) for ref, c in parts if ref[0] == "atom"
-    ])
+    return reduce(add, (scale(c, _generator_sup(T, ref)) for ref, c in decompose(x)),
+                  zero(T.codomain))
+
+
+def _generator_sup(T: Operator, ref) -> Element:
+    """sup { T(y) : 0 <= y <= g } for one generator g (`ref` in the format
+    of `decompose`): on an atom the positive part of its image; on a row
+    unit its row's; on the unit every atom's, plus on ek every row's
+    correction and the positive part of the unit image less the row-unit
+    images.  Past `table_rows` the corrections recur, so they must vanish
+    there."""
+    if ref[0] == "atom":
+        return pos(atom_image(T, ref[1]))
+    if ref[0] == "row_unit":
+        return add(row_sum_pattern(T, ref[1], "pos"), _row_correction(T, ref[1]))
+    sigma_pos = image_sum_pattern(T, "pos")
     if not T.domain.row_units:
-        return out if t == 0 else add(out, scale(t, rk_unit_pattern(T)))
-    # ek domain: row-unit and unit correction terms
-    explicit_rows = list(range(1, len(x.rows) + 1))
-    rowpos_total = None
-    for r, (_, rt) in enumerate(x.rows, start=1):
-        rp = row_sum_pattern(T, r, "pos")
-        rowpos_total = rp if rowpos_total is None else add(rowpos_total, rp)
-        if rt != 0:
-            out = add(out, scale(rt, add(rp, _row_correction(T, r))))
-    if t != 0:
-        sigma_pos = image_sum_pattern(T, "pos")
-        beyond_pos = (
-            sub(sigma_pos, rowpos_total) if rowpos_total is not None else sigma_pos
+        return add(sigma_pos, pos(sub(T.unit_image, image_sum_pattern(T, "id"))))
+    *rows, generic = table_rows(T)
+    if not _row_correction(T, generic).is_zero():
+        raise PreconditionError(
+            "positive-part values for this operator family leave the "
+            "representable completion fragment"
         )
-        out = add(out, scale(t, beyond_pos))
-        _check_ek_beyond_rows(T, explicit_rows)
-        rho_sum = lincomb(T.codomain, [(1, img) for _, img in T.row_unit_images])
-        for r, _ in T.row_unit_images:
-            if r not in explicit_rows:
-                out = add(out, scale(t, _row_correction(T, r)))
-        out = add(out, scale(t, pos(sub(T.unit_image, rho_sum))))
-    return out
+    rho_sum = lincomb(T.codomain, [(1, row_unit_image(T, r)) for r in rows])
+    return reduce(add, (_row_correction(T, r) for r in rows),
+                  add(sigma_pos, pos(sub(T.unit_image, rho_sum))))
 
 
 def _row_correction(T: Operator, r: int) -> Element:
     """The positive part of row r's unit image less its atom-image sum."""
     return pos(sub(row_unit_image(T, r), row_sum_pattern(T, r, "id")))
-
-
-def _check_ek_beyond_rows(T: Operator, explicit_rows) -> None:
-    """Rows past every table must contribute nothing to the supremum: the
-    zero row-unit image there has to dominate the rule's row sums."""
-    probe_row = max(
-        [r for r, _ in T.row_unit_images] + list(explicit_rows) + [0]
-    ) + 1
-    if not _row_correction(T, probe_row).is_zero():
-        raise PreconditionError(
-            "positive-part values for this operator family leave the "
-            "representable completion fragment"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -162,17 +148,18 @@ def positive_part(T: Operator) -> tuple[Operator, Element | None, bool]:
     the membership flag.
 
     P keeps the positive parts of T's atom images, tail rule included; its
-    unit and row-unit images are the interval suprema, completion payloads.
-    On ek domains `tail` is the supremum below a row unit past every table
-    (the shape recurs row by row), which P, like every operator, maps to 0;
-    elsewhere it is None.  in_f is `failing_generator(P, tail) is None`: then P is the
+    unit image and its row-unit images on the rows of `table_rows` are the
+    interval suprema, completion payloads.  On ek domains `tail` is the
+    supremum below the generic row unit (the shape recurs row by row past
+    the table rows), which P, like every operator, maps to 0; elsewhere it
+    is None.  in_f is `failing_generator(P, tail) is None`: then P is the
     positive part inside the operator space."""
     _require_bounded(T)
     rows, tail = {}, None
     if T.domain.row_units:
-        table = [r for r, _ in T.row_unit_images]
+        *table, generic = table_rows(T)
         rows = {r: rk_value(T, row_unit(T.domain, r)) for r in table}
-        tail = rk_value(T, row_unit(T.domain, max(table, default=0) + 1))
+        tail = rk_value(T, row_unit(T.domain, generic))
     rule = None if T.rule is None else T.rule.map_coeffs(lambda c: max(c, Q(0)))
     P = operator(
         T.domain, T.codomain, {k: pos(v) for k, v in T.atom_images}, rule, rows,
@@ -398,15 +385,24 @@ def verify_witness(R: Operator, T: Operator, probe: int = 8) -> tuple[bool, list
 # classification of space pairs
 
 
+# every variant of the kind table carries a complete atom system, so every
+# codomain is atomic: the atomic-codomain route always gives pervasiveness,
+# and these conclusions hold for every space pair
+PERVASIVE_ROUTE = "atomic-codomain"
+PAIR_CONCLUSIONS = (
+    f"operator space pervasive in its completion ({PERVASIVE_ROUTE})",
+    "interval-supremum formula for every positive part",
+    "order-continuous regular operators form a band",
+    "lattice completion realized inside the completed-codomain operators",
+)
+
+
 @record
 class Classification:
+    """The facts about a space pair that vary with the pair."""
+
     domain: SpaceDesc
     codomain: SpaceDesc
-    pervasive: bool
-    pervasive_route: str
-    rk_property: bool
-    oc_band: bool
-    riesz_completion_subspace: bool
     riesz_space: bool
     codomain_order_complete: bool
     anchors: Tuple[str, ...]
@@ -414,8 +410,6 @@ class Classification:
 
 
 def classify_pair(E: SpaceDesc, F: SpaceDesc) -> Classification:
-    # every variant of the kind table carries a complete atom system, so every
-    # codomain is atomic and the atomic-codomain route always applies
     anchors = [
         "rk-property-pervasive",
         "atomic-codomain-witness",
@@ -441,11 +435,6 @@ def classify_pair(E: SpaceDesc, F: SpaceDesc) -> Classification:
     return Classification(
         domain=E,
         codomain=F,
-        pervasive=True,
-        pervasive_route="atomic-codomain",
-        rk_property=True,
-        oc_band=True,
-        riesz_completion_subspace=True,
         riesz_space=riesz,
         codomain_order_complete=order_complete,
         anchors=tuple(dict.fromkeys(anchors)),

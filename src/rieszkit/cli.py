@@ -28,6 +28,8 @@ from .elements import coordinate, describe, unit
 from .operators import order_bounded_test, partial_sum_seq
 from .calculus import (
     NONZERO_TAIL,
+    PAIR_CONCLUSIONS,
+    PERVASIVE_ROUTE,
     classify_pair,
     failing_generator,
     oc_projection,
@@ -101,7 +103,7 @@ def _cmd_positive_part(args) -> Report:
     if in_f:
         verdict = "positive part exists and is representable"
         code = 0
-    elif cls.pervasive and failing != NONZERO_TAIL:
+    elif failing != NONZERO_TAIL:
         # a supremum leaves the codomain, so by pervasiveness T has none
         verdict = "positive part does not exist in the operator space"
         code = 1
@@ -119,7 +121,7 @@ def _cmd_positive_part(args) -> Report:
             "row_unit_tail": None if tail is None else describe(tail),
             "failing_generator": failing,
         },
-        details={"in_space": in_f, "pervasiveness_route": cls.pervasive_route},
+        details={"in_space": in_f, "pervasiveness_route": PERVASIVE_ROUTE},
     )
 
 
@@ -143,6 +145,10 @@ def _cmd_project_oc(args) -> Report:
 def _cmd_witness(args) -> Report:
     T, name = _load_operator(args)
     w = pervasive_witness(T, args.probe)
+    functional = {"atom_coeffs": _coeffs(w.functional.atom_images)}
+    if rows := _coeffs(w.functional.row_unit_images):
+        functional["row_unit_coeffs"] = rows
+    functional["unit_value"] = coordinate(w.functional.unit_image, 1)
     return Report(
         command=f"witness-pervasive {name}",
         verdict="rank-one minorant found",
@@ -151,15 +157,16 @@ def _cmd_witness(args) -> Report:
         certificate={
             "generator": w.generator,
             "coordinate": None if w.coordinate is None else str(w.coordinate),
-            "functional": {
-                "atom_coeffs": {str(k): c for k, img in w.functional.atom_images
-                                if (c := coordinate(img, 1)) != 0},
-                "unit_value": coordinate(w.functional.unit_image, 1),
-            },
+            "functional": functional,
             "vector": w.vector,
         },
         transcript=w.transcript,
     )
+
+
+def _coeffs(images) -> dict:
+    """A functional's nonzero coefficients, from its table of images."""
+    return {str(k): c for k, img in images if (c := coordinate(img, 1)) != 0}
 
 
 def _cmd_classify(args) -> Report:
@@ -181,25 +188,14 @@ def _cmd_classify(args) -> Report:
         E = parse_space_label(args.domain)
         F = parse_space_label(args.codomain)
     cls = classify_pair(E, F)
-    conclusions = []
-    if cls.pervasive:
-        conclusions.append(
-            f"operator space pervasive in its completion ({cls.pervasive_route})"
-        )
-    if cls.rk_property:
-        conclusions.append("interval-supremum formula for every positive part")
-    if cls.oc_band:
-        conclusions.append("order-continuous regular operators form a band")
-    if cls.riesz_completion_subspace:
-        conclusions.append("lattice completion realized inside the completed-codomain operators")
+    conclusions = list(PAIR_CONCLUSIONS)
     if cls.riesz_space:
         conclusions.append("the regular operators form a lattice")
     if cls.codomain_order_complete:
         conclusions.append("codomain order complete: all classical conclusions")
     return Report(
         command=f"classify {E.label} -> {F.label}",
-        verdict="; ".join(conclusions) if conclusions else "no conclusion applies",
-        exit_code=0 if conclusions else 1,
+        verdict="; ".join(conclusions),
         anchors=cls.anchors,
         details={
             "domain": E.label,

@@ -670,31 +670,35 @@ def _stationary_leak(T: Operator):
 # positivity
 
 
+def table_rows(T: Operator) -> list[int]:
+    """The rows of a row-block domain on which T's row sums are read, sorted,
+    then the generic row.  They are the rows of the row-unit and atom tables
+    and the rows where two rule entries with distinct row forms meet; the
+    generic row is the first row past them, where the rule's row sums recur
+    row by row and the row unit maps to 0."""
+    forms = {f.row for es in T.rule.entries for f, _ in es} if T.rule else ()
+    rows = {r for r, _ in T.row_unit_images} | {idx[0] for idx, _ in T.atom_images} | {
+        n for p in forms for q in forms if (n := affine_intersection(p, q)) is not None}
+    return sorted(rows) + [max(rows, default=0) + 1]
+
+
 def is_positive_operator(T: Operator) -> bool:
-    for _, img in T.atom_images:
-        if not elem_is_positive(img):
-            return False
-    if T.rule is not None:
-        for es in T.rule.entries:
-            for _, c in es:
-                if c < 0:
-                    return False
-    for _, img in T.row_unit_images:
-        if not elem_is_positive(img):
-            return False
+    """T >= 0, decided on the generators: every atom image is positive and
+    the atom images sum to at most the unit image.  On ek each row of
+    `table_rows` sums its atom images to at most its row unit's image, and
+    those images sum to at most the unit's; a row unit past the tables maps
+    to 0, so a nonzero rule fails the generic row."""
+    if _stationary_leak(T) is not None:
+        return False
+    if not all(elem_is_positive(img) for _, img in T.atom_images):
+        return False
+    if T.rule is not None and any(c < 0 for es in T.rule.entries for _, c in es):
+        return False
     if not T.domain.row_units:
         # the atom images are positive, so their partial sums increase to
         # the image sum: it alone decides whether they stay below the unit
         # image
-        return _stationary_leak(T) is None and le(image_sum_pattern(T, "id"), T.unit_image)
-    # ek domain: the row-unit generators force row-level conditions
-    if T.rule is not None and not T.rule.is_zero():
-        return False
-    rows = {k for k, _ in T.row_unit_images}
-    for r in rows:
-        if not le(row_sum_pattern(T, r, "id"), row_unit_image(T, r)):
-            return False
-    total = lincomb(T.codomain, [(1, img) for _, img in T.row_unit_images] + [
-        (1, img) for idx, img in T.atom_images if idx[0] not in rows
-    ])
-    return le(total, T.unit_image)
+        return le(image_sum_pattern(T, "id"), T.unit_image)
+    rows = table_rows(T)
+    return all(le(row_sum_pattern(T, r), row_unit_image(T, r)) for r in rows) and le(
+        lincomb(T.codomain, [(1, row_unit_image(T, r)) for r in rows]), T.unit_image)

@@ -111,23 +111,9 @@ def to_markdown(rep: Report) -> str:
         lines.append("## Transcript")
         lines.extend(f"- {line}" for line in d["transcript"])
         lines.append("")
-    if d["certificate"] is not None:
-        lines.append("## Certificate")
-        lines.append("```json")
-        lines.append(json.dumps(d["certificate"], indent=2))
-        lines.append("```")
-        lines.append("")
-    if d["oracle"] is not None:
-        lines.append("## Oracle data")
-        lines.append("```json")
-        lines.append(json.dumps(d["oracle"], indent=2))
-        lines.append("```")
-        lines.append("")
-    if d["details"] is not None:
-        lines.append("## Details")
-        lines.append("```json")
-        lines.append(json.dumps(d["details"], indent=2))
-        lines.append("```")
-        lines.append("")
+    for heading, key in (("Certificate", "certificate"), ("Oracle data", "oracle"),
+                         ("Details", "details")):
+        if d[key] is not None:
+            lines += [f"## {heading}", "```json", json.dumps(d[key], indent=2), "```", ""]
     lines.append(f"engine {d['engine_version']}")
     return "\n".join(lines)

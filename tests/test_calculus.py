@@ -298,10 +298,13 @@ def test_witness_tail_window_covers_the_rule_period_and_form_meetings():
 def test_witness_on_row_blocks_checks_every_table_entry_and_row_unit(domain):
     """On a row-block domain the witness window holds rows 1..probe only:
     R <= T must still be checked at a table entry in row 40, past every
-    probed row, and on ek at the row unit 40, whatever the probe."""
+    probed row, and on ek at the row unit 40, whatever the probe.  On ek
+    each row unit's image dominates its row's atom images, in T and in
+    every forgery, so that all of them are positive."""
     G = row_block_grid()
     far, lit = (40, 2), atom(G, (40, 2))
-    rows = {40: add(lit, atom(G, (40, 5)))} if domain.row_units else {}
+    ek = domain.row_units
+    rows = {1: atom(G, (1, 1)), 40: add(scale(2, lit), atom(G, (40, 5)))} if ek else {}
     T_ = operator(domain, G, {(1, 1): atom(G, (1, 1)), far: lit}, None, rows,
                   scale(2, unit(G)))
     assert is_positive_operator(T_)
@@ -310,13 +313,14 @@ def test_witness_on_row_blocks_checks_every_table_entry_and_row_unit(domain):
         ok, log = verify_witness(R, T_, probe)
         assert ok and "R <= T on the probed atom grid and every table entry" in log, log
         # (atom images, row-unit images, unit image increase, the one FAIL line)
-        raised = [({far: scale(2, lit)}, {}, scale(2, lit), "FAIL R <= T at atom (40, 2)")]
-        if domain.row_units:
+        raised = [({far: scale(2, lit)}, {40: scale(2, lit)} if ek else {}, scale(2, lit),
+                   "FAIL R <= T at atom (40, 2)")]
+        if ek:
             row5 = scale(2, atom(G, (40, 5)))
             raised.append(({}, {40: row5}, row5, "FAIL R <= T at row unit 40"))
         for images, row_images, extra, fail in raised:
-            bad = operator(domain, G, {**dict(R.atom_images), **images}, None, row_images,
-                           add(R.unit_image, extra))
+            bad = operator(domain, G, {**dict(R.atom_images), **images}, None,
+                           {**dict(R.row_unit_images), **row_images}, add(R.unit_image, extra))
             assert is_positive_operator(bad)
             ok, log = verify_witness(bad, T_, probe)
             assert not ok and [line for line in log if line.startswith("FAIL")] == [fail], log
@@ -389,6 +393,120 @@ def test_positive_part_of_positive_rowblock_operator():
     assert dict(cand.atom_images)[(1, 1)] == img
 
 
+def _atom_row_operator(c, unit_value):
+    """ek -> ek: e(5,1) -> c e(1,1), every row unit -> 0, unit ->
+    unit_value e(1,1).  Row 5 has an atom entry and no row-unit entry;
+    y = r(5) - e(5,1) is positive and T(y) = -c e(1,1)."""
+    from rieszkit.elements import row_unit, sub
+
+    E = row_block_ek()
+    e11 = atom(E, (1, 1))
+    T_ = operator(E, E, {(5, 1): scale(c, e11)}, None, {}, scale(unit_value, e11))
+    return T_, sub(row_unit(E, 5), atom(E, (5, 1))), e11
+
+
+def test_atom_row_without_a_row_unit_entry_is_not_positive():
+    """The row unit 5 maps to 0 below the positive image of e(5,1), so T is
+    not positive and has no rank-one minorant at any probe."""
+    from rieszkit.elements import is_positive
+
+    T_, y, e11 = _atom_row_operator(1, 1)
+    assert is_positive(y) and apply_op(T_, y) == scale(-1, e11)
+    assert not is_positive_operator(T_)
+    for probe in (1, 8, 32):
+        with pytest.raises(PreconditionError, match="T is not positive"):
+            pervasive_witness(T_, probe)
+
+
+@pytest.mark.parametrize("c, unit_value, row5, unit_sup", [
+    (1, 1, 1, 2),
+    (-1, 0, 1, 1),
+], ids=["positive-image", "negative-image"])
+def test_positive_part_carries_the_rows_of_atom_entries(c, unit_value, row5, unit_sup):
+    """T+ below the row unit 5 is the supremum over its row, which the
+    row-unit table must carry: P(r(5)) and P(unit) are the interval
+    suprema, and P majorizes T and 0 at y = r(5) - e(5,1)."""
+    from rieszkit.elements import row_unit
+
+    T_, y, e11 = _atom_row_operator(c, unit_value)
+    P, tail, in_f = positive_part(T_)
+    assert in_f and tail.is_zero()
+    assert apply_op(P, row_unit(T_.domain, 5)) == scale(row5, e11)
+    assert P.unit_image == scale(unit_sup, e11)
+    assert le(apply_op(T_, y), apply_op(P, y)) and le(zero(T_.codomain), apply_op(P, y))
+
+
+def test_generic_row_lies_past_the_rows_where_rule_row_forms_meet():
+    """The rule sends e(n,m) to e(n,m) - e(2n-1,m+1): on row 1 its two
+    forms share an output row, so row 1's row sum e(1,1) is positive while
+    every later row's is not.  T+(unit) sums a correction over each of
+    those rows and leaves the representable fragment; it is refused,
+    not read off row 1 (where 0 <= y <= unit has T(y) = 2 at (3,2) and
+    row 1 would give 1)."""
+    from rieszkit.elements import is_positive, row_unit, sub
+    from rieszkit.operators import table_rows
+
+    E = row_block_ek()
+    rule = stencil_rule(1, 0, [[(pair_form(1, 0, 1, 0), 1),
+                                (pair_form(2, -1, 1, 1), -1)]], E)
+    T_ = operator(E, E, {}, rule, {}, zero(E))
+    assert table_rows(T_) == [1, 2]
+    y = add(atom(E, (3, 2)), sub(row_unit(E, 2), atom(E, (2, 1))))
+    assert is_positive(y) and le(y, unit(E)) and coordinate(apply_op(T_, y), (3, 2)) == 2
+    with pytest.raises(PreconditionError, match="leave the representable completion"):
+        rk_value(T_, unit(E))
+
+
+@pytest.mark.parametrize("codomain", [row_block_grid(), row_block_ek()], ids=["grid", "ek"])
+def test_positivity_and_positive_part_on_the_generator_family(codomain):
+    """Seeded ek operators whose atom tables sit partly on rows without
+    row-unit entries.  T >= 0 exactly when T(y) >= 0 for every y of the
+    family e_a, r_n - sum_{m<=k} e(n,m), u - sum_{n<=N} r_n over the touched
+    rows and columns; positive_part's P majorizes T and 0 on that family,
+    and is T itself when T >= 0."""
+    from rieszkit.elements import is_positive, lincomb, row_unit, sub
+
+    rng = random.Random(20261019)
+    E, G = row_block_ek(), codomain
+    cells = [(n, m) for n in range(1, 4) for m in range(1, 3)]
+
+    def image(span=2):
+        return lincomb(G, [(rng.randint(-1, span), atom(G, k)) for k in rng.sample(cells, 2)])
+
+    positives = 0
+    for _ in range(60):
+        table = {k: image() for k in rng.sample(cells, rng.randint(1, 3))}
+        rows = {}
+        for n in {k[0] for k in table} | {rng.randint(1, 4)}:
+            if rng.random() < 0.7:
+                row_sum = lincomb(G, [(1, img) for k, img in table.items() if k[0] == n])
+                rows[n] = add(row_sum, pos(image(1))) if rng.random() < 0.8 else image()
+        total = lincomb(G, [(1, img) for img in rows.values()])
+        unit_img = add(total, pos(image(1))) if rng.random() < 0.8 else image()
+        T_ = operator(E, G, table, None, rows, unit_img)
+        top_row, top_col = 5, 3
+        family = [atom(E, (n, m)) for n in range(1, top_row + 1) for m in range(1, top_col + 1)]
+        for n in range(1, top_row + 1):
+            family += [sub(row_unit(E, n), lincomb(E, [(1, atom(E, (n, m)))
+                                                       for m in range(1, k + 1)]))
+                       for k in range(top_col + 1)]
+        family += [sub(unit(E), lincomb(E, [(1, row_unit(E, n)) for n in range(1, N + 1)]))
+                   for N in range(top_row + 1)]
+        assert all(is_positive(y) for y in family)
+        images = [apply_op(T_, y) for y in family]
+        positive = is_positive_operator(T_)
+        assert positive == all(is_positive(img) for img in images), T_
+        positives += positive
+        P, _, in_f = positive_part(T_)
+        assert in_f
+        for y, img in zip(family, images):
+            Py = apply_op(P, y)
+            assert le(img, Py) and is_positive(Py), (T_, y)
+        if positive:
+            assert op_eq(P, T_)
+    assert 10 <= positives <= 50
+
+
 def test_rk_row_unit_matches_brute_enumeration():
     """Enumerate 0/1-vectors below a row unit on a truncated grid: the
     coordinatewise maxima of the images must saturate the claimed pattern
@@ -454,14 +572,10 @@ def test_rk_unit_matches_brute_enumeration_ek():
 
 def test_classify_pairs():
     c = classify_pair(T, T)
-    assert c.rk_property and c.oc_band and c.pervasive
     assert "grid-codomain-rk" in c.anchors
     c2 = classify_pair(T, F)
-    assert c2.oc_band and not c2.riesz_space
+    assert not c2.riesz_space
     c3 = classify_pair(fin_dim(2), fin_dim(3))
     assert c3.riesz_space and c3.codomain_order_complete
-    from rieszkit.spaces import row_block_ek
-
     c4 = classify_pair(row_block_ek(), row_block_grid())
-    assert c4.pervasive  # atomic codomain route
-    assert c4.pervasive_route == "atomic-codomain"
+    assert "atomic-codomain-witness" in c4.anchors

@@ -108,6 +108,26 @@ def test_witness_pervasive_on_nonpositive_is_input_error(capsys):
 
 
 @pytest.mark.parametrize("probe", ["1", "8", "32"])
+def test_witness_pervasive_refuses_an_atom_row_without_a_row_unit_entry(capsys, probe):
+    """ek_atom_row's T sends r(5) - e(5,1) >= 0 to -e(1,1): not positive."""
+    code, out = run_cli(capsys, "witness-pervasive", "--spec", SPECS["ek_atom_row"],
+                        "--probe", probe)
+    assert (code, out) == (2, _input_error("T is not positive"))
+
+
+def test_witness_report_prints_the_row_unit_coefficients(capsys):
+    """The witness functional on ek_row_functional reads row 1's eventual
+    value: its row-unit coefficient is printed with the atom coefficients
+    and the unit value, and no report prints an empty row-unit table."""
+    code, out = run_cli(capsys, "witness-pervasive", "--spec", SPECS["ek_row_functional"])
+    functional = json.loads(out)["certificate"]["functional"]
+    assert list(functional.items()) == [
+        ("atom_coeffs", {}), ("row_unit_coeffs", {"1": "1"}), ("unit_value", "1")]
+    code, out = run_cli(capsys, "witness-pervasive", "--spec", SPECS["even_atoms"])
+    assert "row_unit_coeffs" not in json.loads(out)["certificate"]["functional"]
+
+
+@pytest.mark.parametrize("probe", ["1", "8", "32"])
 def test_witness_pervasive_succeeds_on_a_positive_spec(capsys, probe):
     code, out = run_cli(capsys, "witness-pervasive", "--spec",
                         "tests/specs/shift_positive.rzk", "--probe", probe)
@@ -414,6 +434,7 @@ SPECS = {
     "ck_periodic": "tests/specs/ck_periodic.rzk",
     "even_atoms": "tests/specs/even_atoms.rzk",
     "ek_row_functional": "tests/specs/ek_row_functional.rzk",
+    "ek_atom_row": "tests/specs/ek_atom_row.rzk",
 }
 DIGESTS = Path(__file__).with_name("report_digests.json")
 # the case studies whose probe loops grow with --probe, pinned at its ends
