@@ -107,7 +107,7 @@ def _generator_sup(T: Operator, ref) -> Element:
         return add(sigma_pos, pos(sub(T.unit_image, image_sum_pattern(T, "id"))))
     *rows, generic = table_rows(T)
     if not _row_correction(T, generic).is_zero():
-        raise PreconditionError(
+        raise UnsupportedHypothesisError(
             "positive-part values for this operator family leave the "
             "representable completion fragment"
         )

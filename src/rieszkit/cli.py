@@ -153,7 +153,10 @@ def _cmd_witness(args) -> Report:
         command=f"witness-pervasive {name}",
         verdict="rank-one minorant found",
         exit_code=0,
-        anchors=("atomic-codomain-witness", "rank-one-pervasive"),
+        # the route taken: a coordinate composition, or T itself when it
+        # vanishes on the atom span closure (no coordinate)
+        anchors=("atomic-codomain-witness" if w.coordinate is not None
+                 else "atom-span-codim-one-witness", "rank-one-pervasive"),
         certificate={
             "generator": w.generator,
             "coordinate": None if w.coordinate is None else str(w.coordinate),

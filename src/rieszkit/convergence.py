@@ -28,12 +28,14 @@ from itertools import chain
 from typing import Tuple
 
 from .errors import NotDecreasingError, PreconditionError, SpaceMismatchError
-from .scalars import Q, Q0, RationalSeq, qstr, qsub
+from .records import replace
+from .scalars import Q, Q0, RationalSeq, qabs, qle, qstr, qsub
 from .spaces import SpaceDesc, Token, fresh_star, seq_form
 from .elements import (
     Element,
     abs_le,
     atom,
+    coordinate_reader,
     is_positive,
     le,
     max_abs_coord,
@@ -48,6 +50,7 @@ from .elements import (
 from .sequences import (
     ElementSeq,
     MovingAtom,
+    StepWalk,
     cover_shift,
     deviation_bound,
     element_seq,
@@ -56,6 +59,7 @@ from .sequences import (
     fill,
     moving_parts,
     normalize,
+    step_check,
     step_parts,
     structural_threshold,
     sub_element,
@@ -96,30 +100,35 @@ def check_decreasing(b: ElementSeq, probe: int = 8) -> int:
     """Verify b_{n+1} <= b_n for all n; returns the verified window end.
 
     Concrete comparisons cover every step up to the structural threshold
-    plus the probe: prelude steps compare their stored elements, and a
-    symbolic step decides b_{n+1} - b_n <= 0 on the two steps' moving
-    parts, where the static part cancels.  Beyond that the eventual regime
-    makes the comparisons recur verbatim, which the symbolic conditions
-    certify: nonincreasing ambient, nonincreasing stationary coefficients,
-    nonpositive moving coefficients and fill values.
+    plus the probe, walked by a `StepWalk` from step 2.  Its whole steps are
+    the base case: a prelude step compares the stored elements, and the
+    first symbolic comparison, or one where the ambient changes, decides
+    b_{n+1} - b_n <= 0 on the two steps' moving parts, where the static
+    part cancels.  Every other step decides it on the coordinates the step
+    touches, the only ones where b_{n+1} - b_n is not 0.  Beyond the window
+    the eventual regime makes the comparisons recur verbatim, which the
+    symbolic conditions certify: nonincreasing ambient, nonincreasing
+    stationary coefficients, nonpositive moving coefficients and fill
+    values.
     """
     window = structural_threshold(b) + probe
     origin = zero(b.space)
+    walk = StepWalk(b, 2)
     for n in range(1, window + 1):
-        if n < b.n0:
+        if not walk.whole(n + 1):
+            ok = all(d.numerator <= 0 for d in walk.step(n + 1).values())
+        elif n < b.n0:
             ok = le(eval_seq(b, n + 1), b.prelude[n - 1])
         else:
+            prev = moving_parts(b, n)
             if n == b.n0:
                 # the differences skip cancelled terms: check step n0's indices
-                prev = moving_parts(b, n)
                 recompose(b.space, prev)
-            cur = moving_parts(b, n + 1)
             # terms pair up by generator; a fill hit or settled coefficient
             # both steps share is one value object, which cancels by identity
-            later = dict(cur)
+            later = dict(moving_parts(b, n + 1))
             diff = [(r, d) for r, c in prev if (d := qsub(later.pop(r, Q0), c)) is not Q0]
             ok = le(recompose(b.space, [*diff, *later.items()]), origin)
-            prev = cur
         if not ok:
             raise NotDecreasingError(n, f"b({n + 1}) !<= b({n})")
     if not b.ambient.is_nonincreasing_from(1):
@@ -418,7 +427,11 @@ def verify_certificate(
     refused before any check runs.  Each probed check (the order bound, the
     domination of the stationary part, the minorant below the family) walks
     the steps up to the structural threshold plus the probe and logs the
-    first failing n (`first_failure`).  Escaping forms must be moving: a
+    first failing n (`first_failure`).  The walks go by `StepWalk`: a whole
+    step (the walk's first, a prelude step, n0, an ambient change) is the
+    base case, compared as elements; every other step is compared only at
+    the coordinates it touches, on both sequences' touched sets for the
+    domination, and builds no element.  Escaping forms must be moving: a
     positive slope makes a form injective, so its supports leave every finite
     set.  A minorant must be positive and nonzero.  The decreasing check and,
     with no limit, the minorant walk read a sequence's static part once
@@ -431,8 +444,8 @@ def verify_certificate(
     window = structural_threshold(d) + probe
     if cert.verdict == CONVERGES:
         ok = True
-        # the two probe walks share the steps of d: each is evaluated once,
-        # and built once when no escaping atoms come off it
+        # the two probe walks share the whole steps of d: each is evaluated
+        # once, and built once when no escaping atoms come off it
         d_parts = cache(partial(step_parts, d))
         d_step = cache(lambda n: recompose(d.space, d_parts(n)))
         if (cert.verdict, cert.mode, cert.anchors) == _FINITE_SUM:
@@ -441,8 +454,11 @@ def verify_certificate(
             log.append(f"x - limit is 0 from n={d.n0} on (symbolic)" if ok
                        else "FAIL x - limit is not eventually 0")
         if cert.order_bound is not None:
-            n = first_failure(range(1, window + 1),
-                              lambda n: abs_le(d_step(n), cert.order_bound))
+            bound, dw = cert.order_bound, StepWalk(d)
+            bound_at = coordinate_reader(bound)
+            n = first_failure(range(1, window + 1), step_check(
+                [dw], lambda n: abs_le(d_step(n), bound),
+                lambda i: qle(qabs(dw.at(i)), bound_at(i))))
             log.append(f"order bound holds at n=1..{window}" if n is None
                        else f"FAIL order bound at n={n}")
             ok = ok and n is None
@@ -459,9 +475,15 @@ def verify_certificate(
                 ok = False
             else:
                 log.append("dominating family settles at 0 (monotone rule)")
-            n = first_failure(range(max(1, cert.n0), window + 1), lambda n: abs_le(
+            # d less the escaping atoms is walked as d with their negatives
+            # as more atoms; its whole steps subtract them from d's steps
+            first = max(1, cert.n0)
+            less = tuple((form, coeff.scale(-1)) for form, coeff in cert.escaping)
+            dw = StepWalk(replace(d, atoms=d.atoms + less) if less else d, first)
+            bw = StepWalk(b, first)
+            n = first_failure(range(first, window + 1), step_check([dw, bw], lambda n: abs_le(
                 _less_atoms(d.space, d_parts(n), cert.escaping, n) if cert.escaping else d_step(n),
-                eval_seq(b, n)))
+                eval_seq(b, n)), lambda i: qle(qabs(dw.at(i)), bw.at(i))))
             log.append(f"stationary part dominated at n={cert.n0}..{window}" if n is None
                        else f"FAIL domination of the stationary part at n={n}")
             ok = ok and n is None
@@ -514,9 +536,11 @@ def verify_certificate(
     if h is not None:
         ok = _minorant_positive(h, log)
         if limit is None:
-            n = first_failure(range(1, window + 1), lambda n: (
+            xw, h_at = StepWalk(x), coordinate_reader(h)
+            n = first_failure(range(1, window + 1), step_check([xw], lambda n: (
                 le(h, x.prelude[n - 1]) if n < x.n0 else
-                le(sub(h, recompose(x.space, moving_parts(x, n))), x.static)))
+                le(sub(h, recompose(x.space, moving_parts(x, n))), x.static)),
+                lambda i: qle(h_at(i), xw.at(i))))
             log.append(f"minorant below the family at n=1..{window}" if n is None
                        else f"FAIL minorant not below the family at n={n}")
             ok = ok and n is None

@@ -640,6 +640,13 @@ def coordinate(x: Element, idx: AtomIndex) -> Q:
     return _shape(x).at(x, idx)
 
 
+def coordinate_reader(x: Element):
+    """The coordinate functionals of x as one function of the index, without
+    the index check `coordinate` makes: for a walk that checks the indices
+    it reads itself."""
+    return partial(_shape(x).at, x)
+
+
 def support(x: Element) -> list[AtomIndex]:
     """Touched coordinates (where a value is stored explicitly), sorted."""
     return _shape(x).support(x)

@@ -25,17 +25,20 @@ that goes on to add to the step (a residual, an image) canonicalizes once;
 `eval_seq` is their `recompose`.  The static part is the same at every
 step, so a sequence decomposes it once, on first use.  A symbolic step is
 its static parts followed by `moving_parts` (the unit term and the atom and
-fill hits), which a probe loop comparing steps reads without the static part.
+fill hits), which a whole-step comparison of two steps reads without the
+static part.  The probe walks read a step by its difference from the step
+before (`StepWalk`), and build a step only at the walk's whole steps.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from math import inf
 from typing import Tuple
 
 from .records import record, replace
-from .errors import SpaceMismatchError, StencilError
-from .scalars import Q, Q0, QLike, RationalSeq, ZERO_SEQ, qadd, qof
+from .errors import InvalidIndexError, SpaceMismatchError, StencilError
+from .scalars import Q, Q0, QLike, RationalSeq, ZERO_SEQ, qadd, qeq, qof, qsub
 from .spaces import (
     CoordForm,
     PairForm,
@@ -45,7 +48,15 @@ from .spaces import (
     form_space_matches,
     forms_collide_at,
 )
-from .elements import Element, decompose, max_abs_coord, recompose, sub, zero
+from .elements import (
+    Element,
+    coordinate_reader,
+    decompose,
+    max_abs_coord,
+    recompose,
+    sub,
+    zero,
+)
 from .completion import pattern_from_pieces
 
 MovingAtom = Tuple[CoordForm, RationalSeq]
@@ -68,6 +79,19 @@ class Fill:
             return []
         first = self.kmin + ((self.residue - self.kmin) % self.modulus)
         return list(range(first, top + 1, self.modulus))
+
+    def hit_at(self, n: int) -> int | None:
+        """The one k a step n adds, k = n - lag when it lies in the class,
+        or None."""
+        k = n - self.lag
+        return k if k >= self.kmin and (k - self.residue) % self.modulus == 0 else None
+
+    def covers(self, idx, n: int) -> bool:
+        """Whether step n holds a hit at the coordinate idx, through the
+        form's inverse."""
+        k = self.form.step_of(idx)
+        return (k is not None and self.kmin <= k <= n - self.lag
+                and (k - self.residue) % self.modulus == 0)
 
     def line_params(self) -> tuple[Q, Q]:
         """The covered coordinate line as (step, offset) over the class index."""
@@ -160,15 +184,22 @@ def _eval_symbolic(seq: ElementSeq, n: int) -> list:
     return [*seq._static_parts, *moving_parts(seq, n)]
 
 
-def moving_parts(seq: ElementSeq, n: int) -> list:
-    """The symbolic step n less the static part, as generator parts: the
-    ambient's unit term, then the atom and fill hits in atom order."""
+def _atom_hits(seq: ElementSeq, n: int) -> dict:
+    """{coordinate: summed coefficient} of the atoms at step n; a zero
+    coefficient reads no coordinate."""
     hits: dict = {}
     for form, coeff in seq.atoms:
         c = coeff.at(n)
         if c is not Q0 and c:
             idx = form.at(n)
             hits[idx] = qadd(hits.get(idx, Q0), c)
+    return hits
+
+
+def moving_parts(seq: ElementSeq, n: int) -> list:
+    """The symbolic step n less the static part, as generator parts: the
+    ambient's unit term, then the atom and fill hits in atom order."""
+    hits = _atom_hits(seq, n)
     for f in seq.fills:
         for k in f.ks_at(n):
             idx = f.form.at(k)
@@ -197,6 +228,99 @@ def eval_seq(seq: ElementSeq, n: int) -> Element:
     if 1 <= n < seq.n0:
         return seq.prelude[n - 1]
     return recompose(seq.space, step_parts(seq, n))
+
+
+# ---------------------------------------------------------------------------
+# the step walk
+
+
+class StepWalk:
+    """x_n for n = first, first + 1, ..., each step read by its difference
+    from the step before, without building x_n.
+
+    `whole(n)` says the caller must compare step n as a whole element: the
+    walk's first step, a prelude step, the first symbolic step n0, and a
+    step where the ambient changes.  Any other step differs from step n - 1
+    only at the coordinates `step(n)` returns: the old and new coordinate of
+    an atom whose coordinate or coefficient moved, and each fill's one new
+    hit k = n - lag.  Every other coordinate, tail and ambient slot keeps
+    its value, so a comparison that held at step n - 1 holds at step n off
+    those coordinates.  `at(idx)` then reads x_n at one coordinate: the
+    static value, the ambient, the atoms there and the fill hits there,
+    each fill through its form's inverse.  A step costs O(atoms + fills),
+    so a walk costs O(window * (atoms + fills)), not O(window^2).
+
+    The steps must be taken in order, `step` only at a step that is not
+    whole; the atom hits of a whole step are read again at the next step,
+    from the same terms the caller's whole comparison has already read.
+    """
+
+    def __init__(self, seq: ElementSeq, first: int = 1):
+        self.seq, self.first = seq, first
+        self._static = coordinate_reader(seq.static)
+        self._check, self._dim = seq.space.row.check_atom, seq.space.dim
+        self._n, self._hits, self._amb = 0, {}, Q0
+        # past this step no step is whole: the ambient has settled
+        amb = seq.ambient
+        self._settled = inf if amb.h else max(first, seq.n0, amb.settle_bound())
+
+    def whole(self, n: int) -> bool:
+        amb = self.seq.ambient
+        return n <= self._settled and (
+            n <= self.first or n <= self.seq.n0 or not qeq(amb.at(n), amb.at(n - 1)))
+
+    def step(self, n: int) -> dict:
+        """{coordinate: x_n - x_{n-1} there} where that is not 0, each
+        coordinate checked against the space as a whole step checks it."""
+        seq = self.seq
+        prev = self._hits if self._n == n - 1 else _atom_hits(seq, n - 1)
+        hits = _atom_hits(seq, n)
+        delta = {i: d for i in hits.keys() | prev.keys()
+                 if (d := qsub(hits.get(i, Q0), prev.get(i, Q0))) is not Q0}
+        for f in seq.fills:
+            if (k := f.hit_at(n)) is not None:
+                i = f.form.at(k)
+                d = qadd(delta.get(i, Q0), f.value)
+                if d is Q0:
+                    delta.pop(i, None)
+                else:
+                    delta[i] = d
+        # a coordinate whose value moves is one x_n stores (an index x_{n-1}
+        # stored was checked before), so an index out of range raises, the
+        # first in atom order, as the whole step's `recompose` would
+        check, dim = self._check, self._dim
+        bad = []
+        for i in delta:
+            try:
+                check(i, dim)
+            except InvalidIndexError:
+                bad.append(i)
+        if bad:
+            check(min(bad, key=atom_key), dim)
+        self._n, self._hits, self._amb = n, hits, seq.ambient.at(n)
+        return delta
+
+    def at(self, idx) -> Q:
+        """x_n at the coordinate idx, n the step `step` last took."""
+        n = self._n
+        v = qadd(qadd(self._static(idx), self._amb), self._hits.get(idx, Q0))
+        for f in self.seq.fills:
+            if f.covers(idx, n):
+                v = qadd(v, f.value)
+        return v
+
+
+def step_check(walks, whole, holds_at):
+    """holds(n) over sequences walked in lockstep: whole(n) at a step one of
+    the walks needs whole, else holds_at(idx) at every coordinate one of
+    them moves (checked after every walk has checked its indices)."""
+    def holds(n: int) -> bool:
+        for w in walks:
+            if w.whole(n):
+                return whole(n)
+        moved = [w.step(n) for w in walks]
+        return all(holds_at(i) for m in moved for i in m)
+    return holds
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,15 @@ class Affine:
     def moving(self) -> bool:
         return self.a > 0
 
+    def solve(self, v: int) -> int | None:
+        """The integer n with a*n + b == v for a moving form, or None."""
+        a, b = self.a, self.b
+        if a.denominator == 1 and b.denominator == 1:
+            n, r = divmod(v - b.numerator, a.numerator)
+            return None if r else n
+        n = (v - b) / a
+        return n.numerator if n.denominator == 1 else None
+
     def __str__(self) -> str:
         if self.a == 0:
             return qstr(self.b)
@@ -185,6 +194,10 @@ class SeqForm:
     def at(self, n: int) -> int:
         return self.idx.at_int(n)
 
+    def step_of(self, idx: int) -> int | None:
+        """The step n at which a moving form reads idx, or None."""
+        return self.idx.solve(idx)
+
     @property
     def moving(self) -> bool:
         return self.idx.moving
@@ -201,6 +214,11 @@ class TokenForm:
 
     def at(self, n: int) -> Token:
         return gamma(self.idx.at_int(n))
+
+    def step_of(self, idx: Token) -> int | None:
+        """The step n at which a moving form reads idx, or None: star
+        tokens lie off the line."""
+        return self.idx.solve(idx.k) if idx.family == "g" else None
 
     @property
     def moving(self) -> bool:

@@ -453,7 +453,7 @@ def test_generic_row_lies_past_the_rows_where_rule_row_forms_meet():
     assert table_rows(T_) == [1, 2]
     y = add(atom(E, (3, 2)), sub(row_unit(E, 2), atom(E, (2, 1))))
     assert is_positive(y) and le(y, unit(E)) and coordinate(apply_op(T_, y), (3, 2)) == 2
-    with pytest.raises(PreconditionError, match="leave the representable completion"):
+    with pytest.raises(UnsupportedHypothesisError, match="leave the representable completion"):
         rk_value(T_, unit(E))
 
 

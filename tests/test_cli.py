@@ -163,6 +163,33 @@ def _spec_file(tmp_path, dom, cod, *clauses) -> str:
     return str(spec)
 
 
+def test_witness_pervasive_cites_the_codimension_route(tmp_path, capsys):
+    """T vanishes on every atom of l0inf, whose atom span closure has
+    codimension one: T itself is the witness, with no coordinate, and the
+    report cites that route, not the coordinate composition."""
+    spec = _spec_file(tmp_path, "l0inf", "l0inf", "unit -> 1 @ 1")
+    code, out = run_cli(capsys, "witness-pervasive", "--spec", spec)
+    rep = json.loads(out)
+    assert (code, rep["verdict"]) == (0, "rank-one minorant found")
+    assert rep["certificate"]["coordinate"] is None
+    assert rep["theorem_refs"] == ["atom-span-codim-one-witness", "rank-one-pervasive"]
+
+
+def test_positive_part_past_the_representable_fragment_is_unsupported(tmp_path, capsys):
+    """On ek, e(n,m) -> e(n,m) - e(n+1,m) has a row correction past the
+    table rows: T+(unit) leaves the representable fragment, which is an
+    unsupported hypothesis (exit 3), not an input error."""
+    spec = _spec_file(tmp_path, "ek", "ek", "atoms m > 0 -> { 1 @ (n,m), -1 @ (n+1,m) }",
+                      "rowunits n > 0 -> 0", "unit -> 0")
+    code, out = run_cli(capsys, "positive-part", "--spec", spec)
+    assert code == 3
+    assert json.loads(out) == {
+        "error": "positive-part values for this operator family leave the "
+                 "representable completion fragment",
+        "kind": "unsupported-hypothesis",
+    }
+
+
 def test_a_pair_rule_from_a_sequence_domain_is_an_input_error(tmp_path, capsys):
     """T e_n = e_(n,1) has no reading as a rule: a pair form's row is the
     free row variable of a row-block domain.  It used to be read both ways

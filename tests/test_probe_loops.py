@@ -1,30 +1,67 @@
-"""Differential test of the two probe loops against their definitions.
+"""Differential test of the probe walks against their definitions.
 
-`check_decreasing` decides b_{n+1} <= b_n on the moving parts of the two
-steps, and the verifier's minorant loop decides h <= x_n against the static
-part; both must agree with the definitions evaluated naively on whole
-steps, `le(eval_seq(b, n + 1), eval_seq(b, n))` and `le(h, eval_seq(x, n))`:
-the same verdict, the same first failing n and the same message.  The
+Each walk compares a whole step only at its first step, a prelude step, the
+first symbolic step and a step where an ambient changes, and every other
+step on the coordinates the step touches (`sequences.StepWalk`).  Every
+walk must agree with its definition evaluated naively on whole steps:
+
+  check_decreasing           le(eval_seq(b, n + 1), eval_seq(b, n))
+  the verifier's order bound abs_le(d_n, order_bound)
+  its domination walk        abs_le(d_n - escaping_n, eval_seq(b, n))
+  its minorant walk          le(h, eval_seq(x, n))
+  the dominating search      abs_le(eval_seq(x, n), eval_seq(candidate, n))
+
+with the same verdict, the same first failing n and the same message.  The
 sequences are seeded draws over all five space kinds, with preludes, fills
-with lag and modulus, harmonic coefficients and colliding forms.
+with lag and modulus, harmonic coefficients, ambients that change past the
+prelude and colliding forms; the domination walks start at certificate
+steps n0 > 1 as well.  A count guard holds the walks linear in the window.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
+from rieszkit import convergence, oracles, sequences
 from rieszkit.convergence import (
+    CONVERGES,
     DIVERGES,
     ConvergenceCertificate,
     check_decreasing,
+    decide_monotone_limit,
+    decide_order_convergence,
+    eventual_pattern,
     verify_certificate,
 )
-from rieszkit.elements import add, inf2, le, recompose, scale, sub, unit
+from rieszkit.elements import (
+    abs_,
+    abs_le,
+    add,
+    decompose,
+    in_base_space,
+    inf2,
+    le,
+    recompose,
+    scale,
+    sub,
+    unit,
+    zero,
+)
 from rieszkit.errors import NotDecreasingError, RieszkitError
+from rieszkit.oracles import bruteforce_dominating_search
 from rieszkit.scalars import Q, RationalSeq
-from rieszkit.sequences import element_seq, eval_seq, fill, structural_threshold
+from rieszkit.sequences import (
+    deviation_bound,
+    element_seq,
+    eval_seq,
+    fill,
+    normalize,
+    structural_threshold,
+    sub_element,
+)
 from rieszkit.spaces import (
     Token,
     fin_dim,
@@ -238,3 +275,224 @@ def test_minorant_loop_agrees_with_whole_step_comparisons(space):
         lines.add(want[1])
     assert any(line.startswith("FAIL") for line in lines)
     assert any(not line.startswith("FAIL") for line in lines)
+
+
+def _naive_walk_lines(cert, x, limit, probe):
+    """The order-bound and domination lines of `verify_certificate`, from
+    whole steps.  The decreasing check and the settling test between the two
+    walks run as the verifier runs them, so an error either raises is
+    raised at the same point."""
+    d = x if limit is None else normalize(sub_element(x, limit))
+    window = structural_threshold(d) + probe
+    lines = []
+    if cert.order_bound is not None:
+        n = next((n for n in range(1, window + 1)
+                  if not abs_le(eval_seq(d, n), cert.order_bound)), None)
+        lines.append(f"order bound holds at n=1..{window}" if n is None
+                     else f"FAIL order bound at n={n}")
+    b = cert.dominating
+    if b is not None:
+        try:
+            check_decreasing(b, probe)
+        except NotDecreasingError:
+            pass
+        eventual_pattern(b)
+
+        def less(n):
+            return recompose(d.space, [*decompose(eval_seq(d, n)), *(
+                (("atom", form.at(n)), -c) for form, coeff in cert.escaping if (c := coeff.at(n)))])
+
+        n = next((n for n in range(max(1, cert.n0), window + 1)
+                  if not abs_le(less(n), eval_seq(b, n))), None)
+        lines.append(f"stationary part dominated at n={cert.n0}..{window}" if n is None
+                     else f"FAIL domination of the stationary part at n={n}")
+    return lines
+
+
+def _order_certificate(rng, d):
+    """A certificate that d order converges, as the decider builds it from a
+    deviation bound, with the bound, the dominating family, the escaping
+    atoms and the first dominated step varied: some hold, some fail."""
+    bound = deviation_bound(d)
+    dom, escaping = convergence._build_residual(d, bound * rng.choice([1, 1, Q(1, 2), Q(1, 4)]))
+    if escaping and rng.random() < 0.3:
+        escaping = escaping[1:]
+    if rng.random() < 0.25:
+        # a drawn family, which seldom dominates and may not decrease
+        dom = _draw(rng, d.space) or dom
+    if rng.random() < 0.3:
+        order_bound = abs_(eval_seq(d, rng.randint(1, structural_threshold(d) + 2)))
+    else:
+        order_bound = scale(bound * rng.choice([1, 1, Q(1, 2), 0]), unit(d.space))
+    n0 = rng.choice([1, 1, 2, 3, structural_threshold(d)])
+    return ConvergenceCertificate(verdict=CONVERGES, space=d.space, dominating=dom,
+                                  escaping=escaping, escape_bound=bound,
+                                  order_bound=order_bound, n0=n0)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.label)
+def test_order_bound_and_domination_walks_agree_with_whole_step_comparisons(space):
+    lines, late_starts, late_fails = set(), 0, set()
+    for rng, x in _draws(23, space, 60):
+        probe = rng.choice([1, 4, 8])
+        try:
+            # mostly the limit, so that the decider's families dominate
+            limit = rng.choice([eventual_pattern(x)] * 3 + [None, eval_seq(x, 1)])
+            if not in_base_space(limit or unit(space)):
+                limit = None
+            d = x if limit is None else normalize(sub_element(x, limit))
+            cert = _order_certificate(rng, d)
+        except RieszkitError:
+            continue
+        want = _outcome(lambda: ("ok", *_naive_walk_lines(cert, x, limit, probe)))
+        got = _outcome(lambda: verify_certificate(cert, x, limit, probe))
+        if got[0] == "ok":
+            ok, log = got[1]
+            assert ok == all("FAIL" not in line for line in log)
+            got = ("ok", ("ok", *(line for line in log
+                                  if "order bound" in line or "stationary part" in line)))
+        assert got == want, (x, cert)
+        if want[0] == "ok":
+            lines.update(want[1][1:])
+            late_starts += cert.n0 > 1
+            # (walk, whether it fails past its whole first steps)
+            late_fails.update(
+                (bounds, int(line.rsplit("=", 1)[1]) > max(1 if bounds else cert.n0, d.n0))
+                for line in want[1][1:] if line.startswith("FAIL")
+                for bounds in ["order bound" in line])
+    for walk in ("order bound", "stationary part"):
+        found = [line for line in lines if walk in line]
+        assert any(line.startswith("FAIL") for line in found), walk
+        assert any(not line.startswith("FAIL") for line in found), walk
+    assert late_starts and {(True, True), (False, True)} <= late_fails
+
+
+def test_the_draws_change_their_ambient_past_the_prelude():
+    """The walks' whole steps where the ambient changes past n0 are reached:
+    some drawn sequences with a prelude change their ambient after it."""
+    assert any(len(x.ambient.prefix) + 1 > x.n0 > 1
+               for space in SPACES for _, x in _draws(23, space, 60))
+
+
+def _naive_search(x, bound):
+    """`bruteforce_dominating_search` with its domination probe on whole
+    steps: (the family found, the candidates checked)."""
+    window, checked = max(10, 2 * bound), 0
+    for cand in oracles._candidate_families(x, bound):
+        checked += 1
+        try:
+            cert = decide_monotone_limit(cand)
+        except NotDecreasingError:
+            continue
+        if cert.converges and all(abs_le(eval_seq(x, n), eval_seq(cand, n))
+                                  for n in range(1, window + 1)):
+            return cand, checked
+    return None, checked
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.label)
+def test_dominating_search_probe_agrees_with_whole_step_comparisons(space):
+    """The draws, and bare moving atoms, which a march candidate dominates
+    on l0inf."""
+    rng = random.Random(24)
+    subjects = [x for _, x in _draws(24, space, 12)]
+    if space.kind.value != "fin_dim":
+        subjects += [element_seq(space, atoms=[(_form(rng, space, True), RationalSeq.const(c))])
+                     for c in (1, -2, Q(1, 2))]
+    outcomes = set()
+    for x in subjects:
+        want = _outcome(lambda: _naive_search(x, 4))
+        got = _outcome(lambda: (lambda r: (r.found, r.candidates_checked))(
+            bruteforce_dominating_search(x, 4)))
+        assert got == want, x
+        outcomes.add(want[0] == "ok" and want[1][0] is not None)
+    if space.kind.value == "tail_seq":
+        assert outcomes == {True, False}
+
+
+def _coordinates_read(monkeypatch) -> list:
+    """A counter of the coordinates the walks read: the parts of each step
+    built whole, and the coordinates of each step read by difference."""
+    count = [0]
+    moving, step = sequences.moving_parts, sequences.StepWalk.step
+
+    def counting_moving(seq, n):
+        parts = moving(seq, n)
+        count[0] += len(parts)
+        return parts
+
+    def counting_step(walk, n):
+        moved = step(walk, n)
+        count[0] += len(moved)
+        return moved
+
+    for module in (sequences, convergence):
+        monkeypatch.setattr(module, "moving_parts", counting_moving)
+    monkeypatch.setattr(sequences.StepWalk, "step", counting_step)
+    return count
+
+
+def _slope(windows, counts) -> float:
+    """The least-squares slope of log(count) over log(window)."""
+    xs, ys = [math.log(w) for w in windows], [math.log(c) for c in counts]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return (sum((a - mx) * (b - my) for a, b in zip(xs, ys))
+            / sum((a - mx) ** 2 for a in xs))
+
+
+@pytest.mark.parametrize("space, line", [(tail_seq(), seq_form), (fin_dev(), token_form)],
+                         ids=["l0inf", "ck"])
+def test_probe_walks_read_coordinates_linear_in_the_window(monkeypatch, space, line):
+    """On the march family (fill form(1, 0), lag 2, ambient 1) and on a
+    moving atom, `check_decreasing` and the verifier's walks read a number
+    of coordinates whose log-log slope over windows 13 to 517 is at most
+    1.15: each step reads what it changes, not the whole step."""
+    march = element_seq(space, fills=[fill(line(1, 0), 1, 0, 1, 2, -1)],
+                        ambient=RationalSeq.const(1))
+    bump = element_seq(space, atoms=[(line(1, 0), RationalSeq.const(1))])
+    origin = zero(space)
+    mono, order = decide_monotone_limit(march), decide_order_convergence(bump, origin)
+    walks = {
+        "check_decreasing on the march": (march, lambda p: check_decreasing(march, p)),
+        "verifier on the march": (march, lambda p: verify_certificate(mono, march, None, p)[0]),
+        "verifier on the moving atom": (
+            normalize(bump), lambda p: verify_certificate(order, bump, origin, p)[0]),
+    }
+    count = _coordinates_read(monkeypatch)
+    windows = (13, 69, 261, 517)
+    for name, (subject, run) in walks.items():
+        counts = []
+        for window in windows:
+            count[0] = 0
+            assert run(window - structural_threshold(subject))
+            counts.append(count[0])
+        assert _slope(windows, counts) <= 1.15, (name, counts)
+
+
+@pytest.mark.parametrize("space, atoms, fills", [
+    # two atoms that start at step 3, out of range there: the first index in
+    # atom order is the one reported
+    (tail_seq(), [(seq_form(1, -5), RationalSeq.steps([0, 0], -1)),
+                  (seq_form(1, -4), RationalSeq.steps([0, 0], -1))], []),
+    # a stationary atom past the dimension that starts at step 2
+    (fin_dim(4), [(seq_form(0, 5), RationalSeq.steps([0], -1))], []),
+    # a fill whose first hit, at step 3, is out of range
+    (tail_seq(), [], [fill(seq_form(1, -2), 1, 0, 1, 2, -1)]),
+], ids=["atoms", "dimension", "fill"])
+def test_an_index_out_of_range_at_a_later_step_raises_as_whole_steps_do(space, atoms, fills):
+    """A step read by difference checks the indices it touches, so an index
+    out of range first stored at a later step raises there, with the whole
+    step's error, in every walk."""
+    x = element_seq(space, atoms=atoms, fills=fills)
+    window = structural_threshold(x) + 8
+    want = _outcome(lambda: _naive_decreasing(x, 8))
+    assert want[0] == "InvalidIndexError"
+    assert _outcome(lambda: check_decreasing(x, 8)) == want
+    bound = ConvergenceCertificate(verdict=CONVERGES, space=space, dominating=element_seq(space),
+                                   order_bound=unit(space))
+    want = _outcome(lambda: [abs_le(eval_seq(x, n), unit(space)) for n in range(1, window + 1)])
+    assert _outcome(lambda: verify_certificate(bound, x, None, 8)) == want
+    below = ConvergenceCertificate(verdict=DIVERGES, space=space, mode="monotone",
+                                   minorant=scale(-2, unit(space)))
+    assert _outcome(lambda: verify_certificate(below, x, None, 8)) == want
+    assert want[0] == "InvalidIndexError"
