@@ -33,7 +33,7 @@ from typing import Tuple
 from .records import record, replace
 from .errors import PreconditionError, UnsupportedHypothesisError
 from .scalars import Q
-from .spaces import AtomIndex, SpaceDesc, atom_key, atom_str, forms_collide_at
+from .spaces import AtomIndex, SpaceDesc, atom_key, atom_str
 from .elements import (
     Element,
     add,
@@ -316,7 +316,8 @@ def _tail_steps(R: Operator, T: Operator, top: int, probe: int) -> list[int]:
     meets a T form, then one period of both rules past the last, then probe."""
     period = lcm(*(op_.rule.modulus for op_ in (R, T) if op_.rule is not None))
     rf, tf = ({f for es in op_.rule.entries for f, _ in es} if op_.rule else () for op_ in (R, T))
-    meets = {n for f in rf for g in tf if f != g for n in forms_collide_at(f, g) if n >= top}
+    # where an R entry meets a T entry at a driving index from top on
+    meets = {n for f in rf for g in tf if (n := f.meets(g, top - 1, 1, 0)) is not None}
     start = max([top, *(n + 1 for n in meets)])
     return sorted(meets) + list(range(start, start + period + probe))
 

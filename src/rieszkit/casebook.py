@@ -21,7 +21,6 @@ import random
 from .errors import PreconditionError
 from .scalars import Q, RationalSeq
 from .spaces import (
-    Affine,
     fin_dev,
     gamma,
     pair_form,
@@ -313,29 +312,18 @@ def _image_sequence(T: Operator, xs):
     if T.rule is None:
         return element_seq(T.codomain)
     q = T.rule.modulus
-    col, row = form.col, form.row
-    slope_ok = col.a == 0 or (col.a.denominator == 1 and int(col.a) % q == 0)
+    drive = form.drive
+    slope_ok = drive.a == 0 or (drive.a.denominator == 1 and int(drive.a) % q == 0)
     if not slope_ok:
         raise PreconditionError(
             "the test atom's column walks across residue classes; its image "
             "sequence is outside the representable class"
         )
-    m0 = int(col.at(1))
-    if m0 <= T.rule.threshold and col.a == 0:
+    m0 = int(drive.at(1))
+    if m0 <= T.rule.threshold and drive.a == 0:
         return element_seq(T.codomain)  # below the rule: image is zero
-    out_atoms = []
-    for out_form, c in T.rule.entries_for(m0):
-        comp_row = _compose_affine(out_form.row, row)
-        comp_col = _compose_affine(out_form.col, col)
-        out_atoms.append(
-            (pair_form(comp_row.a, comp_row.b, comp_col.a, comp_col.b),
-             coeff.scale(c))
-        )
-    return element_seq(T.codomain, atoms=out_atoms)
-
-
-def _compose_affine(out_aff, in_aff):
-    return Affine(out_aff.a * in_aff.a, out_aff.a * in_aff.b + out_aff.b)
+    return element_seq(T.codomain, atoms=[(out_form.compose(form), coeff.scale(c))
+                                          for out_form, c in T.rule.entries_for(m0)])
 
 
 def run_projection_demo(seed: int = 42) -> Report:

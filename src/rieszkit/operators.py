@@ -13,6 +13,11 @@ them once, in one `recompose`.
 Stencil entries with a stationary output form (slope 0) break local
 finiteness; they are representable so the order-boundedness test can refuse
 them, but accumulation-based operations reject them.
+
+A rule entry's geometry is its coordinate form's (see `spaces`): the image
+of an atom, the inverse, where two entries meet, the pattern piece an entry
+sweeps and the leak coordinate are form methods, so nothing here switches
+on the form type.
 """
 
 from __future__ import annotations
@@ -29,18 +34,7 @@ from .errors import (
     StencilError,
 )
 from .scalars import Q, Q0, QLike, qadd, qmul, qof
-from .spaces import (
-    AtomIndex,
-    CoordForm,
-    PairForm,
-    SpaceDesc,
-    TokenForm,
-    affine,
-    affine_intersection,
-    atom_key,
-    fin_dim,
-    form_space_matches,
-)
+from .spaces import AtomIndex, CoordForm, SpaceDesc, atom_key, fin_dim, form_space_matches
 from .elements import (
     Element,
     add,
@@ -89,33 +83,6 @@ class StencilRule:
             tuple((form, f(c)) for form, c in es if f(c) != 0) for es in self.entries))
 
 
-def _validate_form(form: CoordForm, codomain: SpaceDesc, modulus: int, residue: int,
-                   threshold: int) -> None:
-    if not form_space_matches(form, codomain):
-        raise StencilError(f"form {form} does not fit codomain {codomain.label}")
-    affs = [form.idx] if not isinstance(form, PairForm) else [form.row, form.col]
-    for k, aff in enumerate(affs):
-        if aff.a < 0:
-            raise StencilError(f"index form {aff} eventually leaves the index set")
-        if isinstance(form, PairForm) and k == 0:
-            # the row component is driven by the free row variable over all n
-            if aff.a.denominator != 1 or aff.b.denominator != 1:
-                raise StencilError(f"row form {aff} is not integral")
-            if aff.at(1) < 1:
-                raise StencilError(f"row form {aff} leaves the index set")
-            continue
-        # driven by the rule variable over the residue class beyond threshold
-        if (aff.a * modulus).denominator != 1 or (aff.a * residue + aff.b).denominator != 1:
-            raise StencilError(f"index form {aff} is not integral on its class")
-        first = threshold + 1
-        while first % modulus != residue:
-            first += 1
-        if aff.at(first) < 1:
-            raise StencilError(f"index form {aff} leaves the index set at i={first}")
-        if codomain.dim and aff.a != 0:
-            raise StencilError("moving forms cannot target a finite-dimensional space")
-
-
 def stencil_rule(
     modulus: int,
     threshold: int,
@@ -130,7 +97,10 @@ def stencil_rule(
     for r in range(modulus):
         raw = list(entries_by_residue[r]) if r < len(entries_by_residue) else []
         for form, _ in raw:
-            _validate_form(form, codomain, modulus, r, threshold)
+            if not form_space_matches(form, codomain):
+                raise StencilError(f"form {form} does not fit codomain {codomain.label}")
+            form.check_rule(modulus, r, _first_in_class(threshold, modulus, r),
+                            bool(codomain.dim))
         kept = _merged(raw)
         hits = _meetings(kept, modulus, r, threshold)
         if hits:
@@ -151,25 +121,10 @@ def _merged(entries) -> list:
 
 def _meetings(entries, modulus: int, residue: int, threshold: int) -> list[int]:
     """The driving index past the threshold, in the residue class, where
-    each pair of distinct entry forms meets, in entry order: threshold + 1
-    for two pair forms that meet on a row at every column.  The forms fit
+    each pair of distinct entry forms meets, in entry order.  The forms fit
     one codomain, so they are of one type."""
-    hits = []
-    for i, (f1, _) in enumerate(entries):
-        for f2, _ in entries[i + 1:]:
-            if isinstance(f1, PairForm):
-                if f1.row != f2.row and affine_intersection(f1.row, f2.row) is None:
-                    continue
-                if f1.col == f2.col:
-                    # they meet at every column of the meeting row
-                    hits.append(threshold + 1)
-                    continue
-                n = affine_intersection(f1.col, f2.col)
-            else:
-                n = affine_intersection(f1.idx, f2.idx)
-            if n is not None and n > threshold and n % modulus == residue:
-                hits.append(n)
-    return hits
+    return [n for i, (f1, _) in enumerate(entries) for f2, _ in entries[i + 1:]
+            if (n := f1.meets(f2, threshold, modulus, residue)) is not None]
 
 
 @record
@@ -265,16 +220,8 @@ def _rule_parts(rule: StencilRule | None, idx: AtomIndex, tf=None) -> list:
     i = _driving_index(idx)
     if rule is None or i <= rule.threshold:
         return []
-    return [(("atom", _form_at(form, idx)), c if tf is None else tf(c))
+    return [(("atom", form.image(idx)), c if tf is None else tf(c))
             for form, c in rule.entries_for(i)]
-
-
-def _form_at(form: CoordForm, idx: AtomIndex) -> AtomIndex:
-    """The output coordinate of a stencil form at the atom idx; on pair
-    domains the row form reads the atom's row, the column form its column."""
-    if isinstance(idx, tuple):
-        return (form.row.at_int(idx[0]), form.col.at_int(idx[1]))
-    return form.at(idx)
 
 
 def image_parts(T: Operator, ref) -> list:
@@ -488,34 +435,13 @@ def _rule_hits(T: Operator, out_idx: AtomIndex):
     rule = T.rule
     explicit = {k for k, _ in T.atom_images}
     hits = []
-    for r in range(rule.modulus):
-        for form, c in rule.entries[r]:
-            for idx in _preimages(form, out_idx):
-                i = _driving_index(idx)
-                if i > rule.threshold and i % rule.modulus == r and idx not in explicit:
-                    hits.append((idx, c))
+    for r, _, form, c in _rule_sweep(rule):
+        idx = form.preimage(out_idx)
+        if idx is not None:
+            i = _driving_index(idx)
+            if i > rule.threshold and i % rule.modulus == r and idx not in explicit:
+                hits.append((idx, c))
     return hits
-
-
-def _preimages(form: CoordForm, out_idx: AtomIndex) -> list:
-    """The atoms a rule form sends to the codomain atom out_idx (see
-    `_form_at`); a line form reaches no fresh (star) token."""
-    if isinstance(form, PairForm):
-        return [(n, m) for n in _affine_preimages(form.row, out_idx[0])
-                for m in _affine_preimages(form.col, out_idx[1])]
-    if isinstance(form, TokenForm):
-        return _affine_preimages(form.idx, out_idx.k) if out_idx.family == "g" else []
-    return _affine_preimages(form.idx, out_idx)
-
-
-def _affine_preimages(aff, target: int) -> list[int]:
-    """The step where aff meets the constant target; every step when aff is
-    that constant, which a locally finite rule never is."""
-    const = affine(0, target)
-    if aff == const:
-        raise PreconditionError("rule is not locally finite")
-    n = affine_intersection(aff, const)
-    return [] if n is None else [n]
 
 
 # ---------------------------------------------------------------------------
@@ -551,13 +477,18 @@ def partial_sum_seq(T: Operator) -> ElementSeq:
     return normalize(seq)
 
 
+def _first_in_class(threshold: int, modulus: int, r: int) -> int:
+    """The first driving index past the threshold in the residue class r."""
+    return threshold + 1 + (r - threshold - 1) % modulus
+
+
 def _rule_sweep(rule: StencilRule | None):
     """(residue, first driving index past the threshold, form, coefficient)
     for every rule entry."""
     if rule is None:
         return
     for r, es in enumerate(rule.entries):
-        first = rule.threshold + 1 + (r - rule.threshold - 1) % rule.modulus
+        first = _first_in_class(rule.threshold, rule.modulus, r)
         for form, c in es:
             yield r, first, form, c
 
@@ -583,7 +514,7 @@ def image_sum_pattern(T: Operator, transform: str = "id") -> Element:
 
 def row_sum_pattern(T: Operator, row: int, transform: str = "id") -> Element:
     """Sum over the atoms of one row of a row-block domain."""
-    if T.domain.row.form is not PairForm:
+    if T.domain.row.shape != "row_block":
         raise PreconditionError("row sums need a row-block domain")
     return _sum_pattern(T, transform, row)
 
@@ -599,23 +530,11 @@ def _sum_pattern(T: Operator, transform: str, row: int | None) -> Element:
             parts += [(g, -c) for g, c in _rule_parts(T.rule, idx, tf)]
     base = recompose(T.codomain, parts)
     pieces = [
-        _piece(form, T.rule.modulus, first, tf(c), row)
+        form.piece(T.rule.modulus, first, tf(c), row)
         for _, first, form, c in _rule_sweep(T.rule)
         if tf(c) != 0
     ]
     return pattern_from_pieces(T.codomain, base, pieces)
-
-
-def _piece(form: CoordForm, modulus: int, first: int, value: Q, row: int | None):
-    """The pattern piece a rule entry sweeps from the driving index first:
-    (step, first, value) on a line, (row_step, row_first, col_step,
-    col_first, value) on row blocks (one row when row is given)."""
-    if not isinstance(form, PairForm):
-        return (int(form.idx.a * modulus), form.idx.at_int(first), value)
-    col = (int(form.col.a * modulus), form.col.at_int(first), value)
-    if row is None:
-        return (int(form.row.a), form.row.at_int(1)) + col
-    return (0, form.row.at_int(row)) + col
 
 
 # ---------------------------------------------------------------------------
@@ -652,17 +571,11 @@ def order_bounded_test(T: Operator) -> BoundReport:
 
 
 def _stationary_leak(T: Operator):
-    if T.rule is None:
-        return None
-    for r in range(T.rule.modulus):
-        for form, c in T.rule.entries[r]:
-            if c == 0:
-                continue
-            if isinstance(form, PairForm):
-                if form.row.a == 0 or form.col.a == 0:
-                    return (form.row.at_int(1), form.col.at_int(max(T.rule.threshold + 1, 1)))
-            elif form.idx.a == 0:
-                return form.at(T.rule.threshold + 1)
+    """The coordinate the first stationary rule entry hits at every atom of
+    its class, read at the class's first atom, or None."""
+    for _, first, form, c in _rule_sweep(T.rule):
+        if c != 0 and (leak := form.leak(first)) is not None:
+            return leak
     return None
 
 
@@ -676,9 +589,9 @@ def table_rows(T: Operator) -> list[int]:
     and the rows where two rule entries with distinct row forms meet; the
     generic row is the first row past them, where the rule's row sums recur
     row by row and the row unit maps to 0."""
-    forms = {f.row for es in T.rule.entries for f, _ in es} if T.rule else ()
+    forms = {f for es in T.rule.entries for f, _ in es} if T.rule else ()
     rows = {r for r, _ in T.row_unit_images} | {idx[0] for idx, _ in T.atom_images} | {
-        n for p in forms for q in forms if (n := affine_intersection(p, q)) is not None}
+        n for p in forms for q in forms if (n := p.row_meet(q)) is not None}
     return sorted(rows) + [max(rows, default=0) + 1]
 
 

@@ -46,7 +46,6 @@ from .spaces import (
     affine,
     atom_key,
     form_space_matches,
-    forms_collide_at,
 )
 from .elements import (
     Element,
@@ -89,7 +88,7 @@ class Fill:
     def covers(self, idx, n: int) -> bool:
         """Whether step n holds a hit at the coordinate idx, through the
         form's inverse."""
-        k = self.form.step_of(idx)
+        k = self.form.preimage(idx)
         return (k is not None and self.kmin <= k <= n - self.lag
                 and (k - self.residue) % self.modulus == 0)
 
@@ -162,9 +161,9 @@ def element_seq(
     collide = 0
     for i, (f1, _) in enumerate(merged):
         for f2, _ in merged[i + 1 :]:
-            hits = forms_collide_at(f1, f2)
-            if hits:
-                collide = max(collide, max(hits) + 1)
+            n = f1.collides_at(f2)
+            if n is not None:
+                collide = max(collide, n + 1)
     seq = ElementSeq(space, static, tuple(merged), fills, ambient, n0, tuple(prelude))
     if collide > seq.n0:
         pre = [
@@ -442,7 +441,7 @@ def eventual_pattern(seq: ElementSeq) -> Element:
         if step.denominator != 1 or offset.denominator != 1:
             raise StencilError("fill line is not integral")
         first_k = f.kmin + ((f.residue - f.kmin) % f.modulus)
-        pieces.append((int(step), f.form.idx.at_int(first_k), f.value))
+        pieces.append(f.form.piece(f.modulus, first_k, f.value, None))
     return pattern_from_pieces(seq.space, base, pieces)
 
 

@@ -18,6 +18,20 @@ read `space.row.<fact>` instead of switching on the kind.
 The uncountable index set is symbolic: tokens g(1), g(2), ... form the
 distinguished countable line used by sequences, and star(k) tokens are fresh
 points guaranteed to avoid any finite or countable-line support in play.
+
+A coordinate form (`SeqForm`, `TokenForm`, `PairForm`, components `Affine`)
+is read two ways.  Along a sequence, step n reads `at(n)`: a pair form reads
+n -> (row(n), col(n)).  In a stencil rule, an entry sends an atom to
+`image(idx)`: a pair form sends the atom (n, m) to (row(n), col(m)), its row
+form reading the free row variable and its column form the rule's driving
+index m; a line form reads the atom i as the sequence reads step i.  Each
+form class owns both readings: `preimage` inverts the rule reading,
+`collides_at` and `meets` give where two forms meet along a sequence and in
+a rule, `piece` is the pattern piece a rule entry sweeps, `leak` the
+coordinate a stationary entry keeps hitting and `check_rule` refuses an
+entry that leaves the index set; `SeqForm` and `TokenForm` share them
+through `idx`.  A pair form's `compose` is its entry applied to a sequence
+of atoms, whose column `drive` reads.
 """
 
 from __future__ import annotations
@@ -26,7 +40,7 @@ from enum import Enum
 from typing import Callable, Iterable, Tuple, Union
 
 from .records import record
-from .errors import InvalidIndexError
+from .errors import InvalidIndexError, PreconditionError, StencilError
 from .scalars import Q, QLike, qof, qstr
 
 
@@ -151,14 +165,47 @@ class Affine:
     def moving(self) -> bool:
         return self.a > 0
 
-    def solve(self, v: int) -> int | None:
-        """The integer n with a*n + b == v for a moving form, or None."""
+    def meet(self, other: Affine) -> int | None:
+        """The step n >= 1 with self(n) == other(n), or None: forms are read
+        at the steps n >= 1 only (identical forms return None too)."""
+        if self.a == other.a:
+            return None
+        n = (other.b - self.b) / (self.a - other.a)
+        if n.denominator != 1 or n.numerator < 1:
+            return None
+        return n.numerator
+
+    def preimage(self, v: int) -> int | None:
+        """The integer n with a*n + b == v, or None.  A stationary form equal
+        to v reads it at every n, which no locally finite rule does.  Any
+        integer: a fill that `normalize` re-indexes reads its line from 0."""
         a, b = self.a, self.b
+        if not a:
+            if b == v:
+                raise PreconditionError("rule is not locally finite")
+            return None
         if a.denominator == 1 and b.denominator == 1:
             n, r = divmod(v - b.numerator, a.numerator)
-            return None if r else n
-        n = (v - b) / a
-        return n.numerator if n.denominator == 1 else None
+        else:
+            n, r = divmod(v - b, a)
+        return None if r else n
+
+    def compose(self, inner: Affine) -> Affine:
+        """n -> self(inner(n))."""
+        return affine(self.a * inner.a, self.a * inner.b + self.b)
+
+    def check_class(self, modulus: int, residue: int, first: int, finite: bool) -> None:
+        """Refuse this form as a rule component driven by the rule variable
+        over its residue class from `first` on; `finite` is a
+        finite-dimensional codomain."""
+        if self.a < 0:
+            raise StencilError(f"index form {self} eventually leaves the index set")
+        if (self.a * modulus).denominator != 1 or (self.a * residue + self.b).denominator != 1:
+            raise StencilError(f"index form {self} is not integral on its class")
+        if self.at(first) < 1:
+            raise StencilError(f"index form {self} leaves the index set at i={first}")
+        if finite and self.a != 0:
+            raise StencilError("moving forms cannot target a finite-dimensional space")
 
     def __str__(self) -> str:
         if self.a == 0:
@@ -174,19 +221,41 @@ def affine(a: QLike, b: QLike) -> Affine:
     return Affine(qof(a), qof(b))
 
 
-def affine_intersection(p: Affine, q: Affine) -> int | None:
-    """The step n >= 1 with p(n) == q(n), or None: forms are read at the
-    steps n >= 1 only (identical forms return None too)."""
-    if p.a == q.a:
-        return None
-    n = (q.b - p.b) / (p.a - q.a)
-    if n.denominator != 1 or n.numerator < 1:
-        return None
-    return n.numerator
+def _on_class(n: int | None, threshold: int, modulus: int, residue: int) -> int | None:
+    """n when it is a driving index past the threshold in the residue class."""
+    return n if n is not None and n > threshold and n % modulus == residue else None
+
+
+class _LineForm:
+    """What the two forms over one line of coordinates share: in a rule the
+    atom i reads the coordinate the sequence reads at step i, so every job
+    is one job on the component `idx`."""
+
+    @property
+    def moving(self) -> bool:
+        return self.idx.moving
+
+    def image(self, i: int):
+        return self.at(i)
+
+    def collides_at(self, other) -> int | None:
+        return self.idx.meet(other.idx)
+
+    def meets(self, other, threshold: int, modulus: int, residue: int) -> int | None:
+        return _on_class(self.idx.meet(other.idx), threshold, modulus, residue)
+
+    def check_rule(self, modulus: int, residue: int, first: int, finite: bool) -> None:
+        self.idx.check_class(modulus, residue, first, finite)
+
+    def piece(self, modulus: int, first: int, value: Q, row: int | None) -> tuple:
+        return (int(self.idx.a * modulus), self.idx.at_int(first), value)
+
+    def leak(self, first: int):
+        return None if self.moving else self.at(first)
 
 
 @record
-class SeqForm:
+class SeqForm(_LineForm):
     """Coordinate form over integer coordinates (tail_seq / fin_dim)."""
 
     idx: Affine
@@ -194,20 +263,15 @@ class SeqForm:
     def at(self, n: int) -> int:
         return self.idx.at_int(n)
 
-    def step_of(self, idx: int) -> int | None:
-        """The step n at which a moving form reads idx, or None."""
-        return self.idx.solve(idx)
-
-    @property
-    def moving(self) -> bool:
-        return self.idx.moving
+    def preimage(self, idx: int) -> int | None:
+        return self.idx.preimage(idx)
 
     def __str__(self) -> str:
         return str(self.idx)
 
 
 @record
-class TokenForm:
+class TokenForm(_LineForm):
     """Coordinate form over the countable token line: n -> g(idx(n))."""
 
     idx: Affine
@@ -215,14 +279,9 @@ class TokenForm:
     def at(self, n: int) -> Token:
         return gamma(self.idx.at_int(n))
 
-    def step_of(self, idx: Token) -> int | None:
-        """The step n at which a moving form reads idx, or None: star
-        tokens lie off the line."""
-        return self.idx.solve(idx.k) if idx.family == "g" else None
-
-    @property
-    def moving(self) -> bool:
-        return self.idx.moving
+    def preimage(self, idx: Token) -> int | None:
+        """Star tokens lie off the line."""
+        return self.idx.preimage(idx.k) if idx.family == "g" else None
 
     def __str__(self) -> str:
         return f"g({self.idx})"
@@ -230,7 +289,10 @@ class TokenForm:
 
 @record
 class PairForm:
-    """Coordinate form over pair atoms: n -> (row(n), col(n))."""
+    """Coordinate form over pair atoms.  Along a sequence it reads
+    n -> (row(n), col(n)); in a rule it sends the atom (n, m) to
+    (row(n), col(m)), the row form reading the free row variable over the
+    rows 1, 2, ... and the column form the driving index m."""
 
     row: Affine
     col: Affine
@@ -241,6 +303,66 @@ class PairForm:
     @property
     def moving(self) -> bool:
         return self.row.moving or self.col.moving
+
+    @property
+    def drive(self) -> Affine:
+        """The driving index of the atom read at step n."""
+        return self.col
+
+    def image(self, idx: Tuple[int, int]) -> Tuple[int, int]:
+        return (self.row.at_int(idx[0]), self.col.at_int(idx[1]))
+
+    def preimage(self, idx: Tuple[int, int]) -> Tuple[int, int] | None:
+        """The atom (n, m) with image idx, n a row; the caller holds m past
+        the threshold."""
+        n = self.row.preimage(idx[0])
+        if n is None or n < 1:
+            return None
+        m = self.col.preimage(idx[1])
+        return None if m is None else (n, m)
+
+    def collides_at(self, other: PairForm) -> int | None:
+        """The one step where every component that differs meets."""
+        steps = {p.meet(q) for p, q in ((self.row, other.row), (self.col, other.col))
+                 if p != q}
+        return steps.pop() if len(steps) == 1 and None not in steps else None
+
+    def row_meet(self, other: PairForm) -> int | None:
+        return self.row.meet(other.row)
+
+    def meets(self, other: PairForm, threshold: int, modulus: int, residue: int) -> int | None:
+        """threshold + 1 for two entries that meet on a row at every column."""
+        if self.row != other.row and self.row_meet(other) is None:
+            return None
+        if self.col == other.col:
+            return threshold + 1
+        return _on_class(self.col.meet(other.col), threshold, modulus, residue)
+
+    def check_rule(self, modulus: int, residue: int, first: int, finite: bool) -> None:
+        row = self.row
+        if row.a < 0:
+            raise StencilError(f"index form {row} eventually leaves the index set")
+        if row.a.denominator != 1 or row.b.denominator != 1:
+            raise StencilError(f"row form {row} is not integral")
+        if row.at(1) < 1:
+            raise StencilError(f"row form {row} leaves the index set")
+        self.col.check_class(modulus, residue, first, finite)
+
+    def piece(self, modulus: int, first: int, value: Q, row: int | None) -> tuple:
+        """(row_step, row_first, col_step, col_first, value), over one row
+        when row is given."""
+        col = (int(self.col.a * modulus), self.col.at_int(first), value)
+        if row is None:
+            return (int(self.row.a), self.row.at_int(1)) + col
+        return (0, self.row.at_int(row)) + col
+
+    def leak(self, first: int) -> Tuple[int, int] | None:
+        if self.row.moving and self.col.moving:
+            return None
+        return (self.row.at_int(1), self.col.at_int(first))
+
+    def compose(self, inner: PairForm) -> PairForm:
+        return PairForm(self.row.compose(inner.row), self.col.compose(inner.col))
 
     def __str__(self) -> str:
         return f"({self.row},{self.col})"
@@ -259,33 +381,6 @@ def token_form(a: QLike, b: QLike) -> TokenForm:
 
 def pair_form(row_a: QLike, row_b: QLike, col_a: QLike, col_b: QLike) -> PairForm:
     return PairForm(affine(row_a, row_b), affine(col_a, col_b))
-
-
-def _affine_solutions(p: Affine, q: Affine) -> tuple[str, int | None]:
-    """Solution set of p(n) == q(n) over integers: ("all"|"one"|"none", n)."""
-    if p.a == q.a:
-        return ("all", None) if p.b == q.b else ("none", None)
-    n = affine_intersection(p, q)
-    return ("one", n) if n is not None else ("none", None)
-
-
-def forms_collide_at(f: CoordForm, g: CoordForm) -> list[int]:
-    """Steps n >= 1 where two distinct atom forms hit the same coordinate.
-
-    Distinct affine forms alias at most once per component, so the result
-    is finite; identical forms are merged before this is consulted, and
-    both forms fit one space, so they are of one type.
-    """
-    pairs = [(f.row, g.row), (f.col, g.col)] if isinstance(f, PairForm) else [(f.idx, g.idx)]
-    sols = [_affine_solutions(p, q) for p, q in pairs]
-    if any(kind == "none" for kind, _ in sols):
-        return []
-    # no single step when every component agrees everywhere (identical forms,
-    # handled by merging) or when two components meet at different steps
-    singles = {n for kind, n in sols if kind == "one"}
-    if len(singles) != 1:
-        return []
-    return [singles.pop()]
 
 
 def form_space_matches(form: CoordForm, space: SpaceDesc) -> bool:

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from rieszkit.calculus import pervasive_witness, verify_witness
 from rieszkit.casebook import CASEBOOK
 from rieszkit.cli import main
 from rieszkit.oracles import MAX_GRID_DEPTH
+from rieszkit.specfile import build_all, parse
 
 MOVING = "fixtures/moving_indicator.rzk"
 ROWPAIR = "fixtures/row_pair_difference.rzk"
@@ -206,6 +208,69 @@ def test_pair_rows_that_meet_at_row_zero_build(tmp_path, capsys):
                       "unit -> 0")
     code, out = run_cli(capsys, "check", "order_bounded", "--spec", spec)
     assert (code, json.loads(out)["verdict"]) == (0, "order bounded")
+
+
+# Odd columns from 3 on map to (1, 2), even columns from 2 on to (1, 2): each
+# leak is read at the first column of its entry's class.
+ODD_LEAK = ("atoms m > 1, m mod 2 == 1 -> { 1 @ (1,(m+1)/2) }", "rowunits n > 0 -> 0",
+            "unit -> 0")
+EVEN_LEAK = ("atoms m > 0, m mod 2 == 0 -> { 1 @ (1,m) }", "rowunits n > 0 -> 0",
+             "unit -> 0")
+LEAK_NOTE = "coordinate (1, 2) accumulates unboundedly through the tail rule"
+
+
+@pytest.mark.parametrize("clauses", [ODD_LEAK, EVEN_LEAK], ids=["odd", "even"])
+def test_a_stationary_leak_is_read_on_its_class(tmp_path, capsys, clauses):
+    """Read at the threshold + 1 instead, the odd rule's column (m+1)/2 was
+    not integral (every command exited 2) and the even rule's leak was
+    named at (1, 1), which that rule never reaches."""
+    spec = _spec_file(tmp_path, "ek", "grid", *clauses)
+    code, out = run_cli(capsys, "check", "order_bounded", "--spec", spec)
+    rep = json.loads(out)
+    assert (code, rep["verdict"], rep["details"]["note"]) == (1, "not order bounded", LEAK_NOTE)
+    code, out = run_cli(capsys, "positive-part", "--spec", spec)
+    assert (code, out) == (2, _input_error(f"operator is not order bounded: {LEAK_NOTE}"))
+    code, out = run_cli(capsys, "witness-pervasive", "--spec", spec)
+    assert (code, out) == (2, _input_error("T is not positive"))
+
+
+_FIRST_ATOM = {"findim(2)": "1", "l0inf": "1", "ck": "g(1)", "ek": "(1,1)", "grid": "(1,1)"}
+
+
+def _witness_table():
+    """Positive operators on every pair with a representable domain: the
+    first atom to the first atom (with the unit there too), and off findim
+    the unit to the unit; on ek the first row unit goes to the first atom
+    as well.  Then one rule per coordinate-form type."""
+    for dom in ("findim(2)", "l0inf", "ek", "grid"):
+        for cod in _FIRST_ATOM:
+            a = _FIRST_ATOM[cod]
+            first = f"{'e(1,1)' if dom in ('ek', 'grid') else 'e(1)'} -> 1 @ {a}"
+            templates = {"atom": [first]}
+            if dom != "findim(2)":
+                templates = {"atom": [first, f"unit -> 1 @ {a}"], "unit": ["unit -> 1 * unit"]}
+            for name, clauses in templates.items():
+                if dom == "ek":
+                    clauses = [*clauses[:-1], f"rowunit(1) -> 1 @ {a}", "rowunits n > 1 -> 0",
+                               clauses[-1]]
+                yield pytest.param(dom, cod, clauses, id=f"{dom}-{cod}-{name}")
+    for dom, cod, rule in [("l0inf", "l0inf", "atoms n > 0 -> { 1 @ n+1 }"),
+                           ("l0inf", "ck", "atoms n > 0 -> { 1 @ g(2n) }"),
+                           ("grid", "grid", "atoms m > 0 -> { 1 @ (n,m) }"),
+                           ("grid", "ek", "atoms m > 0, m mod 2 == 1 -> { 1 @ (n+1,(m+1)/2) }")]:
+        yield pytest.param(dom, cod, [rule, "unit -> 1 * unit"], id=f"{dom}-{cod}-rule")
+
+
+@pytest.mark.parametrize("dom, cod, clauses", list(_witness_table()))
+def test_witness_pervasive_succeeds_on_every_pair(tmp_path, capsys, dom, cod, clauses):
+    """At probes 1 and 32 the witness is found, and the witness verifier
+    accepts it at that probe."""
+    spec = _spec_file(tmp_path, dom, cod, *clauses)
+    T = build_all(parse(Path(spec).read_text()))[1]["T"]
+    for probe in (1, 32):
+        code, out = run_cli(capsys, "witness-pervasive", "--spec", spec, "--probe", str(probe))
+        assert (code, json.loads(out)["verdict"]) == (0, "rank-one minorant found"), out
+        assert verify_witness(pervasive_witness(T, probe).operator, T, probe)[0]
 
 
 @pytest.mark.parametrize("depth", ["0", "2", "4"])

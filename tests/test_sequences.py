@@ -246,3 +246,14 @@ def test_sub_element_subtracts_from_the_static_part_and_the_prelude(rng):
                 assert eval_seq(d, n) == add(eval_seq(seq, n), scale(-1, x))
     with pytest.raises(SpaceMismatchError):
         sub_element(element_seq(T), unit(F))
+
+
+def test_a_fill_covers_what_its_steps_list_from_line_index_zero():
+    """`normalize` re-indexes the fill 2k - 1 (k >= 1) as the line 2j + 1
+    from j = 0, so the form's inverse must answer the line index 0 too:
+    coordinate 1 is covered from the first step."""
+    f, = normalize(element_seq(T, fills=[fill(seq_form(2, -1), 1, 0, 1, 0, 1)])).fills
+    assert f.kmin == 0
+    for n in range(1, 7):
+        hits = {f.form.at(k) for k in f.ks_at(n)}
+        assert [i for i in range(1, 16) if f.covers(i, n)] == sorted(hits)

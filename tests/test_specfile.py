@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +14,8 @@ from rieszkit.operators import apply_op, atom_image, order_bounded_test
 from rieszkit.cli import main
 from rieszkit.specfile import SpecError, build_all, parse
 
-MOVING = open("fixtures/moving_indicator.rzk").read()
-ROWPAIR = open("fixtures/row_pair_difference.rzk").read()
+MOVING = Path("fixtures/moving_indicator.rzk").read_text()
+ROWPAIR = Path("fixtures/row_pair_difference.rzk").read_text()
 
 
 def test_parse_moving_indicator():
