@@ -51,7 +51,7 @@ from .elements import (
     unit,
     zero,
 )
-from .convergence import ConvergenceCertificate, decide_order_convergence, first_failure
+from .convergence import ConvergenceCertificate, decide_order_convergence
 from .operators import (
     Operator,
     apply_op,
@@ -368,8 +368,8 @@ def verify_witness(R: Operator, T: Operator, probe: int = 8) -> tuple[bool, list
             )
             ok = ok and tail_ok
         else:
-            i = first_failure(_tail_steps(R, T, top, probe),
-                              lambda i: le(atom_image(R, i), atom_image(T, i)))
+            i = next((i for i in _tail_steps(R, T, top, probe)
+                      if not le(atom_image(R, i), atom_image(T, i))), None)
             log.append("R <= T on the probed tail" if i is None
                        else f"FAIL tail comparison at atom {i}")
             ok = ok and i is None

@@ -18,51 +18,44 @@ The decision rules per space kind:
   for moving bumps, which are dominated by the net of finite-support
   cut-downs of the order bound (an order-convergence witness that is
   provably not replaceable by a same-index family in the uncountable kind).
+
+Each probed check of the verifier is one walk of `sequences`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
-from itertools import chain
 from typing import Tuple
 
 from .errors import NotDecreasingError, PreconditionError, SpaceMismatchError
-from .records import replace
-from .scalars import Q, Q0, RationalSeq, qabs, qle, qstr, qsub
+from .scalars import Q, RationalSeq, qabs_le, qle, qstr
 from .spaces import SpaceDesc, Token, fresh_star, seq_form
 from .elements import (
     Element,
-    abs_le,
     atom,
-    coordinate_reader,
     is_positive,
     le,
     max_abs_coord,
     nonzero_classes,
-    recompose,
     scale,
-    sub,
     support,
     unit,
-    zero,
 )
 from .sequences import (
     ElementSeq,
     MovingAtom,
-    StepWalk,
     cover_shift,
+    decreasing_failure,
     deviation_bound,
     element_seq,
     eval_seq,
     eventual_pattern,
     fill,
-    moving_parts,
+    less_atoms,
     normalize,
-    step_check,
-    step_parts,
     structural_threshold,
     sub_element,
+    walk_failure,
 )
 
 CONVERGES = "converges"
@@ -100,37 +93,16 @@ def check_decreasing(b: ElementSeq, probe: int = 8) -> int:
     """Verify b_{n+1} <= b_n for all n; returns the verified window end.
 
     Concrete comparisons cover every step up to the structural threshold
-    plus the probe, walked by a `StepWalk` from step 2.  Its whole steps are
-    the base case: a prelude step compares the stored elements, and the
-    first symbolic comparison, or one where the ambient changes, decides
-    b_{n+1} - b_n <= 0 on the two steps' moving parts, where the static
-    part cancels.  Every other step decides it on the coordinates the step
-    touches, the only ones where b_{n+1} - b_n is not 0.  Beyond the window
-    the eventual regime makes the comparisons recur verbatim, which the
+    plus the probe (`sequences.decreasing_failure`).  Beyond the window the
+    eventual regime makes the comparisons recur verbatim, which the
     symbolic conditions certify: nonincreasing ambient, nonincreasing
     stationary coefficients, nonpositive moving coefficients and fill
     values.
     """
     window = structural_threshold(b) + probe
-    origin = zero(b.space)
-    walk = StepWalk(b, 2)
-    for n in range(1, window + 1):
-        if not walk.whole(n + 1):
-            ok = all(d.numerator <= 0 for d in walk.step(n + 1).values())
-        elif n < b.n0:
-            ok = le(eval_seq(b, n + 1), b.prelude[n - 1])
-        else:
-            prev = moving_parts(b, n)
-            if n == b.n0:
-                # the differences skip cancelled terms: check step n0's indices
-                recompose(b.space, prev)
-            # terms pair up by generator; a fill hit or settled coefficient
-            # both steps share is one value object, which cancels by identity
-            later = dict(moving_parts(b, n + 1))
-            diff = [(r, d) for r, c in prev if (d := qsub(later.pop(r, Q0), c)) is not Q0]
-            ok = le(recompose(b.space, [*diff, *later.items()]), origin)
-        if not ok:
-            raise NotDecreasingError(n, f"b({n + 1}) !<= b({n})")
+    n = decreasing_failure(b, window)
+    if n is not None:
+        raise NotDecreasingError(n, f"b({n + 1}) !<= b({n})")
     if not b.ambient.is_nonincreasing_from(1):
         raise NotDecreasingError(window, "ambient sequence increases in the tail")
     for form, coeff in b.atoms:
@@ -262,18 +234,10 @@ def _build_residual(d: ElementSeq, bound: Q) -> tuple[ElementSeq, Tuple[MovingAt
 def _static_settle_env(d: ElementSeq) -> RationalSeq:
     """Envelope for the prelude/static transients of the stationary part:
     the running maximum from the right of the evaluated deviations."""
-    moving = [(form, coeff) for form, coeff in d.atoms if form.moving]
-    devs = [max_abs_coord(_less_atoms(d.space, step_parts(d, n), moving, n))
+    stationary = less_atoms(d, [(form, coeff) for form, coeff in d.atoms if form.moving])
+    devs = [max_abs_coord(eval_seq(stationary, n))
             for n in range(1, structural_threshold(d) + 1)]
     return RationalSeq.steps(devs, 0).abs_env()
-
-
-def _less_atoms(space: SpaceDesc, parts, atoms, n: int) -> Element:
-    """The element of the generator parts of a step less the step-n values
-    of the given (form, coefficient) atoms, in one `recompose`."""
-    return recompose(space, chain(parts, (
-        (("atom", form.at(n)), -c) for form, coeff in atoms if (c := coeff.at(n)) is not Q0 and c
-    )))
 
 
 def decide_order_convergence(
@@ -400,12 +364,6 @@ def _missing_evidence(cert: ConvergenceCertificate) -> str | None:
     return None
 
 
-def first_failure(steps, holds) -> int | None:
-    """The first of the steps at which holds(step) is false, or None when it
-    holds at every one: the shape of each probed check of the verifiers."""
-    return next((n for n in steps if not holds(n)), None)
-
-
 def _minorant_positive(h: Element, log: list[str]) -> bool:
     """Whether the minorant h is a positive element (h >= 0 and h != 0),
     logged."""
@@ -424,18 +382,13 @@ def verify_certificate(
     plus the symbolic tail rule; independent of how it was produced.
 
     A certificate without the evidence its verdict needs (`_EVIDENCE`) is
-    refused before any check runs.  Each probed check (the order bound, the
-    domination of the stationary part, the minorant below the family) walks
-    the steps up to the structural threshold plus the probe and logs the
-    first failing n (`first_failure`).  The walks go by `StepWalk`: a whole
-    step (the walk's first, a prelude step, n0, an ambient change) is the
-    base case, compared as elements; every other step is compared only at
-    the coordinates it touches, on both sequences' touched sets for the
-    domination, and builds no element.  Escaping forms must be moving: a
-    positive slope makes a form injective, so its supports leave every finite
-    set.  A minorant must be positive and nonzero.  The decreasing check and,
-    with no limit, the minorant walk read a sequence's static part once
-    (`sequences`)."""
+    refused before any check runs.  Each probed check names its relation
+    once, in one `walk_failure` to the structural threshold plus the probe
+    that logs its first failing n: |d_n| <= the order bound and h <= x_n
+    from step 1, |d_n - escaping_n| <= b_n from max(1, n0) over at least
+    `probe` steps.  Escaping forms must be moving: a positive slope makes a
+    form injective, so its supports leave every finite set.  A minorant
+    must be positive and nonzero."""
     missing = _missing_evidence(cert)
     if missing:
         return False, [missing]
@@ -444,21 +397,13 @@ def verify_certificate(
     window = structural_threshold(d) + probe
     if cert.verdict == CONVERGES:
         ok = True
-        # the two probe walks share the whole steps of d: each is evaluated
-        # once, and built once when no escaping atoms come off it
-        d_parts = cache(partial(step_parts, d))
-        d_step = cache(lambda n: recompose(d.space, d_parts(n)))
         if (cert.verdict, cert.mode, cert.anchors) == _FINITE_SUM:
             # no atoms, no fills, and a zero ambient and static part past the prelude
             ok = not (d.atoms or d.fills) and d.ambient.is_zero() and d.static.is_zero()
             log.append(f"x - limit is 0 from n={d.n0} on (symbolic)" if ok
                        else "FAIL x - limit is not eventually 0")
         if cert.order_bound is not None:
-            bound, dw = cert.order_bound, StepWalk(d)
-            bound_at = coordinate_reader(bound)
-            n = first_failure(range(1, window + 1), step_check(
-                [dw], lambda n: abs_le(d_step(n), bound),
-                lambda i: qle(qabs(dw.at(i)), bound_at(i))))
+            n = walk_failure(qabs_le, d, cert.order_bound, 1, window)
             log.append(f"order bound holds at n=1..{window}" if n is None
                        else f"FAIL order bound at n={n}")
             ok = ok and n is None
@@ -475,16 +420,10 @@ def verify_certificate(
                 ok = False
             else:
                 log.append("dominating family settles at 0 (monotone rule)")
-            # d less the escaping atoms is walked as d with their negatives
-            # as more atoms; its whole steps subtract them from d's steps
             first = max(1, cert.n0)
-            less = tuple((form, coeff.scale(-1)) for form, coeff in cert.escaping)
-            dw = StepWalk(replace(d, atoms=d.atoms + less) if less else d, first)
-            bw = StepWalk(b, first)
-            n = first_failure(range(first, window + 1), step_check([dw, bw], lambda n: abs_le(
-                _less_atoms(d.space, d_parts(n), cert.escaping, n) if cert.escaping else d_step(n),
-                eval_seq(b, n)), lambda i: qle(qabs(dw.at(i)), bw.at(i))))
-            log.append(f"stationary part dominated at n={cert.n0}..{window}" if n is None
+            last = max(window, first - 1 + probe)
+            n = walk_failure(qabs_le, less_atoms(d, cert.escaping, first), b, first, last)
+            log.append(f"stationary part dominated at n={cert.n0}..{last}" if n is None
                        else f"FAIL domination of the stationary part at n={n}")
             ok = ok and n is None
         for form, coeff in cert.escaping:
@@ -536,11 +475,7 @@ def verify_certificate(
     if h is not None:
         ok = _minorant_positive(h, log)
         if limit is None:
-            xw, h_at = StepWalk(x), coordinate_reader(h)
-            n = first_failure(range(1, window + 1), step_check([xw], lambda n: (
-                le(h, x.prelude[n - 1]) if n < x.n0 else
-                le(sub(h, recompose(x.space, moving_parts(x, n))), x.static)),
-                lambda i: qle(h_at(i), xw.at(i))))
+            n = walk_failure(qle, h, x, 1, window)
             log.append(f"minorant below the family at n=1..{window}" if n is None
                        else f"FAIL minorant not below the family at n={n}")
             ok = ok and n is None

@@ -30,7 +30,7 @@ coordinates plus the residues of both operands aligned by absolute index
 modulo the lcm of their lengths (ck walks its g-line as a tail_seq line and
 merges only the stars by token), so each costs time linear in the stored
 coordinates plus that lcm; prefixes are dense, so a lone e(k) on l0inf, or
-g(k) on ck, costs O(k).  `le`, `abs_le` (|x| <= y without building |x|) and
+g(k) on ck, costs O(k).  `holds` (`le` is its `qle` case) and
 `is_disjoint` stop at the first deciding pair, and `coordinate` reads a
 line in constant time.  The comparisons are `all` folds and `max_abs_coord`
 a `qmax` fold over the value pairs, so a row-block walk skips a row pair it
@@ -48,7 +48,7 @@ builds the canonical element of such a sum in one pass, with Python-level
 work per stored part: the values between stored indices, and the
 background rows, are filled by repeating one object.  It is the one
 canonicalizer of such sums: operator images (`operators.image_parts`),
-sequence steps (`sequences.step_parts`) and step residuals reach it as
+sequence steps (`sequences.eval_seq`) and step residuals reach it as
 generator parts, not as elements decomposed again, and `lincomb` sums scaled
 elements through it rather than through repeated `add`, which canonicalizes
 the whole element each time.
@@ -735,14 +735,14 @@ def abs_(x: Element) -> Element:
     return _map(x, qabs)
 
 
+def holds(rel, x: Element, y: Element) -> bool:
+    """rel(x(i), y(i)) at every coordinate i, tails and ambients included."""
+    return all(starmap(rel, _pairs(x, y)))
+
+
 def le(x: Element, y: Element) -> bool:
     """Pointwise order: x <= y on every coordinate (tails included)."""
-    return all(starmap(qle, _pairs(x, y)))
-
-
-def abs_le(x: Element, y: Element) -> bool:
-    """|x| <= y on every coordinate, in one walk without building |x|."""
-    return all(qle(qabs(a), b) for a, b in _pairs(x, y))
+    return holds(qle, x, y)
 
 
 def is_positive(x: Element) -> bool:

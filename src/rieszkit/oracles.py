@@ -12,16 +12,14 @@ elements.
 
 from __future__ import annotations
 
-from functools import cache, partial
 from itertools import product
 
 from .records import record
 from .errors import NotDecreasingError, PreconditionError
-from .scalars import Q, Q0, RationalSeq, qabs, qadd, qle, qof, qsub
+from .scalars import Q, Q0, RationalSeq, qabs_le, qadd, qle, qof, qsub
 from .spaces import fresh_star, seq_form
 from .elements import (
     Element,
-    abs_le,
     add,
     coordinate,
     element_tail,
@@ -31,7 +29,7 @@ from .elements import (
     support as elem_support,
 )
 from .operators import Operator, apply_op, atom_image, image_parts
-from .sequences import ElementSeq, StepWalk, element_seq, eval_seq, fill, step_check
+from .sequences import ElementSeq, element_seq, eval_seq, fill, walk_failure
 from .convergence import decide_monotone_limit
 
 
@@ -393,16 +391,14 @@ def bruteforce_dominating_search(x: ElementSeq, bound: int = 6) -> SearchResult:
     pairwise sums) with representation size at most `bound`.  Each candidate
     is first put to the monotone decision rule, which certifies decrease and
     the zero infimum; domination |x_n| <= y_n is probed on the steps
-    1..max(10, 2 * bound) only for a candidate that passes it, walking x and
-    the candidate step by step (`StepWalk`).  The accepted candidate is the
+    1..max(10, 2 * bound) only for a candidate that passes it, in one
+    `walk_failure` over x and the candidate.  The accepted candidate is the
     first that passes both, and `candidates_checked` counts the candidates
     up to it, so the order of the two checks cannot change the result;
     deciding first spares the probe on the candidates the rule refuses.
     """
     checked = 0
     window = max(10, 2 * bound)
-    # the whole steps of x, evaluated on first use and kept for the search
-    x_step = cache(partial(eval_seq, x))
     for cand in _candidate_families(x, bound):
         checked += 1
         try:
@@ -411,10 +407,7 @@ def bruteforce_dominating_search(x: ElementSeq, bound: int = 6) -> SearchResult:
             continue
         if not cert.converges:
             continue
-        xw, yw = StepWalk(x), StepWalk(cand)
-        holds = step_check([xw, yw], lambda n: abs_le(x_step(n), eval_seq(cand, n)),
-                           lambda i: qle(qabs(xw.at(i)), yw.at(i)))
-        if all(map(holds, range(1, window + 1))):
+        if walk_failure(qabs_le, x, cand, 1, window) is None:
             return SearchResult(cand, checked, "dominating family found")
     return SearchResult(
         None,

@@ -21,23 +21,23 @@ operand instead of building a new rational: x + 0 and x - 0 are x, 0 - x is
 with `Q0` before any value is read.  Only the other cases compute a new
 rational, and a sum or difference that cancels is `Q0`.
 
-`qle`, `qeq`, `qmax`, `qmin` and `qabs` are the payload decisions: every
-sup, inf, |x|, positive part and order test of the lattice walks ends in
-one of them per stored coordinate.  Payload values are immutable, so the
-same object means the same value, and each kernel decides that before it
-reads any integer pair: `qsub(a, a)` is `Q0`, `qle(a, a)` and `qeq(a, a)`
-hold and `qmax(a, a)` and `qmin(a, a)` are `a`, so a walk over payloads
-sharing their values (x - S on x's own static part S) does no arithmetic
-there.  Otherwise a decision reads the integer pairs
+`qle`, `qabs_le`, `qeq`, `qmax`, `qmin` and `qabs` are the payload
+decisions: every sup, inf, |x|, positive part and order test of the lattice
+walks ends in one of them per stored coordinate.  Payload values are
+immutable, so the same object means the same value, and each kernel decides
+that before it reads any integer pair: `qsub(a, a)` is `Q0`, `qle(a, a)` and
+`qeq(a, a)` hold and `qmax(a, a)` and `qmin(a, a)` are `a`, so a walk over
+payloads sharing their values (x - S on x's own static part S) does no
+arithmetic there.  Otherwise a decision reads the integer pairs
 (`as_integer_ratio()`, or the sign of `numerator`) and compares them with
 integer arithmetic: `Fraction`'s own comparisons first test the other
 operand against `numbers.Rational` through the ABC machinery, which costs
 several times the comparison itself.  The arithmetic stays `Fraction`'s own
 `+ - *`: rebuilding a sum or product from integer arithmetic is slower than
 it on Python 3.12 and later.  Only the public API is read, never a private
-attribute of `Fraction`.  `qmax` and `qmin` return one of their operands,
-the first on a tie as the builtin `max` and `min` do, and `qabs` returns
-its operand unless it is negative, so no rendered value changes.
+attribute of `Fraction`.  `qmax` and `qmin` return one of their operands, the
+first on a tie as the builtin `max` and `min` do, and `qabs` returns its
+operand unless it is negative, so no rendered value changes.
 """
 
 from __future__ import annotations
@@ -114,6 +114,13 @@ def qle(a: Q, b: Q) -> bool:
     an, ad = a.as_integer_ratio()
     bn, bd = b.as_integer_ratio()
     return an * bd <= bn * ad
+
+
+def qabs_le(a: Q, b: Q) -> bool:
+    """|a| <= b, without building |a|."""
+    an, ad = a.as_integer_ratio()
+    bn, bd = b.as_integer_ratio()
+    return abs(an) * bd <= bn * ad
 
 
 def qeq(a: Q, b: Q) -> bool:

@@ -20,14 +20,14 @@ completion pattern.
 Every element this module produces is one `recompose` over generator parts,
 and the limit pattern is one `pattern_from_pieces` call: the base element
 collects the static part, the ambient limit and the stationary atoms, and
-each fill is a piece.  `step_parts` gives a step as those parts, so a caller
-that goes on to add to the step (a residual, an image) canonicalizes once;
-`eval_seq` is their `recompose`.  The static part is the same at every
-step, so a sequence decomposes it once, on first use.  A symbolic step is
-its static parts followed by `moving_parts` (the unit term and the atom and
-fill hits), which a whole-step comparison of two steps reads without the
-static part.  The probe walks read a step by its difference from the step
-before (`StepWalk`), and build a step only at the walk's whole steps.
+each fill is a piece: `eval_seq` builds a symbolic step as the
+`recompose` of its parts.  The static part is the same at every step, so a
+sequence decomposes it once, on first use.  A symbolic step is its static
+parts followed by `moving_parts` (the unit term and the atom and fill
+hits).  This module alone reads a step in the probe walks: each
+pointwise check of the verifiers is one `walk_failure`, b_{n+1} <= b_n one
+`decreasing_failure`, and both read a step by its difference from the step
+before (`StepWalk`), building one only at the walk's whole steps.
 """
 
 from __future__ import annotations
@@ -51,6 +51,8 @@ from .elements import (
     Element,
     coordinate_reader,
     decompose,
+    holds,
+    le,
     max_abs_coord,
     recompose,
     sub,
@@ -212,21 +214,14 @@ def _atom_parts(hits) -> list:
     return [(("atom", idx), v) for idx, v in ordered if v is not Q0 and v]
 
 
-def step_parts(seq: ElementSeq, n: int) -> list:
-    """x_n as generator parts (the format of `decompose`): a prelude step
-    through `decompose`, a symbolic step straight from the components."""
+def eval_seq(seq: ElementSeq, n: int) -> Element:
+    """x_n: the stored prelude element, or the `recompose` of the symbolic
+    step's generator parts."""
     if n < 1:
         raise ValueError("sequence index starts at 1")
     if n < seq.n0:
-        return decompose(seq.prelude[n - 1])
-    return _eval_symbolic(seq, n)
-
-
-def eval_seq(seq: ElementSeq, n: int) -> Element:
-    """x_n: the stored prelude element, or the `recompose` of its parts."""
-    if 1 <= n < seq.n0:
         return seq.prelude[n - 1]
-    return recompose(seq.space, step_parts(seq, n))
+    return recompose(seq.space, _eval_symbolic(seq, n))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +232,7 @@ class StepWalk:
     """x_n for n = first, first + 1, ..., each step read by its difference
     from the step before, without building x_n.
 
-    `whole(n)` says the caller must compare step n as a whole element: the
+    `whole(n)` says the caller must compare step n whole, as `value(n)`: the
     walk's first step, a prelude step, the first symbolic step n0, and a
     step where the ambient changes.  Any other step differs from step n - 1
     only at the coordinates `step(n)` returns: the old and new coordinate of
@@ -267,6 +262,9 @@ class StepWalk:
         amb = self.seq.ambient
         return n <= self._settled and (
             n <= self.first or n <= self.seq.n0 or not qeq(amb.at(n), amb.at(n - 1)))
+
+    def value(self, n: int) -> Element:
+        return eval_seq(self.seq, n)
 
     def step(self, n: int) -> dict:
         """{coordinate: x_n - x_{n-1} there} where that is not 0, each
@@ -309,17 +307,66 @@ class StepWalk:
         return v
 
 
-def step_check(walks, whole, holds_at):
-    """holds(n) over sequences walked in lockstep: whole(n) at a step one of
-    the walks needs whole, else holds_at(idx) at every coordinate one of
-    them moves (checked after every walk has checked its indices)."""
-    def holds(n: int) -> bool:
-        for w in walks:
-            if w.whole(n):
-                return whole(n)
-        moved = [w.step(n) for w in walks]
-        return all(holds_at(i) for m in moved for i in m)
-    return holds
+class _Fixed:
+    """The side of a walk that never moves: a fixed element, read through its
+    coordinate functionals and compared whole as it is, never decomposed."""
+
+    def __init__(self, x: Element):
+        self.at, self.value = coordinate_reader(x), lambda n: x
+
+    def whole(self, n: int) -> bool:
+        return False
+
+    def step(self, n: int) -> dict:
+        return {}
+
+
+def walk_failure(rel, x, y, first: int, last: int) -> int | None:
+    """The first n in first..last at which rel(x_n(i), y_n(i)) fails at
+    some coordinate i, or None.  A side is an ElementSeq, walked by a
+    `StepWalk` from `first`, or a fixed Element.  A step either walk needs
+    whole is compared as elements (`holds`), any other only at the
+    coordinates either walk moves, once both have checked them: elsewhere
+    both sides keep their values of step n - 1, where rel held."""
+    xw, yw = (StepWalk(s, first) if isinstance(s, ElementSeq) else _Fixed(s) for s in (x, y))
+    for n in range(first, last + 1):
+        if xw.whole(n) or yw.whole(n):
+            ok = holds(rel, xw.value(n), yw.value(n))
+        else:
+            moved = xw.step(n) | yw.step(n)
+            ok = all(rel(xw.at(i), yw.at(i)) for i in moved)
+        if not ok:
+            return n
+    return None
+
+
+def decreasing_failure(b: ElementSeq, last: int) -> int | None:
+    """The first n in 1..last at which b_{n+1} <= b_n fails, or None, with
+    b read by a `StepWalk` from step 2.  A prelude step compares the stored
+    elements; the first symbolic step, and one where the ambient changes,
+    decide b_{n+1} - b_n <= 0 on the two steps' moving parts, where the
+    static part cancels; any other step decides it on the coordinates it
+    moves, the only ones where b_{n+1} - b_n is not 0."""
+    origin = zero(b.space)
+    walk = StepWalk(b, 2)
+    for n in range(1, last + 1):
+        if not walk.whole(n + 1):
+            ok = all(d.numerator <= 0 for d in walk.step(n + 1).values())
+        elif n < b.n0:
+            ok = le(eval_seq(b, n + 1), b.prelude[n - 1])
+        else:
+            prev = moving_parts(b, n)
+            if n == b.n0:
+                # the differences skip cancelled terms: check step n0's indices
+                recompose(b.space, prev)
+            # terms pair up by generator; a fill hit or settled coefficient
+            # both steps share is one value object, which cancels by identity
+            later = dict(moving_parts(b, n + 1))
+            diff = [(r, d) for r, c in prev if (d := qsub(later.pop(r, Q0), c)) is not Q0]
+            ok = le(recompose(b.space, [*diff, *later.items()]), origin)
+        if not ok:
+            return n
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +385,19 @@ def sub_element(seq: ElementSeq, x: Element) -> ElementSeq:
         seq.n0,
         tuple(sub(p, x) for p in seq.prelude),
     )
+
+
+def less_atoms(seq: ElementSeq, atoms, first: int = 1) -> ElementSeq:
+    """seq less the given (form, coefficient) atoms, read from step `first`
+    on: their negatives join the atoms, and each prelude step from `first`
+    on is built less their values there; an earlier step keeps its value."""
+    if not atoms:
+        return seq
+    prelude = tuple(p if n < first else recompose(seq.space, [*decompose(p), *(
+        (("atom", form.at(n)), -c) for form, coeff in atoms if (c := coeff.at(n)) is not Q0 and c
+    )]) for n, p in enumerate(seq.prelude, 1))
+    return replace(seq, atoms=seq.atoms + tuple((form, coeff.scale(-1)) for form, coeff in atoms),
+                   prelude=prelude)
 
 
 # ---------------------------------------------------------------------------

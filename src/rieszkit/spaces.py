@@ -135,11 +135,8 @@ def atom_key(idx: AtomIndex):
 
 
 def atom_str(idx: AtomIndex) -> str:
-    if isinstance(idx, int):
-        return f"e({idx})"
-    if isinstance(idx, Token):
-        return str(idx)
-    return f"e({idx[0]},{idx[1]})"
+    shape, k, col, family = atom_key(idx)
+    return (f"e({k})", f"{family}({k})", f"e({k},{col})")[shape]
 
 
 @record
@@ -331,11 +328,12 @@ class PairForm:
         return self.row.meet(other.row)
 
     def meets(self, other: PairForm, threshold: int, modulus: int, residue: int) -> int | None:
-        """threshold + 1 for two entries that meet on a row at every column."""
+        """The class's first driving index for two entries that meet on a
+        row at every column."""
         if self.row != other.row and self.row_meet(other) is None:
             return None
         if self.col == other.col:
-            return threshold + 1
+            return threshold + 1 + (residue - threshold - 1) % modulus
         return _on_class(self.col.meet(other.col), threshold, modulus, residue)
 
     def check_rule(self, modulus: int, residue: int, first: int, finite: bool) -> None:

@@ -191,3 +191,20 @@ def test_a_finite_sum_certificate_is_checked_symbolically(text):
     bare = dataclasses.replace(cert, anchors=())
     assert verify_certificate(bare, x, T.unit_image, PROBE) == (
         False, ["FAIL a converges certificate in mode order carries no order_bound"])
+
+
+@pytest.mark.parametrize("kind", ["l0inf", "ck"])
+@pytest.mark.parametrize("n0", [11, 10**6])
+@pytest.mark.parametrize("probe", [1, 8, 32])
+def test_a_first_dominated_step_past_the_window_is_still_checked(kind, n0, probe):
+    """x_n = unit does not converge to 0, and the decider says so.  A forged
+    certificate that claims it does, with the zero family dominating from
+    n0 on, is refused at every probe: the domination walk reads at least
+    `probe` steps from n0, however far past the probe window n0 lies."""
+    space = KINDS[kind][0]
+    x = element_seq(space, ambient=RationalSeq.const(1))
+    assert decide_order_convergence(x, zero(space)).verdict == DIVERGES
+    cert = ConvergenceCertificate(verdict=CONVERGES, space=space, dominating=element_seq(space),
+                                  order_bound=unit(space), n0=n0)
+    ok, log = verify_certificate(cert, x, zero(space), probe)
+    assert not ok and log[-1] == f"FAIL domination of the stationary part at n={n0}", log

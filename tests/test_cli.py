@@ -234,6 +234,18 @@ def test_a_stationary_leak_is_read_on_its_class(tmp_path, capsys, clauses):
     assert (code, out) == (2, _input_error("T is not positive"))
 
 
+def test_a_pair_collision_is_named_at_its_class(tmp_path, capsys):
+    """Both entries of the even class meet on row 1 at every column, and the
+    class's first column is 2, the index the refusal names; threshold + 1
+    named column 1, which the rule never drives."""
+    spec = _spec_file(tmp_path, "ek", "grid",
+                      "atoms m > 0, m mod 2 == 0 -> { 1 @ (n,m), 1 @ (1,m) }",
+                      "rowunits n > 0 -> 0", "unit -> 0")
+    code, out = run_cli(capsys, "check", "order_bounded", "--spec", spec)
+    assert (code, out) == (2, _input_error("line 4:1: operator 'T': stencil entries collide at "
+                                           "index 2; materialize it as an explicit image"))
+
+
 _FIRST_ATOM = {"findim(2)": "1", "l0inf": "1", "ck": "g(1)", "ek": "(1,1)", "grid": "(1,1)"}
 
 

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from functools import partial
 from math import lcm
 from pathlib import Path
 
@@ -14,14 +15,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rieszkit.errors import InvalidIndexError, SpaceMismatchError
-from rieszkit.scalars import Q, Q0, RationalSeq
+from rieszkit.scalars import Q, Q0, RationalSeq, qabs_le
 from rieszkit import convergence, elements, sequences
 from rieszkit.casebook import moving_indicator_operator, row_pair_difference_operator
 from rieszkit.completion import pattern_from_pieces
 from rieszkit.convergence import check_decreasing, decide_order_convergence, verify_certificate
 from rieszkit.operators import partial_sum_seq
 from rieszkit.oracles import majorant_floors
-from rieszkit.sequences import element_seq
+from rieszkit.sequences import element_seq, normalize, sub_element
 from rieszkit.spaces import (
     Kind,
     Token,
@@ -36,7 +37,6 @@ from rieszkit.spaces import (
 )
 from rieszkit.elements import (
     abs_,
-    abs_le,
     add,
     atom,
     coordinate,
@@ -46,6 +46,7 @@ from rieszkit.elements import (
     element_findev,
     element_rowblock,
     element_tail,
+    holds,
     inf2,
     is_disjoint,
     le,
@@ -368,7 +369,7 @@ def test_ck_lattice_ops_match_a_token_model(rng):
             assert [coordinate(out, t) for t in pts] == [f(u) for u, _ in pairs]
         assert le(x, y) == all(u <= v for u, v in pairs)
         assert le(x, sup2(x, y)) and le(inf2(x, y), y)
-        assert abs_le(x, y) == all(abs(u) <= v for u, v in pairs)
+        assert holds(qabs_le, x, y) == all(abs(u) <= v for u, v in pairs)
         assert is_disjoint(x, y) == all(u == 0 or v == 0 for u, v in pairs)
         assert is_disjoint(pos(x), neg(x))
         assert max_abs_coord(x) == max(abs(u) for u, _ in pairs)
@@ -434,7 +435,7 @@ def test_le_and_is_disjoint_raise_across_spaces():
         (unit(E), unit(row_block_grid())),
     ]
     for x, y in pairs:
-        for op in (le, abs_le, is_disjoint, add, sup2, inf2):
+        for op in (le, partial(holds, qabs_le), is_disjoint, add, sup2, inf2):
             with pytest.raises(SpaceMismatchError):
                 op(x, y)
 
@@ -451,6 +452,7 @@ def _shared_background_rows(rng, space):
 
 
 def test_abs_le_is_le_of_abs(rng):
+    """`holds` with the `qabs_le` kernel decides |x| <= y as le(abs_(x), y)."""
     for space in ALL_SPACES:
         for _ in range(60):
             x, y = random_element(rng, space), random_element(rng, space)
@@ -460,7 +462,7 @@ def test_abs_le_is_le_of_abs(rng):
                 pairs += [(u, v), (u, x), (x, u), (u, sup2(abs_(u), v))]
             for a, b in pairs:
                 for c in (b, abs_(a), sup2(abs_(a), b), inf2(abs_(a), b)):
-                    assert abs_le(a, c) == le(abs_(a), c), (space.label, render(a), render(c))
+                    assert holds(qabs_le, a, c) == le(abs_(a), c), (space.label, render(a), render(c))
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +723,7 @@ def test_lattice_walks_make_no_fraction_comparisons(monkeypatch):
             ("neg", lambda: neg(y)),
             ("abs_", lambda: abs_(y)),
             ("le", lambda: le(x, up)),
-            ("abs_le", lambda: abs_le(x, abs_(x))),
+            ("holds qabs_le", lambda: holds(qabs_le, x, abs_(x))),
             ("is_disjoint", lambda: is_disjoint(p, m)),
             ("max_abs_coord", lambda: max_abs_coord(y)),
             ("decompose", lambda: decompose(y)),
@@ -734,7 +736,7 @@ def test_lattice_walks_make_no_fraction_comparisons(monkeypatch):
             assert not calls, (space.label, name, dict(calls))
         monkeypatch.undo()
         # the folds above walked every pair
-        assert le(x, up) and abs_le(x, abs_(x)) and is_disjoint(p, m)
+        assert le(x, up) and holds(qabs_le, x, abs_(x)) and is_disjoint(p, m)
 
 
 def _probe_cost_cases():
@@ -765,8 +767,7 @@ def test_probe_loops_evaluate_each_step_once(monkeypatch):
         built[seq, n] += 1
         return symbolic(seq, n)
 
-    for module in (sequences, convergence):
-        monkeypatch.setattr(module, "moving_parts", counting_moving)
+    monkeypatch.setattr(sequences, "moving_parts", counting_moving)
     monkeypatch.setattr(sequences, "_eval_symbolic", counting_built)
     for x, limit, cert in _probe_cost_cases():
         b = cert.dominating
@@ -786,26 +787,29 @@ def test_probe_loops_evaluate_each_step_once(monkeypatch):
 
 
 def test_verify_certificate_builds_each_step_of_d_once(monkeypatch):
-    """The order-bound and domination walks share d's whole steps: each
-    step of d they read whole is one `recompose` of d's step parts, and a
-    step is built at most once however many walks read it."""
+    """The order-bound and domination walks read d whole only at their
+    first steps, 1 and cert.n0, which lies past every other whole step of
+    d: each step of d read whole is one `recompose` of d's step parts."""
     parts_of_d, steps, calls = [], [], 0
-    step_parts, build = convergence.step_parts, convergence.recompose
+    symbolic, build = sequences._eval_symbolic, sequences.recompose
+    bump, limit, cert = _probe_cost_cases()[0]
+    d = normalize(sub_element(bump, limit))
 
     def recording(seq, n):
-        steps.append(n)
-        parts_of_d.append(step_parts(seq, n))
-        return parts_of_d[-1]
+        parts = symbolic(seq, n)
+        if seq == d:
+            steps.append(n)
+            parts_of_d.append(parts)
+        return parts
 
     def counting(space, parts):
         nonlocal calls
         calls += any(parts is p for p in parts_of_d)
         return build(space, parts)
 
-    bump, limit, cert = _probe_cost_cases()[0]
     assert cert.escaping == ()
-    monkeypatch.setattr(convergence, "step_parts", recording)
-    monkeypatch.setattr(convergence, "recompose", counting)
+    monkeypatch.setattr(sequences, "_eval_symbolic", recording)
+    monkeypatch.setattr(sequences, "recompose", counting)
     ok, log = verify_certificate(cert, bump, limit, 8)
     assert ok and log[0] == "order bound holds at n=1..10"
     # step 1 starts the order-bound walk, step cert.n0 the domination walk
@@ -900,7 +904,7 @@ def test_row_block_walk_skips_repeated_row_pairs(monkeypatch):
 
     monkeypatch.setattr(elements, "_line", counting)
     w = recompose(E, [(("atom", (1, 2)), 5)])
-    for walk, a, b in [(le, x, y), (abs_le, x, y), (is_disjoint, x, w)]:
+    for walk, a, b in [(le, x, y), (partial(holds, qabs_le), x, y), (is_disjoint, x, w)]:
         calls = 0
         assert walk(a, b)
         assert calls == 1 + 3

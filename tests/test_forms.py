@@ -132,7 +132,7 @@ def test_meets_is_the_driving_index_two_rule_entries_meet(kind, seed):
     """Two distinct entries of one residue class send some atom with the
     same driving index to one coordinate at one driving index at most; two
     pair entries with one column form that meet on a row meet at every
-    column, which `meets` reports as threshold + 1."""
+    column, which `meets` reports as the class's first driving index."""
     rng = random.Random(seed)
     f, modulus, threshold, residue, first = _rule_entry(rng, kind)
     while True:
@@ -152,7 +152,6 @@ def test_meets_is_the_driving_index_two_rule_entries_meet(kind, seed):
     want = found[0] if found else None
     if kind == "pair" and f.col == g.col:
         assert found in ([], list(drives))
-        want = threshold + 1 if found else None
     else:
         assert len(found) <= 1
     assert f.meets(g, threshold, modulus, residue) == want

@@ -625,15 +625,15 @@ def test_dominating_search_builds_each_family_once_and_probes_only_converging(mo
         return cert
 
     probed = set()
-    evaluate = oracles.eval_seq
+    walk = oracles.walk_failure
 
-    def probing(seq, n):
-        probed.add(seq)
-        return evaluate(seq, n)
+    def probing(rel, x, y, first, last):
+        probed.update((x, y))
+        return walk(rel, x, y, first, last)
 
     monkeypatch.setattr(oracles, "_SHAPES", tuple(map(counted, oracles._SHAPES)))
     monkeypatch.setattr(oracles, "decide_monotone_limit", deciding)
-    monkeypatch.setattr(oracles, "eval_seq", probing)
+    monkeypatch.setattr(oracles, "walk_failure", probing)
     # three scales each: 1, 1/2 and 2 from the coefficient 1; 1, 2 and 4
     # from the coefficient -2
     for x, found in [(element_seq(F, atoms=[(token_form(1, 0), RationalSeq.const(1))]), False),

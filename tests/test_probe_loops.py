@@ -6,16 +6,17 @@ step on the coordinates the step touches (`sequences.StepWalk`).  Every
 walk must agree with its definition evaluated naively on whole steps:
 
   check_decreasing           le(eval_seq(b, n + 1), eval_seq(b, n))
-  the verifier's order bound abs_le(d_n, order_bound)
-  its domination walk        abs_le(d_n - escaping_n, eval_seq(b, n))
+  the verifier's order bound le(abs_(d_n), order_bound)
+  its domination walk        le(abs_(d_n - escaping_n), eval_seq(b, n))
   its minorant walk          le(h, eval_seq(x, n))
-  the dominating search      abs_le(eval_seq(x, n), eval_seq(candidate, n))
+  the dominating search      le(abs_(eval_seq(x, n)), eval_seq(candidate, n))
 
 with the same verdict, the same first failing n and the same message.  The
 sequences are seeded draws over all five space kinds, with preludes, fills
 with lag and modulus, harmonic coefficients, ambients that change past the
 prelude and colliding forms; the domination walks start at certificate
-steps n0 > 1 as well.  A count guard holds the walks linear in the window.
+steps n0 > 1 as well, and read prelude steps less escaping atoms against a
+family fitted to them.  A count guard holds the walks linear in the window.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from rieszkit.convergence import (
 )
 from rieszkit.elements import (
     abs_,
-    abs_le,
     add,
     decompose,
     in_base_space,
@@ -287,7 +287,7 @@ def _naive_walk_lines(cert, x, limit, probe):
     lines = []
     if cert.order_bound is not None:
         n = next((n for n in range(1, window + 1)
-                  if not abs_le(eval_seq(d, n), cert.order_bound)), None)
+                  if not le(abs_(eval_seq(d, n)), cert.order_bound)), None)
         lines.append(f"order bound holds at n=1..{window}" if n is None
                      else f"FAIL order bound at n={n}")
     b = cert.dominating
@@ -303,10 +303,22 @@ def _naive_walk_lines(cert, x, limit, probe):
                 (("atom", form.at(n)), -c) for form, coeff in cert.escaping if (c := coeff.at(n)))])
 
         n = next((n for n in range(max(1, cert.n0), window + 1)
-                  if not abs_le(less(n), eval_seq(b, n))), None)
+                  if not le(abs_(less(n)), eval_seq(b, n))), None)
         lines.append(f"stationary part dominated at n={cert.n0}..{window}" if n is None
                      else f"FAIL domination of the stationary part at n={n}")
     return lines
+
+
+def _fitted_family(d, escaping):
+    """A family that dominates d less the escaping atoms on d's prelude
+    steps and nothing more there, read from whole steps, and the deviation
+    bound of d from n0 on; it does not dominate d itself where an escaping
+    atom sits on a prelude step."""
+    prelude = [abs_(recompose(d.space, [*decompose(eval_seq(d, n)), *(
+        (("atom", form.at(n)), -c) for form, coeff in escaping if (c := coeff.at(n)))]))
+        for n in range(1, d.n0)]
+    return element_seq(d.space, ambient=RationalSeq.const(deviation_bound(d)), n0=d.n0,
+                       prelude=prelude)
 
 
 def _order_certificate(rng, d):
@@ -320,6 +332,8 @@ def _order_certificate(rng, d):
     if rng.random() < 0.25:
         # a drawn family, which seldom dominates and may not decrease
         dom = _draw(rng, d.space) or dom
+    elif escaping and d.n0 > 1 and rng.random() < 0.5:
+        dom = _fitted_family(d, escaping)
     if rng.random() < 0.3:
         order_bound = abs_(eval_seq(d, rng.randint(1, structural_threshold(d) + 2)))
     else:
@@ -332,7 +346,7 @@ def _order_certificate(rng, d):
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.label)
 def test_order_bound_and_domination_walks_agree_with_whole_step_comparisons(space):
-    lines, late_starts, late_fails = set(), 0, set()
+    lines, late_starts, late_fails, prelude_escapes = set(), 0, set(), 0
     for rng, x in _draws(23, space, 60):
         probe = rng.choice([1, 4, 8])
         try:
@@ -355,6 +369,8 @@ def test_order_bound_and_domination_walks_agree_with_whole_step_comparisons(spac
         if want[0] == "ok":
             lines.update(want[1][1:])
             late_starts += cert.n0 > 1
+            # the domination walk reads prelude steps less escaping atoms
+            prelude_escapes += bool(cert.escaping) and max(1, cert.n0) < d.n0
             # (walk, whether it fails past its whole first steps)
             late_fails.update(
                 (bounds, int(line.rsplit("=", 1)[1]) > max(1 if bounds else cert.n0, d.n0))
@@ -365,6 +381,22 @@ def test_order_bound_and_domination_walks_agree_with_whole_step_comparisons(spac
         assert any(line.startswith("FAIL") for line in found), walk
         assert any(not line.startswith("FAIL") for line in found), walk
     assert late_starts and {(True, True), (False, True)} <= late_fails
+    assert prelude_escapes or space.kind.value not in ("fin_dev", "row_block")
+
+
+def test_escaping_atoms_come_off_the_prelude_from_the_walks_first_step():
+    """The escaping atom's row is 0, out of range, at step 1 only; the
+    domination walk starts at step 2, on the prelude, and never reads it."""
+    space = row_block_ek()
+    escaping = ((pair_form(1, -1, 0, 1), RationalSeq.const(1)),)
+    x = element_seq(space, atoms=escaping, n0=3, prelude=[zero(space), unit(space)])
+    cert = ConvergenceCertificate(verdict=CONVERGES, space=space, escaping=escaping,
+                                  escape_bound=Q(1), order_bound=scale(2, unit(space)),
+                                  dominating=element_seq(space, ambient=RationalSeq.const(2)), n0=2)
+    want = _naive_walk_lines(cert, x, None, 8)
+    ok, log = verify_certificate(cert, x, None, 8)
+    assert [line for line in log if "order bound" in line or "stationary part" in line] == want
+    assert want == ["order bound holds at n=1..12", "stationary part dominated at n=2..12"]
 
 
 def test_the_draws_change_their_ambient_past_the_prelude():
@@ -384,7 +416,7 @@ def _naive_search(x, bound):
             cert = decide_monotone_limit(cand)
         except NotDecreasingError:
             continue
-        if cert.converges and all(abs_le(eval_seq(x, n), eval_seq(cand, n))
+        if cert.converges and all(le(abs_(eval_seq(x, n)), eval_seq(cand, n))
                                   for n in range(1, window + 1)):
             return cand, checked
     return None, checked
@@ -426,8 +458,7 @@ def _coordinates_read(monkeypatch) -> list:
         count[0] += len(moved)
         return moved
 
-    for module in (sequences, convergence):
-        monkeypatch.setattr(module, "moving_parts", counting_moving)
+    monkeypatch.setattr(sequences, "moving_parts", counting_moving)
     monkeypatch.setattr(sequences.StepWalk, "step", counting_step)
     return count
 
@@ -490,7 +521,7 @@ def test_an_index_out_of_range_at_a_later_step_raises_as_whole_steps_do(space, a
     assert _outcome(lambda: check_decreasing(x, 8)) == want
     bound = ConvergenceCertificate(verdict=CONVERGES, space=space, dominating=element_seq(space),
                                    order_bound=unit(space))
-    want = _outcome(lambda: [abs_le(eval_seq(x, n), unit(space)) for n in range(1, window + 1)])
+    want = _outcome(lambda: [le(abs_(eval_seq(x, n)), unit(space)) for n in range(1, window + 1)])
     assert _outcome(lambda: verify_certificate(bound, x, None, 8)) == want
     below = ConvergenceCertificate(verdict=DIVERGES, space=space, mode="monotone",
                                    minorant=scale(-2, unit(space)))
