@@ -313,14 +313,13 @@ def _image_sequence(T: Operator, xs):
         return element_seq(T.codomain)
     q = T.rule.modulus
     drive = form.drive
-    slope_ok = drive.a == 0 or (drive.a.denominator == 1 and int(drive.a) % q == 0)
-    if not slope_ok:
+    if drive.p % (drive.d * q):  # the slope p/d is not a multiple of the modulus
         raise PreconditionError(
             "the test atom's column walks across residue classes; its image "
             "sequence is outside the representable class"
         )
-    m0 = int(drive.at(1))
-    if m0 <= T.rule.threshold and drive.a == 0:
+    m0 = drive.at_int(1)
+    if m0 <= T.rule.threshold and not drive.p:
         return element_seq(T.codomain)  # below the rule: image is zero
     return element_seq(T.codomain, atoms=[(out_form.compose(form), coeff.scale(c))
                                           for out_form, c in T.rule.entries_for(m0)])

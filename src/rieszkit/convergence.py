@@ -44,6 +44,7 @@ from .elements import (
 from .sequences import (
     ElementSeq,
     MovingAtom,
+    check_indices,
     cover_shift,
     decreasing_failure,
     deviation_bound,
@@ -245,6 +246,7 @@ def decide_order_convergence(
 ) -> ConvergenceCertificate:
     if limit.space != x.space:
         raise SpaceMismatchError("limit lives in the wrong space")
+    check_indices(x)
     d = normalize(sub_element(x, limit))
     pat = eventual_pattern(d)
     bound = deviation_bound(d)

@@ -1,8 +1,10 @@
 """Exact scalars and closed-form scalar sequences.
 
-Every number in the engine is a rational (`fractions.Fraction`), stored in
-lowest terms with a positive denominator; there is no rounding anywhere.
-Payload values of elements and patterns are always `Fraction`, never `int`.
+Every payload value and coefficient in the engine is a rational
+(`fractions.Fraction`), stored in lowest terms with a positive denominator;
+there is no rounding anywhere.  Payload values of elements and patterns are
+always `Fraction`, never `int`.  Coordinate indices and the index forms
+that read them (`spaces.Affine`) are integers.
 `RationalSeq` is the closed form of the scalar sequences the symbolic
 machinery can decide things about: a finite prefix, then tail + h/n.  It
 covers constants, eventually constant steps and harmonic decays c/n.

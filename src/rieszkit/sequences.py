@@ -94,18 +94,13 @@ class Fill:
         return (k is not None and self.kmin <= k <= n - self.lag
                 and (k - self.residue) % self.modulus == 0)
 
-    def line_params(self) -> tuple[Q, Q]:
-        """The covered coordinate line as (step, offset) over the class index."""
-        a, b = self.form.idx.a, self.form.idx.b
-        return (a * self.modulus, a * self.residue + b)
-
 
 def fill(form: CoordForm, modulus: int, residue: int, kmin: int, lag: int, value: QLike) -> Fill:
     if modulus < 1 or not 0 <= residue < modulus:
         raise StencilError("bad fill residue class")
     if isinstance(form, PairForm):
         raise StencilError("row_block fills are not supported")
-    if form.idx.a <= 0:
+    if not form.idx.moving:
         raise StencilError("fill forms must be strictly moving")
     return Fill(form, modulus, residue, max(kmin, 1), lag, qof(value))
 
@@ -222,6 +217,28 @@ def eval_seq(seq: ElementSeq, n: int) -> Element:
     if n < seq.n0:
         return seq.prelude[n - 1]
     return recompose(seq.space, _eval_symbolic(seq, n))
+
+
+def check_indices(seq: ElementSeq) -> None:
+    """Raise what the first symbolic step holding an index out of range
+    raises.  An atom is read at its first step from n0 with a nonzero
+    coefficient and a fill at its first hit: with nonnegative slopes, later
+    indices only grow."""
+    firsts = []
+    for form, coeff in seq.atoms:
+        top = max(seq.n0, coeff.settle_bound())  # zero at the settle bound stays zero
+        n = next((n for n in range(seq.n0, top + 1) if coeff.at(n)), None)
+        if n is not None:
+            firsts.append((n, form, n))
+    for f in seq.fills:
+        k = f.kmin + (f.residue - f.kmin) % f.modulus
+        firsts.append((max(seq.n0, k + f.lag), f.form, k))
+    check, dim = seq.space.row.check_atom, seq.space.dim
+    for n, form, k in sorted(firsts, key=lambda t: t[0]):
+        try:
+            check(form.at(k), dim)
+        except InvalidIndexError:
+            eval_seq(seq, n)  # raises the whole step's error
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +431,11 @@ def normalize(seq: ElementSeq) -> ElementSeq:
     groups: dict = {}
     passthrough = []
     for f in seq.fills:
-        if f.modulus != 1:
+        idx = f.form.idx
+        if f.modulus != 1 or idx.d != 1:
             passthrough.append(f)
             continue
-        step, offset = f.line_params()
-        if step.denominator != 1 or offset.denominator != 1:
-            passthrough.append(f)
-            continue
-        key = (type(f.form), int(step), int(offset) % int(step))
+        key = (type(f.form), idx.p, idx.q % idx.p)
         groups.setdefault(key, []).append(f)
     static_parts = decompose(seq.static)
     new_atoms = list(seq.atoms)
@@ -433,8 +447,7 @@ def normalize(seq: ElementSeq) -> ElementSeq:
         line = form_type(affine(step, base))
         parts = []
         for f in fs:
-            a, b = f.line_params()
-            delta = (int(b) - base) // step
+            delta = (f.form.idx.q - base) // step
             parts.append((f.kmin + delta, f.lag - delta, f.value))
         jmins = [p[0] for p in parts]
         lags = [p[1] for p in parts]
@@ -497,8 +510,8 @@ def eventual_pattern(seq: ElementSeq) -> Element:
                                  *_atom_parts(stationary)])
     pieces = []
     for f in seq.fills:
-        step, offset = f.line_params()
-        if step.denominator != 1 or offset.denominator != 1:
+        # the covered line over the class index j, k = modulus * j + residue
+        if f.form.idx.compose(affine(f.modulus, f.residue)).d != 1:
             raise StencilError("fill line is not integral")
         first_k = f.kmin + ((f.residue - f.kmin) % f.modulus)
         pieces.append(f.form.piece(f.modulus, first_k, f.value, None))
@@ -528,6 +541,6 @@ def cover_shift(seq: ElementSeq) -> int:
     s = structural_threshold(seq)
     for form, coeff in seq.atoms:
         if form.moving:
-            b = form.idx.b
-            s = max(s, int(-b) + 1 if b < 0 else 1)
+            q, d = form.idx.q, form.idx.d
+            s = max(s, -q // d + 1 if q < 0 else 1)
     return s

@@ -32,16 +32,22 @@ coordinate a stationary entry keeps hitting and `check_rule` refuses an
 entry that leaves the index set; `SeqForm` and `TokenForm` share them
 through `idx`.  A pair form's `compose` is its entry applied to a sequence
 of atoms, whose column `drive` reads.
+
+A component `Affine` n -> (p*n + q) / d is three integers in lowest terms
+with d >= 1, so equal forms have equal fields.  Every reading above, and
+hashing and equality, computes on them; `affine` takes the rational slope
+and offset, and only `repr` writes them back as rationals.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from math import gcd
 from typing import Callable, Iterable, Tuple, Union
 
 from .records import record
 from .errors import InvalidIndexError, PreconditionError, StencilError
-from .scalars import Q, QLike, qof, qstr
+from .scalars import Q, QLike, qof
 
 
 class Kind(str, Enum):
@@ -141,81 +147,99 @@ def atom_str(idx: AtomIndex) -> str:
 
 @record
 class Affine:
-    """n -> a*n + b with rational coefficients; integrality is contextual."""
+    """n -> (p*n + q) / d, d >= 1 and gcd(p, q, d) = 1: the slope p/d and
+    offset q/d of `affine`, read on integers.  Integrality is contextual."""
 
-    a: Q
-    b: Q
-
-    def at(self, n: int) -> Q:
-        return self.a * n + self.b
+    p: int
+    q: int
+    d: int
 
     def at_int(self, n: int) -> int:
-        a, b = self.a, self.b
-        if a.denominator == 1 and b.denominator == 1:
-            return a.numerator * n + b.numerator
-        v = self.at(n)
-        if v.denominator != 1:
+        v, r = divmod(self.p * n + self.q, self.d)
+        if r:
             raise InvalidIndexError(f"index form {self} is not integral at n={n}")
-        return v.numerator
+        return v
+
+    def step(self, k: int = 1) -> int:
+        """The slope times k, an integer where the caller reads it."""
+        return self.p * k // self.d
 
     @property
     def moving(self) -> bool:
-        return self.a > 0
+        return self.p > 0
 
     def meet(self, other: Affine) -> int | None:
         """The step n >= 1 with self(n) == other(n), or None: forms are read
         at the steps n >= 1 only (identical forms return None too)."""
-        if self.a == other.a:
+        slope = self.p * other.d - other.p * self.d
+        if not slope:
             return None
-        n = (other.b - self.b) / (self.a - other.a)
-        if n.denominator != 1 or n.numerator < 1:
-            return None
-        return n.numerator
+        n, r = divmod(other.q * self.d - self.q * other.d, slope)
+        return None if r or n < 1 else n
 
     def preimage(self, v: int) -> int | None:
-        """The integer n with a*n + b == v, or None.  A stationary form equal
-        to v reads it at every n, which no locally finite rule does.  Any
-        integer: a fill that `normalize` re-indexes reads its line from 0."""
-        a, b = self.a, self.b
-        if not a:
-            if b == v:
+        """The integer n with (p*n + q) / d == v, or None.  A stationary form
+        equal to v reads it at every n, which no locally finite rule does.
+        Any integer: a fill that `normalize` re-indexes reads its line from
+        0."""
+        p, q = self.p, self.q
+        if not p:
+            if q == v * self.d:
                 raise PreconditionError("rule is not locally finite")
             return None
-        if a.denominator == 1 and b.denominator == 1:
-            n, r = divmod(v - b.numerator, a.numerator)
-        else:
-            n, r = divmod(v - b, a)
+        n, r = divmod(v * self.d - q, p)
         return None if r else n
 
     def compose(self, inner: Affine) -> Affine:
         """n -> self(inner(n))."""
-        return affine(self.a * inner.a, self.a * inner.b + self.b)
+        return _canonical(self.p * inner.p, self.p * inner.q + self.q * inner.d,
+                          self.d * inner.d)
 
     def check_class(self, modulus: int, residue: int, first: int, finite: bool) -> None:
         """Refuse this form as a rule component driven by the rule variable
         over its residue class from `first` on; `finite` is a
         finite-dimensional codomain."""
-        if self.a < 0:
+        p, q, d = self.p, self.q, self.d
+        if p < 0:
             raise StencilError(f"index form {self} eventually leaves the index set")
-        if (self.a * modulus).denominator != 1 or (self.a * residue + self.b).denominator != 1:
+        if p * modulus % d or (p * residue + q) % d:
             raise StencilError(f"index form {self} is not integral on its class")
-        if self.at(first) < 1:
+        if p * first + q < d:
             raise StencilError(f"index form {self} leaves the index set at i={first}")
-        if finite and self.a != 0:
+        if finite and p:
             raise StencilError("moving forms cannot target a finite-dimensional space")
 
     def __str__(self) -> str:
-        if self.a == 0:
-            return qstr(self.b)
-        an = "n" if self.a == 1 else f"{qstr(self.a)}n"
-        if self.b == 0:
+        p, q, d = self.p, self.q, self.d
+        if not p:
+            return _ratio(q, d)
+        an = "n" if p == d else f"{_ratio(p, d)}n"
+        if not q:
             return an
-        sign = "+" if self.b > 0 else "-"
-        return f"{an}{sign}{qstr(abs(self.b))}"
+        return f"{an}{'+' if q > 0 else '-'}{_ratio(abs(q), d)}"
+
+    def __repr__(self) -> str:
+        return f"Affine(a={Q(self.p, self.d)!r}, b={Q(self.q, self.d)!r})"
+
+
+def _canonical(p: int, q: int, d: int) -> Affine:
+    """The form (p*n + q) / d, d >= 1, in lowest terms."""
+    g = gcd(p, q, d)
+    return Affine(p // g, q // g, d // g)
+
+
+def _ratio(num: int, den: int) -> str:
+    """num/den as `qstr` writes it: "p" for integers, "p/q" otherwise."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def affine(a: QLike, b: QLike) -> Affine:
-    return Affine(qof(a), qof(b))
+    """The form n -> a*n + b."""
+    if type(a) is int and type(b) is int:
+        return Affine(a, b, 1)
+    (pa, da), (pb, db) = qof(a).as_integer_ratio(), qof(b).as_integer_ratio()
+    return _canonical(pa * db, pb * da, da * db)
 
 
 def _on_class(n: int | None, threshold: int, modulus: int, residue: int) -> int | None:
@@ -245,7 +269,7 @@ class _LineForm:
         self.idx.check_class(modulus, residue, first, finite)
 
     def piece(self, modulus: int, first: int, value: Q, row: int | None) -> tuple:
-        return (int(self.idx.a * modulus), self.idx.at_int(first), value)
+        return (self.idx.step(modulus), self.idx.at_int(first), value)
 
     def leak(self, first: int):
         return None if self.moving else self.at(first)
@@ -338,20 +362,20 @@ class PairForm:
 
     def check_rule(self, modulus: int, residue: int, first: int, finite: bool) -> None:
         row = self.row
-        if row.a < 0:
+        if row.p < 0:
             raise StencilError(f"index form {row} eventually leaves the index set")
-        if row.a.denominator != 1 or row.b.denominator != 1:
+        if row.d != 1:
             raise StencilError(f"row form {row} is not integral")
-        if row.at(1) < 1:
+        if row.at_int(1) < 1:
             raise StencilError(f"row form {row} leaves the index set")
         self.col.check_class(modulus, residue, first, finite)
 
     def piece(self, modulus: int, first: int, value: Q, row: int | None) -> tuple:
         """(row_step, row_first, col_step, col_first, value), over one row
         when row is given."""
-        col = (int(self.col.a * modulus), self.col.at_int(first), value)
+        col = (self.col.step(modulus), self.col.at_int(first), value)
         if row is None:
-            return (int(self.row.a), self.row.at_int(1)) + col
+            return (self.row.step(), self.row.at_int(1)) + col
         return (0, self.row.at_int(row)) + col
 
     def leak(self, first: int) -> Tuple[int, int] | None:

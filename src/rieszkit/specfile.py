@@ -42,8 +42,9 @@ from typing import Iterator, Tuple
 
 from .records import record
 from .errors import RieszkitError
-from .scalars import Q, Q0
-from .spaces import Affine, PairForm, SeqForm, SpaceDesc, TokenForm, atom_str, parse_space_label
+from .scalars import Q, QLike
+from .spaces import (Affine, PairForm, SeqForm, SpaceDesc, TokenForm, affine, atom_str,
+                     parse_space_label)
 from .elements import Element, recompose
 from .operators import Operator, operator, stencil_rule
 
@@ -387,7 +388,7 @@ def _parse_coord(cur: _Cursor, component, var: str):
 
 def _literal(cur: _Cursor, var: str) -> Affine:
     """A literal coordinate component: the stationary form of an integer."""
-    return Affine(Q0, Q(_parse_int(cur)))
+    return affine(0, _parse_int(cur))
 
 
 _INDEX_STOP = frozenset({")", ",", "}"})
@@ -400,7 +401,7 @@ def _parse_affine_sum(cur: _Cursor, var: str, stop=_INDEX_STOP) -> Affine:
     t = cur.peek()
     if t is not None and t.text in stop:
         raise SpecError(t.line, t.col, "empty index form")
-    a = b = Q0
+    a = b = 0
     while True:
         sign = 1
         if t is not None and t.text in ("+", "-"):
@@ -413,32 +414,33 @@ def _parse_affine_sum(cur: _Cursor, var: str, stop=_INDEX_STOP) -> Affine:
         b += sign * tb
         t = cur.peek()
         if t is None or t.text in stop:
-            return Affine(a, b)
+            return affine(a, b)
         if t.text not in ("+", "-"):
             raise SpecError(t.line, t.col, f"unexpected {t.text!r} in index form")
 
 
-def _parse_term(cur: _Cursor, var: str) -> tuple[Q, Q]:
+def _parse_term(cur: _Cursor, var: str) -> tuple[QLike, QLike]:
     """(coefficient of `var`, constant) of one term
-    NUM[/NUM] [VAR] | VAR[/NUM] | (SUM)[/NUM]."""
+    NUM[/NUM] [VAR] | VAR[/NUM] | (SUM)[/NUM]: integers unless divided."""
     t = cur.next()
     if t.text == "(":
         group = _parse_affine_sum(cur, var, frozenset({")"}))
         cur.expect(")")
-        a, b = group.a, group.b
+        a, b, d = group.p, group.q, group.d
     elif t.kind == "num":
-        a, b = Q0, Q(int(t.text))
+        a, b, d = 0, int(t.text), 1
     elif t.kind == "name":
         _read_variable(cur, t, var)
-        a, b = Q(1), Q0
+        a, b, d = 1, 0, 1
     else:
         raise SpecError(t.line, t.col, f"unexpected {t.text!r} in index form")
-    den = _denominator(cur, "integer")
-    a, b = a / den, b / den
+    den = _denominator(cur, "integer") * d
+    if den != 1:
+        a, b = Q(a, den), Q(b, den)
     v = cur.peek()
     if t.kind == "num" and v is not None and v.kind == "name":
         _read_variable(cur, cur.next(), var)
-        a, b = b, Q0
+        a, b = b, 0
     return a, b
 
 

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import functools
 import random
+from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +20,40 @@ from rieszkit.elements import (
 from rieszkit.completion import pattern_from_pieces
 
 ALL_SPACES = [fin_dim(4), tail_seq(), fin_dev(), row_block_ek(), row_block_grid()]
+
+# the constructor, the arithmetic and the order comparisons of Fraction
+FRACTION_METHODS = ("__new__", "__lt__", "__le__", "__gt__", "__ge__", "__pos__", "__neg__",
+                    "__abs__", "__int__", "__trunc__", "__floor__", "__ceil__", "__round__",
+                    *(f"__{r}{op}__" for op in ("add", "sub", "mul", "truediv", "floordiv",
+                                                "mod", "divmod", "pow") for r in ("", "r")))
+
+
+@contextmanager
+def fraction_calls():
+    """Count the calls of `FRACTION_METHODS` while the block runs; yields a
+    one-item list holding the count.  Python 3.12 and later build an
+    arithmetic result without `Fraction.__new__`, so counting the
+    constructor alone misses it there.  `==` is not counted: a canonical
+    line is trimmed with one `==` on its last payload value."""
+    count = [0]
+    saved = {name: Fraction.__dict__[name] for name in FRACTION_METHODS
+             if name in Fraction.__dict__}
+
+    def counted(f):
+        @functools.wraps(f)
+        def call(*args, **kwargs):
+            count[0] += 1
+            return f(*args, **kwargs)
+        return call
+
+    for name, f in saved.items():
+        setattr(Fraction, name, staticmethod(counted(f.__func__)) if name == "__new__"
+                else counted(f))
+    try:
+        yield count
+    finally:
+        for name, f in saved.items():
+            setattr(Fraction, name, f)
 
 
 def random_scalar(rng: random.Random, span: int = 6) -> Q:

@@ -66,7 +66,7 @@ from rieszkit.elements import (
     zero,
 )
 
-from conftest import ALL_SPACES, random_element, random_pattern, random_scalar
+from conftest import ALL_SPACES, fraction_calls, random_element, random_pattern, random_scalar
 
 T = tail_seq()
 F = fin_dev()
@@ -587,15 +587,8 @@ def _payload(x) -> list:
     return [*x.data[0], *x.data[1]]  # a line: fin_dim and tail_seq
 
 
-def test_identities_build_no_rationals(monkeypatch):
+def test_identities_build_no_rationals():
     n = 2000
-    built = [0]
-    new = fractions.Fraction.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        built[0] += 1
-        return new(cls, *args, **kwargs)
-
     one = Q(1)
     for space in (fin_dim(n), T, F, E, row_block_grid()):
         z = zero(space)
@@ -621,12 +614,11 @@ def test_identities_build_no_rationals(monkeypatch):
             w = _wide(space, n, 1)
             cases += [("add wide", lambda: add(w, z)), ("sub wide", lambda: sub(w, z)),
                       ("scale 1 wide", lambda: scale(1, w)), ("pos wide", lambda: pos(w))]
-        monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting_new))
-        for name, run in cases:
-            built[0] = 0
-            run()
-            assert built[0] <= 8, (space.label, name, built[0])
-        monkeypatch.undo()
+        with fraction_calls() as built:
+            for name, run in cases:
+                built[0] = 0
+                run()
+                assert built[0] <= 8, (space.label, name, built[0])
         assert add(x, z) == sub(x, z) == scale(1, x) == lincomb(space, [(1, x)]) == x
         assert recompose(space, [(ref, one) for ref in atoms]) == recompose(
             space, [(ref, 1) for ref in atoms])

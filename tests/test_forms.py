@@ -15,8 +15,9 @@ from collections import Counter, defaultdict
 
 import pytest
 
+from conftest import fraction_calls
 from rieszkit.errors import InvalidIndexError, PreconditionError, StencilError
-from rieszkit.scalars import Q
+from rieszkit.scalars import Q, qstr
 from rieszkit.spaces import PairForm, SeqForm, Token, TokenForm, affine, gamma
 
 SEEDS = range(40)
@@ -203,3 +204,144 @@ def test_leak_is_the_coordinate_every_atom_of_the_class_hits(kind, seed):
     else:
         assert leak == form.image((1, first) if kind == "pair" else first)
         assert counts[leak] >= W
+
+
+# ---------------------------------------------------------------------------
+# the integer reading against the rational formulas it replaces
+
+
+def _ref_str(a, b) -> str:
+    if a == 0:
+        return qstr(b)
+    an = "n" if a == 1 else f"{qstr(a)}n"
+    if b == 0:
+        return an
+    return f"{an}{'+' if b > 0 else '-'}{qstr(abs(b))}"
+
+
+def _ref_at_int(a, b, n):
+    v = a * n + b
+    if v.denominator != 1:
+        raise InvalidIndexError(f"index form {_ref_str(a, b)} is not integral at n={n}")
+    return v.numerator
+
+
+def _ref_check_class(a, b, modulus, residue, first, finite):
+    if a < 0:
+        raise StencilError(f"index form {_ref_str(a, b)} eventually leaves the index set")
+    if (a * modulus).denominator != 1 or (a * residue + b).denominator != 1:
+        raise StencilError(f"index form {_ref_str(a, b)} is not integral on its class")
+    if a * first + b < 1:
+        raise StencilError(f"index form {_ref_str(a, b)} leaves the index set at i={first}")
+    if finite and a != 0:
+        raise StencilError("moving forms cannot target a finite-dimensional space")
+
+
+def _ref_check_rule(row, col, modulus, residue, first, finite):
+    (ra, rb), (ca, cb) = row, col
+    if ra < 0:
+        raise StencilError(f"index form {_ref_str(ra, rb)} eventually leaves the index set")
+    if ra.denominator != 1 or rb.denominator != 1:
+        raise StencilError(f"row form {_ref_str(ra, rb)} is not integral")
+    if ra + rb < 1:
+        raise StencilError(f"row form {_ref_str(ra, rb)} leaves the index set")
+    _ref_check_class(ca, cb, modulus, residue, first, finite)
+
+
+def _ref_meet(f, g):
+    (a, b), (c, d) = f, g
+    if a == c:
+        return None
+    n = (d - b) / (a - c)
+    return n.numerator if n.denominator == 1 and n >= 1 else None
+
+
+def _coeffs(rng):
+    """(a, b): seeded slopes, negative ones included, and half offsets."""
+    return Q(rng.choice(SLOPES + [Q(-1, 2), -1])), Q(rng.randint(-6, 6), 2)
+
+
+def _outcomes(call):
+    try:
+        return "ok", call()
+    except (InvalidIndexError, StencilError) as e:
+        return type(e).__name__, str(e)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_the_integer_reading_agrees_with_the_rational_formulas(seed):
+    rng = random.Random(seed)
+    (a, b), (c, d) = _coeffs(rng), _coeffs(rng)
+    f, g = affine(a, b), affine(c, d)
+    assert str(f) == _ref_str(a, b)
+    assert repr(f) == f"Affine(a={a!r}, b={b!r})"
+    assert str(PairForm(f, g)) == f"({_ref_str(a, b)},{_ref_str(c, d)})"
+    for n in range(-4, 12):
+        assert _outcomes(lambda: f.at_int(n)) == _outcomes(lambda: _ref_at_int(a, b, n))
+    assert f.compose(g) == affine(a * c, a * d + b)
+    assert f.meet(g) == _ref_meet((a, b), (c, d))
+    for modulus in (1, 2, 3):
+        for residue in range(modulus):
+            for first in range(residue or modulus, 8, modulus):
+                for finite in (False, True):
+                    args = (modulus, residue, first, finite)
+                    want = _outcomes(lambda: _ref_check_rule((a, b), (c, d), *args))
+                    got = _outcomes(lambda: PairForm(f, g).check_rule(*args))
+                    assert got == want, args
+                    if got[0] != "ok":
+                        continue
+                    assert PairForm(f, g).piece(modulus, first, Q(3), None) == (
+                        int(a), _ref_at_int(a, b, 1), int(c * modulus),
+                        _ref_at_int(c, d, first), 3)
+                    assert SeqForm(g).piece(modulus, first, Q(3), None) == (
+                        int(c * modulus), _ref_at_int(c, d, first), 3)
+
+
+def test_a_form_is_its_canonical_triple():
+    """Equal forms from any input are equal and hash equal."""
+    assert affine(Q(2, 2), Q(4, 2)) == affine(1, 2) == affine("1", "2")
+    assert hash(affine(Q(2, 2), Q(4, 2))) == hash(affine(1, 2))
+    assert affine(Q(2, 4), Q(3, 6)) == affine(Q(1, 2), Q(1, 2))
+    assert affine(0, Q(-4, 2)) == affine(0, -2) != affine(0, 2)
+    # the forms' text, as reports and error messages print it
+    assert [str(affine(*ab)) for ab in [(0, 0), (0, Q(-3, 2)), (1, 0), (Q(1, 2), Q(1, 2)),
+                                        (Q(3, 2), -1), (-2, Q(5, 2))]] == [
+        "0", "-3/2", "n", "1/2n+1/2", "3/2n-1", "-2n+5/2"]
+    assert repr(PairForm(affine(1, 0), affine(Q(1, 2), Q(-1, 2)))) == (
+        "PairForm(row=Affine(a=Fraction(1, 1), b=Fraction(0, 1)), "
+        "col=Affine(a=Fraction(1, 2), b=Fraction(-1, 2)))")
+
+
+def test_form_index_methods_make_no_fraction_calls():
+    """Every index method of the forms computes on integers, on any Python:
+    no Fraction is built, added, multiplied or ordered."""
+    rng = random.Random(7)
+    forms = {kind: [_form(rng, kind) for _ in range(30)] for kind in ("seq", "token", "pair")}
+    value = Q(3)
+    with fraction_calls() as calls:
+        for kind, fs in forms.items():
+            for f, g in zip(fs, fs[1:]):
+                hash(f)
+                assert (f == f) and (f == g) is (str(f) == str(g))
+                f.moving
+                f.collides_at(g)
+                f.meets(g, 2, 2, 1)
+                for n in range(1, 6):
+                    arg = (n, n + 1) if kind == "pair" else n
+                    _reads(f.at, n)
+                    _reads(f.image, arg)
+                    _reads(f.leak, n)
+                    try:
+                        f.preimage((n, n) if kind == "pair" else gamma(n) if kind == "token" else n)
+                    except PreconditionError:
+                        pass
+                for modulus, residue, first in ((1, 0, 1), (2, 1, 3)):
+                    try:
+                        f.check_rule(modulus, residue, first, False)
+                        f.piece(modulus, first, value, None)
+                    except (StencilError, InvalidIndexError):
+                        pass
+                if kind == "pair":
+                    f.compose(g)
+                    f.row_meet(g)
+    assert calls[0] == 0

@@ -500,7 +500,7 @@ def test_probe_walks_read_coordinates_linear_in_the_window(monkeypatch, space, l
         assert _slope(windows, counts) <= 1.15, (name, counts)
 
 
-@pytest.mark.parametrize("space, atoms, fills", [
+LATE_OUT_OF_RANGE = [
     # two atoms that start at step 3, out of range there: the first index in
     # atom order is the one reported
     (tail_seq(), [(seq_form(1, -5), RationalSeq.steps([0, 0], -1)),
@@ -509,7 +509,11 @@ def test_probe_walks_read_coordinates_linear_in_the_window(monkeypatch, space, l
     (fin_dim(4), [(seq_form(0, 5), RationalSeq.steps([0], -1))], []),
     # a fill whose first hit, at step 3, is out of range
     (tail_seq(), [], [fill(seq_form(1, -2), 1, 0, 1, 2, -1)]),
-], ids=["atoms", "dimension", "fill"])
+]
+
+
+@pytest.mark.parametrize("space, atoms, fills", LATE_OUT_OF_RANGE,
+                         ids=["atoms", "dimension", "fill"])
 def test_an_index_out_of_range_at_a_later_step_raises_as_whole_steps_do(space, atoms, fills):
     """A step read by difference checks the indices it touches, so an index
     out of range first stored at a later step raises there, with the whole
@@ -527,3 +531,17 @@ def test_an_index_out_of_range_at_a_later_step_raises_as_whole_steps_do(space, a
                                    minorant=scale(-2, unit(space)))
     assert _outcome(lambda: verify_certificate(below, x, None, 8)) == want
     assert want[0] == "InvalidIndexError"
+
+
+@pytest.mark.parametrize("space, atoms, fills", LATE_OUT_OF_RANGE + [
+    # a moving pair atom on row 0 at step 1, which no prelude hides
+    (row_block_ek(), [(pair_form(1, -1, 0, 1), RationalSeq.const(1))], []),
+], ids=["atoms", "dimension", "fill", "row"])
+def test_the_decider_raises_what_the_first_bad_whole_step_raises(space, atoms, fills):
+    """A sequence whose symbolic steps hold an index out of range is no
+    sequence of elements: the order-convergence decider raises the error of
+    the first such step instead of certifying it."""
+    x = element_seq(space, atoms=atoms, fills=fills)
+    want = _outcome(lambda: [eval_seq(x, n) for n in range(1, structural_threshold(x) + 9)])
+    assert want[0] == "InvalidIndexError"
+    assert _outcome(lambda: decide_order_convergence(x, zero(space))) == want

@@ -52,10 +52,12 @@ ALLOWED = {
     "spaces.PairForm.collides_at": "as _LineForm.collides_at, for pair forms",
     "spaces.PairForm.meets": "two entries of one pair rule class: no shipped spec has them "
                              "(test_cli's collision spec does)",
-    "spaces.PairForm.preimage": "inverts a rule entry for a coordinate functional of a rule "
-                                "into ek or grid: no shipped input asks for one",
-    "spaces.TokenForm.preimage": "inverts a ck fill in a probe walk or a rule entry for a "
-                                 "coordinate functional: no shipped input has either",
+    "spaces.PairForm.preimage": "inverts a rule entry into ek or grid for the coordinate "
+                                "functional witness-pervasive takes: no shipped positive "
+                                "spec has such a rule",
+    "spaces.TokenForm.preimage": "inverts a ck fill where a probe walk reads one coordinate, "
+                                 "or a rule entry into ck for witness-pervasive's coordinate "
+                                 "functional: no shipped input has either",
     "elements._RowBlockShape.classes": "names a nonzero class of a row block: every shipped "
                                        "ek or grid pattern that is read is zero",
     "elements._RowBlockShape.support": "the engine asks for supports on ck and l0inf only",
@@ -76,6 +78,8 @@ ALLOWED = {
                                  "through recompose",
     "scalars.RationalSeq.kind": "names the form describe writes, for the tests",
     "spaces.KindRow.__repr__": "the short repr of a kind-table row, for debugging",
+    "spaces.Affine.__repr__": "writes a form by its rationals a and b, the text "
+                              "spec_outcomes.json pins; no command prints a repr",
     # references and helpers that tests and the benchmark call
     "oracles.majorant_growth_probe": "per-level wrapper the benchmark and tests call; the CLI "
                                      "runs majorant_floors",

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import fraction_calls
 from rieszkit.scalars import (
     Q,
     Q0,
@@ -201,23 +202,16 @@ def test_constructors_keep_their_canonical_forms():
         RationalSeq.const(0).at(0)
 
 
-def test_at_builds_no_rational_without_a_harmonic_term(monkeypatch):
-    built = 0
-    new = fractions.Fraction.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        nonlocal built
-        built += 1
-        return new(cls, *args, **kwargs)
-
+def test_at_builds_no_rational_without_a_harmonic_term():
     seqs = [RationalSeq.const(Q(1, 2)), RationalSeq.steps([1, 2], Q(-3))]
-    monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting_new))
-    for s in seqs:
-        for n in range(1, 10):
-            s.at(n)
-    assert built == 0
-    RationalSeq.harmonic(Q(1)).at(3)
-    assert built > 0
+    harmonic = RationalSeq.harmonic(Q(1))
+    with fraction_calls() as built:
+        for s in seqs:
+            for n in range(1, 10):
+                s.at(n)
+        assert built[0] == 0
+        harmonic.at(3)
+    assert built[0] > 0
 
 
 # ---------------------------------------------------------------------------
