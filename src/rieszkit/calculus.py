@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import dataclasses
 from functools import reduce
-from math import lcm
 from typing import Tuple
 
 from .records import record, replace
-from .errors import PreconditionError, UnsupportedHypothesisError
+from .errors import PreconditionError, StencilError, UnsupportedHypothesisError
 from .scalars import Q
-from .spaces import AtomIndex, SpaceDesc, atom_key, atom_str
+from .spaces import AtomIndex, SpaceDesc, atom_str
 from .elements import (
     Element,
     add,
@@ -41,7 +40,6 @@ from .elements import (
     decompose,
     in_base_space,
     is_positive as elem_is_positive,
-    le,
     lincomb,
     nonzero_classes,
     pos,
@@ -54,9 +52,11 @@ from .elements import (
 from .convergence import ConvergenceCertificate, decide_order_convergence
 from .operators import (
     Operator,
+    add_op,
     apply_op,
     atom_image,
     coordinate_functional_of,
+    first_negative_generator,
     functional,
     image_sum_pattern,
     is_positive_operator,
@@ -66,6 +66,7 @@ from .operators import (
     rank_one,
     row_sum_pattern,
     row_unit_image,
+    scale_op,
     table_rows,
     table_top,
     _stationary_leak,
@@ -245,35 +246,19 @@ def pervasive_witness(T: Operator, probe: int = 8) -> Witness:
     codim = T.domain.row.atom_span_codim
     if gen[0] == "atom" or codim is None or codim > 1:
         j = _first_positive_coordinate(apply_op(T, x0))
-        f = coordinate_functional_of(T, j)
-        v = atom(T.codomain, j)
-        R = rank_one(f, v)
-        transcript = _witness_transcript(R, T, probe)
-        return Witness(f, v, R, _gen_label(gen), j, transcript)
-    # every atom image vanishes: T factors through the quotient by the atom
-    # span closure, which has codimension <= 1
-    f = functional(T.domain, {}, 1)
-    v = T.unit_image
+        f, v, note = coordinate_functional_of(T, j), atom(T.codomain, j), ()
+    else:
+        # every atom image vanishes: T factors through the quotient by the
+        # atom span closure, which has codimension <= 1
+        j, f, v = None, functional(T.domain, {}, 1), T.unit_image
+        note = ("T vanishes on the atom span closure, so it is the rank-one tensor "
+                "of the unit-coefficient functional with its unit image",)
     R = rank_one(f, v)
-    transcript = _witness_transcript(R, T, probe)
-    transcript = transcript + (
-        "T vanishes on the atom span closure, so it is the rank-one tensor "
-        "of the unit-coefficient functional with its unit image",
-    )
-    return Witness(f, v, R, _gen_label(gen), None, transcript)
-
-
-def _gen_label(gen) -> str:
-    return atom_str(gen[1]) if gen[0] == "atom" else "unit"
-
-
-def _atom_window(domain: SpaceDesc, top: int, rows: int) -> list:
-    """The atoms the witness routines read, in order: e_1..e_dim on
-    fin_dim, e_1..e_top on tail_seq, rows 1..rows up to column top on a
-    row block."""
-    if domain.row.enumerated:
-        return list(range(1, (domain.dim or top) + 1))
-    return [(n, m) for n in range(1, rows + 1) for m in range(1, top + 1)]
+    ok, log = verify_witness(R, T, probe)
+    if not ok:
+        raise PreconditionError("witness construction failed its own transcript")
+    label = atom_str(gen[1]) if gen[0] == "atom" else "unit"
+    return Witness(f, v, R, label, j, tuple(log) + note)
 
 
 def _first_positive_generator(T: Operator):
@@ -286,7 +271,9 @@ def _first_positive_generator(T: Operator):
     for idx, img in T.atom_images:  # explicit table first (sorted)
         if not img.is_zero():
             return ("atom", idx), atom(T.domain, idx)
-    for idx in _atom_window(T.domain, top, len(T.atom_images) + 1):
+    window = (range(1, (T.domain.dim or top) + 1) if T.domain.row.enumerated else
+              [(n, m) for n in range(1, len(T.atom_images) + 2) for m in range(1, top + 1)])
+    for idx in window:
         if not atom_image(T, idx).is_zero():
             return ("atom", idx), atom(T.domain, idx)
     if not T.unit_image.is_zero():
@@ -304,82 +291,45 @@ def _first_positive_coordinate(y: Element) -> AtomIndex:
     raise PreconditionError("image has no positive coordinate")
 
 
-def _witness_transcript(R: Operator, T: Operator, probe: int) -> Tuple[str, ...]:
-    ok, lines = verify_witness(R, T, probe)
-    if not ok:
-        raise PreconditionError("witness construction failed its own transcript")
-    return tuple(lines)
-
-
-def _tail_steps(R: Operator, T: Operator, top: int, probe: int) -> list[int]:
-    """The tail atoms deciding R <= T past top for any probe: where an R form
-    meets a T form, then one period of both rules past the last, then probe."""
-    period = lcm(*(op_.rule.modulus for op_ in (R, T) if op_.rule is not None))
-    rf, tf = ({f for es in op_.rule.entries for f, _ in es} if op_.rule else () for op_ in (R, T))
-    # where an R entry meets a T entry at a driving index from top on
-    meets = {n for f in rf for g in tf if (n := f.meets(g, top - 1, 1, 0)) is not None}
-    start = max([top, *(n + 1 for n in meets)])
-    return sorted(meets) + list(range(start, start + period + probe))
-
-
 def verify_witness(R: Operator, T: Operator, probe: int = 8) -> tuple[bool, list[str]]:
-    """Re-check 0 < R <= T on generators (probed window plus symbolic tail):
-    the one witness verifier, whose log is a witness's transcript.
+    """Re-check 0 < R <= T exactly, whatever the probe: the one witness
+    verifier, whose log is a witness's transcript.
 
-    R <= T is compared at every atom of the window (`_atom_window`) and of
-    both tables, in `atom_key` order; on enumerated domains the tables lie
-    inside the window.  Then come the row units of both tables (ek only),
-    the rule tail past the window (l0inf only, `_tail_steps`) and the
-    unit."""
+    R >= 0 and T - R >= 0 are each decided on the generators by
+    `first_negative_generator`, and a failure names the generator where it
+    fails.  The probe only sets the atom range the passing log names."""
     if not is_positive_operator(R):
         return False, ["FAIL R is not positive"]
-    nonzero = any(not img.is_zero() for _, img in R.atom_images) or (
-        not R.unit_image.is_zero()
-    )
-    if not nonzero:
+    if all(img.is_zero() for _, img in R.atom_images) and R.unit_image.is_zero():
         return False, ["FAIL R is zero"]
     log = ["R is positive and nonzero"]
-    top = max(table_top(R), table_top(T)) + probe
-    window = _atom_window(T.domain, top, probe)
+    try:
+        D = add_op(T, scale_op(-1, R))
+    except (PreconditionError, StencilError) as e:
+        return False, log + [f"FAIL T - R is not representable: {e}"]
     enumerated = T.domain.row.enumerated
-    atoms = {*window, *(k for k, _ in R.atom_images), *(k for k, _ in T.atom_images)}
-    fails = [i for i in sorted(atoms, key=atom_key)
-             if not le(atom_image(R, i), atom_image(T, i))]
-    log += [f"FAIL R(e{i}) !<= T(e{i})" if enumerated else f"FAIL R <= T at atom {i}"
-            for i in fails]
-    ok = not fails
-    if ok:
-        log.append(f"R <= T on atoms 1..{len(window)}" if enumerated
+    ref = first_negative_generator(D)
+    if ref is None:
+        top = T.domain.dim or max(table_top(R), table_top(T)) + probe
+        log.append(f"R <= T on atoms 1..{top}" if enumerated
                    else "R <= T on the probed atom grid and every table entry")
-    for r in {k for k, _ in R.row_unit_images} | {k for k, _ in T.row_unit_images}:
-        if not le(row_unit_image(R, r), row_unit_image(T, r)):
-            log.append(f"FAIL R <= T at row unit {r}")
-            ok = False
-    if T.domain.row.sequence:
-        if R.rule is None or R.rule.is_zero():
-            # tail: R vanishes there while T's rule keeps positive coefficients
-            tail_ok = T.rule is None or all(
-                c >= 0 for es in T.rule.entries for _, c in es
-            )
-            log.append(
-                "tail rule comparison: R vanishes beyond its table and T stays positive"
-                if tail_ok
-                else "FAIL tail comparison"
-            )
-            ok = ok and tail_ok
-        else:
-            i = next((i for i in _tail_steps(R, T, top, probe)
-                      if not le(atom_image(R, i), atom_image(T, i))), None)
-            log.append("R <= T on the probed tail" if i is None
-                       else f"FAIL tail comparison at atom {i}")
-            ok = ok and i is None
-    if not T.domain.dim:
-        if not le(R.unit_image, T.unit_image):
-            log.append("FAIL R(unit) !<= T(unit)")
-            ok = False
-        else:
+        if T.domain.row.sequence:
+            log.append("tail rule comparison: R vanishes beyond its table and T stays positive"
+                       if R.rule is None or R.rule.is_zero() else "R <= T on the probed tail")
+        if not T.domain.dim:
             log.append("R(unit) <= T(unit)")
-    return ok, log
+        return True, log
+    if ref[0] == "row_unit":
+        fail = f"FAIL R <= T at row unit {ref[1]}"
+    elif ref[0] == "unit":
+        fail = "FAIL R <= T at the unit less finitely many atoms" + (
+            " or row units" if T.domain.row_units else "")
+    elif ref[1] not in dict(D.atom_images):
+        fail = f"FAIL tail comparison at atom {ref[1]}"
+    else:
+        i = ref[1]
+        fail = f"FAIL R(e{i}) !<= T(e{i})" if enumerated else f"FAIL R <= T at atom {i}"
+    return False, log + [fail]
 
 
 # ---------------------------------------------------------------------------

@@ -390,7 +390,9 @@ def verify_certificate(
     from step 1, |d_n - escaping_n| <= b_n from max(1, n0) over at least
     `probe` steps.  Escaping forms must be moving: a positive slope makes a
     form injective, so its supports leave every finite set.  A minorant
-    must be positive and nonzero."""
+    must be positive and nonzero.  An x whose symbolic steps hold an index
+    out of range raises as the decider does (`check_indices`)."""
+    check_indices(x)
     missing = _missing_evidence(cert)
     if missing:
         return False, [missing]

@@ -596,22 +596,32 @@ def table_rows(T: Operator) -> list[int]:
 
 
 def is_positive_operator(T: Operator) -> bool:
-    """T >= 0, decided on the generators: every atom image is positive and
-    the atom images sum to at most the unit image.  On ek each row of
-    `table_rows` sums its atom images to at most its row unit's image, and
-    those images sum to at most the unit's; a row unit past the tables maps
-    to 0, so a nonzero rule fails the generic row."""
+    """T >= 0, decided exactly on the generators (see `first_negative_generator`)."""
+    return first_negative_generator(T) is None
+
+
+def first_negative_generator(T: Operator):
+    """The first generator at which T >= 0 fails, as a ref in the format of
+    `decompose`, or None.  In order: a table atom whose image is not
+    positive; a negative rule coefficient, at the first atom of its class
+    past the table (on a row past the table rows on row blocks); a
+    stationary entry, which piles onto one coordinate, so the unit less
+    finitely many atoms fails; on ek a row of `table_rows` whose atom
+    images sum past its row unit's image (a row unit past the tables maps
+    to 0, so a nonzero rule fails the generic row); the unit, when the atom
+    images (on ek the row-unit images) sum past its image."""
+    for idx, img in T.atom_images:
+        if not elem_is_positive(img):
+            return ("atom", idx)
+    for _, first, _, c in _rule_sweep(T.rule):
+        if c < 0:
+            return ("atom", first if T.domain.row.enumerated else (table_rows(T)[-1], first))
     if _stationary_leak(T) is not None:
-        return False
-    if not all(elem_is_positive(img) for _, img in T.atom_images):
-        return False
-    if T.rule is not None and any(c < 0 for es in T.rule.entries for _, c in es):
-        return False
-    if not T.domain.row_units:
-        # the atom images are positive, so their partial sums increase to
-        # the image sum: it alone decides whether they stay below the unit
-        # image
-        return le(image_sum_pattern(T, "id"), T.unit_image)
-    rows = table_rows(T)
-    return all(le(row_sum_pattern(T, r), row_unit_image(T, r)) for r in rows) and le(
-        lincomb(T.codomain, [(1, row_unit_image(T, r)) for r in rows]), T.unit_image)
+        return ("unit",)
+    rows = table_rows(T) if T.domain.row_units else []
+    for r in rows:
+        if not le(row_sum_pattern(T, r), row_unit_image(T, r)):
+            return ("row_unit", r)
+    below = (lincomb(T.codomain, [(1, row_unit_image(T, r)) for r in rows]) if rows
+             else image_sum_pattern(T, "id"))
+    return None if le(below, T.unit_image) else ("unit",)

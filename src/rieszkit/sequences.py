@@ -221,24 +221,23 @@ def eval_seq(seq: ElementSeq, n: int) -> Element:
 
 def check_indices(seq: ElementSeq) -> None:
     """Raise what the first symbolic step holding an index out of range
-    raises.  An atom is read at its first step from n0 with a nonzero
-    coefficient and a fill at its first hit: with nonnegative slopes, later
-    indices only grow."""
-    firsts = []
+    raises.  Each form leaves the index set at a step it computes
+    (`first_off`), a fill's over its class from its first hit; an atom is
+    read there only when its coefficient is nonzero, which from the settle
+    bound on it is everywhere or nowhere."""
+    dim, bad = seq.space.dim, []
     for form, coeff in seq.atoms:
-        top = max(seq.n0, coeff.settle_bound())  # zero at the settle bound stays zero
-        n = next((n for n in range(seq.n0, top + 1) if coeff.at(n)), None)
+        n = form.first_off(seq.n0, dim)
+        while n is not None and not coeff.at(n):
+            n = None if n >= coeff.settle_bound() else form.first_off(n + 1, dim)
         if n is not None:
-            firsts.append((n, form, n))
+            bad.append(n)
     for f in seq.fills:
-        k = f.kmin + (f.residue - f.kmin) % f.modulus
-        firsts.append((max(seq.n0, k + f.lag), f.form, k))
-    check, dim = seq.space.row.check_atom, seq.space.dim
-    for n, form, k in sorted(firsts, key=lambda t: t[0]):
-        try:
-            check(form.at(k), dim)
-        except InvalidIndexError:
-            eval_seq(seq, n)  # raises the whole step's error
+        k = f.form.first_off(f.kmin + (f.residue - f.kmin) % f.modulus, dim, f.modulus)
+        if k is not None:
+            bad.append(max(seq.n0, k + f.lag))
+    for n in sorted(bad):
+        eval_seq(seq, n)  # raises the whole step's error
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,18 @@ class Affine:
         n, r = divmod(v * self.d - q, p)
         return None if r else n
 
+    def first_off(self, s: int, top: int = 0, modulus: int = 1) -> int | None:
+        """The first n = s + modulus * j, j >= 0, at which the form is not an
+        integer in 1..top (top 0: no upper end), or None.  In j the form is
+        integral everywhere if at j = 0 and 1, and it leaves 1..top where
+        a j + b > 0 for one of two linear (a, b)."""
+        f = self.compose(Affine(modulus, s, 1))
+        p, q, d = f.p, f.q, f.d
+        offs = [j for j in (0, 1) if (p * j + q) % d]
+        for a, b in [(-p, d - q)] + ([(p, q - top * d)] if top else []):
+            offs += [0] if b > 0 else [-b // a + 1] if a > 0 else []
+        return s + modulus * min(offs) if offs else None
+
     def compose(self, inner: Affine) -> Affine:
         """n -> self(inner(n))."""
         return _canonical(self.p * inner.p, self.p * inner.q + self.q * inner.d,
@@ -273,6 +285,10 @@ class _LineForm:
 
     def leak(self, first: int):
         return None if self.moving else self.at(first)
+
+    def first_off(self, s: int, dim: int, modulus: int = 1) -> int | None:
+        """The first step from s in its class that reads no atom of the space."""
+        return self.idx.first_off(s, dim, modulus)
 
 
 @record
@@ -382,6 +398,10 @@ class PairForm:
         if self.row.moving and self.col.moving:
             return None
         return (self.row.at_int(1), self.col.at_int(first))
+
+    def first_off(self, s: int, dim: int, modulus: int = 1) -> int | None:
+        offs = [n for a in (self.row, self.col) if (n := a.first_off(s, 0, modulus)) is not None]
+        return min(offs, default=None)
 
     def compose(self, inner: PairForm) -> PairForm:
         return PairForm(self.row.compose(inner.row), self.col.compose(inner.col))

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import random_element
 from rieszkit.errors import PreconditionError, UnsupportedHypothesisError
 from rieszkit.scalars import Q, RationalSeq
 from rieszkit import calculus
@@ -27,8 +28,11 @@ from rieszkit.elements import (
     element_tail,
     in_base_space,
     le,
+    lincomb,
     pos,
+    row_unit,
     scale,
+    sub,
     unit,
     zero,
 )
@@ -43,6 +47,7 @@ from rieszkit.operators import (
     operator,
     order_bounded_test,
     rank_one,
+    scale_op,
     stencil_rule,
 )
 from rieszkit.calculus import (
@@ -57,6 +62,7 @@ from rieszkit.calculus import (
     verify_witness,
 )
 from rieszkit.convergence import verify_certificate
+from rieszkit.specfile import build_all, parse
 from rieszkit.operators import partial_sum_seq
 from rieszkit.casebook import (
     _random_stencil_operator,
@@ -290,8 +296,14 @@ def test_witness_tail_window_covers_the_rule_period_and_form_meetings():
             # T itself lies below T, on the same window
             ok, log = verify_witness(T_, T_, probe)
             assert ok and "R <= T on the probed tail" in log, (probe, log)
+    # T_ <= R fails off the atoms: on x = u - e_1 - ... - e_4, T_(x) is 1 at
+    # g(4) and R(x) is 0 there
     R, T_ = doubled
-    assert all(verify_witness(T_, R, probe)[0] for probe in (1, 2, 3, 8))
+    x = sub(unit(T), lincomb(T, [(1, atom(T, i)) for i in range(1, 5)]))
+    assert coordinate(apply_op(T_, x), gamma(4)) == 1 and coordinate(apply_op(R, x), gamma(4)) == 0
+    for probe in (1, 2, 3, 8, 32):
+        assert verify_witness(T_, R, probe) == (
+            False, ["R is positive and nonzero", "FAIL R <= T at the unit less finitely many atoms"])
 
 
 @pytest.mark.parametrize("domain", [row_block_grid(), row_block_ek()], ids=["grid", "ek"])
@@ -324,6 +336,144 @@ def test_witness_on_row_blocks_checks_every_table_entry_and_row_unit(domain):
             assert is_positive_operator(bad)
             ok, log = verify_witness(bad, T_, probe)
             assert not ok and [line for line in log if line.startswith("FAIL")] == [fail], log
+
+
+def _spec_operator(dom: str, cod: str, *clauses: str):
+    body = "".join(f"  {c}\n" for c in clauses)
+    text = f"space E = {dom}\nspace F = {cod}\n\noperator T : E -> F {{\n{body}}}\n"
+    return build_all(parse(text))[1]["T"]
+
+
+FORGED = {
+    "l0inf-l0inf": ("l0inf", "l0inf", "atoms n > 0 -> { 1 @ n }", "unit -> 1 * unit"),
+    "l0inf-ck": ("l0inf", "ck", "atoms n > 0 -> { 1 @ g(n) }", "unit -> 1 * unit"),
+    "grid-grid": ("grid", "grid", "atoms m > 0 -> { 1 @ (n,m) }", "unit -> 1 * unit"),
+    "ek-l0inf": ("ek", "l0inf", "rowunit(1) -> 1 * unit", "rowunits n > 1 -> 0",
+                 "unit -> 1 * unit"),
+}
+
+
+@pytest.mark.parametrize("name", FORGED)
+def test_forged_witnesses_are_refused_at_every_probe(name):
+    """R = (unit coefficient) * u, which is the limit on l0inf, lies below T
+    at every atom, row unit and the unit, yet not below T: on u less
+    finitely many atoms (or the first row unit, on ek) T is 0 at a
+    coordinate where R is 1."""
+    T_ = _spec_operator(*FORGED[name])
+    R = rank_one(functional(T_.domain, {}, 1), unit(T_.codomain))
+    assert any(not le(apply_op(R, x), apply_op(T_, x)) for x in _positive_test_elements(T_.domain))
+    fail = "FAIL R <= T at the unit less finitely many atoms" + (
+        " or row units" if T_.domain.row_units else "")
+    for probe in (1, 2, 3, 8, 32):
+        assert verify_witness(R, T_, probe) == (False, ["R is positive and nonzero", fail])
+
+
+def test_a_difference_add_op_refuses_is_a_failed_witness():
+    """On a row block one rule threshold serves every row, so T - R has no
+    representation when T's rule has entries below R's threshold: the
+    verifier refuses with add_op's message instead of raising."""
+    G = row_block_grid()
+    ident = [[(pair_form(1, 0, 1, 0), 1)]]
+    T_ = operator(G, G, {}, stencil_rule(1, 0, ident, G), None, unit(G))
+    R = operator(G, G, {}, stencil_rule(1, 3, [[(pair_form(1, 0, 1, 0), Q(1, 2))]], G), None,
+                 unit(G))
+    assert is_positive_operator(R)
+    with pytest.raises(PreconditionError) as refused:
+        add_op(T_, scale_op(-1, R))
+    for probe in (1, 8):
+        assert verify_witness(R, T_, probe) == (False, [
+            "R is positive and nonzero", f"FAIL T - R is not representable: {refused.value}"])
+
+
+def _positive_functional(rng, domain):
+    """A random positive functional with a few atom coefficients (and on ek
+    row-unit coefficients at least their row's atom coefficients)."""
+    rows = domain.row.shape == "row_block"
+    atoms = {((rng.randint(1, 3), rng.randint(1, 3)) if rows else rng.randint(1, 4)):
+             Q(rng.randint(0, 2)) for _ in range(rng.randint(0, 3))}
+    row_units = {}
+    if domain.row_units:
+        row_units = {r: sum((c for (n, _), c in atoms.items() if n == r), Q(rng.randint(0, 1)))
+                     for r in {n for n, _ in atoms} | {1}}
+    unit_value = sum((row_units or atoms).values(), Q(rng.randint(0, 2)))
+    return functional(domain, atoms, unit_value, row_units)
+
+
+def _random_positive_operator(rng, domain, codomain):
+    """A random positive operator on a small table: atom images and their
+    rows' row-unit images, each a positive element plus the sum below it."""
+    rows = domain.row.shape == "row_block"
+    atoms = {((rng.randint(1, 3), rng.randint(1, 3)) if rows else rng.randint(1, 4)):
+             pos(random_element(rng, codomain)) for _ in range(rng.randint(1, 3))}
+
+    def above(parts):
+        return lincomb(codomain, [(1, pos(random_element(rng, codomain))),
+                                  *((1, img) for img in parts)])
+
+    row_units = {}
+    if domain.row_units:
+        row_units = {r: above(img for (n, _), img in atoms.items() if n == r)
+                     for r in {n for n, _ in atoms}}
+    return operator(domain, codomain, atoms, None, row_units,
+                    above((row_units or atoms).values()))
+
+
+def _positive_test_elements(domain, bound: int = 6):
+    """Positive elements of the domain that separate operators: atoms, the
+    unit less an initial block of atoms, and on ek a row unit less an
+    initial segment of its row and the unit less the first row units."""
+    if domain.row.enumerated:
+        atoms = [atom(domain, i) for i in range(1, bound + 1)]
+        yield from atoms
+        for n in range(bound + 1):
+            yield sub(unit(domain), lincomb(domain, [(1, a) for a in atoms[:n]]))
+        return
+    for n in range(bound + 1):
+        block = [atom(domain, (r, m)) for r in range(1, n + 1) for m in range(1, n + 1)]
+        yield from block[-1:]
+        yield sub(unit(domain), lincomb(domain, [(1, a) for a in block]))
+        if domain.row_units:
+            for k in range(bound + 1):
+                yield sub(row_unit(domain, n + 1),
+                          lincomb(domain, [(1, atom(domain, (n + 1, m))) for m in range(1, k + 1)]))
+            yield sub(unit(domain), lincomb(domain, [(1, row_unit(domain, r))
+                                                     for r in range(1, n + 1)]))
+
+
+def test_the_witness_verifier_is_sound_against_brute_force():
+    """Random positive T (stencil operators on l0inf, small tables on ck,
+    grid and ek pairs) and random positive rank-one R: the verdict is the
+    same at every probe, and when it accepts, R(x) <= T(x) on every test
+    element x; where a test element shows R !<= T, it refuses.  Pervasive
+    witnesses, twice them, and the unit coefficient tensored with a
+    multiple of the unit are among the R, so both verdicts occur."""
+    rng = random.Random(20261020)
+    G, E = row_block_grid(), row_block_ek()
+    pairs = [(T, T), (T, F), (G, G), (E, T), (E, G)]
+    verdicts = []
+    for i in range(60):
+        dom, cod = pairs[i % len(pairs)]
+        T_ = (_random_stencil_operator(rng, positive=True) if (dom, cod) == (T, T)
+              and rng.random() < 0.5 else _random_positive_operator(rng, dom, cod))
+        assert is_positive_operator(T_)
+        route = rng.choice(["witness", "functional", "unit"])
+        if route == "witness" and not T_.unit_image.is_zero():
+            R = scale_op(rng.choice([1, 2]), pervasive_witness(T_).operator)
+        elif route == "unit":
+            R = rank_one(functional(dom, {}, 1), scale(Q(1, rng.randint(1, 4)), unit(cod)))
+        else:
+            R = rank_one(_positive_functional(rng, dom), pos(random_element(rng, cod)))
+        if R.unit_image.is_zero():
+            continue
+        outcomes = {verify_witness(R, T_, probe)[0] for probe in (1, 2, 3, 8, 32)}
+        assert len(outcomes) == 1, (R, T_)
+        ok = outcomes.pop()
+        violated = [x for x in _positive_test_elements(dom)
+                    if not le(apply_op(R, x), apply_op(T_, x))]
+        # the test elements show every refusal here, though they need not
+        assert ok == (not violated), (R, T_, violated[:1])
+        verdicts.append(ok)
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10, verdicts
 
 
 def test_boundedness_precondition_is_the_leak_check(monkeypatch):

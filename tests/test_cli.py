@@ -9,6 +9,7 @@ import pytest
 from rieszkit.calculus import pervasive_witness, verify_witness
 from rieszkit.casebook import CASEBOOK
 from rieszkit.cli import main
+from rieszkit.operators import is_positive_operator
 from rieszkit.oracles import MAX_GRID_DEPTH
 from rieszkit.specfile import build_all, parse
 
@@ -276,13 +277,14 @@ def _witness_table():
 @pytest.mark.parametrize("dom, cod, clauses", list(_witness_table()))
 def test_witness_pervasive_succeeds_on_every_pair(tmp_path, capsys, dom, cod, clauses):
     """At probes 1 and 32 the witness is found, and the witness verifier
-    accepts it at that probe."""
+    accepts it at every probe."""
     spec = _spec_file(tmp_path, dom, cod, *clauses)
     T = build_all(parse(Path(spec).read_text()))[1]["T"]
     for probe in (1, 32):
         code, out = run_cli(capsys, "witness-pervasive", "--spec", spec, "--probe", str(probe))
         assert (code, json.loads(out)["verdict"]) == (0, "rank-one minorant found"), out
-        assert verify_witness(pervasive_witness(T, probe).operator, T, probe)[0]
+        R = pervasive_witness(T, probe).operator
+        assert all(verify_witness(R, T, p)[0] for p in (1, 2, 3, 8, 32))
 
 
 @pytest.mark.parametrize("depth", ["0", "2", "4"])
@@ -539,10 +541,31 @@ SPECS = {
     "even_atoms": "tests/specs/even_atoms.rzk",
     "ek_row_functional": "tests/specs/ek_row_functional.rzk",
     "ek_atom_row": "tests/specs/ek_atom_row.rzk",
+    "ck_rule_positive": "tests/specs/ck_rule_positive.rzk",
+    "grid_rule_positive": "tests/specs/grid_rule_positive.rzk",
+    "l0inf_identity": "tests/specs/l0inf_identity.rzk",
 }
 DIGESTS = Path(__file__).with_name("report_digests.json")
 # the case studies whose probe loops grow with --probe, pinned at its ends
 PROBED_CASEBOOK = ("not-directed", "bounded-not-regular")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED = [*sorted((ROOT / "fixtures").glob("*.rzk")),
+           *sorted((ROOT / "tests" / "specs").glob("*.rzk"))]
+
+
+@pytest.mark.parametrize("spec", SHIPPED, ids=lambda p: p.stem)
+def test_every_shipped_witness_is_accepted_at_every_probe(spec):
+    """Each positive operator of a shipped spec has a witness at probes 1, 8
+    and 32, which the witness verifier accepts at probes 1, 2, 3, 8 and 32."""
+    ops = build_all(parse(spec.read_text(encoding="utf-8")))[1]
+    for T in ops.values():
+        if not is_positive_operator(T):
+            continue
+        for probe in (1, 8, 32):
+            R = pervasive_witness(T, probe).operator
+            assert all(verify_witness(R, T, p)[0] for p in (1, 2, 3, 8, 32)), (spec, probe)
 
 
 def pinned_runs() -> dict:

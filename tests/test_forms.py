@@ -18,7 +18,8 @@ import pytest
 from conftest import fraction_calls
 from rieszkit.errors import InvalidIndexError, PreconditionError, StencilError
 from rieszkit.scalars import Q, qstr
-from rieszkit.spaces import PairForm, SeqForm, Token, TokenForm, affine, gamma
+from rieszkit.spaces import (
+    PairForm, SeqForm, Token, TokenForm, affine, fin_dev, fin_dim, gamma, row_block_ek, tail_seq)
 
 SEEDS = range(40)
 W = 40  # steps, atoms per residue class and rows searched
@@ -204,6 +205,35 @@ def test_leak_is_the_coordinate_every_atom_of_the_class_hits(kind, seed):
     else:
         assert leak == form.image((1, first) if kind == "pair" else first)
         assert counts[leak] >= W
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("kind", ["seq", "findim", "token", "pair"])
+def test_first_off_is_the_first_step_of_the_class_that_reads_no_atom(kind, seed):
+    """Along a sequence, `first_off(s, dim, modulus)` is the first step from
+    s in its class mod modulus at which the form is not integral or reads
+    an index the space refuses, or None when every step of the class reads
+    an atom; negative slopes leave the index set late, moving forms leave
+    findim."""
+    rng = random.Random(seed)
+    slopes = [-1, Q(-1, 2), *SLOPES]
+    form = _form(rng, "seq" if kind == "findim" else kind, slopes=slopes,
+                 offsets=range(-6, 13), halves=rng.random() < 0.3)
+    space = {"seq": tail_seq(), "findim": fin_dim(rng.randint(1, 8)), "token": fin_dev(),
+             "pair": row_block_ek()}[kind]
+    s, modulus = rng.randint(1, 6), rng.choice([1, 2, 3])
+
+    def off(n):
+        try:
+            space.row.check_atom(form.at(n), space.dim)
+        except InvalidIndexError:
+            return True
+        return False
+
+    steps = range(s, s + modulus * W, modulus)
+    want = next((n for n in steps if off(n)), None)
+    got = form.first_off(s, space.dim, modulus)
+    assert got == want or (want is None and got > steps[-1] and off(got)), (form, s, modulus)
 
 
 # ---------------------------------------------------------------------------

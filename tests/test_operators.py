@@ -40,6 +40,7 @@ from rieszkit.operators import (
     apply_op,
     atom_image,
     decompose,
+    first_negative_generator,
     functional,
     image_parts,
     image_sum_pattern,
@@ -201,6 +202,28 @@ def test_positive_operator_checks():
     assert is_positive_operator(limit_functional_rank_one())
     assert not is_positive_operator(moving_indicator_operator())
     assert not is_positive_operator(row_pair_difference_operator())
+
+
+def test_the_positivity_decider_names_the_first_failing_generator():
+    """A table atom, a negative rule coefficient (at its class's first atom
+    past the table, on a row past the table rows), a stationary entry and
+    the image sum each name the generator where T >= 0 fails; on ek a row
+    whose atom images sum past its row unit's image names that row unit."""
+    G, E = row_block_grid(), row_block_ek()
+    ident = stencil_rule(2, 1, [[(pair_form(1, 0, 1, 0), 1)], [(pair_form(1, 0, 1, 0), -1)]], G)
+    stationary = stencil_rule(1, 0, [[(seq_form(0, 1), 1)]], T)
+    cases = [
+        (operator(T, T, {2: element_tail(T, [0, -1], 0)}, None, None, unit(T)), ("atom", 2)),
+        (operator(G, G, {(3, 1): atom(G, (3, 1))}, ident, None, unit(G)), ("atom", (4, 3))),
+        (operator(T, T, {}, stationary, None, unit(T)), ("unit",)),
+        (operator(T, T, {1: atom(T, 1)}, None, None, zero(T)), ("unit",)),
+        (operator(E, T, {(2, 1): atom(T, 1)}, None, {2: zero(T)}, unit(T)), ("row_unit", 2)),
+        (operator(E, T, {}, None, {2: unit(T)}, zero(T)), ("unit",)),
+        (identity_on_tail_seq(), None),
+    ]
+    for T_, ref in cases:
+        assert first_negative_generator(T_) == ref
+        assert is_positive_operator(T_) == (ref is None)
 
 
 def test_functional_application():

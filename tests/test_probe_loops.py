@@ -533,15 +533,43 @@ def test_an_index_out_of_range_at_a_later_step_raises_as_whole_steps_do(space, a
     assert want[0] == "InvalidIndexError"
 
 
+ONE = RationalSeq.const(1)
+
+
 @pytest.mark.parametrize("space, atoms, fills", LATE_OUT_OF_RANGE + [
     # a moving pair atom on row 0 at step 1, which no prelude hides
-    (row_block_ek(), [(pair_form(1, -1, 0, 1), RationalSeq.const(1))], []),
-], ids=["atoms", "dimension", "fill", "row"])
+    (row_block_ek(), [(pair_form(1, -1, 0, 1), ONE)], []),
+    # a negative slope: index 0 at step 5
+    (tail_seq(), [(seq_form(-1, 5), ONE)], []),
+    # a moving atom on findim(4): index 5 at step 5
+    (fin_dim(4), [(seq_form(1, 0), ONE)], []),
+    # a half slope, not integral at step 2
+    (tail_seq(), [(seq_form(Q(1, 2), Q(1, 2)), ONE)], []),
+    # a negative slope that leaves the index set far out, at step 100
+    (tail_seq(), [(seq_form(-1, 100), ONE)], []),
+    # fills past the dimension at step 4, and not integral at step 2
+    (fin_dim(3), [], [fill(seq_form(1, 0), 1, 0, 1, 0, 1)]),
+    (tail_seq(), [], [fill(seq_form(Q(1, 2), Q(1, 2)), 1, 0, 1, 0, 1)]),
+], ids=["atoms", "dimension", "fill", "row", "negative-slope", "moving-on-findim",
+        "half-slope", "far", "fill-dimension", "fill-half-slope"])
 def test_the_decider_raises_what_the_first_bad_whole_step_raises(space, atoms, fills):
     """A sequence whose symbolic steps hold an index out of range is no
-    sequence of elements: the order-convergence decider raises the error of
-    the first such step instead of certifying it."""
+    sequence of elements: the order-convergence decider and the certificate
+    verifier raise the error of the first such step instead of certifying
+    it, however late the step."""
     x = element_seq(space, atoms=atoms, fills=fills)
-    want = _outcome(lambda: [eval_seq(x, n) for n in range(1, structural_threshold(x) + 9)])
+    want = _outcome(lambda: [eval_seq(x, n) for n in range(1, structural_threshold(x) + 109)])
     assert want[0] == "InvalidIndexError"
     assert _outcome(lambda: decide_order_convergence(x, zero(space))) == want
+    cert = ConvergenceCertificate(verdict=CONVERGES, space=space, dominating=element_seq(space),
+                                  order_bound=unit(space))
+    assert _outcome(lambda: verify_certificate(cert, x, zero(space))) == want
+
+
+def test_a_form_that_leaves_the_index_set_where_its_coefficient_vanishes_is_read_nowhere():
+    """-n + 5 reaches index 0 at step 5, but its coefficient is 0 from step 3
+    on: every step is an element, and the decider's certificate verifies."""
+    x = element_seq(tail_seq(), atoms=[(seq_form(-1, 5), RationalSeq.steps([1, 1], 0))])
+    assert all(in_base_space(eval_seq(x, n)) for n in range(1, 20))
+    cert = decide_order_convergence(x, zero(tail_seq()))
+    assert cert.verdict == CONVERGES and verify_certificate(cert, x, zero(tail_seq()))[0]

@@ -43,23 +43,11 @@ KINDS = ("findim(2)", "l0inf", "ck", "ek", "grid")
 # functions no shipped input enters, each with its reason
 ALLOWED = {
     # engine paths that no shipped input reaches (ROADMAP item 15)
-    "calculus._tail_steps": "verify_witness's probed tail: no shipped witness has an R with a "
-                            "nonzero rule",
-    "sequences.cover_shift": "the march of an l0inf residual: no shipped input decides order "
-                             "convergence of a sequence on l0inf",
     "spaces._LineForm.collides_at": "element_seq hides two atom forms that meet behind a "
                                     "prelude: no shipped sequence has two (test_forms checks it)",
     "spaces.PairForm.collides_at": "as _LineForm.collides_at, for pair forms",
     "spaces.PairForm.meets": "two entries of one pair rule class: no shipped spec has them "
                              "(test_cli's collision spec does)",
-    "spaces.PairForm.preimage": "inverts a rule entry into ek or grid for the coordinate "
-                                "functional witness-pervasive takes: no shipped positive "
-                                "spec has such a rule",
-    "spaces.TokenForm.preimage": "inverts a ck fill where a probe walk reads one coordinate, "
-                                 "or a rule entry into ck for witness-pervasive's coordinate "
-                                 "functional: no shipped input has either",
-    "elements._RowBlockShape.classes": "names a nonzero class of a row block: every shipped "
-                                       "ek or grid pattern that is read is zero",
     "elements._RowBlockShape.support": "the engine asks for supports on ck and l0inf only",
     "specfile.SpecError.__init__": "every shipped spec parses; test_specfile and test_fuzz_cli "
                                    "reach the refusals",
