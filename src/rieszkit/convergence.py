@@ -64,7 +64,11 @@ DIVERGES = "diverges"
 
 
 # Stays a dataclass: the public evidence type, which callers (perfbench's
-# certificate mutants) vary with `dataclasses.replace`.
+# certificate mutants) vary with `dataclasses.replace`.  That keeps
+# `import dataclasses` at start-up, which pulls in inspect, ast, dis and
+# tokenize: about 7 ms of the 23 ms `import rieszkit.cli` takes (Python
+# 3.11, 2-core x86 container).  It becomes a record once the benchmark
+# builds its mutants with `records.replace` (ROADMAP item 1).
 @dataclass(frozen=True)
 class ConvergenceCertificate:
     verdict: str
