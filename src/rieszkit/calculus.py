@@ -25,7 +25,6 @@ decides whether those images lie in the codomain.
 
 from __future__ import annotations
 
-import dataclasses
 from functools import reduce
 from typing import Tuple
 
@@ -193,7 +192,7 @@ def order_continuity_test(T: Operator) -> tuple[bool, ConvergenceCertificate]:
         return True, cert
     s = partial_sum_seq(T)
     cert = decide_order_convergence(s, T.unit_image)
-    cert = dataclasses.replace(
+    cert = replace(
         cert, anchors=cert.anchors + ("partial-sum-criterion", "sigma-net-equivalence"))
     return cert.converges, cert
 

@@ -24,9 +24,9 @@ Each probed check of the verifier is one walk of `sequences`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
+from .records import DataclassFields, record
 from .errors import NotDecreasingError, PreconditionError, SpaceMismatchError
 from .scalars import Q, RationalSeq, qabs_le, qle, qstr
 from .spaces import SpaceDesc, Token, fresh_star, seq_form
@@ -63,13 +63,7 @@ CONVERGES = "converges"
 DIVERGES = "diverges"
 
 
-# Stays a dataclass: the public evidence type, which callers (perfbench's
-# certificate mutants) vary with `dataclasses.replace`.  That keeps
-# `import dataclasses` at start-up, which pulls in inspect, ast, dis and
-# tokenize: about 7 ms of the 23 ms `import rieszkit.cli` takes (Python
-# 3.11, 2-core x86 container).  It becomes a record once the benchmark
-# builds its mutants with `records.replace` (ROADMAP item 1).
-@dataclass(frozen=True)
+@record
 class ConvergenceCertificate:
     verdict: str
     space: SpaceDesc
@@ -84,6 +78,9 @@ class ConvergenceCertificate:
     n0: int = 1
     anchors: Tuple[str, ...] = ()
     notes: Tuple[str, ...] = ()
+
+    # the public evidence type: callers vary it with `dataclasses.replace`
+    __dataclass_fields__ = DataclassFields()
 
     @property
     def converges(self) -> bool:

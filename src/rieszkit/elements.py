@@ -59,6 +59,7 @@ from __future__ import annotations
 from functools import partial, reduce
 from itertools import chain, starmap
 from math import lcm
+from operator import eq as _rows_eq
 from typing import Iterable, Mapping, Sequence, Tuple
 
 from .records import record
@@ -128,19 +129,21 @@ class Element:
 # canonical payloads and constructors
 
 
-def _canonical_line(prefix: Sequence, residues: tuple) -> Line:
+def _canonical_line(prefix: Sequence, residues: tuple, eq=qeq) -> Line:
     """The line with the shortest period (a divisor of the residue count)
-    and no trailing prefix entry equal to the residue it would read."""
+    and no trailing prefix entry equal to the residue it would read.  `eq`
+    is the equality of the line's values: `qeq` on payload values, tuple
+    equality (`_rows_eq`) on the rows of a row block."""
     pref, res = tuple(prefix), residues
     m = len(res)
     for d in range(1, m):
-        if m % d == 0 and res == res[:d] * (m // d):
+        if m % d == 0 and all(map(eq, res[d:], res)):
             res, m = res[:d], d
             break
     n = len(pref)
     # identity first: the identity-skipping kernels hand back the residue
-    # object itself, and == on a Fraction is a Python-level call
-    while n and (pref[n - 1] is res[n % m] or pref[n - 1] == res[n % m]):
+    # object itself
+    while n and (pref[n - 1] is res[n % m] or eq(pref[n - 1], res[n % m])):
         n -= 1
     return pref[:n], res
 
@@ -165,11 +168,11 @@ def _findev(space: SpaceDesc, coeffs: dict, amb: Q, u: Q) -> Element:
     return Element(space, (_kept(sorted(stars), amb), amb, _canonical_line(vals, (amb,))))
 
 
-def _progression(step: int, first: int, v, z) -> Line:
+def _progression(step: int, first: int, v, z, eq=qeq) -> Line:
     """The line that is v at first, first + step, ... (at first alone when
     step is 0) and z elsewhere."""
     res = tuple(v if step and r == first % step else z for r in range(step or 1))
-    return _canonical_line([v if i == first else z for i in range(1, first + 1)], res)
+    return _canonical_line([v if i == first else z for i in range(1, first + 1)], res, eq)
 
 
 def element_fin(space: SpaceDesc, coords: Sequence[QLike]) -> Element:
@@ -207,7 +210,7 @@ def element_rowblock(
         # grid variant: constant off a finite set, so every row tail is the
         # global constant
         raise SpaceMismatchError("grid elements must have row tails equal to the global tail")
-    return Element(space, _canonical_line(canon, (((), tail_q),)))
+    return Element(space, _canonical_line(canon, (((), tail_q),), _rows_eq))
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +247,16 @@ def _line(la: Line, lb: Line):
     return chain(zip(*_pad(a, ra, b, rb)), zip(*_tails(ra, rb)))
 
 
-def _zip_lines(op, la: Line, lb: Line) -> Line:
+def _zip_lines(op, la: Line, lb: Line, eq=qeq) -> Line:
     """The canonical line of op over the aligned values of two lines."""
     (a, ra), (b, rb) = la, lb
-    return _canonical_line(tuple(map(op, *_pad(a, ra, b, rb))), tuple(map(op, *_tails(ra, rb))))
+    return _canonical_line(tuple(map(op, *_pad(a, ra, b, rb))), tuple(map(op, *_tails(ra, rb))),
+                           eq)
 
 
-def _map_line(f, line: Line) -> Line:
+def _map_line(f, line: Line, eq=qeq) -> Line:
     p, res = line
-    return _canonical_line(tuple(map(f, p)), tuple(map(f, res)))
+    return _canonical_line(tuple(map(f, p)), tuple(map(f, res)), eq)
 
 
 def _at(line: Line, i: int):
@@ -455,10 +459,10 @@ class _RowBlockShape:
                 yield from _line(rx, ry)
 
     def pointwise(self, x: Element, y: Element, op) -> Element:
-        return Element(x.space, _zip_lines(partial(_zip_lines, op), x.data, y.data))
+        return Element(x.space, _zip_lines(partial(_zip_lines, op), x.data, y.data, _rows_eq))
 
     def map(self, x: Element, f) -> Element:
-        return Element(x.space, _map_line(partial(_map_line, f), x.data))
+        return Element(x.space, _map_line(partial(_map_line, f), x.data, _rows_eq))
 
     def decompose(self, x: Element):
         base = x.data[1][0][1][0]
@@ -491,12 +495,12 @@ class _RowBlockShape:
                 vals[m - 1] = qadd(rt, c)
             line = _canonical_line(vals, (rt,))
             out[n - 1] = back if line == back else line
-        return Element(space, _canonical_line(out, (back,)))
+        return Element(space, _canonical_line(out, (back,), _rows_eq))
 
     def piece(self, space: SpaceDesc, where, v: Q) -> Element:
         row_step, row_first, col_step, col_first = where
         row = _progression(col_step, col_first, v, Q0)
-        return Element(space, _progression(row_step, row_first, row, _ZERO_LINE))
+        return Element(space, _progression(row_step, row_first, row, _ZERO_LINE, _rows_eq))
 
     def support(self, x: Element) -> list:
         out = []

@@ -10,10 +10,18 @@ the placeholder fields `_0, _1, ...`; each class gets copies of that code
 with the placeholders renamed to its fields, so it runs the bytecode its
 own source text would compile to, and a class of a shape already in use
 compiles nothing.  `dataclass` compiles per method and imports `inspect`.
-The cold `__repr__`, `__setattr__` and `__delattr__` are shared and read
+The cold `__repr__`, `__setattr__`, `__delattr__` and `__replace__` (for
+`copy.replace`, as the dataclass has on Python 3.13) are shared and read
 `_fields`.  Methods the class defines itself are kept.  `_fields` names the
 fields and `_record` marks the class as made here: a namedtuple has
-`_fields` too.
+`_fields` too.  A class the dataclass would refuse (a mutable default, a
+field without default after a defaulted one) is refused here too.
+
+A record that declares `__dataclass_fields__ = DataclassFields()` is also
+taken for a frozen dataclass by `dataclasses.fields`, `replace`, `asdict`
+and `is_dataclass`.  The field table is built on its first read, from the
+record's dataclass twin, so only a process that reads it imports
+`dataclasses` (and with it `inspect`, `ast`, `dis` and `tokenize`).
 """
 
 from __future__ import annotations
@@ -71,15 +79,20 @@ def record(cls=None, /, *, order: bool = False):
     defaults = ()
     for n in names:
         if n in own:
+            if own[n].__class__.__hash__ is None:  # the dataclass's test for mutability
+                raise ValueError(f"mutable default {type(own[n])} for field {n} is not "
+                                 "allowed: use default_factory")
             defaults += (own[n],)
         elif defaults:
             raise TypeError(f"non-default argument {n!r} follows default argument")
-    to_field = {f"_{i}": n for i, n in enumerate(names)}.get
-    made = {"__match_args__": names, "_fields": names, "_record": True,
+    to_field = {f"_{i}": n for i, n in enumerate(names)}
+    if "self" in names:  # the instance parameter takes the name the dataclass gives it
+        to_field["self"] = "__dataclass_self__"
+    made = {"__match_args__": names, "_fields": names, "_record": True, "__replace__": replace,
             "__repr__": _repr, "__setattr__": _setattr, "__delattr__": _delattr}
     for meth, fn in _shape(len(names), order).items():
         code = fn.__code__
-        code = code.replace(**{k: tuple(to_field(x, x) for x in getattr(code, k))
+        code = code.replace(**{k: tuple(to_field.get(x, x) for x in getattr(code, k))
                                for k in ("co_varnames", "co_names", "co_consts")})
         made[meth] = FunctionType(code, fn.__globals__, meth,
                                   defaults if meth == "__init__" and defaults else None)
@@ -95,3 +108,19 @@ def replace(obj, /, **changes):
     kwargs = {n: getattr(obj, n) for n in obj._fields}
     kwargs.update(changes)
     return obj.__class__(**kwargs)
+
+
+class DataclassFields:
+    """The `__dataclass_fields__` of a record, built on first read: the
+    field table of the record's frozen-dataclass twin (same name, fields
+    and defaults), which then replaces this descriptor on the class."""
+
+    def __get__(self, obj, cls):
+        import dataclasses
+
+        own = vars(cls)
+        body = {n: own[n] for n in cls._fields if n in own}
+        twin = dataclasses.dataclass(frozen=True)(
+            type(cls.__name__, (), {"__annotations__": cls.__annotations__, **body}))
+        table = cls.__dataclass_fields__ = twin.__dataclass_fields__
+        return table

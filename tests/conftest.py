@@ -21,23 +21,21 @@ from rieszkit.completion import pattern_from_pieces
 
 ALL_SPACES = [fin_dim(4), tail_seq(), fin_dev(), row_block_ek(), row_block_grid()]
 
-# the constructor, the arithmetic and the order comparisons of Fraction
-FRACTION_METHODS = ("__new__", "__lt__", "__le__", "__gt__", "__ge__", "__pos__", "__neg__",
+# the constructor, the arithmetic, equality and the order comparisons of Fraction
+FRACTION_METHODS = ("__new__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__", "__pos__", "__neg__",
                     "__abs__", "__int__", "__trunc__", "__floor__", "__ceil__", "__round__",
                     *(f"__{r}{op}__" for op in ("add", "sub", "mul", "truediv", "floordiv",
                                                 "mod", "divmod", "pow") for r in ("", "r")))
 
 
 @contextmanager
-def fraction_calls():
-    """Count the calls of `FRACTION_METHODS` while the block runs; yields a
-    one-item list holding the count.  Python 3.12 and later build an
-    arithmetic result without `Fraction.__new__`, so counting the
-    constructor alone misses it there.  `==` is not counted: a canonical
-    line is trimmed with one `==` on its last payload value."""
+def fraction_calls(methods=FRACTION_METHODS):
+    """Count the calls of `methods` of Fraction while the block runs;
+    yields a one-item list holding the count.  Python 3.12 and later build
+    an arithmetic result without `Fraction.__new__`, so counting the
+    constructor alone misses it there."""
     count = [0]
-    saved = {name: Fraction.__dict__[name] for name in FRACTION_METHODS
-             if name in Fraction.__dict__}
+    saved = {name: Fraction.__dict__[name] for name in methods if name in Fraction.__dict__}
 
     def counted(f):
         @functools.wraps(f)

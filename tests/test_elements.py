@@ -630,6 +630,19 @@ def test_identities_build_no_rationals():
             assert all(type(v) is Q for v in _payload(y)), space.label
 
 
+def test_payload_trims_make_no_fraction_eq_calls():
+    """A canonical line trims and folds its payload values with `qeq`, so
+    results on 40 stored rows of 50 make no `Fraction.__eq__` call (one per
+    stored row when the trim used ==)."""
+    for space in (E, row_block_grid()):
+        x = _sparse(space, 2000)
+        for name, run in [("pos", lambda: pos(x)), ("abs_", lambda: abs_(x)),
+                          ("lincomb", lambda: lincomb(space, [(1, x), (2, x)]))]:
+            with fraction_calls(("__eq__",)) as eqs:
+                run()
+            assert eqs[0] == 0, (space.label, name, eqs[0])
+
+
 SCALE_FACTORS = [Q(0), Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 2)]
 
 

@@ -80,6 +80,9 @@ ALLOWED = {
                      "spec_outcomes.json",
     "records._setattr": "refuses assigning a record's field: no engine code assigns one",
     "records._delattr": "refuses deleting a record's field: no engine code deletes one",
+    "records.DataclassFields.__get__": "builds the certificate's dataclass field table: only "
+                                       "dataclasses' introspection reads it, and no shipped "
+                                       "input does",
 }
 
 

@@ -1,27 +1,36 @@
 """Records behave as the frozen dataclasses they replace.
 
 Each check compares a `record` class with a `dataclasses.dataclass(frozen=True)`
-twin of the same name, fields and defaults.  The package's one remaining
-dataclass is the convergence certificate.  A count guard holds what a record
-costs at import: a class of a shape already in use compiles nothing.
+twin of the same name, fields and defaults.  The convergence certificate is
+a record that dataclasses' introspection also reads as the frozen dataclass
+it was, and `import rieszkit.cli` imports no `dataclasses`.  A count guard
+holds what a record costs at import: a class of a shape already in use
+compiles nothing.
 """
 
 from __future__ import annotations
 
 import builtins
+import copy
 import dataclasses
 import importlib
 import inspect
 import pkgutil
 import random
+import subprocess
+import sys
 from collections import namedtuple
+from pathlib import Path
 
 import pytest
 
 import rieszkit
-from rieszkit.convergence import ConvergenceCertificate
-from rieszkit.records import record, replace
-from rieszkit.spaces import FINDIM, Affine, Token, gamma, tail_seq
+from rieszkit.convergence import ConvergenceCertificate, decide_order_convergence
+from rieszkit.elements import atom, element_tail
+from rieszkit.records import DataclassFields, FrozenRecordError, record, replace
+from rieszkit.scalars import Q, RationalSeq
+from rieszkit.sequences import element_seq
+from rieszkit.spaces import FINDIM, Affine, Token, gamma, seq_form, tail_seq
 
 
 def _twins(order: bool = False):
@@ -139,6 +148,34 @@ def test_a_field_without_default_after_a_defaulted_one_is_refused_as_by_the_data
     for decorate in (record, dataclasses.dataclass(frozen=True)):
         with pytest.raises(TypeError, match="non-default argument 'b' follows default argument"):
             decorate(type("Pair", (), body()))
+
+
+@pytest.mark.parametrize("default", [[], {}, set()])
+def test_a_mutable_default_is_refused_as_by_the_dataclass(default):
+    def body():
+        return {"__annotations__": {"a": "int", "b": "int"}, "a": 0, "b": default}
+
+    for decorate in (record, dataclasses.dataclass(frozen=True)):
+        with pytest.raises(ValueError) as refused:
+            decorate(type("Pair", (), body()))
+        assert str(refused.value) == (f"mutable default {type(default)} for field b is not "
+                                      "allowed: use default_factory")
+
+
+def test_a_field_named_self_is_set_by_keyword_as_by_the_dataclass():
+    def body():
+        return {"__annotations__": {"self": "int", "other": "int"}, "other": 0}
+
+    rec = record(type("Pair", (), body()))
+    dc = dataclasses.dataclass(frozen=True)(type("Pair", (), body()))
+    for x in [{"self": 3}, {"self": 3, "other": 4}, {"other": 4, "self": 3}]:
+        assert repr(rec(**x)) == repr(dc(**x))
+    assert rec(self=3, other=4) == rec(3, 4) != rec(4, 3)
+    assert [*inspect.signature(rec.__init__).parameters] == \
+        [*inspect.signature(dc.__init__).parameters] == ["__dataclass_self__", "self", "other"]
+    # the same bytecode as a record of the same shape with other names
+    plain = record(type("Plain", (), {"__annotations__": {"a": "int", "b": "int"}}))
+    assert rec.__init__.__code__.co_code == plain.__init__.__code__.co_code
 
 
 def test_construction_repr_and_match_args_match_the_dataclass():
@@ -273,3 +310,94 @@ def test_the_certificate_is_the_only_dataclass():
     cert = ConvergenceCertificate(verdict="converges", space=tail_seq())
     varied = dataclasses.replace(cert, verdict="diverges", n0=3)
     assert (varied.verdict, varied.n0, varied.space) == ("diverges", 3, cert.space)
+
+
+# the certificate's fields as the frozen dataclass declared them: name,
+# annotation, default
+CERTIFICATE_FIELDS = [
+    ("verdict", "str", dataclasses.MISSING), ("space", "SpaceDesc", dataclasses.MISSING),
+    ("mode", "str", "order"), ("dominating", "ElementSeq | None", None),
+    ("escaping", "Tuple[MovingAtom, ...]", ()), ("escape_bound", "Q", Q(0)),
+    ("order_bound", "Element | None", None), ("minorant", "Element | None", None),
+    ("bad_class", "str | None", None), ("bad_value", "Q | None", None), ("n0", "int", 1),
+    ("anchors", "Tuple[str, ...]", ()), ("notes", "Tuple[str, ...]", ()),
+]
+
+
+def _certificate() -> ConvergenceCertificate:
+    """A decided certificate holding elements and a dominating family."""
+    space = tail_seq()
+    limit = element_tail(space, [Q(3), Q(-1, 2)], 0)
+    x = element_seq(space, static=limit, atoms=[(seq_form(1, 2), RationalSeq.const(Q(1, 2)))])
+    return decide_order_convergence(x, limit)
+
+
+def test_the_certificate_reads_as_the_frozen_dataclass_it_was():
+    cert = _certificate()
+    assert dataclasses.is_dataclass(cert) and dataclasses.is_dataclass(ConvergenceCertificate)
+    fields = dataclasses.fields(cert)
+    assert [(f.name, f.type, f.default) for f in fields] == CERTIFICATE_FIELDS
+    assert all(f.default_factory is dataclasses.MISSING and f.init and f.compare
+               for f in fields)
+    assert fields == dataclasses.fields(ConvergenceCertificate)
+    values = {n: getattr(cert, n) for n, _, _ in CERTIFICATE_FIELDS}
+    assert cert.order_bound is not None and cert.dominating is not None
+    assert dataclasses.asdict(cert) == values
+    assert dataclasses.astuple(cert) == tuple(values.values())
+    for changes in [{}, {"n0": 3}, {"verdict": "diverges", "minorant": atom(cert.space, 2)},
+                    {"escaping": (), "dominating": None}]:
+        varied = dataclasses.replace(cert, **changes)
+        assert type(varied) is ConvergenceCertificate
+        assert varied == replace(cert, **changes) == ConvergenceCertificate(**{**values, **changes})
+        assert hash(varied) == hash(replace(cert, **changes))
+    with pytest.raises(TypeError):
+        dataclasses.replace(cert, probe=8)
+    # copy.replace, Python 3.13 and later, calls it
+    assert cert.__replace__(n0=3) == replace(cert, n0=3)
+    if hasattr(copy, "replace"):
+        assert copy.replace(cert, n0=3) == replace(cert, n0=3)
+    assert repr(cert).startswith("ConvergenceCertificate(verdict='converges', space=")
+    for name in ("verdict", "n0", "other"):
+        with pytest.raises(AttributeError):
+            setattr(cert, name, None)
+    with pytest.raises(FrozenRecordError):
+        cert.n0 = 2
+    assert cert.converges and not replace(cert, verdict="diverges").converges
+
+
+def test_the_dataclass_field_table_is_built_once(monkeypatch):
+    made = []
+
+    def counted(*args, _real=dataclasses.dataclass, **kwargs):
+        made.append(args)
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(dataclasses, "dataclass", counted)
+    fresh = record(type("Fresh", (), {"__annotations__": {"a": "int", "b": "str"}, "b": "x",
+                                      "__dataclass_fields__": DataclassFields()}))
+    assert made == []
+    table = fresh.__dataclass_fields__
+    for _ in range(3):
+        assert dataclasses.replace(fresh(1), a=2) == fresh(2)
+        assert dataclasses.fields(fresh(1)) == dataclasses.fields(fresh)
+    assert len(made) == 1 and vars(fresh)["__dataclass_fields__"] is table
+    assert list(table) == ["a", "b"] and table["b"].default == "x"
+    # the certificate's table, once read, is a plain attribute of the class
+    dataclasses.fields(ConvergenceCertificate)
+    assert vars(ConvergenceCertificate)["__dataclass_fields__"] is \
+        ConvergenceCertificate.__dataclass_fields__
+
+
+# dataclasses and what it imports: none of them loads at CLI start-up
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_the_cli_imports_no_dataclasses():
+    """A fresh isolated interpreter (pytest itself imports dataclasses and
+    inspect, so the check cannot run in this process)."""
+    src = Path(rieszkit.__file__).resolve().parents[1]
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import rieszkit.cli; "
+            f"print(sorted(set({HEAVY!r}) & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]", out.stdout
