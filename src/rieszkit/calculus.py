@@ -48,7 +48,7 @@ from .elements import (
     unit,
     zero,
 )
-from .convergence import ConvergenceCertificate, decide_order_convergence
+from .convergence import ConvergenceCertificate, decide_order_convergence, require_probe
 from .operators import (
     Operator,
     add_op,
@@ -296,7 +296,9 @@ def verify_witness(R: Operator, T: Operator, probe: int = 8) -> tuple[bool, list
 
     R >= 0 and T - R >= 0 are each decided on the generators by
     `first_negative_generator`, and a failure names the generator where it
-    fails.  The probe only sets the atom range the passing log names."""
+    fails.  The probe only sets the atom range the passing log names, and
+    one below 1 is refused (`require_probe`)."""
+    require_probe(probe)
     if not is_positive_operator(R):
         return False, ["FAIL R is not positive"]
     if all(img.is_zero() for _, img in R.atom_images) and R.unit_image.is_zero():

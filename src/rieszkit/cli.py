@@ -12,13 +12,18 @@
                      | dominating-search} [args]
 
 Exit codes: 0 verdict produced, 1 verdict refuted/false, 2 input error,
-3 unsupported hypothesis.
+3 unsupported hypothesis.  `--probe` must be at least 1.  A report that
+cannot be written ends without a traceback: when the reader has closed the
+pipe (`rieszkit ... | head`), with the verdict's own code and nothing on
+standard error; on any other failed write (a full disk), with 2 and the
+reason on standard error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import PreconditionError, RieszkitError, UnsupportedHypothesisError
@@ -353,19 +358,37 @@ _DISPATCH = {
 }
 
 
+def _write(text: str, code: int) -> int:
+    """Print text to standard output and return code.  A reader that closed
+    the pipe needed no more: nothing goes to standard error and the code
+    stands.  Any other failed write is reported on standard error and ends
+    with 2.  Either way standard output is pointed at the null device, so
+    the interpreter's flush at exit writes nothing and raises nothing."""
+    try:
+        print(text)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        pass
+    except OSError as e:
+        print(f"rieszkit: cannot write the report: {e}", file=sys.stderr)
+        code = 2
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.probe < 1:
+            raise PreconditionError(f"--probe must be at least 1, got {args.probe}")
         rep = _DISPATCH[args.command](args)
     except UnsupportedHypothesisError as e:
-        print(json.dumps({"error": str(e), "kind": "unsupported-hypothesis"}, indent=2))
-        return 3
+        return _write(json.dumps({"error": str(e), "kind": "unsupported-hypothesis"}, indent=2), 3)
     except RieszkitError as e:
-        print(json.dumps({"error": str(e), "kind": "input"}, indent=2))
-        return 2
-    print(to_markdown(rep) if args.markdown else to_json(rep))
-    return rep.exit_code
+        return _write(json.dumps({"error": str(e), "kind": "input"}, indent=2), 2)
+    return _write(to_markdown(rep) if args.markdown else to_json(rep), rep.exit_code)
 
 
 if __name__ == "__main__":

@@ -91,6 +91,13 @@ class ConvergenceCertificate:
 # decreasing check
 
 
+def require_probe(probe: int) -> None:
+    """Refuse a probe below 1: its window would end before the steps the
+    symbolic rule starts from, and a check over it would pass vacuously."""
+    if probe < 1:
+        raise PreconditionError(f"probe must be at least 1, got {probe}")
+
+
 def check_decreasing(b: ElementSeq, probe: int = 8) -> int:
     """Verify b_{n+1} <= b_n for all n; returns the verified window end.
 
@@ -99,8 +106,9 @@ def check_decreasing(b: ElementSeq, probe: int = 8) -> int:
     eventual regime makes the comparisons recur verbatim, which the
     symbolic conditions certify: nonincreasing ambient, nonincreasing
     stationary coefficients, nonpositive moving coefficients and fill
-    values.
+    values.  A probe below 1 is refused (`require_probe`).
     """
+    require_probe(probe)
     window = structural_threshold(b) + probe
     n = decreasing_failure(b, window)
     if n is not None:
@@ -392,11 +400,14 @@ def verify_certificate(
     `probe` steps.  Escaping forms must be moving: a positive slope makes a
     form injective, so its supports leave every finite set.  A minorant
     must be positive and nonzero.  An x whose symbolic steps hold an index
-    out of range raises as the decider does (`check_indices`)."""
+    out of range raises as the decider does (`check_indices`).  A probe
+    below 1 is refused where the window is computed (`require_probe`), so a
+    certificate refused unchecked is refused at any probe."""
     check_indices(x)
     missing = _missing_evidence(cert)
     if missing:
         return False, [missing]
+    require_probe(probe)
     log: list[str] = []
     d = x if limit is None else normalize(sub_element(x, limit))
     window = structural_threshold(d) + probe

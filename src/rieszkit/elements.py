@@ -749,6 +749,11 @@ def le(x: Element, y: Element) -> bool:
     return holds(qle, x, y)
 
 
+def nonpositive(x: Element) -> bool:
+    """x <= 0: every value x takes is at most 0, read from x alone."""
+    return all(qle(v, Q0) for v, _ in _pairs(x, x))
+
+
 def is_positive(x: Element) -> bool:
     return le(zero(x.space), x)
 

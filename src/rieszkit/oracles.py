@@ -321,28 +321,32 @@ def _candidate_families(x: ElementSeq, bound: int):
     The palette scales come from the sequence's own coefficient values; the
     shapes combine a constant ambient, harmonic copies of the stationary
     atoms, matched moving-atom copies, and unit-minus-march terms.  Each
-    (shape, scale) family is built once; the candidates are the sums of two
-    of them, in (shape, shape, scale, scale) order, without repeats, each
-    summed only when the search asks for it.  The zero family (shape None)
-    has no scale and is a neutral summand: it is built once and read at one
-    scale, and a pick with it is the other family itself, unsummed."""
+    (shape, scale) family is built once, into its shape's list in scale
+    order, which the pairs walk without a lookup by scale; the candidates
+    are the sums of two of them, in (shape, shape, scale, scale) order,
+    without repeats, each summed only when the search asks for it.  The
+    zero family (shape None) has no scale and is a neutral summand: it is
+    built once and read at one scale, and a pick with it is the other
+    family itself, unsummed."""
     scales = {Q(1)}
     for _, coeff in x.atoms:
         v = coeff.max_abs()
         if v != 0:
             scales.update({v, v / 2, 2 * v})
     scales = sorted(scales)
-    built = {(shape, sc): shape(x, sc) for shape in _SHAPES for sc in scales}
+    # each pick's summands in scale order: the zero family adds none, and a
+    # shape that does not apply at a scale is no pick
+    built = {None: [()]}
+    for shape in _SHAPES:
+        built[shape] = [(fam,) for sc in scales if (fam := shape(x, sc)) is not None]
     zero = element_seq(x.space)
     seen = set()
-    for picks in product((None, *_SHAPES), repeat=2):
-        for s1 in scales if picks[0] else scales[:1]:
-            for s2 in scales if picks[1] else scales[:1]:
-                fams = [built[p, sc] for p, sc in zip(picks, (s1, s2)) if p]
-                if None in fams:
-                    continue
+    for first, second in product(built, repeat=2):
+        for f1 in built[first]:
+            for f2 in built[second]:
+                fams = f1 + f2
                 if sum(1 + len(fam.atoms) + len(fam.fills) for fam in fams) <= bound:
-                    cand = _seq_sum(fams or [zero])
+                    cand = _seq_sum(fams or (zero,))
                     key = _seq_key(cand)
                     if key not in seen:
                         seen.add(key)

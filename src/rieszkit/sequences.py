@@ -54,6 +54,7 @@ from .elements import (
     holds,
     le,
     max_abs_coord,
+    nonpositive,
     recompose,
     sub,
     zero,
@@ -361,9 +362,9 @@ def decreasing_failure(b: ElementSeq, last: int) -> int | None:
     b read by a `StepWalk` from step 2.  A prelude step compares the stored
     elements; the first symbolic step, and one where the ambient changes,
     decide b_{n+1} - b_n <= 0 on the two steps' moving parts, where the
-    static part cancels; any other step decides it on the coordinates it
+    static part cancels, from the values of that difference alone
+    (`nonpositive`); any other step decides it on the coordinates it
     moves, the only ones where b_{n+1} - b_n is not 0."""
-    origin = zero(b.space)
     walk = StepWalk(b, 2)
     for n in range(1, last + 1):
         if not walk.whole(n + 1):
@@ -373,13 +374,16 @@ def decreasing_failure(b: ElementSeq, last: int) -> int | None:
         else:
             prev = moving_parts(b, n)
             if n == b.n0:
-                # the differences skip cancelled terms: check step n0's indices
-                recompose(b.space, prev)
+                # the differences skip cancelled terms: check step n0's
+                # indices, its atom parts in order, as its `recompose` would
+                check, dim = b.space.row.check_atom, b.space.dim
+                for (_, idx), _ in prev[1:]:
+                    check(idx, dim)
             # terms pair up by generator; a fill hit or settled coefficient
             # both steps share is one value object, which cancels by identity
             later = dict(moving_parts(b, n + 1))
             diff = [(r, d) for r, c in prev if (d := qsub(later.pop(r, Q0), c)) is not Q0]
-            ok = le(recompose(b.space, [*diff, *later.items()]), origin)
+            ok = nonpositive(recompose(b.space, [*diff, *later.items()]))
         if not ok:
             return n
     return None
@@ -436,7 +440,7 @@ def normalize(seq: ElementSeq) -> ElementSeq:
             continue
         key = (type(f.form), idx.p, idx.q % idx.p)
         groups.setdefault(key, []).append(f)
-    static_parts = decompose(seq.static)
+    corrections = []
     new_atoms = list(seq.atoms)
     new_fills = list(passthrough)
     for (form_type, step, base), fs in sorted(
@@ -457,7 +461,7 @@ def normalize(seq: ElementSeq) -> ElementSeq:
         for j in range(jmin, jmax):
             v = sum((p[2] for p in parts if p[0] <= j), Q(0))
             if v != 0 and step * j + base >= 1:
-                static_parts.append((("atom", line.at(j)), v))
+                corrections.append((("atom", line.at(j)), v))
         # upper boundary: the last few line indices, moving with n
         for lag in range(lag_min, lag_max):
             v = sum((p[2] for p in parts if p[1] <= lag), Q(0))
@@ -466,9 +470,12 @@ def normalize(seq: ElementSeq) -> ElementSeq:
                 new_atoms.append((form, RationalSeq.const(v)))
         if total != 0:
             new_fills.append(Fill(line, 1, 0, jmax, lag_max, total))
+    # the static part is kept as it is unless a lower boundary corrects it
+    static = (recompose(seq.space, [*seq._static_parts, *corrections]) if corrections
+              else seq.static)
     return element_seq(
         seq.space,
-        recompose(seq.space, static_parts),
+        static,
         new_atoms,
         new_fills,
         seq.ambient,

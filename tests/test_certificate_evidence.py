@@ -18,17 +18,19 @@ from pathlib import Path
 
 import pytest
 
-from rieszkit.calculus import order_continuity_test
+from rieszkit.calculus import order_continuity_test, verify_witness
 
 from rieszkit.convergence import (
     CONVERGES,
     DIVERGES,
     ConvergenceCertificate,
+    check_decreasing,
     decide_monotone_limit,
     decide_order_convergence,
     o1_dominating_obstruction,
     verify_certificate,
 )
+from rieszkit.errors import PreconditionError
 from rieszkit.elements import add, atom, element_findev, element_tail, scale, sub, unit, zero
 from rieszkit.operators import atom_image
 from rieszkit.scalars import Q, RationalSeq
@@ -208,3 +210,25 @@ def test_a_first_dominated_step_past_the_window_is_still_checked(kind, n0, probe
                                   order_bound=unit(space), n0=n0)
     ok, log = verify_certificate(cert, x, zero(space), probe)
     assert not ok and log[-1] == f"FAIL domination of the stationary part at n={n0}", log
+
+
+@pytest.mark.parametrize("probe", [0, -1, -5])
+def test_a_probe_below_one_is_an_input_error(probe):
+    """On l0inf, x_n = e_n converges to 0.  With its decided certificate's
+    order bound forged to e_1, a probe below 1 could end the order bound's
+    window before step 2, where e_n leaves e_1 (at probe -5 the window is
+    empty: "order bound holds at n=1..-3"): the verifier, the decreasing
+    check and the witness verifier refuse such a probe before any probed
+    check runs."""
+    space = tail_seq()
+    x = element_seq(space, atoms=[(seq_form(1, 0), RationalSeq.const(1))])
+    cert = decide_order_convergence(x, zero(space))
+    forged = dataclasses.replace(cert, order_bound=atom(space, 1))
+    assert verify_certificate(forged, x, zero(space), 1)[0] is False
+    with pytest.raises(PreconditionError, match="probe must be at least 1"):
+        verify_certificate(forged, x, zero(space), probe)
+    with pytest.raises(PreconditionError, match="probe must be at least 1"):
+        check_decreasing(cert.dominating, probe)
+    T, = build_all(parse("space E = l0inf\noperator T : E -> E {\n  unit -> 1 * unit\n}\n"))[1].values()
+    with pytest.raises(PreconditionError, match="probe must be at least 1"):
+        verify_witness(T, T, probe)

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -598,3 +601,51 @@ def test_verdicts_do_not_depend_on_probe(capsys, spec, command):
         rep = json.loads(out)
         outcomes.add((code, rep.get("verdict", rep.get("kind"))))
     assert len(outcomes) == 1, outcomes
+
+
+@pytest.mark.parametrize("probe", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["casebook", "not-directed"],
+    ["check", "order_continuous", "--spec", MOVING],
+], ids=" ".join)
+def test_a_probe_below_one_is_an_input_error(capsys, argv, probe):
+    """`--probe` below 1 is refused with a JSON input error, also by a
+    command that reads no probe.  Unrefused, `casebook not-directed --probe
+    -100` would exit 0 and print "literal sums checked at n=1..-100"."""
+    code, out = run_cli(capsys, *argv, "--probe", probe)
+    assert (code, json.loads(out)) == (
+        2, {"error": f"--probe must be at least 1, got {probe}", "kind": "input"})
+
+
+def _cli_process(stdout):
+    """`rieszkit casebook bounded-not-regular` in a fresh interpreter, its
+    standard output on `stdout`."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.Popen([sys.executable, "-m", "rieszkit.cli", "casebook",
+                             "bounded-not-regular"], stdout=stdout, stderr=subprocess.PIPE,
+                            env=env, text=True)
+
+
+def test_a_closed_pipe_ends_with_the_verdicts_code_and_nothing_on_stderr():
+    """The reader of the pipe is gone before the report is written, as
+    after `| head -c 1`: no traceback, and the verdict's own exit code."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _cli_process(write)
+    finally:
+        os.close(write)
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+def test_a_failed_write_is_reported_without_a_traceback():
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(full)
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err.startswith("rieszkit: cannot write the report: ") and "Traceback" not in err
+    assert err.count("\n") == 1

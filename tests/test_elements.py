@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 
 from rieszkit.errors import InvalidIndexError, SpaceMismatchError
 from rieszkit.scalars import Q, Q0, RationalSeq, qabs_le
-from rieszkit import convergence, elements, sequences
+from rieszkit import convergence, elements, oracles, sequences
 from rieszkit.casebook import moving_indicator_operator, row_pair_difference_operator
 from rieszkit.completion import pattern_from_pieces
 from rieszkit.convergence import check_decreasing, decide_order_convergence, verify_certificate
@@ -847,6 +847,30 @@ def test_check_decreasing_cost_does_not_grow_with_the_static_part(monkeypatch, s
         assert check_decreasing(b, 8) > 8
         counts.append(calls)
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("space, line", [(T, seq_form), (F, token_form)], ids=["l0inf", "ck"])
+def test_the_monotone_decider_builds_only_what_it_compares(monkeypatch, space, line):
+    """On the dominating search's candidates for a moving indicator,
+    `normalize` keeps the static part as it is when no lower boundary
+    corrects it, and `decreasing_failure` decides b_{n+1} - b_n <= 0 from
+    the difference's own values, building no zero element."""
+    zeros = 0
+    build = sequences.zero
+
+    def counting(space):
+        nonlocal zeros
+        zeros += 1
+        return build(space)
+
+    x = element_seq(space, atoms=[(line(1, 0), RationalSeq.const(1))])
+    cands = list(oracles._candidate_families(x, 6))
+    monkeypatch.setattr(sequences, "zero", counting)
+    for c in cands:
+        b = normalize(c)
+        assert b.static is c.static
+        sequences.decreasing_failure(b, sequences.structural_threshold(b) + 8)
+    assert zeros == 0 and len(cands) > 20
 
 
 def test_verify_certificate_evaluates_each_step_of_b_once(monkeypatch):

@@ -58,7 +58,7 @@ from rieszkit.oracles import (
 from rieszkit.sequences import element_seq
 from rieszkit.casebook import identity_on_tail_seq, row_pair_difference_operator
 
-from conftest import random_element, random_scalar
+from conftest import fraction_calls, random_element, random_scalar
 
 T = tail_seq()
 F = fin_dev()
@@ -688,3 +688,15 @@ def test_the_zero_family_is_a_neutral_summand(monkeypatch):
     res = bruteforce_dominating_search(subjects[3], 6)
     assert (res.found, res.candidates_checked) == (None, 24)
     assert keys == 49 and zero_summands == 0
+
+
+def test_dominating_search_hashes_no_scale_per_lookup():
+    """The (shape, scale) families are walked in their shape's list, not
+    looked up by a `Fraction` key: one search on the moving indicator
+    hashes only the palette's scales (a `Fraction` key per lookup made it
+    328)."""
+    x = element_seq(F, atoms=[(token_form(1, 0), RationalSeq.const(1))])
+    with fraction_calls(("__hash__",)) as hashes:
+        res = bruteforce_dominating_search(x, 6)
+    assert (res.found, res.candidates_checked) == (None, 24)
+    assert hashes[0] <= 8
