@@ -155,11 +155,19 @@ def _tokens_in_play(seq: ElementSeq) -> set[Token]:
 # monotone limits
 
 
-def decide_monotone_limit(b: ElementSeq, probe: int = 8) -> ConvergenceCertificate:
-    """Decide whether the (verified decreasing) family b_n has infimum 0."""
+def monotone_pattern(b: ElementSeq, probe: int = 8) -> tuple[ElementSeq, Element]:
+    """(b normalized, its eventual pattern), once b is verified decreasing
+    (`check_decreasing` raises otherwise): b_n decreases to 0 exactly when
+    the pattern is zero.  The verdict alone; `decide_monotone_limit` builds
+    the certificate from it."""
     b = normalize(b)
     check_decreasing(b, probe)
-    pat = eventual_pattern(b)
+    return b, eventual_pattern(b)
+
+
+def decide_monotone_limit(b: ElementSeq, probe: int = 8) -> ConvergenceCertificate:
+    """Decide whether the (verified decreasing) family b_n has infimum 0."""
+    b, pat = monotone_pattern(b, probe)
     if pat.is_zero():
         return ConvergenceCertificate(
             verdict=CONVERGES,

@@ -30,7 +30,7 @@ from .elements import (
 )
 from .operators import Operator, apply_op, atom_image, image_parts
 from .sequences import ElementSeq, element_seq, eval_seq, fill, walk_failure
-from .convergence import decide_monotone_limit
+from .convergence import monotone_pattern
 
 
 # ---------------------------------------------------------------------------
@@ -325,32 +325,49 @@ def _candidate_families(x: ElementSeq, bound: int):
     order, which the pairs walk without a lookup by scale; the candidates
     are the sums of two of them, in (shape, shape, scale, scale) order,
     without repeats, each summed only when the search asks for it.  The
-    zero family (shape None) has no scale and is a neutral summand: it is
-    built once and read at one scale, and a pick with it is the other
-    family itself, unsummed."""
+    zero family comes before every shape, has no scale and is a neutral
+    summand: it is built once and read at one scale, and a pick with it is
+    the other family itself, unsummed.
+
+    A pick (B, A) after (A, B) is skipped, neither summed nor keyed, unless
+    both summands carry atoms or both carry fills; every (family, zero) is
+    such a pick.  Static parts, ambients, n0 and preludes add commutatively,
+    and a sum lists the atoms, then the fills, of its first summand before
+    those of its second, so with at most one summand carrying each the two
+    orders give the same sequence, a repeat.  Any other pick is summed and
+    dropped when its key repeats an earlier one: (A, B) and (B, A) with
+    atoms on both sides list them in different orders, and 1/2 + 1/2 is
+    the family at scale 1."""
     scales = {Q(1)}
     for _, coeff in x.atoms:
         v = coeff.max_abs()
         if v != 0:
             scales.update({v, v / 2, 2 * v})
     scales = sorted(scales)
-    # each pick's summands in scale order: the zero family adds none, and a
-    # shape that does not apply at a scale is no pick
-    built = {None: [()]}
+    # each shape's families in scale order, after the zero family's, as
+    # (rank, summands, size, 1 if atoms | 2 if fills); (A, B) comes before
+    # (B, A) exactly when A ranks lower
+    built, rank = [[(0, (), 0, 0)]], 0
     for shape in _SHAPES:
-        built[shape] = [(fam,) for sc in scales if (fam := shape(x, sc)) is not None]
+        families = []
+        for sc in scales:
+            if (fam := shape(x, sc)) is not None:
+                rank += 1
+                families.append((rank, (fam,), 1 + len(fam.atoms) + len(fam.fills),
+                                 bool(fam.atoms) | 2 * bool(fam.fills)))
+        built.append(families)
     zero = element_seq(x.space)
     seen = set()
     for first, second in product(built, repeat=2):
-        for f1 in built[first]:
-            for f2 in built[second]:
-                fams = f1 + f2
-                if sum(1 + len(fam.atoms) + len(fam.fills) for fam in fams) <= bound:
-                    cand = _seq_sum(fams or (zero,))
-                    key = _seq_key(cand)
-                    if key not in seen:
-                        seen.add(key)
-                        yield cand
+        for r1, f1, n1, m1 in first:
+            for r2, f2, n2, m2 in second:
+                if n1 + n2 > bound or (r2 < r1 and not m1 & m2):
+                    continue
+                cand = _seq_sum(f1 + f2 or (zero,))
+                key = _seq_key(cand)
+                if key not in seen:
+                    seen.add(key)
+                    yield cand
 
 
 def _seq_sum(fams):
@@ -392,9 +409,13 @@ def bruteforce_dominating_search(x: ElementSeq, bound: int = 6) -> SearchResult:
 
     Candidates are drawn from a structured class (constant ambients,
     harmonic copies, matched moving atoms, unit-minus-march shapes, and
-    pairwise sums) with representation size at most `bound`.  Each candidate
-    is first put to the monotone decision rule, which certifies decrease and
-    the zero infimum; domination |x_n| <= y_n is probed on the steps
+    pairwise sums) with representation size at most `bound`, without
+    repeats; a pick whose sum cannot differ from an earlier pick's is
+    skipped unsummed (`_candidate_families`).  Each candidate is first put
+    to the monotone decision rule, of which only the verdict is read
+    (`monotone_pattern`: decrease verified, and a zero eventual pattern
+    for the zero infimum), so no certificate is built for a candidate that
+    settles above 0; domination |x_n| <= y_n is probed on the steps
     1..max(10, 2 * bound) only for a candidate that passes it, in one
     `walk_failure` over x and the candidate.  The accepted candidate is the
     first that passes both, and `candidates_checked` counts the candidates
@@ -406,12 +427,10 @@ def bruteforce_dominating_search(x: ElementSeq, bound: int = 6) -> SearchResult:
     for cand in _candidate_families(x, bound):
         checked += 1
         try:
-            cert = decide_monotone_limit(cand)
+            _, pat = monotone_pattern(cand)
         except NotDecreasingError:
             continue
-        if not cert.converges:
-            continue
-        if walk_failure(qabs_le, x, cand, 1, window) is None:
+        if pat.is_zero() and walk_failure(qabs_le, x, cand, 1, window) is None:
             return SearchResult(cand, checked, "dominating family found")
     return SearchResult(
         None,

@@ -183,10 +183,11 @@ def _eval_symbolic(seq: ElementSeq, n: int) -> list:
 
 def _atom_hits(seq: ElementSeq, n: int) -> dict:
     """{coordinate: summed coefficient} of the atoms at step n; a zero
-    coefficient reads no coordinate."""
+    coefficient reads no coordinate, and a constant one past its prefix is
+    its tail, read without a call."""
     hits: dict = {}
     for form, coeff in seq.atoms:
-        c = coeff.at(n)
+        c = coeff.tail if not coeff.h and n > len(coeff.prefix) else coeff.at(n)
         if c is not Q0 and c:
             idx = form.at(n)
             hits[idx] = qadd(hits.get(idx, Q0), c)
@@ -259,7 +260,10 @@ class StepWalk:
     those coordinates.  `at(idx)` then reads x_n at one coordinate: the
     static value, the ambient, the atoms there and the fill hits there,
     each fill through its form's inverse.  A step costs O(atoms + fills),
-    so a walk costs O(window * (atoms + fills)), not O(window^2).
+    so a walk costs O(window * (atoms + fills)), not O(window^2): the
+    difference walks each step's atom hits once, and an eventually constant
+    coefficient past its prefix is read as its tail, with no
+    `RationalSeq.at` call (`_atom_hits`).
 
     The steps must be taken in order, `step` only at a step that is not
     whole; the atom hits of a whole step are read again at the next step,
@@ -289,8 +293,10 @@ class StepWalk:
         seq = self.seq
         prev = self._hits if self._n == n - 1 else _atom_hits(seq, n - 1)
         hits = _atom_hits(seq, n)
-        delta = {i: d for i in hits.keys() | prev.keys()
-                 if (d := qsub(hits.get(i, Q0), prev.get(i, Q0))) is not Q0}
+        delta = {i: d for i, c in hits.items() if (d := qsub(c, prev.get(i, Q0))) is not Q0}
+        for i, c in prev.items():  # a coordinate only step n - 1 held drops to 0
+            if i not in hits and c is not Q0:
+                delta[i] = -c
         for f in seq.fills:
             if (k := f.hit_at(n)) is not None:
                 i = f.form.at(k)

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import product
 from pathlib import Path
 
 import pytest
 
+from rieszkit import oracles
 from rieszkit.errors import RieszkitError
 from rieszkit.reports import ser
 from rieszkit.scalars import Q, RationalSeq
@@ -616,13 +618,13 @@ def test_dominating_search_builds_each_family_once_and_probes_only_converging(mo
         return build
 
     decided: dict = {}
-    decide = oracles.decide_monotone_limit
+    decide = oracles.monotone_pattern
 
     def deciding(b, probe=8):
         decided[b] = False
-        cert = decide(b, probe)
-        decided[b] = cert.converges
-        return cert
+        normal, pat = decide(b, probe)
+        decided[b] = pat.is_zero()
+        return normal, pat
 
     probed = set()
     walk = oracles.walk_failure
@@ -632,7 +634,7 @@ def test_dominating_search_builds_each_family_once_and_probes_only_converging(mo
         return walk(rel, x, y, first, last)
 
     monkeypatch.setattr(oracles, "_SHAPES", tuple(map(counted, oracles._SHAPES)))
-    monkeypatch.setattr(oracles, "decide_monotone_limit", deciding)
+    monkeypatch.setattr(oracles, "monotone_pattern", deciding)
     monkeypatch.setattr(oracles, "walk_failure", probing)
     # three scales each: 1, 1/2 and 2 from the coefficient 1; 1, 2 and 4
     # from the coefficient -2
@@ -654,7 +656,8 @@ def test_the_zero_family_is_a_neutral_summand(monkeypatch):
     """A pick with the zero family is the other family itself: summing it
     on either side gives the same sequence and key at every shape and scale,
     so the search builds it once and neither sums nor keys a repeated pick;
-    on the moving indicator 49 distinct family pairs give 24 candidates."""
+    on the moving indicator it keys 31 picks, sums 24 pairs of families and
+    yields 24 candidates."""
     from rieszkit import oracles
 
     subjects = [element_seq(space, atoms=atoms) for space, form in [(T, seq_form), (F, token_form)]
@@ -670,7 +673,7 @@ def test_the_zero_family_is_a_neutral_summand(monkeypatch):
                 if fam is not None:
                     for summed in (oracles._seq_sum([zero, fam]), oracles._seq_sum([fam, zero])):
                         assert summed == fam and oracles._seq_key(summed) == oracles._seq_key(fam)
-    keys, zero_summands = 0, 0
+    keys, sums, zero_summands = 0, 0, 0
 
     def keying(seq, inner=oracles._seq_key):
         nonlocal keys
@@ -678,8 +681,9 @@ def test_the_zero_family_is_a_neutral_summand(monkeypatch):
         return inner(seq)
 
     def summing(fams, inner=oracles._seq_sum):
-        nonlocal zero_summands
+        nonlocal sums, zero_summands
         if len(fams) > 1:
+            sums += 1
             zero_summands += any(fam == element_seq(fam.space) for fam in fams)
         return inner(fams)
 
@@ -687,7 +691,76 @@ def test_the_zero_family_is_a_neutral_summand(monkeypatch):
     monkeypatch.setattr(oracles, "_seq_sum", summing)
     res = bruteforce_dominating_search(subjects[3], 6)
     assert (res.found, res.candidates_checked) == (None, 24)
-    assert keys == 49 and zero_summands == 0
+    assert (keys, sums, zero_summands) == (31, 24, 0)
+
+
+def _keys_of_every_pick(x, bound) -> list:
+    """The reference enumeration: every pick within the bound summed and
+    keyed, in (shape, shape, scale, scale) order, each key kept at its
+    first occurrence."""
+    scales = {Q(1)}
+    for _, coeff in x.atoms:
+        v = coeff.max_abs()
+        if v != 0:
+            scales.update({v, v / 2, 2 * v})
+    built = [[()], *([(fam,) for sc in sorted(scales) if (fam := shape(x, sc)) is not None]
+                     for shape in oracles._SHAPES)]
+    zero, keys = element_seq(x.space), []
+    for first, second in product(built, repeat=2):
+        for f1 in first:
+            for f2 in second:
+                fams = f1 + f2
+                if sum(1 + len(fam.atoms) + len(fam.fills) for fam in fams) <= bound:
+                    key = oracles._seq_key(oracles._seq_sum(fams or (zero,)))
+                    if key not in keys:
+                        keys.append(key)
+    return keys
+
+
+def _subjects_with_order_dependent_picks(seed):
+    """Seeded l0inf and ck sequences with a stationary and a moving atom
+    (const, harmonic or steps coefficients): a harmonic copy and a matched
+    copy both carry atoms, and on l0inf two march families both carry a
+    fill, so those picks are summed in both orders."""
+    rng = random.Random(seed)
+
+    def coeff():
+        c = Q(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+        return rng.choice([RationalSeq.const(c), RationalSeq.harmonic(c),
+                           RationalSeq.steps([c, rng.randint(-2, 2)], c / 2)])
+
+    for space, form in [(T, seq_form), (F, token_form)]:
+        for _ in range(3):
+            yield element_seq(space, atoms=[(form(0, rng.randint(1, 4)), coeff()),
+                                            (form(1, rng.randint(0, 3)), coeff())])
+
+
+def test_skipped_picks_change_no_candidate(monkeypatch):
+    """The search yields the keys, in order, of summing and keying every
+    pick, at bounds 0..8; the picks it still sums include the reverse of an
+    earlier pick whose summands both carry atoms, and one whose summands
+    both carry a fill."""
+    summed = []
+
+    def summing(fams, inner=oracles._seq_sum):
+        summed.append(tuple(fams))
+        return inner(fams)
+
+    both = set()
+    for x in _subjects_with_order_dependent_picks(34):
+        for bound in range(9):
+            want = _keys_of_every_pick(x, bound)
+            summed.clear()
+            with monkeypatch.context() as m:
+                m.setattr(oracles, "_seq_sum", summing)
+                got = [oracles._seq_key(c) for c in oracles._candidate_families(x, bound)]
+            assert got == want, (x, bound)
+            pairs = {pick for pick in summed if len(pick) == 2 and pick[0] != pick[1]}
+            for a, b in pairs:
+                if (b, a) in pairs:
+                    both.update(part for part in ("atoms", "fills")
+                                if getattr(a, part) and getattr(b, part))
+    assert both == {"atoms", "fills"}
 
 
 def test_dominating_search_hashes_no_scale_per_lookup():

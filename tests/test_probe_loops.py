@@ -52,7 +52,7 @@ from rieszkit.elements import (
 )
 from rieszkit.errors import NotDecreasingError, RieszkitError
 from rieszkit.oracles import bruteforce_dominating_search
-from rieszkit.scalars import Q, RationalSeq
+from rieszkit.scalars import Q, RationalSeq, qabs_le
 from rieszkit.sequences import (
     deviation_bound,
     element_seq,
@@ -498,6 +498,29 @@ def test_probe_walks_read_coordinates_linear_in_the_window(monkeypatch, space, l
             assert run(window - structural_threshold(subject))
             counts.append(count[0])
         assert _slope(windows, counts) <= 1.15, (name, counts)
+
+
+@pytest.mark.parametrize("space, line", [(tail_seq(), seq_form), (fin_dev(), token_form)],
+                         ids=["l0inf", "ck"])
+def test_a_walk_reads_a_constant_coefficient_once_its_prefix_has_passed(monkeypatch, space, line):
+    """A 400-step walk of a one-atom sequence, stationary or moving, calls
+    `RationalSeq.at` on the atom's constant coefficient at most prefix + 2
+    times: past the prefix the walk reads its tail."""
+    calls = []
+    at = RationalSeq.at
+
+    def counting(seq, n):
+        calls.append(seq)
+        return at(seq, n)
+
+    monkeypatch.setattr(RationalSeq, "at", counting)
+    bound = scale(4, unit(space))
+    for coeff in (RationalSeq.const(1), RationalSeq.steps([3, -2], 1)):
+        for form in (line(0, 2), line(1, 0)):
+            x = element_seq(space, atoms=[(form, coeff)])
+            calls.clear()
+            assert sequences.walk_failure(qabs_le, x, bound, 1, 400) is None
+            assert sum(c is coeff for c in calls) <= len(coeff.prefix) + 2, (form, coeff)
 
 
 LATE_OUT_OF_RANGE = [

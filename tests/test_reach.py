@@ -69,6 +69,9 @@ ALLOWED = {
     "spaces.Affine.__repr__": "writes a form by its rationals a and b, the text "
                               "spec_outcomes.json pins; no command prints a repr",
     # references and helpers that tests and the benchmark call
+    "convergence.decide_monotone_limit": "the monotone certificate of the API; the benchmark's "
+                                         "wide_lattice workload times it, and the dominating "
+                                         "search reads only its verdict (monotone_pattern)",
     "oracles.majorant_growth_probe": "per-level wrapper the benchmark and tests call; the CLI "
                                      "runs majorant_floors",
     "oracles.truncate_operator": "truncation reference the oracle tests compare apply_op with",
