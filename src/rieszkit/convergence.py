@@ -155,19 +155,13 @@ def _tokens_in_play(seq: ElementSeq) -> set[Token]:
 # monotone limits
 
 
-def monotone_pattern(b: ElementSeq, probe: int = 8) -> tuple[ElementSeq, Element]:
-    """(b normalized, its eventual pattern), once b is verified decreasing
-    (`check_decreasing` raises otherwise): b_n decreases to 0 exactly when
-    the pattern is zero.  The verdict alone; `decide_monotone_limit` builds
-    the certificate from it."""
+def decide_monotone_limit(b: ElementSeq, probe: int = 8) -> ConvergenceCertificate:
+    """Decide whether the (verified decreasing) family b_n has infimum 0:
+    once `check_decreasing` passes on b normalized (it raises otherwise),
+    b_n decreases to 0 exactly when its eventual pattern is zero."""
     b = normalize(b)
     check_decreasing(b, probe)
-    return b, eventual_pattern(b)
-
-
-def decide_monotone_limit(b: ElementSeq, probe: int = 8) -> ConvergenceCertificate:
-    """Decide whether the (verified decreasing) family b_n has infimum 0."""
-    b, pat = monotone_pattern(b, probe)
+    pat = eventual_pattern(b)
     if pat.is_zero():
         return ConvergenceCertificate(
             verdict=CONVERGES,

@@ -75,8 +75,6 @@ from .spaces import (
 Line = Tuple[tuple, tuple]  # (prefix, residues)
 
 _ZERO_LINE: Line = ((), (Q0,))
-# the canonical zero payload of each shape: line, fin_dev, row_block
-_ZEROS = (_ZERO_LINE, ((), Q0, _ZERO_LINE), ((), (_ZERO_LINE,)))
 
 
 @record
@@ -107,7 +105,10 @@ class Element:
 
     # -- generic ------------------------------------------------------------
     def is_zero(self) -> bool:
-        return self.data in _ZEROS
+        """Whether the payload is its shape's zero, decided by the shape
+        (`_zero_line`): no stored prefix, star or row, and one residue that
+        is 0, so no `Fraction` is compared."""
+        return _shape(self).is_zero(self.data)
 
     def __add__(self, other: "Element") -> "Element":
         return add(self, other)
@@ -259,6 +260,12 @@ def _map_line(f, line: Line, eq=qeq) -> Line:
     return _canonical_line(tuple(map(f, p)), tuple(map(f, res)), eq)
 
 
+def _zero_line(line: Line) -> bool:
+    """Whether a line of values is the zero line ((), (0,))."""
+    p, res = line
+    return not p and len(res) == 1 and ((v := res[0]) is Q0 or not v)
+
+
 def _at(line: Line, i: int):
     """The value of a line at index i >= 1."""
     p, res = line
@@ -313,6 +320,8 @@ def _describe_line(line: Line) -> dict:
 class _LineShape:
     """fin_dim and tail_seq: one line; a space with a dimension (fin_dim)
     reads 0 past it."""
+
+    is_zero = staticmethod(_zero_line)
 
     def at(self, x: Element, i: int) -> Q:
         return _at(x.data, i)
@@ -374,6 +383,11 @@ class _LineShape:
 
 class _FinDevShape:
     """fin_dev: the stars and ambient beside the g-line, a tail_seq line."""
+
+    @staticmethod
+    def is_zero(data) -> bool:
+        stars, amb, line = data
+        return not stars and (amb is Q0 or not amb) and _zero_line(line)
 
     def at(self, x: Element, t: Token) -> Q:
         if t.family == "g":
@@ -443,6 +457,11 @@ class _FinDevShape:
 
 class _RowBlockShape:
     """row_block: a line of rows, each row a line."""
+
+    @staticmethod
+    def is_zero(data) -> bool:
+        rows, back = data
+        return not rows and len(back) == 1 and _zero_line(back[0])
 
     def at(self, x: Element, idx: Tuple[int, int]) -> Q:
         return _at(_at(x.data, idx[0]), idx[1])

@@ -29,8 +29,16 @@ from .elements import (
     support as elem_support,
 )
 from .operators import Operator, apply_op, atom_image, image_parts
-from .sequences import ElementSeq, element_seq, eval_seq, fill, walk_failure
-from .convergence import monotone_pattern
+from .sequences import (
+    ElementSeq,
+    element_seq,
+    eval_seq,
+    eventual_pattern,
+    fill,
+    normalize,
+    walk_failure,
+)
+from .convergence import check_decreasing
 
 
 # ---------------------------------------------------------------------------
@@ -411,26 +419,35 @@ def bruteforce_dominating_search(x: ElementSeq, bound: int = 6) -> SearchResult:
     harmonic copies, matched moving atoms, unit-minus-march shapes, and
     pairwise sums) with representation size at most `bound`, without
     repeats; a pick whose sum cannot differ from an earlier pick's is
-    skipped unsummed (`_candidate_families`).  Each candidate is first put
-    to the monotone decision rule, of which only the verdict is read
-    (`monotone_pattern`: decrease verified, and a zero eventual pattern
-    for the zero infimum), so no certificate is built for a candidate that
-    settles above 0; domination |x_n| <= y_n is probed on the steps
-    1..max(10, 2 * bound) only for a candidate that passes it, in one
-    `walk_failure` over x and the candidate.  The accepted candidate is the
-    first that passes both, and `candidates_checked` counts the candidates
-    up to it, so the order of the two checks cannot change the result;
-    deciding first spares the probe on the candidates the rule refuses.
+    skipped unsummed (`_candidate_families`).  Each candidate is put to
+    three checks, cheapest first, and a check runs only when the ones
+    before it pass: its normalized form's eventual pattern (the
+    coordinatewise limit) must be zero, for the zero infimum; that form
+    must be verified decreasing (`check_decreasing`); and domination
+    |x_n| <= y_n is probed on the steps 1..max(10, 2 * bound), in one
+    `walk_failure` over x and the candidate.  The pattern and the decrease
+    are the monotone decision rule's two conditions, read without building
+    its certificate.  The accepted candidate is the first that passes all
+    three, and `candidates_checked` counts the candidates up to it, so the
+    order of the checks cannot change the result; reading the limit first
+    spares the decrease check and the probe on every candidate that
+    settles above 0.  A bound below 0 admits no candidate, so a search
+    over it would refute on nothing: it is refused.
     """
+    if bound < 0:
+        raise PreconditionError(f"search bound must be >= 0, got {bound}")
     checked = 0
     window = max(10, 2 * bound)
     for cand in _candidate_families(x, bound):
         checked += 1
+        b = normalize(cand)
+        if not eventual_pattern(b).is_zero():
+            continue
         try:
-            _, pat = monotone_pattern(cand)
+            check_decreasing(b)
         except NotDecreasingError:
             continue
-        if pat.is_zero() and walk_failure(qabs_le, x, cand, 1, window) is None:
+        if walk_failure(qabs_le, x, cand, 1, window) is None:
             return SearchResult(cand, checked, "dominating family found")
     return SearchResult(
         None,

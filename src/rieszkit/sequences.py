@@ -436,7 +436,13 @@ def normalize(seq: ElementSeq) -> ElementSeq:
     Overlapping ranges add their values; range boundaries that do not cancel
     come back as static corrections (lower end) or moving atoms (upper end).
     Only full classes (modulus 1) telescope; other fills stay as they are.
+    A sequence without fills has nothing to merge and comes back as it is:
+    its atoms are already merged and its prelude already covers every
+    aliasing step, as `element_seq` leaves them and `sub_element` keeps
+    them, so rebuilding it would give an equal sequence.
     """
+    if not seq.fills:
+        return seq
     groups: dict = {}
     passthrough = []
     for f in seq.fills:

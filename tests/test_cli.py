@@ -477,6 +477,14 @@ def test_oracle_grid_sup_refuses_a_negative_depth(capsys):
     assert (code, out) == (2, _input_error("grid depth must be >= 0"))
 
 
+@pytest.mark.parametrize("bound", ["-1", "-7"])
+def test_oracle_dominating_search_refuses_a_negative_bound(capsys, bound):
+    """A bound below 0 admits no candidate: a search over it would print the
+    refutation "none" having checked nothing, so it is an input error."""
+    code, out = run_cli(capsys, "oracle", "dominating-search", "--bound", bound)
+    assert (code, out) == (2, _input_error(f"search bound must be >= 0, got {bound}"))
+
+
 @pytest.mark.parametrize("depth", [MAX_GRID_DEPTH + 1, 64])
 def test_oracle_grid_sup_refuses_a_depth_past_the_maximum(capsys, depth):
     """A depth past the maximum is an input error, raised before any grid

@@ -643,6 +643,33 @@ def test_payload_trims_make_no_fraction_eq_calls():
             assert eqs[0] == 0, (space.label, name, eqs[0])
 
 
+# the zero payload of each shape: line, fin_dev, row_block
+_ZERO_PAYLOADS = (((), (Q0,)), ((), Q0, ((), (Q0,))), ((), (((), (Q0,)),)))
+_AN_ATOM = {Kind.FIN_DIM: 2, Kind.TAIL_SEQ: 3, Kind.FIN_DEV: gamma(2), Kind.ROW_BLOCK: (2, 1)}
+
+
+def test_is_zero_reads_the_payload_without_fraction_eq(rng):
+    """`is_zero` agrees with membership among the zero payloads on zero,
+    the unit, half the unit, an atom, seeded elements and completion
+    patterns of every space, and on a zero stored as a `Fraction` other
+    than `Q0`; it compares no `Fraction` (membership made 6 to 8 `__eq__`
+    calls per three elements)."""
+    for space in ALL_SPACES:
+        z = zero(space)
+        line = ((), (Q(0),))
+        other_zero = elements.Element(space, {Kind.FIN_DEV: ((), Q(0), line),
+                                              Kind.ROW_BLOCK: ((), (line,))}.get(space.kind, line))
+        xs = [z, other_zero, unit(space), scale(Q(1, 2), unit(space)),
+              atom(space, _AN_ATOM[space.kind]),
+              *(random_element(rng, space) for _ in range(20)),
+              *(random_pattern(rng, space)[0] for _ in range(20))]
+        with fraction_calls(("__eq__",)) as eqs:
+            got = [x.is_zero() for x in xs]
+        assert eqs[0] == 0, space.label
+        assert got == [x.data in _ZERO_PAYLOADS for x in xs], space.label
+        assert got[:5] == [True, True, False, False, False], space.label
+
+
 SCALE_FACTORS = [Q(0), Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 2)]
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from rieszkit import oracles
-from rieszkit.errors import RieszkitError
+from rieszkit.errors import PreconditionError, RieszkitError
 from rieszkit.reports import ser
 from rieszkit.scalars import Q, RationalSeq
 from rieszkit.specfile import build_all, parse
@@ -523,6 +523,16 @@ def test_dominating_search_refutes_moving_indicator():
     assert res.candidates_checked > 0
 
 
+def test_dominating_search_refuses_a_negative_bound():
+    """Below bound 0 no candidate fits, and a refutation would rest on
+    nothing: the search raises before it builds a family."""
+    x = element_seq(F, atoms=[(token_form(1, 0), RationalSeq.const(1))])
+    for bound in (-1, -6):
+        with pytest.raises(PreconditionError, match=f"search bound must be >= 0, got {bound}"):
+            bruteforce_dominating_search(x, bound)
+    assert bruteforce_dominating_search(x, 0).candidates_checked == 1
+
+
 def test_truncation_commutes_with_apply():
     P = identity_on_tail_seq()
     M = truncate_operator(P, 4)
@@ -604,9 +614,14 @@ def test_dominating_search_results_are_pinned():
 
 
 def test_dominating_search_builds_each_family_once_and_probes_only_converging(monkeypatch):
-    """Each (shape, scale) family is built once, and domination is probed
-    only on candidates whose monotone decision converges."""
+    """Each (shape, scale) family is built once; every candidate's limit is
+    read first, decrease is checked only on a candidate whose normalized
+    form settles at 0, and domination is probed only on one verified
+    decreasing.  On the moving indicator 24 candidates settle at 8 zero
+    limits and 1 decreasing family, none dominating; on the l0inf subject
+    const(-2) the 9th candidate is found after 6 zero limits and 3 walks."""
     from rieszkit import oracles
+    from rieszkit.sequences import normalize
 
     builds = 0
 
@@ -617,39 +632,49 @@ def test_dominating_search_builds_each_family_once_and_probes_only_converging(mo
             return shape(x, c)
         return build
 
-    decided: dict = {}
-    decide = oracles.monotone_pattern
+    events: list = []
+    pattern, decide, walk = oracles.eventual_pattern, oracles.check_decreasing, oracles.walk_failure
+
+    def patterning(b):
+        pat = pattern(b)
+        events.append(("pattern", b, pat.is_zero()))
+        return pat
 
     def deciding(b, probe=8):
-        decided[b] = False
-        normal, pat = decide(b, probe)
-        decided[b] = pat.is_zero()
-        return normal, pat
-
-    probed = set()
-    walk = oracles.walk_failure
+        events.append(("decreasing", b, False))
+        window = decide(b, probe)
+        events[-1] = ("decreasing", b, True)
+        return window
 
     def probing(rel, x, y, first, last):
-        probed.update((x, y))
+        events.append(("walk", y, None))
         return walk(rel, x, y, first, last)
 
     monkeypatch.setattr(oracles, "_SHAPES", tuple(map(counted, oracles._SHAPES)))
-    monkeypatch.setattr(oracles, "monotone_pattern", deciding)
+    monkeypatch.setattr(oracles, "eventual_pattern", patterning)
+    monkeypatch.setattr(oracles, "check_decreasing", deciding)
     monkeypatch.setattr(oracles, "walk_failure", probing)
     # three scales each: 1, 1/2 and 2 from the coefficient 1; 1, 2 and 4
     # from the coefficient -2
-    for x, found in [(element_seq(F, atoms=[(token_form(1, 0), RationalSeq.const(1))]), False),
-                     (element_seq(T, atoms=[(seq_form(1, 0), RationalSeq.const(-2))]), True)]:
+    for x, found, counts in [
+        (element_seq(F, atoms=[(token_form(1, 0), RationalSeq.const(1))]), False, (24, 8, 1)),
+        (element_seq(T, atoms=[(seq_form(1, 0), RationalSeq.const(-2))]), True, (9, 6, 3)),
+    ]:
         builds = 0
-        decided.clear()
-        probed.clear()
+        events.clear()
         res = bruteforce_dominating_search(x, 6)
         assert (res.found is not None) == found
-        assert res.candidates_checked == len(decided)
+        stages = [stage for stage, _, _ in events]
+        assert res.candidates_checked == stages.count("pattern")
         assert builds <= 5 * 3
-        probed.discard(x)
-        assert probed <= {b for b, ok in decided.items() if ok}
-        assert len(probed) < len(decided)
+        for before, (stage, seq, _) in zip(events, events[1:]):
+            if stage == "decreasing":
+                assert before[0] == "pattern" and before[1] is seq and before[2]
+            elif stage == "walk":
+                assert before[0] == "decreasing" and before[2] and before[1] == normalize(seq)
+        assert events[0][0] == "pattern"
+        assert stages.count("walk") < stages.count("pattern")
+        assert tuple(map(stages.count, ("pattern", "decreasing", "walk"))) == counts
 
 
 def test_the_zero_family_is_a_neutral_summand(monkeypatch):

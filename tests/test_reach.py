@@ -71,7 +71,8 @@ ALLOWED = {
     # references and helpers that tests and the benchmark call
     "convergence.decide_monotone_limit": "the monotone certificate of the API; the benchmark's "
                                          "wide_lattice workload times it, and the dominating "
-                                         "search reads only its verdict (monotone_pattern)",
+                                         "search checks its two conditions itself (eventual "
+                                         "pattern, then check_decreasing)",
     "oracles.majorant_growth_probe": "per-level wrapper the benchmark and tests call; the CLI "
                                      "runs majorant_floors",
     "oracles.truncate_operator": "truncation reference the oracle tests compare apply_op with",

@@ -257,3 +257,81 @@ def test_a_fill_covers_what_its_steps_list_from_line_index_zero():
     for n in range(1, 7):
         hits = {f.form.at(k) for k in f.ks_at(n)}
         assert [i for i in range(1, 16) if f.covers(i, n)] == sorted(hits)
+
+
+# ---------------------------------------------------------------------------
+# normalize returns a fill-free sequence as it is
+
+
+def _normalized_by_rebuilding(seq):
+    """What `normalize` built for a fill-free sequence before it returned
+    one as it is: with no fill there is no group, no correction and no new
+    atom, so the merge came down to rebuilding the same components through
+    `element_seq`."""
+    assert not seq.fills
+    return element_seq(seq.space, seq.static, seq.atoms, (), seq.ambient, seq.n0, seq.prelude)
+
+
+def _seeded_sequences(rng):
+    """Fill-free and filled sequences from `element_seq`, `sub_element`,
+    `partial_sum_seq` and the dominating search's `_seq_sum`: stationary
+    and moving atoms with harmonic or steps coefficients, repeated
+    forms (merged), forms that meet (hidden behind a prelude), preludes,
+    fills, and the partial sums of every fixture and shipped spec."""
+    from pathlib import Path
+
+    from conftest import random_element, random_scalar
+    from rieszkit import oracles
+    from rieszkit.operators import partial_sum_seq
+    from rieszkit.specfile import build_all, parse
+
+    def coeff(kind):
+        c = random_scalar(rng)
+        return (RationalSeq.harmonic(c) if kind == "harmonic"
+                else RationalSeq.steps([c, random_scalar(rng)], c / 2))
+
+    made = []
+    for space, form in [(T, seq_form), (F, token_form)]:
+        for _ in range(12):
+            # one coefficient kind a sequence: a repeated form adds its
+            # coefficients, and a harmonic one adds only to a harmonic one
+            kind = rng.choice(["harmonic", "steps"])
+            atoms = [(form(rng.randint(0, 2), rng.randint(1, 4)), coeff(kind))
+                     for _ in range(rng.randint(0, 3))]
+            fills = ([fill(form(1, rng.randint(0, 2)), 1, 0, rng.randint(1, 3), rng.randint(0, 2),
+                           random_scalar(rng))] if rng.random() < 0.3 else [])
+            n0 = rng.randint(1, 3)
+            seq = element_seq(space, static=random_element(rng, space), atoms=atoms, fills=fills,
+                              ambient=RationalSeq.steps([random_scalar(rng)], random_scalar(rng)),
+                              n0=n0, prelude=[random_element(rng, space) for _ in range(n0 - 1)])
+            made += [seq, sub_element(seq, random_element(rng, space))]
+            families = [fam for shape in oracles._SHAPES
+                        if (fam := shape(seq, random_scalar(rng) or Q(1))) is not None]
+            made += [oracles._seq_sum([a, b]) for a in families for b in families]
+    root = Path(__file__).resolve().parents[1]
+    for path in sorted([*(root / "fixtures").glob("*.rzk"), *(root / "tests" / "specs").glob("*.rzk")]):
+        for op in build_all(parse(path.read_text(encoding="utf-8")))[1].values():
+            if op.domain.row.sequence:
+                made.append(partial_sum_seq(op))
+    return made
+
+
+def test_normalize_returns_a_fill_free_sequence_as_it_is(rng):
+    """On every seeded sequence without fills, `normalize` gives the
+    sequence itself, equal to what rebuilding it through `element_seq`
+    gave; the seeds cover both kinds of sequence from each source."""
+    kinds = set()
+    for seq in _seeded_sequences(rng):
+        kinds.add(bool(seq.fills))
+        got = normalize(seq)
+        if not seq.fills:
+            assert got is seq
+            assert seq == _normalized_by_rebuilding(seq)
+            continue
+        # a sequence with fills is still merged: one full-class fill a
+        # coordinate line, the same value at every step
+        lines = [(type(f.form), f.form.idx.p, f.form.idx.q % f.form.idx.p)
+                 for f in got.fills if f.modulus == 1 and f.form.idx.d == 1]
+        assert len(lines) == len(set(lines))
+        assert all(eval_seq(got, n) == eval_seq(seq, n) for n in range(1, 9))
+    assert kinds == {True, False}
