@@ -209,11 +209,6 @@ def oc_projection(T: Operator) -> Operator:
     return replace(T, unit_image=image_sum_pattern(T, "id"))
 
 
-def projection_fixes(T: Operator) -> bool:
-    """P(T) == T, i.e. the unit image equals the partial-sum limit."""
-    return image_sum_pattern(T, "id") == T.unit_image
-
-
 # ---------------------------------------------------------------------------
 # pervasiveness witnesses
 

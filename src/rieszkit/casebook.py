@@ -60,7 +60,7 @@ from .operators import (
     scale_op,
     stencil_rule,
 )
-from .sequences import element_seq, eval_seq
+from .sequences import ElementSeq, element_seq, eval_seq
 from .convergence import (
     decide_order_convergence,
     o1_dominating_obstruction,
@@ -71,7 +71,6 @@ from .calculus import (
     oc_projection,
     order_continuity_test,
     positive_part,
-    projection_fixes,
 )
 from .oracles import bruteforce_dominating_search, majorant_floors
 from .reports import Report
@@ -98,6 +97,13 @@ def moving_indicator_operator() -> Operator:
         None,
         zero(cod),
     )
+
+
+def moving_indicator_sequence() -> ElementSeq:
+    """The sequence n -> indicator of the point g(n) in the uncountable-index
+    space: the atom-image partial sums of the moving-indicator operator,
+    whose coordinatewise limit is zero."""
+    return element_seq(fin_dev(), atoms=[(token_form(1, 0), RationalSeq.const(1))])
 
 
 def row_pair_difference_operator() -> Operator:
@@ -178,9 +184,7 @@ def run_not_directed(probe: int = 8) -> Report:
         "many coordinates >= 1, and so keeps ambient >= 1 in the "
         "finite-deviation representation"
     )
-    x = element_seq(
-        T.codomain, atoms=[(token_form(1, 0), RationalSeq.const(1))]
-    )
+    x = moving_indicator_sequence()
     obstruction = o1_dominating_obstruction(x)
     ok, log = verify_certificate(obstruction, x, probe=probe)
     _require(ok, "the obstruction certificate verifies")
@@ -219,7 +223,7 @@ def run_not_directed(probe: int = 8) -> Report:
     )
 
 
-def run_bounded_not_regular(probe: int = 8, levels: int = 8) -> Report:
+def run_bounded_not_regular(probe: int = 8) -> Report:
     T = row_pair_difference_operator()
     dom, cod = T.domain, T.codomain
     transcript = []
@@ -273,9 +277,9 @@ def run_bounded_not_regular(probe: int = 8, levels: int = 8) -> Report:
         "which deviates from the grid constant on an infinite set: the "
         "positive part leaves the operator space"
     )
-    mu = majorant_floors(T, levels)
-    _require(all(mu[n] >= Q(n, 2) for n in range(levels + 1)), "majorant floors grow linearly")
-    _require(all(mu[n] <= mu[n + 1] for n in range(levels)), "majorant floors increase")
+    mu = majorant_floors(T, 8)
+    _require(all(v >= Q(n, 2) for n, v in enumerate(mu)), "majorant floors grow linearly")
+    _require(all(a <= b for a, b in zip(mu, mu[1:])), "majorant floors increase")
     transcript.append(
         "truncated majorant floors grow linearly with the level, evidence "
         "consistent with the cited non-regularity (the non-regularity proof "
@@ -292,7 +296,7 @@ def run_bounded_not_regular(probe: int = 8, levels: int = 8) -> Report:
             "cited-nonregularity",
         ),
         certificate={"order_convergence": certs},
-        oracle={"majorant_floor": {str(n): mu[n] for n in range(levels + 1)}},
+        oracle={"majorant_floor": {str(n): v for n, v in enumerate(mu)}},
         transcript=tuple(transcript),
         details={
             "order_bound": bound.bound,
@@ -353,10 +357,10 @@ def run_projection_demo(seed: int = 42) -> Report:
         "vanishes on every atom"
     )
     ident = identity_on_tail_seq()
-    _require(projection_fixes(ident), "the identity is fixed")
+    _require(oc_projection(ident).unit_image == ident.unit_image, "the identity is fixed")
     lf = limit_functional_rank_one()
     P_lf = oc_projection(lf)
-    _require(P_lf.unit_image.is_zero() and not projection_fixes(lf),
+    _require(P_lf.unit_image.is_zero() and P_lf.unit_image != lf.unit_image,
              "the limit-functional tensor projects to zero")
     transcript.append(
         "the identity is fixed; the limit-functional tensor projects to zero"

@@ -27,8 +27,8 @@ import os
 import sys
 
 from .errors import PreconditionError, RieszkitError, UnsupportedHypothesisError
-from .scalars import RationalSeq, qof, qstr
-from .spaces import fin_dev, parse_space_label, token_form
+from .scalars import qof, qstr
+from .spaces import parse_space_label
 from .elements import coordinate, describe, unit
 from .operators import order_bounded_test, partial_sum_seq
 from .calculus import (
@@ -42,7 +42,7 @@ from .calculus import (
     pervasive_witness,
     positive_part,
 )
-from .casebook import CASEBOOK, row_pair_difference_operator
+from .casebook import CASEBOOK, moving_indicator_sequence, row_pair_difference_operator
 from .oracles import (
     bruteforce_dominating_search,
     grid_interval_sup,
@@ -50,7 +50,6 @@ from .oracles import (
     matrix_positive_part,
 )
 from .reports import Report, to_json, to_markdown
-from .sequences import element_seq
 from .specfile import build_all, build_spaces, parse
 
 
@@ -280,9 +279,7 @@ def _cmd_oracle(args) -> Report:
             seq = partial_sum_seq(T)
             subject = "the operator's atom-image partial sums"
         else:
-            seq = element_seq(
-                fin_dev(), atoms=[(token_form(1, 0), RationalSeq.const(1))]
-            )
+            seq = moving_indicator_sequence()
             subject = "the moving-indicator sequence"
         res = bruteforce_dominating_search(seq, args.bound)
         return Report(

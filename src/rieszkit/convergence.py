@@ -113,7 +113,7 @@ def check_decreasing(b: ElementSeq, probe: int = 8) -> int:
     n = decreasing_failure(b, window)
     if n is not None:
         raise NotDecreasingError(n, f"b({n + 1}) !<= b({n})")
-    if not b.ambient.is_nonincreasing_from(1):
+    if not b.ambient.is_nonincreasing():
         raise NotDecreasingError(window, "ambient sequence increases in the tail")
     for form, coeff in b.atoms:
         if form.moving:
@@ -122,7 +122,7 @@ def check_decreasing(b: ElementSeq, probe: int = 8) -> int:
                     window, f"moving coefficient at {form} stays positive"
                 )
         else:
-            if not coeff.is_nonincreasing_from(1):
+            if not coeff.is_nonincreasing():
                 raise NotDecreasingError(
                     window, f"stationary coefficient at {form} increases"
                 )

@@ -6,8 +6,7 @@ test suite compares the engine against them.  Box-linear maxima are taken on
 dyadic grids whose endpoints include the box vertices, which is exact for
 linear objectives.  The grid oracle visits every grid point as integer pairs
 (n * k, d * 2**depth) over each axis top n/d and builds one `Fraction` per
-maximized term; only the joint route's enumerated points become `Fraction`
-elements.
+maximized term.
 """
 
 from __future__ import annotations
@@ -22,13 +21,11 @@ from .elements import (
     Element,
     add,
     coordinate,
-    element_tail,
     lincomb,
     recompose,
-    sup2,
     support as elem_support,
 )
-from .operators import Operator, apply_op, atom_image, image_parts
+from .operators import Operator, atom_image, image_parts
 from .sequences import (
     ElementSeq,
     element_seq,
@@ -89,11 +86,6 @@ def _dyadic_axis(top: Q, depth: int) -> tuple[int, int, int]:
     return n, d << depth, 1 << depth
 
 
-def _axis_points(axis) -> list[Q]:
-    n, den, steps = axis
-    return [Q(n * k, den) for k in range(steps + 1)]
-
-
 def _term_max(a: Q, axis) -> Q:
     """max(a * v for v on the axis), visiting every grid point.
 
@@ -107,18 +99,23 @@ def _term_max(a: Q, axis) -> Q:
     return Q(best, q * den) if best else Q0
 
 
-def grid_interval_sup(T: Operator, x: Element, depth: int, joint_budget: int = 4096) -> Element:
+def grid_interval_sup(T: Operator, x: Element, depth: int) -> Element:
     """Coordinatewise max of T(y) over the dyadic grid of [0, x].
 
     Grid points vary the coordinates that the data can see (the atom
     supports of the operator's table plus x's prefix) and the tail value.
     Each axis is the integer pairs (n * k, d * 2**depth) over its top n/d,
-    and every grid point is visited.  Small cases enumerate the product grid
-    outright, as `Fraction` points; larger ones maximize per output
-    coordinate, which agrees with the joint maximum because the objective is
-    linear in each grid variable.  A functional is an operator into
-    fin_dim(1), so its grid supremum is that space's one coordinate.  A
-    depth outside 0..MAX_GRID_DEPTH is refused before any grid is built.
+    and every grid point is visited.  T(y) at output k equals
+    sum_i y_i * a_{i,k} + t * (U_k - sigma_k), where a_{i,k} is coordinate k
+    of the i-th atom image, U the unit image and sigma_k the row sum over
+    the grid coordinates: the objective is linear in each grid variable, so
+    each output coordinate maximizes its variables independently, and that
+    agrees with the joint maximum.  Each term's maximum builds one
+    `Fraction`, and the terms are summed by `qadd`/`qsub`.  The target is
+    assembled from the coordinates the images store and the points past
+    them, on every codomain; a functional is an operator into fin_dim(1),
+    so its grid supremum is that space's one coordinate.  A depth outside
+    0..MAX_GRID_DEPTH is refused before any grid is built.
     """
     if not x.space.row.sequence:
         raise PreconditionError("the grid oracle runs on tail sequences")
@@ -133,37 +130,6 @@ def grid_interval_sup(T: Operator, x: Element, depth: int, joint_budget: int = 4
     support = sorted(support)
     axes = [_dyadic_axis(coordinate(x, i), depth) for i in support]
     tail_axis = _dyadic_axis(x.tail, depth)
-
-    def build(yvals, t) -> Element:
-        prefix = []
-        top = max(support, default=0)
-        vals = dict(zip(support, yvals))
-        for i in range(1, top + 1):
-            prefix.append(vals.get(i, min(t, coordinate(x, i))))
-        return element_tail(x.space, prefix, t)
-
-    if (2**depth + 1) ** (len(support) + 1) <= joint_budget:
-        best = None
-        for combo in product(*map(_axis_points, axes), _axis_points(tail_axis)):
-            img = apply_op(T, build(combo[:-1], combo[-1]))
-            best = img if best is None else sup2(best, img)
-        return best
-    # separable route: per output coordinate the objective is linear in each
-    # grid variable, so the coordinatewise grid maximum splits per variable
-    return _grid_sup_separable(T, support, axes, tail_axis)
-
-
-def _grid_sup_separable(T: Operator, support, axes, tail_axis):
-    """Coordinatewise grid maximum of T, over the grid `axes[j]` of each
-    coordinate `support[j]` and the tail grid.
-
-    T(y) at output k equals sum_i y_i * a_{i,k} + t * (U_k - sigma_k) where
-    a_{i,k} is coordinate k of the i-th atom image, U the unit image and
-    sigma_k the row sum over the support; each output coordinate maximizes
-    its variables independently.  Each term's maximum visits every point of
-    its axis as integer pairs and builds one `Fraction`, and the terms are
-    summed by `qadd`/`qsub`.  The target is assembled from the coordinates
-    the images store and the points past them, on every codomain."""
     imgs = {i: atom_image(T, i) for i in support}
     U = T.unit_image
     touched = set(elem_support(U))

@@ -214,8 +214,8 @@ class RationalSeq:
     def max_abs(self) -> Q:
         return max(abs(self.at(n)) for n in range(1, len(self.prefix) + 2))
 
-    def is_nonincreasing_from(self, n0: int = 1) -> bool:
-        vals = [self.at(n) for n in range(n0, len(self.prefix) + 2)]
+    def is_nonincreasing(self) -> bool:
+        vals = [self.at(n) for n in range(1, len(self.prefix) + 2)]
         return self.h >= 0 and all(a >= b for a, b in zip(vals, vals[1:]))
 
     def scale(self, c: QLike) -> "RationalSeq":

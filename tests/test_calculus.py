@@ -57,7 +57,6 @@ from rieszkit.calculus import (
     order_continuity_test,
     pervasive_witness,
     positive_part,
-    projection_fixes,
     rk_value,
     verify_witness,
 )
@@ -210,16 +209,16 @@ def test_projection_laws(rng):
         assert op_eq(
             oc_projection(add_op(Tp, Sp)), add_op(oc_projection(Tp), oc_projection(Sp))
         )
-        assert projection_fixes(Tp) == order_continuity_test(Tp)[0]
+        assert (P_T.unit_image == Tp.unit_image) == order_continuity_test(Tp)[0]
 
 
 def test_projection_examples():
-    assert projection_fixes(identity_on_tail_seq())
-    assert projection_fixes(moving_indicator_operator())
+    for fixed in (identity_on_tail_seq(), moving_indicator_operator()):
+        assert oc_projection(fixed).unit_image == fixed.unit_image
     R = limit_functional_rank_one()
     P = oc_projection(R)
     assert P.unit_image.is_zero()
-    assert not projection_fixes(R)
+    assert P.unit_image != R.unit_image
 
 
 def test_pervasive_witness_identity():

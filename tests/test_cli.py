@@ -292,8 +292,8 @@ def test_witness_pervasive_succeeds_on_every_pair(tmp_path, capsys, dom, cod, cl
 
 @pytest.mark.parametrize("depth", ["0", "2", "4"])
 def test_grid_sup_assembles_row_block_targets(tmp_path, capsys, depth):
-    """Two atom images on one grid row put the product grid past its budget
-    at depth 4; the separable route gives the same value."""
+    """Two atom images on one grid row of a grid target: the oracle
+    assembles the same value at depths 0, 2 and 4."""
     spec = _spec_file(tmp_path, "l0inf", "grid", "e(1) -> 1 @ (1,1)", "e(2) -> 1 @ (1,2)",
                       "unit -> 1 * unit")
     code, out = run_cli(capsys, "oracle", "grid-sup", "--spec", spec, "--depth", depth)
@@ -586,6 +586,12 @@ def pinned_runs() -> dict:
         for name, spec in SPECS.items():
             for command in FIXTURE_COMMANDS:
                 runs[" ".join([*command, name, *fmt])] = [*command, "--spec", spec, *fmt]
+        # the grid oracle on every shipped spec at depths 0 and 2, beside
+        # FIXTURE_COMMANDS' depth 1
+        for spec in SHIPPED:
+            for depth in ("0", "2"):
+                command = ["oracle", "grid-sup", "--depth", depth]
+                runs[" ".join([*command, spec.stem, *fmt])] = [*command, "--spec", str(spec), *fmt]
         for name in CASEBOOK:
             runs[" ".join(["casebook", name, *fmt])] = ["casebook", name, *fmt]
         for name in PROBED_CASEBOOK:

@@ -30,6 +30,7 @@ from rieszkit.elements import (
     element_fin,
     element_tail,
     scale,
+    sup2,
     support,
     unit,
     zero,
@@ -125,18 +126,14 @@ UNEVEN = element_tail(T, [1, 3, Q(1, 2)], 2)
 def test_grid_sup_separable_matches_joint():
     f = functional(T, {1: 2, 2: -1, 3: 1}, 2)
     for x in (unit(T), UNEVEN):
-        joint = grid_interval_sup(f, x, 2, joint_budget=10**6)
-        separable = grid_interval_sup(f, x, 2, joint_budget=1)
-        assert joint == separable
+        assert grid_interval_sup(f, x, 2) == product_grid_sup(f, x, 2)
 
 
 def test_grid_sup_operator_target_routes_agree():
     P = identity_on_tail_seq()
     R = rank_one(functional(T, {1: 2, 2: -1, 3: 1}, 2), element_tail(T, [1, -2], 1))
     for T_, x in ((P, element_tail(T, [1, 1], 1)), (P, UNEVEN), (R, UNEVEN)):
-        joint = grid_interval_sup(T_, x, 2, joint_budget=10**7)
-        separable = grid_interval_sup(T_, x, 2, joint_budget=1)
-        assert joint == separable
+        assert grid_interval_sup(T_, x, 2) == product_grid_sup(T_, x, 2)
 
 
 def test_term_max_matches_the_fraction_grid(rng):
@@ -157,6 +154,25 @@ def _grid_variables(T_, x) -> set:
     if T_.rule is not None:
         var |= set(range(T_.rule.threshold + 1, T_.rule.threshold + 4))
     return var
+
+
+def product_grid_sup(T_, x, depth):
+    """The grid supremum by enumeration: the sup2 of T(y) over every point
+    y of the product grid, as Fraction elements.  The grid variables take
+    top * j / 2**depth, the tail t likewise, and every other prefix
+    coordinate i of y is min(t, x_i)."""
+    var = sorted(_grid_variables(T_, x))
+
+    def points(top):
+        return [top * j / 2**depth for j in range(2**depth + 1)]
+
+    best = None
+    for *ys, t in product(*(points(coordinate(x, i)) for i in var), points(x.tail)):
+        vals = dict(zip(var, ys))
+        prefix = [vals.get(i, min(t, coordinate(x, i))) for i in range(1, max(var, default=0) + 1)]
+        img = apply_op(T_, element_tail(x.space, prefix, t))
+        best = img if best is None else sup2(best, img)
+    return best
 
 
 def _naive_grid_sup_at(T_, x, depth, k):
@@ -188,23 +204,23 @@ def _probe_coords(T_, x):
     return [*sorted(touched), fresh_star(touched)]
 
 
-# the joint route calls apply_op once per grid point, so it is compared
-# where the product grid has at most this many points
+# the product grid calls apply_op once per grid point, so it is compared
+# where it has at most this many points
 JOINT_POINTS = 1000
 
 
 def _assert_grid_sup_is_naive(T_, x):
-    """Both routes at depths 0..6 against the naive reference."""
+    """The oracle at depths 0..6, and the product grid where it is small,
+    against the naive reference."""
     joint_dims = len(_grid_variables(T_, x)) + 1
     coords = _probe_coords(T_, x)
     for depth in range(7):
-        budgets = [1]
+        sups = {"oracle": grid_interval_sup(T_, x, depth)}
         if (2**depth + 1) ** joint_dims <= JOINT_POINTS:
-            budgets.append(10**7)
-        for budget in budgets:
-            g = grid_interval_sup(T_, x, depth, joint_budget=budget)
+            sups["product grid"] = product_grid_sup(T_, x, depth)
+        for route, g in sups.items():
             for k in coords:
-                assert coordinate(g, k) == _naive_grid_sup_at(T_, x, depth, k), (depth, budget, k)
+                assert coordinate(g, k) == _naive_grid_sup_at(T_, x, depth, k), (depth, route, k)
 
 
 SHIPPED_L0INF = ["fixtures/moving_indicator.rzk", "tests/specs/ck_periodic.rzk",
@@ -237,9 +253,9 @@ def test_grid_sup_matches_the_naive_reference_on_ck_and_findim_codomains(rng):
 
 
 def test_grid_sup_routes_agree_on_row_block_codomains():
-    """The separable route assembles grid and ek targets as the product grid
-    does: 720 seeded l0inf -> grid/ek tables, on the unit and on an uneven
-    x, at depths 0..2."""
+    """The oracle assembles grid and ek targets as the product grid does:
+    720 seeded l0inf -> grid/ek tables, on the unit and on an uneven x, at
+    depths 0..2."""
     rng = random.Random(20261019)
     cases = 0
     for cod in (row_block_grid(), row_block_ek()):
@@ -248,8 +264,7 @@ def test_grid_sup_routes_agree_on_row_block_codomains():
             T_ = operator(T, cod, table, None, None, random_element(rng, cod))
             for x in (unit(T), element_tail(T, [Q(1, 2)], 2)):
                 for depth in range(3):
-                    joint = grid_interval_sup(T_, x, depth, joint_budget=10**7)
-                    assert grid_interval_sup(T_, x, depth, joint_budget=1) == joint
+                    assert grid_interval_sup(T_, x, depth) == product_grid_sup(T_, x, depth)
                     cases += 1
     assert cases == 720
 
