@@ -65,12 +65,7 @@ from typing import Iterable, Mapping, Sequence, Tuple
 from .records import record
 from .errors import InvalidIndexError, SpaceMismatchError, StencilError
 from .scalars import Q, Q0, QLike, qabs, qadd, qeq, qle, qmax, qmin, qmul, qof, qstr, qsub
-from .spaces import (
-    AtomIndex,
-    Kind,
-    SpaceDesc,
-    Token,
-)
+from .spaces import AtomIndex, SpaceDesc, Token
 
 Line = Tuple[tuple, tuple]  # (prefix, residues)
 
@@ -177,7 +172,7 @@ def _progression(step: int, first: int, v, z, eq=qeq) -> Line:
 
 
 def element_fin(space: SpaceDesc, coords: Sequence[QLike]) -> Element:
-    if space.kind != Kind.FIN_DIM:
+    if not space.dim:
         raise SpaceMismatchError("element_fin needs a fin_dim space")
     vals = tuple(qof(v) for v in coords)
     if len(vals) != space.dim:
@@ -186,7 +181,7 @@ def element_fin(space: SpaceDesc, coords: Sequence[QLike]) -> Element:
 
 
 def element_tail(space: SpaceDesc, prefix: Sequence[QLike], tail: QLike) -> Element:
-    if space.kind != Kind.TAIL_SEQ:
+    if not space.row.sequence:
         raise SpaceMismatchError("element_tail needs a tail_seq space")
     return Element(space, _canonical_line([qof(v) for v in prefix], (qof(tail),)))
 
@@ -195,7 +190,7 @@ def element_findev(
     space: SpaceDesc, entries: Mapping[Token, QLike] | Iterable[Tuple[Token, QLike]],
     ambient: QLike,
 ) -> Element:
-    if space.kind != Kind.FIN_DEV:
+    if space.row.shape != "fin_dev":
         raise SpaceMismatchError("element_findev needs a fin_dev space")
     return _findev(space, {tok: qof(v) for tok, v in dict(entries).items()}, qof(ambient), Q0)
 
@@ -203,7 +198,7 @@ def element_findev(
 def element_rowblock(
     space: SpaceDesc, rows: Sequence[Tuple[Sequence[QLike], QLike]], tail: QLike
 ) -> Element:
-    if space.kind != Kind.ROW_BLOCK:
+    if space.row.shape != "row_block":
         raise SpaceMismatchError("element_rowblock needs a row_block space")
     tail_q = (qof(tail),)
     canon = [_canonical_line([qof(v) for v in p], (qof(rt),)) for p, rt in rows]

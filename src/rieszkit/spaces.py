@@ -41,7 +41,6 @@ and offset, and only `repr` writes them back as rationals.
 
 from __future__ import annotations
 
-from enum import Enum
 from math import gcd
 from typing import Callable, Iterable, Tuple, Union
 
@@ -50,19 +49,11 @@ from .errors import InvalidIndexError, PreconditionError, StencilError
 from .scalars import Q, QLike, qof
 
 
-class Kind(str, Enum):
-    FIN_DIM = "fin_dim"
-    TAIL_SEQ = "tail_seq"
-    FIN_DEV = "fin_dev"
-    ROW_BLOCK = "row_block"
-
-
 @record
 class KindRow:
     """One row of the kind table, one object per variant.  A row's repr is
     its label, so reprs of spaces carry no function addresses."""
 
-    kind: Kind
     label: str  # formatted with the dimension
     form: type  # SeqForm, TokenForm or PairForm
     shape: str  # the payload shape in `elements`: line, fin_dev or row_block
@@ -85,10 +76,6 @@ class KindRow:
 class SpaceDesc:
     row: KindRow
     dim: int = 0  # findim only
-
-    @property
-    def kind(self) -> Kind:
-        return self.row.kind
 
     @property
     def row_units(self) -> bool:
@@ -449,20 +436,20 @@ def _check_pair_atom(idx, dim: int) -> None:
         raise InvalidIndexError(f"row_block atom index {idx!r} out of range")
 
 
-FINDIM = KindRow(Kind.FIN_DIM, "findim({})", SeqForm, "line", _check_line_atom,
+FINDIM = KindRow("findim({})", SeqForm, "line", _check_line_atom,
                  enumerated=True, atom_span_codim=0, uniformly_complete=True,
                  order_complete=True)
 # the unit spans the quotient by the atom span; dyadic staircases are
 # uniformly Cauchy with no eventually constant limit
-L0INF = KindRow(Kind.TAIL_SEQ, "l0inf", SeqForm, "line", _check_line_atom,
+L0INF = KindRow("l0inf", SeqForm, "line", _check_line_atom,
                 enumerated=True, sequence=True)
 # a sup-norm lattice over an uncountable index
-CK = KindRow(Kind.FIN_DEV, "ck", TokenForm, "fin_dev", _check_token_atom,
+CK = KindRow("ck", TokenForm, "fin_dev", _check_token_atom,
              countable=False, uniformly_complete=True)
 # each row unit survives the closure of the atom span independently
-EK = KindRow(Kind.ROW_BLOCK, "ek", PairForm, "row_block", _check_pair_atom,
+EK = KindRow("ek", PairForm, "row_block", _check_pair_atom,
              row_units=True, atom_span_codim=None)
-GRID = KindRow(Kind.ROW_BLOCK, "grid", PairForm, "row_block", _check_pair_atom)
+GRID = KindRow("grid", PairForm, "row_block", _check_pair_atom)
 
 
 def fin_dim(n: int) -> SpaceDesc:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from rieszkit.scalars import Q
-from rieszkit.spaces import SpaceDesc, Kind, Token, fin_dim, fin_dev, gamma, row_block_ek, row_block_grid, tail_seq
+from rieszkit.spaces import SpaceDesc, Token, fin_dim, fin_dev, gamma, row_block_ek, row_block_grid, tail_seq
 from rieszkit.elements import (
     Element,
     add,
@@ -61,14 +61,14 @@ def random_scalar(rng: random.Random, span: int = 6) -> Q:
 
 
 def random_element(rng: random.Random, space: SpaceDesc) -> Element:
-    if space.kind == Kind.FIN_DIM:
+    if space.dim:
         return element_fin(space, [random_scalar(rng) for _ in range(space.dim)])
-    if space.kind == Kind.TAIL_SEQ:
+    if space.row.sequence:
         width = rng.randint(0, 4)
         return element_tail(
             space, [random_scalar(rng) for _ in range(width)], random_scalar(rng)
         )
-    if space.kind == Kind.FIN_DEV:
+    if space.row.shape == "fin_dev":
         toks = rng.sample(range(1, 8), rng.randint(0, 3))
         return element_findev(
             space,
@@ -89,15 +89,15 @@ def random_pattern(rng: random.Random, space: SpaceDesc):
     random pieces with steps 0..4, built by `pattern_from_pieces`.  ck bases
     also store star tokens, which the line pieces never touch."""
     base = random_element(rng, space)
-    if space.kind == Kind.FIN_DEV:
+    if space.row.shape == "fin_dev":
         stars = {Token("star", k): random_scalar(rng) for k in rng.sample(range(1, 5), 2)}
         base = add(base, element_findev(space, stars, 0))
     pieces = []
     for _ in range(rng.randint(0, 3)):
         v = random_scalar(rng)
-        if space.kind == Kind.FIN_DIM:
+        if space.dim:
             pieces.append((0, rng.randint(1, space.dim), v))
-        elif space.kind == Kind.ROW_BLOCK:
+        elif space.row.shape == "row_block":
             pieces.append((rng.randint(0, 4), rng.randint(1, 4), rng.randint(0, 4),
                            rng.randint(1, 4), v))
         else:

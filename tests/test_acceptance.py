@@ -37,7 +37,7 @@ from rieszkit.elements import (
     zero,
 )
 from rieszkit.completion import collapse
-from rieszkit.sequences import element_seq, eval_seq
+from rieszkit.sequences import element_seq
 from rieszkit.convergence import (
     decide_order_convergence,
     o1_dominating_obstruction,
@@ -66,7 +66,6 @@ from rieszkit.calculus import (
 from rieszkit.oracles import (
     bruteforce_dominating_search,
     grid_interval_sup,
-    majorant_growth_probe,
     matrix_positive_part,
 )
 from rieszkit.casebook import (
@@ -89,7 +88,7 @@ def _random_bounded_stencil_op(rng: random.Random, codomain):
         threshold = rng.randint(1, 3)
         images = {}
         for i in range(1, threshold + 1):
-            if codomain.kind.value == "fin_dev":
+            if codomain.row.shape == "fin_dev":
                 toks = rng.sample(range(1, 6), rng.randint(0, 2))
                 images[i] = element_findev(
                     codomain, {gamma(k): Q(rng.randint(-3, 3)) for k in toks}, 0
@@ -111,7 +110,7 @@ def _random_bounded_stencil_op(rng: random.Random, codomain):
                     continue
                 form = (
                     token_form(a, b)
-                    if codomain.kind.value == "fin_dev"
+                    if codomain.row.shape == "fin_dev"
                     else seq_form(a, b)
                 )
                 es.append((form, c))
@@ -120,7 +119,7 @@ def _random_bounded_stencil_op(rng: random.Random, codomain):
             rule = stencil_rule(q, threshold, entries, codomain)
         except Exception:
             continue
-        if codomain.kind.value == "fin_dev":
+        if codomain.row.shape == "fin_dev":
             unit_img = element_findev(codomain, {gamma(1): Q(rng.randint(-2, 2))}, 0)
         else:
             unit_img = element_tail(codomain, [Q(rng.randint(-2, 2))], 0)

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_element
 from rieszkit.errors import PreconditionError, UnsupportedHypothesisError
-from rieszkit.scalars import Q, RationalSeq
+from rieszkit.scalars import Q
 from rieszkit import calculus
 from rieszkit.spaces import (
     fin_dev,

@@ -555,6 +555,7 @@ SPECS = {
     "ck_rule_positive": "tests/specs/ck_rule_positive.rzk",
     "grid_rule_positive": "tests/specs/grid_rule_positive.rzk",
     "l0inf_identity": "tests/specs/l0inf_identity.rzk",
+    "shift_positive": "tests/specs/shift_positive.rzk",
 }
 DIGESTS = Path(__file__).with_name("report_digests.json")
 # the case studies whose probe loops grow with --probe, pinned at its ends

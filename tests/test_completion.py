@@ -29,7 +29,7 @@ from rieszkit.elements import (
     sup2,
 )
 from rieszkit.scalars import Q
-from rieszkit.spaces import Kind, Token, gamma
+from rieszkit.spaces import Token, gamma
 
 from conftest import ALL_SPACES, random_element, random_pattern
 
@@ -46,9 +46,9 @@ def _reference(space, base, pieces):
     def at(idx):
         v = coordinate(base, idx)
         for *where, c in pieces:
-            if space.kind == Kind.ROW_BLOCK:
+            if space.row.shape == "row_block":
                 hit = _covers(*where[:2], idx[0]) and _covers(*where[2:], idx[1])
-            elif space.kind == Kind.FIN_DEV:
+            elif space.row.shape == "fin_dev":
                 hit = idx.family == "g" and _covers(*where, idx.k)
             else:
                 hit = _covers(*where, idx)
@@ -120,12 +120,11 @@ def _window(space, descs, pieces):
     firsts = [p[i + 1] for p in pieces for i in range(0, len(p) - 1, 2)]
     period = lcm(1, *steps, *(m for _, m in extents))
     w = max([e for e, _ in extents] + firsts) + 2 * period
-    k = space.kind
-    if k == Kind.FIN_DIM:
+    if space.dim:
         return list(range(1, space.dim + 1)), w, period
-    if k == Kind.TAIL_SEQ:
+    if space.row.sequence:
         return list(range(1, w + 1)), w, period
-    if k == Kind.FIN_DEV:
+    if space.row.shape == "fin_dev":
         stars = [Token("star", i) for i in range(1, 5)]
         return [gamma(i) for i in range(1, w + 1)] + stars + [FRESH], w, period
     return [(n, m) for n in range(1, w + 1) for m in range(1, w + 1)], w, period
@@ -133,12 +132,11 @@ def _window(space, descs, pieces):
 
 def _in_base_space_reference(space, at, w: int, period: int) -> bool:
     last = range(w - period + 1, w + 1)
-    k = space.kind
-    if k == Kind.FIN_DIM:
+    if space.dim:
         return True
-    if k == Kind.TAIL_SEQ:
+    if space.row.sequence:
         return len({at(i) for i in last}) == 1
-    if k == Kind.FIN_DEV:
+    if space.row.shape == "fin_dev":
         return {at(gamma(i)) for i in last} == {at(FRESH)}
     c = at((w, w))
     background = all(at((n, m)) == c for n in last for m in range(1, w + 1))
@@ -220,10 +218,10 @@ def test_pattern_operations_match_the_reference(rng):
 def test_moduli_that_differ_between_the_operands(rng):
     """Steps 3 and 4 on the two operands: results have modulus 12."""
     for space in ALL_SPACES:
-        if space.kind == Kind.FIN_DIM:
+        if space.dim:
             continue
         base_a, base_b = random_element(rng, space), random_element(rng, space)
-        if space.kind == Kind.ROW_BLOCK:
+        if space.row.shape == "row_block":
             pieces_a, pieces_b = [(1, 2, 3, 1, Q(1))], [(2, 1, 4, 2, Q(-2))]
         else:
             pieces_a, pieces_b = [(3, 2, Q(1))], [(4, 1, Q(-2)), (0, 3, Q(5))]

@@ -100,7 +100,7 @@ def test_every_definition_is_referenced():
 # package, counted as the benchmark's `source_figures` counts them.  Per-kind
 # facts live in the kind table of `spaces` and per-payload behaviour in the
 # shape objects of `elements`; a new switch on the kind raises these counts.
-KIND_DISPATCH_BUDGET = 9
+KIND_DISPATCH_BUDGET = 0
 ISINSTANCE_DISPATCH_BUDGET = 18
 
 
@@ -123,7 +123,7 @@ def test_dispatch_sites_stay_within_budget():
 # blank lines, comment-only lines and the lines of module, class and
 # function docstrings, so documentation is never what a cut removes.  A PR
 # that cuts code lowers it to the count it reaches.
-CODE_LINE_BUDGET = 3767
+CODE_LINE_BUDGET = 3682
 
 
 def code_lines(package: Path) -> int:

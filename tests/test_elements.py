@@ -24,7 +24,6 @@ from rieszkit.operators import partial_sum_seq
 from rieszkit.oracles import majorant_floors
 from rieszkit.sequences import element_seq, normalize, sub_element
 from rieszkit.spaces import (
-    Kind,
     Token,
     fin_dev,
     fin_dim,
@@ -199,12 +198,11 @@ def _probes(x, y) -> list:
     """Coordinates at which x and y take every value pair they have: both
     supports plus points past every prefix, row and stored token."""
     pts = support(x) + support(y)
-    k = x.space.kind
-    if k == Kind.FIN_DIM:
+    if x.space.dim:
         return list(range(1, x.space.dim + 1))
-    if k == Kind.TAIL_SEQ:
+    if x.space.row.sequence:
         return pts + [FAR]
-    if k == Kind.FIN_DEV:
+    if x.space.row.shape == "fin_dev":
         return pts + [Token("star", FAR)]
     depth = max(len(x.rows), len(y.rows))
     return pts + [(n, FAR) for n in range(1, depth + 2)] + [(FAR, 1)]
@@ -457,7 +455,7 @@ def test_abs_le_is_le_of_abs(rng):
         for _ in range(60):
             x, y = random_element(rng, space), random_element(rng, space)
             pairs = _lattice_pairs(x, y)
-            if space.kind == Kind.ROW_BLOCK:
+            if space.row.shape == "row_block":
                 u, v = _shared_background_rows(rng, space), _shared_background_rows(rng, space)
                 pairs += [(u, v), (u, x), (x, u), (u, sup2(abs_(u), v))]
             for a, b in pairs:
@@ -473,11 +471,11 @@ def _wide(space, n: int, shift: int):
     """An element storing about n coordinates, half of them shared with
     the element of shift n // 2."""
     vals = [Q((7 * i + shift) % 5 - 2, 1 + i % 3) for i in range(n)]
-    if space.kind == Kind.FIN_DEV:
+    if space.row.shape == "fin_dev":
         # star tokens are off the line: ck patterns keep them as extras
         return element_findev(
             space, {Token("star", i + shift): v for i, v in enumerate(vals, 1)}, shift % 3)
-    if space.kind == Kind.TAIL_SEQ:
+    if space.row.sequence:
         return element_tail(space, [Q(0)] * shift + vals, shift % 3)
     width = 50
     rows = [(vals[i:i + width], Q(i % 4)) for i in range(0, n, width)]
@@ -566,11 +564,11 @@ def _sparse(space, n: int):
     """An element storing about n coordinates, every tail, row tail and
     ambient 0: the sparse data on which sums and scalings skip identities."""
     vals = [Q((7 * i) % 5 - 2, 1 + i % 3) for i in range(n)]
-    if space.kind == Kind.FIN_DIM:
+    if space.dim:
         return element_fin(space, vals)
-    if space.kind == Kind.FIN_DEV:
+    if space.row.shape == "fin_dev":
         return element_findev(space, {Token("star", i): v for i, v in enumerate(vals, 1)}, 0)
-    if space.kind == Kind.TAIL_SEQ:
+    if space.row.sequence:
         return element_tail(space, vals, 0)
     return element_rowblock(space, [(vals[i:i + 50], 0) for i in range(0, n, 50)], 0)
 
@@ -578,10 +576,10 @@ def _sparse(space, n: int):
 def _payload(x) -> list:
     """Every value stored in x's payload, tails, row tails and ambient
     included."""
-    if x.space.kind == Kind.FIN_DEV:
+    if x.space.row.shape == "fin_dev":
         stars, amb, (prefix, res) = x.data
         return [v for _, v in stars] + [amb, *prefix, *res]
-    if x.space.kind == Kind.ROW_BLOCK:
+    if x.space.row.shape == "row_block":
         rows, back = x.data
         return [v for p, res in rows + back for v in (*p, *res)]
     return [*x.data[0], *x.data[1]]  # a line: fin_dim and tail_seq
@@ -645,7 +643,7 @@ def test_payload_trims_make_no_fraction_eq_calls():
 
 # the zero payload of each shape: line, fin_dev, row_block
 _ZERO_PAYLOADS = (((), (Q0,)), ((), Q0, ((), (Q0,))), ((), (((), (Q0,)),)))
-_AN_ATOM = {Kind.FIN_DIM: 2, Kind.TAIL_SEQ: 3, Kind.FIN_DEV: gamma(2), Kind.ROW_BLOCK: (2, 1)}
+_AN_ATOM = {"findim(4)": 2, "l0inf": 3, "ck": gamma(2), "ek": (2, 1), "grid": (2, 1)}
 
 
 def test_is_zero_reads_the_payload_without_fraction_eq(rng):
@@ -657,10 +655,10 @@ def test_is_zero_reads_the_payload_without_fraction_eq(rng):
     for space in ALL_SPACES:
         z = zero(space)
         line = ((), (Q(0),))
-        other_zero = elements.Element(space, {Kind.FIN_DEV: ((), Q(0), line),
-                                              Kind.ROW_BLOCK: ((), (line,))}.get(space.kind, line))
+        other_zero = elements.Element(space, {"fin_dev": ((), Q(0), line),
+                                              "row_block": ((), (line,))}.get(space.row.shape, line))
         xs = [z, other_zero, unit(space), scale(Q(1, 2), unit(space)),
-              atom(space, _AN_ATOM[space.kind]),
+              atom(space, _AN_ATOM[space.label]),
               *(random_element(rng, space) for _ in range(20)),
               *(random_pattern(rng, space)[0] for _ in range(20))]
         with fraction_calls(("__eq__",)) as eqs:
@@ -973,11 +971,11 @@ def _random_parts(rng, space) -> list:
     unit, and coefficients that cancel."""
     def index():
         near = rng.randint(1, 5)
-        if space.kind == Kind.FIN_DIM:
+        if space.dim:
             return rng.randint(1, space.dim)
-        if space.kind == Kind.TAIL_SEQ:
+        if space.row.sequence:
             return rng.choice([near, 4000])
-        if space.kind == Kind.FIN_DEV:
+        if space.row.shape == "fin_dev":
             return rng.choice([gamma(near), gamma(4000), Token("star", near)])
         return rng.choice([(near, rng.randint(1, 5)), (near, 300), (300, near), (300, 300)])
 
@@ -1015,11 +1013,11 @@ def _dense_recompose(space, parts):
     stored one, through the public constructors: the reference for
     `recompose`."""
     u, atoms, rows = _sums(parts)
-    if space.kind == Kind.FIN_DEV:
+    if space.row.shape == "fin_dev":
         width = max([t.k for t in atoms if t.family == "g"], default=0)
         dense = {gamma(k): u for k in range(1, width + 1)}
         return element_findev(space, {**dense, **{t: u + c for t, c in atoms.items()}}, u)
-    if space.kind == Kind.ROW_BLOCK:
+    if space.row.shape == "row_block":
         out = []
         for n in range(1, max([n for n, _ in atoms] + list(rows), default=0) + 1):
             rt = u + rows.get(n, 0)
@@ -1037,7 +1035,7 @@ def test_recompose_matches_the_dense_sum_and_shares_untouched_values(rng):
             x = recompose(space, parts)
             assert x == _dense_recompose(space, parts), (space.label, parts)
             _, atoms, rows = _sums(parts)
-            if space.kind == Kind.ROW_BLOCK:
+            if space.row.shape == "row_block":
                 lines, (back,) = x.data
                 for n, row in enumerate(lines, start=1):
                     rt = row[1][0]
@@ -1049,7 +1047,7 @@ def test_recompose_matches_the_dense_sum_and_shares_untouched_values(rng):
                                if not atoms.get((n, m)))
             else:
                 # the g-line of ck is a line over the g tokens
-                fin_dev = space.kind == Kind.FIN_DEV
+                fin_dev = space.row.shape == "fin_dev"
                 prefix, res = x.data[2] if fin_dev else x.data
                 untouched = [v for i, v in enumerate(prefix, start=1)
                              if not atoms.get(gamma(i) if fin_dev else i)]

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_element, random_scalar
 from rieszkit.errors import InvalidIndexError, PreconditionError, StencilError
-from rieszkit.scalars import Q, RationalSeq
+from rieszkit.scalars import Q
 from rieszkit.spaces import (
     fin_dev,
     fin_dim,
@@ -16,7 +16,6 @@ from rieszkit.spaces import (
     row_block_grid,
     seq_form,
     tail_seq,
-    token_form,
 )
 from rieszkit.elements import (
     abs_,

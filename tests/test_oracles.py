@@ -42,7 +42,6 @@ from rieszkit.operators import (
     operator,
     partial_sum_seq,
     rank_one,
-    stencil_rule,
 )
 from rieszkit.calculus import positive_part, rk_value
 from rieszkit.oracles import (

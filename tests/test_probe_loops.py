@@ -84,12 +84,11 @@ def _q(rng, lo=-2, hi=2):
 
 def _index(rng, space):
     """A fixed atom index of the space."""
-    kind = space.kind.value
-    if kind == "fin_dim":
+    if space.dim:
         return rng.randint(1, space.dim)
-    if kind == "tail_seq":
+    if space.row.sequence:
         return rng.randint(1, 6)
-    if kind == "fin_dev":
+    if space.row.shape == "fin_dev":
         return gamma(rng.randint(1, 6)) if rng.random() < 0.7 else Token("star", rng.randint(1, 3))
     return (rng.randint(1, 4), rng.randint(1, 4))
 
@@ -97,19 +96,19 @@ def _index(rng, space):
 def _form(rng, space, moving):
     """A coordinate form of the space: stationary, or strictly moving from
     index 1 on (sometimes from index 0 on, which is out of range at n = 1)."""
-    kind = space.kind.value
-    if kind == "fin_dim" or not moving:
+    shape = space.row.shape
+    if space.dim or not moving:
         idx = _index(rng, space)
-        if kind == "fin_dim" or kind == "tail_seq":
+        if shape == "line":
             return seq_form(0, idx)
-        if kind == "fin_dev":
+        if shape == "fin_dev":
             return token_form(0, rng.randint(1, 6))
         return pair_form(0, idx[0], 0, idx[1])
     a = rng.choice([1, 1, 2])
     b = rng.randint(1 - a, 3) - (rng.random() < 0.03)
-    if kind == "tail_seq":
+    if shape == "line":
         return seq_form(a, b)
-    if kind == "fin_dev":
+    if shape == "fin_dev":
         return token_form(a, b)
     if rng.random() < 0.5:
         return pair_form(a, b, 0, rng.randint(1, 3))
@@ -144,15 +143,15 @@ def _symbolic(rng, space):
     for _ in range(rng.randint(0, 3)):
         moving = rng.random() < 0.5
         atoms.append((_form(rng, space, moving), _coeff(rng, not moving)))
-    if space.kind.value in ("tail_seq", "fin_dev") and rng.random() < 0.3:
+    # the moving line forms: l0inf's and ck's
+    make = seq_form if space.row.sequence else token_form if space.row.shape == "fin_dev" else None
+    if make and rng.random() < 0.3:
         # two strictly moving forms that meet at one step: the constructor
         # hides the collision behind a prelude
-        make = seq_form if space.kind.value == "tail_seq" else token_form
         c = rng.randint(2, 4)
         atoms += [(make(1, 1), _coeff(rng, False)), (make(2, 1 - c), _coeff(rng, False))]
     fills = []
-    if space.kind.value in ("tail_seq", "fin_dev"):
-        make = seq_form if space.kind.value == "tail_seq" else token_form
+    if make:
         for _ in range(rng.randint(0, 2)):
             modulus = rng.randint(1, 3)
             fills.append(fill(make(rng.randint(1, 2), rng.randint(0, 2)), modulus,
@@ -381,7 +380,7 @@ def test_order_bound_and_domination_walks_agree_with_whole_step_comparisons(spac
         assert any(line.startswith("FAIL") for line in found), walk
         assert any(not line.startswith("FAIL") for line in found), walk
     assert late_starts and {(True, True), (False, True)} <= late_fails
-    assert prelude_escapes or space.kind.value not in ("fin_dev", "row_block")
+    assert prelude_escapes or space.row.shape == "line"
 
 
 def test_escaping_atoms_come_off_the_prelude_from_the_walks_first_step():
@@ -428,7 +427,7 @@ def test_dominating_search_probe_agrees_with_whole_step_comparisons(space):
     on l0inf."""
     rng = random.Random(24)
     subjects = [x for _, x in _draws(24, space, 12)]
-    if space.kind.value != "fin_dim":
+    if not space.dim:
         subjects += [element_seq(space, atoms=[(_form(rng, space, True), RationalSeq.const(c))])
                      for c in (1, -2, Q(1, 2))]
     outcomes = set()
@@ -438,7 +437,7 @@ def test_dominating_search_probe_agrees_with_whole_step_comparisons(space):
             bruteforce_dominating_search(x, 4)))
         assert got == want, x
         outcomes.add(want[0] == "ok" and want[1][0] is not None)
-    if space.kind.value == "tail_seq":
+    if space.row.sequence:
         assert outcomes == {True, False}
 
 

@@ -6,10 +6,10 @@ import random
 
 from rieszkit.scalars import Q, RationalSeq
 from rieszkit.spaces import fin_dev, gamma, seq_form, tail_seq, token_form
-from rieszkit.elements import atom, coordinate, describe, le, scale, sub, unit, zero
+from rieszkit.elements import atom, coordinate, describe, scale, sub, unit, zero
 from rieszkit.sequences import element_seq, eval_seq, fill
 from rieszkit.convergence import _pattern_witness, decide_order_convergence
-from rieszkit.operators import apply_op, atom_image
+from rieszkit.operators import apply_op
 from rieszkit.calculus import order_continuity_test
 from rieszkit.casebook import _random_stencil_operator, moving_indicator_operator
 

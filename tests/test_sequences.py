@@ -14,7 +14,7 @@ from rieszkit.spaces import (
     tail_seq,
     token_form,
 )
-from rieszkit.elements import atom, element_findev, element_tail, le, scale, unit, zero
+from rieszkit.elements import atom, element_findev, element_tail, scale, unit, zero
 from rieszkit.sequences import (
     element_seq,
     eval_seq,
@@ -24,7 +24,6 @@ from rieszkit.sequences import (
     sub_element,
 )
 from rieszkit.convergence import (
-    check_decreasing,
     decide_monotone_limit,
     decide_order_convergence,
     o1_dominating_obstruction,
@@ -42,7 +41,7 @@ def unit_minus_march(space):
 
 
 def _line_form(space):
-    return token_form(1, 0) if space.kind.value == "fin_dev" else seq_form(1, 0)
+    return token_form(1, 0) if space.row.shape == "fin_dev" else seq_form(1, 0)
 
 
 def test_eval_exact():

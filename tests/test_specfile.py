@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from rieszkit.errors import RieszkitError
 from rieszkit.scalars import Q
 from rieszkit.spaces import gamma
-from rieszkit.elements import atom, element_findev, row_unit, unit, zero
+from rieszkit.elements import atom, element_findev, row_unit, unit
 from rieszkit.operators import apply_op, atom_image, order_bounded_test
 from rieszkit.cli import main
 from rieszkit.specfile import SpecError, build_all, parse
