@@ -51,7 +51,10 @@ canonicalizer of such sums: operator images (`operators.image_parts`),
 sequence steps (`sequences.eval_seq`) and step residuals reach it as
 generator parts, not as elements decomposed again, and `lincomb` sums scaled
 elements through it rather than through repeated `add`, which canonicalizes
-the whole element each time.
+the whole element each time.  One routine sums parts by generator: the
+`recompose` front end `_sum_parts`, which `sum_parts` also reads to give the
+merged nonzero parts as a dict, the `decompose` of the sum off fin_dim, so
+two sums of parts compare without building either element.
 """
 
 from __future__ import annotations
@@ -107,9 +110,6 @@ class Element:
 
     def __add__(self, other: "Element") -> "Element":
         return add(self, other)
-
-    def __sub__(self, other: "Element") -> "Element":
-        return sub(self, other)
 
     def __neg__(self) -> "Element":
         return scale(-1, self)
@@ -611,11 +611,12 @@ def decompose(x: Element) -> list:
     return out
 
 
-def recompose(space: SpaceDesc, parts) -> Element:
-    """The canonical element sum of coefficient * generator over `parts`
-    (in the format of `decompose`), built in one pass.  Parts are read once,
-    in order, and each index is checked as it is read, so the first bad
-    index raises InvalidIndexError."""
+def _sum_parts(space: SpaceDesc, parts) -> tuple:
+    """({atom index: coefficient}, {row: coefficient}, unit coefficient)
+    summed over `parts` (in the format of `decompose`): the one routine
+    that sums parts.  Parts are read once, in order, and each index is
+    checked as it is read, so the first bad index raises
+    InvalidIndexError."""
     check, dim = space.row.check_atom, space.dim
     u = Q0
     atoms: dict = {}
@@ -634,7 +635,25 @@ def recompose(space: SpaceDesc, parts) -> Element:
             rows[n] = qadd(rows.get(n, Q0), qof(c))
         else:
             u = qadd(u, qof(c))
-    return _SHAPES[space.row.shape].recompose(space, atoms, rows, u)
+    return atoms, rows, u
+
+
+def sum_parts(space: SpaceDesc, parts) -> dict:
+    """{generator: summed coefficient} over `parts`, less the generators
+    whose coefficients cancel.  Off fin_dim, where the unit is the sum of
+    the atoms, the decomposition is unique: two sums of parts are one
+    element exactly when these dicts are equal, and each is the
+    `decompose` of its `recompose`."""
+    atoms, rows, u = _sum_parts(space, parts)
+    summed = [*((("atom", i), c) for i, c in atoms.items()),
+              *((("row_unit", n), c) for n, c in rows.items()), (("unit",), u)]
+    return {ref: c for ref, c in summed if c is not Q0 and c}
+
+
+def recompose(space: SpaceDesc, parts) -> Element:
+    """The canonical element sum of coefficient * generator over `parts`
+    (in the format of `decompose`), built in one pass over their sums."""
+    return _SHAPES[space.row.shape].recompose(space, *_sum_parts(space, parts))
 
 
 def lincomb(space: SpaceDesc, terms) -> Element:

@@ -7,8 +7,9 @@ extension over the generator decomposition defines the operator on the whole
 space.  Everything here is exact.
 
 `image_parts` owns the image of one generator, as generator parts (the
-format of `elements.decompose`); `apply_op` and `atom_image` canonicalize
-them once, in one `recompose`.
+format of `elements.decompose`), and `apply_parts` the image of a sum of
+parts; `apply_op` and `atom_image` canonicalize them once, in one
+`recompose`.
 
 Stencil entries with a stationary output form (slope 0) break local
 finiteness; they are representable so the order-boundedness test can refuse
@@ -263,20 +264,21 @@ def row_unit_image(T: Operator, r: int) -> Element:
 # application
 
 
+def apply_parts(T: Operator, parts) -> list:
+    """T of a sum of generator parts, as generator parts of the codomain:
+    the image of each generator, scaled by its coefficient."""
+    return [(g, qmul(c, v)) for ref, c in parts for g, v in image_parts(T, ref)]
+
+
 def apply_op(T: Operator, x: Element) -> Element:
-    """T(x): the images of x's generators, scaled, in one `recompose`."""
+    """T(x): the `apply_parts` of x's decomposition, in one `recompose`."""
     if x.space != T.domain:
         raise SpaceMismatchError(f"argument lives in {x.space.label}")
-    return recompose(T.codomain, [(g, qmul(c, v)) for ref, c in decompose(x)
-                                  for g, v in image_parts(T, ref)])
+    return recompose(T.codomain, apply_parts(T, decompose(x)))
 
 
 # ---------------------------------------------------------------------------
 # operator arithmetic
-
-
-def zero_op(domain: SpaceDesc, codomain: SpaceDesc) -> Operator:
-    return operator(domain, codomain, {}, None, None, zero(codomain))
 
 
 def scale_op(c: QLike, T: Operator) -> Operator:

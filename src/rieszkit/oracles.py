@@ -21,7 +21,6 @@ from .elements import (
     Element,
     add,
     coordinate,
-    lincomb,
     recompose,
     support as elem_support,
 )
@@ -38,34 +37,8 @@ from .sequences import (
 from .convergence import check_decreasing
 
 
-# ---------------------------------------------------------------------------
-# truncation to finite dimensions
-
-
-def truncate_element(x: Element, level: int) -> list[Q]:
-    """Coordinates 1..level plus the tail slot (tail_seq only)."""
-    if not x.space.row.sequence:
-        raise PreconditionError("truncation is defined for tail sequences")
-    return [coordinate(x, i) for i in range(1, level + 1)] + [x.tail]
-
-
-def truncate_operator(T: Operator, level: int) -> list[list[Q]]:
-    """Matrix of T on the truncated basis e_1..e_level plus the tail block.
-
-    Column j < level is the truncation of T(e_j); the last column is the
-    image of the tail generator (unit minus the listed atoms)."""
-    imgs = [atom_image(T, j) for j in range(1, level + 1)]
-    tail_gen_img = lincomb(T.codomain, [(1, T.unit_image), *((-1, img) for img in imgs)])
-    cols = [truncate_element(img, level) for img in (*imgs, tail_gen_img)]
-    return [[cols[j][i] for j in range(level + 1)] for i in range(level + 1)]
-
-
 def matrix_positive_part(M) -> list[list[Q]]:
     return [[max(qof(v), Q(0)) for v in row] for row in M]
-
-
-def matrix_apply(M, v) -> list[Q]:
-    return [sum((qof(a) * qof(x) for a, x in zip(row, v)), Q(0)) for row in M]
 
 
 # ---------------------------------------------------------------------------

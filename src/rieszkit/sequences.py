@@ -20,14 +20,15 @@ completion pattern.
 Every element this module produces is one `recompose` over generator parts,
 and the limit pattern is one `pattern_from_pieces` call: the base element
 collects the static part, the ambient limit and the stationary atoms, and
-each fill is a piece: `eval_seq` builds a symbolic step as the
-`recompose` of its parts.  The static part is the same at every step, so a
-sequence decomposes it once, on first use.  A symbolic step is its static
-parts followed by `moving_parts` (the unit term and the atom and fill
-hits).  This module alone reads a step in the probe walks: each
-pointwise check of the verifiers is one `walk_failure`, b_{n+1} <= b_n one
-`decreasing_failure`, and both read a step by its difference from the step
-before (`StepWalk`), building one only at the walk's whole steps.
+each fill is a piece: `eval_seq` builds a step as the `recompose` of its
+`step_parts`, which a caller can also compare as parts.  The static part
+is the same at every step, so a sequence decomposes it once, on first use.
+A symbolic step is its static parts followed by `moving_parts` (the unit
+term and the atom and fill hits).  This module alone reads a step in the
+probe walks: each pointwise check of the verifiers is one `walk_failure`,
+b_{n+1} <= b_n one `decreasing_failure`, and both read a step by its
+difference from the step before (`StepWalk`), building one only at the
+walk's whole steps.
 """
 
 from __future__ import annotations
@@ -211,14 +212,20 @@ def _atom_parts(hits) -> list:
     return [(("atom", idx), v) for idx, v in ordered if v is not Q0 and v]
 
 
-def eval_seq(seq: ElementSeq, n: int) -> Element:
-    """x_n: the stored prelude element, or the `recompose` of the symbolic
-    step's generator parts."""
+def step_parts(seq: ElementSeq, n: int) -> list:
+    """The generator parts of x_n: the `decompose` of a stored prelude
+    element, or the symbolic step's parts."""
     if n < 1:
         raise ValueError("sequence index starts at 1")
-    if n < seq.n0:
+    return decompose(seq.prelude[n - 1]) if n < seq.n0 else _eval_symbolic(seq, n)
+
+
+def eval_seq(seq: ElementSeq, n: int) -> Element:
+    """x_n: the stored prelude element, or the `recompose` of the symbolic
+    step's `step_parts`."""
+    if 1 <= n < seq.n0:
         return seq.prelude[n - 1]
-    return recompose(seq.space, _eval_symbolic(seq, n))
+    return recompose(seq.space, step_parts(seq, n))
 
 
 def check_indices(seq: ElementSeq) -> None:

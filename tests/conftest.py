@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -16,8 +17,10 @@ from rieszkit.elements import (
     element_findev,
     element_rowblock,
     element_tail,
+    zero,
 )
 from rieszkit.completion import pattern_from_pieces
+from rieszkit.operators import Operator, operator
 
 ALL_SPACES = [fin_dim(4), tail_seq(), fin_dev(), row_block_ek(), row_block_grid()]
 
@@ -52,6 +55,19 @@ def fraction_calls(methods=FRACTION_METHODS):
     finally:
         for name, f in saved.items():
             setattr(Fraction, name, f)
+
+
+def zero_op(domain: SpaceDesc, codomain: SpaceDesc) -> Operator:
+    """The zero operator: no table, no rule, and the zero unit image."""
+    return operator(domain, codomain, {}, None, None, zero(codomain))
+
+
+def loglog_slope(sizes, counts) -> float:
+    """The least-squares slope of log(count) over log(size)."""
+    xs, ys = [math.log(w) for w in sizes], [math.log(c) for c in counts]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return (sum((a - mx) * (b - my) for a, b in zip(xs, ys))
+            / sum((a - mx) ** 2 for a in xs))
 
 
 def random_scalar(rng: random.Random, span: int = 6) -> Q:

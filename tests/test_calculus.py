@@ -508,7 +508,7 @@ def test_boundedness_precondition_is_the_leak_check(monkeypatch):
 def test_pervasive_witness_requires_positive():
     with pytest.raises(PreconditionError):
         pervasive_witness(moving_indicator_operator())
-    from rieszkit.operators import zero_op
+    from conftest import zero_op
 
     with pytest.raises(PreconditionError):
         pervasive_witness(zero_op(T, T))

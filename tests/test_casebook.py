@@ -5,11 +5,13 @@ import sys
 
 import pytest
 
-from rieszkit import casebook, operators
-from rieszkit.elements import abs_, scale
+from rieszkit import casebook, operators, scalars
+from rieszkit.elements import element_findev
 from rieszkit.errors import PreconditionError
-from rieszkit.operators import BoundReport, op_eq
-from rieszkit.scalars import Q
+from rieszkit.operators import BoundReport, op_eq, operator
+from rieszkit.scalars import Q, RationalSeq, qabs
+from rieszkit.sequences import element_seq
+from rieszkit.spaces import gamma, pair_form
 from rieszkit.reports import report_to_dict, to_json, to_markdown
 from rieszkit.specfile import build_all, parse
 from rieszkit.casebook import (
@@ -19,6 +21,8 @@ from rieszkit.casebook import (
     run_not_directed,
     run_projection_demo,
 )
+
+from conftest import loglog_slope
 
 
 def test_not_directed_run():
@@ -68,7 +72,7 @@ def test_not_directed_checks_the_moduli_with_one_comparison(monkeypatch):
 
 
 def test_not_directed_refuses_moduli_above_the_bound(monkeypatch):
-    monkeypatch.setattr(casebook, "abs_", lambda x: scale(3, abs_(x)))
+    monkeypatch.setattr(casebook, "qabs", lambda c: 3 * qabs(c))
     with pytest.raises(PreconditionError, match="modulus partial sums 1..8"):
         run_not_directed()
 
@@ -130,3 +134,71 @@ def test_failed_conclusion_raises_precondition_error(monkeypatch):
     )
     with pytest.raises(PreconditionError, match="order boundedness"):
         casebook.run_bounded_not_regular()
+
+
+KERNELS = ("qadd", "qsub", "qmul", "qle", "qabs_le", "qeq", "qmax", "qmin", "qabs", "qof")
+
+
+@pytest.mark.parametrize("run", [run_not_directed, run_bounded_not_regular],
+                         ids=["not-directed", "bounded-not-regular"])
+def test_case_studies_cost_linear_in_the_probe(monkeypatch, run):
+    """Each probe step compares generator parts, not the dense elements a
+    lone atom e(n) or g(n) makes, so the `scalars` kernel calls of a run
+    grow with a log-log slope of at most 1.15 over probes 16 to 128 (about
+    1.4 when every step built its elements)."""
+    count = [0]
+    modules = [m for name, m in sys.modules.items() if name.startswith("rieszkit")]
+    for name in KERNELS:
+        kernel = getattr(scalars, name)
+
+        def counting(*args, kernel=kernel):
+            count[0] += 1
+            return kernel(*args)
+        for mod in modules:
+            if getattr(mod, name, None) is kernel:
+                monkeypatch.setattr(mod, name, counting)
+    probes = (16, 32, 64, 128)
+    counts = []
+    for probe in probes:
+        count[0] = 0
+        run(probe=probe)
+        counts.append(count[0])
+    assert loglog_slope(probes, counts) <= 1.15, counts
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 8])
+def test_a_wrong_image_fails_the_step_check_at_its_first_wrong_step(monkeypatch, k):
+    """An image sequence that is right before step k and wrong from it, by
+    a moving bump the decider still sees converge, fails the first test
+    sequence's step check at step k."""
+    image_sequence = casebook._image_sequence
+
+    def wrong_from_k(T, xs):
+        seq = image_sequence(T, xs)
+        bump = (pair_form(1, 2, 0, 1), RationalSeq.steps([0] * (k - 1), 1))
+        return element_seq(seq.space, seq.static, [*seq.atoms, bump], seq.fills, seq.ambient)
+
+    monkeypatch.setattr(casebook, "_image_sequence", wrong_from_k)
+    with pytest.raises(PreconditionError, match=f"the moving row bump image at step {k}$"):
+        run_bounded_not_regular()
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 8])
+def test_a_wrong_rule_fails_the_cut_down_check_at_its_first_wrong_step(monkeypatch, k):
+    """The moving-indicator operator with g(k) and g(k + 1) swapped keeps
+    the order bound 2 and order continuity, but its cut-downs are g(1),
+    ..., g(k - 1), then g(k + 1): the cut-down check fails at step k."""
+    T = moving_indicator_operator()
+    swap = {k: k + 1, k + 1: k}
+
+    def image(n):
+        coeffs = {gamma(swap.get(n, n)): 1}
+        if n > 1:
+            coeffs[gamma(swap.get(n - 1, n - 1))] = -1
+        return element_findev(T.codomain, coeffs, 0)
+
+    swapped = operator(T.domain, T.codomain, {n: image(n) for n in range(1, k + 3)}, T.rule,
+                       None, T.unit_image)
+    monkeypatch.setattr(casebook, "moving_indicator_operator", lambda: swapped)
+    with pytest.raises(PreconditionError, match=rf"the cut-down {k} maps to g\({k}\)$"):
+        run_not_directed()

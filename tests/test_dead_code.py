@@ -24,13 +24,8 @@ SEARCHED = [PACKAGE, ROOT / "perfbench"]
 
 # definitions no engine code or benchmark calls, kept on purpose
 ALLOWED = {
-    "truncate_operator": "truncation reference the oracle tests compare apply_op with",
-    "matrix_apply": "the matrix product that truncation reference is checked with",
-    "truncate_element": "the vector truncation of truncate_operator's columns, which the "
-                        "oracle tests apply that matrix to",
     "inf2": "lattice API: the infimum, dual of sup2",
     "neg": "lattice API: the negative part, dual of pos",
-    "zero_op": "lattice API: the zero operator, a boundary case of the tests",
 }
 
 
@@ -123,7 +118,7 @@ def test_dispatch_sites_stay_within_budget():
 # blank lines, comment-only lines and the lines of module, class and
 # function docstrings, so documentation is never what a cut removes.  A PR
 # that cuts code lowers it to the count it reaches.
-CODE_LINE_BUDGET = 3682
+CODE_LINE_BUDGET = 3681
 
 
 def code_lines(package: Path) -> int:

@@ -59,6 +59,7 @@ from rieszkit.elements import (
     row_unit,
     scale,
     sub,
+    sum_parts,
     sup2,
     support,
     unit,
@@ -1054,6 +1055,25 @@ def test_recompose_matches_the_dense_sum_and_shares_untouched_values(rng):
                 assert len({id(v) for v in untouched}) <= 1
                 if not space.dim:
                     assert all(v is res[0] for v in untouched)
+
+
+def test_the_decomposition_is_the_merged_nonzero_parts(rng):
+    """On the four kinds without a dimension (on fin_dim the unit is the
+    sum of the atoms) the generator decomposition is unique: `decompose` of
+    `recompose(space, parts)` is the parts merged by generator with the
+    cancelled ones dropped, each generator once, and `sum_parts` is that
+    merge.  So two sums of parts are one element exactly when their merged
+    parts are equal, which the casebook's step checks rest on."""
+    for space in [s for s in ALL_SPACES if not s.dim]:
+        for _ in range(80):
+            parts = _random_parts(rng, space)
+            u, atoms, rows = _sums(parts)
+            merged = {**{("atom", i): c for i, c in atoms.items() if c},
+                      **{("row_unit", n): c for n, c in rows.items() if c},
+                      **({("unit",): u} if u else {})}
+            got = decompose(recompose(space, parts))
+            assert dict(got) == merged == sum_parts(space, parts), (space.label, parts)
+            assert len(got) == len(merged), (space.label, parts)
 
 
 def test_recompose_of_a_far_atom_adds_once_per_part(monkeypatch):

@@ -24,11 +24,13 @@ from rieszkit.spaces import (
     token_form,
 )
 from rieszkit.elements import (
+    Element,
     add,
     atom,
     coordinate,
     element_fin,
     element_tail,
+    lincomb,
     scale,
     sup2,
     support,
@@ -36,6 +38,7 @@ from rieszkit.elements import (
     zero,
 )
 from rieszkit.operators import (
+    Operator,
     apply_op,
     atom_image,
     functional,
@@ -52,10 +55,7 @@ from rieszkit.oracles import (
     grid_interval_sup,
     majorant_floors,
     majorant_growth_probe,
-    matrix_apply,
     matrix_positive_part,
-    truncate_element,
-    truncate_operator,
 )
 from rieszkit.sequences import element_seq
 from rieszkit.casebook import identity_on_tail_seq, row_pair_difference_operator
@@ -294,7 +294,7 @@ def test_majorant_growth():
     assert mu[1] == 1
     assert all(a <= b for a, b in zip(mu, mu[1:]))
     assert all(mu[n] >= Q(n, 2) for n in range(13))
-    from rieszkit.operators import zero_op
+    from conftest import zero_op
     from rieszkit.spaces import row_block_ek, row_block_grid
 
     assert majorant_growth_probe(zero_op(row_block_ek(), row_block_grid()), 5) == 0
@@ -350,7 +350,8 @@ def test_stencil_outside_the_family_is_refused(tmp_path, capsys):
 
 
 def _majorant_operators():
-    from rieszkit.operators import scale_op, zero_op
+    from conftest import zero_op
+    from rieszkit.operators import scale_op
     from rieszkit.spaces import row_block_ek, row_block_grid
     from rieszkit.specfile import build_all, parse
 
@@ -545,6 +546,26 @@ def test_dominating_search_refuses_a_negative_bound():
         with pytest.raises(PreconditionError, match=f"search bound must be >= 0, got {bound}"):
             bruteforce_dominating_search(x, bound)
     assert bruteforce_dominating_search(x, 0).candidates_checked == 1
+
+
+def truncate_element(x: Element, level: int) -> list[Q]:
+    """Coordinates 1..level plus the tail slot of a tail sequence."""
+    return [coordinate(x, i) for i in range(1, level + 1)] + [x.tail]
+
+
+def truncate_operator(T_: Operator, level: int) -> list[list[Q]]:
+    """Matrix of T_ on the truncated basis e_1..e_level plus the tail block.
+
+    Column j < level is the truncation of T_(e_j); the last column is the
+    image of the tail generator (unit minus the listed atoms)."""
+    imgs = [atom_image(T_, j) for j in range(1, level + 1)]
+    tail_gen_img = lincomb(T_.codomain, [(1, T_.unit_image), *((-1, img) for img in imgs)])
+    cols = [truncate_element(img, level) for img in (*imgs, tail_gen_img)]
+    return [[cols[j][i] for j in range(level + 1)] for i in range(level + 1)]
+
+
+def matrix_apply(M, v) -> list[Q]:
+    return [sum((Q(a) * Q(x) for a, x in zip(row, v)), Q(0)) for row in M]
 
 
 def test_truncation_commutes_with_apply():

@@ -21,7 +21,6 @@ family fitted to them.  A count guard holds the walks linear in the window.
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
@@ -74,6 +73,8 @@ from rieszkit.spaces import (
     tail_seq,
     token_form,
 )
+
+from conftest import loglog_slope
 
 SPACES = [fin_dim(4), tail_seq(), fin_dev(), row_block_ek(), row_block_grid()]
 
@@ -462,14 +463,6 @@ def _coordinates_read(monkeypatch) -> list:
     return count
 
 
-def _slope(windows, counts) -> float:
-    """The least-squares slope of log(count) over log(window)."""
-    xs, ys = [math.log(w) for w in windows], [math.log(c) for c in counts]
-    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
-    return (sum((a - mx) * (b - my) for a, b in zip(xs, ys))
-            / sum((a - mx) ** 2 for a in xs))
-
-
 @pytest.mark.parametrize("space, line", [(tail_seq(), seq_form), (fin_dev(), token_form)],
                          ids=["l0inf", "ck"])
 def test_probe_walks_read_coordinates_linear_in_the_window(monkeypatch, space, line):
@@ -496,7 +489,7 @@ def test_probe_walks_read_coordinates_linear_in_the_window(monkeypatch, space, l
             count[0] = 0
             assert run(window - structural_threshold(subject))
             counts.append(count[0])
-        assert _slope(windows, counts) <= 1.15, (name, counts)
+        assert loglog_slope(windows, counts) <= 1.15, (name, counts)
 
 
 @pytest.mark.parametrize("space, line", [(tail_seq(), seq_form), (fin_dev(), token_form)],

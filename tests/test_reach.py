@@ -58,7 +58,6 @@ ALLOWED = {
     "scalars.qmin": "the infimum's kernel, which only inf2 calls",
     "elements.neg": "lattice API: the negative part, dual of pos",
     "elements.is_disjoint": "lattice API; the benchmark's wide_lattice workload times it",
-    "operators.zero_op": "lattice API: the zero operator, a boundary case of the tests",
     "elements.Element.__neg__": "operator sugar of the element API; the engine calls scale",
     "elements.Element.__rmul__": "operator sugar of the element API; the engine calls scale",
     "elements.Element.ambient": "accessor of a ck payload for the tests; the engine reads "
@@ -77,9 +76,6 @@ ALLOWED = {
                                          "pattern, then check_decreasing)",
     "oracles.majorant_growth_probe": "per-level wrapper the benchmark and tests call; the CLI "
                                      "runs majorant_floors",
-    "oracles.truncate_operator": "truncation reference the oracle tests compare apply_op with",
-    "oracles.truncate_element": "the vector truncation of truncate_operator's columns",
-    "oracles.matrix_apply": "the matrix product that truncation reference is checked with",
     "records.record": "runs at import, before the trace starts",
     "records._shape": "compiles a record shape's methods, from record at import",
     "records._repr": "a record's repr: no command prints one; the tests pin them in "
